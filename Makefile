@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-race vet build test race soak-failover soak-fleet bench bench-smoke tools
+.PHONY: check check-race vet build test race soak-failover soak-fleet bench bench-smoke bench-e2e-smoke tools
 
 check: vet build test race
 
@@ -14,6 +14,8 @@ check-race:
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -50,6 +52,15 @@ bench:
 # storm comparison (reported, not gated), no BENCH_*.json rewrite.
 bench-smoke:
 	$(GO) run ./cmd/sbbench -no-write -trials 8 -smoke
+
+# The end-to-end benchmark is its own module (benchmarks/go.mod), invisible
+# to the root `go vet ./...` and `go test ./...`: vet and test it, then run
+# both simulator workloads for two seconds each. A run exits non-zero on any
+# output-check violation, including a golden-fingerprint mismatch.
+bench-e2e-smoke:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
+	bash benchmarks/run.sh --workload sim-fig1c --seed 1 --seconds 2 --trace 0
+	bash benchmarks/run.sh --workload sim-storm --seed 1 --seconds 2 --trace 0
 
 tools:
 	$(GO) build ./cmd/...

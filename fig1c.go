@@ -98,7 +98,24 @@ const (
 // ShareBackup.
 func Fig1c(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
 	cfg.setDefaults()
+	in, err := newFig1cInputs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return in.run(cfg)
+}
 
+// fig1cInputs is everything a study replays: the two topologies, the trace
+// windows, and the failure scenarios (scenario i lands on window i mod
+// len(windows)).
+type fig1cInputs struct {
+	ft, f10   *topo.FatTree
+	windows   []*coflow.Trace
+	scenarios []failure.Scenario
+}
+
+// newFig1cInputs builds the study's inputs from cfg (defaults already set).
+func newFig1cInputs(cfg Fig1cConfig) (*fig1cInputs, error) {
 	// Topologies: fat-tree for the fat-tree and ShareBackup runs
 	// (ShareBackup's logical topology IS the fat-tree, restored exactly
 	// after replacement), AB fat-tree for F10.
@@ -163,53 +180,72 @@ func Fig1c(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
 		}
 	}
 
+	return &fig1cInputs{ft: ft, f10: f10, windows: windows, scenarios: scenarios}, nil
+}
+
+// run replays the windows under every scenario and architecture.
+func (in *fig1cInputs) run(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
+	windows, scenarios := in.windows, in.scenarios
 	type arch struct {
 		name   string
 		ft     *topo.FatTree
 		scheme rerouteScheme
 	}
 	archs := []arch{
-		{"fat-tree", ft, schemeGlobalOptimal},
-		{"F10", f10, schemeF10Local},
-		{"ShareBackup", ft, schemeShareBackup},
+		{"fat-tree", in.ft, schemeGlobalOptimal},
+		{"F10", in.f10, schemeF10Local},
+		{"ShareBackup", in.ft, schemeShareBackup},
 	}
 	// Only windows a scenario actually lands on need a baseline.
 	usedWindows := len(windows)
-	if cfg.Scenarios < usedWindows {
-		usedWindows = cfg.Scenarios
+	if len(scenarios) < usedWindows {
+		usedWindows = len(scenarios)
 	}
+
+	// Per-window routed flows and no-failure baselines are a function of the
+	// topology alone, so ShareBackup — whose logical topology is the
+	// fat-tree's own *topo.FatTree — reuses the fat-tree's.
+	type winPrep struct {
+		flows    []flowRef
+		baseline []float64
+	}
+	prepsOf := make(map[*topo.FatTree][]winPrep)
 
 	var out []ArchSlowdowns
 	for _, a := range archs {
-		// Phase 1: per-window routed flows and no-failure baselines, one
-		// sweep shard per window. The shards are deterministic (the only
-		// randomness, ECMP hashing, is keyed by cfg.Seed), so the sweep's
-		// substream seeds are unused.
-		type winPrep struct {
-			flows    []flowRef
-			baseline []float64
-		}
-		preps, err := sweep.Run(context.Background(), sweep.Config{
-			Name: "fig1c-" + a.name + "-baseline", Shards: usedWindows,
-			Seed: cfg.Seed, Workers: cfg.Workers,
-		}, func(_ context.Context, sh sweep.Shard) (winPrep, error) {
-			wi := sh.Index
-			flows, err := routeTrace(a.ft, windows[wi], cfg.Seed)
+		// Phase 1: one sweep shard per window. The shards are deterministic
+		// (the only randomness, ECMP hashing, is keyed by cfg.Seed), so the
+		// sweep's substream seeds are unused.
+		preps, ok := prepsOf[a.ft]
+		if !ok {
+			var err error
+			preps, err = sweep.Run(context.Background(), sweep.Config{
+				Name: "fig1c-" + a.name + "-baseline", Shards: usedWindows,
+				Seed: cfg.Seed, Workers: cfg.Workers,
+			}, func(_ context.Context, sh sweep.Shard) (winPrep, error) {
+				wi := sh.Index
+				flows, err := routeTrace(a.ft, windows[wi], cfg.Seed)
+				if err != nil {
+					return winPrep{}, err
+				}
+				baseline, err := simulateCCT(a.ft, windows[wi], flows)
+				if err != nil {
+					return winPrep{}, fmt.Errorf("sharebackup: %s window %d baseline: %w", a.name, wi, err)
+				}
+				return winPrep{flows: flows, baseline: baseline}, nil
+			})
 			if err != nil {
-				return winPrep{}, err
+				return nil, err
 			}
-			baseline, err := simulateCCT(a.ft, windows[wi], flows, nil)
-			if err != nil {
-				return winPrep{}, fmt.Errorf("sharebackup: %s window %d baseline: %w", a.name, wi, err)
-			}
-			return winPrep{flows: flows, baseline: baseline}, nil
-		})
-		if err != nil {
-			return nil, err
+			prepsOf[a.ft] = preps
 		}
 
 		// Phase 2: one sweep shard per failure scenario, replaying the
-		// window's coflows under the architecture's recovery scheme.
+		// window's coflows under the architecture's recovery scheme. The
+		// replay is a deterministic function of (topology, trace, routes), so
+		// a scenario that moves no route — ShareBackup always, any scheme when
+		// no flow crosses the failed element — has the baseline's completion
+		// times and is not simulated again.
 		type scenarioOut struct {
 			Slowdowns    []float64
 			Disconnected int
@@ -222,15 +258,29 @@ func Fig1c(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
 			wi := si % len(windows)
 			tr := windows[wi]
 			flows, baseline := preps[wi].flows, preps[wi].baseline
-			blocked := scenarios[si].Blocked()
-			rerouted, disconnected := applyScheme(a.ft, flows, blocked, a.scheme)
-			cct, err := simulateCCT(a.ft, tr, rerouted, blocked)
-			if err != nil {
-				return scenarioOut{}, fmt.Errorf("sharebackup: %s scenario: %w", a.name, err)
+			rerouted, hit, moved := applyScheme(a.ft, flows, scenarios[si].Blocked(), a.scheme)
+			cct := baseline
+			if moved {
+				var err error
+				if cct, err = simulateCCT(a.ft, tr, rerouted); err != nil {
+					return scenarioOut{}, fmt.Errorf("sharebackup: %s scenario: %w", a.name, err)
+				}
+			}
+			// A coflow is affected when one of its original paths crosses
+			// the failure, disconnected when such a flow found no new path.
+			affected := make([]bool, len(tr.Coflows))
+			disconnected := make([]bool, len(tr.Coflows))
+			for i, f := range flows {
+				if hit[i] {
+					affected[f.coflow] = true
+					if len(rerouted[i].path.Nodes) == 0 {
+						disconnected[f.coflow] = true
+					}
+				}
 			}
 			var so scenarioOut
 			for ci := range tr.Coflows {
-				if !coflowAffected(flows, ci, blocked) {
+				if !affected[ci] {
 					continue
 				}
 				if disconnected[ci] || math.IsInf(cct[ci], 1) {
@@ -257,28 +307,37 @@ func Fig1c(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
 }
 
 // applyScheme produces each flow's post-failure path under the
-// architecture's recovery scheme, plus the set of coflows with at least one
-// unroutable flow.
-func applyScheme(ft *topo.FatTree, flows []flowRef, blocked *topo.Blocked, scheme rerouteScheme) ([]flowRef, map[int]bool) {
-	disconnected := make(map[int]bool)
-	if scheme == schemeShareBackup {
-		// Replacement restores the exact logical topology: every flow
-		// keeps its path, at full capacity. (The sub-second recovery
-		// window is negligible against 5-minute coflows; the latency
-		// experiment quantifies it separately.)
-		return flows, disconnected
+// architecture's recovery scheme (an empty path for a flow left with no
+// route), and reports per flow whether its original path crosses the failure
+// and overall whether any route moved. When none did, the returned flows are
+// the input slice.
+func applyScheme(ft *topo.FatTree, flows []flowRef, blocked *topo.Blocked, scheme rerouteScheme) (out []flowRef, hit []bool, moved bool) {
+	hit = make([]bool, len(flows))
+	crossed := false
+	for i, f := range flows {
+		if !blocked.PathOK(f.path) {
+			hit[i] = true
+			crossed = true
+		}
 	}
-	out := make([]flowRef, len(flows))
+	// ShareBackup's replacement restores the exact logical topology: every
+	// flow keeps its path, at full capacity. (The sub-second recovery window
+	// is negligible against 5-minute coflows; the latency experiment
+	// quantifies it separately.)
+	if !crossed || scheme == schemeShareBackup {
+		return flows, hit, false
+	}
+	out = make([]flowRef, len(flows))
 	load := routing.NewLinkLoad(ft.Topology)
 	var scratch routing.Scratch // one avoid set for the whole storm
-	for _, f := range flows {
-		if blocked.PathOK(f.path) {
+	for i, f := range flows {
+		if !hit[i] {
 			load.Add(f.path, 1)
 		}
 	}
 	for i, f := range flows {
 		out[i] = f
-		if blocked.PathOK(f.path) {
+		if !hit[i] {
 			continue
 		}
 		src := hostIndexOf(ft, f.path.Nodes[0])
@@ -298,13 +357,12 @@ func applyScheme(ft *topo.FatTree, flows []flowRef, blocked *topo.Blocked, schem
 		}
 		if !ok {
 			out[i].path = topo.Path{} // stalled: disconnected
-			disconnected[f.coflow] = true
 			continue
 		}
 		out[i].path = np
 		load.Add(np, 1)
 	}
-	return out, disconnected
+	return out, hit, true
 }
 
 // hostIndexOf maps a host node back to its global host index.
@@ -312,21 +370,10 @@ func hostIndexOf(ft *topo.FatTree, id topo.NodeID) int {
 	return ft.Node(id).Index
 }
 
-// coflowAffected reports whether any of the coflow's original paths crosses
-// the failure.
-func coflowAffected(flows []flowRef, ci int, blocked *topo.Blocked) bool {
-	for _, f := range flows {
-		if f.coflow == ci && !blocked.PathOK(f.path) {
-			return true
-		}
-	}
-	return false
-}
-
 // simulateCCT runs the fluid simulator over the routed flows and returns
 // each coflow's completion time (max flow lifetime). Coflows whose flows
 // cannot all finish get +Inf.
-func simulateCCT(ft *topo.FatTree, tr *coflow.Trace, flows []flowRef, blocked *topo.Blocked) ([]float64, error) {
+func simulateCCT(ft *topo.FatTree, tr *coflow.Trace, flows []flowRef) ([]float64, error) {
 	sim := fluid.New(ft.Topology)
 	// Flow IDs are dense over the routed flow list; byte sizes come from
 	// re-walking the trace in the same order as routeTrace.
@@ -356,7 +403,6 @@ func simulateCCT(ft *topo.FatTree, tr *coflow.Trace, flows []flowRef, blocked *t
 	if idx != len(flows) {
 		return nil, fmt.Errorf("sharebackup: flow list longer than trace")
 	}
-	_ = blocked // capacity of failed elements is expressed via the paths
 	horizon := tr.Duration() + 1
 	// Run in bounded steps so stalled flows do not spin RunToCompletion.
 	if err := sim.Run(horizon); err != nil {

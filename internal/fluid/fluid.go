@@ -123,6 +123,8 @@ type EngineStats struct {
 	RippleFallbacks  int64 // ripple passes abandoned to component BFS
 	ParallelPasses   int64 // component fills run on the worker pool
 	Components       int64 // link-sharing components filled across all passes
+	FillRounds       int64 // progressive-filling rounds (one bottleneck level each)
+	LinkScans        int64 // link slots visited by the per-round bottleneck search
 }
 
 // Simulator advances a set of flows over a capacitated topology.
@@ -153,11 +155,11 @@ type Simulator struct {
 	// last verified saturated-and-maximal (its freeze link from the last fill
 	// that sealed it, or the link check (a) certified). -1 when unknown. The
 	// ripple background checks use it as an O(1) fast path; see ripple.go.
-	fCert      []topo.LinkID
-	fVisit     []uint64 // component/ripple membership generation
-	fPrep      []uint64 // prepare() generation; guards one-drain-per-pass
-	fStarted   []bool
-	fDone      []bool
+	fCert    []topo.LinkID
+	fVisit   []uint64 // component/ripple membership generation
+	fPrep    []uint64 // prepare() generation; guards one-drain-per-pass
+	fStarted []bool
+	fDone    []bool
 
 	// Link incidence: slot fi's attached links are linkArena[fOff[fi] :
 	// fOff[fi]+fNL[fi]], and posArena (same span) holds the flow's position
@@ -697,6 +699,11 @@ func (s *Simulator) completeDue() {
 }
 
 const (
+	// compactMinSlots is the engaged-slot count below which fillRates leaves
+	// parked slots in place: scanning a few dozen dead slots is cheaper than
+	// moving the live ones.
+	compactMinSlots = 32
+
 	eps = 1e-12
 	// relEps is the relative tolerance below which a flow's remaining
 	// bytes are treated as finished, so that flows completing at the
@@ -808,8 +815,10 @@ func (s *Simulator) recomputeDirty() {
 	s.stats.Recomputes++
 	s.passGen++
 	tel := s.tel.Load()
+	var before EngineStats
 	if tel != nil {
 		tel.RateRecomputes.Inc()
+		before = s.stats
 	}
 	switch {
 	case s.forceFull:
@@ -833,6 +842,9 @@ func (s *Simulator) recomputeDirty() {
 	}
 	s.fullDirty = false
 	s.dirtySeeds = s.dirtySeeds[:0]
+	if tel != nil {
+		tel.addEngine(before, s.stats)
+	}
 }
 
 // fillUnion is the reference pass: prepare and fill the whole active set as
@@ -889,6 +901,11 @@ func (s *Simulator) sealLinks(links []topo.LinkID) {
 // finishPass books the pass work into stats and telemetry.
 func (s *Simulator) finishPass(work int64, tel *Telemetry) {
 	s.stats.RecomputeWork += work
+	for _, sc := range s.scratch {
+		s.stats.FillRounds += sc.rounds
+		s.stats.LinkScans += sc.scans
+		sc.rounds, sc.scans = 0, 0
+	}
 	if tel != nil {
 		tel.RateRecomputeWork.Add(work)
 		tel.RecomputeWork.Record(work)
@@ -911,6 +928,10 @@ type fillScratch struct {
 	mn      []int32
 	mCur    []int32
 	mIdx    []int32
+	// rounds and scans accumulate fillRates' round and slot-visit counts
+	// until finishPass folds them into the simulator's stats; fills on the
+	// worker pool may not touch shared counters.
+	rounds, scans int64
 }
 
 // scratchFor returns worker w's fill scratch, allocating through w on first
@@ -950,8 +971,10 @@ func (s *Simulator) ensureVCap(n int) {
 // unfrozen flows' rates rise together; when a link saturates, its flows
 // freeze at the current level. Stalled flows get rate zero. The level a link
 // saturates at is tracked directly (satLv = avail/count), so each round's
-// bottleneck search is a pure compare scan and divisions happen only when a
-// link's unfrozen count actually changes.
+// bottleneck search is one compare scan over the link slots and divisions
+// happen only when a link's unfrozen count actually changes. A link whose
+// flows have all frozen stays in its slot, parked at satLv = +Inf, until
+// parked slots dominate and are compacted away (DESIGN.md §15).
 //
 // In closed mode (withBG false) flowSet must be closed under link sharing —
 // a component, or the whole active set — so every engaged link's full
@@ -1105,62 +1128,95 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch, memberGen uint64
 	satList := sc.satList[:0]
 	level := 0.0
 	broke := false
+	// live counts slots that still have unfrozen flows. A link whose flows
+	// have all frozen is parked in place at satLv = +Inf, which no bottleneck
+	// search can select, so slots keep their engagement order and nothing is
+	// rewritten when a link dies.
+	live := len(engaged)
+	var rounds, scans int64
 	for unfrozen > 0 {
-		// Swap-remove links whose flows have all frozen, then find the
-		// lowest saturation level over the (all-live) rest. Dropping dead
-		// links keeps late rounds proportional to what is still contested,
-		// and min over floats is order-independent, so the reshuffling
-		// cannot change any computed rate.
-		minL := math.Inf(1)
-		for i := 0; i < len(engaged); {
-			if count[i] == 0 {
-				last := len(engaged) - 1
-				linkIdx[engaged[i]] = -1
-				if i != last {
-					engaged[i], avail[i], count[i], satLv[i] = engaged[last], avail[last], count[last], satLv[last]
-					if withBG {
-						mo[i], mn[i] = mo[last], mn[last]
-					}
-					linkIdx[engaged[i]] = int32(i)
+		// Once parked slots outnumber live ones, squeeze them out (stably) so
+		// late rounds of a large fill scan what is still contested. Each
+		// compaction at least halves the slots, so all of them together visit
+		// fewer than two rounds' worth.
+		if n := len(engaged); n >= compactMinSlots && 2*live < n {
+			scans += int64(n)
+			j := 0
+			for i := 0; i < n; i++ {
+				l := engaged[i]
+				if count[i] == 0 {
+					linkIdx[l] = -1
+					continue
 				}
-				engaged, avail, count, satLv = engaged[:last], avail[:last], count[:last], satLv[:last]
+				engaged[j], avail[j], count[j], satLv[j] = l, avail[i], count[i], satLv[i]
 				if withBG {
-					mo, mn = mo[:last], mn[:last]
+					mo[j], mn[j] = mo[i], mn[i]
+				}
+				linkIdx[l] = int32(j)
+				j++
+			}
+			engaged, avail, count, satLv = engaged[:j], avail[:j], count[:j], satLv[:j]
+			if withBG {
+				mo, mn = mo[:j], mn[:j]
+			}
+		}
+		// One scan finds the lowest saturation level and collects the links
+		// that may tie it. cut is the tie threshold of the lowest level seen
+		// so far; it only falls as the scan proceeds, so every link within the
+		// final threshold was within cut when it was visited, and filtering
+		// the few candidates afterwards leaves exactly the links a second
+		// full scan would have selected, in slot order.
+		minL, cut := math.Inf(1), -1.0
+		satList = satList[:0]
+		for i, lv := range satLv {
+			if !(lv < minL) {
+				if lv <= cut {
+					satList = append(satList, int32(i))
 				}
 				continue
 			}
-			if satLv[i] < minL {
-				minL = satLv[i]
+			lo := lv
+			if lo < level {
+				lo = level // rounding guard: the level never decreases
 			}
-			i++
+			// Links whose saturation level ties the bottleneck within satTol
+			// saturate together (exact ties in symmetric fabrics collapse
+			// into one round; satTol stays at rounding scale — see its
+			// comment).
+			c := lo + (satTol*lo + eps)
+			if minL > c {
+				satList = satList[:0] // every earlier candidate is >= minL
+			}
+			minL, cut = lv, c
+			satList = append(satList, int32(i))
 		}
-		work += int64(len(engaged))
+		rounds++
+		scans += int64(len(satLv))
+		work += int64(live)
 		if math.IsInf(minL, 1) {
 			broke = true
 			break // defensive; cannot happen while unfrozen > 0
 		}
-		if minL < level {
-			minL = level // rounding guard: the level never decreases
+		if minL > level {
+			level = minL
 		}
-		level = minL
-		// Links whose saturation level ties the bottleneck within satTol
-		// saturate together (exact ties in symmetric fabrics collapse into
-		// one round; satTol stays at rounding scale — see its comment).
-		satList = satList[:0]
-		slack := satTol*level + eps
-		for i := range satLv {
-			if satLv[i] <= level+slack {
-				satList = append(satList, int32(i))
+		k := 0
+		for _, li := range satList {
+			if satLv[li] <= cut {
+				satList[k] = li
+				k++
 			}
 		}
+		satList = satList[:k]
 		// Freeze the saturated links' unfrozen member flows at the current
 		// level: CSR member lists in background mode, the (all-member)
 		// per-link flow lists in closed mode. The freeze body is inlined in
 		// both branches (it is far too large for the compiler to inline, and
 		// runs per member incidence): rate set, certificate recorded, every
 		// touched link loses one unfrozen count and the frozen allocation,
-		// saturation levels re-derived for survivors, and in background mode
-		// the member folds into the verification arrays.
+		// saturation levels re-derived for survivors (a link losing its last
+		// unfrozen flow parks), and in background mode the member folds into
+		// the verification arrays.
 		for _, li := range satList {
 			cert := engaged[li]
 			if withBG {
@@ -1181,6 +1237,9 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch, memberGen uint64
 						avail[li2] = a
 						if c > 0 {
 							satLv[li2] = a / float64(c)
+						} else {
+							satLv[li2] = math.Inf(1)
+							live--
 						}
 						ri := rIdx[l2]
 						vSum[ri] += level
@@ -1209,6 +1268,9 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch, memberGen uint64
 						avail[li2] = a
 						if c > 0 {
 							satLv[li2] = a / float64(c)
+						} else {
+							satLv[li2] = math.Inf(1)
+							live--
 						}
 					}
 					work += int64(n)
@@ -1217,6 +1279,8 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch, memberGen uint64
 			}
 		}
 	}
+	sc.rounds += rounds
+	sc.scans += scans
 	if broke {
 		for _, fi := range flowSet {
 			if fRate[fi] < 0 {
@@ -1234,8 +1298,6 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch, memberGen uint64
 	sc.mo, sc.mn, sc.mIdx = mo[:0], mn[:0], mIdx[:0]
 	return work, !broke
 }
-
-
 
 // arrEvent is one scheduled arrival.
 type arrEvent struct {

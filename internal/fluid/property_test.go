@@ -173,9 +173,56 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 	if testing.Short() {
 		schedules = 150
 	}
+	// Each schedule runs twice: as the engine dispatches it (background-mode
+	// ripple fills, closed-mode component fills when the proof does not
+	// close), and with every pass forced through closed-mode component
+	// decomposition, so both fillRates modes face the whole schedule set.
+	var ripple, comps int64
 	for seed := 0; seed < schedules; seed++ {
-		if !differentialSchedule(t, int64(seed)) {
-			t.Fatalf("schedule %d diverged", seed)
+		for _, closed := range []bool{false, true} {
+			st, ok := differentialSchedule(t, int64(seed), closed)
+			if !ok {
+				t.Fatalf("schedule %d (closed=%v) diverged", seed, closed)
+			}
+			if !closed {
+				ripple += st.RipplePasses
+			} else {
+				comps += st.Components
+				if st.RipplePasses != 0 {
+					t.Fatalf("schedule %d: forced-closed run made %d ripple passes", seed, st.RipplePasses)
+				}
+			}
+		}
+	}
+	if ripple == 0 || comps == 0 {
+		t.Fatalf("modes not exercised: %d ripple passes, %d closed components", ripple, comps)
+	}
+}
+
+// runClosed is Simulator.Run with every rate recomputation forced through
+// the fullDirty dispatch: exact component decomposition and closed-mode
+// fills, never the ripple pass.
+func runClosed(s *Simulator, until float64) error {
+	for {
+		if len(s.dirtySeeds) > 0 {
+			s.fullDirty = true
+		}
+		s.recompute()
+		tArr := math.Inf(1)
+		if s.pending.Len() > 0 {
+			tArr = s.pending[0].at
+		}
+		tFin := s.nextFinishTime()
+		t := math.Min(tArr, tFin)
+		if t > until {
+			s.now = until
+			return nil
+		}
+		s.now = t
+		if tArr <= tFin {
+			s.admitArrivals(tArr)
+		} else {
+			s.completeDue()
 		}
 	}
 }
@@ -186,7 +233,10 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 // tie bug was isolated from seed 1081.
 var dbgDump func(string, ...any)
 
-func differentialSchedule(t *testing.T, seed int64) bool {
+// differentialSchedule replays one randomized schedule through the scoped
+// engine (closed: with every pass forced into closed-mode decomposition) and
+// the forced-full reference, and returns the scoped engine's counters.
+func differentialSchedule(t *testing.T, seed int64, closed bool) (EngineStats, bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 
@@ -224,12 +274,18 @@ func differentialSchedule(t *testing.T, seed int64) bool {
 		}
 	}
 	if len(pool) == 0 {
-		return true
+		return EngineStats{}, true
 	}
 
 	inc, full := New(g), New(g)
 	full.ForceFullRecompute(true)
 	both := [2]*Simulator{inc, full}
+	run := func(s *Simulator, until float64) error {
+		if closed && s == inc {
+			return runClosed(s, until)
+		}
+		return s.Run(until)
+	}
 	nf := 2 + r.Intn(11)
 	for i := 0; i < nf; i++ {
 		bytes := 1 + r.Float64()*500
@@ -253,7 +309,7 @@ func differentialSchedule(t *testing.T, seed int64) bool {
 	for op := 0; op < 3+r.Intn(6); op++ {
 		now += r.Float64() * 4
 		for _, s := range both {
-			if err := s.Run(now); err != nil {
+			if err := run(s, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,7 +374,7 @@ func differentialSchedule(t *testing.T, seed int64) bool {
 	}
 	if dbgDump != nil {
 		for _, s := range both {
-			if err := s.Run(now); err != nil {
+			if err := run(s, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -332,6 +388,17 @@ func differentialSchedule(t *testing.T, seed int64) bool {
 		}
 	}
 	for _, s := range both {
+		if closed && s == inc {
+			// Every stalled flow was recovered above, so a horizon far past
+			// any finish time drains the engine.
+			if err := runClosed(s, 1e12); err != nil {
+				t.Fatal(err)
+			}
+			if left := s.ActiveCount() + s.PendingCount(); left != 0 {
+				t.Fatalf("seed %d: forced-closed run left %d flows unfinished", seed, left)
+			}
+			continue
+		}
 		if err := s.RunToCompletion(); err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +417,7 @@ func differentialSchedule(t *testing.T, seed int64) bool {
 			ok = false
 		}
 	}
-	return ok
+	return inc.Stats(), ok
 }
 
 func minCapOn(g *topo.Topology, p topo.Path) float64 {

@@ -30,6 +30,13 @@ type Telemetry struct {
 	RateRecomputes    *obs.Counter // progressive-filling passes (scoped or full)
 	FullRecomputes    *obs.Counter // passes that fell back to the whole active set
 	RateRecomputeWork *obs.Counter // flow×link incidences touched by filling passes
+	RipplePasses      *obs.Counter // scoped passes settled by local verification
+	RippleExpansions  *obs.Counter // verification-driven ripple set growths
+	RippleFallbacks   *obs.Counter // ripple passes abandoned to component BFS
+	ParallelPasses    *obs.Counter // component fills run on the worker pool
+	Components        *obs.Counter // link-sharing components filled
+	FillRounds        *obs.Counter // progressive-filling rounds
+	LinkScans         *obs.Counter // link slots visited by the bottleneck search
 
 	ActiveFlows  *obs.Gauge // started, unfinished flows
 	PendingFlows *obs.Gauge // scheduled, not yet arrived
@@ -64,6 +71,13 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		RateRecomputes:    reg.Counter("fluid.rate_recomputes"),
 		FullRecomputes:    reg.Counter("fluid.rate_recomputes_full"),
 		RateRecomputeWork: reg.Counter("fluid.rate_recompute_work"),
+		RipplePasses:      reg.Counter("fluid.ripple_passes"),
+		RippleExpansions:  reg.Counter("fluid.ripple_expansions"),
+		RippleFallbacks:   reg.Counter("fluid.ripple_fallbacks"),
+		ParallelPasses:    reg.Counter("fluid.parallel_passes"),
+		Components:        reg.Counter("fluid.components"),
+		FillRounds:        reg.Counter("fluid.fill_rounds"),
+		LinkScans:         reg.Counter("fluid.link_scans"),
 		ActiveFlows:       reg.Gauge("fluid.active_flows"),
 		PendingFlows:      reg.Gauge("fluid.pending_flows"),
 		FCT:               reg.Histogram("fluid.fct_us"),
@@ -72,6 +86,18 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		RecomputeWork:     reg.Histogram("fluid.recompute_work_per_pass"),
 		MaxLinkUtil:       reg.Gauge("fluid.max_link_util_permille"),
 	}
+}
+
+// addEngine publishes the engine counters one recompute pass moved (the
+// pass's own counters — recomputes, work — are added where they happen).
+func (t *Telemetry) addEngine(before, after EngineStats) {
+	t.RipplePasses.Add(after.RipplePasses - before.RipplePasses)
+	t.RippleExpansions.Add(after.RippleExpansions - before.RippleExpansions)
+	t.RippleFallbacks.Add(after.RippleFallbacks - before.RippleFallbacks)
+	t.ParallelPasses.Add(after.ParallelPasses - before.ParallelPasses)
+	t.Components.Add(after.Components - before.Components)
+	t.FillRounds.Add(after.FillRounds - before.FillRounds)
+	t.LinkScans.Add(after.LinkScans - before.LinkScans)
 }
 
 // defaultTel is the process-wide telemetry picked up by every New Simulator,

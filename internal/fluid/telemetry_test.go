@@ -132,3 +132,50 @@ func TestNewTelemetryNilRegistryUsesDefault(t *testing.T) {
 		t.Fatal("nil registry did not resolve against obs.DefaultRegistry")
 	}
 }
+
+// TestTelemetryMirrorsEngineStats: with telemetry attached from the start,
+// every engine counter in the registry equals the simulator's own Stats —
+// the pass-level counters published per recompute included.
+func TestTelemetryMirrorsEngineStats(t *testing.T) {
+	// Disjoint pair links with staggered arrivals: the first batch fills as
+	// closed components, every later arrival dirties one link out of many
+	// and settles as a ripple pass.
+	g, paths := pairField(t, 16, 1)
+	reg := obs.NewRegistry()
+	sim := New(g)
+	sim.SetTelemetry(NewTelemetry(reg))
+	for i, p := range paths {
+		if err := sim.AddFlow(FlowID(2*i), 10, 0, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.AddFlow(FlowID(2*i+1), 5, 1+float64(i)*0.125, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sim.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	st := sim.Stats()
+	for _, c := range []struct {
+		name  string
+		stat  int64
+		moved bool // the workload must have exercised it
+	}{
+		{"fluid.rate_recomputes", st.Recomputes, true},
+		{"fluid.rate_recompute_work", st.RecomputeWork, true},
+		{"fluid.ripple_passes", st.RipplePasses, true},
+		{"fluid.ripple_expansions", st.RippleExpansions, false},
+		{"fluid.ripple_fallbacks", st.RippleFallbacks, false},
+		{"fluid.parallel_passes", st.ParallelPasses, false},
+		{"fluid.components", st.Components, true},
+		{"fluid.fill_rounds", st.FillRounds, true},
+		{"fluid.link_scans", st.LinkScans, true},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.stat {
+			t.Errorf("%s = %d, Stats has %d", c.name, got, c.stat)
+		}
+		if c.moved && c.stat == 0 {
+			t.Errorf("%s stayed zero; the workload no longer exercises it", c.name)
+		}
+	}
+}

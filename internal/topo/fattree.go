@@ -117,21 +117,11 @@ func NewFatTree(cfg Config) (*FatTree, error) {
 		}
 	}
 
-	// Aggregation <-> core. Canonical wiring: A_{i,s} connects to cores
-	// [s*k/2, (s+1)*k/2). AB wiring flips odd pods to the transposed
-	// pattern: A_{i,s} connects to cores {t*k/2 + s : t}, so core
-	// C_{x*k/2+y} reaches agg x in type-A pods and agg y in type-B pods.
+	// Aggregation <-> core, in the order coreIndexOfAgg defines.
 	for pod := 0; pod < k; pod++ {
-		typeB := cfg.AB && pod%2 == 1
 		for s := 0; s < half; s++ {
 			for t := 0; t < half; t++ {
-				var coreIdx int
-				if typeB {
-					coreIdx = t*half + s
-				} else {
-					coreIdx = s*half + t
-				}
-				if _, err := ft.AddLink(ft.agg[pod][s], ft.core[coreIdx], cfg.LinkCapacity); err != nil {
+				if _, err := ft.AddLink(ft.agg[pod][s], ft.core[ft.coreIndexOfAgg(pod, s, t)], cfg.LinkCapacity); err != nil {
 					return nil, err
 				}
 			}
@@ -207,17 +197,37 @@ func (ft *FatTree) HostsOfEdge(pod, j int) []int {
 	return out
 }
 
+// typeB reports whether the pod uses F10's transposed (type-B) wiring.
+func (ft *FatTree) typeB(pod int) bool { return ft.Cfg.AB && pod%2 == 1 }
+
+// coreIndexOfAgg is the aggregation-to-core wiring rule: the global index of
+// the t-th core A_{pod,s} connects to. Canonical wiring: A_{i,s} connects to
+// cores [s*k/2, (s+1)*k/2). AB wiring flips odd pods to the transposed
+// pattern: A_{i,s} connects to cores {t*k/2 + s : t}, so core C_{x*k/2+y}
+// reaches agg x in type-A pods and agg y in type-B pods.
+func (ft *FatTree) coreIndexOfAgg(pod, s, t int) int {
+	half := ft.Cfg.K / 2
+	if ft.typeB(pod) {
+		return t*half + s
+	}
+	return s*half + t
+}
+
+// aggIndexOfCore is the inverse rule: which aggregation switch of the pod
+// core C_c connects to.
+func (ft *FatTree) aggIndexOfCore(c, pod int) int {
+	half := ft.Cfg.K / 2
+	if ft.typeB(pod) {
+		return c % half
+	}
+	return c / half
+}
+
 // CoreIndicesOfAgg returns the global core indices A_{pod,s} connects to.
 func (ft *FatTree) CoreIndicesOfAgg(pod, s int) []int {
-	half := ft.Cfg.K / 2
-	out := make([]int, half)
-	typeB := ft.Cfg.AB && pod%2 == 1
-	for t := 0; t < half; t++ {
-		if typeB {
-			out[t] = t*half + s
-		} else {
-			out[t] = s*half + t
-		}
+	out := make([]int, ft.Cfg.K/2)
+	for t := range out {
+		out[t] = ft.coreIndexOfAgg(pod, s, t)
 	}
 	return out
 }
@@ -225,10 +235,5 @@ func (ft *FatTree) CoreIndicesOfAgg(pod, s int) []int {
 // AggOfCoreInPod returns the aggregation switch core C_c connects to in the
 // given pod.
 func (ft *FatTree) AggOfCoreInPod(c, pod int) NodeID {
-	half := ft.Cfg.K / 2
-	x, y := c/half, c%half
-	if ft.Cfg.AB && pod%2 == 1 {
-		return ft.agg[pod][y]
-	}
-	return ft.agg[pod][x]
+	return ft.agg[pod][ft.aggIndexOfCore(c, pod)]
 }

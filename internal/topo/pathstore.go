@@ -60,10 +60,14 @@ type classKey struct{ es, ed NodeID }
 
 // classEntry is the host-independent interior of one class: every equal-cost
 // src-edge → ... → dst-edge segment, in ECMPPaths enumeration order. All
-// segments of a class have equal length (the paths are equal-cost).
+// segments of a class have equal length (the paths are equal-cost), so they
+// sit back to back in one slab per kind: segment i is nodes[i*nn:(i+1)*nn]
+// and links[i*(nn-1):(i+1)*(nn-1)].
 type classEntry struct {
-	nodes [][]NodeID
-	links [][]LinkID
+	paths int // number of segments
+	nn    int // nodes per segment (one more than links per segment)
+	nodes []NodeID
+	links []LinkID
 }
 
 // pairEntry is one ordered host pair's interned path set.
@@ -156,11 +160,11 @@ func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 	}
 	ft := ps.ft
 	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
-	cls, err := ps.class(es, ed, srcHost, dstHost)
+	cls, err := ps.class(es, ed)
 	if err != nil {
 		return nil, err
 	}
-	m := len(cls.nodes)
+	m := cls.paths
 	if m == 0 || m >= 1<<pathRankBits {
 		return nil, fmt.Errorf("topo: PathStore: %d paths for pair (%d, %d) outside the PathID rank range", m, srcHost, dstHost)
 	}
@@ -171,7 +175,8 @@ func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 	}
 	// One slab per pair; each path gets a full-capacity subslice so an
 	// (erroneous) append on a returned path cannot clobber its neighbor.
-	nn, nl := len(cls.nodes[0])+2, len(cls.links[0])+2
+	cn, cl := cls.nn, cls.nn-1
+	nn, nl := cn+2, cl+2
 	nodesSlab := make([]NodeID, m*nn)
 	linksSlab := make([]LinkID, m*nl)
 	e := &pairEntry{paths: make([]Path, m), ids: make([]PathID, m)}
@@ -179,10 +184,10 @@ func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 		nv := nodesSlab[i*nn : (i+1)*nn : (i+1)*nn]
 		lv := linksSlab[i*nl : (i+1)*nl : (i+1)*nl]
 		nv[0] = s
-		copy(nv[1:], cls.nodes[i])
+		copy(nv[1:], cls.nodes[i*cn:(i+1)*cn])
 		nv[nn-1] = d
 		lv[0] = sl
-		copy(lv[1:], cls.links[i])
+		copy(lv[1:], cls.links[i*cl:(i+1)*cl])
 		lv[nl-1] = dl
 		e.paths[i] = Path{Nodes: nv, Links: lv}
 		e.ids[i] = PathID(uint64(idx)<<pathRankBits | uint64(i))
@@ -193,24 +198,57 @@ func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 	return e, nil
 }
 
-// class resolves the (es, ed) interior, enumerating it from the requesting
-// pair's fresh ECMPPaths on first use — stripping the pair-specific endpoints
-// leaves exactly the class-invariant interior, so exactness holds by
-// construction rather than by a parallel reimplementation of the wiring
-// rules. Callers hold ps.mu.
-func (ps *PathStore) class(es, ed NodeID, srcHost, dstHost int) (*classEntry, error) {
+// class resolves the (es, ed) interior, enumerating it on first use
+// straight from the wiring accessors ECMPPaths walks, in ECMPPaths order:
+// one segment for a shared edge switch, one per aggregation switch inside a
+// pod, one per (aggregation, core) pair across pods. Segments of a class
+// share most of their links — every inter-pod segment through one source
+// aggregation switch starts on the same uplink, and all segments descend on
+// one of k/2 downlinks — so each distinct link is resolved once rather than
+// once per segment it appears on. Callers hold ps.mu.
+func (ps *PathStore) class(es, ed NodeID) (*classEntry, error) {
 	key := classKey{es, ed}
 	if c, ok := ps.classes[key]; ok {
 		return c, nil
 	}
-	fresh, err := ps.ft.ECMPPaths(srcHost, dstHost)
-	if err != nil {
-		return nil, err
+	ft := ps.ft
+	half := ft.Cfg.K / 2
+	sp, dp := ft.Node(es).Pod, ft.Node(ed).Pod
+	var c *classEntry
+	switch {
+	case es == ed:
+		c = &classEntry{paths: 1, nn: 1, nodes: []NodeID{es}}
+	case sp == dp:
+		c = &classEntry{paths: half, nn: 3, nodes: make([]NodeID, 0, half*3), links: make([]LinkID, 0, half*2)}
+		for _, a := range ft.agg[sp] {
+			c.nodes = append(c.nodes, es, a, ed)
+			c.links = append(c.links, ft.LinkBetween(es, a), ft.LinkBetween(a, ed))
+		}
+	default:
+		m := half * half
+		c = &classEntry{paths: m, nn: 5, nodes: make([]NodeID, 0, m*5), links: make([]LinkID, 0, m*4)}
+		// The last hop depends only on which destination-pod aggregation
+		// switch a core descends to.
+		down := make([]LinkID, half)
+		for j, a := range ft.agg[dp] {
+			down[j] = ft.LinkBetween(a, ed)
+		}
+		for s, up := range ft.agg[sp] {
+			first := ft.LinkBetween(es, up)
+			for t := 0; t < half; t++ {
+				ci := ft.coreIndexOfAgg(sp, s, t)
+				core := ft.core[ci]
+				j := ft.aggIndexOfCore(ci, dp)
+				dn := ft.agg[dp][j]
+				c.nodes = append(c.nodes, es, up, core, dn, ed)
+				c.links = append(c.links, first, ft.LinkBetween(up, core), ft.LinkBetween(core, dn), down[j])
+			}
+		}
 	}
-	c := &classEntry{nodes: make([][]NodeID, len(fresh)), links: make([][]LinkID, len(fresh))}
-	for i, p := range fresh {
-		c.nodes[i] = p.Nodes[1 : len(p.Nodes)-1]
-		c.links[i] = p.Links[1 : len(p.Links)-1]
+	for _, l := range c.links {
+		if l == NoLink {
+			return nil, fmt.Errorf("topo: PathStore: class (%s, %s) crosses a missing link", ft.Node(es).Name(), ft.Node(ed).Name())
+		}
 	}
 	ps.classes[key] = c
 	return c, nil

@@ -270,3 +270,60 @@ func TestPathStoreConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClassEnumerationMatchesECMPInterior checks the direct class
+// enumeration against what it replaced: a fresh ECMPPaths set with the
+// pair-specific endpoints stripped. Every kind of class is covered per
+// wiring — a shared edge switch, two edge switches of one pod, and pods of
+// each wiring type on either end — node for node and link for link.
+func TestClassEnumerationMatchesECMPInterior(t *testing.T) {
+	for _, k := range []int{4, 8, 16} {
+		for _, ab := range []bool{false, true} {
+			ft, err := NewFatTree(Config{K: k, AB: ab})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := NewPathStore(ft)
+			first := func(pod, e int) int { return ft.HostsOfEdge(pod, e)[0] }
+			pairs := []struct {
+				kind     string
+				src, dst int
+				paths    int
+			}{
+				{"same-edge", first(0, 0), first(0, 0) + 1, 1},
+				{"same-pod", first(0, 0), first(0, 1), k / 2},
+				{"same-pod-B", first(1, 1), first(1, 0), k / 2},
+				{"inter-pod A-A", first(0, 0), first(2, 1), k * k / 4},
+				{"inter-pod A-B", first(0, 1), first(1, 0), k * k / 4},
+				{"inter-pod B-A", first(3, 0), first(2, 0), k * k / 4},
+				{"inter-pod B-B", first(1, 1), first(3, 1), k * k / 4},
+			}
+			for _, p := range pairs {
+				fresh, err := ft.ECMPPaths(p.src, p.dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps.mu.Lock()
+				c, err := ps.class(ft.EdgeOfHost(p.src), ft.EdgeOfHost(p.dst))
+				ps.mu.Unlock()
+				if err != nil {
+					t.Fatalf("k=%d ab=%v %s: %v", k, ab, p.kind, err)
+				}
+				if c.paths != p.paths || c.paths != len(fresh) {
+					t.Fatalf("k=%d ab=%v %s: %d segments, ECMPPaths has %d, want %d", k, ab, p.kind, c.paths, len(fresh), p.paths)
+				}
+				if len(c.nodes) != c.paths*c.nn || len(c.links) != c.paths*(c.nn-1) {
+					t.Fatalf("k=%d ab=%v %s: slabs hold %d nodes / %d links for %d segments of %d nodes",
+						k, ab, p.kind, len(c.nodes), len(c.links), c.paths, c.nn)
+				}
+				for i, f := range fresh {
+					want := Path{Nodes: f.Nodes[1 : len(f.Nodes)-1], Links: f.Links[1 : len(f.Links)-1]}
+					got := Path{Nodes: c.nodes[i*c.nn : (i+1)*c.nn], Links: c.links[i*(c.nn-1) : (i+1)*(c.nn-1)]}
+					if !pathsEqual(got, want) {
+						t.Fatalf("k=%d ab=%v %s segment %d:\n got %v\nwant %v", k, ab, p.kind, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}

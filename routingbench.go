@@ -130,9 +130,9 @@ func RoutingBench(cfg RoutingBenchConfig) (*RoutingBenchResult, error) {
 	cachedWall := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	_ = sink
-	allocsOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(lookups)
-	if allocsOp > 0.5 {
-		return nil, fmt.Errorf("routing bench: warm PathFor allocates %.2f times per lookup, want 0", allocsOp)
+	allocsOp := allocsPerEvent(&ms0, &ms1, lookups)
+	if allocsOp > 0 {
+		return nil, fmt.Errorf("routing bench: warm PathFor allocates %.0f times per lookup, want 0", allocsOp)
 	}
 
 	// Fresh-enumeration baseline: what PathFor cost before interning.

@@ -71,7 +71,7 @@ func Table3(k int, seed int64) ([]Table3Row, error) {
 			return nil, err
 		}
 		blocked := fail(a.ft)
-		rerouted, _ := applyScheme(a.ft, flows, blocked, a.scheme)
+		rerouted, _, _ := applyScheme(a.ft, flows, blocked, a.scheme)
 		// Under ShareBackup the failed hardware is replaced, so the
 		// effective topology is whole; for the rerouting schemes the
 		// blocked element's capacity is unusable because no path may
