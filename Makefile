@@ -55,12 +55,15 @@ bench-smoke:
 
 # The end-to-end benchmark is its own module (benchmarks/go.mod), invisible
 # to the root `go vet ./...` and `go test ./...`: vet and test it, then run
-# both simulator workloads for two seconds each. A run exits non-zero on any
-# output-check violation, including a golden-fingerprint mismatch.
+# both simulator workloads for two seconds each and one live workload for
+# three. A run exits non-zero on any output-check violation: a
+# golden-fingerprint mismatch on the simulators; a failed, lost, false or
+# duplicate recovery on the live cluster (no latency is asserted).
 bench-e2e-smoke:
 	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 	bash benchmarks/run.sh --workload sim-fig1c --seed 1 --seconds 2 --trace 0
 	bash benchmarks/run.sh --workload sim-storm --seed 1 --seconds 2 --trace 0
+	bash benchmarks/run.sh --workload live-node --seed 1 --seconds 3 --trace 0
 
 tools:
 	$(GO) build ./cmd/...

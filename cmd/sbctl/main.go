@@ -40,7 +40,6 @@ func main() {
 	srv, err := ctlnet.NewServer(*addr, sys.Controller, ctlnet.ServerConfig{
 		Interval:      *interval,
 		MissThreshold: 3,
-		CheckEvery:    *interval / 2,
 	})
 	if err != nil {
 		fatal(err)

@@ -27,7 +27,6 @@ func main() {
 	srv, err := ctlnet.NewServer("127.0.0.1:0", sys.Controller, ctlnet.ServerConfig{
 		Interval:      interval,
 		MissThreshold: 3,
-		CheckEvery:    interval / 2,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -351,7 +351,6 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 		srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
 			Interval:      cfg.Interval,
 			MissThreshold: cfg.MissThreshold,
-			CheckEvery:    cfg.Interval,
 			Obs:           bus,
 			CSAddrs:       csAddrs,
 			Cluster:       newClusterHooks(e.dir, i),

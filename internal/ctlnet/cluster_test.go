@@ -258,9 +258,8 @@ func TestClusterQuorumLossDrill(t *testing.T) {
 	ctl2 := controller.New(nw2, controller.Config{ProbeInterval: e.cfg.Interval})
 	dir2 := newClusterDirectory()
 	srv2, err := NewServer("127.0.0.1:0", ctl2, ServerConfig{
-		Interval:   e.cfg.Interval,
-		CheckEvery: e.cfg.Interval,
-		Cluster:    newClusterHooks(dir2, 9),
+		Interval: e.cfg.Interval,
+		Cluster:  newClusterHooks(dir2, 9),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,6 @@ func newServer(t *testing.T) (*Server, *sbnet.Network) {
 	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
 		Interval:      5 * time.Millisecond,
 		MissThreshold: 3,
-		CheckEvery:    2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,11 @@ type EmulationConfig struct {
 	NumAgents int
 	// NumCS is how many circuit-switch control services to run. Default 1.
 	NumCS int
-	// Interval is the agents' keep-alive interval. Default 2 ms.
+	// Interval is the agents' keep-alive interval. Default 5 ms: with the
+	// default three misses that is a 15 ms deadline, of which a live agent
+	// uses at most one interval — 10 ms of margin for a shared host that
+	// takes the CPU away from an agent's writer or a reader for a timeslice.
+	// (At 2 ms the 4 ms margin lost to that a few times in a hundred runs.)
 	Interval time.Duration
 	// MissThreshold is how many missed keep-alive intervals declare a
 	// switch dead (the server default when zero). Widen it for scenarios
@@ -60,7 +64,7 @@ func (c *EmulationConfig) setDefaults() {
 		c.NumCS = 1
 	}
 	if c.Interval == 0 {
-		c.Interval = 2 * time.Millisecond
+		c.Interval = 5 * time.Millisecond
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -162,7 +166,6 @@ func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
 	e.Server, err = NewServer("127.0.0.1:0", e.Ctl, ServerConfig{
 		Interval:      cfg.Interval,
 		MissThreshold: cfg.MissThreshold,
-		CheckEvery:    cfg.Interval,
 		Obs:           serverBus,
 		CSAddrs:       csAddrs,
 	})

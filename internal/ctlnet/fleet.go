@@ -94,10 +94,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
 		Interval: cfg.Interval,
 		// The fleet run measures ingest, not detection: a huge miss
-		// threshold keeps the shard scans from declaring anyone dead under
+		// threshold keeps the shard detectors from declaring anyone dead under
 		// scheduler jitter at 10k agents.
 		MissThreshold: 1 << 20,
-		CheckEvery:    100 * time.Millisecond,
 		Shards:        cfg.Shards,
 		Pollers:       cfg.Pollers,
 		FleetSize:     cfg.Agents,

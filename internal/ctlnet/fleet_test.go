@@ -52,7 +52,6 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
 		Interval:      5 * time.Millisecond,
 		MissThreshold: 1 << 20,
-		CheckEvery:    50 * time.Millisecond,
 		Obs:           &obs.Bus{},
 	})
 	if err != nil {

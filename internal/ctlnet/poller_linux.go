@@ -5,8 +5,10 @@ package ctlnet
 import (
 	"io"
 	"net"
+	"os"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // The Linux backend: each of cfg.Pollers loops owns an epoll instance and
@@ -14,6 +16,16 @@ import (
 // non-blocking, so raw syscall.Read on the extracted fd drains a readable
 // connection without touching the runtime netpoller; level-triggered epoll
 // re-reports anything left behind.
+//
+// The loop never blocks inside epoll_wait. A goroutine blocked in a raw
+// syscall keeps its P until sysmon retakes it, and an idle process' sysmon
+// polls only every 10 ms and needs two looks: on a 2-CPU host, two loops
+// re-entering epoll_wait(-1) froze every other goroutine — shard timers,
+// consensus, the agents' writers — for 10-20 ms at a time, which the detector
+// read as silence. An epoll descriptor is itself pollable (readable while it
+// has events queued), so it is registered with the runtime's own netpoller:
+// the loop parks as an ordinary goroutine until the instance has something,
+// then collects it with a zero-timeout epoll_wait.
 //
 // fd-recycling safety: events are processed under the loop's mutex, and a
 // connection is always removed from the fd map (evict) before anything
@@ -53,6 +65,10 @@ func (p *epollSet) close() {
 type epollLoop struct {
 	s    *Server
 	epfd int
+	// file owns epfd and keeps it registered with the runtime netpoller;
+	// ready parks the loop on it (see run).
+	file  *os.File
+	ready syscall.RawConn
 	// wake unblocks EpollWait for shutdown (self-pipe).
 	wakeR, wakeW int
 	rc           readCtx
@@ -70,20 +86,30 @@ func newEpollLoop(s *Server) *epollLoop {
 	if err != nil {
 		return l // degenerate loop: park falls back to serveActive-per-conn
 	}
+	// os.NewFile hands a non-blocking descriptor to the runtime netpoller;
+	// SetReadDeadline fails exactly when that registration did not take.
+	syscall.SetNonblock(epfd, true)
+	file := os.NewFile(uintptr(epfd), "ctlnet-epoll")
+	ready, err := file.SyscallConn()
+	if err == nil {
+		err = file.SetReadDeadline(time.Time{})
+	}
 	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		syscall.Close(epfd)
+	if err == nil {
+		err = syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC)
+	}
+	if err != nil {
+		file.Close()
 		return l
 	}
-	l.epfd, l.wakeR, l.wakeW = epfd, p[0], p[1]
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(l.wakeR)}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, l.wakeR, &ev); err != nil {
-		syscall.Close(epfd)
+	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(p[0])}
+	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p[0], &ev); err != nil {
+		file.Close()
 		syscall.Close(p[0])
 		syscall.Close(p[1])
-		l.epfd, l.wakeR, l.wakeW = -1, -1, -1
 		return l
 	}
+	l.epfd, l.file, l.ready, l.wakeR, l.wakeW = epfd, file, ready, p[0], p[1]
 	l.wg.Add(1)
 	go l.run()
 	return l
@@ -169,7 +195,7 @@ func (l *epollLoop) close() {
 		syscall.Write(l.wakeW, one[:])
 	}
 	l.wg.Wait()
-	syscall.Close(l.epfd)
+	l.file.Close()
 	syscall.Close(l.wakeR)
 	syscall.Close(l.wakeW)
 }
@@ -177,12 +203,21 @@ func (l *epollLoop) close() {
 func (l *epollLoop) run() {
 	defer l.wg.Done()
 	events := make([]syscall.EpollEvent, 128)
-	for {
-		n, err := syscall.EpollWait(l.epfd, events, -1)
-		if err == syscall.EINTR {
-			continue
+	var n int
+	var err error
+	// collect is the readiness probe the netpoller wait retries: true once
+	// the instance yields events (or fails), false to park until it reads
+	// as ready again.
+	collect := func(fd uintptr) bool {
+		for {
+			n, err = syscall.EpollWait(int(fd), events, 0)
+			if err != syscall.EINTR {
+				return n > 0 || err != nil
+			}
 		}
-		if err != nil {
+	}
+	for {
+		if werr := l.ready.Read(collect); werr != nil || err != nil {
 			return
 		}
 		var drops []*pollConn

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sharebackup/internal/circuit"
@@ -47,12 +48,10 @@ type ServerConfig struct {
 	// MissThreshold is how many missed intervals declare a node dead.
 	// Default 3.
 	MissThreshold int
-	// CheckEvery is the detector's scan period. Default Interval.
-	CheckEvery time.Duration
 	// Logf, if set, receives server diagnostics (default: discarded).
 	//
 	// Concurrency contract: the server reaches its log path from the
-	// accept loop, every per-connection goroutine, and the detector scan,
+	// accept loop, every per-connection goroutine, and the shard detectors,
 	// but all diagnostics are routed through the event bus (whose sink
 	// dispatch holds one lock) and Logf itself is additionally serialized
 	// by a server-private mutex — so Logf is never invoked concurrently
@@ -82,8 +81,9 @@ type ServerConfig struct {
 	TSDB *tsdb.Store
 	// Shards is the number of keep-alive fan-in shards (see shard.go): a
 	// connection reader only appends to its shard's pending list, and one
-	// goroutine per shard folds and scans — the keep-alive hot path never
-	// takes the server or controller lock. Default 8, capped at 254.
+	// goroutine per shard folds them into its expiry queue — the keep-alive
+	// hot path never takes the server or controller lock. Default 8, capped
+	// at 254.
 	Shards int
 	// Pollers is the number of multiplexed reader loops (epoll instances
 	// on Linux, pool workers elsewhere) parked connections are spread
@@ -112,9 +112,6 @@ func (c *ServerConfig) setDefaults() {
 	}
 	if c.MissThreshold == 0 {
 		c.MissThreshold = 3
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = c.Interval
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default
@@ -157,12 +154,26 @@ type Server struct {
 	gSubscribers *obs.Gauge
 	gConns       *obs.Gauge
 
+	// The detector's own lights (shard.go): how often the shards wake and how
+	// much they fold, how many switches have a deadline pending, and how far
+	// past lastSeen+deadline each dead switch was declared; and how often a
+	// late wake declined to declare (the stall guard).
+	mShardWakes      *obs.Counter
+	mRecordsFolded   *obs.Counter
+	mStallGraces     *obs.Counter
+	gDetectorEntries *obs.Gauge
+	hDetectOvershoot *obs.Histogram
+
 	logMu sync.Mutex // serializes cfg.Logf (see ServerConfig.Logf)
 
-	// Keep-alive fan-in (shard.go): per-failure-group shards scanned by
-	// their own goroutines, funneling dead candidates into recoverLoop.
+	// Keep-alive fan-in (shard.go): per-failure-group shards, each with its
+	// own detector goroutine, funneling dead candidates into recoverLoop.
 	shards []*kaShard
 	deadCh chan deadCandidate
+	// stallSeen is when (on the server's epoch, ns) a shard last woke well
+	// behind its timer — the detector's stall guard (shardWake). It starts
+	// one interval before the epoch, so it guards nothing.
+	stallSeen atomic.Int64
 
 	// poller multiplexes parked connections (poller.go); numSwitches and
 	// fleetSize are fixed at construction so the keep-alive hot path never
@@ -248,8 +259,10 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	if cfg.FleetSize > s.fleetSize {
 		s.fleetSize = cfg.FleetSize
 	}
+	s.stallSeen.Store(-int64(cfg.Interval))
+	deadline := time.Duration(cfg.MissThreshold) * cfg.Interval
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &kaShard{lastSeen: make(map[sbnet.SwitchID]time.Time)})
+		s.shards = append(s.shards, newKAShard(s.fleetSize, deadline))
 	}
 	reg := ctl.Metrics()
 	s.mKeepalives = reg.Counter("ctlnet.keepalives")
@@ -263,6 +276,11 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	s.mKABatches = reg.Counter("ctlnet.ka_batches")
 	s.gSubscribers = reg.Gauge("ctlnet.subscribers")
 	s.gConns = reg.Gauge("ctlnet.connections")
+	s.mShardWakes = reg.Counter("ctlnet.shard_wakes")
+	s.mRecordsFolded = reg.Counter("ctlnet.shard_records_folded")
+	s.mStallGraces = reg.Counter("ctlnet.detector_stall_graces")
+	s.gDetectorEntries = reg.Gauge("ctlnet.detector_entries")
+	s.hDetectOvershoot = reg.Histogram("ctlnet.detect_overshoot_ns")
 	s.poller = newPoller(s, cfg.Pollers)
 	s.tsdb = cfg.TSDB
 	if s.tsdb == nil {
@@ -643,9 +661,7 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 	// endpoint is active anymore, the recovery this report describes has
 	// already been applied — ack success without proposing a duplicate.
 	if s.linkAlreadyRecovered(aSw, bSw) {
-		if err := writeFrame(conn, msgReportAck, encodeReportAck(reportAckOK)); err != nil {
-			s.logf("ctlnet: report ack: %v", err)
-		}
+		s.ackReport(conn, nil)
 		return
 	}
 	cmd := ctlplane.Command{
@@ -660,12 +676,27 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 		Span:        ctx.Span,
 		Proc:        ctx.Proc,
 	}
-	var err error
-	if s.cfg.Cluster != nil {
-		_, err = s.cfg.Cluster.Propose(cmd, proposeTimeout)
-	} else {
-		_, err = s.ApplyCommand(cmd.Encode())
+	if s.cfg.Cluster == nil {
+		_, err := s.ApplyCommand(cmd.Encode())
+		s.ackReport(conn, err)
+		return
 	}
+	// A consensus round can outlast many keep-alive intervals (an election
+	// in progress, a slow follower), and this goroutine is the connection's
+	// only reader: the reporter's keep-alives are queued behind the report.
+	// Waiting here left them unread until the round returned, and the
+	// detector declared the live reporter dead mid-report. The round
+	// finishes on its own goroutine; the reader goes back to reading.
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		_, err := s.cfg.Cluster.Propose(cmd, proposeTimeout)
+		s.ackReport(conn, err)
+	}()
+}
+
+// ackReport tells the reporting agent how its link report fared.
+func (s *Server) ackReport(conn net.Conn, err error) {
 	status := reportAckOK
 	if err != nil {
 		status = reportAckFailed
@@ -691,12 +722,12 @@ func (s *Server) linkAlreadyRecovered(aSw, bSw sbnet.SwitchID) bool {
 }
 
 // recoverDead proposes (or, standalone, applies) the node failover for one
-// silent switch found by a shard scan.
+// switch a shard's detector declared dead.
 func (s *Server) recoverDead(c deadCandidate) {
 	cmd := ctlplane.Command{
 		Kind:       ctlplane.CmdRecoverNode,
 		Switch:     int32(c.id),
-		LastSeenNS: c.lastSeen.Sub(s.start).Nanoseconds(),
+		LastSeenNS: c.lastSeen.Nanoseconds(),
 		AtNS:       time.Since(s.start).Nanoseconds(),
 	}
 	var err error
@@ -841,6 +872,11 @@ func (s *Server) finishLive(ar appliedResult) {
 		// Followers apply the same command but must not re-reconfigure the
 		// shared circuit switches the leader already drove.
 		s.mirrorCS(ar.rec)
+		// Only the leader runs a detector: tell it which spares just went
+		// on active duty.
+		for _, id := range ar.rec.Backup {
+			s.promoted(id)
+		}
 	}
 	ev := RecoveryEvent{Kind: "link", Failed: ar.rec.Failed, Backup: ar.rec.Backup, Latency: processing}
 	if ar.cmd.Kind == ctlplane.CmdRecoverNode {

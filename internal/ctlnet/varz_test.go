@@ -34,7 +34,6 @@ func TestVarzOverTCP(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
 		Interval:      5 * time.Millisecond,
 		MissThreshold: 3,
-		CheckEvery:    2 * time.Millisecond,
 		Obs:           bus,
 		Logf:          func(format string, args ...interface{}) { lines = append(lines, format) },
 	})
