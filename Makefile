@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-race vet build test race soak-failover soak-fleet bench bench-smoke bench-e2e-smoke tools
+.PHONY: check check-race vet build test race soak-failover soak-fleet bench bench-e2e-smoke tools
 
 check: vet build test race
 
@@ -47,11 +47,6 @@ soak-fleet:
 # event sink is attached, so watch these against the seed numbers.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Check-only trajectory gate at CI scale: reduced recovery trials, smoke
-# storm comparison (reported, not gated), no BENCH_*.json rewrite.
-bench-smoke:
-	$(GO) run ./cmd/sbbench -no-write -trials 8 -smoke
 
 # The end-to-end benchmark is its own module (benchmarks/go.mod), invisible
 # to the root `go vet ./...` and `go test ./...`: vet and test it, then run

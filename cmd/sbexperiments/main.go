@@ -10,14 +10,16 @@
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr. -json runs the
-// recovery-latency benchmark harness and writes per-phase percentiles to the
-// named file (conventionally BENCH_recovery.json).
+// Section 5.3 many-failover recovery study and writes its result (per-phase
+// percentiles per circuit technology and recovery kind) to the named file as
+// indented JSON.
 //
 // -full runs the paper-scale configurations (k=16 failure study); the
 // default is a laptop-scale run with the same shapes.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,9 +43,9 @@ func main() {
 		full       = flag.Bool("full", false, "run paper-scale configurations (slower)")
 		trace      = flag.String("trace", "", "write structured events as JSONL to this file (summarize with sbtap)")
 		events     = flag.Bool("events", false, "log structured events human-readably to stderr")
-		jsonPath   = flag.String("json", "", "run the recovery benchmark and write phase percentiles to this file (e.g. BENCH_recovery.json)")
-		trials     = flag.Int("trials", 32, "failovers per kind for the -json benchmark")
-		workers    = flag.Int("workers", 0, "sweep worker pool size for fig1a/fig1b/fig1c and the -json benchmark (0 = GOMAXPROCS; results are identical for any value)")
+		jsonPath   = flag.String("json", "", "run the many-failover recovery study and write its per-phase percentiles to this file as JSON")
+		trials     = flag.Int("trials", 32, "failovers per kind for the -json recovery study")
+		workers    = flag.Int("workers", 0, "sweep worker pool size for fig1a/fig1b/fig1c and the -json recovery study (0 = GOMAXPROCS; results are identical for any value)")
 		debugAddr  = flag.String("debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz) on this address, e.g. 127.0.0.1:6060")
 		sloBudget  = flag.Duration("slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
 		flightRec  = flag.Bool("flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
@@ -123,8 +125,8 @@ func main() {
 		}()
 	}
 	if *jsonPath != "" {
-		if err := runBenchJSON(*k, *n, *trials, *workers, *jsonPath, traceSink); err != nil {
-			fmt.Fprintf(os.Stderr, "sbexperiments: bench: %v\n", err)
+		if err := writeRecoveryJSON(*k, *n, *trials, *workers, *jsonPath, traceSink); err != nil {
+			fmt.Fprintf(os.Stderr, "sbexperiments: recovery study: %v\n", err)
 			os.Exit(1)
 		}
 		if *run == "all" {
@@ -398,5 +400,26 @@ func runTableSize() error {
 		tbl.AddRow(r.K, r.Hosts, r.Inbound, r.Outbound, r.Total)
 	}
 	fmt.Print(tbl.String())
+	return nil
+}
+
+// writeRecoveryJSON runs the many-failover recovery study and writes its
+// result to path as indented JSON. Trials shard across workers; traceSink,
+// when non-nil, receives every trial's events shard-tagged.
+func writeRecoveryJSON(k, n, trials, workers int, path string, traceSink obs.Sink) error {
+	res, err := sharebackup.RunRecoveryBench(sharebackup.RecoveryBenchConfig{
+		K: k, N: n, Trials: trials, Workers: workers, TraceSink: traceSink,
+	})
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d techs, %d recoveries each)\n", path, len(res.Techs), res.Techs[0].Recoveries)
 	return nil
 }

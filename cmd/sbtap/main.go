@@ -24,11 +24,6 @@
 // unstitchable references (spans whose parent is missing from the file set,
 // processes with no clock-sync path to the reference).
 //
-// sbtap also reads benchmark trajectory files (the BENCH_*.json written by
-// sbbench): it lists the gated metrics, and -hist renders every histogram
-// snapshot found in the detail section (FCT, flow rate, link utilization,
-// recompute work per pass) as ASCII bar charts.
-//
 // -ts renders the windowed metric history a debug server's /timeseriesz
 // endpoint serves (or a saved JSON dump of it) as terminal sparklines:
 //
@@ -49,7 +44,6 @@ import (
 	"strings"
 	"time"
 
-	"sharebackup/internal/bench"
 	"sharebackup/internal/obs"
 )
 
@@ -106,18 +100,7 @@ func main() {
 		return
 	}
 
-	data, err := io.ReadAll(in)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", name, err))
-	}
-	// A bench trajectory file is one pretty-printed JSON object with a
-	// metrics map — structurally distinct from a JSONL event stream (one
-	// object per line, no metrics field), so sniffing cannot misfire.
-	if bf, ok := parseBenchFile(data); ok {
-		fmt.Print(renderBenchFile(name, bf, *hist))
-		return
-	}
-	evs, err := obs.ReadJSONL(bytes.NewReader(data))
+	evs, err := obs.ReadJSONL(in)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", name, err))
 	}
@@ -227,162 +210,6 @@ func stitchFiles(paths []string, strict bool) int {
 		return 1
 	}
 	return 0
-}
-
-// parseBenchFile reports whether data is a bench trajectory file. Multi-line
-// JSONL fails the whole-input unmarshal (trailing data); a single JSONL event
-// parses but has no metrics map.
-func parseBenchFile(data []byte) (*bench.File, bool) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return nil, false
-	}
-	var f bench.File
-	if err := json.Unmarshal(data, &f); err != nil || len(f.Metrics) == 0 {
-		return nil, false
-	}
-	return &f, true
-}
-
-// renderBenchFile lists the gated metrics; with hist it also renders every
-// histogram snapshot in the detail tree, titled by its JSON path.
-func renderBenchFile(name string, f *bench.File, hist bool) string {
-	var out bytes.Buffer
-	fmt.Fprintf(&out, "%s: benchmark trajectory (%s, go=%s, sha=%s)\n",
-		name, f.Meta.TimestampUTC, f.Meta.GoVersion, f.Meta.GitSHA)
-	names := make([]string, 0, len(f.Metrics))
-	for n := range f.Metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		m := f.Metrics[n]
-		better := m.Better
-		if better == "" {
-			better = "lower"
-		}
-		fmt.Fprintf(&out, "  %-34s %14.6g %-10s better=%s\n", n, m.Value, m.Unit, better)
-	}
-	if len(f.Detail) > 0 {
-		var v interface{}
-		if err := json.Unmarshal(f.Detail, &v); err == nil {
-			out.WriteString(renderKACurve(v))
-			if hist {
-				out.WriteString(renderDetailHists("detail", v))
-			}
-		}
-	}
-	return out.String()
-}
-
-// renderKACurve renders the fleet keep-alive throughput curve a ctlplane
-// trajectory embeds in its detail (the ka_curve array from `sbbench
-// -ctlplane`): one bar per agent count, scaled to the fastest point, with
-// the server goroutine count alongside — flat goroutines as agents grow is
-// the multiplexed-reader contract made visible.
-func renderKACurve(v interface{}) string {
-	m, ok := v.(map[string]interface{})
-	if !ok {
-		return ""
-	}
-	arr, ok := m["ka_curve"].([]interface{})
-	if !ok || len(arr) == 0 {
-		return ""
-	}
-	type point struct {
-		agents, conns, goros int
-		kps                  float64
-	}
-	var pts []point
-	var max float64
-	for _, e := range arr {
-		pm, ok := e.(map[string]interface{})
-		if !ok {
-			return ""
-		}
-		num := func(key string) float64 {
-			f, _ := pm[key].(float64)
-			return f
-		}
-		p := point{
-			agents: int(num("agents")),
-			conns:  int(num("conns")),
-			goros:  int(num("server_goroutines")),
-			kps:    num("ka_per_sec"),
-		}
-		if p.agents == 0 {
-			return ""
-		}
-		if p.kps > max {
-			max = p.kps
-		}
-		pts = append(pts, p)
-	}
-	if max <= 0 {
-		return ""
-	}
-	var out bytes.Buffer
-	fmt.Fprintf(&out, "keep-alive throughput vs fleet size (%d points):\n", len(pts))
-	const width = 40
-	for _, p := range pts {
-		n := int(p.kps / max * width)
-		if n < 1 {
-			n = 1
-		}
-		fmt.Fprintf(&out, "  %6d agents |%-*s| %9.0f ka/s  (%d conns, %d server goroutines)\n",
-			p.agents, width, strings.Repeat("#", n), p.kps, p.conns, p.goros)
-	}
-	return out.String()
-}
-
-// renderDetailHists walks the decoded detail tree and renders every node
-// that round-trips into a non-empty obs.HistogramSnapshot.
-func renderDetailHists(path string, v interface{}) string {
-	switch t := v.(type) {
-	case map[string]interface{}:
-		if s, ok := asHistogram(t); ok {
-			return s.Render(path, 40)
-		}
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var out bytes.Buffer
-		for _, k := range keys {
-			out.WriteString(renderDetailHists(path+"."+k, t[k]))
-		}
-		return out.String()
-	case []interface{}:
-		var out bytes.Buffer
-		for i, e := range t {
-			out.WriteString(renderDetailHists(fmt.Sprintf("%s[%d]", path, i), e))
-		}
-		return out.String()
-	}
-	return ""
-}
-
-// asHistogram recognizes a histogram snapshot by shape: the count and
-// buckets keys must be present and the whole node must round-trip into
-// obs.HistogramSnapshot (phase summaries carry count but no buckets, so
-// they don't false-positive).
-func asHistogram(m map[string]interface{}) (obs.HistogramSnapshot, bool) {
-	if _, ok := m["count"]; !ok {
-		return obs.HistogramSnapshot{}, false
-	}
-	if _, ok := m["buckets"]; !ok {
-		return obs.HistogramSnapshot{}, false
-	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		return obs.HistogramSnapshot{}, false
-	}
-	var s obs.HistogramSnapshot
-	if err := json.Unmarshal(raw, &s); err != nil || s.Count <= 0 || len(s.Buckets) == 0 {
-		return obs.HistogramSnapshot{}, false
-	}
-	return s, true
 }
 
 // controlPlaneSummary renders the replicated-controller life events in a

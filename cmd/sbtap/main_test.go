@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
-	"sharebackup/internal/bench"
 	"sharebackup/internal/obs"
 )
 
@@ -69,140 +67,6 @@ func TestCollectSpansDeinterleavesShards(t *testing.T) {
 	}
 	if n := breakdown(spans, "").N(); n != 2 {
 		t.Fatalf("breakdown aggregated %d recoveries, want 2", n)
-	}
-}
-
-// A BENCH_*.json trajectory file must be recognized, its metrics listed, and
-// -hist must find and render every histogram snapshot inside the detail tree
-// (here: the recompute-work histogram nested one level down).
-func TestRenderBenchFile(t *testing.T) {
-	h := &obs.Histogram{}
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i * 7)
-	}
-	f := &bench.File{
-		Metrics: map[string]bench.Metric{
-			"dataplane.rate_recompute_work": {Value: 12345, Unit: "incidences", Better: "lower"},
-			"dataplane.events_per_sec":      {Value: 27000, Unit: "events/s", Better: "higher"},
-		},
-	}
-	if err := f.SetDetail(map[string]interface{}{
-		"recompute_work_per_pass": h.Snapshot(),
-		"summary_without_buckets": map[string]int{"count": 5, "mean": 3},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, ok := parseBenchFile(data)
-	if !ok {
-		t.Fatal("bench file not recognized")
-	}
-	out := renderBenchFile("BENCH_dataplane.json", bf, true)
-	for _, want := range []string{
-		"dataplane.rate_recompute_work",
-		"better=higher",
-		"detail.recompute_work_per_pass",
-		"p50=",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "summary_without_buckets") {
-		t.Errorf("bucketless summary rendered as histogram:\n%s", out)
-	}
-
-	// JSONL event streams must fall through to the event path.
-	if _, ok := parseBenchFile([]byte("{\"kind\":1}\n{\"kind\":2}\n")); ok {
-		t.Error("multi-line JSONL misread as bench file")
-	}
-	if _, ok := parseBenchFile([]byte("{\"kind\":1}\n")); ok {
-		t.Error("single event misread as bench file")
-	}
-}
-
-// TestRenderRoutingBenchFile pins the BENCH_routing.json shape written by
-// `sbbench -routing` to the generic renderer: metrics list and the
-// histogram-free detail section render cleanly.
-func TestRenderRoutingBenchFile(t *testing.T) {
-	f := &bench.File{
-		Metrics: map[string]bench.Metric{
-			"routing.pathfor_ns_op":         {Value: 45.2, Unit: "ns", Better: "lower"},
-			"routing.pathfor_allocs_op":     {Value: 0, Unit: "allocs", Better: "lower"},
-			"routing.speedup_vs_fresh":      {Value: 120, Unit: "x", Better: "higher"},
-			"routing.storm_lookups_per_sec": {Value: 8.5e5, Unit: "lookups/s", Better: "higher"},
-		},
-	}
-	if err := f.SetDetail(map[string]interface{}{
-		"experiment": "routing-core", "k": 16, "interned_paths": 999424,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, ok := parseBenchFile(data)
-	if !ok {
-		t.Fatal("routing bench file not recognized")
-	}
-	out := renderBenchFile("BENCH_routing.json", bf, true)
-	for _, want := range []string{
-		"routing.pathfor_ns_op",
-		"routing.pathfor_allocs_op",
-		"routing.speedup_vs_fresh",
-		"better=higher",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRenderKACurve pins the fleet-throughput curve rendering for the
-// ctlplane trajectory: one scaled bar per agent count, with connection and
-// server-goroutine counts alongside.
-func TestRenderKACurve(t *testing.T) {
-	f := &bench.File{
-		Metrics: map[string]bench.Metric{
-			"ctlnet.ka_per_sec_10k":      {Value: 1.0e6, Unit: "ka/s", Better: "higher"},
-			"ctlplane.storm_batch_ratio": {Value: 32, Unit: "x", Better: "higher"},
-		},
-	}
-	if err := f.SetDetail(map[string]interface{}{
-		"ka_curve": []map[string]interface{}{
-			{"agents": 1000, "conns": 20, "ka_per_sec": 1.0e5, "server_goroutines": 13},
-			{"agents": 4000, "conns": 80, "ka_per_sec": 4.0e5, "server_goroutines": 13},
-			{"agents": 10000, "conns": 200, "ka_per_sec": 1.0e6, "server_goroutines": 13},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, ok := parseBenchFile(data)
-	if !ok {
-		t.Fatal("ctlplane bench file not recognized")
-	}
-	out := renderBenchFile("BENCH_ctlplane.json", bf, false)
-	for _, want := range []string{
-		"keep-alive throughput vs fleet size (3 points)",
-		"10000 agents",
-		"200 conns, 13 server goroutines",
-		"ctlplane.storm_batch_ratio",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// The 10k bar is the tallest; the 1k bar is scaled down, not clipped out.
-	if !strings.Contains(out, strings.Repeat("#", 40)) {
-		t.Errorf("max point not rendered at full width:\n%s", out)
 	}
 }
 

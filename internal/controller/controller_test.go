@@ -341,59 +341,3 @@ func TestRecoveryLog(t *testing.T) {
 		t.Fatalf("recovery log = %+v", recs)
 	}
 }
-
-func TestClusterElection(t *testing.T) {
-	cl, err := NewCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Primary() != 0 {
-		t.Errorf("initial primary = %d, want 0", cl.Primary())
-	}
-	if err := cl.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Primary() != 1 {
-		t.Errorf("primary after failure = %d, want 1", cl.Primary())
-	}
-	// Non-primary failure does not trigger an election.
-	terms := cl.Terms()
-	if err := cl.Fail(2); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Terms() != terms || cl.Primary() != 1 {
-		t.Error("non-primary failure changed leadership")
-	}
-	// Recovery does not fail back.
-	if err := cl.Recover(0); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Primary() != 1 {
-		t.Error("recovered replica stole leadership")
-	}
-	if cl.AliveCount() != 2 {
-		t.Errorf("alive = %d, want 2", cl.AliveCount())
-	}
-	// Total loss and recovery.
-	if err := cl.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Primary() != -1 {
-		t.Errorf("primary with no replicas = %d, want -1", cl.Primary())
-	}
-	if err := cl.Recover(2); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Primary() != 2 {
-		t.Errorf("primary after total loss recovery = %d, want 2", cl.Primary())
-	}
-	if err := cl.Fail(99); err == nil {
-		t.Error("unknown replica accepted")
-	}
-	if _, err := NewCluster(0); err == nil {
-		t.Error("empty cluster accepted")
-	}
-}

@@ -13,7 +13,9 @@ import (
 // where component scoping pays (all-to-all traffic is one link-sharing
 // component, so scoping degenerates to full passes by design). Each
 // benchmark has an Incremental and a Full variant so the speedup and the
-// recompute-work ratio are directly readable from `go test -bench Storm`.
+// recompute-work ratio are directly readable from `go test -bench Storm`;
+// k=48 is incremental only, since at that scale the reference engine's
+// quadratic pass cost is the thing the incremental engine exists to avoid.
 //
 //	go test -bench 'BenchmarkStorm' -benchtime 1x ./internal/fluid
 
@@ -114,40 +116,48 @@ func hostOfPath(ft *topo.FatTree, p topo.Path) int {
 	return ft.Node(last).Index
 }
 
+// replayStorm runs one engine over the workload — adds, reroute waves, drain —
+// and returns its recompute work and event count.
+func replayStorm(tb testing.TB, ft *topo.FatTree, adds []stormAdd, waves []stormWave, full bool) (work, events int64) {
+	tb.Helper()
+	sim := New(ft.Topology)
+	sim.ForceFullRecompute(full)
+	for _, a := range adds {
+		if err := sim.AddFlow(a.id, a.bytes, a.arrival, a.path); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	events = int64(len(adds))
+	for _, wv := range waves {
+		if err := sim.Run(wv.at); err != nil {
+			tb.Fatal(err)
+		}
+		for _, rr := range wv.reroutes {
+			if sim.Flow(rr.id).Done() {
+				continue
+			}
+			if err := sim.SetPath(rr.id, rr.path); err != nil {
+				tb.Fatal(err)
+			}
+			events++
+		}
+	}
+	if err := sim.RunToCompletion(); err != nil {
+		tb.Fatal(err)
+	}
+	st := sim.Stats()
+	return st.RecomputeWork, events + st.HeapPops
+}
+
 func runStormBench(b *testing.B, k, hostsPerEdge int, full bool) {
 	ft, adds, waves := buildStormWorkload(b, k, hostsPerEdge, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var work, events int64
 	for i := 0; i < b.N; i++ {
-		sim := New(ft.Topology)
-		sim.ForceFullRecompute(full)
-		for _, a := range adds {
-			if err := sim.AddFlow(a.id, a.bytes, a.arrival, a.path); err != nil {
-				b.Fatal(err)
-			}
-		}
-		events += int64(len(adds))
-		for _, wv := range waves {
-			if err := sim.Run(wv.at); err != nil {
-				b.Fatal(err)
-			}
-			for _, rr := range wv.reroutes {
-				if sim.Flow(rr.id).Done() {
-					continue
-				}
-				if err := sim.SetPath(rr.id, rr.path); err != nil {
-					b.Fatal(err)
-				}
-				events++
-			}
-		}
-		if err := sim.RunToCompletion(); err != nil {
-			b.Fatal(err)
-		}
-		st := sim.Stats()
-		work += st.RecomputeWork
-		events += st.HeapPops
+		w, e := replayStorm(b, ft, adds, waves, full)
+		work += w
+		events += e
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(work)/float64(b.N), "work/op")
@@ -158,3 +168,17 @@ func BenchmarkStormK16Incremental(b *testing.B) { runStormBench(b, 16, 4, false)
 func BenchmarkStormK16Full(b *testing.B)        { runStormBench(b, 16, 4, true) }
 func BenchmarkStormK32Incremental(b *testing.B) { runStormBench(b, 32, 1, false) }
 func BenchmarkStormK32Full(b *testing.B)        { runStormBench(b, 32, 1, true) }
+func BenchmarkStormK48Incremental(b *testing.B) { runStormBench(b, 48, 1, false) }
+
+// TestStormWorkRatio pins what component scoping buys, in the deterministic
+// currency: on the k=16 storm (4 flows per host keeps the forced-full replay
+// under a second) the incremental engine does 206x less recompute work than
+// the full-recompute reference. The floor is that ratio less 25%.
+func TestStormWorkRatio(t *testing.T) {
+	ft, adds, waves := buildStormWorkload(t, 16, 4, 4)
+	inc, _ := replayStorm(t, ft, adds, waves, false)
+	full, _ := replayStorm(t, ft, adds, waves, true)
+	if ratio := float64(full) / float64(inc); ratio < 154 {
+		t.Fatalf("incremental recompute work %d is only %.1fx below the full replay's %d, want >= 154x", inc, ratio, full)
+	}
+}

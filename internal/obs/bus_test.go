@@ -154,3 +154,34 @@ func TestEventString(t *testing.T) {
 		}
 	}
 }
+
+// The emit path must stay allocation-free both when tracing is off (the cost
+// every guarded emit site pays in production) and with a ring attached while
+// the bus meters its own dispatch, and the self-meter must count exactly the
+// events delivered to a sink.
+func TestEmitZeroAlloc(t *testing.T) {
+	b := &Bus{}
+	emit := func() {
+		if b.Enabled() {
+			ev := NewEvent(KindRecoveryComplete, time.Millisecond)
+			ev.Total = time.Millisecond
+			b.Emit(ev)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
+		t.Fatalf("no-sink emit allocated %.2f times per event, want 0", allocs)
+	}
+
+	reg := NewRegistry()
+	b.MeterOverhead(reg)
+	b.Attach(NewRing(64))
+	const runs = 1000
+	if allocs := testing.AllocsPerRun(runs, emit); allocs != 0 {
+		t.Fatalf("ring-sink emit allocated %.2f times per event, want 0", allocs)
+	}
+	// AllocsPerRun calls emit once to warm up before the measured runs; the
+	// no-sink phase above is never metered.
+	if got := reg.Counter("obs.emit_events").Value(); got != runs+1 {
+		t.Fatalf("self-meter counted %d events, emitted %d", got, runs+1)
+	}
+}
