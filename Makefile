@@ -45,6 +45,8 @@ soak-fleet:
 
 # Recovery-path microbenchmarks; instrumentation must stay free when no
 # event sink is attached, so watch these against the seed numbers.
+# BenchmarkFig1cStudy (one pinned sim-fig1c study at 1x) is the data plane's
+# profile target: go test -run '^$$' -bench Fig1cStudy -benchtime 40x -cpuprofile cpu.out .
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 

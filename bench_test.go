@@ -70,7 +70,21 @@ func BenchmarkFig1c(b *testing.B) {
 	b.ReportMetric(worstReroute, "worst-reroute-slowdown-x")
 }
 
-// BenchmarkTable2 regenerates Table 2: the cost equations at k=48.
+// BenchmarkFig1cStudy is the profile target for the data-plane hot path: one
+// of the end-to-end benchmark's pinned k=16 studies per iteration, checked
+// against benchmarks/golden/golden.json. Iteration i runs the i-th sub-seed
+// in ascending order, so `-benchtime 1x` (make bench) costs one cheap study
+// and `-benchtime 40x -cpuprofile cpu.out` profiles the whole sim-fig1c set.
+func BenchmarkFig1cStudy(b *testing.B) {
+	fps, seeds := readGoldenFig1c(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seed := seeds[i%len(seeds)]
+		runGoldenStudy(b, seed, fps[seed])
+	}
+}
+
+// BenchmarkTable2regenerates Table 2: the cost equations at k=48.
 func BenchmarkTable2(b *testing.B) {
 	var rel float64
 	for i := 0; i < b.N; i++ {

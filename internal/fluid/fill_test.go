@@ -26,7 +26,7 @@ type fillCase struct {
 // refFill is the textbook two-scan progressive filling fillRates is checked
 // against: every round rescans every link for the lowest saturation level,
 // rescans again for the links within satTol of it, and freezes their flows.
-// No parking, no compaction, no candidate list.
+// No parking, no candidate list, no threshold.
 func refFill(caps []float64, flows [][]int) []float64 {
 	avail := append([]float64(nil), caps...)
 	count := make([]int, len(caps))
@@ -123,23 +123,43 @@ func fillCases() []fillCase {
 	// without adding a bottleneck.
 	const wide = 1e6
 
-	// A hundred flows, each bottlenecked on a private link of its own
-	// capacity, all crossing link 0: every round saturates one private link
-	// and parks it. With 101 slots the scans run 51 rounds at 101, compact
-	// (101 visited) to the 50 live slots, run 26 rounds at 50, compact (50)
-	// to 24 — under compactMinSlots, so no more — and finish 23 rounds at 24.
-	chain := fillCase{name: "compaction", caps: []float64{wide}}
-	for i := 0; i < 100; i++ {
-		chain.caps = append(chain.caps, 1+float64(i)*0.25)
-		chain.flows = append(chain.flows, []int{0, i + 1})
+	// The cases with a check pin the search's cost: every flow crosses link 0
+	// and one private link, so slot i is link i, and a round visits the
+	// candidates left over from the round before (cand) plus, when it has to
+	// rebuild the list, all n slots. A rebuild collects, in slot order, every
+	// slot within the threshold of the lowest level seen so far — so always
+	// slot 0, the first one read — and the threshold it ends on is candFactor
+	// (1.5) times the minimum.
+	counters := func(rounds, scans, rebuilds int64) func(*testing.T, EngineStats) {
+		return func(t *testing.T, st EngineStats) {
+			if st.FillRounds != rounds || st.LinkScans != scans || st.ScanRebuilds != rebuilds {
+				t.Errorf("FillRounds=%d LinkScans=%d ScanRebuilds=%d, want %d, %d and %d",
+					st.FillRounds, st.LinkScans, st.ScanRebuilds, rounds, scans, rebuilds)
+			}
+		}
 	}
-	chain.check = func(t *testing.T, st EngineStats) {
-		const want = 51*101 + 101 + 26*50 + 50 + 23*24
-		if st.FillRounds != 100 || st.LinkScans != want {
-			t.Errorf("FillRounds=%d LinkScans=%d, want 100 and %d (uncompacted: %d)", st.FillRounds, st.LinkScans, want, 100*101)
+	// Saturation levels rise as flows freeze — in exact arithmetic. Link 0
+	// carries 30000 flows and sits 3e-12 (relative) above the level flow 0
+	// freezes at on link 1, outside the tie cut; taking that one fair-share-
+	// sized allocation out moves its level by less than the two roundings
+	// cost, and for the capacity found here the level comes out lower than it
+	// was. The fill must notice and rescan: round 1 visits 0+2 and keeps both
+	// slots, the dip empties the list, round 2 visits 0+2 again — two
+	// rebuilds, where a list trusted blindly would read its 2 entries and
+	// rebuild once.
+	dip := fillCase{name: "threshold: rounding dip", check: counters(2, 2+2, 2)}
+	for l0, n := 1.0, 30000.0; dip.caps == nil; l0 += 0.001 {
+		a := l0 * (1 + 3e-12) * n
+		if old := a / n; old > l0+(satTol*l0+eps) && (a-l0)/(n-1) < old {
+			dip.caps = []float64{a, l0}
+			dip.flows = [][]int{{0, 1}}
+			for i := 1; i < int(n); i++ {
+				dip.flows = append(dip.flows, []int{0})
+			}
 		}
 	}
 	return []fillCase{
+		dip,
 		{
 			// Link 2 is wide: both its flows freeze on links 0 and 1, so it
 			// dies mid-fill without ever saturating, while link 3 (shared
@@ -171,7 +191,60 @@ func fillCases() []fillCase {
 			caps:  []float64{1 + 1e-12, 1 + 2.5e-12, 1, wide},
 			flows: [][]int{{0, 3}, {1, 3}, {2, 3}},
 		},
-		chain,
+		{
+			// One rebuild (0 candidates + 5 slots) collects everything: slot
+			// 0 as the first minimum, then the four private links tying at 2.
+			// All four flows freeze in that round.
+			name:  "threshold: all levels equal",
+			caps:  []float64{wide, 2, 2, 2, 2},
+			flows: [][]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}},
+			check: counters(1, 0+5, 1),
+		},
+		{
+			// Every level is a thousand times the one before, so no rebuild
+			// keeps more than slot 0 and the new minimum: round 1 visits 0+8,
+			// each of the six later rounds drops those two candidates (one
+			// parked, slot 0 far above the threshold) and rebuilds, 2+8.
+			name:  "threshold: levels spanning 1e-9 to 1e9",
+			caps:  []float64{1e15, 1e-9, 1e-6, 1e-3, 1, 1e3, 1e6, 1e9},
+			flows: [][]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}},
+			check: counters(7, 8+6*(2+8), 7),
+		},
+		{
+			// Link 1 has nothing to give — what a link whose background
+			// consumes it looks like to the ripple fill. The minimum 0 puts
+			// the threshold at the tie cut itself (eps), which nothing else is
+			// within: rounds visit 0+4, 2+4 and 2+4, each rebuilding to
+			// {slot 0, the new minimum}.
+			name:    "threshold: zero level",
+			caps:    []float64{wide, 1, 1, 4},
+			rawCaps: map[int]float64{1: 0},
+			flows:   [][]int{{0, 1}, {0, 2}, {0, 3}},
+			check:   counters(3, 4+(2+4)+(2+4), 3),
+		},
+		{
+			// Round 1 (0+4) sets the threshold at 1.5 and collects slots 0, 1
+			// and 2; link 3, a rounding error above 1.5, stays out. Round 2
+			// reads the 3 candidates and finds the minimum 1.5 sitting on the
+			// threshold: its tie cut reaches past it, where link 3 is, so the
+			// list cannot be trusted and is rebuilt (+4) — both links
+			// saturate together, as in the reference.
+			name:  "threshold: tie straddling the threshold",
+			caps:  []float64{wide, 1, 1.5, 1.5 + 1e-13},
+			flows: [][]int{{0, 1}, {0, 2}, {0, 3}},
+			check: counters(2, 4+(3+4), 2),
+		},
+		{
+			// Round 1 (0+6) collects slots 0-3 under threshold 1.5. Round 2
+			// reads those 4 and keeps links 2 and 3; round 3 reads 2 and keeps
+			// link 3; round 4 reads 1, which has parked — the list is empty —
+			// and rebuilds (+6) to slots 0, 4 and 5 under threshold 6; round
+			// 5 reads those 3. An exhaustive scan would visit 5*6 = 30.
+			name:  "threshold: list empties mid-fill",
+			caps:  []float64{wide, 1, 1.2, 1.4, 4, 4.4},
+			flows: [][]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}},
+			check: counters(5, 6+4+2+(1+6)+3, 2),
+		},
 		{
 			// A link whose residual falls below the current level (a
 			// negative capacity stands in for accumulated rounding): the
@@ -237,12 +310,19 @@ func TestFillRatesTable(t *testing.T) {
 					s.prepare(fi)
 					s.fVisit[fi] = s.gen
 				}
-				var links []topo.LinkID
-				if _, ok := s.fillRates(routed, sc, s.gen, withBG, &links); !ok {
-					t.Fatalf("fillRates(withBG=%v) took the defensive break", withBG)
+				ok := false
+				if withBG {
+					var links []topo.LinkID
+					sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
+					links, _, ok = s.fillBackground(routed, 0, sc, nil)
+					for _, l := range links {
+						s.rIdx[l] = -1
+					}
+				} else {
+					_, ok = s.fillRates(routed, sc)
 				}
-				for _, l := range links {
-					s.rIdx[l] = -1
+				if !ok {
+					t.Fatalf("fill (withBG=%v) took the defensive break", withBG)
 				}
 				if got := c.rates(s); !bitEqual(got, want) {
 					t.Errorf("fillRates(withBG=%v) rates %v, reference %v", withBG, got, want)
@@ -269,10 +349,15 @@ func bitEqual(a, b []float64) bool {
 	return true
 }
 
-// TestEngineStatsFillCounters pins the two kernel counters on an instance
-// small enough to count by hand: three rounds (levels 1, 2, 5 on links 0, 1,
-// 2), each scanning all three slots — below compactMinSlots, parked slots
-// stay — and the same numbers again in the registry when telemetry is on.
+// TestEngineStatsFillCounters pins the kernel counters on an instance small
+// enough to count by hand, and the same numbers again in the registry when
+// telemetry is on. The links start at levels 1, 1.5 and 8/3 and saturate at 1,
+// 2 and 5, one per round. Round 1 has no candidates and scans all 3 slots,
+// keeping links 0 and 1 (threshold 1.5); round 2 reads those 2 — link 0 has
+// parked, link 1 has risen to 2 — and rescans 3 for link 1 alone (link 2 sits
+// at 3.5, threshold 3); round 3 reads that 1, parked, and rescans 3. Before
+// the thresholded search every round scanned every slot, 9 in all: three
+// slots are too few for a candidate list to pay, and 12 says so.
 func TestEngineStatsFillCounters(t *testing.T) {
 	c := fillCase{caps: []float64{1, 3, 8}, flows: [][]int{{0, 1, 2}, {1, 2}, {2}}}
 	s := c.build(t)
@@ -283,13 +368,17 @@ func TestEngineStatsFillCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.FillRounds != 3 || st.LinkScans != 9 {
-		t.Fatalf("FillRounds=%d LinkScans=%d, want 3 and 9", st.FillRounds, st.LinkScans)
+	const scans = 3 + (2 + 3) + (1 + 3)
+	if st.FillRounds != 3 || st.LinkScans != scans || st.ScanRebuilds != 3 {
+		t.Fatalf("FillRounds=%d LinkScans=%d ScanRebuilds=%d, want 3, %d and 3", st.FillRounds, st.LinkScans, st.ScanRebuilds, scans)
 	}
 	if got := tel.FillRounds.Value(); got != 3 {
 		t.Errorf("fluid.fill_rounds = %d, want 3", got)
 	}
-	if got := tel.LinkScans.Value(); got != 9 {
-		t.Errorf("fluid.link_scans = %d, want 9", got)
+	if got := tel.LinkScans.Value(); got != scans {
+		t.Errorf("fluid.link_scans = %d, want %d", got, scans)
+	}
+	if got := tel.ScanRebuilds.Value(); got != 3 {
+		t.Errorf("fluid.scan_rebuilds = %d, want 3", got)
 	}
 }

@@ -118,13 +118,14 @@ type EngineStats struct {
 	FullRecomputes   int64 // passes that ran over the whole active set
 	RecomputeWork    int64 // flow×link incidences touched by filling passes
 	HeapPops         int64 // finish events consumed from the heap
-	RipplePasses     int64 // scoped passes settled by local verification
+	RipplePasses     int64 // scoped passes the ripple pass settled (an empty seed set settles trivially)
 	RippleExpansions int64 // verification-driven ripple set growths
-	RippleFallbacks  int64 // ripple passes abandoned to component BFS
+	RippleFallbacks  int64 // scoped passes the ripple pass handed to component BFS
 	ParallelPasses   int64 // component fills run on the worker pool
 	Components       int64 // link-sharing components filled across all passes
 	FillRounds       int64 // progressive-filling rounds (one bottleneck level each)
 	LinkScans        int64 // link slots visited by the per-round bottleneck search
+	ScanRebuilds     int64 // of those searches, full scans that rebuilt the candidate list
 }
 
 // Simulator advances a set of flows over a capacitated topology.
@@ -203,9 +204,10 @@ type Simulator struct {
 	compLinks []topo.LinkID
 	comps     []compSpan
 
-	// Ripple scratch (ripple.go): rIdx maps link ID -> ripple-link index,
-	// kept all -1 between passes; the v* columns are the verification
-	// sweep's per-link results.
+	// Ripple scratch (ripple.go): rIdx maps link ID -> index in the pass's
+	// links list, which is also the background fill's slot number; kept all
+	// -1 between passes. The v* columns are the verification sweep's per-link
+	// results.
 	rIdx []int32
 	vSum []float64
 	vMax []float64
@@ -699,11 +701,6 @@ func (s *Simulator) completeDue() {
 }
 
 const (
-	// compactMinSlots is the engaged-slot count below which fillRates leaves
-	// parked slots in place: scanning a few dozen dead slots is cheaper than
-	// moving the live ones.
-	compactMinSlots = 32
-
 	eps = 1e-12
 	// relEps is the relative tolerance below which a flow's remaining
 	// bytes are treated as finished, so that flows completing at the
@@ -835,7 +832,12 @@ func (s *Simulator) recomputeDirty() {
 		s.decomposeAll()
 		s.fillComponents(tel)
 	default:
-		if !s.ripple(tel) {
+		// Every scoped pass is one or the other, so Recomputes =
+		// RipplePasses + RippleFallbacks + FullRecomputes.
+		if s.ripple(tel) {
+			s.stats.RipplePasses++
+		} else {
+			s.stats.RippleFallbacks++
 			s.decomposeFromSeeds()
 			s.fillComponents(tel)
 		}
@@ -853,11 +855,10 @@ func (s *Simulator) fillUnion(tel *Telemetry) {
 	for _, fi := range s.active {
 		s.prepare(fi)
 	}
-	links := s.compLinks[:0]
-	work, _ := s.fillRates(s.active, s.scratchFor(0), 0, false, &links)
-	s.compLinks = links
+	sc := s.scratchFor(0)
+	work, _ := s.fillRates(s.active, sc)
 	s.sealFlows(s.active)
-	s.sealLinks(links)
+	s.sealLinks(sc.engaged)
 	s.finishPass(work, tel)
 }
 
@@ -904,7 +905,8 @@ func (s *Simulator) finishPass(work int64, tel *Telemetry) {
 	for _, sc := range s.scratch {
 		s.stats.FillRounds += sc.rounds
 		s.stats.LinkScans += sc.scans
-		sc.rounds, sc.scans = 0, 0
+		s.stats.ScanRebuilds += sc.rebuilds
+		sc.rounds, sc.scans, sc.rebuilds = 0, 0, 0
 	}
 	if tel != nil {
 		tel.RateRecomputeWork.Add(work)
@@ -912,26 +914,30 @@ func (s *Simulator) finishPass(work int64, tel *Telemetry) {
 	}
 }
 
-// fillScratch is one worker's progressive-filling state. linkIdx is sized to
-// the topology and kept all -1 between passes; each worker owns one scratch,
-// so parallel component fills never share mutable state. mo/mn/mIdx hold the
-// CSR member-incidence lists built per background-mode fill (see fillRates).
+// fillScratch is one worker's progressive-filling state; each worker owns
+// one, so parallel component fills never share mutable state. The per-slot
+// arrays are indexed by the fill's slot numbers. In closed mode linkIdx maps a
+// link to its slot (sized to the topology, all -1 between fills) and engaged
+// maps back. In background mode the slots are the ripple pass's links list
+// (link -> slot is s.rIdx), and members/prevSum outlive a fill, so a refill
+// engages only the flows an expansion appended.
 type fillScratch struct {
 	linkIdx []int32
-	engaged []topo.LinkID
+	engaged []topo.LinkID // closed mode: valid until the scratch's next fill
+	members []int32       // flows of the set on the slot's link
+	prevSum []float64     // background mode: their pre-pass rates, summed in engagement order
 	avail   []float64
-	count   []int32
-	satLv   []float64
-	prevSum []float64
+	count   []int32   // members still unfrozen
+	satLv   []float64 // avail/count, the level the link saturates at; +Inf once parked
+	// search state: cand holds, in slot order, every slot whose level was
+	// within thr at the last full scan and has not been seen above it since.
+	cand    []int32
+	thr     float64
 	satList []int32
-	mo      []int32
-	mn      []int32
-	mCur    []int32
-	mIdx    []int32
-	// rounds and scans accumulate fillRates' round and slot-visit counts
-	// until finishPass folds them into the simulator's stats; fills on the
-	// worker pool may not touch shared counters.
-	rounds, scans int64
+	// rounds, scans and rebuilds accumulate the fills' round, slot-visit and
+	// full-scan counts until finishPass folds them into the simulator's
+	// stats; fills on the worker pool may not touch shared counters.
+	rounds, scans, rebuilds int64
 }
 
 // scratchFor returns worker w's fill scratch, allocating through w on first
@@ -945,6 +951,92 @@ func (s *Simulator) scratchFor(w int) *fillScratch {
 		s.scratch = append(s.scratch, sc)
 	}
 	return s.scratch[w]
+}
+
+// size gives the per-fill slot arrays n entries. They are rewritten from
+// scratch by every fill, so growth never copies.
+func (sc *fillScratch) size(n int) {
+	if cap(sc.avail) < n {
+		sc.avail, sc.count, sc.satLv = make([]float64, 2*n), make([]int32, 2*n), make([]float64, 2*n)
+	}
+	sc.avail, sc.count, sc.satLv = sc.avail[:n], sc.count[:n], sc.satLv[:n]
+}
+
+// candFactor is how far above the bottleneck level a full scan still collects
+// candidates. Wider means more slots re-read every round, narrower means the
+// list drains and is rebuilt sooner.
+const candFactor = 1.5
+
+// tieCut returns the level a round freezes at — the lowest saturation level,
+// but never below the current one (rounding guard) — and the cut under which
+// links saturate together with it. Exact ties in symmetric fabrics collapse
+// into one round; satTol stays at rounding scale (see its comment).
+func tieCut(minL, level float64) (lo, cut float64) {
+	lo = minL
+	if lo < level {
+		lo = level
+	}
+	return lo, lo + (satTol*lo + eps)
+}
+
+// search finds one round's bottleneck: it returns the level to freeze at and
+// the tie cut, and leaves in satList, in slot order, every slot whose
+// saturation level is within the cut — exactly the slots an exhaustive scan
+// of satLv selects (kernel_property_test.go checks it round by round). A
+// slot's level only rises during a fill: freezing a flow at the water level
+// takes no more than a fair share from each link it crosses. So the slots
+// above thr at the last full scan are still above it, and while the cut stays
+// within thr the search reads only the candidates, dropping those that rose
+// past thr (a parked slot sits at +Inf). When the list empties, or the cut
+// outgrows thr, one full scan rebuilds it around the new minimum; thr only
+// falls during that scan, so what it collects is a superset that later rounds
+// trim. A caller that lets a level fall — rounding can, see waterFill — must
+// empty cand, which forces the full scan. ok is false when no slot has an
+// unfrozen flow left.
+func (sc *fillScratch) search(level float64) (lo, cut float64, ok bool) {
+	satLv, thr := sc.satLv, sc.thr
+	minL := math.Inf(1)
+	cand := sc.cand[:0]
+	for _, i := range sc.cand {
+		lv := satLv[i]
+		if lv > thr {
+			continue
+		}
+		cand = append(cand, i)
+		if lv < minL {
+			minL = lv
+		}
+	}
+	sc.scans += int64(len(sc.cand))
+	lo, cut = tieCut(minL, level)
+	if len(cand) == 0 || cut > thr {
+		cand, minL, thr = cand[:0], math.Inf(1), math.MaxFloat64
+		for i, lv := range satLv {
+			if lv > thr {
+				continue
+			}
+			cand = append(cand, int32(i))
+			if lv < minL {
+				minL = lv
+				lo, cut = tieCut(lv, level)
+				if thr = candFactor * lo; thr < cut {
+					thr = cut
+				}
+			}
+		}
+		sc.scans += int64(len(satLv))
+		sc.rebuilds++
+		sc.thr = thr
+	}
+	sc.cand = cand
+	sat := sc.satList[:0]
+	for _, i := range cand {
+		if satLv[i] <= cut {
+			sat = append(sat, i)
+		}
+	}
+	sc.satList = sat
+	return lo, cut, !math.IsInf(minL, 1)
 }
 
 // bgUnknown marks a vBG entry whose link carries background flows but whose
@@ -967,336 +1059,213 @@ func (s *Simulator) ensureVCap(n int) {
 	s.vChg = make([]bool, n)
 }
 
-// fillRates runs progressive filling (water-filling) over flowSet: all
-// unfrozen flows' rates rise together; when a link saturates, its flows
-// freeze at the current level. Stalled flows get rate zero. The level a link
-// saturates at is tracked directly (satLv = avail/count), so each round's
-// bottleneck search is one compare scan over the link slots and divisions
-// happen only when a link's unfrozen count actually changes. A link whose
-// flows have all frozen stays in its slot, parked at satLv = +Inf, until
-// parked slots dominate and are compacted away (DESIGN.md §15).
-//
-// In closed mode (withBG false) flowSet must be closed under link sharing —
-// a component, or the whole active set — so every engaged link's full
-// capacity belongs to the set; outLinks, when non-nil, collects the engaged
-// links for the caller's seal.
-//
-// In background mode (withBG true, the ripple pass) flows outside the set
-// (fVisit != memberGen) stay frozen at their current rates and each engaged
-// link offers only its residual capacity. Links whose member count equals
-// their list length carry no background at all — the common case for the
-// rack-local links a scoped pass centres on — and keep full capacity without
-// any list walk; the rest derive their background sum from the maintained
-// linkRate aggregate minus the members' pre-pass rates, again without a
-// walk. Background mode also owns the ripple bookkeeping: newly engaged
-// links are appended to *outLinks with s.rIdx assigned, and the verification
-// arrays are maintained in-pass — vSum starts at the background sum and
-// accumulates member rates as they freeze, vMax tracks the member maximum
-// (freeze levels are nondecreasing, so the last write is the max), vChg
-// marks links whose members moved, and vBG is the no-background/-unknown
-// marker resolved lazily by the checks. Freeze rounds walk CSR member lists
-// built at setup, never the full per-link flow lists.
-//
-// While unfrozen, member rates are parked at -1: a member can legitimately
-// freeze at level 0 (background consuming a full link), so zero cannot mark
-// frozenness. The caller seals afterwards — rates are final on return, but
-// epochs, finish events, and linkRate are not yet updated — which is what
-// makes concurrent fills of disjoint components safe: this function writes
-// only member rate entries and its own scratch. The boolean result is false
-// only on the defensive no-live-links break, which leaves the verification
-// arrays inconsistent; ripple must fall back.
-func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch, memberGen uint64, withBG bool, outLinks *[]topo.LinkID) (int64, bool) {
-	var (
-		engaged = sc.engaged[:0]
-		avail   = sc.avail[:0]
-		count   = sc.count[:0]
-		prevSum = sc.prevSum[:0]
-		linkIdx = sc.linkIdx
-		work    int64
-	)
+// engage adds flows to a fill's slot tables: every link a flow crosses counts
+// it as a member, a link seen for the first time takes the next slot (idx and
+// links record it), and in background mode the link's prevSum accumulates the
+// flow's pre-pass rate. Routed flows are marked unfrozen with rate -1 — a
+// member can legitimately freeze at level 0 (background consuming a full
+// link), so zero cannot mark frozenness — and stalled flows get rate zero. It
+// returns the grown links list and how many flows and incidences it engaged.
+func (s *Simulator) engage(flows []int32, sc *fillScratch, idx []int32, links []topo.LinkID, withBG bool) ([]topo.LinkID, int, int) {
 	// Hoist the flow columns the hot loops touch: going through s.field in a
 	// loop reloads the slice header (and re-checks bounds against it) every
 	// iteration, which is measurable at millions of incidences per storm.
-	fOff, fNL := s.fOff, s.fNL
-	arena := s.linkArena
+	fOff, fNL, arena := s.fOff, s.fNL, s.linkArena
 	fRate, fPrevRate := s.fRate, s.fPrevRate
-	fCert := s.fCert
-	rIdx := s.rIdx
-	unfrozen := 0
-	incid := 0
-	for _, fi := range flowSet {
+	members, prevSum := sc.members, sc.prevSum
+	routed, incid := 0, 0
+	for _, fi := range flows {
 		off, n := fOff[fi], fNL[fi]
 		if n == 0 {
-			fRate[fi] = 0 // stalled: no links, rate zero
+			fRate[fi] = 0
 			continue
 		}
-		fRate[fi] = -1 // unfrozen sentinel; see doc comment
-		unfrozen++
+		fRate[fi] = -1
+		routed++
 		incid += int(n)
 		pr := fPrevRate[fi]
 		for _, l := range arena[off : off+n] {
-			li := linkIdx[l]
+			li := idx[l]
 			if li < 0 {
-				li = int32(len(engaged))
-				linkIdx[l] = li
-				engaged = append(engaged, l)
-				avail = append(avail, s.caps[l])
-				count = append(count, 0)
-				if outLinks != nil {
-					if withBG {
-						if rIdx[l] < 0 {
-							rIdx[l] = int32(len(*outLinks))
-							*outLinks = append(*outLinks, l)
-						}
-					} else {
-						*outLinks = append(*outLinks, l)
-					}
-				}
-				if withBG {
-					prevSum = append(prevSum, 0)
-				}
+				li = int32(len(links))
+				idx[l] = li
+				links = append(links, l)
+				members = append(members, 0)
+				prevSum = append(prevSum, 0)
 			}
-			count[li]++
+			members[li]++
 			if withBG {
 				prevSum[li] += pr
 			}
 		}
 	}
-	work += int64(incid)
+	sc.members, sc.prevSum = members, prevSum
+	return links, routed, incid
+}
 
-	mo, mn, mIdx := sc.mo[:0], sc.mn[:0], sc.mIdx
-	var vSum, vMax []float64
-	var vChg []bool
-	if withBG {
-		s.ensureVCap(len(*outLinks))
-		vSum, vMax, vChg = s.vSum, s.vMax, s.vChg
-		vBG := s.vBG
-		for i, l := range engaged {
-			ri := rIdx[l]
-			vMax[ri] = 0
-			vChg[ri] = false
-			if int(count[i]) == len(s.linkFlows[l]) {
-				// No background: full capacity, bit-identical to a
-				// closed-mode engagement of the same link.
-				vSum[ri], vBG[ri] = 0, -1
-				continue
+// fillRates runs progressive filling (water-filling) over flowSet, which must
+// be closed under link sharing — a component, or the whole active set — so
+// every engaged link's full capacity belongs to the set. All unfrozen flows'
+// rates rise together; when a link saturates, its flows freeze at the current
+// level. The engaged links stay in sc.engaged for the caller's seal. The
+// caller seals afterwards — rates are final on return, but finish events and
+// linkRate are not yet updated — which is what makes concurrent fills of
+// disjoint components safe: the fill writes only its flows' rate and
+// certificate entries and its own scratch. The boolean result is false only on
+// waterFill's defensive break.
+func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch) (int64, bool) {
+	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
+	links, unfrozen, incid := s.engage(flowSet, sc, sc.linkIdx, sc.engaged[:0], false)
+	sc.engaged = links
+	sc.size(len(links))
+	for i, l := range links {
+		sc.avail[i], sc.count[i] = s.caps[l], sc.members[i]
+		sc.satLv[i] = s.caps[l] / float64(sc.members[i])
+	}
+	work, ok := s.waterFill(sc, sc.linkIdx, links, unfrozen, false)
+	for _, l := range links {
+		sc.linkIdx[l] = -1
+	}
+	if !ok {
+		for _, fi := range flowSet {
+			if s.fRate[fi] < 0 {
+				s.fRate[fi] = 0
 			}
+		}
+	}
+	return int64(incid) + work, ok
+}
+
+// fillBackground is the ripple pass's fill: flows outside the set stay frozen
+// at their current rates and each link offers only its residual capacity.
+// flows[:from] are the members the pass's previous fill already engaged, so
+// set-up costs O(slots + new incidences): only flows[from:] are engaged, and
+// every slot's residual is re-derived without a list walk. A link whose
+// member count equals its list length carries no background — the common case
+// for the rack-local links a scoped pass centres on — and keeps full
+// capacity, bit-identical to a closed-mode engagement; the rest subtract the
+// maintained linkRate aggregate minus the members' pre-pass rates. The
+// verification arrays start here and are finished by waterFill: vSum starts
+// at the background sum, and vBG is the no-background (-1) / bgUnknown marker
+// the checks resolve lazily. New links are appended to links with s.rIdx
+// assigned; the caller owns restoring rIdx.
+func (s *Simulator) fillBackground(flows []int32, from int, sc *fillScratch, links []topo.LinkID) ([]topo.LinkID, int64, bool) {
+	unfrozen := 0
+	for _, fi := range flows[:from] {
+		if s.fNL[fi] > 0 {
+			s.fRate[fi] = -1
+			unfrozen++
+		}
+	}
+	links, routed, incid := s.engage(flows[from:], sc, s.rIdx, links, true)
+	n := len(links)
+	sc.size(n)
+	s.ensureVCap(n)
+	vSum, vMax, vBG, vChg := s.vSum, s.vMax, s.vBG, s.vChg
+	members, prevSum := sc.members, sc.prevSum
+	avail, count, satLv := sc.avail, sc.count, sc.satLv
+	for i, l := range links {
+		vMax[i], vChg[i] = 0, false
+		a, m := s.caps[l], members[i]
+		if int(m) == len(s.linkFlows[l]) {
+			vSum[i], vBG[i] = 0, -1
+		} else {
 			bg := s.linkRate[l] - prevSum[i]
 			if bg < 0 {
 				bg = 0
 			}
-			vSum[ri], vBG[ri] = bg, bgUnknown
-			a := s.caps[l] - bg
-			if a < 0 {
+			vSum[i], vBG[i] = bg, bgUnknown
+			if a -= bg; a < 0 {
 				a = 0
 			}
-			avail[i] = a
 		}
-		work += int64(len(engaged))
-
-		// CSR member lists: mIdx[mo[i]:mo[i]+mn[i]] are the members on
-		// engaged link i, so freeze rounds touch exactly the member
-		// incidences instead of walking full per-link flow lists.
-		if cap(mIdx) < incid {
-			mIdx = make([]int32, incid)
-		}
-		mIdx = mIdx[:incid]
-		cur := sc.mCur[:0]
-		pos := int32(0)
-		for i := range engaged {
-			mo = append(mo, pos)
-			mn = append(mn, count[i])
-			cur = append(cur, pos)
-			pos += count[i]
-		}
-		for _, fi := range flowSet {
-			off, n := fOff[fi], fNL[fi]
-			for _, l := range arena[off : off+n] {
-				li := linkIdx[l]
-				mIdx[cur[li]] = fi
-				cur[li]++
-			}
-		}
-		sc.mCur = cur[:0]
-		work += int64(incid)
+		avail[i], count[i], satLv[i] = a, m, a/float64(m)
 	}
+	work, ok := s.waterFill(sc, s.rIdx, links, unfrozen+routed, true)
+	return links, int64(incid+n) + work, ok
+}
 
-	satLv := sc.satLv[:0]
-	for i := range engaged {
-		satLv = append(satLv, avail[i]/float64(count[i]))
-	}
-	satList := sc.satList[:0]
+// waterFill runs the rounds of a fill whose slot arrays are set up: search
+// picks the saturating slots, and their links' unfrozen member flows freeze at
+// the level — rate set, certificate recorded, every link the flow crosses
+// loses one unfrozen count and the frozen allocation, and its saturation level
+// is re-derived (a link losing its last unfrozen flow parks at +Inf, which no
+// search selects). The walk is the saturating link's own flow list; frozen
+// members and, in background mode, non-members (whose rates are never
+// negative) are skipped by the same test. Within a round every flow freezes
+// at the same level, so the walk order cannot change a rate, a residual or a
+// certificate. In background mode the freeze also folds the member into the
+// verification arrays: vSum accumulates its rate, vMax tracks the member
+// maximum (levels are nondecreasing, so the last write is the max) and vChg
+// marks links whose members moved. The result is false only on the defensive
+// no-live-links break, which leaves rates at -1 and the verification arrays
+// inconsistent; ripple must fall back.
+func (s *Simulator) waterFill(sc *fillScratch, idx []int32, links []topo.LinkID, unfrozen int, withBG bool) (int64, bool) {
+	avail, count, satLv := sc.avail, sc.count, sc.satLv
+	fOff, fNL, arena := s.fOff, s.fNL, s.linkArena
+	fRate, fPrevRate, fCert := s.fRate, s.fPrevRate, s.fCert
+	vSum, vMax, vChg := s.vSum, s.vMax, s.vChg
+	sc.cand = sc.cand[:0]
 	level := 0.0
-	broke := false
-	// live counts slots that still have unfrozen flows. A link whose flows
-	// have all frozen is parked in place at satLv = +Inf, which no bottleneck
-	// search can select, so slots keep their engagement order and nothing is
-	// rewritten when a link dies.
-	live := len(engaged)
-	var rounds, scans int64
+	live := len(links) // slots that still have unfrozen flows
+	var work int64
 	for unfrozen > 0 {
-		// Once parked slots outnumber live ones, squeeze them out (stably) so
-		// late rounds of a large fill scan what is still contested. Each
-		// compaction at least halves the slots, so all of them together visit
-		// fewer than two rounds' worth.
-		if n := len(engaged); n >= compactMinSlots && 2*live < n {
-			scans += int64(n)
-			j := 0
-			for i := 0; i < n; i++ {
-				l := engaged[i]
-				if count[i] == 0 {
-					linkIdx[l] = -1
-					continue
-				}
-				engaged[j], avail[j], count[j], satLv[j] = l, avail[i], count[i], satLv[i]
-				if withBG {
-					mo[j], mn[j] = mo[i], mn[i]
-				}
-				linkIdx[l] = int32(j)
-				j++
-			}
-			engaged, avail, count, satLv = engaged[:j], avail[:j], count[:j], satLv[:j]
-			if withBG {
-				mo, mn = mo[:j], mn[:j]
-			}
-		}
-		// One scan finds the lowest saturation level and collects the links
-		// that may tie it. cut is the tie threshold of the lowest level seen
-		// so far; it only falls as the scan proceeds, so every link within the
-		// final threshold was within cut when it was visited, and filtering
-		// the few candidates afterwards leaves exactly the links a second
-		// full scan would have selected, in slot order.
-		minL, cut := math.Inf(1), -1.0
-		satList = satList[:0]
-		for i, lv := range satLv {
-			if !(lv < minL) {
-				if lv <= cut {
-					satList = append(satList, int32(i))
-				}
-				continue
-			}
-			lo := lv
-			if lo < level {
-				lo = level // rounding guard: the level never decreases
-			}
-			// Links whose saturation level ties the bottleneck within satTol
-			// saturate together (exact ties in symmetric fabrics collapse
-			// into one round; satTol stays at rounding scale — see its
-			// comment).
-			c := lo + (satTol*lo + eps)
-			if minL > c {
-				satList = satList[:0] // every earlier candidate is >= minL
-			}
-			minL, cut = lv, c
-			satList = append(satList, int32(i))
-		}
-		rounds++
-		scans += int64(len(satLv))
+		lo, cut, ok := sc.search(level)
+		sc.rounds++
 		work += int64(live)
-		if math.IsInf(minL, 1) {
-			broke = true
-			break // defensive; cannot happen while unfrozen > 0
+		if !ok {
+			return work, false // defensive; cannot happen while unfrozen > 0
 		}
-		if minL > level {
-			level = minL
-		}
-		k := 0
-		for _, li := range satList {
-			if satLv[li] <= cut {
-				satList[k] = li
-				k++
-			}
-		}
-		satList = satList[:k]
-		// Freeze the saturated links' unfrozen member flows at the current
-		// level: CSR member lists in background mode, the (all-member)
-		// per-link flow lists in closed mode. The freeze body is inlined in
-		// both branches (it is far too large for the compiler to inline, and
-		// runs per member incidence): rate set, certificate recorded, every
-		// touched link loses one unfrozen count and the frozen allocation,
-		// saturation levels re-derived for survivors (a link losing its last
-		// unfrozen flow parks), and in background mode the member folds into
-		// the verification arrays.
-		for _, li := range satList {
-			cert := engaged[li]
-			if withBG {
-				for _, fi := range mIdx[mo[li] : mo[li]+mn[li]] {
-					if fRate[fi] >= 0 {
-						continue // already frozen this pass
-					}
-					fRate[fi] = level
-					fCert[fi] = cert
+		level = lo
+		for _, li := range sc.satList {
+			cert := links[li]
+			for _, ref := range s.linkFlows[cert] {
+				fi := ref.fi
+				if fRate[fi] >= 0 {
+					continue // frozen this pass, or background
+				}
+				fRate[fi] = level
+				fCert[fi] = cert
+				chg := false
+				if withBG {
 					pr := fPrevRate[fi]
-					chg := math.Abs(level-pr) > rippleTol*(pr+1)
-					off, n := fOff[fi], fNL[fi]
-					for _, l2 := range arena[off : off+n] {
-						li2 := linkIdx[l2]
-						c := count[li2] - 1
-						count[li2] = c
-						a := avail[li2] - level
-						avail[li2] = a
-						if c > 0 {
-							satLv[li2] = a / float64(c)
-						} else {
-							satLv[li2] = math.Inf(1)
-							live--
+					chg = math.Abs(level-pr) > rippleTol*(pr+1)
+				}
+				off, n := fOff[fi], fNL[fi]
+				for _, l2 := range arena[off : off+n] {
+					li2 := idx[l2]
+					c := count[li2] - 1
+					count[li2] = c
+					a := avail[li2] - level
+					avail[li2] = a
+					if c > 0 {
+						lv := a / float64(c)
+						if lv < satLv[li2] && satLv[li2] > cut {
+							// Rounding lowered the level of a link that
+							// outlives the round (one within the cut is about
+							// to park), so the candidate list no longer
+							// bounds it: drop the list, search rescans.
+							sc.cand = sc.cand[:0]
 						}
-						ri := rIdx[l2]
-						vSum[ri] += level
-						vMax[ri] = level
+						satLv[li2] = lv
+					} else {
+						satLv[li2] = math.Inf(1)
+						live--
+					}
+					if withBG {
+						vSum[li2] += level
+						vMax[li2] = level
 						if chg {
-							vChg[ri] = true
+							vChg[li2] = true
 						}
 					}
-					work += int64(n)
-					unfrozen--
 				}
-			} else {
-				for _, ref := range s.linkFlows[cert] {
-					fi := ref.fi
-					if fRate[fi] >= 0 {
-						continue // already frozen this pass
-					}
-					fRate[fi] = level
-					fCert[fi] = cert
-					off, n := fOff[fi], fNL[fi]
-					for _, l2 := range arena[off : off+n] {
-						li2 := linkIdx[l2]
-						c := count[li2] - 1
-						count[li2] = c
-						a := avail[li2] - level
-						avail[li2] = a
-						if c > 0 {
-							satLv[li2] = a / float64(c)
-						} else {
-							satLv[li2] = math.Inf(1)
-							live--
-						}
-					}
-					work += int64(n)
-					unfrozen--
-				}
+				work += int64(n)
+				unfrozen--
 			}
 		}
 	}
-	sc.rounds += rounds
-	sc.scans += scans
-	if broke {
-		for _, fi := range flowSet {
-			if fRate[fi] < 0 {
-				fRate[fi] = 0
-			}
-		}
-	}
-	// Restore the linkIdx all -1 invariant and hand scratch back.
-	for _, l := range engaged {
-		linkIdx[l] = -1
-	}
-	sc.engaged = engaged[:0]
-	sc.avail, sc.count, sc.satLv = avail[:0], count[:0], satLv[:0]
-	sc.prevSum, sc.satList = prevSum[:0], satList[:0]
-	sc.mo, sc.mn, sc.mIdx = mo[:0], mn[:0], mIdx[:0]
-	return work, !broke
+	return work, true
 }
 
 // arrEvent is one scheduled arrival.

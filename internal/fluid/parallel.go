@@ -137,7 +137,7 @@ func (s *Simulator) fillComponents(tel *Telemetry) {
 	} else {
 		sc := s.scratchFor(0)
 		for _, c := range s.comps {
-			w, _ := s.fillRates(s.compFlows[c.f0:c.f1], sc, 0, false, nil)
+			w, _ := s.fillRates(s.compFlows[c.f0:c.f1], sc)
 			work += w
 		}
 	}
@@ -178,7 +178,7 @@ func (s *Simulator) fillComponentsParallel() int64 {
 					break
 				}
 				c := s.comps[i]
-				w, _ := s.fillRates(s.compFlows[c.f0:c.f1], sc, 0, false, nil)
+				w, _ := s.fillRates(s.compFlows[c.f0:c.f1], sc)
 				wk += w
 			}
 			works[w] = wk

@@ -53,7 +53,8 @@ const (
 // ripple attempts the scoped pass. It returns false — leaving all flow
 // rates prepared but unsealed — when the caller should fall back to
 // component decomposition; every flow whose rate it dirtied is on or
-// adjacent to a dirty link, so the seeded BFS re-covers them.
+// adjacent to a dirty link, so the seeded BFS re-covers them. The caller
+// counts the outcome (RipplePasses or RippleFallbacks).
 func (s *Simulator) ripple(tel *Telemetry) bool {
 	if len(s.active) == 0 {
 		return true
@@ -96,21 +97,27 @@ func (s *Simulator) ripple(tel *Telemetry) bool {
 			s.rIdx[l] = -1
 		}
 		s.compFlows, s.compLinks = flows, links
-		s.stats.RippleFallbacks++
 		return false
 	}
 
+	// The fill's slot tables live as long as the pass: links (with rIdx) is
+	// the slot space, and a refill engages only the flows appended since.
 	sc := s.scratchFor(0)
+	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
+	filled := 0 // members the fills have engaged so far; check (a) judges exactly these
 	for round := 0; ; round++ {
-		// The background-mode fill engages every member link (appending new
+		// The background fill engages the new members' links (appending new
 		// ones to links with rIdx assigned), computes residuals from the
 		// maintained linkRate aggregate, and leaves the verification arrays
 		// populated: vSum = background sum + member rates, vMax = member
 		// maximum, vChg = some member moved, vBG = -1 (no background) or
 		// bgUnknown (background present, maximum resolved lazily below).
-		w, filled := s.fillRates(flows, sc, gen, true, &links)
+		var w int64
+		var completed bool
+		links, w, completed = s.fillBackground(flows, filled, sc, links)
+		filled = len(flows)
 		work += w
-		if !filled {
+		if !completed {
 			return bail() // defensive fill break: arrays are inconsistent
 		}
 		vSum := s.vSum
@@ -127,9 +134,8 @@ func (s *Simulator) ripple(tel *Telemetry) bool {
 		// (a) every member needs a bottleneck link: a saturated link where
 		// neither a member (vMax) nor a background flow (vBG, resolved
 		// lazily) outruns it.
-		roundStart := len(flows)
 		expanded := false
-		for k := 0; k < roundStart; k++ {
+		for k := 0; k < filled; k++ {
 			fi := flows[k]
 			off, n := s.fOff[fi], s.fNL[fi]
 			if n == 0 {
@@ -164,7 +170,7 @@ func (s *Simulator) ripple(tel *Telemetry) bool {
 			// A beater that is already generation-marked was adopted by an
 			// earlier member of this same loop; the set has already grown,
 			// the refill will re-judge this member, and that is success,
-			// not a dead end — hence the roundStart growth check below.
+			// not a dead end — hence the growth check below.
 			found := false
 			for j := int32(0); j < n; j++ {
 				l := s.linkArena[off+j]
@@ -191,7 +197,7 @@ func (s *Simulator) ripple(tel *Telemetry) bool {
 				}
 				work += int64(len(s.linkFlows[l]))
 			}
-			if !found && len(flows) == roundStart {
+			if !found && len(flows) == filled {
 				// No background flow explains the failure and nothing else
 				// grew the set this round — a numeric corner this proof
 				// can't close; decompose instead.
@@ -242,7 +248,6 @@ func (s *Simulator) ripple(tel *Telemetry) bool {
 		s.rIdx[l] = -1
 	}
 	s.sealFlows(flows)
-	s.stats.RipplePasses++
 	s.compFlows, s.compLinks = flows, links
 	s.finishPass(work, tel)
 	return true

@@ -30,13 +30,14 @@ type Telemetry struct {
 	RateRecomputes    *obs.Counter // progressive-filling passes (scoped or full)
 	FullRecomputes    *obs.Counter // passes that fell back to the whole active set
 	RateRecomputeWork *obs.Counter // flow×link incidences touched by filling passes
-	RipplePasses      *obs.Counter // scoped passes settled by local verification
+	RipplePasses      *obs.Counter // scoped passes the ripple pass settled
 	RippleExpansions  *obs.Counter // verification-driven ripple set growths
-	RippleFallbacks   *obs.Counter // ripple passes abandoned to component BFS
+	RippleFallbacks   *obs.Counter // scoped passes handed to component BFS
 	ParallelPasses    *obs.Counter // component fills run on the worker pool
 	Components        *obs.Counter // link-sharing components filled
 	FillRounds        *obs.Counter // progressive-filling rounds
 	LinkScans         *obs.Counter // link slots visited by the bottleneck search
+	ScanRebuilds      *obs.Counter // full scans that rebuilt the candidate list
 
 	ActiveFlows  *obs.Gauge // started, unfinished flows
 	PendingFlows *obs.Gauge // scheduled, not yet arrived
@@ -78,6 +79,7 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		Components:        reg.Counter("fluid.components"),
 		FillRounds:        reg.Counter("fluid.fill_rounds"),
 		LinkScans:         reg.Counter("fluid.link_scans"),
+		ScanRebuilds:      reg.Counter("fluid.scan_rebuilds"),
 		ActiveFlows:       reg.Gauge("fluid.active_flows"),
 		PendingFlows:      reg.Gauge("fluid.pending_flows"),
 		FCT:               reg.Histogram("fluid.fct_us"),
@@ -98,6 +100,7 @@ func (t *Telemetry) addEngine(before, after EngineStats) {
 	t.Components.Add(after.Components - before.Components)
 	t.FillRounds.Add(after.FillRounds - before.FillRounds)
 	t.LinkScans.Add(after.LinkScans - before.LinkScans)
+	t.ScanRebuilds.Add(after.ScanRebuilds - before.ScanRebuilds)
 }
 
 // defaultTel is the process-wide telemetry picked up by every New Simulator,

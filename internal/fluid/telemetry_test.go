@@ -170,6 +170,7 @@ func TestTelemetryMirrorsEngineStats(t *testing.T) {
 		{"fluid.components", st.Components, true},
 		{"fluid.fill_rounds", st.FillRounds, true},
 		{"fluid.link_scans", st.LinkScans, true},
+		{"fluid.scan_rebuilds", st.ScanRebuilds, true},
 	} {
 		if got := reg.Counter(c.name).Value(); got != c.stat {
 			t.Errorf("%s = %d, Stats has %d", c.name, got, c.stat)

@@ -28,15 +28,14 @@ func (e *ECMP) hash64(flowID uint64) uint64 {
 }
 
 // PathFor returns the ECMP path for the flow between two hosts (by global
-// host index). Paths come from the topology's interned PathStore: after a
-// pair's first lookup the call is an allocation-free table lookup returning
-// an immutable shared path (clone before mutating).
+// host index): the equal-cost path at rank hash mod path count. Paths come
+// from the topology's interned PathStore, which builds only the selected
+// path; after the first lookup of a pair at that rank the call is an
+// allocation-free table lookup returning an immutable shared path (clone
+// before mutating).
 func (e *ECMP) PathFor(src, dst int, flowID uint64) (topo.Path, error) {
-	paths, err := e.FT.PathStore().Paths(src, dst)
-	if err != nil {
-		return topo.Path{}, err
-	}
-	return paths[e.hash64(flowID)%uint64(len(paths))], nil
+	p, _, err := e.FT.PathStore().Select(src, dst, e.hash64(flowID))
+	return p, err
 }
 
 // LinkLoad counts flows assigned per link; the rerouting strategies use it

@@ -22,7 +22,9 @@ const pathRankBits = 16
 // pair's equal-cost paths are enumerated once, stored in shared backing
 // slabs, and handed out as immutable views. Lookups after the first are
 // lock-free and allocation-free — the hot-path contract ECMP routing and the
-// reroute strategies rely on during failure sweeps.
+// reroute strategies rely on during failure sweeps. A caller that wants one
+// path of a pair (ECMP hashing a flow onto it) uses Select, which builds and
+// interns only that path.
 //
 // Interning exploits fat-tree symmetry: the interior of every path (source
 // edge switch through the agg/core pattern to the destination edge switch)
@@ -44,7 +46,7 @@ type PathStore struct {
 	ft       *FatTree
 	numHosts int
 
-	// pairs[src*numHosts+dst] holds the pair's interned paths once built.
+	// pairs[src*numHosts+dst] holds what the pair has interned so far.
 	// Reads are lock-free atomic loads; builds double-check under mu.
 	pairs []atomic.Pointer[pairEntry]
 
@@ -53,6 +55,7 @@ type PathStore struct {
 
 	builtPairs    atomic.Int64
 	internedPaths atomic.Int64
+	singlePaths   atomic.Int64
 }
 
 // classKey identifies an edge-pair equivalence class.
@@ -70,10 +73,15 @@ type classEntry struct {
 	links []LinkID
 }
 
-// pairEntry is one ordered host pair's interned path set.
+// pairEntry is what one ordered host pair has interned: the full path set
+// once Paths, IDs or Path asked for it, and before that the paths Select
+// built one at a time, by rank. An entry has at least one of the two; a full
+// build replaces the entry (keeping single) rather than filling it in, so a
+// loaded entry is immutable apart from the atomic slots of single.
 type pairEntry struct {
-	paths []Path
-	ids   []PathID
+	paths  []Path
+	ids    []PathID
+	single []atomic.Pointer[Path]
 }
 
 // NewPathStore returns an empty store over ft. Paths are built lazily on
@@ -138,12 +146,97 @@ func (ps *PathStore) Path(id PathID) (Path, error) {
 	return e.paths[rank], nil
 }
 
+// Select returns Paths(srcHost, dstHost)[hash % len(Paths(srcHost, dstHost))]
+// and its PathID, bit-identical to the fully built set's entry, without
+// building the set: on a pair's first lookup at a rank only that path is
+// resolved — rank -> (aggregation, core) straight from the wiring accessors
+// class enumerates with — and interned. Later lookups at the rank, and every
+// lookup once the pair's full set exists, are lock-free and allocation-free.
+func (ps *PathStore) Select(srcHost, dstHost int, hash uint64) (Path, PathID, error) {
+	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
+		return Path{}, 0, err
+	}
+	idx := srcHost*ps.numHosts + dstHost
+	e := ps.pairs[idx].Load()
+	if e == nil {
+		e = ps.touch(idx, srcHost, dstHost)
+	}
+	if e.paths != nil {
+		rank := hash % uint64(len(e.paths))
+		return e.paths[rank], e.ids[rank], nil
+	}
+	rank := int(hash % uint64(len(e.single)))
+	p := e.single[rank].Load()
+	if p == nil {
+		var err error
+		if p, err = ps.buildOne(e, srcHost, dstHost, rank); err != nil {
+			return Path{}, 0, err
+		}
+	}
+	return *p, PathID(uint64(idx)<<pathRankBits | uint64(rank)), nil
+}
+
+// touch gives a pair with nothing interned an entry with one empty slot per
+// equal-cost path: one for a shared edge switch, k/2 inside a pod, (k/2)^2
+// across pods.
+func (ps *PathStore) touch(idx, srcHost, dstHost int) *pairEntry {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if e := ps.pairs[idx].Load(); e != nil {
+		return e
+	}
+	ft := ps.ft
+	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
+	m := ft.Cfg.K / 2
+	switch {
+	case es == ed:
+		m = 1
+	case ft.Node(es).Pod != ft.Node(ed).Pod:
+		m *= m
+	}
+	e := &pairEntry{single: make([]atomic.Pointer[Path], m)}
+	ps.pairs[idx].Store(e)
+	return e
+}
+
+// buildOne resolves and interns the pair's rank-th path in ECMPPaths order.
+func (ps *PathStore) buildOne(e *pairEntry, srcHost, dstHost, rank int) (*Path, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if p := e.single[rank].Load(); p != nil {
+		return p, nil
+	}
+	ft := ps.ft
+	half := ft.Cfg.K / 2
+	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
+	sp, dp := ft.Node(es).Pod, ft.Node(ed).Pod
+	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
+	var nodes []NodeID
+	switch {
+	case es == ed:
+		nodes = []NodeID{s, es, d}
+	case sp == dp:
+		nodes = []NodeID{s, es, ft.agg[sp][rank], ed, d}
+	default:
+		ci := ft.coreIndexOfAgg(sp, rank/half, rank%half)
+		nodes = []NodeID{s, es, ft.agg[sp][rank/half], ft.core[ci], ft.AggOfCoreInPod(ci, dp), ed, d}
+	}
+	p, err := buildPath(ft.Topology, nodes...)
+	if err != nil {
+		return nil, err
+	}
+	ps.singlePaths.Add(1)
+	e.single[rank].Store(&p)
+	return &p, nil
+}
+
+// entry returns the pair's entry with the full path set built.
 func (ps *PathStore) entry(srcHost, dstHost int) (*pairEntry, error) {
 	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
 		return nil, err
 	}
 	idx := srcHost*ps.numHosts + dstHost
-	if e := ps.pairs[idx].Load(); e != nil {
+	if e := ps.pairs[idx].Load(); e != nil && e.paths != nil {
 		return e, nil
 	}
 	return ps.build(idx, srcHost, dstHost)
@@ -155,8 +248,9 @@ func (ps *PathStore) entry(srcHost, dstHost int) (*pairEntry, error) {
 func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if e := ps.pairs[idx].Load(); e != nil {
-		return e, nil
+	old := ps.pairs[idx].Load()
+	if old != nil && old.paths != nil {
+		return old, nil
 	}
 	ft := ps.ft
 	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
@@ -180,6 +274,9 @@ func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 	nodesSlab := make([]NodeID, m*nn)
 	linksSlab := make([]LinkID, m*nl)
 	e := &pairEntry{paths: make([]Path, m), ids: make([]PathID, m)}
+	if old != nil {
+		e.single = old.single
+	}
 	for i := 0; i < m; i++ {
 		nv := nodesSlab[i*nn : (i+1)*nn : (i+1)*nn]
 		lv := linksSlab[i*nl : (i+1)*nl : (i+1)*nl]
@@ -256,16 +353,21 @@ func (ps *PathStore) class(es, ed NodeID) (*classEntry, error) {
 
 // PathStoreStats summarizes a store's interned state.
 type PathStoreStats struct {
-	// Pairs is the number of ordered host pairs materialized so far.
+	// Pairs is the number of ordered host pairs whose full path set has
+	// been materialized so far.
 	Pairs int
 	// Paths is the total number of interned paths across those pairs.
 	Paths int
+	// Singles is the number of paths Select interned one at a time, on
+	// pairs whose full set did not exist yet.
+	Singles int
 }
 
 // Stats reports how much of the pair space has been materialized.
 func (ps *PathStore) Stats() PathStoreStats {
 	return PathStoreStats{
-		Pairs: int(ps.builtPairs.Load()),
-		Paths: int(ps.internedPaths.Load()),
+		Pairs:   int(ps.builtPairs.Load()),
+		Paths:   int(ps.internedPaths.Load()),
+		Singles: int(ps.singlePaths.Load()),
 	}
 }

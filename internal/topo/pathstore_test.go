@@ -166,8 +166,18 @@ func TestPathStoreStats(t *testing.T) {
 	if ps != ft.PathStore() {
 		t.Fatal("FatTree.PathStore is not a stable singleton")
 	}
-	if st := ps.Stats(); st.Pairs != 0 || st.Paths != 0 {
+	if st := ps.Stats(); st != (PathStoreStats{}) {
 		t.Fatalf("fresh store stats = %+v, want zero", st)
+	}
+	// Select interns one path and no pair; a repeat at the same rank adds
+	// nothing, another rank adds one more.
+	for _, h := range []uint64{1, 5, 2} { // 4 paths: ranks 1, 1, 2
+		if _, _, err := ps.Select(0, 15, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := ps.Stats(); st != (PathStoreStats{Singles: 2}) {
+		t.Fatalf("stats after three Selects on two ranks = %+v, want {0 0 2}", st)
 	}
 	p1, err := ps.Paths(0, 15) // inter-pod: (k/2)^2 = 4 paths
 	if err != nil {
@@ -177,8 +187,8 @@ func TestPathStoreStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ps.Stats()
-	if st.Pairs != 1 || st.Paths != len(p1) {
-		t.Fatalf("stats = %+v, want {1 %d}", st, len(p1))
+	if st != (PathStoreStats{Pairs: 1, Paths: len(p1), Singles: 2}) {
+		t.Fatalf("stats = %+v, want {1 %d 2}", st, len(p1))
 	}
 }
 
@@ -326,4 +336,154 @@ func TestClassEnumerationMatchesECMPInterior(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSelectMatchesFullSet is Select's exactness contract: for every rank,
+// the path it builds alone — rank -> (aggregation, core) from the wiring
+// rules — is Paths(src, dst)[rank], node for node and link for link, with the
+// same PathID, whether the full set is built after the single paths or
+// before them. Every kind of pair is covered per wiring, as in
+// TestClassEnumerationMatchesECMPInterior.
+func TestSelectMatchesFullSet(t *testing.T) {
+	for _, k := range []int{4, 8, 16} {
+		for _, ab := range []bool{false, true} {
+			ft, err := NewFatTree(Config{K: k, AB: ab})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := func(pod, e int) int { return ft.HostsOfEdge(pod, e)[0] }
+			pairs := [][2]int{
+				{first(0, 0), first(0, 0) + 1}, // same edge
+				{first(0, 0), first(0, 1)},     // same pod
+				{first(1, 1), first(1, 0)},     // same pod, type B under AB
+				{first(0, 0), first(2, 1)},     // inter-pod A-A
+				{first(0, 1), first(1, 0)},     // A-B
+				{first(3, 0), first(2, 0)},     // B-A
+				{first(1, 1), first(3, 1)},     // B-B
+			}
+			for _, fullFirst := range []bool{false, true} {
+				ps := NewPathStore(ft)
+				singles := 0
+				for _, p := range pairs {
+					src, dst := p[0], p[1]
+					fresh, err := ft.ECMPPaths(src, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fullFirst {
+						if _, err := ps.Paths(src, dst); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						singles += len(fresh)
+					}
+					// Hashes past the path count wrap; the high ones also
+					// prove the rank is taken mod the count, not truncated.
+					got := make([]Path, len(fresh))
+					gotID := make([]PathID, len(fresh))
+					for h := uint64(0); h < uint64(2*len(fresh)); h++ {
+						rank := h % uint64(len(fresh))
+						got[rank], gotID[rank], err = ps.Select(src, dst, h+uint64(len(fresh))<<40)
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					paths, err := ps.Paths(src, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids, err := ps.IDs(src, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rank := range fresh {
+						if !pathsEqual(got[rank], paths[rank]) || !pathsEqual(got[rank], fresh[rank]) || gotID[rank] != ids[rank] {
+							t.Fatalf("k=%d ab=%v fullFirst=%v pair (%d,%d) rank %d: Select = %v id %#x, Paths = %v id %#x, ECMPPaths = %v",
+								k, ab, fullFirst, src, dst, rank, got[rank], uint64(gotID[rank]), paths[rank], uint64(ids[rank]), fresh[rank])
+						}
+						// Once the set exists Select serves from it.
+						again, _, err := ps.Select(src, dst, uint64(rank))
+						if err != nil || &again.Nodes[0] != &paths[rank].Nodes[0] {
+							t.Fatalf("k=%d ab=%v pair (%d,%d) rank %d: Select after Paths does not serve the interned set (err %v)", k, ab, src, dst, rank, err)
+						}
+					}
+				}
+				if st := ps.Stats(); st.Singles != singles || st.Pairs != len(pairs) {
+					t.Fatalf("k=%d ab=%v fullFirst=%v: stats %+v, want %d singles and %d pairs", k, ab, fullFirst, st, singles, len(pairs))
+				}
+			}
+		}
+	}
+}
+
+// TestSelectErrors: Select rejects what Paths rejects, with the same errors.
+func TestSelectErrors(t *testing.T) {
+	ft, err := NewFatTree(Config{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := ft.PathStore()
+	for _, pair := range [][2]int{{0, 0}, {-1, 3}, {3, ft.NumHosts()}} {
+		_, wantErr := ps.Paths(pair[0], pair[1])
+		_, _, gotErr := ps.Select(pair[0], pair[1], 7)
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("pair %v: Select error %v, Paths error %v", pair, gotErr, wantErr)
+		}
+	}
+}
+
+// TestSelectConcurrentWithPaths hammers the same pairs with Select and Paths
+// from many goroutines while both build lazily — single paths, the full set
+// replacing the entry under them — and checks every answer against a fresh
+// enumeration. Under -race this is the proof that the two ways of interning
+// a pair can share it.
+func TestSelectConcurrentWithPaths(t *testing.T) {
+	ft, err := NewFatTree(Config{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := NewPathStore(ft)
+	n := ft.NumHosts()
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Workers share one pair sequence and differ in the ranks they
+			// pick, so single interns and full builds of a pair collide.
+			r := rand.New(rand.NewSource(1))
+			for i := 0; i < 600; i++ {
+				src, dst := r.Intn(n), r.Intn(n)
+				if src == dst {
+					continue
+				}
+				fresh, err := ft.ECMPPaths(src, dst)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h := uint64(i*workers + w)
+				got, id, err := ps.Select(src, dst, h)
+				rank := int(h % uint64(len(fresh)))
+				if err != nil || !pathsEqual(got, fresh[rank]) {
+					t.Errorf("pair (%d,%d) rank %d: Select = %v, %v; want %v", src, dst, rank, got, err, fresh[rank])
+					return
+				}
+				if (i+w)%3 != 0 {
+					continue
+				}
+				paths, err := ps.Paths(src, dst)
+				if err != nil || !pathsEqual(paths[rank], got) {
+					t.Errorf("pair (%d,%d) rank %d: Paths disagrees with Select (err %v)", src, dst, rank, err)
+					return
+				}
+				if byID, err := ps.Path(id); err != nil || !pathsEqual(byID, got) {
+					t.Errorf("pair (%d,%d) rank %d: Path(%#x) disagrees with Select (err %v)", src, dst, rank, uint64(id), err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
