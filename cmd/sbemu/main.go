@@ -69,7 +69,7 @@ func main() {
 		sloBudget  = flag.Duration("slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
 		flightRec  = flag.Bool("flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
 		profileDir = flag.String("profile-dir", "", "continuous profiler: rotating phase-labeled CPU/heap bundles in this directory (default $SHAREBACKUP_PROF_DIR; empty disables)")
-		kaBatch    = flag.Bool("ka-batch", false, "run the fleet-scale keep-alive demo: -agents batched agents through one multiplexed server, printing sustained ingest and server goroutine count")
+		kaBatch    = flag.Bool("ka-batch", false, "run the fleet-scale keep-alive demo: -agents batched agents through one server, printing sustained ingest and server goroutine count")
 	)
 	flag.Parse()
 
@@ -215,8 +215,8 @@ func main() {
 // then the per-process files are listed for stitching.
 // runFleetDemo drives the fleet-scale keep-alive path: agents are grouped
 // onto shared connections sending batched keep-alive frames, the server reads
-// them through its multiplexed pollers, and the sustained ingest rate plus
-// the (fleet-size-independent) server goroutine count are printed.
+// each connection on its own goroutine, and the sustained ingest rate plus the
+// server goroutine count (connections + shards + a constant) are printed.
 func runFleetDemo(agents int) {
 	if agents <= 0 {
 		fatal(fmt.Errorf("-ka-batch requires -agents > 0"))
@@ -228,7 +228,7 @@ func runFleetDemo(agents int) {
 	}
 	fmt.Printf("%d agents on %d conns (group size %d): %.0f keep-alives/s sustained\n",
 		res.Agents, res.Conns, res.GroupSize, res.KAPerSec)
-	fmt.Printf("server goroutines: %d (independent of fleet size); batched frames: %d; wire errors: %d\n",
+	fmt.Printf("server goroutines: %d (one reader per connection + shard detectors); batched frames: %d; wire errors: %d\n",
 		res.ServerGoroutines, res.Batches, res.WireErrors)
 }
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sharebackup/internal/circuit"
@@ -58,25 +57,10 @@ func (d *clusterDirectory) servingAddr(id int) string {
 }
 
 // clusterHooks adapts one replica's consensus node to the Server's
-// ClusterHooks interface. Proposals are routed through a BatchProposer so a
-// failure storm — many concurrent Propose calls — commits in a few
-// replicated batch rounds instead of one consensus round per recovery.
+// ClusterHooks interface.
 type clusterHooks struct {
 	dir  *clusterDirectory
 	self int
-	bp   *BatchProposer
-}
-
-func newClusterHooks(dir *clusterDirectory, self int) *clusterHooks {
-	h := &clusterHooks{dir: dir, self: self}
-	h.bp = NewBatchProposer(func(data []byte, timeout time.Duration) (any, error) {
-		n := dir.node(self)
-		if n == nil {
-			return nil, ctlplane.ErrNotLeader
-		}
-		return n.Propose(data, timeout)
-	})
-	return h
 }
 
 func (h *clusterHooks) IsLeader() bool {
@@ -96,132 +80,16 @@ func (h *clusterHooks) LeaderAddr() string {
 	return h.dir.servingAddr(ld)
 }
 
+// Propose commits one command as one log entry. Concurrent callers — a
+// failure storm's recoverDead goroutines — are pipelined by the node itself.
 func (h *clusterHooks) Propose(cmd ctlplane.Command, timeout time.Duration) (*controller.Recovery, error) {
-	res, err := h.bp.Propose(cmd.Encode(), timeout)
-	if err != nil {
-		return nil, err
+	n := h.dir.node(h.self)
+	if n == nil {
+		return nil, ctlplane.ErrNotLeader
 	}
+	res, err := n.Propose(cmd.Encode(), timeout)
 	rec, _ := res.(*controller.Recovery)
-	return rec, nil
-}
-
-// BatchProposer folds concurrent Propose calls into one replicated batch
-// command. The first caller in a quiet window proposes immediately; callers
-// arriving while a consensus round is in flight accumulate and go out
-// together as a single CmdBatch when the round completes. The replicated
-// apply path decodes the batch and applies its sub-commands in encoded
-// order (see Server.ApplyReplicated), so the folded path commits byte-for-
-// byte the same state transitions as N sequential rounds — just in far
-// fewer round trips.
-type BatchProposer struct {
-	propose  func(data []byte, timeout time.Duration) (any, error)
-	maxBatch int
-
-	mu       sync.Mutex
-	pending  []*batchCall
-	flushing bool
-
-	rounds   atomic.Int64
-	commands atomic.Int64
-}
-
-type batchCall struct {
-	data    []byte
-	timeout time.Duration
-	done    chan batchOutcome
-}
-
-type batchOutcome struct {
-	val any
-	err error
-}
-
-// NewBatchProposer wraps a raw propose function (typically a consensus
-// node's Propose) with storm batching.
-func NewBatchProposer(propose func(data []byte, timeout time.Duration) (any, error)) *BatchProposer {
-	return &BatchProposer{propose: propose, maxBatch: 64}
-}
-
-// Propose submits one encoded command and blocks until its outcome is
-// known, whether it rode alone or inside a folded batch.
-func (b *BatchProposer) Propose(data []byte, timeout time.Duration) (any, error) {
-	c := &batchCall{data: data, timeout: timeout, done: make(chan batchOutcome, 1)}
-	b.mu.Lock()
-	b.pending = append(b.pending, c)
-	if !b.flushing {
-		b.flushing = true
-		go b.flushLoop()
-	}
-	b.mu.Unlock()
-	out := <-c.done
-	return out.val, out.err
-}
-
-// Rounds returns the number of consensus proposals actually issued.
-func (b *BatchProposer) Rounds() int64 { return b.rounds.Load() }
-
-// Commands returns the number of commands submitted through Propose.
-func (b *BatchProposer) Commands() int64 { return b.commands.Load() }
-
-// flushLoop drains pending calls round by round; it exits when a round
-// completes and nothing new accumulated behind it.
-func (b *BatchProposer) flushLoop() {
-	for {
-		b.mu.Lock()
-		n := len(b.pending)
-		if n == 0 {
-			b.flushing = false
-			b.mu.Unlock()
-			return
-		}
-		if n > b.maxBatch {
-			n = b.maxBatch
-		}
-		batch := make([]*batchCall, n)
-		copy(batch, b.pending[:n])
-		b.pending = b.pending[:copy(b.pending, b.pending[n:])]
-		b.mu.Unlock()
-		b.flush(batch)
-	}
-}
-
-func (b *BatchProposer) flush(batch []*batchCall) {
-	b.rounds.Add(1)
-	b.commands.Add(int64(len(batch)))
-	if len(batch) == 1 {
-		// Solo command: propose it raw, preserving the unbatched wire
-		// format and apply result shape.
-		c := batch[0]
-		val, err := b.propose(c.data, c.timeout)
-		c.done <- batchOutcome{val: val, err: err}
-		return
-	}
-	subs := make([][]byte, len(batch))
-	timeout := batch[0].timeout
-	for i, c := range batch {
-		subs[i] = c.data
-		if c.timeout > timeout {
-			timeout = c.timeout
-		}
-	}
-	res, err := b.propose(ctlplane.EncodeBatch(subs), timeout)
-	if err != nil {
-		for _, c := range batch {
-			c.done <- batchOutcome{err: err}
-		}
-		return
-	}
-	results, ok := res.([]ctlplane.BatchResult)
-	if !ok || len(results) != len(batch) {
-		err := fmt.Errorf("ctlnet: batch apply returned %T (%d results), want %d", res, len(results), len(batch))
-		for _, c := range batch {
-			c.done <- batchOutcome{err: err}
-		}
-		return
-	}
-	for i, c := range batch {
-		c.done <- batchOutcome{val: results[i].Val, err: results[i].Err}
-	}
+	return rec, err
 }
 
 // Replica is one complete cluster member: its own copy of the network
@@ -353,7 +221,7 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 			MissThreshold: cfg.MissThreshold,
 			Obs:           bus,
 			CSAddrs:       csAddrs,
-			Cluster:       newClusterHooks(e.dir, i),
+			Cluster:       &clusterHooks{dir: e.dir, self: i},
 		})
 		if err != nil {
 			return nil, err
@@ -394,7 +262,7 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 			},
 			TickEvery: cfg.TickEvery,
 			Transport: r.Transport,
-			Apply:     r.Server.ApplyReplicated,
+			Apply:     func(data []byte) (any, error) { return r.Server.ApplyCommand(data) },
 			Snapshot:  r.Server.SnapshotState,
 			Restore:   r.Server.RestoreState,
 			Bus:       r.Bus,

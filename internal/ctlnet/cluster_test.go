@@ -1,6 +1,8 @@
 package ctlnet
 
 import (
+	"bytes"
+	"encoding/base64"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -259,7 +261,7 @@ func TestClusterQuorumLossDrill(t *testing.T) {
 	dir2 := newClusterDirectory()
 	srv2, err := NewServer("127.0.0.1:0", ctl2, ServerConfig{
 		Interval: e.cfg.Interval,
-		Cluster:  newClusterHooks(dir2, 9),
+		Cluster:  &clusterHooks{dir: dir2, self: 9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,5 +344,110 @@ func TestClusterLeaderInfoRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeReportAck([]byte{1, 2}); err == nil {
 		t.Error("oversized reportAck accepted")
+	}
+}
+
+// TestStormCommitsOneEntryPerRecovery silences half of a 128-agent fleet at
+// one instant on a 3-replica cluster. However the storm's concurrent
+// proposals interleave, the replicated log must hold exactly one
+// CmdRecoverNode per silenced switch and nothing else, identically on every
+// replica, and no backup may be handed out twice.
+func TestStormCommitsOneEntryPerRecovery(t *testing.T) {
+	const silencedN = 64
+	e := startCluster(t, ClusterConfig{
+		EmulationConfig: EmulationConfig{
+			K: 16, N: 8, NumAgents: 128, NumCS: 1,
+			Interval: 20 * time.Millisecond, MissThreshold: 3,
+		},
+		Replicas: 3,
+	})
+	ld, err := e.Leader(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := Subscribe(ld.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	time.Sleep(5 * e.cfg.Interval)
+
+	silenced := make(map[sbnet.SwitchID]bool)
+	for _, a := range e.Agents[:silencedN] {
+		a.StopHeartbeats()
+		silenced[a.ID] = true
+	}
+	recovered := make(map[sbnet.SwitchID]bool)
+	backups := make(map[sbnet.SwitchID]bool)
+	for len(recovered) < silencedN {
+		ev := nextEvent(t, mon)
+		if ev.Kind != "node" || len(ev.Failed) != 1 || len(ev.Backup) != 1 {
+			t.Fatalf("storm event is not one node recovery: %+v", ev)
+		}
+		if !silenced[ev.Failed[0]] || recovered[ev.Failed[0]] {
+			t.Fatalf("recovery of switch %d, which is live or already recovered", ev.Failed[0])
+		}
+		if backups[ev.Backup[0]] {
+			t.Fatalf("backup %d assigned to two positions", ev.Backup[0])
+		}
+		recovered[ev.Failed[0]] = true
+		backups[ev.Backup[0]] = true
+	}
+
+	// Followers apply behind the leader: wait for every replica's history,
+	// then hold them to the leader's, byte for byte.
+	entries := func(r *Replica) [][]byte {
+		rl, err := ctlplane.DecodeReplayLog(r.Server.SnapshotState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rl.Commands
+	}
+	for _, r := range e.Replicas {
+		if !waitUntil(5*time.Second, func() bool { return len(entries(r)) >= silencedN }) {
+			t.Fatalf("replica %d applied %d entries, want %d", r.ID, len(entries(r)), silencedN)
+		}
+	}
+	time.Sleep(4 * e.cfg.Interval) // one more deadline: nothing else may commit
+	want := ld.Server.SnapshotState()
+	for _, r := range e.Replicas {
+		if got := r.Server.SnapshotState(); !bytes.Equal(got, want) {
+			t.Errorf("replica %d's replay log differs from the leader's", r.ID)
+		}
+	}
+	log := entries(ld)
+	if len(log) != silencedN {
+		t.Fatalf("%d log entries for %d recoveries, want one each", len(log), silencedN)
+	}
+	seen := make(map[sbnet.SwitchID]bool)
+	for i, data := range log {
+		cmd, err := ctlplane.DecodeCommand(data)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		id := sbnet.SwitchID(cmd.Switch)
+		if cmd.Kind != ctlplane.CmdRecoverNode || !silenced[id] || seen[id] {
+			t.Fatalf("entry %d is not the one CmdRecoverNode of a silenced switch: %s", i, data)
+		}
+		seen[id] = true
+	}
+}
+
+// TestRestoreRejectsRetiredBatchEntry: a snapshot written when kind 3 folded
+// sub-commands into one entry must fail the restore loudly, not be skipped —
+// a replica that skipped it would diverge from the replicas that applied it.
+func TestRestoreRejectsRetiredBatchEntry(t *testing.T) {
+	srv, nw, _ := detectorServer(t, 1, 5*time.Millisecond)
+	node := ctlplane.Command{Kind: ctlplane.CmdRecoverNode, Switch: int32(agentSwitchIDs(nw, 4, 1)[0]), LastSeenNS: 1e6, AtNS: 2e6}.Encode()
+	batch := []byte(`{"kind":3,"at_ns":0,"sub":["` + base64.StdEncoding.EncodeToString(node) + `"]}`)
+	if err := srv.RestoreState(ctlplane.EncodeReplayLog([][]byte{node, batch})); err == nil {
+		t.Fatal("RestoreState accepted a kind-3 entry")
+	}
+	rl, err := ctlplane.DecodeReplayLog(srv.SnapshotState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rl.Commands) != 1 || !bytes.Equal(rl.Commands[0], node) {
+		t.Errorf("history after the failed restore = %q, want the one entry before the kind-3 one", rl.Commands)
 	}
 }

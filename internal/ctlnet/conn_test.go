@@ -1,0 +1,205 @@
+package ctlnet
+
+import (
+	"errors"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"sharebackup/internal/circuit"
+	"sharebackup/internal/controller"
+	"sharebackup/internal/obs"
+	"sharebackup/internal/sbnet"
+)
+
+// TestStalledPeerDoesNotSilenceOthers: two peers flood clock-sync requests
+// and never read the acks, so the server's replies to them back up and block
+// in writeReply until replyWriteTimeout. That may cost those two peers their
+// connections and nothing else: sixteen live agents keep-aliving next to
+// them must all stay alive. (When readers were multiplexed, a reader loop
+// sat in that write with every other connection it served unread behind it,
+// and the detector declared most of the sixteen dead.)
+func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	nw, err := sbnet.New(sbnet.Config{K: 8, N: 4, Tech: circuit.Crosspoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ctl := controller.New(nw, controller.Config{ProbeInterval: interval, Metrics: reg})
+	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, id := range agentSwitchIDs(nw, 8, 16) {
+		a, err := Dial(srv.Addr(), id, interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+	}
+	time.Sleep(3 * interval)
+
+	// One write's worth of requests: 64 KB of 13-byte frames.
+	var flood []byte
+	for len(flood) < 64<<10 {
+		flood = appendFrame(flood, msgClockSync, encodeClockSync(1))
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	var sent atomic.Int64
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// Small buffers on both ends of the ack path make the unread acks
+		// back up after a few hundred frames: the test is about a reader
+		// blocked in a write, not about the CPU a long flood takes from
+		// everybody.
+		conn.(*net.TCPConn).SetReadBuffer(4096)
+		var accepted net.Conn
+		if !waitUntil(2*time.Second, func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			for c := range srv.conns {
+				if c.RemoteAddr().String() == conn.LocalAddr().String() {
+					accepted = c
+				}
+			}
+			return accepted != nil
+		}) {
+			t.Fatal("server never accepted the flooding peer")
+		}
+		accepted.(*net.TCPConn).SetWriteBuffer(4096)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n, err := conn.Write(flood)
+				sent.Add(int64(n))
+				if err != nil {
+					return // closed below, or dropped by the server
+				}
+			}
+		}()
+	}
+
+	ka := reg.Counter("ctlnet.keepalives")
+	before := ka.Value()
+	time.Sleep(3 * time.Second)
+	if sent.Load() == 0 {
+		t.Fatal("the flooding peers sent nothing")
+	}
+	if got := reg.Histogram("ctlnet.detect_overshoot_ns").Count(); got != 0 {
+		t.Errorf("%d of 16 live, keep-aliving switches declared dead next to two stalled peers", got)
+	}
+	// 16 agents x 150 intervals; half of that is a generous floor.
+	if got := ka.Value() - before; got < 16*75 {
+		t.Errorf("%d keep-alives landed in 3s next to two stalled peers, want at least %d", got, 16*75)
+	}
+}
+
+// flakyListener fails its first `fails` Accepts the way a process out of
+// descriptors does, then behaves.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptLoopRetriesTransientErrors: an Accept error on a running server
+// is retried, not fatal — the loop behind a listener that fails twice still
+// serves the connection that follows — and the streak is logged once.
+func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
+	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged atomic.Int32
+	srv, err := NewServer("127.0.0.1:0", controller.New(nw, controller.Config{}), ServerConfig{
+		Obs: &obs.Bus{},
+		Logf: func(format string, _ ...interface{}) {
+			if strings.Contains(format, "accept") {
+				logged.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	flaky := &flakyListener{Listener: ln}
+	flaky.fails.Store(2)
+	srv.wg.Add(1)
+	go srv.acceptLoop(flaky)
+
+	varz, err := FetchVarz(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("no service behind a listener that failed twice: %v", err)
+	}
+	if !strings.Contains(varz, "ctlnet.connections") {
+		t.Errorf("varz reply misses ctlnet.connections:\n%s", varz)
+	}
+	if got := flaky.fails.Load(); got >= 0 {
+		t.Errorf("listener still has %d failures to serve: the loop did not retry", got+1)
+	}
+	if got := logged.Load(); got != 1 {
+		t.Errorf("accept failures logged %d times, want once per streak", got)
+	}
+}
+
+// TestCloseReleasesIdleConnections: Close severs every connection and waits
+// for its reader, so it returns promptly however many peers sit idle, and
+// leaves no goroutine behind.
+func TestCloseReleasesIdleConnections(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv, _, reg := detectorServer(t, 1, 5*time.Millisecond)
+	const idle = 200
+	for i := 0; i < idle; i++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+	}
+	conns := reg.Gauge("ctlnet.connections")
+	if !waitUntil(5*time.Second, func() bool { return conns.Value() == idle }) {
+		t.Fatalf("ctlnet.connections = %d, want %d", conns.Value(), idle)
+	}
+	if got := runtime.NumGoroutine() - baseline; got < idle {
+		t.Fatalf("%d goroutines over the baseline with %d connections: readers are not one per connection", got, idle)
+	}
+
+	t0 := time.Now()
+	srv.Close()
+	if took := time.Since(t0); took > time.Second {
+		t.Errorf("Close with %d idle connections took %v, want under 1s", idle, took)
+	}
+	if got := conns.Value(); got != 0 {
+		t.Errorf("ctlnet.connections = %d after Close", got)
+	}
+	// Close waited for every reader's last statement; give the runtime a
+	// moment to retire the goroutines themselves.
+	if !waitUntil(time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
+		t.Errorf("%d goroutines after Close, %d before the server started", runtime.NumGoroutine(), baseline)
+	}
+}

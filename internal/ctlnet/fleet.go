@@ -16,8 +16,8 @@ import (
 // model (ServerConfig.FleetSize admits the synthetic IDs). Agents ride
 // AgentGroup sessions — GroupSize co-located agents per connection, one
 // batched keep-alive frame per flush — so a 10k-agent fleet is a few
-// hundred connections and a few hundred client goroutines, while the
-// server side stays at O(shards + pollers) goroutines regardless.
+// hundred connections and a few hundred client goroutines, and the server
+// side is one reader goroutine per connection plus the shard detectors.
 
 // FleetConfig sizes one fleet throughput run.
 type FleetConfig struct {
@@ -31,9 +31,8 @@ type FleetConfig struct {
 	Warmup time.Duration
 	// Duration is the measurement window. Default 1 s.
 	Duration time.Duration
-	// Shards and Pollers pass through to ServerConfig (0 = defaults).
-	Shards  int
-	Pollers int
+	// Shards passes through to ServerConfig (0 = default).
+	Shards int
 	// K is the in-model fat-tree arity backing the server. Default 8.
 	K int
 }
@@ -68,8 +67,9 @@ type FleetResult struct {
 	// ServerGoroutines is the steady-state goroutine count attributable to
 	// the server: total at measurement time minus the harness's own client
 	// goroutines (two per AgentGroup) and the baseline captured before the
-	// server started. This is the number the soak test bounds by
-	// O(shards + pollers).
+	// server started: one reader per connection (Conns), one detector per
+	// shard, the accept loop and the metric sampler — O(connections), never
+	// O(agents), which is what the soak test bounds.
 	ServerGoroutines int
 	// WireErrors and Batches are the server's ctlnet.wire_errors and
 	// ctlnet.ka_batches counters at the end of the window.
@@ -98,7 +98,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		// scheduler jitter at 10k agents.
 		MissThreshold: 1 << 20,
 		Shards:        cfg.Shards,
-		Pollers:       cfg.Pollers,
 		FleetSize:     cfg.Agents,
 		Obs:           &obs.Bus{},
 	})

@@ -2,7 +2,6 @@ package ctlnet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -85,11 +84,6 @@ type ServerConfig struct {
 	// hot path never takes the server or controller lock. Default 8, capped
 	// at 254.
 	Shards int
-	// Pollers is the number of multiplexed reader loops (epoll instances
-	// on Linux, pool workers elsewhere) parked connections are spread
-	// over. Together with Shards it bounds the steady-state goroutine
-	// count regardless of how many agents connect. Default 2.
-	Pollers int
 	// FleetSize widens the keep-alive tracking range beyond the network
 	// model: switch IDs in [0, max(FleetSize, NumSwitches)) are accepted
 	// on the keep-alive path (sharded by ID for out-of-model entries), but
@@ -121,9 +115,6 @@ func (c *ServerConfig) setDefaults() {
 	}
 	if c.Shards > 254 {
 		c.Shards = 254 // shard indexes stage in uint8 scratch (see seenBatch)
-	}
-	if c.Pollers == 0 {
-		c.Pollers = 2
 	}
 }
 
@@ -167,25 +158,22 @@ type Server struct {
 	logMu sync.Mutex // serializes cfg.Logf (see ServerConfig.Logf)
 
 	// Keep-alive fan-in (shard.go): per-failure-group shards, each with its
-	// own detector goroutine, funneling dead candidates into recoverLoop.
+	// own detector goroutine.
 	shards []*kaShard
-	deadCh chan deadCandidate
 	// stallSeen is when (on the server's epoch, ns) a shard last woke well
 	// behind its timer — the detector's stall guard (shardWake). It starts
 	// one interval before the epoch, so it guards nothing.
 	stallSeen atomic.Int64
 
-	// poller multiplexes parked connections (poller.go); numSwitches and
-	// fleetSize are fixed at construction so the keep-alive hot path never
-	// consults the network model's size under a lock.
-	poller      connPoller
+	// numSwitches and fleetSize are fixed at construction so the keep-alive
+	// hot path never consults the network model's size under a lock.
 	numSwitches int
 	fleetSize   int
 
 	mu     sync.Mutex
 	subs   []net.Conn
-	conns  map[net.Conn]*pollConn // live agent sessions, closed on shutdown
-	tables map[int][]byte         // per-pod serialized combined tables
+	conns  map[net.Conn]struct{} // live connections (conn.go), closed on shutdown
+	tables map[int][]byte        // per-pod serialized combined tables
 	// appliedCmds is the ordered replicated-command history — the replay
 	// snapshot (SnapshotState) and the restore cursor (RestoreState applies
 	// only the tail past this prefix).
@@ -245,14 +233,13 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		return nil, fmt.Errorf("ctlnet: listen: %w", err)
 	}
 	s := &Server{
-		cfg:    cfg,
-		ctl:    ctl,
-		ln:     ln,
-		start:  time.Now(),
-		bus:    cfg.Obs,
-		conns:  make(map[net.Conn]*pollConn),
-		deadCh: make(chan deadCandidate, 1024),
-		quit:   make(chan struct{}),
+		cfg:   cfg,
+		ctl:   ctl,
+		ln:    ln,
+		start: time.Now(),
+		bus:   cfg.Obs,
+		conns: make(map[net.Conn]struct{}),
+		quit:  make(chan struct{}),
 	}
 	s.numSwitches = ctl.Network().NumSwitches()
 	s.fleetSize = s.numSwitches
@@ -281,7 +268,6 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	s.mStallGraces = reg.Counter("ctlnet.detector_stall_graces")
 	s.gDetectorEntries = reg.Gauge("ctlnet.detector_entries")
 	s.hDetectOvershoot = reg.Histogram("ctlnet.detect_overshoot_ns")
-	s.poller = newPoller(s, cfg.Pollers)
 	s.tsdb = cfg.TSDB
 	if s.tsdb == nil {
 		s.tsdb = tsdb.New(tsdb.Config{Registry: reg})
@@ -303,7 +289,6 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 			for _, c := range s.csClients {
 				c.Close()
 			}
-			s.poller.close()
 			ln.Close()
 			return nil, fmt.Errorf("ctlnet: cs dial %s: %w", addr, err)
 		}
@@ -313,9 +298,8 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 			s.syncCSClock(cl)
 		}
 	}
-	s.wg.Add(2 + len(s.shards))
-	go s.acceptLoop()
-	go s.recoverLoop()
+	s.wg.Add(1 + len(s.shards))
+	go s.acceptLoop(ln)
 	for _, sh := range s.shards {
 		go s.shardLoop(sh)
 	}
@@ -349,10 +333,8 @@ func (s *Server) syncCSClock(cl *CSClient) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and waits for its goroutines. The poller stops
-// before any parked connection is closed — its readers use raw descriptors
-// on Linux, and a descriptor must never be closed while a reader loop could
-// still dequeue an event for it (see poller_linux.go on fd recycling).
+// Close stops the server, severs its connections and waits for its
+// goroutines, connection readers included.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -369,7 +351,6 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
-	s.poller.close()
 	for _, c := range subs {
 		c.Close()
 	}
@@ -388,41 +369,52 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) acceptLoop() {
+// acceptLoop accepts connections from ln until the server closes. An Accept
+// error on a running server (EMFILE, ECONNABORTED) is retried with a capped
+// backoff, as net/http does, and logged once per streak: a leader that stopped
+// accepting could never register a new or reconnecting agent.
+func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			select {
 			case <-s.quit:
 				return
 			default:
 			}
-			s.logf("ctlnet: accept: %v", err)
-			return
+			if backoff == 0 {
+				s.logf("ctlnet: accept: %v; retrying", err)
+				backoff = 5 * time.Millisecond
+			} else if backoff *= 2; backoff > time.Second {
+				backoff = time.Second
+			}
+			select {
+			case <-s.quit:
+				return
+			case <-time.After(backoff):
+			}
+			continue
 		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
 			return
 		}
-		pc := &pollConn{conn: conn, fd: -1}
-		if fd, ok := connFD(conn); ok {
-			pc.fd = fd
-		}
-		s.conns[conn] = pc
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1) // under mu with closed unset: ordered before Close's Wait
 		s.mu.Unlock()
 		s.gConns.Add(1)
-		// Park immediately: no per-connection goroutine. The first frame
-		// (usually a hello) promotes the conn to a serveActive handler.
-		s.poller.park(pc)
+		go s.serveConn(&srvConn{conn: conn})
 	}
 }
 
-// replyWriteTimeout bounds server->agent reply writes. Fast-path replies
-// are written from poller context, so a stalled peer must fail fast rather
-// than wedge a reader loop that serves thousands of other connections.
+// replyWriteTimeout bounds server->agent reply writes: a peer that stopped
+// reading its replies loses the connection instead of holding a reader
+// goroutine for as long as it likes.
 const replyWriteTimeout = 2 * time.Second
 
 // writeReply writes one reply frame with a bounded write deadline.
@@ -442,13 +434,12 @@ func (s *Server) wireError(err error) {
 	s.logf("ctlnet: wire error (frame skipped): %v", err)
 }
 
-// handleFrame dispatches one frame for pc. It is the single dispatch point
-// shared by the poller fast path (keep-alives, clock syncs) and serveActive
-// (slow frames). A non-nil return tears the connection down; malformed
-// payloads on steady-state message types are skipped via wireError instead.
-// payload may alias a reader buffer and must not be retained.
-func (s *Server) handleFrame(pc *pollConn, typ byte, payload []byte, rc *readCtx) error {
-	conn := pc.conn
+// handleFrame dispatches one frame for sc, on sc's reader goroutine. A
+// non-nil return tears the connection down; malformed payloads on
+// steady-state message types are skipped via wireError instead. payload
+// aliases the reader's buffer and must not be retained.
+func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
+	conn := sc.conn
 	switch typ {
 	case msgHello:
 		id, err := decodeHello(payload)
@@ -492,7 +483,7 @@ func (s *Server) handleFrame(pc *pollConn, typ byte, payload []byte, rc *readCtx
 		}
 		s.mKeepalives.Inc()
 		if !s.isLeader() {
-			return s.redirectPaced(pc)
+			return s.redirectPaced(sc)
 		}
 		s.seen(id)
 	case msgKeepAliveBatch:
@@ -504,9 +495,9 @@ func (s *Server) handleFrame(pc *pollConn, typ byte, payload []byte, rc *readCtx
 		s.mKABatches.Inc()
 		s.mKeepalives.Add(int64(cnt))
 		if !s.isLeader() {
-			return s.redirectPaced(pc)
+			return s.redirectPaced(sc)
 		}
-		s.seenBatch(payload, cnt, rc)
+		s.seenBatch(payload, cnt, sc)
 	case msgLinkFail:
 		aSw, aPort, bSw, bPort, err := decodeLinkFail(payload)
 		if err != nil {
@@ -563,7 +554,7 @@ func (s *Server) handleFrame(pc *pollConn, typ byte, payload []byte, rc *readCtx
 		s.mu.Lock()
 		if !s.closed {
 			s.subs = append(s.subs, conn)
-			pc.subscribed = true
+			sc.subscribed = true
 			subscribed = true
 			s.gSubscribers.Set(int64(len(s.subs)))
 		}
@@ -587,12 +578,12 @@ func (s *Server) handleFrame(pc *pollConn, typ byte, payload []byte, rc *readCtx
 }
 
 // redirectPaced rate-limits msgNotLeader on the keep-alive firehose.
-func (s *Server) redirectPaced(pc *pollConn) error {
-	if time.Since(pc.lastRedirect) < 250*time.Millisecond {
+func (s *Server) redirectPaced(sc *srvConn) error {
+	if time.Since(sc.lastRedirect) < 250*time.Millisecond {
 		return nil
 	}
-	pc.lastRedirect = time.Now()
-	return s.redirect(pc.conn)
+	sc.lastRedirect = time.Now()
+	return s.redirect(sc.conn)
 }
 
 // isLeader reports whether this server may mutate controller state:
@@ -722,8 +713,13 @@ func (s *Server) linkAlreadyRecovered(aSw, bSw sbnet.SwitchID) bool {
 }
 
 // recoverDead proposes (or, standalone, applies) the node failover for one
-// switch a shard's detector declared dead.
+// switch a shard's detector declared dead. Each declared switch gets its own
+// short-lived goroutine (shardLoop): a stalled consensus round holds up no
+// recovery behind it, and the node pipelines a storm's proposals. A switch
+// leaves the detector when it is declared, so at most one goroutine per
+// in-model switch is in flight.
 func (s *Server) recoverDead(c deadCandidate) {
+	defer s.wg.Done()
 	cmd := ctlplane.Command{
 		Kind:       ctlplane.CmdRecoverNode,
 		Switch:     int32(c.id),
@@ -745,102 +741,47 @@ func (s *Server) recoverDead(c deadCandidate) {
 }
 
 // ApplyCommand applies one committed (or, standalone, direct) controller
-// mutation and returns its recovery. Kept for callers that know they hold a
-// single recover command; batch commands apply fine but return a nil
-// recovery — use ApplyReplicated to see per-sub-command results.
+// mutation and returns its recovery. As the consensus node's Apply hook it
+// runs on every replica — leader and follower alike — against the replica's
+// own controller and network copy, with all timestamps taken from the
+// command, so the applied state is deterministic across the cluster.
 func (s *Server) ApplyCommand(data []byte) (*controller.Recovery, error) {
-	res, err := s.applyReplicated(data, true)
-	rec, _ := res.(*controller.Recovery)
-	return rec, err
-}
-
-// ApplyReplicated is the consensus node's Apply hook: every replica —
-// leader and follower alike — runs the identical command against its own
-// controller and network copy, with all timestamps taken from the command,
-// so the applied state is deterministic across the cluster. A batch command
-// applies its sub-commands in encoded order under one lock acquisition and
-// returns []ctlplane.BatchResult; a single command returns its
-// *controller.Recovery.
-func (s *Server) ApplyReplicated(data []byte) (any, error) {
-	return s.applyReplicated(data, true)
-}
-
-// appliedResult carries one command's outcome from the locked apply to the
-// live side effects (event emit, CS mirroring, subscriber publish).
-type appliedResult struct {
-	cmd        ctlplane.Command
-	rec        *controller.Recovery
-	err        error
-	processing time.Duration
-}
-
-func (s *Server) applyReplicated(data []byte, live bool) (any, error) {
 	cmd, err := ctlplane.DecodeCommand(data)
 	if err != nil {
 		return nil, err
 	}
-	if cmd.Kind == ctlplane.CmdBatch {
-		results := make([]ctlplane.BatchResult, len(cmd.Sub))
-		applied := make([]appliedResult, 0, len(cmd.Sub))
-		s.mu.Lock()
-		// One history entry for the whole batch: replay re-applies it as a
-		// batch, in the same sub-command order, so the rebuilt state is
-		// identical (the order is fixed by the log entry, not by which
-		// proposer goroutine won a race).
-		s.appliedCmds = append(s.appliedCmds, append([]byte(nil), data...))
-		for i, sub := range cmd.Sub {
-			sc, derr := ctlplane.DecodeCommand(sub)
-			if derr != nil || sc.Kind == ctlplane.CmdBatch {
-				if derr == nil {
-					derr = errors.New("ctlnet: nested batch command")
-				}
-				results[i] = ctlplane.BatchResult{Err: derr}
-				continue
-			}
-			ar := s.applyLocked(sc, live)
-			results[i] = ctlplane.BatchResult{Val: ar.rec, Err: ar.err}
-			if ar.rec != nil {
-				applied = append(applied, ar)
-			}
-		}
-		s.mu.Unlock()
-		if live {
-			for _, ar := range applied {
-				s.finishLive(ar)
-			}
-		}
-		return results, nil
-	}
+	return s.apply(cmd, data, true)
+}
+
+// apply runs one decoded command (data is its encoding, kept for the replay
+// history). live is false on snapshot replay, which rebuilds state only: the
+// leader already emitted, mirrored, and published the recovery when it
+// happened.
+func (s *Server) apply(cmd ctlplane.Command, data []byte, live bool) (*controller.Recovery, error) {
 	s.mu.Lock()
 	// Record the command before knowing its outcome: failed recoveries are
 	// part of the deterministic history too (replicas replaying the log
 	// must fail them identically).
 	s.appliedCmds = append(s.appliedCmds, append([]byte(nil), data...))
-	ar := s.applyLocked(cmd, live)
+	t0 := time.Now()
+	rec, err := s.applyLocked(cmd, live)
+	processing := time.Since(t0)
 	s.mu.Unlock()
-	if ar.err != nil && ar.rec == nil {
-		return nil, ar.err
+	if rec != nil && live {
+		s.finishLive(cmd, rec, processing)
 	}
-	if !live {
-		// Snapshot replay rebuilds state only; the leader already emitted,
-		// mirrored, and published this recovery when it happened.
-		return ar.rec, ar.err
-	}
-	s.finishLive(ar)
-	return ar.rec, ar.err
+	return rec, err
 }
 
-// applyLocked runs one decoded recover command against the controller.
-// Caller holds s.mu.
-func (s *Server) applyLocked(cmd ctlplane.Command, live bool) appliedResult {
-	t0 := time.Now()
-	ar := appliedResult{cmd: cmd}
+// applyLocked runs one recover command against the controller. Caller holds
+// s.mu.
+func (s *Server) applyLocked(cmd ctlplane.Command, live bool) (rec *controller.Recovery, err error) {
 	switch cmd.Kind {
 	case ctlplane.CmdRecoverNode:
 		if cmd.LastSeenNS > 0 {
 			s.ctl.Heartbeat(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.LastSeenNS))
 		}
-		ar.rec, ar.err = s.ctl.RecoverNode(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.AtNS))
+		rec, err = s.ctl.RecoverNode(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.AtNS))
 	case ctlplane.CmdRecoverLink:
 		traced := live && cmd.Trace != 0
 		if traced {
@@ -848,40 +789,38 @@ func (s *Server) applyLocked(cmd ctlplane.Command, live bool) appliedResult {
 			// controller's BeginSpan below joins it as a child.
 			s.bus.SetRemoteParent(obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc})
 		}
-		ar.rec, ar.err = s.ctl.ReportLinkFailure(
+		rec, err = s.ctl.ReportLinkFailure(
 			controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)},
 			controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)},
 			time.Duration(cmd.AtNS),
 		)
-		if ar.err != nil && ar.rec == nil && traced {
+		if err != nil && rec == nil && traced {
 			// Recovery never opened a span; drop the staged remote parent so
 			// it cannot leak into an unrelated recovery.
 			s.bus.EndSpan()
 		}
 	}
-	ar.processing = time.Since(t0)
-	return ar
+	return rec, err
 }
 
 // finishLive runs the leader-visible side effects of one applied recovery.
-func (s *Server) finishLive(ar appliedResult) {
-	processing := ar.processing
-	detection := time.Duration(ar.cmd.DetectionNS)
-	s.emitRecovered(ar.rec, time.Since(s.start)-processing, processing, detection)
+func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, processing time.Duration) {
+	detection := time.Duration(cmd.DetectionNS)
+	s.emitRecovered(rec, time.Since(s.start)-processing, processing, detection)
 	if s.isLeader() {
 		// Followers apply the same command but must not re-reconfigure the
 		// shared circuit switches the leader already drove.
-		s.mirrorCS(ar.rec)
+		s.mirrorCS(rec)
 		// Only the leader runs a detector: tell it which spares just went
 		// on active duty.
-		for _, id := range ar.rec.Backup {
+		for _, id := range rec.Backup {
 			s.promoted(id)
 		}
 	}
-	ev := RecoveryEvent{Kind: "link", Failed: ar.rec.Failed, Backup: ar.rec.Backup, Latency: processing}
-	if ar.cmd.Kind == ctlplane.CmdRecoverNode {
+	ev := RecoveryEvent{Kind: "link", Failed: rec.Failed, Backup: rec.Backup, Latency: processing}
+	if cmd.Kind == ctlplane.CmdRecoverNode {
 		ev.Kind = "node"
-		ev.Latency = time.Duration(ar.cmd.AtNS-ar.cmd.LastSeenNS) + processing
+		ev.Latency = time.Duration(cmd.AtNS-cmd.LastSeenNS) + processing
 	}
 	s.publish(ev)
 }
@@ -906,13 +845,13 @@ func (s *Server) RestoreState(data []byte) error {
 	n := len(s.appliedCmds)
 	s.mu.Unlock()
 	for i := n; i < len(rl.Commands); i++ {
-		// Per-command errors are part of the history being replayed (the
-		// leader logged them when they happened); only decode failures abort.
-		if _, err := s.applyReplicated(rl.Commands[i], false); err != nil {
-			if _, decodeErr := ctlplane.DecodeCommand(rl.Commands[i]); decodeErr != nil {
-				return decodeErr
-			}
+		cmd, err := ctlplane.DecodeCommand(rl.Commands[i])
+		if err != nil {
+			return err
 		}
+		// A command's own error is part of the history being replayed (the
+		// leader logged it when it happened); only decode failures abort.
+		_, _ = s.apply(cmd, rl.Commands[i], false)
 	}
 	return nil
 }

@@ -17,11 +17,12 @@ import (
 // into the queue, pops exactly the switches whose deadline has passed, and
 // re-arms — no tick and no scan, O(records folded + switches expired) per
 // wake, and on a healthy fleet about one wake per (deadline - Interval)
-// whatever the fleet size. Candidates funnel, in expiry order, into a single
-// recover loop that proposes the failover. The detection math is unchanged
-// from the unsharded server — the controller's Heartbeat is injected at
-// recover time from the candidate's recorded lastSeen, so detection latency
-// is still "time of action minus last heartbeat".
+// whatever the fleet size. Each expired switch on active duty is handed to
+// its own recoverDead goroutine, which proposes the failover — one log entry
+// per recovery. The detection math is unchanged from the unsharded server —
+// the controller's Heartbeat is injected at recover time from the candidate's
+// recorded lastSeen, so detection latency is still "time of action minus last
+// heartbeat".
 
 // kaRecord is one observed keep-alive (or hello), stamped on the server's
 // epoch (Server.Now).
@@ -105,13 +106,13 @@ func (s *Server) seen(id sbnet.SwitchID) {
 
 // seenBatch records every valid pair in a keep-alive batch payload, taking
 // each destination shard's lock — and stamping — once per batch instead of
-// once per pair. Shard indices are staged in the reader's scratch
-// (rc.shardOf), so the steady state allocates nothing.
-func (s *Server) seenBatch(p []byte, cnt int, rc *readCtx) {
-	if cap(rc.shardOf) < cnt {
-		rc.shardOf = make([]uint8, cnt)
+// once per pair. Shard indices are staged in the connection's scratch
+// (sc.shardOf), so the steady state allocates nothing.
+func (s *Server) seenBatch(p []byte, cnt int, sc *srvConn) {
+	if cap(sc.shardOf) < cnt {
+		sc.shardOf = make([]uint8, cnt)
 	}
-	so := rc.shardOf[:cnt]
+	so := sc.shardOf[:cnt]
 	for i := 0; i < cnt; i++ {
 		id, _ := kaBatchPair(p, i)
 		if int(id) < 0 || int(id) >= s.fleetSize {
@@ -180,12 +181,9 @@ func (s *Server) shardLoop(sh *kaShard) {
 		prof.Do(prof.PhaseDetect, func() {
 			dead, armedFor = s.shardWake(sh, armedFor)
 		})
+		s.wg.Add(len(dead))
 		for _, c := range dead {
-			select {
-			case s.deadCh <- c:
-			case <-s.quit:
-				return
-			}
+			go s.recoverDead(c)
 		}
 		if !timer.Stop() {
 			select {
@@ -285,43 +283,4 @@ func (s *Server) shardWake(sh *kaShard, armedFor time.Duration) (dead []deadCand
 		next = now + q.deadline
 	}
 	return dead, next
-}
-
-// recoverLoop drains node failovers from every shard. A failure storm
-// arrives as a burst of candidates; draining the burst and recovering them
-// concurrently lets the cluster's batch proposer fold the proposals into a
-// few consensus rounds instead of one round per dead switch.
-func (s *Server) recoverLoop() {
-	defer s.wg.Done()
-	const maxBurst = 256
-	for {
-		select {
-		case <-s.quit:
-			return
-		case c := <-s.deadCh:
-			burst := []deadCandidate{c}
-			for len(burst) < maxBurst {
-				select {
-				case more := <-s.deadCh:
-					burst = append(burst, more)
-				default:
-					goto drained
-				}
-			}
-		drained:
-			if len(burst) == 1 {
-				s.recoverDead(burst[0])
-				continue
-			}
-			var wg sync.WaitGroup
-			for _, cand := range burst {
-				wg.Add(1)
-				go func(cand deadCandidate) {
-					defer wg.Done()
-					s.recoverDead(cand)
-				}(cand)
-			}
-			wg.Wait()
-		}
-	}
 }

@@ -102,9 +102,8 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// readFrame reads one frame, allocating a fresh payload. Hot paths use
-// frameReader (reusable scratch) or extractFrame (zero-copy from a poller
-// buffer) instead.
+// readFrame reads one frame, allocating a fresh payload. Read loops use
+// frameReader (reusable scratch) instead.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -150,26 +149,6 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil
-}
-
-// extractFrame parses one frame from the head of buf without copying:
-// payload aliases buf and must not be retained past the caller's dispatch.
-// n is the total bytes consumed; n == 0 with a nil error means the buffer
-// holds only part of a frame. A bad length is the one unrecoverable framing
-// error — resynchronization is impossible, so the connection must drop.
-func extractFrame(buf []byte) (typ byte, payload []byte, n int, err error) {
-	if len(buf) < 5 {
-		return 0, nil, 0, nil
-	}
-	ln := binary.BigEndian.Uint32(buf[:4])
-	if ln == 0 || ln > maxFrame {
-		return 0, nil, 0, fmt.Errorf("ctlnet: bad frame length %d", ln)
-	}
-	if uint32(len(buf)-4) < ln {
-		return 0, nil, 0, nil
-	}
-	end := 4 + int(ln)
-	return buf[4], buf[5:end], end, nil
 }
 
 func encodeHello(id sbnet.SwitchID) []byte {

@@ -13,13 +13,8 @@ const (
 	CmdRecoverNode CmdKind = 1
 	// CmdRecoverLink replaces both endpoints of a failed link.
 	CmdRecoverLink CmdKind = 2
-	// CmdBatch folds several independent commands into one log entry, so a
-	// failure storm commits N recoveries in one consensus round instead of
-	// N. Sub holds the encoded sub-commands; the apply hook runs them in
-	// order, which keeps the batch exactly as deterministic as the same
-	// commands appended individually — order is defined by the log entry,
-	// not by which proposer won a race.
-	CmdBatch CmdKind = 3
+	// Kind 3 was a batch of sub-commands in one entry; it is retired, never
+	// reused, and DecodeCommand rejects it.
 )
 
 // Command is one controller state mutation carried through the replicated
@@ -55,22 +50,6 @@ type Command struct {
 	Trace uint64 `json:"trace,omitempty"`
 	Span  uint64 `json:"span,omitempty"`
 	Proc  string `json:"proc,omitempty"`
-
-	// CmdBatch: the encoded sub-commands, applied in order.
-	Sub [][]byte `json:"sub,omitempty"`
-}
-
-// BatchResult is the per-sub-command outcome of applying a CmdBatch entry.
-// The apply hook returns []BatchResult (one per Sub, in order) and the batch
-// proposer fans the results back to the callers whose proposals were folded.
-type BatchResult struct {
-	Val any
-	Err error
-}
-
-// EncodeBatch folds already-encoded commands into one CmdBatch log entry.
-func EncodeBatch(subs [][]byte) []byte {
-	return Command{Kind: CmdBatch, Sub: subs}.Encode()
 }
 
 // Encode serializes the command for the log.
@@ -89,7 +68,7 @@ func DecodeCommand(data []byte) (Command, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return Command{}, fmt.Errorf("ctlplane: decode command: %w", err)
 	}
-	if c.Kind != CmdRecoverNode && c.Kind != CmdRecoverLink && c.Kind != CmdBatch {
+	if c.Kind != CmdRecoverNode && c.Kind != CmdRecoverLink {
 		return Command{}, fmt.Errorf("ctlplane: unknown command kind %d", c.Kind)
 	}
 	return c, nil

@@ -26,7 +26,7 @@ type Bus struct {
 	// is itself observable and budgetable.
 	meter atomic.Pointer[busMeter]
 
-	seq   atomic.Uint64 // event sequence numbers
+	seq   uint64        // event sequence numbers; guarded by mu
 	spans atomic.Uint64 // span ID allocator
 	cur   atomic.Uint64 // active span (single-writer control planes)
 
@@ -104,7 +104,6 @@ func (b *Bus) Emit(ev Event) {
 	if m != nil {
 		t0 = time.Now()
 	}
-	ev.Seq = b.seq.Add(1)
 	if ev.Proc == "" {
 		if p := b.proc.Load(); p != nil {
 			ev.Proc = *p
@@ -118,6 +117,10 @@ func (b *Bus) Emit(ev Event) {
 		}
 	}
 	b.mu.Lock()
+	// Seq is drawn under the lock that orders delivery, so concurrent
+	// emitters reach every sink in sequence order.
+	b.seq++
+	ev.Seq = b.seq
 	// Reload under the lock: Detach may have run since the fast-path check.
 	if s := b.sinks.Load(); s != nil {
 		for _, sink := range *s {
