@@ -32,8 +32,9 @@ race:
 	$(GO) test -race ./internal/ctlnet/... ./internal/ctlplane/... ./internal/obs/... ./internal/sweep/... ./internal/fluid/... ./internal/topo/... ./internal/routing/...
 	# The parallel fill path's determinism proof, explicitly under the race
 	# detector: worker pools exchanging component fills must be bit-identical
-	# AND data-race-free.
-	$(GO) test -race -run 'TestDifferentialParallelWorkers' ./internal/fluid/
+	# AND data-race-free; the storm golden replays the ripple-heavy path at 1
+	# and GOMAXPROCS workers against its pinned finish-time hash.
+	$(GO) test -race -run 'TestDifferentialParallelWorkers|TestStormFinishTimesGolden' ./internal/fluid/
 
 # Leader-failover soak: the cluster emulation's kill-the-leader-mid-storm
 # and quorum-loss drills, repeated under the race detector. Election timing
@@ -46,6 +47,9 @@ soak-failover:
 # event sink is attached, so watch these against the seed numbers.
 # BenchmarkFig1cStudy (one pinned sim-fig1c study at 1x) is the data plane's
 # profile target: go test -run '^$$' -bench Fig1cStudy -benchtime 40x -cpuprofile cpu.out .
+# BenchmarkStormWaves (sim-storm's storm: k=32, 40960 flows, 8 waves x 512
+# reroutes; ns/wave) is the ripple pass's:
+# go test -run '^$$' -bench StormWaves -benchtime 3x -cpuprofile cpu.out ./internal/fluid
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 

@@ -94,7 +94,7 @@ func (c fillCase) build(t *testing.T) *Simulator {
 	}
 	s := New(g)
 	for l, cp := range c.rawCaps {
-		s.caps[l] = cp
+		s.links[l].cap = cp
 	}
 	for i, f := range c.flows {
 		p := topo.Path{}
@@ -299,7 +299,7 @@ func TestFillRatesTable(t *testing.T) {
 			sc := s.scratchFor(0)
 			var routed []int32 // ripple sets only ever hold flows with links
 			for _, fi := range s.active {
-				if s.fNL[fi] > 0 {
+				if s.hot[fi].nl > 0 {
 					routed = append(routed, fi)
 				}
 			}
@@ -307,8 +307,8 @@ func TestFillRatesTable(t *testing.T) {
 				s.passGen++
 				s.gen++
 				for _, fi := range routed {
-					s.prepare(fi)
-					s.fVisit[fi] = s.gen
+					s.prepare(&s.hot[fi])
+					s.hot[fi].visit = s.gen
 				}
 				ok := false
 				if withBG {

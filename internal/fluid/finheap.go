@@ -1,13 +1,14 @@
 package fluid
 
 // finEvent is one scheduled completion: the exact finish time implied by
-// the flow's rate at the last seal. The heap is *indexed*: the fHeapPos
-// column maps each flow slot to its heap position, so a rate change moves
+// the flow's rate at the last seal. The heap is *indexed*: each flow's hot
+// record carries its heap position (flowHot.heapPos), so a rate change moves
 // the flow's one entry in place (O(log n)) instead of abandoning it. The
 // heap therefore never holds stale entries — at most one event per active
 // flow, no validity checks on pop, no compaction sweeps. The event carries
 // the flow's slot and ID by value (24 bytes, no pointers), so heap
-// operations touch the flow columns only to maintain fHeapPos.
+// operations touch flow state only to maintain heapPos — in the record the
+// seal that triggered the re-key has just written.
 type finEvent struct {
 	t  float64
 	id FlowID
@@ -19,7 +20,7 @@ type finEvent struct {
 // deterministic and ID-sorted, matching the seed engine's scan order).
 // Hand-rolled rather than container/heap so the sift loops stay inlineable
 // and allocation-free on the hot path; the sift helpers live on Simulator
-// because every swap must mirror into the fHeapPos column.
+// because every swap must mirror into the flows' heapPos.
 type finHeap []finEvent
 
 func (h finHeap) Len() int { return len(h) }
@@ -34,7 +35,7 @@ func (h finHeap) less(i, j int) bool {
 // finSchedule inserts — or, if the flow already has an event, re-keys in
 // place — fi's finish event at time t.
 func (s *Simulator) finSchedule(fi int32, t float64) {
-	if p := int(s.fHeapPos[fi]); p >= 0 {
+	if p := int(s.hot[fi].heapPos); p >= 0 {
 		old := s.fin[p].t
 		s.fin[p].t = t
 		if t < old {
@@ -44,7 +45,7 @@ func (s *Simulator) finSchedule(fi int32, t float64) {
 		}
 		return
 	}
-	s.fHeapPos[fi] = int32(len(s.fin))
+	s.hot[fi].heapPos = int32(len(s.fin))
 	s.fin = append(s.fin, finEvent{t: t, id: s.fID[fi], fi: fi})
 	s.finUp(len(s.fin) - 1)
 }
@@ -52,16 +53,16 @@ func (s *Simulator) finSchedule(fi int32, t float64) {
 // finRemove deletes fi's finish event if one is scheduled (rate dropped to
 // zero: stalled, or starved by background).
 func (s *Simulator) finRemove(fi int32) {
-	p := int(s.fHeapPos[fi])
+	p := int(s.hot[fi].heapPos)
 	if p < 0 {
 		return
 	}
-	s.fHeapPos[fi] = -1
+	s.hot[fi].heapPos = -1
 	h := s.fin
 	n := len(h) - 1
 	if p != n {
 		h[p] = h[n]
-		s.fHeapPos[h[p].fi] = int32(p)
+		s.hot[h[p].fi].heapPos = int32(p)
 		s.fin = h[:n]
 		if !s.finDown(p) {
 			s.finUp(p)
@@ -75,26 +76,25 @@ func (s *Simulator) finRemove(fi int32) {
 func (s *Simulator) finPopHead() {
 	h := s.fin
 	n := len(h) - 1
-	s.fHeapPos[h[0].fi] = -1
+	s.hot[h[0].fi].heapPos = -1
 	if n > 0 {
 		h[0] = h[n]
-		s.fHeapPos[h[0].fi] = 0
+		s.hot[h[0].fi].heapPos = 0
 	}
 	s.fin = h[:n]
 	s.finDown(0)
 }
 
 func (s *Simulator) finUp(i int) {
-	h := s.fin
-	pos := s.fHeapPos
+	h, hot := s.fin, s.hot
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
-		pos[h[i].fi] = int32(i)
-		pos[h[parent].fi] = int32(parent)
+		hot[h[i].fi].heapPos = int32(i)
+		hot[h[parent].fi].heapPos = int32(parent)
 		i = parent
 	}
 }
@@ -102,8 +102,7 @@ func (s *Simulator) finUp(i int) {
 // finDown reports whether the entry moved, so finRemove's replacement entry
 // can try sifting up only when it did not sink.
 func (s *Simulator) finDown(i int) bool {
-	h := s.fin
-	pos := s.fHeapPos
+	h, hot := s.fin, s.hot
 	n := len(h)
 	i0 := i
 	for {
@@ -118,8 +117,8 @@ func (s *Simulator) finDown(i int) bool {
 			break
 		}
 		h[i], h[c] = h[c], h[i]
-		pos[h[i].fi] = int32(i)
-		pos[h[c].fi] = int32(c)
+		hot[h[i].fi].heapPos = int32(i)
+		hot[h[c].fi].heapPos = int32(c)
 		i = c
 	}
 	return i > i0

@@ -6,20 +6,24 @@
 // model captures. The simulator supports mid-run rerouting and stalling, so
 // failure and recovery events can be injected between runs.
 //
-// The hot path is incremental and cache-friendly (DESIGN.md §10, §15): flow
-// state lives in structure-of-arrays columns indexed by dense slot numbers
-// (no per-flow heap objects on the hot path), link incidence is packed into
-// shared index arenas, and a dirty event recomputes only a scoped flow set —
-// first trying a "ripple" pass that fills just the flows on the dirty links
-// and proves optimality via local bottleneck checks (ripple.go), falling
-// back to exact link-sharing component decomposition (parallel.go), which
-// can fill independent components on a bounded worker pool with bit-identical
-// results for any worker count. The next completion comes from a
-// lazily-invalidated finish-time heap instead of a scan, and bytes drain
-// lazily so advancing time is O(1). Max-min allocations decompose exactly
-// over link-sharing components, so scoped recomputation is equivalent to the
-// global algorithm; the differential property tests in property_test.go
-// replay randomized schedules through both engines to enforce it.
+// The hot path is incremental (DESIGN.md §10, §15): a dirty event recomputes
+// only a scoped flow set — first trying a "ripple" pass that fills just the
+// flows on the dirty links and proves optimality via local bottleneck checks
+// (ripple.go), falling back to exact link-sharing component decomposition
+// (parallel.go), which can fill independent components on a bounded worker
+// pool with bit-identical results for any worker count. Nearly every pass is
+// a ripple pass over a few dozen flows scattered across the slot space, so
+// what a pass pays for is cache lines, and the state is laid out for that:
+// flows are dense slot numbers, everything a recomputation reads or writes
+// about a flow sits in one 64-byte record (flowHot) and everything about a
+// link in one linkState, while the fields only arrivals, completions and the
+// public accessors touch stay in cold per-field columns; link incidence is
+// packed into shared index arenas. The next completion comes from an indexed
+// finish-time heap instead of a scan, and bytes drain lazily so advancing
+// time is O(1). Max-min allocations decompose exactly over link-sharing
+// components, so scoped recomputation is equivalent to the global algorithm;
+// the differential property tests in property_test.go replay randomized
+// schedules through both engines to enforce it.
 package fluid
 
 import (
@@ -36,10 +40,9 @@ import (
 type FlowID int64
 
 // Flow is a stable handle onto one flow's state. The state itself lives in
-// the simulator's structure-of-arrays columns; the handle carries only the
-// slot index, so a *Flow held across reroutes, recomputes, and other flows'
-// slot recycling stays valid. Handles live in chunked slabs that never move.
-// A handle becomes invalid only when its own flow is ReleaseFlow'd.
+// the simulator's slot-indexed tables; the handle carries only the slot
+// index, so a *Flow held across reroutes and recomputes stays valid for the
+// simulator's lifetime. Handles live in chunked slabs that never move.
 type Flow struct {
 	id  FlowID
 	fi  int32
@@ -64,12 +67,13 @@ func (f *Flow) Path() topo.Path { return f.sim.fPath[f.fi] }
 // the current rate and the simulator clock.
 func (f *Flow) Remaining() float64 {
 	s, fi := f.sim, f.fi
-	r := s.fRemaining[fi]
+	h := &s.hot[fi]
+	r := h.remaining
 	if !s.fStarted[fi] || s.fDone[fi] {
 		return r
 	}
-	if rate := s.fRate[fi]; rate > 0 {
-		r -= rate * (s.now - s.fLastT[fi])
+	if h.rate > 0 {
+		r -= h.rate * (s.now - h.lastT)
 		if r < 0 {
 			r = 0
 		}
@@ -78,7 +82,7 @@ func (f *Flow) Remaining() float64 {
 }
 
 // Rate returns the flow's current max-min fair rate.
-func (f *Flow) Rate() float64 { return f.sim.fRate[f.fi] }
+func (f *Flow) Rate() float64 { return f.sim.hot[f.fi].rate }
 
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.sim.fDone[f.fi] }
@@ -110,6 +114,40 @@ type linkRef struct {
 	slot int32
 }
 
+// flowHot is everything a rate recomputation reads or writes about one flow,
+// in one cache line. A ripple pass visits a few dozen flows picked by link
+// membership — random slots among tens of thousands — so the unit of cost is
+// the line, not the field: spread over per-field columns the same visit
+// touched ten lines (TestFlowRecordIsOneCacheLine pins the size).
+type flowHot struct {
+	rate      float64
+	prevRate  float64 // rate before the in-flight recompute pass
+	remaining float64 // bytes left as of lastT (drains lazily after that)
+	lastT     float64
+	visit     uint64 // component/ripple membership generation
+	prep      uint64 // prepare() generation; guards one-drain-per-pass
+	// The flow's attached links are linkArena[off : off+nl]; posArena (same
+	// span) holds its position in each link's flow list.
+	off int32
+	nl  int32
+	// cert is the flow's bottleneck certificate: a link where the flow was
+	// last verified saturated-and-maximal (its freeze link from the last fill
+	// that sealed it, or the link check (a) certified). -1 when unknown. The
+	// ripple background checks use it as an O(1) fast path; see ripple.go.
+	cert    topo.LinkID
+	heapPos int32 // position in the finish heap, -1 when unscheduled
+}
+
+// linkState is one link's share of the engine state: the active flows
+// crossing it, its capacity, and their aggregate rate — adjusted eagerly on
+// attach/detach and refreshed exactly (resummed) on every seal, so the ripple
+// pass can judge links outside its scope without touching their lists.
+type linkState struct {
+	flows []linkRef
+	cap   float64
+	rate  float64
+}
+
 // EngineStats counts the incremental engine's work in simulator-owned plain
 // integers (telemetry-independent, so benchmarks and regression tests can
 // assert on algorithmic cost instead of wall-clock).
@@ -130,64 +168,41 @@ type EngineStats struct {
 
 // Simulator advances a set of flows over a capacitated topology.
 //
-// Flow state is structure-of-arrays: every per-flow field is a column slice
-// indexed by the flow's slot (DESIGN.md §15). Component BFS, progressive
-// filling, and the ripple verification sweep walk these columns and the
-// packed link-incidence arena contiguously, with no per-flow pointer chasing.
+// Flows are dense slots, assigned in AddFlow order and never reused. hot
+// holds the per-slot record the recompute passes work on; the f* columns hold
+// the fields only the event loop and the accessors touch (DESIGN.md §15).
 type Simulator struct {
-	topo *topo.Topology
-	caps []float64
+	topo  *topo.Topology
+	links []linkState // indexed by topo.LinkID
 
 	now float64
 
-	// --- per-flow columns, indexed by slot ---
-	fID        []FlowID // -1 marks a released slot
-	fBytes     []float64
-	fArrival   []float64
-	fPath      []topo.Path
-	fRemaining []float64 // bytes left as of fLastT (drains lazily after that)
-	fLastT     []float64
-	fRate      []float64
-	fPrevRate  []float64 // rate before the in-flight recompute pass
-	fFinish    []float64
-	fHeapPos   []int32 // position in the finish heap, -1 when unscheduled
-	fActive    []int32 // index in active, -1 when not active
-	// fCert is the flow's bottleneck certificate: a link where the flow was
-	// last verified saturated-and-maximal (its freeze link from the last fill
-	// that sealed it, or the link check (a) certified). -1 when unknown. The
-	// ripple background checks use it as an O(1) fast path; see ripple.go.
-	fCert    []topo.LinkID
-	fVisit   []uint64 // component/ripple membership generation
-	fPrep    []uint64 // prepare() generation; guards one-drain-per-pass
+	hot []flowHot // indexed by slot
+
+	// --- cold per-flow columns, indexed by slot ---
+	fID      []FlowID
+	fBytes   []float64
+	fArrival []float64
+	fPath    []topo.Path
+	fFinish  []float64
+	fActive  []int32 // index in active, -1 when not active
 	fStarted []bool
 	fDone    []bool
+	fCap     []int32 // entries reserved for the slot's incidence span
 
-	// Link incidence: slot fi's attached links are linkArena[fOff[fi] :
-	// fOff[fi]+fNL[fi]], and posArena (same span) holds the flow's position
-	// in each link's linkFlows list. Spans are bump-allocated; retired spans
+	// Link incidence spans (flowHot.off/nl) are bump-allocated; retired spans
 	// are garbage, compacted away when they dominate.
-	fOff         []int32
-	fNL          []int32
-	fCap         []int32
 	linkArena    []topo.LinkID
 	posArena     []int32
 	arenaGarbage int
 
-	// Handles are chunked so they never move; byID maps IDs to slots and
-	// freeSlots recycles released ones.
-	handles   []*handleChunk
-	byID      map[FlowID]int32
-	freeSlots []int32
+	// Handles are chunked so they never move; byID maps IDs to slots.
+	handles []*handleChunk
+	byID    map[FlowID]int32
 
 	active  []int32 // started, not done; index-mapped via fActive
 	pending arrivalHeap
-	fin     finHeap // indexed finish-time heap; positions mirrored in fHeapPos
-
-	linkFlows [][]linkRef // per-link lists of active flows crossing the link
-	// linkRate is each link's aggregate flow rate: adjusted eagerly on
-	// attach/detach and refreshed exactly (resummed) on every seal, so the
-	// ripple pass can judge links outside its scope without touching them.
-	linkRate []float64
+	fin     finHeap // indexed finish-time heap; positions mirrored in flowHot.heapPos
 
 	// Dirty tracking: links whose flow set or demand changed since the last
 	// recompute seed the scoped pass; fullDirty forces a global pass.
@@ -251,16 +266,14 @@ const defaultParMinFlows = 2048
 // per-simulator with SetTelemetry.
 func New(t *topo.Topology) *Simulator {
 	nl := t.NumLinks()
-	caps := make([]float64, nl)
+	links := make([]linkState, nl)
 	for i, l := range t.Links {
-		caps[i] = l.Capacity
+		links[i].cap = l.Capacity
 	}
 	s := &Simulator{
 		topo:        t,
-		caps:        caps,
+		links:       links,
 		byID:        make(map[FlowID]int32),
-		linkFlows:   make([][]linkRef, nl),
-		linkRate:    make([]float64, nl),
 		linkGen:     make([]uint64, nl),
 		rIdx:        make([]int32, nl),
 		workers:     runtime.GOMAXPROCS(0),
@@ -284,9 +297,6 @@ func (s *Simulator) SetWorkers(n int) {
 	}
 	s.workers = n
 }
-
-// Workers returns the current worker-pool bound.
-func (s *Simulator) Workers() int { return s.workers }
 
 // Now returns the current simulation time.
 func (s *Simulator) Now() float64 { return s.now }
@@ -320,40 +330,6 @@ func (s *Simulator) handle(fi int32) *Flow {
 	return &s.handles[fi>>handleShift][fi&handleMask]
 }
 
-// newSlot returns a free flow slot, growing every column (and the handle
-// slab) in lockstep when the free list is empty.
-func (s *Simulator) newSlot() int32 {
-	if n := len(s.freeSlots); n > 0 {
-		fi := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		return fi
-	}
-	fi := int32(len(s.fID))
-	s.fID = append(s.fID, 0)
-	s.fBytes = append(s.fBytes, 0)
-	s.fArrival = append(s.fArrival, 0)
-	s.fPath = append(s.fPath, topo.Path{})
-	s.fRemaining = append(s.fRemaining, 0)
-	s.fLastT = append(s.fLastT, 0)
-	s.fRate = append(s.fRate, 0)
-	s.fPrevRate = append(s.fPrevRate, 0)
-	s.fFinish = append(s.fFinish, 0)
-	s.fHeapPos = append(s.fHeapPos, -1)
-	s.fCert = append(s.fCert, -1)
-	s.fActive = append(s.fActive, -1)
-	s.fVisit = append(s.fVisit, 0)
-	s.fPrep = append(s.fPrep, 0)
-	s.fStarted = append(s.fStarted, false)
-	s.fDone = append(s.fDone, false)
-	s.fOff = append(s.fOff, -1)
-	s.fNL = append(s.fNL, 0)
-	s.fCap = append(s.fCap, 0)
-	if int(fi)>>handleShift == len(s.handles) {
-		s.handles = append(s.handles, new(handleChunk))
-	}
-	return fi
-}
-
 // AddFlow schedules a flow. Arrival must not be in the simulator's past.
 // Bytes must be positive. A zero-length path stalls the flow from the start.
 func (s *Simulator) AddFlow(id FlowID, bytes, arrival float64, path topo.Path) error {
@@ -366,52 +342,24 @@ func (s *Simulator) AddFlow(id FlowID, bytes, arrival float64, path topo.Path) e
 	if arrival < s.now {
 		return fmt.Errorf("fluid: flow %d arrives at %v, before now (%v)", id, arrival, s.now)
 	}
-	fi := s.newSlot()
-	s.fID[fi] = id
-	s.fBytes[fi] = bytes
-	s.fArrival[fi] = arrival
-	s.fPath[fi] = path
-	s.fRemaining[fi] = bytes
-	s.fLastT[fi] = 0
-	s.fRate[fi] = 0
-	s.fPrevRate[fi] = 0
-	s.fFinish[fi] = 0
-	s.fActive[fi] = -1
-	s.fStarted[fi] = false
-	s.fDone[fi] = false
-	s.fNL[fi] = 0
-	s.fHeapPos[fi] = -1 // already -1 for recycled slots (completion pops)
-	s.fCert[fi] = -1
-	// fVisit and fPrep deliberately survive slot recycling: the generations
-	// only grow, so a recycled slot can never alias a stale membership mark.
+	fi := int32(len(s.hot))
+	s.hot = append(s.hot, flowHot{remaining: bytes, off: -1, cert: -1, heapPos: -1})
+	s.fID = append(s.fID, id)
+	s.fBytes = append(s.fBytes, bytes)
+	s.fArrival = append(s.fArrival, arrival)
+	s.fPath = append(s.fPath, path)
+	s.fFinish = append(s.fFinish, 0)
+	s.fActive = append(s.fActive, -1)
+	s.fStarted = append(s.fStarted, false)
+	s.fDone = append(s.fDone, false)
+	s.fCap = append(s.fCap, 0)
+	if int(fi)>>handleShift == len(s.handles) {
+		s.handles = append(s.handles, new(handleChunk))
+	}
 	h := s.handle(fi)
 	h.id, h.fi, h.sim = id, fi, s
 	s.byID[id] = fi
 	s.pending.push(arrEvent{at: arrival, id: id, fi: fi})
-	return nil
-}
-
-// ReleaseFlow forgets a completed flow: the ID becomes reusable and the
-// state slot is recycled by a later AddFlow. Long-running workloads (storms
-// replaying millions of flows) call this from OnComplete so flow state is
-// bounded by the number of concurrent flows instead of growing forever.
-// Only completed flows can be released; handles to the flow are invalidated.
-func (s *Simulator) ReleaseFlow(id FlowID) error {
-	fi, ok := s.byID[id]
-	if !ok {
-		return fmt.Errorf("fluid: ReleaseFlow: unknown flow %d", id)
-	}
-	if !s.fDone[fi] {
-		return fmt.Errorf("fluid: ReleaseFlow: flow %d has not completed", id)
-	}
-	delete(s.byID, id)
-	if s.fCap[fi] > 0 {
-		s.arenaGarbage += int(s.fCap[fi])
-		s.fOff[fi], s.fCap[fi] = -1, 0
-	}
-	s.fID[fi] = -1 // completion already removed the slot's finish event
-	s.fPath[fi] = topo.Path{}
-	s.freeSlots = append(s.freeSlots, fi)
 	return nil
 }
 
@@ -434,7 +382,7 @@ func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
 	}
 	// The certificate names a link on the old path; it can't survive a
 	// route change.
-	s.fCert[fi] = -1
+	s.hot[fi].cert = -1
 	if !s.fStarted[fi] {
 		// Pending flow: just swap the path; rates don't depend on it yet.
 		s.fPath[fi] = path
@@ -446,12 +394,12 @@ func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
 	// rate, the existing event is still exact. Only a rate change moves it —
 	// in seal, or right below for a stall (the one rate change that happens
 	// outside a filling pass).
-	s.drain(fi)
+	s.drain(&s.hot[fi])
 	s.detachLinks(fi)
 	s.fPath[fi] = path
 	s.attachLinks(fi)
-	if len(path.Links) == 0 && s.fRate[fi] != 0 {
-		s.fRate[fi] = 0 // stalled immediately; no finish event until rerouted
+	if len(path.Links) == 0 && s.hot[fi].rate != 0 {
+		s.hot[fi].rate = 0 // stalled immediately; no finish event until rerouted
 		s.finRemove(fi)
 	}
 	return nil
@@ -459,50 +407,51 @@ func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
 
 // drain materializes the flow's remaining bytes up to the current time at
 // its current rate. Must be called before any change to its rate.
-func (s *Simulator) drain(fi int32) {
-	if r := s.fRate[fi]; r > 0 && s.now > s.fLastT[fi] {
-		rem := s.fRemaining[fi] - r*(s.now-s.fLastT[fi])
+func (s *Simulator) drain(h *flowHot) {
+	if r := h.rate; r > 0 && s.now > h.lastT {
+		rem := h.remaining - r*(s.now-h.lastT)
 		if rem < 0 {
 			rem = 0
 		}
-		s.fRemaining[fi] = rem
+		h.remaining = rem
 	}
-	s.fLastT[fi] = s.now
+	h.lastT = s.now
 }
 
 // prepare drains the flow and snapshots its pre-pass rate, exactly once per
-// recompute pass: the fPrep generation guards re-entry, so a ripple pass
+// recompute pass: the prep generation guards re-entry, so a ripple pass
 // that bails into the component fallback cannot clobber the true pre-pass
 // rate with abandoned fill state.
-func (s *Simulator) prepare(fi int32) {
-	if s.fPrep[fi] == s.passGen {
+func (s *Simulator) prepare(h *flowHot) {
+	if h.prep == s.passGen {
 		return
 	}
-	s.fPrep[fi] = s.passGen
-	s.drain(fi)
-	s.fPrevRate[fi] = s.fRate[fi]
+	h.prep = s.passGen
+	s.drain(h)
+	h.prevRate = h.rate
 }
 
 // attachLinks adds the flow to the per-link flow lists of its current path,
-// adds its rate into linkRate, and marks those links dirty.
+// adds its rate into the links' aggregates, and marks those links dirty.
 func (s *Simulator) attachLinks(fi int32) {
 	links := s.fPath[fi].Links
 	n := int32(len(links))
-	s.fNL[fi] = n
+	s.hot[fi].nl = n
 	if n == 0 {
 		return
 	}
 	if s.fCap[fi] < n {
 		s.growSpan(fi, n)
 	}
-	off := s.fOff[fi]
-	rate := s.fRate[fi]
+	off := s.hot[fi].off
+	rate := s.hot[fi].rate
 	for j, l := range links {
+		ls := &s.links[l]
 		s.linkArena[off+int32(j)] = l
-		s.posArena[off+int32(j)] = int32(len(s.linkFlows[l]))
-		s.linkFlows[l] = append(s.linkFlows[l], linkRef{fi: fi, slot: int32(j)})
+		s.posArena[off+int32(j)] = int32(len(ls.flows))
+		ls.flows = append(ls.flows, linkRef{fi: fi, slot: int32(j)})
 		if rate != 0 {
-			s.linkRate[l] += rate
+			ls.rate += rate
 		}
 		s.markDirty(l)
 	}
@@ -514,12 +463,12 @@ func (s *Simulator) attachLinks(fi int32) {
 func (s *Simulator) growSpan(fi, n int32) {
 	if old := s.fCap[fi]; old > 0 {
 		s.arenaGarbage += int(old)
-		s.fOff[fi], s.fCap[fi] = -1, 0
+		s.hot[fi].off, s.fCap[fi] = -1, 0
 	}
 	if s.arenaGarbage > len(s.linkArena)/2 && len(s.linkArena) > 4096 {
 		s.compactArena()
 	}
-	s.fOff[fi] = int32(len(s.linkArena))
+	s.hot[fi].off = int32(len(s.linkArena))
 	s.fCap[fi] = n
 	for i := int32(0); i < n; i++ {
 		s.linkArena = append(s.linkArena, 0)
@@ -528,9 +477,9 @@ func (s *Simulator) growSpan(fi, n int32) {
 }
 
 // compactArena rewrites the incidence arenas keeping only each slot's live
-// prefix (attached flows keep their fNL entries; detached and released
-// spans drop). posArena values are positions in linkFlows lists, unaffected
-// by the move.
+// prefix (attached flows keep their nl entries; detached spans drop).
+// posArena values are positions in the links' flow lists, unaffected by the
+// move.
 func (s *Simulator) compactArena() {
 	live := len(s.linkArena) - s.arenaGarbage
 	if live < 0 {
@@ -538,17 +487,18 @@ func (s *Simulator) compactArena() {
 	}
 	nla := make([]topo.LinkID, 0, live)
 	npa := make([]int32, 0, live)
-	for fi := range s.fOff {
-		keep := s.fNL[fi]
+	for fi := range s.hot {
+		h := &s.hot[fi]
+		keep := h.nl
 		if keep > s.fCap[fi] {
 			keep = s.fCap[fi]
 		}
 		if keep <= 0 {
-			s.fOff[fi], s.fCap[fi] = -1, 0
+			h.off, s.fCap[fi] = -1, 0
 			continue
 		}
-		off := s.fOff[fi]
-		s.fOff[fi] = int32(len(nla))
+		off := h.off
+		h.off = int32(len(nla))
 		s.fCap[fi] = keep
 		nla = append(nla, s.linkArena[off:off+keep]...)
 		npa = append(npa, s.posArena[off:off+keep]...)
@@ -559,28 +509,28 @@ func (s *Simulator) compactArena() {
 
 // detachLinks removes the flow from the per-link flow lists of its current
 // path (swap-remove, repairing the moved entry's back-position), subtracts
-// its rate from linkRate, and marks those links dirty.
+// its rate from the links' aggregates, and marks those links dirty.
 func (s *Simulator) detachLinks(fi int32) {
-	off := s.fOff[fi]
-	n := s.fNL[fi]
-	rate := s.fRate[fi]
+	h := &s.hot[fi]
+	off, n, rate := h.off, h.nl, h.rate
 	for j := int32(0); j < n; j++ {
 		l := s.linkArena[off+j]
-		list := s.linkFlows[l]
+		ls := &s.links[l]
+		list := ls.flows
 		i := s.posArena[off+j]
 		last := int32(len(list) - 1)
 		moved := list[last]
 		list[i] = moved
-		s.posArena[s.fOff[moved.fi]+moved.slot] = i
-		s.linkFlows[l] = list[:last]
+		s.posArena[s.hot[moved.fi].off+moved.slot] = i
+		ls.flows = list[:last]
 		if last == 0 {
-			s.linkRate[l] = 0 // emptied: exact zero, no float residue
+			ls.rate = 0 // emptied: exact zero, no float residue
 		} else if rate != 0 {
-			s.linkRate[l] -= rate
+			ls.rate -= rate
 		}
 		s.markDirty(l)
 	}
-	s.fNL[fi] = 0
+	h.nl = 0
 }
 
 // maxDirtySeeds bounds the dirty-link list; past it the next recompute is
@@ -660,7 +610,7 @@ func (s *Simulator) admitArrivals(t float64) {
 		e := s.pending.pop()
 		fi := e.fi
 		s.fStarted[fi] = true
-		s.fLastT[fi] = t
+		s.hot[fi].lastT = t
 		s.fActive[fi] = int32(len(s.active))
 		s.active = append(s.active, fi)
 		s.attachLinks(fi)
@@ -720,11 +670,10 @@ const (
 func (s *Simulator) complete(fi int32) {
 	s.fDone[fi] = true
 	s.fFinish[fi] = s.now
-	rate := s.fRate[fi]
-	s.detachLinks(fi) // subtracts the still-current rate from linkRate
-	s.fRate[fi] = 0
-	s.fRemaining[fi] = 0
-	s.fLastT[fi] = s.now
+	h := &s.hot[fi]
+	rate := h.rate
+	s.detachLinks(fi) // subtracts the still-current rate from the links' aggregates
+	h.rate, h.remaining, h.lastT = 0, 0, s.now
 	// Swap-remove from the active set; the index column keeps this O(1)
 	// regardless of cohort size.
 	i := s.fActive[fi]
@@ -755,23 +704,22 @@ func (s *Simulator) Utilization() []float64 { return s.UtilizationInto(nil) }
 // resized (reallocating only when too small) and returned.
 func (s *Simulator) UtilizationInto(buf []float64) []float64 {
 	s.recompute()
-	if cap(buf) < len(s.caps) {
-		buf = make([]float64, len(s.caps))
+	if cap(buf) < len(s.links) {
+		buf = make([]float64, len(s.links))
 	}
-	buf = buf[:len(s.caps)]
+	buf = buf[:len(s.links)]
 	for i := range buf {
 		buf[i] = 0
 	}
 	for _, fi := range s.active {
-		off, n := s.fOff[fi], s.fNL[fi]
-		r := s.fRate[fi]
-		for j := int32(0); j < n; j++ {
-			buf[s.linkArena[off+j]] += r
+		h := &s.hot[fi]
+		for _, l := range s.linkArena[h.off : h.off+h.nl] {
+			buf[l] += h.rate
 		}
 	}
 	for i := range buf {
-		if s.caps[i] > 0 {
-			buf[i] /= s.caps[i]
+		if c := s.links[i].cap; c > 0 {
+			buf[i] /= c
 		}
 	}
 	return buf
@@ -853,7 +801,7 @@ func (s *Simulator) recomputeDirty() {
 // one union, exactly the seed algorithm's behaviour.
 func (s *Simulator) fillUnion(tel *Telemetry) {
 	for _, fi := range s.active {
-		s.prepare(fi)
+		s.prepare(&s.hot[fi])
 	}
 	sc := s.scratchFor(0)
 	work, _ := s.fillRates(s.active, sc)
@@ -868,17 +816,16 @@ func (s *Simulator) fillUnion(tel *Telemetry) {
 // makes the result order-independent anyway: each flow's single entry ends
 // at the same key).
 func (s *Simulator) sealFlows(flows []int32) {
-	fRate, fPrevRate := s.fRate, s.fPrevRate
-	fLastT, fRemaining := s.fLastT, s.fRemaining
 	for _, fi := range flows {
-		r := fRate[fi]
+		h := &s.hot[fi]
+		r := h.rate
 		if r < 0 {
 			r = 0 // defensive: unfrozen sentinel from an aborted fill round
-			fRate[fi] = 0
+			h.rate = 0
 		}
-		if r != fPrevRate[fi] {
+		if r != h.prevRate {
 			if r > 0 {
-				s.finSchedule(fi, fLastT[fi]+fRemaining[fi]/r)
+				s.finSchedule(fi, h.lastT+h.remaining/r)
 			} else {
 				s.finRemove(fi)
 			}
@@ -886,16 +833,17 @@ func (s *Simulator) sealFlows(flows []int32) {
 	}
 }
 
-// sealLinks refreshes linkRate with the exact sum of attached rates for
-// every link touched by the pass, so eager attach/detach adjustments can't
-// accumulate float drift between passes.
+// sealLinks refreshes each touched link's aggregate rate with the exact sum
+// of attached rates, so eager attach/detach adjustments can't accumulate
+// float drift between passes.
 func (s *Simulator) sealLinks(links []topo.LinkID) {
 	for _, l := range links {
+		ls := &s.links[l]
 		sum := 0.0
-		for _, ref := range s.linkFlows[l] {
-			sum += s.fRate[ref.fi]
+		for _, ref := range ls.flows {
+			sum += s.hot[ref.fi].rate
 		}
-		s.linkRate[l] = sum
+		ls.rate = sum
 	}
 }
 
@@ -944,7 +892,7 @@ type fillScratch struct {
 // use. scratch[0] serves every serial pass.
 func (s *Simulator) scratchFor(w int) *fillScratch {
 	for len(s.scratch) <= w {
-		sc := &fillScratch{linkIdx: make([]int32, len(s.caps))}
+		sc := &fillScratch{linkIdx: make([]int32, len(s.links))}
 		for i := range sc.linkIdx {
 			sc.linkIdx[i] = -1
 		}
@@ -1067,24 +1015,19 @@ func (s *Simulator) ensureVCap(n int) {
 // link), so zero cannot mark frozenness — and stalled flows get rate zero. It
 // returns the grown links list and how many flows and incidences it engaged.
 func (s *Simulator) engage(flows []int32, sc *fillScratch, idx []int32, links []topo.LinkID, withBG bool) ([]topo.LinkID, int, int) {
-	// Hoist the flow columns the hot loops touch: going through s.field in a
-	// loop reloads the slice header (and re-checks bounds against it) every
-	// iteration, which is measurable at millions of incidences per storm.
-	fOff, fNL, arena := s.fOff, s.fNL, s.linkArena
-	fRate, fPrevRate := s.fRate, s.fPrevRate
 	members, prevSum := sc.members, sc.prevSum
 	routed, incid := 0, 0
 	for _, fi := range flows {
-		off, n := fOff[fi], fNL[fi]
-		if n == 0 {
-			fRate[fi] = 0
+		h := &s.hot[fi]
+		if h.nl == 0 {
+			h.rate = 0
 			continue
 		}
-		fRate[fi] = -1
+		h.rate = -1
 		routed++
-		incid += int(n)
-		pr := fPrevRate[fi]
-		for _, l := range arena[off : off+n] {
+		incid += int(h.nl)
+		pr := h.prevRate
+		for _, l := range s.linkArena[h.off : h.off+h.nl] {
 			li := idx[l]
 			if li < 0 {
 				li = int32(len(links))
@@ -1109,7 +1052,7 @@ func (s *Simulator) engage(flows []int32, sc *fillScratch, idx []int32, links []
 // rates rise together; when a link saturates, its flows freeze at the current
 // level. The engaged links stay in sc.engaged for the caller's seal. The
 // caller seals afterwards — rates are final on return, but finish events and
-// linkRate are not yet updated — which is what makes concurrent fills of
+// link rates are not yet updated — which is what makes concurrent fills of
 // disjoint components safe: the fill writes only its flows' rate and
 // certificate entries and its own scratch. The boolean result is false only on
 // waterFill's defensive break.
@@ -1119,8 +1062,9 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch) (int64, bool) {
 	sc.engaged = links
 	sc.size(len(links))
 	for i, l := range links {
-		sc.avail[i], sc.count[i] = s.caps[l], sc.members[i]
-		sc.satLv[i] = s.caps[l] / float64(sc.members[i])
+		c := s.links[l].cap
+		sc.avail[i], sc.count[i] = c, sc.members[i]
+		sc.satLv[i] = c / float64(sc.members[i])
 	}
 	work, ok := s.waterFill(sc, sc.linkIdx, links, unfrozen, false)
 	for _, l := range links {
@@ -1128,8 +1072,8 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch) (int64, bool) {
 	}
 	if !ok {
 		for _, fi := range flowSet {
-			if s.fRate[fi] < 0 {
-				s.fRate[fi] = 0
+			if h := &s.hot[fi]; h.rate < 0 {
+				h.rate = 0
 			}
 		}
 	}
@@ -1144,16 +1088,25 @@ func (s *Simulator) fillRates(flowSet []int32, sc *fillScratch) (int64, bool) {
 // member count equals its list length carries no background — the common case
 // for the rack-local links a scoped pass centres on — and keeps full
 // capacity, bit-identical to a closed-mode engagement; the rest subtract the
-// maintained linkRate aggregate minus the members' pre-pass rates. The
+// link's maintained aggregate rate minus the members' pre-pass rates. The
 // verification arrays start here and are finished by waterFill: vSum starts
 // at the background sum, and vBG is the no-background (-1) / bgUnknown marker
 // the checks resolve lazily. New links are appended to links with s.rIdx
 // assigned; the caller owns restoring rIdx.
 func (s *Simulator) fillBackground(flows []int32, from int, sc *fillScratch, links []topo.LinkID) ([]topo.LinkID, int64, bool) {
+	links, unfrozen, setUp := s.setUpBackground(flows, from, sc, links)
+	work, ok := s.waterFill(sc, s.rIdx, links, unfrozen, true)
+	return links, setUp + work, ok
+}
+
+// setUpBackground is fillBackground up to the first round: slot tables and
+// verification arrays ready, members marked unfrozen. It returns the grown
+// links list, the number of unfrozen members and the set-up work.
+func (s *Simulator) setUpBackground(flows []int32, from int, sc *fillScratch, links []topo.LinkID) ([]topo.LinkID, int, int64) {
 	unfrozen := 0
 	for _, fi := range flows[:from] {
-		if s.fNL[fi] > 0 {
-			s.fRate[fi] = -1
+		if h := &s.hot[fi]; h.nl > 0 {
+			h.rate = -1
 			unfrozen++
 		}
 	}
@@ -1166,11 +1119,12 @@ func (s *Simulator) fillBackground(flows []int32, from int, sc *fillScratch, lin
 	avail, count, satLv := sc.avail, sc.count, sc.satLv
 	for i, l := range links {
 		vMax[i], vChg[i] = 0, false
-		a, m := s.caps[l], members[i]
-		if int(m) == len(s.linkFlows[l]) {
+		ls := &s.links[l]
+		a, m := ls.cap, members[i]
+		if int(m) == len(ls.flows) {
 			vSum[i], vBG[i] = 0, -1
 		} else {
-			bg := s.linkRate[l] - prevSum[i]
+			bg := ls.rate - prevSum[i]
 			if bg < 0 {
 				bg = 0
 			}
@@ -1181,30 +1135,15 @@ func (s *Simulator) fillBackground(flows []int32, from int, sc *fillScratch, lin
 		}
 		avail[i], count[i], satLv[i] = a, m, a/float64(m)
 	}
-	work, ok := s.waterFill(sc, s.rIdx, links, unfrozen+routed, true)
-	return links, int64(incid+n) + work, ok
+	return links, unfrozen + routed, int64(incid + n)
 }
 
 // waterFill runs the rounds of a fill whose slot arrays are set up: search
-// picks the saturating slots, and their links' unfrozen member flows freeze at
-// the level — rate set, certificate recorded, every link the flow crosses
-// loses one unfrozen count and the frozen allocation, and its saturation level
-// is re-derived (a link losing its last unfrozen flow parks at +Inf, which no
-// search selects). The walk is the saturating link's own flow list; frozen
-// members and, in background mode, non-members (whose rates are never
-// negative) are skipped by the same test. Within a round every flow freezes
-// at the same level, so the walk order cannot change a rate, a residual or a
-// certificate. In background mode the freeze also folds the member into the
-// verification arrays: vSum accumulates its rate, vMax tracks the member
-// maximum (levels are nondecreasing, so the last write is the max) and vChg
-// marks links whose members moved. The result is false only on the defensive
-// no-live-links break, which leaves rates at -1 and the verification arrays
-// inconsistent; ripple must fall back.
+// picks the saturating slots and the level, freezeRound freezes their unfrozen
+// members at it. The result is false only on the defensive no-live-links
+// break, which leaves rates at -1 and the verification arrays inconsistent;
+// ripple must fall back.
 func (s *Simulator) waterFill(sc *fillScratch, idx []int32, links []topo.LinkID, unfrozen int, withBG bool) (int64, bool) {
-	avail, count, satLv := sc.avail, sc.count, sc.satLv
-	fOff, fNL, arena := s.fOff, s.fNL, s.linkArena
-	fRate, fPrevRate, fCert := s.fRate, s.fPrevRate, s.fCert
-	vSum, vMax, vChg := s.vSum, s.vMax, s.vChg
 	sc.cand = sc.cand[:0]
 	level := 0.0
 	live := len(links) // slots that still have unfrozen flows
@@ -1217,55 +1156,87 @@ func (s *Simulator) waterFill(sc *fillScratch, idx []int32, links []topo.LinkID,
 			return work, false // defensive; cannot happen while unfrozen > 0
 		}
 		level = lo
-		for _, li := range sc.satList {
-			cert := links[li]
-			for _, ref := range s.linkFlows[cert] {
-				fi := ref.fi
-				if fRate[fi] >= 0 {
-					continue // frozen this pass, or background
+		frozen, parked, incid := s.freezeRound(sc, idx, links, level, cut, withBG)
+		unfrozen -= frozen
+		live -= parked
+		work += incid
+	}
+	return work, true
+}
+
+// freezeRound freezes, at level, the unfrozen member flows of the slots search
+// left in satList — rate set, certificate recorded, every link the flow
+// crosses loses one unfrozen count and the frozen allocation, and its
+// saturation level is re-derived (a link losing its last unfrozen flow parks
+// at +Inf, which no search selects). The walk is the saturating link's own
+// flow list; frozen members and, in background mode, non-members (whose rates
+// are never negative) are skipped by the same test, and the walk stops at the
+// slot's last unfrozen member — count says when — instead of reading the rest
+// of the list to find nothing; a slot that an earlier slot of the round
+// already emptied is not walked at all. Within a round every flow freezes at
+// the same level, so neither the walk order nor where it stops can change a
+// rate, a residual or a certificate. In background mode the freeze also folds
+// the member into the verification arrays: vSum accumulates its rate, vMax
+// tracks the member maximum (levels are nondecreasing, so the last write is
+// the max) and vChg marks links whose members moved. It returns the flows
+// frozen, the slots parked and the incidences touched.
+func (s *Simulator) freezeRound(sc *fillScratch, idx []int32, links []topo.LinkID, level, cut float64, withBG bool) (frozen, parked int, incid int64) {
+	avail, count, satLv := sc.avail, sc.count, sc.satLv
+	hot, arena := s.hot, s.linkArena
+	vSum, vMax, vChg := s.vSum, s.vMax, s.vChg
+	for _, li := range sc.satList {
+		if count[li] == 0 {
+			continue
+		}
+		cert := links[li]
+		for _, ref := range s.links[cert].flows {
+			h := &hot[ref.fi]
+			if h.rate >= 0 {
+				continue // frozen this pass, or background
+			}
+			h.rate = level
+			h.cert = cert
+			chg := false
+			if withBG {
+				pr := h.prevRate
+				chg = math.Abs(level-pr) > rippleTol*(pr+1)
+			}
+			for _, l2 := range arena[h.off : h.off+h.nl] {
+				li2 := idx[l2]
+				c := count[li2] - 1
+				count[li2] = c
+				a := avail[li2] - level
+				avail[li2] = a
+				if c > 0 {
+					lv := a / float64(c)
+					if lv < satLv[li2] && satLv[li2] > cut {
+						// Rounding lowered the level of a link that outlives
+						// the round (one within the cut is about to park), so
+						// the candidate list no longer bounds it: drop the
+						// list, search rescans.
+						sc.cand = sc.cand[:0]
+					}
+					satLv[li2] = lv
+				} else {
+					satLv[li2] = math.Inf(1)
+					parked++
 				}
-				fRate[fi] = level
-				fCert[fi] = cert
-				chg := false
 				if withBG {
-					pr := fPrevRate[fi]
-					chg = math.Abs(level-pr) > rippleTol*(pr+1)
-				}
-				off, n := fOff[fi], fNL[fi]
-				for _, l2 := range arena[off : off+n] {
-					li2 := idx[l2]
-					c := count[li2] - 1
-					count[li2] = c
-					a := avail[li2] - level
-					avail[li2] = a
-					if c > 0 {
-						lv := a / float64(c)
-						if lv < satLv[li2] && satLv[li2] > cut {
-							// Rounding lowered the level of a link that
-							// outlives the round (one within the cut is about
-							// to park), so the candidate list no longer
-							// bounds it: drop the list, search rescans.
-							sc.cand = sc.cand[:0]
-						}
-						satLv[li2] = lv
-					} else {
-						satLv[li2] = math.Inf(1)
-						live--
-					}
-					if withBG {
-						vSum[li2] += level
-						vMax[li2] = level
-						if chg {
-							vChg[li2] = true
-						}
+					vSum[li2] += level
+					vMax[li2] = level
+					if chg {
+						vChg[li2] = true
 					}
 				}
-				work += int64(n)
-				unfrozen--
+			}
+			incid += int64(h.nl)
+			frozen++
+			if count[li] == 0 {
+				break
 			}
 		}
 	}
-	return work, true
+	return frozen, parked, incid
 }
 
 // arrEvent is one scheduled arrival.

@@ -216,7 +216,7 @@ func TestUtilizationInto(t *testing.T) {
 
 // TestHeapStaysIndexed: a reroute storm re-keys finish events en masse; the
 // indexed heap must hold at most one entry per active flow (no stale debris)
-// and keep the position column consistent.
+// and keep the flows' heap positions consistent.
 func TestHeapStaysIndexed(t *testing.T) {
 	g, paths := pairField(t, 4, 10)
 	s := New(g)
@@ -247,13 +247,13 @@ func TestHeapStaysIndexed(t *testing.T) {
 			got, len(s.active))
 	}
 	for p, e := range s.fin {
-		if s.fHeapPos[e.fi] != int32(p) {
-			t.Fatalf("heap entry %d (flow slot %d) has fHeapPos %d", p, e.fi, s.fHeapPos[e.fi])
+		if got := s.hot[e.fi].heapPos; got != int32(p) {
+			t.Fatalf("heap entry %d (flow slot %d) has heapPos %d", p, e.fi, got)
 		}
 	}
-	for fi, p := range s.fHeapPos {
-		if p >= 0 && s.fin[p].fi != int32(fi) {
-			t.Fatalf("fHeapPos[%d] = %d but heap entry holds slot %d", fi, p, s.fin[p].fi)
+	for fi := range s.hot {
+		if p := s.hot[fi].heapPos; p >= 0 && s.fin[p].fi != int32(fi) {
+			t.Fatalf("slot %d has heapPos %d but heap entry holds slot %d", fi, p, s.fin[p].fi)
 		}
 	}
 }

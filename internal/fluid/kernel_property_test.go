@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sharebackup/internal/topo"
 )
@@ -172,24 +173,23 @@ func newRippleFixture(t *testing.T, c fillCase, r *rand.Rand) *rippleFixture {
 	}
 	l := topo.LinkID(r.Intn(len(c.caps)))
 	scale := []float64{0.01, 0.3, 0.7, 1.5, 3}[r.Intn(5)] // 0.01: background eats the link
-	if len(s.linkFlows[l]) == 0 {
+	if len(s.links[l].flows) == 0 {
 		return nil
 	}
-	s.caps[l] *= scale
+	s.links[l].cap *= scale
 	fx := &rippleFixture{s: s}
 	s.gen++
 	s.passGen++
-	for _, ref := range s.linkFlows[l] {
-		s.fVisit[ref.fi] = s.gen
-		s.prepare(ref.fi)
+	for _, ref := range s.links[l].flows {
+		fx.join(ref.fi)
 		fx.members = append(fx.members, ref.fi)
 	}
 	for _, fi := range fx.members {
-		for _, l2 := range s.linkArena[s.fOff[fi] : s.fOff[fi]+s.fNL[fi]] {
-			for _, ref := range s.linkFlows[l2] {
-				if s.fVisit[ref.fi] != s.gen && len(fx.extra) < 3 {
-					s.fVisit[ref.fi] = s.gen
-					s.prepare(ref.fi)
+		h := &s.hot[fi]
+		for _, l2 := range s.linkArena[h.off : h.off+h.nl] {
+			for _, ref := range s.links[l2].flows {
+				if s.hot[ref.fi].visit != s.gen && len(fx.extra) < 3 {
+					fx.join(ref.fi)
 					fx.extra = append(fx.extra, ref.fi)
 				}
 			}
@@ -198,11 +198,26 @@ func newRippleFixture(t *testing.T, c fillCase, r *rand.Rand) *rippleFixture {
 	return fx
 }
 
+// join marks the flow a member of the fixture's pass and prepares it, as the
+// ripple pass does for every flow it takes into S.
+func (fx *rippleFixture) join(fi int32) {
+	h := &fx.s.hot[fi]
+	h.visit = fx.s.gen
+	fx.s.prepare(h)
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // fill runs the background fills of one ripple pass over the given member
 // sets — each a prefix of the next, as expansions only append — and returns
 // every bit the pass's verification and seal read: the links list, member
 // rates and certificates, the slot tables, and the verification arrays (vSum
-// is what the seal writes to linkRate).
+// is what the seal writes to the link's rate).
 func (fx *rippleFixture) fill(t *testing.T, sets ...[]int32) []uint64 {
 	t.Helper()
 	s := fx.s
@@ -223,15 +238,11 @@ func (fx *rippleFixture) fill(t *testing.T, sets ...[]int32) []uint64 {
 			t.Fatalf("rIdx[%d] = %d, want slot %d", l, s.rIdx[l], i)
 		}
 		s.rIdx[l] = -1
-		chg := uint64(0)
-		if s.vChg[i] {
-			chg = 1
-		}
 		out = append(out, uint64(l), uint64(sc.members[i]), math.Float64bits(sc.prevSum[i]),
-			math.Float64bits(s.vSum[i]), math.Float64bits(s.vMax[i]), math.Float64bits(s.vBG[i]), chg)
+			math.Float64bits(s.vSum[i]), math.Float64bits(s.vMax[i]), math.Float64bits(s.vBG[i]), boolBit(s.vChg[i]))
 	}
 	for _, fi := range sets[len(sets)-1] {
-		out = append(out, math.Float64bits(s.fRate[fi]), uint64(s.fCert[fi]))
+		out = append(out, math.Float64bits(s.hot[fi].rate), uint64(s.hot[fi].cert))
 	}
 	return out
 }
@@ -266,10 +277,11 @@ func forEachRippleFixture(t *testing.T, fn func(trial int, a, b *rippleFixture, 
 func TestBackgroundFillIgnoresLinkListOrder(t *testing.T) {
 	forEachRippleFixture(t, func(trial int, a, b *rippleFixture, r *rand.Rand) {
 		s := b.s
-		for _, list := range s.linkFlows {
+		for l := range s.links {
+			list := s.links[l].flows
 			r.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 			for i, ref := range list {
-				s.posArena[s.fOff[ref.fi]+ref.slot] = int32(i)
+				s.posArena[s.hot[ref.fi].off+ref.slot] = int32(i)
 			}
 		}
 		if got, want := b.fill(t, b.members), a.fill(t, a.members); !slices.Equal(got, want) {
@@ -298,5 +310,202 @@ func TestBackgroundRefillCarryOver(t *testing.T) {
 	})
 	if grown < 200 {
 		t.Fatalf("only %d fixtures had background flows to adopt", grown)
+	}
+}
+
+// freezeRoundExhaustive is freezeRound as it was before the walk learned to
+// stop: every slot in satList is walked, and every walk reads the link's whole
+// flow list. The reference for TestFreezeRoundStopsAtLastMember.
+func freezeRoundExhaustive(s *Simulator, sc *fillScratch, links []topo.LinkID, level, cut float64) (frozen, parked int, incid int64) {
+	for _, li := range sc.satList {
+		cert := links[li]
+		for _, ref := range s.links[cert].flows {
+			h := &s.hot[ref.fi]
+			if h.rate >= 0 {
+				continue
+			}
+			h.rate, h.cert = level, cert
+			chg := math.Abs(level-h.prevRate) > rippleTol*(h.prevRate+1)
+			for _, l2 := range s.linkArena[h.off : h.off+h.nl] {
+				i := s.rIdx[l2]
+				sc.count[i]--
+				sc.avail[i] -= level
+				if sc.count[i] > 0 {
+					lv := sc.avail[i] / float64(sc.count[i])
+					if lv < sc.satLv[i] && sc.satLv[i] > cut {
+						sc.cand = sc.cand[:0]
+					}
+					sc.satLv[i] = lv
+				} else {
+					sc.satLv[i] = math.Inf(1)
+					parked++
+				}
+				s.vSum[i] += level
+				s.vMax[i] = level
+				s.vChg[i] = s.vChg[i] || chg
+			}
+			incid += int64(h.nl)
+			frozen++
+		}
+	}
+	return frozen, parked, incid
+}
+
+// roundState is every bit a fill round leaves behind: the slot tables, the
+// verification arrays, and the members' rates and certificates.
+func (fx *rippleFixture) roundState(sc *fillScratch, n int, flows []int32) []uint64 {
+	s := fx.s
+	var out []uint64
+	for i := 0; i < n; i++ {
+		out = append(out, uint64(sc.count[i]), math.Float64bits(sc.avail[i]), math.Float64bits(sc.satLv[i]),
+			math.Float64bits(s.vSum[i]), math.Float64bits(s.vMax[i]), boolBit(s.vChg[i]))
+	}
+	for _, fi := range flows {
+		out = append(out, math.Float64bits(s.hot[fi].rate), uint64(s.hot[fi].cert))
+	}
+	return out
+}
+
+// TestFreezeRoundStopsAtLastMember: the freeze walk leaves a saturating link's
+// list once the slot's unfrozen count reaches zero and skips a slot that is
+// already at zero. Driven round by round beside a walk that reads every list
+// to its end, it must select the same slots, freeze the same flows at the
+// same certificates, and leave the same counts, residuals, levels and
+// verification entries; the early exit only changes which entries are read.
+func TestFreezeRoundStopsAtLastMember(t *testing.T) {
+	skipped := 0
+	forEachRippleFixture(t, func(trial int, a, b *rippleFixture, _ *rand.Rand) {
+		flows := append(slices.Clone(a.members), a.extra...)
+		arm := func(fx *rippleFixture) (*fillScratch, []topo.LinkID, int) {
+			sc := fx.s.scratchFor(0)
+			sc.members, sc.prevSum, sc.cand = sc.members[:0], sc.prevSum[:0], sc.cand[:0]
+			links, unfrozen, _ := fx.s.setUpBackground(flows, 0, sc, nil)
+			return sc, links, unfrozen
+		}
+		sa, links, unfrozen := arm(a)
+		sb, _, _ := arm(b) // twins: same links list
+		level := 0.0
+		for round := 0; unfrozen > 0; round++ {
+			lo, cut, ok := sa.search(level)
+			lo2, cut2, ok2 := sb.search(level)
+			if !ok || !ok2 || lo != lo2 || cut != cut2 || !slices.Equal(sa.satList, sb.satList) {
+				t.Fatalf("trial %d round %d: searches disagree: level %v/%v cut %v/%v slots %v/%v", trial, round, lo, lo2, cut, cut2, sa.satList, sb.satList)
+			}
+			level = lo
+			f, p, w := a.s.freezeRound(sa, a.s.rIdx, links, level, cut, true)
+			f2, p2, w2 := freezeRoundExhaustive(b.s, sb, links, level, cut)
+			if f != f2 || p != p2 || w != w2 {
+				t.Fatalf("trial %d round %d: froze %d flows, parked %d slots, touched %d incidences; exhaustive walk %d, %d, %d", trial, round, f, p, w, f2, p2, w2)
+			}
+			if !slices.Equal(a.roundState(sa, len(links), flows), b.roundState(sb, len(links), flows)) {
+				t.Fatalf("trial %d round %d: early-exit walk and exhaustive walk left different state", trial, round)
+			}
+			// A selected slot that froze nobody — no member frozen at this
+			// level carries its link as certificate — was emptied by the
+			// slots walked before it: the skip ran.
+			for _, li := range sa.satList {
+				if !slices.ContainsFunc(flows, func(fi int32) bool {
+					h := &a.s.hot[fi]
+					return h.rate == level && h.cert == links[li]
+				}) {
+					skipped++
+				}
+			}
+			unfrozen -= f
+		}
+	})
+	if skipped < 100 {
+		t.Fatalf("only %d selected slots were emptied before their walk; the skip went unexercised", skipped)
+	}
+}
+
+// certifyInPathOrder is check (a)'s search for a member's bottleneck as it was
+// before the freeze link went first: the path's links in order, the first one
+// that qualifies becomes the certificate.
+func certifyInPathOrder(s *Simulator, h *flowHot, gen uint64, work *int64) bool {
+	rtol := h.rate + rippleTol*(h.rate+1)
+	for _, l := range s.linkArena[h.off : h.off+h.nl] {
+		if s.inScopeBottleneck(s.rIdx[l], l, rtol, gen, work) {
+			h.cert = l
+			return true
+		}
+	}
+	return false
+}
+
+// checkMembers fills the fixture's members and runs check (a) over them as
+// the ripple pass does, with the given bottleneck search. It returns which
+// members were certified, the flows the others adopted, the background maxima
+// the checks resolved (bgUnknown where none was needed) and the list entries
+// the checks walked.
+func (fx *rippleFixture) checkMembers(t *testing.T, certify func(*Simulator, *flowHot, uint64, *int64) bool) (certified []bool, adopted []int32, vBG []float64, walked int64) {
+	t.Helper()
+	s := fx.s
+	sc := s.scratchFor(0)
+	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
+	links, _, ok := s.fillBackground(fx.members, 0, sc, nil)
+	if !ok {
+		t.Fatal("fillBackground took the defensive break")
+	}
+	for i, l := range links {
+		c := s.links[l].cap
+		s.vSat[i] = s.vSum[i] >= c-rippleTol*(c+1)
+	}
+	flows := slices.Clone(fx.members)
+	for _, fi := range fx.members {
+		h := &s.hot[fi]
+		ok := certify(s, h, s.gen, &walked)
+		certified = append(certified, ok)
+		if !ok {
+			flows, _ = s.adoptBeaters(h, flows, s.gen, &walked)
+		}
+	}
+	return certified, flows[len(fx.members):], slices.Clone(s.vBG[:len(links)]), walked
+}
+
+// TestCheckMembersFreezeLinkFirst: check (a) tries the link the fill froze a
+// member at before the rest of its path. Which link ends up as the certificate
+// may differ from a search in path order; what the pass does next may not:
+// the same members are certified, the rest adopt the same flows in the same
+// order, and every background maximum both searches resolved is the same
+// value. Trying the freeze link first resolves fewer of them — that is the
+// point — so it walks fewer list entries over the suite.
+func TestCheckMembersFreezeLinkFirst(t *testing.T) {
+	var first, inOrder int64
+	failed, adoptions := 0, 0
+	forEachRippleFixture(t, func(trial int, a, b *rippleFixture, _ *rand.Rand) {
+		cert, adopted, vBG, w := a.checkMembers(t, (*Simulator).certifyMember)
+		cert2, adopted2, vBG2, w2 := b.checkMembers(t, certifyInPathOrder)
+		if !slices.Equal(cert, cert2) {
+			t.Fatalf("trial %d: freeze-link-first certified %v, path order %v", trial, cert, cert2)
+		}
+		if !slices.Equal(adopted, adopted2) {
+			t.Fatalf("trial %d: freeze-link-first adopted %v, path order %v", trial, adopted, adopted2)
+		}
+		for i := range vBG {
+			if vBG[i] != vBG2[i] && vBG[i] != bgUnknown && vBG2[i] != bgUnknown {
+				t.Fatalf("trial %d: slot %d background maximum %v, path order %v", trial, i, vBG[i], vBG2[i])
+			}
+		}
+		first, inOrder = first+w, inOrder+w2
+		if slices.Contains(cert, false) {
+			failed++
+		}
+		adoptions += len(adopted)
+	})
+	if failed < 50 || adoptions < 50 {
+		t.Fatalf("%d fixtures had an uncertified member, %d flows adopted: the adoption path went unexercised", failed, adoptions)
+	}
+	if first >= inOrder {
+		t.Fatalf("freeze-link-first walked %d list entries, path order %d: no walk saved", first, inOrder)
+	}
+	t.Logf("list entries walked by check (a): %d freeze-link-first, %d in path order", first, inOrder)
+}
+
+// TestFlowRecordIsOneCacheLine pins the point of the record layout: a pass
+// pays one line per flow it touches.
+func TestFlowRecordIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(flowHot{}); got != 64 {
+		t.Fatalf("flowHot is %d bytes, want 64", got)
 	}
 }

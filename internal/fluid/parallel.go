@@ -19,7 +19,7 @@ import (
 //  2. Each fill is a pure function of its component's flow order, link
 //     lists, and capacities; workers own private scratch, and member sets
 //     are disjoint, so no float operation's order depends on scheduling.
-//  3. Sealing (epoch bumps, finish-event pushes, linkRate refresh) runs
+//  3. Sealing (finish-event re-keys, link-rate refresh) runs
 //     serially afterwards, in the deterministic BFS component order.
 //
 // This is the same discipline as internal/sweep's splitmix64 shard merge:
@@ -36,20 +36,18 @@ type compSpan struct {
 // relation, consuming the link queue from position q0 (seed links already
 // appended and generation-marked). Each discovered flow is prepared
 // (drained + pre-pass rate snapshot) on first visit, so the fills can run
-// later — possibly on other goroutines — without touching shared columns.
+// later — possibly on other goroutines — without touching shared state.
 func (s *Simulator) bfsFrom(q0 int) {
 	for qi := q0; qi < len(s.compLinks); qi++ {
-		for _, ref := range s.linkFlows[s.compLinks[qi]] {
-			fi := ref.fi
-			if s.fVisit[fi] == s.gen {
+		for _, ref := range s.links[s.compLinks[qi]].flows {
+			h := &s.hot[ref.fi]
+			if h.visit == s.gen {
 				continue
 			}
-			s.fVisit[fi] = s.gen
-			s.prepare(fi)
-			s.compFlows = append(s.compFlows, fi)
-			off, n := s.fOff[fi], s.fNL[fi]
-			for j := int32(0); j < n; j++ {
-				l2 := s.linkArena[off+j]
+			h.visit = s.gen
+			s.prepare(h)
+			s.compFlows = append(s.compFlows, ref.fi)
+			for _, l2 := range s.linkArena[h.off : h.off+h.nl] {
 				if s.linkGen[l2] != s.gen {
 					s.linkGen[l2] = s.gen
 					s.compLinks = append(s.compLinks, l2)
@@ -78,7 +76,7 @@ func (s *Simulator) decomposeFromSeeds() {
 		if len(s.compFlows) == f0 {
 			// A dirty link with no flows left (the last flow on it
 			// completed or rerouted away): nothing shares it, nothing to
-			// fill, and linkRate was already zeroed by the eager detach.
+			// fill, and its rate was already zeroed by the eager detach.
 			s.compLinks = s.compLinks[:l0]
 			continue
 		}
@@ -99,20 +97,19 @@ func (s *Simulator) decomposeAll() {
 	s.compFlows = s.compFlows[:0]
 	s.compLinks = s.compLinks[:0]
 	for _, fi := range s.active {
-		if s.fVisit[fi] == s.gen {
+		h := &s.hot[fi]
+		if h.visit == s.gen {
 			continue
 		}
-		s.fVisit[fi] = s.gen
-		s.prepare(fi)
-		off, n := s.fOff[fi], s.fNL[fi]
-		if n == 0 {
-			s.fRate[fi] = 0 // stalled; rate was zeroed when the path emptied
+		h.visit = s.gen
+		s.prepare(h)
+		if h.nl == 0 {
+			h.rate = 0 // stalled; rate was zeroed when the path emptied
 			continue
 		}
 		f0, l0 := len(s.compFlows), len(s.compLinks)
 		s.compFlows = append(s.compFlows, fi)
-		for j := int32(0); j < n; j++ {
-			l := s.linkArena[off+j]
+		for _, l := range s.linkArena[h.off : h.off+h.nl] {
 			if s.linkGen[l] != s.gen {
 				s.linkGen[l] = s.gen
 				s.compLinks = append(s.compLinks, l)

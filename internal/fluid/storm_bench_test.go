@@ -1,8 +1,13 @@
 package fluid
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"sharebackup/internal/topo"
 )
@@ -31,9 +36,17 @@ type stormWave struct {
 	reroutes []stormAdd // id + replacement path; bytes/arrival unused
 }
 
-// buildStormWorkload generates the deterministic flow set and reroute waves
-// once per benchmark; the timed loop only replays them.
+// buildStormWorkload is the storm the microbenchmarks and tier-1 tests share:
+// three waves of 256 reroutes at t = 4, 6, 8.
 func buildStormWorkload(tb testing.TB, k, hostsPerEdge, flowsPerHost int) (*topo.FatTree, []stormAdd, []stormWave) {
+	tb.Helper()
+	return buildStormWaves(tb, k, hostsPerEdge, flowsPerHost, 3, 256, 4, 2)
+}
+
+// buildStormWaves generates the deterministic flow set and nWaves reroute
+// waves of batch reroutes each, at t = at0, at0+step, ..., once per benchmark;
+// the timed loop only replays them.
+func buildStormWaves(tb testing.TB, k, hostsPerEdge, flowsPerHost, nWaves, batch int, at0, step float64) (*topo.FatTree, []stormAdd, []stormWave) {
 	tb.Helper()
 	ft, err := topo.NewFatTree(topo.Config{K: k, HostsPerEdge: hostsPerEdge, HostCapacity: 40})
 	if err != nil {
@@ -83,16 +96,15 @@ func buildStormWorkload(tb testing.TB, k, hostsPerEdge, flowsPerHost int) (*topo
 			crossIDs = append(crossIDs, a.id)
 		}
 	}
-	// Three storm waves, each rerouting a batch of multi-path flows onto a
-	// different ECMP choice — the failure-recovery traffic pattern the
-	// paper's control plane generates.
-	waves := make([]stormWave, 3)
+	// Each storm wave reroutes a batch of multi-path flows onto a different
+	// ECMP choice — the failure-recovery traffic pattern the paper's control
+	// plane generates.
+	if batch > len(crossIDs) {
+		batch = len(crossIDs)
+	}
+	waves := make([]stormWave, nWaves)
 	for w := range waves {
-		waves[w].at = 4 + 2*float64(w)
-		batch := 256
-		if batch > len(crossIDs) {
-			batch = len(crossIDs)
-		}
+		waves[w].at = at0 + step*float64(w)
 		for b := 0; b < batch; b++ {
 			id := crossIDs[r.Intn(len(crossIDs))]
 			src := int(id) % n
@@ -116,22 +128,34 @@ func hostOfPath(ft *topo.FatTree, p topo.Path) int {
 	return ft.Node(last).Index
 }
 
-// replayStorm runs one engine over the workload — adds, reroute waves, drain —
-// and returns its counters and event count.
-func replayStorm(tb testing.TB, ft *topo.FatTree, adds []stormAdd, waves []stormWave, full bool) (st EngineStats, events int64) {
+// stormResult is what one replay of a storm yields.
+type stormResult struct {
+	stats  EngineStats
+	events int64         // flows added, reroutes applied and finish events consumed
+	waves  time.Duration // wall time of the waves: each SetPath batch plus the Run to one second past it
+	hash   uint64        // FNV-1a over every flow's finish time, bit for bit, in ID order
+}
+
+// replayStorm runs one engine over the workload — adds, reroute waves, drain.
+// setup, when non-nil, configures the simulator before the first flow is
+// added.
+func replayStorm(tb testing.TB, ft *topo.FatTree, adds []stormAdd, waves []stormWave, setup func(*Simulator)) stormResult {
 	tb.Helper()
 	sim := New(ft.Topology)
-	sim.ForceFullRecompute(full)
+	if setup != nil {
+		setup(sim)
+	}
 	for _, a := range adds {
 		if err := sim.AddFlow(a.id, a.bytes, a.arrival, a.path); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	events = int64(len(adds))
+	res := stormResult{events: int64(len(adds))}
 	for _, wv := range waves {
 		if err := sim.Run(wv.at); err != nil {
 			tb.Fatal(err)
 		}
+		t0 := time.Now()
 		for _, rr := range wv.reroutes {
 			if sim.Flow(rr.id).Done() {
 				continue
@@ -139,36 +163,74 @@ func replayStorm(tb testing.TB, ft *topo.FatTree, adds []stormAdd, waves []storm
 			if err := sim.SetPath(rr.id, rr.path); err != nil {
 				tb.Fatal(err)
 			}
-			events++
+			res.events++
 		}
+		if err := sim.Run(wv.at + 1); err != nil {
+			tb.Fatal(err)
+		}
+		res.waves += time.Since(t0)
 	}
 	if err := sim.RunToCompletion(); err != nil {
 		tb.Fatal(err)
 	}
-	st = sim.Stats()
-	return st, events + st.HeapPops
+	res.stats = sim.Stats()
+	res.events += res.stats.HeapPops
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, a := range adds {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(sim.Flow(a.id).Finish()))
+		h.Write(buf[:])
+	}
+	res.hash = h.Sum64()
+	return res
 }
 
-func runStormBench(b *testing.B, k, hostsPerEdge int, full bool) {
+func forceFull(s *Simulator) { s.ForceFullRecompute(true) }
+
+func runStormBench(b *testing.B, k, hostsPerEdge int, setup func(*Simulator)) {
 	ft, adds, waves := buildStormWorkload(b, k, hostsPerEdge, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var work, events int64
 	for i := 0; i < b.N; i++ {
-		st, e := replayStorm(b, ft, adds, waves, full)
-		work += st.RecomputeWork
-		events += e
+		res := replayStorm(b, ft, adds, waves, setup)
+		work += res.stats.RecomputeWork
+		events += res.events
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(work)/float64(b.N), "work/op")
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-func BenchmarkStormK16Incremental(b *testing.B) { runStormBench(b, 16, 4, false) }
-func BenchmarkStormK16Full(b *testing.B)        { runStormBench(b, 16, 4, true) }
-func BenchmarkStormK32Incremental(b *testing.B) { runStormBench(b, 32, 1, false) }
-func BenchmarkStormK32Full(b *testing.B)        { runStormBench(b, 32, 1, true) }
-func BenchmarkStormK48Incremental(b *testing.B) { runStormBench(b, 48, 1, false) }
+func BenchmarkStormK16Incremental(b *testing.B) { runStormBench(b, 16, 4, nil) }
+func BenchmarkStormK16Full(b *testing.B)        { runStormBench(b, 16, 4, forceFull) }
+func BenchmarkStormK32Incremental(b *testing.B) { runStormBench(b, 32, 1, nil) }
+func BenchmarkStormK32Full(b *testing.B)        { runStormBench(b, 32, 1, forceFull) }
+func BenchmarkStormK48Incremental(b *testing.B) { runStormBench(b, 48, 1, nil) }
+
+// BenchmarkStormWaves is the profile target for the ripple pass at the size
+// the end-to-end benchmark's sim-storm workload runs: k=32, 4 hosts per edge
+// switch, 20 flows per host (40960 flows), 8 waves of 512 reroutes one second
+// apart. ns/wave is one wave's SetPath batch plus the Run to one second past
+// it, sim-storm's operation.
+//
+//	go test -run '^$' -bench StormWaves -benchtime 3x -cpuprofile cpu.out ./internal/fluid
+func BenchmarkStormWaves(b *testing.B) {
+	const nWaves = 8
+	ft, adds, waves := buildStormWaves(b, 32, 4, 20, nWaves, 512, 2, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var inWaves time.Duration
+	var events int64
+	for i := 0; i < b.N; i++ {
+		res := replayStorm(b, ft, adds, waves, nil)
+		inWaves += res.waves
+		events += res.events
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(inWaves.Nanoseconds())/float64(b.N*nWaves), "ns/wave")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+}
 
 // TestStormWorkRatio pins what component scoping buys, in the deterministic
 // currency: on the k=16 storm (4 flows per host keeps the forced-full replay
@@ -182,8 +244,8 @@ func BenchmarkStormK48Incremental(b *testing.B) { runStormBench(b, 48, 1, false)
 // pass, a scoped pass the ripple settled, or one it handed to decomposition.
 func TestStormWorkRatio(t *testing.T) {
 	ft, adds, waves := buildStormWorkload(t, 16, 4, 4)
-	inc, _ := replayStorm(t, ft, adds, waves, false)
-	full, _ := replayStorm(t, ft, adds, waves, true)
+	inc := replayStorm(t, ft, adds, waves, nil).stats
+	full := replayStorm(t, ft, adds, waves, forceFull).stats
 	if ratio := float64(full.RecomputeWork) / float64(inc.RecomputeWork); ratio < 195 {
 		t.Fatalf("incremental recompute work %d is only %.1fx below the full replay's %d, want >= 195x", inc.RecomputeWork, ratio, full.RecomputeWork)
 	}
@@ -195,5 +257,35 @@ func TestStormWorkRatio(t *testing.T) {
 	}
 	if inc.RipplePasses == 0 || inc.RippleFallbacks == 0 || full.FullRecomputes == 0 {
 		t.Errorf("storm no longer exercises every pass kind: %+v / %+v", inc, full)
+	}
+}
+
+// TestStormFinishTimesGolden is the bit-identity oracle for the ripple-heavy
+// path: the k=16 storm (10240 flows, three waves of 256 reroutes) replayed at
+// one and at GOMAXPROCS workers must land every finish time on the same bits,
+// pinned as one FNV-1a hash. The engine counters are pinned beside it, so a
+// change to the pass structure — which flows a pass fills, how often it
+// expands or falls back — shows up as a count, and only a change to the
+// arithmetic or its order shows up as a hash mismatch. The constants were
+// recorded on the column layout (commit 5808edc) before the record layout
+// replaced it; the one that has moved since is recomputeWork, 17958249 there:
+// check (a) trying the freeze link first walks fewer background lists
+// (lazyBG books each walk as work), and with check (a) back in path order
+// the count is 17958249 again.
+func TestStormFinishTimesGolden(t *testing.T) {
+	const wantHash = 0xb90df669311cf06e
+	type counts struct{ recomputes, ripplePasses, rippleExpansions, rippleFallbacks, recomputeWork, fillRounds int64 }
+	want := counts{20482, 20470, 9754, 12, 17621026, 258803}
+	ft, adds, waves := buildStormWorkload(t, 16, 4, 20)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		res := replayStorm(t, ft, adds, waves, func(s *Simulator) { s.SetWorkers(workers) })
+		if res.hash != wantHash {
+			t.Errorf("workers=%d: finish-time hash %#x, want %#x", workers, res.hash, uint64(wantHash))
+		}
+		st := res.stats
+		got := counts{st.Recomputes, st.RipplePasses, st.RippleExpansions, st.RippleFallbacks, st.RecomputeWork, st.FillRounds}
+		if got != want {
+			t.Errorf("workers=%d: engine counters %+v, want %+v", workers, got, want)
+		}
 	}
 }
