@@ -50,6 +50,10 @@ soak-failover:
 # BenchmarkStormWaves (sim-storm's storm: k=32, 40960 flows, 8 waves x 512
 # reroutes; ns/wave) is the ripple pass's:
 # go test -run '^$$' -bench StormWaves -benchtime 3x -cpuprofile cpu.out ./internal/fluid
+# BenchmarkPathStoreStormSchedule (sim-storm's set-up: the k=32 fabric plus its
+# 40 960 first lookups; bytes and allocs per build) and BenchmarkPathStoreWarm
+# (Paths and Select over 4 096 interned pod-local pairs) are the path store's:
+# go test -run '^$$' -bench 'PathStore' -benchmem ./internal/topo
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 

@@ -34,8 +34,7 @@ func (e *ECMP) hash64(flowID uint64) uint64 {
 // allocation-free table lookup returning an immutable shared path (clone
 // before mutating).
 func (e *ECMP) PathFor(src, dst int, flowID uint64) (topo.Path, error) {
-	p, _, err := e.FT.PathStore().Select(src, dst, e.hash64(flowID))
-	return p, err
+	return e.FT.PathStore().Select(src, dst, e.hash64(flowID))
 }
 
 // LinkLoad counts flows assigned per link; the rerouting strategies use it

@@ -70,6 +70,7 @@ type FatTree struct {
 	core     []NodeID   // [j] -> C_j
 	hosts    []NodeID   // [j] -> H_j
 	hostEdge []NodeID   // host global index -> its edge switch
+	hostLink []LinkID   // host global index -> its access link
 
 	store atomic.Pointer[PathStore] // lazily created shared path store
 }
@@ -129,16 +130,21 @@ func NewFatTree(cfg Config) (*FatTree, error) {
 	}
 
 	// Hosts.
-	ft.hosts = make([]NodeID, 0, k*half*cfg.HostsPerEdge)
+	n := k * half * cfg.HostsPerEdge
+	ft.hosts = make([]NodeID, 0, n)
+	ft.hostEdge = make([]NodeID, 0, n)
+	ft.hostLink = make([]LinkID, 0, n)
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			for h := 0; h < cfg.HostsPerEdge; h++ {
 				id := ft.AddNode(KindHost, pod, len(ft.hosts))
 				ft.hosts = append(ft.hosts, id)
 				ft.hostEdge = append(ft.hostEdge, ft.edge[pod][e])
-				if _, err := ft.AddLink(id, ft.edge[pod][e], cfg.HostCapacity); err != nil {
+				l, err := ft.AddLink(id, ft.edge[pod][e], cfg.HostCapacity)
+				if err != nil {
 					return nil, err
 				}
+				ft.hostLink = append(ft.hostLink, l)
 			}
 		}
 	}

@@ -6,18 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// PathID identifies one interned ECMP path within a PathStore. The encoding
-// is (ordered host-pair index << pathRankBits) | rank, where rank is the
-// path's position in the pair's ECMP enumeration order — so IDs are a pure
-// function of the topology and the lookup arguments, independent of the
-// order in which pairs were first requested (or which goroutine built them).
-type PathID uint64
-
-// pathRankBits is the low-bit budget for the per-pair path rank. A k-ary
-// fat-tree has at most (k/2)^2 equal-cost paths per pair, so 16 bits cover
-// every k up to 512.
-const pathRankBits = 16
-
 // PathStore interns the ECMP path sets of a fat-tree: each ordered host
 // pair's equal-cost paths are enumerated once, stored in shared backing
 // slabs, and handed out as immutable views. Lookups after the first are
@@ -46,9 +34,12 @@ type PathStore struct {
 	ft       *FatTree
 	numHosts int
 
-	// pairs[src*numHosts+dst] holds what the pair has interned so far.
-	// Reads are lock-free atomic loads; builds double-check under mu.
-	pairs []atomic.Pointer[pairEntry]
+	// The pair table is allocated as it is touched: rows[src] is the source
+	// host's row, a row holds one pointer per chunk of chunkSize consecutive
+	// destination hosts, and a chunk one slot per destination. Rows, chunks
+	// and entries are published by atomic stores under mu and never
+	// unpublished, so reads are lock-free atomic loads.
+	rows []atomic.Pointer[pairRow]
 
 	mu      sync.Mutex
 	classes map[classKey]*classEntry
@@ -57,6 +48,15 @@ type PathStore struct {
 	internedPaths atomic.Int64
 	singlePaths   atomic.Int64
 }
+
+// chunkSize is the number of consecutive destination hosts whose slots share
+// one allocation.
+const chunkSize = 64
+
+type (
+	pairRow   []atomic.Pointer[pairChunk]
+	pairChunk [chunkSize]atomic.Pointer[pairEntry]
+)
 
 // classKey identifies an edge-pair equivalence class.
 type classKey struct{ es, ed NodeID }
@@ -74,14 +74,34 @@ type classEntry struct {
 }
 
 // pairEntry is what one ordered host pair has interned: the full path set
-// once Paths, IDs or Path asked for it, and before that the paths Select
-// built one at a time, by rank. An entry has at least one of the two; a full
-// build replaces the entry (keeping single) rather than filling it in, so a
-// loaded entry is immutable apart from the atomic slots of single.
+// once Paths asked for it, and before that the paths Select built one at a
+// time, sorted by rank. A published entry is immutable; interning more of
+// the pair replaces it.
 type pairEntry struct {
 	paths  []Path
-	ids    []PathID
-	single []atomic.Pointer[Path]
+	count  int // equal-cost paths of the pair; len(paths) once they exist
+	single []rankedPath
+}
+
+type rankedPath struct {
+	rank int
+	path Path
+}
+
+// searchRank returns the position of rank in the rank-sorted list, or where
+// it would go. It is on Select's warm path, where slices.BinarySearchFunc's
+// comparison callback doubled the lookup's time.
+func searchRank(list []rankedPath, rank int) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid].rank < rank {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // NewPathStore returns an empty store over ft. Paths are built lazily on
@@ -91,7 +111,7 @@ func NewPathStore(ft *FatTree) *PathStore {
 	return &PathStore{
 		ft:       ft,
 		numHosts: n,
-		pairs:    make([]atomic.Pointer[pairEntry], n*n),
+		rows:     make([]atomic.Pointer[pairRow], n),
 		classes:  make(map[classKey]*classEntry),
 	}
 }
@@ -108,108 +128,104 @@ func (ps *PathStore) checkHostPair(srcHost, dstHost int) error {
 	return nil
 }
 
+// load returns the pair's entry, or nil if nothing of it is interned.
+func (ps *PathStore) load(srcHost, dstHost int) *pairEntry {
+	row := ps.rows[srcHost].Load()
+	if row == nil {
+		return nil
+	}
+	chunk := (*row)[dstHost/chunkSize].Load()
+	if chunk == nil {
+		return nil
+	}
+	return chunk[dstHost%chunkSize].Load()
+}
+
+// slot returns the pair's table slot, allocating its row and its chunk on
+// their first touch. Callers hold ps.mu.
+func (ps *PathStore) slot(srcHost, dstHost int) *atomic.Pointer[pairEntry] {
+	row := ps.rows[srcHost].Load()
+	if row == nil {
+		r := make(pairRow, (ps.numHosts+chunkSize-1)/chunkSize)
+		row = &r
+		ps.rows[srcHost].Store(row)
+	}
+	c := &(*row)[dstHost/chunkSize]
+	chunk := c.Load()
+	if chunk == nil {
+		chunk = new(pairChunk)
+		c.Store(chunk)
+	}
+	return &chunk[dstHost%chunkSize]
+}
+
 // Paths returns the interned ECMP path set for the ordered host pair,
 // bit-identical to FatTree.ECMPPaths. The slice and the paths it holds are
 // shared and immutable. After the pair's first lookup the call is
 // allocation-free.
 func (ps *PathStore) Paths(srcHost, dstHost int) ([]Path, error) {
-	e, err := ps.entry(srcHost, dstHost)
-	if err != nil {
+	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
 		return nil, err
 	}
-	return e.paths, nil
+	if e := ps.load(srcHost, dstHost); e != nil && e.paths != nil {
+		return e.paths, nil
+	}
+	return ps.build(srcHost, dstHost)
 }
 
-// IDs returns the pair's path identifiers, parallel to Paths.
-func (ps *PathStore) IDs(srcHost, dstHost int) ([]PathID, error) {
-	e, err := ps.entry(srcHost, dstHost)
-	if err != nil {
-		return nil, err
-	}
-	return e.ids, nil
-}
-
-// Path resolves an interned path by ID (building its pair if needed).
-func (ps *PathStore) Path(id PathID) (Path, error) {
-	idx := int(id >> pathRankBits)
-	rank := int(id & (1<<pathRankBits - 1))
-	if idx < 0 || idx >= len(ps.pairs) {
-		return Path{}, fmt.Errorf("topo: PathID %#x: pair index out of range", uint64(id))
-	}
-	e, err := ps.entry(idx/ps.numHosts, idx%ps.numHosts)
-	if err != nil {
+// Select returns Paths(srcHost, dstHost)[hash % len(Paths(srcHost, dstHost))],
+// bit-identical to the fully built set's entry, without building the set: on
+// a pair's first lookup at a rank only that path is resolved — rank ->
+// (aggregation, core) straight from the wiring accessors class enumerates
+// with — and interned. Later lookups at the rank, and every lookup once the
+// pair's full set exists, are lock-free and allocation-free.
+func (ps *PathStore) Select(srcHost, dstHost int, hash uint64) (Path, error) {
+	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
 		return Path{}, err
 	}
-	if rank >= len(e.paths) {
-		return Path{}, fmt.Errorf("topo: PathID %#x: rank %d out of range (%d paths)", uint64(id), rank, len(e.paths))
-	}
-	return e.paths[rank], nil
-}
-
-// Select returns Paths(srcHost, dstHost)[hash % len(Paths(srcHost, dstHost))]
-// and its PathID, bit-identical to the fully built set's entry, without
-// building the set: on a pair's first lookup at a rank only that path is
-// resolved — rank -> (aggregation, core) straight from the wiring accessors
-// class enumerates with — and interned. Later lookups at the rank, and every
-// lookup once the pair's full set exists, are lock-free and allocation-free.
-func (ps *PathStore) Select(srcHost, dstHost int, hash uint64) (Path, PathID, error) {
-	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
-		return Path{}, 0, err
-	}
-	idx := srcHost*ps.numHosts + dstHost
-	e := ps.pairs[idx].Load()
-	if e == nil {
-		e = ps.touch(idx, srcHost, dstHost)
-	}
-	if e.paths != nil {
-		rank := hash % uint64(len(e.paths))
-		return e.paths[rank], e.ids[rank], nil
-	}
-	rank := int(hash % uint64(len(e.single)))
-	p := e.single[rank].Load()
-	if p == nil {
-		var err error
-		if p, err = ps.buildOne(e, srcHost, dstHost, rank); err != nil {
-			return Path{}, 0, err
+	if e := ps.load(srcHost, dstHost); e != nil {
+		rank := int(hash % uint64(e.count))
+		if e.paths != nil {
+			return e.paths[rank], nil
+		}
+		if i := searchRank(e.single, rank); i < len(e.single) && e.single[i].rank == rank {
+			return e.single[i].path, nil
 		}
 	}
-	return *p, PathID(uint64(idx)<<pathRankBits | uint64(rank)), nil
+	return ps.buildOne(srcHost, dstHost, hash)
 }
 
-// touch gives a pair with nothing interned an entry with one empty slot per
-// equal-cost path: one for a shared edge switch, k/2 inside a pod, (k/2)^2
-// across pods.
-func (ps *PathStore) touch(idx, srcHost, dstHost int) *pairEntry {
+// buildOne resolves and interns the one path of the pair that hash selects,
+// by its rank in ECMPPaths order: one path for a shared edge switch, k/2
+// inside a pod, (k/2)^2 across pods. The pair's entry is replaced by one
+// whose rank-sorted list holds the new path too.
+func (ps *PathStore) buildOne(srcHost, dstHost int, hash uint64) (Path, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if e := ps.pairs[idx].Load(); e != nil {
-		return e
-	}
-	ft := ps.ft
-	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
-	m := ft.Cfg.K / 2
-	switch {
-	case es == ed:
-		m = 1
-	case ft.Node(es).Pod != ft.Node(ed).Pod:
-		m *= m
-	}
-	e := &pairEntry{single: make([]atomic.Pointer[Path], m)}
-	ps.pairs[idx].Store(e)
-	return e
-}
-
-// buildOne resolves and interns the pair's rank-th path in ECMPPaths order.
-func (ps *PathStore) buildOne(e *pairEntry, srcHost, dstHost, rank int) (*Path, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if p := e.single[rank].Load(); p != nil {
-		return p, nil
-	}
 	ft := ps.ft
 	half := ft.Cfg.K / 2
 	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
 	sp, dp := ft.Node(es).Pod, ft.Node(ed).Pod
+	count := half
+	switch {
+	case es == ed:
+		count = 1
+	case sp != dp:
+		count = half * half
+	}
+	rank := int(hash % uint64(count))
+	slot := ps.slot(srcHost, dstHost)
+	var single []rankedPath
+	if old := slot.Load(); old != nil {
+		if old.paths != nil {
+			return old.paths[rank], nil
+		}
+		single = old.single
+	}
+	at := searchRank(single, rank)
+	if at < len(single) && single[at].rank == rank {
+		return single[at].path, nil
+	}
 	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
 	var nodes []NodeID
 	switch {
@@ -221,63 +237,50 @@ func (ps *PathStore) buildOne(e *pairEntry, srcHost, dstHost, rank int) (*Path, 
 		ci := ft.coreIndexOfAgg(sp, rank/half, rank%half)
 		nodes = []NodeID{s, es, ft.agg[sp][rank/half], ft.core[ci], ft.AggOfCoreInPod(ci, dp), ed, d}
 	}
-	p, err := buildPath(ft.Topology, nodes...)
-	if err != nil {
-		return nil, err
+	links := make([]LinkID, len(nodes)-1)
+	links[0], links[len(links)-1] = ft.hostLink[srcHost], ft.hostLink[dstHost]
+	for i := 1; i < len(links)-1; i++ {
+		if links[i] = ft.LinkBetween(nodes[i], nodes[i+1]); links[i] == NoLink {
+			return Path{}, fmt.Errorf("topo: no link between %s and %s", ft.Node(nodes[i]).Name(), ft.Node(nodes[i+1]).Name())
+		}
 	}
+	p := Path{Nodes: nodes, Links: links}
+	grown := make([]rankedPath, len(single)+1)
+	copy(grown, single[:at])
+	grown[at] = rankedPath{rank, p}
+	copy(grown[at+1:], single[at:])
 	ps.singlePaths.Add(1)
-	e.single[rank].Store(&p)
-	return &p, nil
-}
-
-// entry returns the pair's entry with the full path set built.
-func (ps *PathStore) entry(srcHost, dstHost int) (*pairEntry, error) {
-	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
-		return nil, err
-	}
-	idx := srcHost*ps.numHosts + dstHost
-	if e := ps.pairs[idx].Load(); e != nil && e.paths != nil {
-		return e, nil
-	}
-	return ps.build(idx, srcHost, dstHost)
+	slot.Store(&pairEntry{count: count, single: grown})
+	return p, nil
 }
 
 // build materializes one pair's path set under the store lock: resolve the
 // pair's class interior (enumerating it on the class's first appearance),
-// then stamp the pair's endpoints and access links into fresh slabs.
-func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
+// then stamp the pair's endpoints and access links into fresh slabs. The new
+// entry drops what Select interned: it serves from the full set from now on.
+func (ps *PathStore) build(srcHost, dstHost int) ([]Path, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	old := ps.pairs[idx].Load()
-	if old != nil && old.paths != nil {
-		return old, nil
+	slot := ps.slot(srcHost, dstHost)
+	if old := slot.Load(); old != nil && old.paths != nil {
+		return old.paths, nil
 	}
 	ft := ps.ft
-	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
-	cls, err := ps.class(es, ed)
+	cls, err := ps.class(ft.hostEdge[srcHost], ft.hostEdge[dstHost])
 	if err != nil {
 		return nil, err
 	}
 	m := cls.paths
-	if m == 0 || m >= 1<<pathRankBits {
-		return nil, fmt.Errorf("topo: PathStore: %d paths for pair (%d, %d) outside the PathID rank range", m, srcHost, dstHost)
-	}
 	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
-	sl, dl := ft.LinkBetween(s, es), ft.LinkBetween(d, ed)
-	if sl == NoLink || dl == NoLink {
-		return nil, fmt.Errorf("topo: PathStore: host (%d, %d) missing access link", srcHost, dstHost)
-	}
+	sl, dl := ft.hostLink[srcHost], ft.hostLink[dstHost]
 	// One slab per pair; each path gets a full-capacity subslice so an
 	// (erroneous) append on a returned path cannot clobber its neighbor.
 	cn, cl := cls.nn, cls.nn-1
 	nn, nl := cn+2, cl+2
 	nodesSlab := make([]NodeID, m*nn)
 	linksSlab := make([]LinkID, m*nl)
-	e := &pairEntry{paths: make([]Path, m), ids: make([]PathID, m)}
-	if old != nil {
-		e.single = old.single
-	}
-	for i := 0; i < m; i++ {
+	paths := make([]Path, m)
+	for i := range paths {
 		nv := nodesSlab[i*nn : (i+1)*nn : (i+1)*nn]
 		lv := linksSlab[i*nl : (i+1)*nl : (i+1)*nl]
 		nv[0] = s
@@ -286,13 +289,12 @@ func (ps *PathStore) build(idx, srcHost, dstHost int) (*pairEntry, error) {
 		lv[0] = sl
 		copy(lv[1:], cls.links[i*cl:(i+1)*cl])
 		lv[nl-1] = dl
-		e.paths[i] = Path{Nodes: nv, Links: lv}
-		e.ids[i] = PathID(uint64(idx)<<pathRankBits | uint64(i))
+		paths[i] = Path{Nodes: nv, Links: lv}
 	}
 	ps.builtPairs.Add(1)
 	ps.internedPaths.Add(int64(m))
-	ps.pairs[idx].Store(e)
-	return e, nil
+	slot.Store(&pairEntry{paths: paths, count: m})
+	return paths, nil
 }
 
 // class resolves the (es, ed) interior, enumerating it on first use

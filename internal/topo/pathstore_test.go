@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -26,37 +27,45 @@ func pathsEqual(a, b Path) bool {
 // TestPathStoreDifferential is the exactness contract: for every wiring and a
 // randomized sample of host pairs, the interned paths must be bit-identical —
 // same order, same node and link sequences — to a fresh ECMPPaths enumeration.
+// Host counts that are not a multiple of chunkSize (54 at k=6, 96 with three
+// hosts per edge at k=8) put a partial chunk at the end of every row; those
+// and k=4 check every pair, the larger fabrics a sample plus every pair that
+// straddles a chunk boundary or ends in a row's last slot.
 func TestPathStoreDifferential(t *testing.T) {
 	for _, tc := range []struct {
-		k  int
-		ab bool
+		k, per int
+		ab     bool
 	}{
-		{4, false}, {4, true}, {8, false}, {8, true}, {16, false}, {16, true},
+		{4, 0, false}, {4, 0, true}, {6, 0, false}, {6, 0, true}, {8, 3, false}, {8, 3, true},
+		{8, 0, false}, {8, 0, true}, {16, 0, false}, {16, 0, true},
 	} {
-		ft, err := NewFatTree(Config{K: tc.k, AB: tc.ab})
+		ft, err := NewFatTree(Config{K: tc.k, HostsPerEdge: tc.per, AB: tc.ab})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps := ft.PathStore()
 		n := ft.NumHosts()
-		r := rand.New(rand.NewSource(int64(tc.k) + 100))
-		// All pairs at k=4; a random sample at larger k.
-		trials := n * (n - 1)
-		if tc.k > 4 {
-			trials = 500
+		var pairs [][2]int
+		if n <= 100 {
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					pairs = append(pairs, [2]int{src, dst})
+				}
+			}
+		} else {
+			r := rand.New(rand.NewSource(int64(tc.k) + 100))
+			for i := 0; i < 500; i++ {
+				pairs = append(pairs, [2]int{r.Intn(n), r.Intn(n)})
+			}
+			for b := chunkSize; b < n; b += chunkSize {
+				pairs = append(pairs, [2]int{b - 1, b}, [2]int{b, b - 1}, [2]int{b - 1, b + 1}, [2]int{r.Intn(n), b}, [2]int{r.Intn(n), b - 1})
+			}
+			pairs = append(pairs, [2]int{0, n - 1}, [2]int{n - 1, 0}, [2]int{n - 2, n - 1}, [2]int{n - 1, n - 2})
 		}
-		for trial := 0; trial < trials; trial++ {
-			var src, dst int
-			if tc.k == 4 {
-				src, dst = trial/(n-1), trial%(n-1)
-				if dst >= src {
-					dst++
-				}
-			} else {
-				src, dst = r.Intn(n), r.Intn(n)
-				if src == dst {
-					continue
-				}
+		for _, p := range pairs {
+			src, dst := p[0], p[1]
+			if src == dst {
+				continue
 			}
 			fresh, err := ft.ECMPPaths(src, dst)
 			if err != nil {
@@ -67,72 +76,16 @@ func TestPathStoreDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(fresh) != len(cached) {
-				t.Fatalf("k=%d ab=%v pair (%d,%d): %d cached paths, want %d",
-					tc.k, tc.ab, src, dst, len(cached), len(fresh))
+				t.Fatalf("k=%d per=%d ab=%v pair (%d,%d): %d cached paths, want %d",
+					tc.k, tc.per, tc.ab, src, dst, len(cached), len(fresh))
 			}
 			for i := range fresh {
 				if !pathsEqual(fresh[i], cached[i]) {
-					t.Fatalf("k=%d ab=%v pair (%d,%d) path %d differs:\ncached %v\nfresh  %v",
-						tc.k, tc.ab, src, dst, i, cached[i], fresh[i])
+					t.Fatalf("k=%d per=%d ab=%v pair (%d,%d) path %d differs:\ncached %v\nfresh  %v",
+						tc.k, tc.per, tc.ab, src, dst, i, cached[i], fresh[i])
 				}
 			}
 		}
-	}
-}
-
-// TestPathStoreIDs checks that PathIDs round-trip through Path and are a pure
-// function of the pair, independent of build order.
-func TestPathStoreIDs(t *testing.T) {
-	ft, err := NewFatTree(Config{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := NewPathStore(ft)
-	ids, err := ps.IDs(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := ps.Paths(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(paths) {
-		t.Fatalf("%d ids, %d paths", len(ids), len(paths))
-	}
-	for i, id := range ids {
-		p, err := ps.Path(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pathsEqual(p, paths[i]) {
-			t.Fatalf("id %#x resolves to the wrong path", uint64(id))
-		}
-	}
-	// A second store queried in a different order yields identical IDs.
-	ps2 := NewPathStore(ft)
-	if _, err := ps2.Paths(3, 7); err != nil {
-		t.Fatal(err)
-	}
-	ids2, err := ps2.IDs(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if ids[i] != ids2[i] {
-			t.Fatalf("PathID depends on build order: %#x vs %#x", uint64(ids[i]), uint64(ids2[i]))
-		}
-	}
-	// Path on an unbuilt pair builds it.
-	ps3 := NewPathStore(ft)
-	if _, err := ps3.Path(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-range IDs fail cleanly.
-	if _, err := ps3.Path(PathID(1) << 60); err == nil {
-		t.Fatal("expected error for out-of-range pair index")
-	}
-	if _, err := ps3.Path(ids[0] | 0xffff); err == nil {
-		t.Fatal("expected error for out-of-range rank")
 	}
 }
 
@@ -172,7 +125,7 @@ func TestPathStoreStats(t *testing.T) {
 	// Select interns one path and no pair; a repeat at the same rank adds
 	// nothing, another rank adds one more.
 	for _, h := range []uint64{1, 5, 2} { // 4 paths: ranks 1, 1, 2
-		if _, _, err := ps.Select(0, 15, h); err != nil {
+		if _, err := ps.Select(0, 15, h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,15 +193,52 @@ func TestInternedPathInvariants(t *testing.T) {
 // goroutines hammer overlapping pairs while the store builds lazily. Run
 // under -race this is the data-race proof required by the interning contract.
 func TestPathStoreConcurrent(t *testing.T) {
-	ft, err := NewFatTree(Config{K: 8})
+	ft, err := NewFatTree(Config{K: 8}) // 128 hosts: two chunks per row
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := ft.PathStore()
 	n := ft.NumHosts()
 	const workers = 8
+	lookup := func(src, dst int) bool {
+		paths, err := ps.Paths(src, dst)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		// Read through the shared storage.
+		for _, p := range paths {
+			if p.Nodes[0] != ft.Host(src) || p.Nodes[len(p.Nodes)-1] != ft.Host(dst) {
+				t.Errorf("pair (%d,%d): wrong endpoints", src, dst)
+				return false
+			}
+		}
+		return true
+	}
+	// First touches: released together, the workers walk the sources in one
+	// order, each asking for its own destination in the chunk src is not in,
+	// so every row's and chunk's first allocation is contended. A first touch
+	// that dropped another's row or chunk would lose the pairs in it and
+	// build them again: Pairs would end above the number of distinct pairs.
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for src := 0; src < n; src++ {
+				if !lookup(src, (src/chunkSize+1)*chunkSize%n+w) {
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if st := ps.Stats(); st.Pairs != n*workers {
+		t.Fatalf("racing first touches built %d pairs, want %d", st.Pairs, n*workers)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -256,29 +246,13 @@ func TestPathStoreConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 2000; i++ {
 				src, dst := r.Intn(n), r.Intn(n)
-				if src == dst {
-					continue
-				}
-				paths, err := ps.Paths(src, dst)
-				if err != nil {
-					errs <- err
+				if src != dst && !lookup(src, dst) {
 					return
-				}
-				// Read through the shared storage.
-				for _, p := range paths {
-					if p.Nodes[0] != ft.Host(src) || p.Nodes[len(p.Nodes)-1] != ft.Host(dst) {
-						t.Errorf("pair (%d,%d): wrong endpoints", src, dst)
-						return
-					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
 // TestClassEnumerationMatchesECMPInterior checks the direct class
@@ -340,17 +314,20 @@ func TestClassEnumerationMatchesECMPInterior(t *testing.T) {
 
 // TestSelectMatchesFullSet is Select's exactness contract: for every rank,
 // the path it builds alone — rank -> (aggregation, core) from the wiring
-// rules — is Paths(src, dst)[rank], node for node and link for link, with the
-// same PathID, whether the full set is built after the single paths or
-// before them. Every kind of pair is covered per wiring, as in
-// TestClassEnumerationMatchesECMPInterior.
+// rules — is Paths(src, dst)[rank], node for node and link for link, whether
+// the full set is built after the single paths or before them. Every kind of
+// pair is covered per wiring, as in TestClassEnumerationMatchesECMPInterior,
+// plus pairs on either side of a chunk boundary and in a row's last, partial
+// chunk (54 hosts at k=6, 96 at k=8 with three hosts per edge).
 func TestSelectMatchesFullSet(t *testing.T) {
-	for _, k := range []int{4, 8, 16} {
+	for _, tc := range []struct{ k, per int }{{4, 0}, {6, 0}, {8, 3}, {8, 0}, {16, 0}} {
 		for _, ab := range []bool{false, true} {
-			ft, err := NewFatTree(Config{K: k, AB: ab})
+			k := tc.k
+			ft, err := NewFatTree(Config{K: k, HostsPerEdge: tc.per, AB: ab})
 			if err != nil {
 				t.Fatal(err)
 			}
+			n := ft.NumHosts()
 			first := func(pod, e int) int { return ft.HostsOfEdge(pod, e)[0] }
 			pairs := [][2]int{
 				{first(0, 0), first(0, 0) + 1}, // same edge
@@ -360,6 +337,10 @@ func TestSelectMatchesFullSet(t *testing.T) {
 				{first(0, 1), first(1, 0)},     // A-B
 				{first(3, 0), first(2, 0)},     // B-A
 				{first(1, 1), first(3, 1)},     // B-B
+				{0, n - 1}, {n - 1, n - 2},     // a row's last slots
+			}
+			if n > chunkSize {
+				pairs = append(pairs, [2]int{chunkSize - 1, chunkSize}, [2]int{chunkSize, chunkSize - 1})
 			}
 			for _, fullFirst := range []bool{false, true} {
 				ps := NewPathStore(ft)
@@ -377,13 +358,24 @@ func TestSelectMatchesFullSet(t *testing.T) {
 					} else {
 						singles += len(fresh)
 					}
-					// Hashes past the path count wrap; the high ones also
-					// prove the rank is taken mod the count, not truncated.
-					got := make([]Path, len(fresh))
-					gotID := make([]PathID, len(fresh))
-					for h := uint64(0); h < uint64(2*len(fresh)); h++ {
-						rank := h % uint64(len(fresh))
-						got[rank], gotID[rank], err = ps.Select(src, dst, h+uint64(len(fresh))<<40)
+					// Ranks are interned out of order (odd ranks descending,
+					// then even ones ascending) so the rank-sorted list sees
+					// inserts at its head, tail and middle. Hashes past the
+					// path count wrap; the high ones also prove the rank is
+					// taken mod the count, not truncated.
+					m := len(fresh)
+					order := make([]int, 0, 2*m)
+					for r := m - 1; r >= 0; r-- {
+						if r%2 == 1 {
+							order = append(order, r)
+						}
+					}
+					for r := 0; r < 2*m; r += 2 {
+						order = append(order, r)
+					}
+					got := make([]Path, m)
+					for _, h := range order {
+						got[h%m], err = ps.Select(src, dst, uint64(h)+uint64(m)<<40)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -392,24 +384,20 @@ func TestSelectMatchesFullSet(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ids, err := ps.IDs(src, dst)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for rank := range fresh {
-						if !pathsEqual(got[rank], paths[rank]) || !pathsEqual(got[rank], fresh[rank]) || gotID[rank] != ids[rank] {
-							t.Fatalf("k=%d ab=%v fullFirst=%v pair (%d,%d) rank %d: Select = %v id %#x, Paths = %v id %#x, ECMPPaths = %v",
-								k, ab, fullFirst, src, dst, rank, got[rank], uint64(gotID[rank]), paths[rank], uint64(ids[rank]), fresh[rank])
+						if !pathsEqual(got[rank], paths[rank]) || !pathsEqual(got[rank], fresh[rank]) {
+							t.Fatalf("k=%d per=%d ab=%v fullFirst=%v pair (%d,%d) rank %d: Select = %v, Paths = %v, ECMPPaths = %v",
+								k, tc.per, ab, fullFirst, src, dst, rank, got[rank], paths[rank], fresh[rank])
 						}
 						// Once the set exists Select serves from it.
-						again, _, err := ps.Select(src, dst, uint64(rank))
+						again, err := ps.Select(src, dst, uint64(rank))
 						if err != nil || &again.Nodes[0] != &paths[rank].Nodes[0] {
 							t.Fatalf("k=%d ab=%v pair (%d,%d) rank %d: Select after Paths does not serve the interned set (err %v)", k, ab, src, dst, rank, err)
 						}
 					}
 				}
 				if st := ps.Stats(); st.Singles != singles || st.Pairs != len(pairs) {
-					t.Fatalf("k=%d ab=%v fullFirst=%v: stats %+v, want %d singles and %d pairs", k, ab, fullFirst, st, singles, len(pairs))
+					t.Fatalf("k=%d per=%d ab=%v fullFirst=%v: stats %+v, want %d singles and %d pairs", k, tc.per, ab, fullFirst, st, singles, len(pairs))
 				}
 			}
 		}
@@ -425,7 +413,7 @@ func TestSelectErrors(t *testing.T) {
 	ps := ft.PathStore()
 	for _, pair := range [][2]int{{0, 0}, {-1, 3}, {3, ft.NumHosts()}} {
 		_, wantErr := ps.Paths(pair[0], pair[1])
-		_, _, gotErr := ps.Select(pair[0], pair[1], 7)
+		_, gotErr := ps.Select(pair[0], pair[1], 7)
 		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("pair %v: Select error %v, Paths error %v", pair, gotErr, wantErr)
 		}
@@ -438,14 +426,62 @@ func TestSelectErrors(t *testing.T) {
 // enumeration. Under -race this is the proof that the two ways of interning
 // a pair can share it.
 func TestSelectConcurrentWithPaths(t *testing.T) {
-	ft, err := NewFatTree(Config{K: 8})
+	ft, err := NewFatTree(Config{K: 8}) // 128 hosts: two chunks per row
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := NewPathStore(ft)
 	n := ft.NumHosts()
 	const workers = 8
+	// check asks for the pair's path at hash through Select, and also for the
+	// whole set when full is set, against a fresh enumeration.
+	check := func(src, dst int, h uint64, full bool) bool {
+		fresh, err := ft.ECMPPaths(src, dst)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		rank := int(h % uint64(len(fresh)))
+		got, err := ps.Select(src, dst, h)
+		if err != nil || !pathsEqual(got, fresh[rank]) {
+			t.Errorf("pair (%d,%d) rank %d: Select = %v, %v; want %v", src, dst, rank, got, err, fresh[rank])
+			return false
+		}
+		if !full {
+			return true
+		}
+		paths, err := ps.Paths(src, dst)
+		if err != nil || !pathsEqual(paths[rank], got) {
+			t.Errorf("pair (%d,%d) rank %d: Paths disagrees with Select (err %v)", src, dst, rank, err)
+			return false
+		}
+		return true
+	}
+	// First touches: released together, the workers walk the sources in one
+	// order; workers 2i and 2i+1 ask for the same destination, in the chunk
+	// src is not in, one through Select alone and one through Paths too — so
+	// a row's and a chunk's first allocation, a single intern and a full
+	// build all collide. A dropped row or chunk would show as pairs built
+	// twice.
 	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for src := 0; src < n; src++ {
+				if !check(src, (src/chunkSize+1)*chunkSize%n+w/2, uint64(src+w), w%2 == 1) {
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if st := ps.Stats(); st.Pairs != n*workers/2 || st.Singles > n*workers {
+		t.Fatalf("racing first touches: stats %+v, want %d pairs and at most %d singles", st, n*workers/2, n*workers)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -455,35 +491,114 @@ func TestSelectConcurrentWithPaths(t *testing.T) {
 			r := rand.New(rand.NewSource(1))
 			for i := 0; i < 600; i++ {
 				src, dst := r.Intn(n), r.Intn(n)
-				if src == dst {
-					continue
-				}
-				fresh, err := ft.ECMPPaths(src, dst)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				h := uint64(i*workers + w)
-				got, id, err := ps.Select(src, dst, h)
-				rank := int(h % uint64(len(fresh)))
-				if err != nil || !pathsEqual(got, fresh[rank]) {
-					t.Errorf("pair (%d,%d) rank %d: Select = %v, %v; want %v", src, dst, rank, got, err, fresh[rank])
-					return
-				}
-				if (i+w)%3 != 0 {
-					continue
-				}
-				paths, err := ps.Paths(src, dst)
-				if err != nil || !pathsEqual(paths[rank], got) {
-					t.Errorf("pair (%d,%d) rank %d: Paths disagrees with Select (err %v)", src, dst, rank, err)
-					return
-				}
-				if byID, err := ps.Path(id); err != nil || !pathsEqual(byID, got) {
-					t.Errorf("pair (%d,%d) rank %d: Path(%#x) disagrees with Select (err %v)", src, dst, rank, uint64(id), err)
+				if src != dst && !check(src, dst, uint64(i*workers+w), (i+w)%3 == 0) {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// allocatedBy returns the bytes f allocates, as a runtime.MemStats.TotalAlloc
+// delta: cumulative, so no collection between the two readings can change it.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPathStoreFootprintFollowsTouchedPairs: a store costs what the pairs it
+// was asked for cost. sim-storm's lookups on its k=32 fabric of 2 048 hosts
+// intern under 1 % of the ordered pairs; a slot per possible pair made that
+// 44 MB.
+func TestPathStoreFootprintFollowsTouchedPairs(t *testing.T) {
+	ft, err := NewFatTree(Config{K: 32, HostsPerEdge: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := stormPairs(32, 4, 20, 1)
+	got := allocatedBy(func() {
+		ps := ft.PathStore()
+		for _, p := range pairs {
+			if _, err := ps.Paths(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if st := ft.PathStore().Stats(); st.Pairs == 0 || st.Pairs*100 > ft.NumHosts()*ft.NumHosts() {
+		t.Fatalf("the storm mix built %d pairs of %d hosts; the test wants a sparse, non-empty store", st.Pairs, ft.NumHosts())
+	}
+	const limit = 20 << 20
+	if got > limit {
+		t.Fatalf("store allocated %d bytes for the storm's pairs, want at most %d", got, limit)
+	}
+}
+
+// TestPathStoreConstructsAtFullScale: a store over the full k=48 fat-tree —
+// 27 648 hosts, 764 M ordered pairs — is built, and serves a failure study's
+// worth of lookups, in a few megabytes.
+func TestPathStoreConstructsAtFullScale(t *testing.T) {
+	ft, err := NewFatTree(Config{K: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ft.NumHosts()
+	if n != 27648 {
+		t.Fatalf("k=48 fat-tree has %d hosts, want 27648", n)
+	}
+	rng := rand.New(rand.NewSource(48))
+	got := allocatedBy(func() {
+		ps := ft.PathStore()
+		for i := 0; i < 1000; i++ {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			if src == dst {
+				continue
+			}
+			if _, err := ps.Select(src, dst, rng.Uint64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			src := rng.Intn(n)
+			if _, err := ps.Paths(src, podLocalPeer(rng, src, 24, 24*24)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	const limit = 16 << 20
+	if got >= limit {
+		t.Fatalf("store over %d hosts allocated %d bytes for 1000 Selects and 100 Paths, want under %d", n, got, limit)
+	}
+}
+
+// TestSelectCostIndependentOfPathCount: what Select interns for a pair is the
+// selected path, not a slot per equal-cost path — an inter-pod pair has 16 of
+// them at k=8 and 256 at k=32 and costs the same bytes.
+func TestSelectCostIndependentOfPathCount(t *testing.T) {
+	perPair := func(k int) uint64 {
+		ft, err := NewFatTree(Config{K: k, HostsPerEdge: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := ft.PathStore()
+		// Hosts 64..127 are one chunk of host 0's row and not in its pod.
+		sel := func(dst int) {
+			if _, err := ps.Select(0, dst, uint64(dst)*0x9e3779b97f4a7c15); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sel(64) // pays for the row and the chunk
+		return allocatedBy(func() {
+			for dst := 65; dst < 128; dst++ {
+				sel(dst)
+			}
+		}) / 63
+	}
+	small, large := perPair(8), perPair(32)
+	if large > small || large > 256 {
+		t.Fatalf("an inter-pod Select interns %d bytes at k=32 and %d at k=8; want equal, and at most 256", large, small)
+	}
 }
