@@ -44,51 +44,27 @@ import (
 	"sharebackup/internal/emu"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/obs/debughttp"
-	"sharebackup/internal/obs/prof"
-	"sharebackup/internal/obs/tsdb"
 	"sharebackup/internal/sbnet"
 	"sharebackup/internal/topo"
 )
 
 func main() {
 	var (
-		k         = flag.Int("k", 6, "fat-tree parameter")
-		n         = flag.Int("n", 1, "backup switches per failure group")
-		srcStr    = flag.String("src", "0/0/0", "source host as pod/rack/pos")
-		dstStr    = flag.String("dst", "1/0/0", "destination host as pod/rack/pos")
-		failPath  = flag.Bool("fail-path", false, "fail every switch on the path, recover, and re-trace")
-		trace     = flag.String("trace", "", "write structured events as JSONL to this file (summarize with sbtap)")
-		events    = flag.Bool("events", false, "log structured events human-readably to stderr")
-		debugAddr = flag.String("debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz) on this address, e.g. 127.0.0.1:6060")
+		k        = flag.Int("k", 6, "fat-tree parameter")
+		n        = flag.Int("n", 1, "backup switches per failure group")
+		srcStr   = flag.String("src", "0/0/0", "source host as pod/rack/pos")
+		dstStr   = flag.String("dst", "1/0/0", "destination host as pod/rack/pos")
+		failPath = flag.Bool("fail-path", false, "fail every switch on the path, recover, and re-trace")
 
 		ctlnetMode = flag.Bool("ctlnet", false, "run the multi-process control-plane emulation over loopback TCP instead of a packet trace")
 		traceDir   = flag.String("trace-dir", "", "ctlnet mode: directory for per-process trace files (stitch with sbtap -stitch)")
 		numAgents  = flag.Int("agents", 2, "ctlnet mode: number of switch agents")
 		numCS      = flag.Int("cs", 1, "ctlnet mode: number of circuit-switch services")
 		cluster    = flag.Int("cluster", 0, "ctlnet mode: run this many controller replicas with leader election and kill the leader mid-storm (0 = single controller)")
-		sloBudget  = flag.Duration("slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
-		flightRec  = flag.Bool("flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
-		profileDir = flag.String("profile-dir", "", "continuous profiler: rotating phase-labeled CPU/heap bundles in this directory (default $SHAREBACKUP_PROF_DIR; empty disables)")
 		kaBatch    = flag.Bool("ka-batch", false, "run the fleet-scale keep-alive demo: -agents batched agents through one server, printing sustained ingest and server goroutine count")
 	)
+	obsFlags := debughttp.RegisterFlags(flag.CommandLine, "trace")
 	flag.Parse()
-
-	obs.Default.MeterOverhead(obs.DefaultRegistry)
-	// One windowed metric store serves /timeseriesz and upgrades the SLO
-	// watchdog's burn rate to a wall-clock window.
-	tstore := tsdb.New(tsdb.Config{})
-	tstore.Start()
-	defer tstore.Close()
-	var profiler *prof.Profiler
-	if dir := prof.ResolveDir(*profileDir); dir != "" {
-		p, err := prof.Start(prof.Config{Dir: dir})
-		if err != nil {
-			fatal(err)
-		}
-		profiler = p
-		defer p.Close()
-		fmt.Fprintf(os.Stderr, "sbemu: continuous profiler writing bundles to %s\n", dir)
-	}
 
 	if *kaBatch {
 		runFleetDemo(*numAgents)
@@ -99,59 +75,22 @@ func main() {
 			runCtlnetCluster(*k, *n, *numAgents, *numCS, *cluster, *traceDir)
 			return
 		}
-		runCtlnet(*k, *n, *numAgents, *numCS, *traceDir, *sloBudget, *flightRec)
+		runCtlnet(*k, *n, *numAgents, *numCS, *traceDir, obsFlags.SLOBudget, obsFlags.FlightRecorder)
 		return
 	}
 	if *cluster > 0 {
 		fatal(fmt.Errorf("-cluster requires -ctlnet"))
 	}
 
-	if *debugAddr != "" {
-		srv, err := debughttp.Start(*debugAddr, debughttp.Config{TSDB: tstore})
-		if err != nil {
+	_, stopObs, err := obsFlags.Start("sbemu")
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopObs(); err != nil {
 			fatal(err)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "sbemu: debug server at http://%s/\n", srv.Addr())
-	}
-
-	if *trace != "" {
-		done, err := obs.TraceToFile(nil, *trace)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := done(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-	if *events {
-		defer obs.EventsToLogf(nil, func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})()
-	}
-	if *sloBudget > 0 {
-		w := obs.NewSLOWatchdog(obs.SLOConfig{Budget: *sloBudget, Registry: obs.DefaultRegistry, BurnSource: tstore})
-		obs.Default.Attach(w)
-		defer obs.Default.Detach(w)
-	}
-	if *flightRec {
-		fc := obs.FlightConfig{
-			SLOBudget:             *sloBudget,
-			KeepAliveGapThreshold: 3,
-			DropBurstThreshold:    1024,
-		}
-		if profiler != nil {
-			fc.Profile = profiler
-		}
-		fr := obs.NewFlightRecorder(fc)
-		fr.Attach(obs.Default)
-		defer func() {
-			obs.Default.Detach(fr)
-			fr.Close()
-		}()
-	}
+	}()
 
 	src, err := parseHost(*srcStr)
 	if err != nil {

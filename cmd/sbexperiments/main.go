@@ -30,100 +30,37 @@ import (
 	"sharebackup/internal/metrics"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/obs/debughttp"
-	"sharebackup/internal/obs/prof"
-	"sharebackup/internal/obs/tsdb"
 )
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiment to run (all, fig1a, fig1b, fig1c, table2, table3, fig5, capacity, latency, tablesize)")
-		k          = flag.Int("k", 0, "fat-tree parameter override (0 = experiment default)")
-		n          = flag.Int("n", 1, "backup switches per failure group")
-		seed       = flag.Int64("seed", 1, "deterministic seed")
-		full       = flag.Bool("full", false, "run paper-scale configurations (slower)")
-		trace      = flag.String("trace", "", "write structured events as JSONL to this file (summarize with sbtap)")
-		events     = flag.Bool("events", false, "log structured events human-readably to stderr")
-		jsonPath   = flag.String("json", "", "run the many-failover recovery study and write its per-phase percentiles to this file as JSON")
-		trials     = flag.Int("trials", 32, "failovers per kind for the -json recovery study")
-		workers    = flag.Int("workers", 0, "sweep worker pool size for fig1a/fig1b/fig1c and the -json recovery study (0 = GOMAXPROCS; results are identical for any value)")
-		debugAddr  = flag.String("debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz) on this address, e.g. 127.0.0.1:6060")
-		sloBudget  = flag.Duration("slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
-		flightRec  = flag.Bool("flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
-		profileDir = flag.String("profile-dir", "", "continuous profiler: rotating phase-labeled CPU/heap bundles in this directory (default $SHAREBACKUP_PROF_DIR; empty disables)")
+		run      = flag.String("run", "all", "experiment to run (all, fig1a, fig1b, fig1c, table2, table3, fig5, capacity, latency, tablesize)")
+		k        = flag.Int("k", 0, "fat-tree parameter override (0 = experiment default)")
+		n        = flag.Int("n", 1, "backup switches per failure group")
+		seed     = flag.Int64("seed", 1, "deterministic seed")
+		full     = flag.Bool("full", false, "run paper-scale configurations (slower)")
+		jsonPath = flag.String("json", "", "run the many-failover recovery study and write its per-phase percentiles to this file as JSON")
+		trials   = flag.Int("trials", 32, "failovers per kind for the -json recovery study")
+		workers  = flag.Int("workers", 0, "sweep worker pool size for fig1a/fig1b/fig1c and the -json recovery study (0 = GOMAXPROCS; results are identical for any value)")
 	)
+	obsFlags := debughttp.RegisterFlags(flag.CommandLine, "trace")
 	flag.Parse()
 
-	obs.Default.MeterOverhead(obs.DefaultRegistry)
-	// One windowed metric store serves /timeseriesz and upgrades the SLO
-	// watchdog's burn rate to a wall-clock window.
-	tstore := tsdb.New(tsdb.Config{})
-	tstore.Start()
-	defer tstore.Close()
-	var profiler *prof.Profiler
-	if dir := prof.ResolveDir(*profileDir); dir != "" {
-		p, err := prof.Start(prof.Config{Dir: dir})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sbexperiments:", err)
-			os.Exit(1)
-		}
-		profiler = p
-		defer p.Close()
-		fmt.Fprintf(os.Stderr, "sbexperiments: continuous profiler writing bundles to %s\n", dir)
-	}
-
-	if *debugAddr != "" {
+	if obsFlags.DebugAddr != "" {
 		// Every fluid.Simulator the experiments build from here on samples
 		// data-plane telemetry into the registry /varz serves.
 		fluid.SetDefaultTelemetry(fluid.NewTelemetry(obs.DefaultRegistry))
-		srv, err := debughttp.Start(*debugAddr, debughttp.Config{TSDB: tstore})
-		if err != nil {
+	}
+	traceSink, stopObs, err := obsFlags.Start("sbexperiments")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sbexperiments:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopObs(); err != nil {
 			fmt.Fprintln(os.Stderr, "sbexperiments:", err)
-			os.Exit(1)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "sbexperiments: debug server at http://%s/\n", srv.Addr())
-	}
-
-	var traceSink obs.Sink
-	if *trace != "" {
-		sink, done, err := obs.TraceSinkToFile(nil, *trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sbexperiments:", err)
-			os.Exit(1)
-		}
-		traceSink = sink
-		defer func() {
-			if err := done(); err != nil {
-				fmt.Fprintln(os.Stderr, "sbexperiments:", err)
-			}
-		}()
-	}
-	if *events {
-		defer obs.EventsToLogf(nil, func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})()
-	}
-	if *sloBudget > 0 {
-		w := obs.NewSLOWatchdog(obs.SLOConfig{Budget: *sloBudget, Registry: obs.DefaultRegistry, BurnSource: tstore})
-		obs.Default.Attach(w)
-		defer obs.Default.Detach(w)
-	}
-	if *flightRec {
-		fc := obs.FlightConfig{
-			SLOBudget:             *sloBudget,
-			KeepAliveGapThreshold: 3,
-			DropBurstThreshold:    1024,
-		}
-		if profiler != nil {
-			fc.Profile = profiler
-		}
-		fr := obs.NewFlightRecorder(fc)
-		fr.Attach(obs.Default)
-		defer func() {
-			obs.Default.Detach(fr)
-			fr.Close()
-		}()
-	}
+	}()
 	if *jsonPath != "" {
 		if err := writeRecoveryJSON(*k, *n, *trials, *workers, *jsonPath, traceSink); err != nil {
 			fmt.Fprintf(os.Stderr, "sbexperiments: recovery study: %v\n", err)

@@ -27,98 +27,39 @@ import (
 	"sharebackup/internal/metrics"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/obs/debughttp"
-	"sharebackup/internal/obs/prof"
-	"sharebackup/internal/obs/tsdb"
 )
 
 func main() {
 	var (
-		study      = flag.String("study", "affected", "study to run: affected (Fig 1a/b) or cct (Fig 1c)")
-		kind       = flag.String("kind", "node", "failure kind for the affected study: node or link")
-		k          = flag.Int("k", 16, "fat-tree parameter")
-		seed       = flag.Int64("seed", 1, "deterministic seed")
-		ratesStr   = flag.String("rates", "", "comma-separated failure rates (default experiment sweep)")
-		trials     = flag.Int("trials", 3, "failure samples per rate")
-		tracePath  = flag.String("trace", "", "coflow-benchmark trace file (default: synthetic trace)")
-		coflows    = flag.Int("coflows", 30, "coflows per window (cct study)")
-		scenarios  = flag.Int("scenarios", 12, "single-failure scenarios (cct study)")
-		window     = flag.Float64("window", 300, "trace window seconds (cct study)")
-		windows    = flag.Int("windows", 1, "number of trace windows; scenarios spread round-robin (cct study)")
-		traceOut   = flag.String("trace-out", "", "write structured events as JSONL to this file (summarize with sbtap)")
-		events     = flag.Bool("events", false, "log structured events human-readably to stderr")
-		debugAddr  = flag.String("debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz) on this address, e.g. 127.0.0.1:6060")
-		sloBudget  = flag.Duration("slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
-		flightRec  = flag.Bool("flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
-		profileDir = flag.String("profile-dir", "", "continuous profiler: rotating phase-labeled CPU/heap bundles in this directory (default $SHAREBACKUP_PROF_DIR; empty disables)")
+		study     = flag.String("study", "affected", "study to run: affected (Fig 1a/b) or cct (Fig 1c)")
+		kind      = flag.String("kind", "node", "failure kind for the affected study: node or link")
+		k         = flag.Int("k", 16, "fat-tree parameter")
+		seed      = flag.Int64("seed", 1, "deterministic seed")
+		ratesStr  = flag.String("rates", "", "comma-separated failure rates (default experiment sweep)")
+		trials    = flag.Int("trials", 3, "failure samples per rate")
+		tracePath = flag.String("trace", "", "coflow-benchmark trace file (default: synthetic trace)")
+		coflows   = flag.Int("coflows", 30, "coflows per window (cct study)")
+		scenarios = flag.Int("scenarios", 12, "single-failure scenarios (cct study)")
+		window    = flag.Float64("window", 300, "trace window seconds (cct study)")
+		windows   = flag.Int("windows", 1, "number of trace windows; scenarios spread round-robin (cct study)")
 	)
+	obsFlags := debughttp.RegisterFlags(flag.CommandLine, "trace-out")
 	flag.Parse()
 
-	obs.Default.MeterOverhead(obs.DefaultRegistry)
-	// One windowed metric store serves /timeseriesz and upgrades the SLO
-	// watchdog's burn rate to a wall-clock window.
-	tstore := tsdb.New(tsdb.Config{})
-	tstore.Start()
-	defer tstore.Close()
-	var profiler *prof.Profiler
-	if dir := prof.ResolveDir(*profileDir); dir != "" {
-		p, err := prof.Start(prof.Config{Dir: dir})
-		if err != nil {
-			fatal(err)
-		}
-		profiler = p
-		defer p.Close()
-		fmt.Fprintf(os.Stderr, "sbsim: continuous profiler writing bundles to %s\n", dir)
-	}
-
-	if *debugAddr != "" {
+	if obsFlags.DebugAddr != "" {
 		// Every fluid.Simulator the studies build from here on samples
 		// data-plane telemetry into the registry /varz serves.
 		fluid.SetDefaultTelemetry(fluid.NewTelemetry(obs.DefaultRegistry))
-		srv, err := debughttp.Start(*debugAddr, debughttp.Config{TSDB: tstore})
-		if err != nil {
+	}
+	_, stopObs, err := obsFlags.Start("sbsim")
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopObs(); err != nil {
 			fatal(err)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "sbsim: debug server at http://%s/\n", srv.Addr())
-	}
-
-	if *traceOut != "" {
-		done, err := obs.TraceToFile(nil, *traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := done(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-	if *events {
-		defer obs.EventsToLogf(nil, func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		})()
-	}
-	if *sloBudget > 0 {
-		w := obs.NewSLOWatchdog(obs.SLOConfig{Budget: *sloBudget, Registry: obs.DefaultRegistry, BurnSource: tstore})
-		obs.Default.Attach(w)
-		defer obs.Default.Detach(w)
-	}
-	if *flightRec {
-		fc := obs.FlightConfig{
-			SLOBudget:             *sloBudget,
-			KeepAliveGapThreshold: 3,
-			DropBurstThreshold:    1024,
-		}
-		if profiler != nil {
-			fc.Profile = profiler
-		}
-		fr := obs.NewFlightRecorder(fc)
-		fr.Attach(obs.Default)
-		defer func() {
-			obs.Default.Detach(fr)
-			fr.Close()
-		}()
-	}
+	}()
 
 	var trace *coflow.Trace
 	if *tracePath != "" {

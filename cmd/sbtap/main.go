@@ -23,12 +23,6 @@
 // sequence gaps (events lost to a bounded sink) or, with -stitch,
 // unstitchable references (spans whose parent is missing from the file set,
 // processes with no clock-sync path to the reference).
-//
-// -ts renders the windowed metric history a debug server's /timeseriesz
-// endpoint serves (or a saved JSON dump of it) as terminal sparklines:
-//
-//	sbtap -ts http://127.0.0.1:6060/timeseriesz
-//	sbtap -ts dump.json
 package main
 
 import (
@@ -54,21 +48,8 @@ func main() {
 		hist   = flag.Bool("hist", false, "render recovery phase latencies as bucketed histograms with p50/p90/p99")
 		stitch = flag.Bool("stitch", false, "merge several per-process trace files into cross-process recovery timelines (clock-offset aligned)")
 		strict = flag.Bool("strict", false, "exit non-zero on sequence gaps or (with -stitch) unstitchable trace references")
-		ts     = flag.Bool("ts", false, "render a /timeseriesz JSON dump (file or http URL) as terminal sparklines")
 	)
 	flag.Parse()
-
-	if *ts {
-		if flag.NArg() != 1 {
-			fatal(fmt.Errorf("-ts needs exactly one argument: a /timeseriesz JSON file or URL"))
-		}
-		out, err := timeSeriesReport(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
-		return
-	}
 
 	if *stitch {
 		if flag.NArg() == 0 {

@@ -1,7 +1,9 @@
 // Livefailover runs the control plane over real TCP sockets: switch agents
 // heartbeat a controller server on loopback; when one goes silent the
 // controller fails it over to a shared backup and a subscribed monitor
-// receives the recovery event with its measured wall-clock latency.
+// receives the recovery event with its measured wall-clock latency. An edge
+// agent then reports a broken link and both of its ends are replaced
+// (Section 4.1).
 package main
 
 import (
@@ -62,4 +64,29 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("network invariants hold after live failover")
+
+	// A link failure is reported, not detected by silence: the edge agent
+	// names its up-port and the aggregation interface at the far end, and
+	// the controller replaces both switches.
+	edge := sys.Network.EdgeGroup(1).Slots()[0]
+	agg := sys.Network.AggGroup(1).Slots()[0]
+	reporter, err := ctlnet.Dial(srv.Addr(), edge, interval)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reporter.Close()
+	fmt.Printf("reporting link failure %s <-> %s...\n", sys.Network.Name(edge), sys.Network.Name(agg))
+	if err := reporter.ReportLinkFailure(sys.Network.K()/2, agg, 0); err != nil {
+		log.Fatal(err)
+	}
+	ev = <-mon.Events
+	fmt.Printf("failover event: kind=%s replaced both ends:", ev.Kind)
+	for i := range ev.Failed {
+		fmt.Printf(" %s -> %s", sys.Network.Name(ev.Failed[i]), sys.Network.Name(ev.Backup[i]))
+	}
+	fmt.Printf(" latency=%v\n", ev.Latency)
+	if err := sys.Network.CheckInvariants(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("network invariants hold after link failover")
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"sharebackup/internal/obs"
-	"sharebackup/internal/obs/prof"
 	"sharebackup/internal/sbnet"
 	"sharebackup/internal/topo"
 )
@@ -239,16 +238,14 @@ func (c *Controller) Heartbeat(id sbnet.SwitchID, at time.Duration) {
 func (c *Controller) DetectFailures(at time.Duration) []sbnet.SwitchID {
 	deadline := time.Duration(c.cfg.MissThreshold) * c.cfg.ProbeInterval
 	var out []sbnet.SwitchID
-	prof.Do(prof.PhaseDetect, func() {
-		for id, last := range c.lastSeen {
-			if c.net.Switch(id).Role != sbnet.RoleActive {
-				continue
-			}
-			if at-last >= deadline {
-				out = append(out, id)
-			}
+	for id, last := range c.lastSeen {
+		if c.net.Switch(id).Role != sbnet.RoleActive {
+			continue
 		}
-	})
+		if at-last >= deadline {
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
@@ -273,14 +270,7 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 		ev.Detail = "node"
 		c.bus.Emit(ev)
 	}
-	var (
-		backup   sbnet.SwitchID
-		reconfig time.Duration
-		err      error
-	)
-	prof.Do(prof.PhaseReconfig, func() {
-		backup, reconfig, err = c.net.Replace(id)
-	})
+	backup, reconfig, err := c.net.Replace(id)
 	if err != nil {
 		if errors.Is(err, sbnet.ErrNoBackup) {
 			c.mBackupPoolExhausted.Inc()
@@ -314,10 +304,6 @@ func (c *Controller) emitRecoveryDone(span uint64, at time.Duration, rec *Recove
 	if !c.bus.Enabled() {
 		return
 	}
-	prof.Do(prof.PhaseNotify, func() { c.emitRecoveryEvents(span, at, rec) })
-}
-
-func (c *Controller) emitRecoveryEvents(span uint64, at time.Duration, rec *Recovery) {
 	for i, failed := range rec.Failed {
 		ev := obs.NewEvent(obs.KindBackupAssigned, at)
 		ev.Span = span
@@ -403,26 +389,24 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 		Comm:      2 * c.cfg.CommDelay,
 	}
 	var firstErr error
-	prof.Do(prof.PhaseReconfig, func() {
-		for _, ep := range []EndPoint{a, b} {
-			backup, reconfig, err := c.net.Replace(ep.Switch)
-			if err != nil {
-				if errors.Is(err, sbnet.ErrNoBackup) {
-					c.mBackupPoolExhausted.Inc()
-				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("controller: link recovery for %s: %w", c.net.Name(ep.Switch), err)
-				}
-				continue
+	for _, ep := range []EndPoint{a, b} {
+		backup, reconfig, err := c.net.Replace(ep.Switch)
+		if err != nil {
+			if errors.Is(err, sbnet.ErrNoBackup) {
+				c.mBackupPoolExhausted.Inc()
 			}
-			rec.Failed = append(rec.Failed, ep.Switch)
-			rec.Backup = append(rec.Backup, backup)
-			c.noteBackupUse(c.net.Switch(backup).Group)
-			if reconfig > rec.Reconfig {
-				rec.Reconfig = reconfig
+			if firstErr == nil {
+				firstErr = fmt.Errorf("controller: link recovery for %s: %w", c.net.Name(ep.Switch), err)
 			}
+			continue
 		}
-	})
+		rec.Failed = append(rec.Failed, ep.Switch)
+		rec.Backup = append(rec.Backup, backup)
+		c.noteBackupUse(c.net.Switch(backup).Group)
+		if reconfig > rec.Reconfig {
+			rec.Reconfig = reconfig
+		}
+	}
 	if len(rec.Failed) > 0 {
 		c.recoveries = append(c.recoveries, rec)
 		c.pendingDiagnosis = append(c.pendingDiagnosis, LinkSuspects{A: a, B: b})

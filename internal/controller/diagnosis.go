@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sharebackup/internal/obs"
-	"sharebackup/internal/obs/prof"
 	"sharebackup/internal/sbnet"
 )
 
@@ -106,9 +105,7 @@ func (c *Controller) diagnoseInterface(suspect EndPoint) (DiagnosisResult, error
 	if res.Healthy {
 		// Exoneration reverts the failover: the suspect rejoins its
 		// group's backup pool — the Table 2 "revert" phase.
-		var err error
-		prof.Do(prof.PhaseRevert, func() { err = c.net.Release(suspect.Switch) })
-		if err != nil {
+		if err := c.net.Release(suspect.Switch); err != nil {
 			return res, err
 		}
 		res.Exonerated = true
@@ -143,7 +140,5 @@ func (c *Controller) partnerInterfaces(suspect EndPoint) []EndPoint {
 // faults are cleared and it joins the backup pool of its failure group. Per
 // Section 4.2 the network does not switch back to the original assignment.
 func (c *Controller) RepairSwitch(id sbnet.SwitchID) error {
-	var err error
-	prof.Do(prof.PhaseRevert, func() { err = c.net.Release(id) })
-	return err
+	return c.net.Release(id)
 }

@@ -1,7 +1,6 @@
 package ctlnet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"sharebackup/internal/obs"
-	"sharebackup/internal/obs/tsdb"
 	"sharebackup/internal/routing"
 	"sharebackup/internal/sbnet"
 )
@@ -611,34 +609,4 @@ func FetchVarz(addr string) (string, error) {
 		return "", fmt.Errorf("ctlnet: varz reply: got message type %d", typ)
 	}
 	return string(payload), nil
-}
-
-// FetchTimeSeries requests the server's windowed metric history (last n
-// points per series; n <= 0 asks for the server default) over the wire
-// protocol — /timeseriesz for processes that only speak ctlnet.
-func FetchTimeSeries(addr string, n int) ([]tsdb.SeriesData, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctlnet: timeseries dial: %w", err)
-	}
-	defer conn.Close()
-	if n < 0 || n > 1<<15 {
-		n = 0
-	}
-	req := []byte{byte(n >> 8), byte(n)}
-	if err := writeFrame(conn, msgTSReq, req); err != nil {
-		return nil, fmt.Errorf("ctlnet: timeseries request: %w", err)
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("ctlnet: timeseries reply: %w", err)
-	}
-	if typ != msgTS {
-		return nil, fmt.Errorf("ctlnet: timeseries reply: got message type %d", typ)
-	}
-	var out []tsdb.SeriesData
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, fmt.Errorf("ctlnet: timeseries reply: %w", err)
-	}
-	return out, nil
 }

@@ -167,12 +167,17 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesIdleConnections: Close severs every connection and waits
-// for its reader, so it returns promptly however many peers sit idle, and
-// leaves no goroutine behind.
+// TestCloseReleasesIdleConnections: a standalone server runs its accept loop
+// and its shard detectors and nothing else (no background sampler), Close
+// severs every connection and waits for its reader, so it returns promptly
+// however many peers sit idle, and leaves no goroutine behind.
 func TestCloseReleasesIdleConnections(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv, _, reg := detectorServer(t, 1, 5*time.Millisecond)
+	if own := len(srv.shards) + 1; !waitUntil(time.Second, func() bool { return runtime.NumGoroutine()-baseline <= own }) {
+		t.Errorf("%d goroutines over the baseline on an idle server, want %d (accept loop + %d shards)",
+			runtime.NumGoroutine()-baseline, own, len(srv.shards))
+	}
 	const idle = 200
 	for i := 0; i < idle; i++ {
 		conn, err := net.Dial("tcp", srv.Addr())

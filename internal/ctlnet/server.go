@@ -1,7 +1,6 @@
 package ctlnet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -12,8 +11,6 @@ import (
 	"sharebackup/internal/controller"
 	"sharebackup/internal/ctlplane"
 	"sharebackup/internal/obs"
-	"sharebackup/internal/obs/prof"
-	"sharebackup/internal/obs/tsdb"
 	"sharebackup/internal/routing"
 	"sharebackup/internal/sbnet"
 	"sharebackup/internal/topo"
@@ -73,11 +70,6 @@ type ServerConfig struct {
 	// CSChanges maps a recovery to the circuit-change batch mirrored to
 	// each circuit switch. Default: one crossbar swap of ports 0 and 1.
 	CSChanges func(rec *controller.Recovery) []circuit.Change
-	// TSDB backs the msgTSReq wire query with windowed metric history.
-	// Nil means the server builds its own store over the controller's
-	// registry (1s interval) and owns its lifecycle (started here, closed
-	// in Close); a caller-provided store is only read.
-	TSDB *tsdb.Store
 	// Shards is the number of keep-alive fan-in shards (see shard.go): a
 	// connection reader only appends to its shard's pending list, and one
 	// goroutine per shard folds them into its expiry queue — the keep-alive
@@ -128,8 +120,6 @@ type Server struct {
 	start     time.Time
 	bus       *obs.Bus
 	csClients []*CSClient
-	tsdb      *tsdb.Store
-	ownsTS    bool
 
 	// Runtime metrics, merged into the controller's registry so one varz
 	// snapshot covers both layers.
@@ -204,25 +194,6 @@ func (s *Server) Varz() string {
 		s.ctl.Metrics().Snapshot()
 }
 
-// timeSeriesJSON renders the store's series (last n points each; 0 means
-// 60) as JSON, halving the point budget as needed to respect the wire
-// protocol's frame-size limit.
-func (s *Server) timeSeriesJSON(n int) []byte {
-	if n <= 0 || n > 1<<15 {
-		n = 60
-	}
-	for {
-		data, err := json.Marshal(s.tsdb.All(n))
-		if err != nil {
-			return []byte("[]")
-		}
-		if len(data)+1 <= maxFrame || n == 0 {
-			return data
-		}
-		n /= 2
-	}
-}
-
 // NewServer starts a controller server listening on addr (use
 // "127.0.0.1:0" for tests). The controller's virtual clock is driven from
 // the wall clock relative to server start.
@@ -268,12 +239,6 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	s.mStallGraces = reg.Counter("ctlnet.detector_stall_graces")
 	s.gDetectorEntries = reg.Gauge("ctlnet.detector_entries")
 	s.hDetectOvershoot = reg.Histogram("ctlnet.detect_overshoot_ns")
-	s.tsdb = cfg.TSDB
-	if s.tsdb == nil {
-		s.tsdb = tsdb.New(tsdb.Config{Registry: reg})
-		s.ownsTS = true
-		s.tsdb.Start()
-	}
 	// The controller below this server runs on the server's virtual clock;
 	// give it the same bus so its spans and the server's events interleave
 	// in one stream.
@@ -360,9 +325,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	if s.ownsTS {
-		s.tsdb.Close()
-	}
 	for _, c := range s.csClients {
 		c.Close()
 	}
@@ -538,15 +500,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 	case msgVarzReq:
 		if err := writeReply(conn, msgVarz, []byte(s.Varz())); err != nil {
 			s.logf("ctlnet: varz reply: %v", err)
-			return err
-		}
-	case msgTSReq:
-		n := 0
-		if len(payload) >= 2 {
-			n = int(payload[0])<<8 | int(payload[1])
-		}
-		if err := writeReply(conn, msgTS, s.timeSeriesJSON(n)); err != nil {
-			s.logf("ctlnet: timeseries reply: %v", err)
 			return err
 		}
 	case msgSubscribe:
@@ -914,10 +867,6 @@ func (s *Server) emitRecovered(rec *controller.Recovery, at, processing, detecti
 
 // publish sends a recovery event to all subscribers, dropping broken ones.
 func (s *Server) publish(ev RecoveryEvent) {
-	prof.Do(prof.PhaseNotify, func() { s.publishAll(ev) })
-}
-
-func (s *Server) publishAll(ev RecoveryEvent) {
 	payload := encodeRecovery(ev)
 	s.mu.Lock()
 	subs := append([]net.Conn(nil), s.subs...)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"sharebackup/internal/obs/prof"
 	"sharebackup/internal/sbnet"
 )
 
@@ -177,10 +176,8 @@ func (s *Server) shardLoop(sh *kaShard) {
 		case <-sh.kick:
 		case <-timer.C:
 		}
-		var dead []deadCandidate
-		prof.Do(prof.PhaseDetect, func() {
-			dead, armedFor = s.shardWake(sh, armedFor)
-		})
+		dead, next := s.shardWake(sh, armedFor)
+		armedFor = next
 		s.wg.Add(len(dead))
 		for _, c := range dead {
 			go s.recoverDead(c)

@@ -46,12 +46,9 @@ const (
 	// latency, so the controller's recovery joins the agent's causal trace.
 	msgLinkFailTraced byte = 12
 
-	// Time-series range query: the client sends an optional uint16
-	// points-per-series limit (0 = server default); the server replies
-	// with the JSON-encoded []tsdb.SeriesData of its embedded windowed
-	// metric store — /timeseriesz over the wire protocol.
-	msgTSReq byte = 13 // client -> server: uint16 lastN (optional)
-	msgTS    byte = 14 // server -> client: JSON []tsdb.SeriesData
+	// 13 and 14 are retired (a time-series query and its reply) and must
+	// never be reused: a peer that still sends 13 is skipped as an unknown
+	// message type and counted in ctlnet.unknown_msgs.
 
 	// Replicated-controller cluster messages (§5.1). A replica that is not
 	// the current leader answers state-mutating requests (hello, link-fail

@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"sharebackup/internal/obs/prof"
 	"sharebackup/internal/topo"
 )
 
@@ -732,13 +731,6 @@ func (s *Simulator) UtilizationInto(buf []float64) []float64 {
 // over link-sharing components, so the scoped result equals the global one.
 func (s *Simulator) recompute() {
 	if !s.fullDirty && len(s.dirtySeeds) == 0 {
-		return
-	}
-	// Tag the recomputation for the continuous profiler. Gated on Active
-	// so the steady state stays allocation-free: pprof label sets allocate,
-	// and this is the storm hot path.
-	if prof.Active() {
-		prof.Do(prof.PhaseStormRecompute, s.recomputeDirty)
 		return
 	}
 	s.recomputeDirty()

@@ -13,10 +13,6 @@
 //	             Accept: text/event-stream header) switches to
 //	             server-sent events; ?replay=1 first replays the buffered
 //	             backlog; ?n=N closes after N events
-//	/timeseriesz windowed metric history from the embedded tsdb store:
-//	             the bare path lists series (name, kind); ?metric=NAME
-//	             returns one series; ?all=1 returns every series; ?n=N
-//	             limits to the last N points
 //	/flightz     JSON listing of flight-recorder dump bundles on disk
 //	             (name, trigger, size, mtime, files)
 //	/debug/pprof the standard net/http/pprof profiling surface
@@ -41,7 +37,6 @@ import (
 	"time"
 
 	"sharebackup/internal/obs"
-	"sharebackup/internal/obs/tsdb"
 )
 
 // Config wires the server's data sources.
@@ -53,11 +48,6 @@ type Config struct {
 	// Backlog is the replay ring capacity for /events?replay=1.
 	// 0 means 1024.
 	Backlog int
-	// TSDB backs /timeseriesz. Nil means the server builds its own store
-	// over Registry (1s interval) and owns its lifecycle: Start begins
-	// sampling, Close stops it. A caller-provided store is only read —
-	// the caller keeps Start/Close.
-	TSDB *tsdb.Store
 	// FlightDir is the directory /flightz lists flight-recorder bundles
 	// from. Empty resolves through obs.DefaultFlightDir (so a process
 	// using the default flight dir needs no extra wiring).
@@ -82,11 +72,10 @@ func (c *Config) setDefaults() {
 // Server is a running introspection server. Close detaches its sinks and
 // stops the listener.
 type Server struct {
-	cfg    Config
-	lis    net.Listener
-	http   *http.Server
-	ring   *obs.Ring
-	ownsTS bool // the server built cfg.TSDB and drives its lifecycle
+	cfg  Config
+	lis  net.Listener
+	http *http.Server
+	ring *obs.Ring
 }
 
 // newServer attaches the backlog ring but does not listen — the seam that
@@ -94,10 +83,6 @@ type Server struct {
 func newServer(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{cfg: cfg}
-	if s.cfg.TSDB == nil {
-		s.cfg.TSDB = tsdb.New(tsdb.Config{Registry: s.cfg.Registry})
-		s.ownsTS = true
-	}
 	s.ring = obs.NewRing(cfg.Backlog)
 	s.ring.CountDropsIn(cfg.Registry.Counter("obs.ring_dropped_events"))
 	cfg.Bus.Attach(s.ring)
@@ -112,9 +97,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("debughttp: %w", err)
 	}
 	s := newServer(cfg)
-	if s.ownsTS {
-		s.cfg.TSDB.Start()
-	}
 	s.lis = lis
 	s.http = &http.Server{Handler: s.handler()}
 	go s.http.Serve(lis) //nolint:errcheck // Serve returns on Close
@@ -128,9 +110,6 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 // streams end when their clients disconnect.
 func (s *Server) Close() error {
 	s.cfg.Bus.Detach(s.ring)
-	if s.ownsTS {
-		s.cfg.TSDB.Close()
-	}
 	if s.http == nil {
 		return nil
 	}
@@ -148,7 +127,6 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("/varz", s.serveVarz)
 	mux.HandleFunc("/metricsz", s.serveMetricsz)
 	mux.HandleFunc("/events", s.serveEvents)
-	mux.HandleFunc("/timeseriesz", s.serveTimeSeries)
 	mux.HandleFunc("/flightz", s.serveFlightz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -169,7 +147,6 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request) {
   /varz               metrics snapshot (JSON; ?format=text, ?buckets=1)
   /metricsz           Prometheus text exposition of the same registry
   /events             live event stream (JSONL; ?sse=1, ?replay=1, ?n=N)
-  /timeseriesz        windowed metric history (?metric=NAME, ?all=1, ?n=N)
   /flightz            flight-recorder dump bundles on disk
   /debug/pprof/       profiling
 `)
@@ -190,38 +167,6 @@ func (s *Server) serveVarz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(s.cfg.Registry.Export(r.URL.Query().Get("buckets") == "1")) //nolint:errcheck
-}
-
-// serveTimeSeries serves the embedded tsdb store. The bare path is an index
-// ([]{name, kind, interval_ms}); ?metric=NAME returns that series,
-// ?all=1 every series, ?n=N limits each to the last N points.
-func (s *Server) serveTimeSeries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n := 0
-	if ns := q.Get("n"); ns != "" {
-		v, err := strconv.Atoi(ns)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	switch {
-	case q.Get("metric") != "":
-		sd, ok := s.cfg.TSDB.Series(q.Get("metric"), n)
-		if !ok {
-			http.Error(w, "unknown series", http.StatusNotFound)
-			return
-		}
-		enc.Encode(sd) //nolint:errcheck
-	case q.Get("all") == "1":
-		enc.Encode(s.cfg.TSDB.All(n)) //nolint:errcheck
-	default:
-		enc.Encode(s.cfg.TSDB.Kinds()) //nolint:errcheck
-	}
 }
 
 // flightBundle is one /flightz entry: a flight-recorder dump directory.

@@ -1,0 +1,104 @@
+package debughttp
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"time"
+
+	"sharebackup/internal/obs"
+)
+
+// Flags is the observability flag set sbsim, sbexperiments and sbemu share.
+// Register it before flag parsing, Start it after; the fields hold the
+// parsed values for the modes that wire observability themselves (sbemu
+// -ctlnet hands the budget and the recorder switch to the emulation).
+type Flags struct {
+	DebugAddr      string
+	Trace          string
+	Events         bool
+	SLOBudget      time.Duration
+	FlightRecorder bool
+
+	server *Server // what Start started for DebugAddr
+}
+
+// RegisterFlags registers -debug-addr, -events, -slo-budget,
+// -flight-recorder and the JSONL trace flag on fs. traceFlag spells the
+// last one: "trace" everywhere but sbsim, whose -trace is its coflow input.
+func RegisterFlags(fs *flag.FlagSet, traceFlag string) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz, /flightz) on this address, e.g. 127.0.0.1:6060")
+	fs.StringVar(&f.Trace, traceFlag, "", "write structured events as JSONL to this file (summarize with sbtap)")
+	fs.BoolVar(&f.Events, "events", false, "log structured events human-readably to stderr")
+	fs.DurationVar(&f.SLOBudget, "slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
+	fs.BoolVar(&f.FlightRecorder, "flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
+	return f
+}
+
+// Start wires what the parsed flags ask for onto obs.Default and
+// obs.DefaultRegistry: bus self-metering, the debug server, the trace file,
+// the stderr event log, the SLO watchdog and the flight recorder. prog
+// prefixes the one line printed to stderr (the debug server's address).
+//
+// traceSink is the trace flag's JSONL sink, nil without the flag: sweep
+// workers wrap it in obs.ShardTagger so their events land in the same file
+// as the bus' own. cleanup detaches every sink Start attached, flushes the
+// trace file, drains pending flight dumps and stops the debug server; it
+// returns the first error (in practice the trace file's). Call it before the
+// process exits.
+func (f *Flags) Start(prog string) (traceSink obs.Sink, cleanup func() error, err error) {
+	bus, reg := obs.Default, obs.DefaultRegistry
+	var undo []func() error // run last to first
+	cleanup = func() error {
+		var first error
+		for i := len(undo) - 1; i >= 0; i-- {
+			if err := undo[i](); err != nil && first == nil {
+				first = err
+			}
+		}
+		undo = nil
+		return first
+	}
+
+	bus.MeterOverhead(reg)
+	if f.DebugAddr != "" {
+		srv, err := Start(f.DebugAddr, Config{})
+		if err != nil {
+			return nil, nil, err
+		}
+		f.server = srv
+		undo = append(undo, srv.Close)
+		fmt.Fprintf(os.Stderr, "%s: debug server at http://%s/\n", prog, srv.Addr())
+	}
+	if f.Trace != "" {
+		sink, done, err := obs.TraceSinkToFile(bus, f.Trace)
+		if err != nil {
+			cleanup() //nolint:errcheck // the trace-file error is the one to report
+			return nil, nil, err
+		}
+		traceSink = sink
+		undo = append(undo, done)
+	}
+	if f.Events {
+		detach := obs.EventsToLogf(bus, func(format string, args ...interface{}) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		})
+		undo = append(undo, func() error { detach(); return nil })
+	}
+	if f.SLOBudget > 0 {
+		w := obs.NewSLOWatchdog(obs.SLOConfig{Budget: f.SLOBudget, Registry: reg})
+		bus.Attach(w)
+		undo = append(undo, func() error { bus.Detach(w); return nil })
+	}
+	if f.FlightRecorder {
+		fr := obs.NewFlightRecorder(obs.FlightConfig{
+			SLOBudget:             f.SLOBudget,
+			KeepAliveGapThreshold: 3,
+			DropBurstThreshold:    1024,
+		})
+		fr.Attach(bus)
+		undo = append(undo, func() error { bus.Detach(fr); fr.Close(); return nil })
+	}
+	return traceSink, cleanup, nil
+}

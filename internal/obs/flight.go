@@ -39,22 +39,9 @@ type FlightConfig struct {
 	// the recorder's own counters (flight.dumps, flight.trigger_errors).
 	// Nil means DefaultRegistry.
 	Registry *Registry
-	// Profile, when set, is asked to cut its in-flight CPU profile window
-	// into every dump bundle (cpu.pprof + attribution.json) — the
-	// continuous profiler's prof.Profiler implements it. An anomaly dump
-	// then carries the CPU profile of the moments leading up to the
-	// anomaly. Grab failures are counted, not fatal.
-	Profile ProfileGrabber
 	// Bus, when set via Attach, also receives a flight-dump event per
 	// bundle so the dump itself lands in the trace.
 	bus *Bus
-}
-
-// ProfileGrabber cuts a continuous profiler's in-flight CPU window into a
-// directory. It is an interface (implemented by prof.Profiler) so obs does
-// not import its own subpackage.
-type ProfileGrabber interface {
-	GrabInto(dir string) error
 }
 
 // FlightRecorder is the always-on black box of a control-plane process: a
@@ -195,6 +182,7 @@ func (r *FlightRecorder) dump(req dumpReq) {
 	now := time.Now()
 	if !r.lastDump.IsZero() && now.Sub(r.lastDump) < r.cfg.Cooldown {
 		r.mu.Unlock()
+		r.mErrors.Inc()
 		return
 	}
 	r.lastDump = now
@@ -270,12 +258,6 @@ func (r *FlightRecorder) writeBundle(dir string, req dumpReq) error {
 	}
 	if err := gf.Close(); err != nil {
 		return err
-	}
-
-	if r.cfg.Profile != nil {
-		if err := r.cfg.Profile.GrabInto(dir); err != nil {
-			r.mErrors.Inc()
-		}
 	}
 
 	meta := flightMeta{

@@ -22,22 +22,6 @@ type SLOConfig struct {
 	// emitting goroutine) with each breaching recovery-complete event —
 	// the flight-recorder trigger hook.
 	OnBreach func(Event)
-	// BurnSource, when set, supplies windowed counter deltas — typically a
-	// tsdb.Store sampling this registry — and the burn-rate gauge becomes
-	// breaches/recoveries over BurnWindow of wall time instead of over the
-	// last Window recoveries: a quiet period then decays the burn rate
-	// even though no new recoveries arrive to rotate the window.
-	BurnSource CounterDeltaSource
-	// BurnWindow is the wall-clock window BurnSource deltas are computed
-	// over. Default 60s.
-	BurnWindow time.Duration
-}
-
-// CounterDeltaSource reports how much a named counter increased over a
-// trailing wall-clock window. It is an interface (implemented by
-// tsdb.Store) so obs does not import its own subpackage.
-type CounterDeltaSource interface {
-	CounterDelta(name string, window time.Duration) (delta float64, ok bool)
 }
 
 // SLOWatchdog is a sink that audits every completed recovery against a
@@ -73,9 +57,6 @@ type SLOWatchdog struct {
 func NewSLOWatchdog(cfg SLOConfig) *SLOWatchdog {
 	if cfg.Window <= 0 {
 		cfg.Window = 64
-	}
-	if cfg.BurnWindow <= 0 {
-		cfg.BurnWindow = 60 * time.Second
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = DefaultRegistry
@@ -127,17 +108,6 @@ func (w *SLOWatchdog) Event(ev Event) {
 	w.hTotal.Record(ev.Total.Nanoseconds())
 	if n > 0 {
 		w.gBurnPPM.Set(int64(float64(breached) / float64(n) * 1e6))
-	}
-	// A time-series source upgrades the burn rate from "fraction of the
-	// last n recoveries" to "fraction over the last BurnWindow of wall
-	// time"; the count-window value above remains the fallback until the
-	// sampler has seen both counters.
-	if w.cfg.BurnSource != nil {
-		br, okB := w.cfg.BurnSource.CounterDelta("slo.breaches", w.cfg.BurnWindow)
-		rc, okR := w.cfg.BurnSource.CounterDelta("slo.recoveries", w.cfg.BurnWindow)
-		if okB && okR && rc > 0 {
-			w.gBurnPPM.Set(int64(br / rc * 1e6))
-		}
 	}
 	if breach {
 		w.mBreaches.Inc()

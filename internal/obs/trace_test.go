@@ -198,11 +198,22 @@ func TestFlightRecorderTriggerWritesBundle(t *testing.T) {
 		t.Errorf("flight.dumps = %d, want 1", got)
 	}
 
-	// A second breach inside the cooldown must not write another bundle.
+	// A second breach inside the cooldown writes no bundle and is counted
+	// as a suppressed trigger. The dump goroutine handles it asynchronously,
+	// so wait for the counter rather than for a fixed time.
 	bus.Emit(completeEvent(8, 8, 5*time.Millisecond))
-	time.Sleep(20 * time.Millisecond)
+	suppressed := reg.Counter("flight.trigger_errors")
+	for deadline := time.Now().Add(5 * time.Second); suppressed.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := suppressed.Value(); got != 1 {
+		t.Errorf("flight.trigger_errors = %d after a trigger inside the cooldown, want 1", got)
+	}
 	if got := len(fr.Dumps()); got != 1 {
 		t.Errorf("cooldown violated: %d bundles", got)
+	}
+	if got := reg.Counter("flight.dumps").Value(); got != 1 {
+		t.Errorf("flight.dumps = %d after the suppressed trigger, want 1", got)
 	}
 }
 
