@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check check-race vet build test race soak-failover bench bench-e2e-smoke tools
+.PHONY: check check-race vet build test race soak-failover fuzz-smoke bench bench-e2e-smoke tools
 
 check: vet build test race
 
@@ -36,12 +36,23 @@ race:
 	# and GOMAXPROCS workers against its pinned finish-time hash.
 	$(GO) test -race -run 'TestDifferentialParallelWorkers|TestStormFinishTimesGolden' ./internal/fluid/
 
-# Leader-failover soak: the cluster emulation's kill-the-leader-mid-storm
-# and quorum-loss drills, repeated under the race detector. Election timing
-# is randomized, so repetition is the point — one pass only samples one
-# timeout draw.
+# Leader-failover soak: the kill-the-leader (mid-storm in the cluster
+# emulation), quorum-loss and rebootstrap drills, the bootstrap-election and
+# paused-peer transport tests, and the election-safety fuzz, repeated under
+# the race detector. A fresh cluster's first election is deterministic (the
+# lowest ID campaigns on its first tick), but every failover election waits
+# a randomized timeout, so repetition is the point — one pass only samples
+# one draw.
 soak-failover:
-	$(GO) test -race -count 8 -run 'TestCluster|TestElectionSafety' ./internal/ctlnet/... ./internal/ctlplane/...
+	$(GO) test -race -count 8 -run 'TestCluster|TestElectionSafety|TestLiveCluster|TestRebootstrap|TestBootstrap|TestTransport' ./internal/ctlnet/... ./internal/ctlplane/...
+
+# Ten seconds of coverage-guided fuzzing per target, on top of the committed
+# corpora under testdata/fuzz (which plain `go test` already replays): the
+# consensus wire (every Raft message anyone can send the listener) and the
+# coflow trace parser. Standard library only; runs offline.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRaftStep$$' -fuzztime 10s ./internal/ctlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/coflow/
 
 # Recovery-path microbenchmarks; instrumentation must stay free when no
 # event sink is attached, so watch these against the seed numbers.

@@ -118,11 +118,13 @@ type ClusterConfig struct {
 	EmulationConfig
 	// Replicas is the cluster size. Default 3.
 	Replicas int
-	// TickEvery is one consensus logical tick (election timeout is 10–20
-	// ticks). Default 10 ms, so elections converge in ~100–200 ms and a
-	// leader-kill test completes quickly.
+	// TickEvery is one consensus logical tick. Default 10 ms: the first
+	// election takes one tick (replica 0 campaigns at once) and later ones
+	// — a killed leader, a lost quorum — a randomized 10–20 ticks, so they
+	// converge in ~100–200 ms and a leader-kill test completes quickly.
 	TickEvery time.Duration
-	// Seed feeds the replicas' randomized election timeouts.
+	// Seed feeds the replicas' randomized election timeouts: every
+	// election after the first.
 	Seed uint64
 }
 

@@ -31,8 +31,10 @@ type Transport interface {
 // NodeConfig parameterizes a live replica driver.
 type NodeConfig struct {
 	Raft RaftConfig
-	// TickEvery is the wall-clock length of one logical tick. Default 25ms
-	// (election timeout ≈ 250–500ms with the default ElectionTicks).
+	// TickEvery is the wall-clock length of one logical tick. Default 25ms:
+	// a fresh cluster's first election takes one tick (the lowest ID
+	// campaigns at once, see NewRaft); every later election waits a
+	// randomized 250–500ms with the default ElectionTicks.
 	TickEvery time.Duration
 	// Transport sends consensus messages to peers; incoming messages are
 	// fed through Node.Deliver.

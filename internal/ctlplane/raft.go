@@ -14,7 +14,10 @@
 // committed commands to each replica's controller.
 package ctlplane
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is a replica's role in the current term.
 type State uint8
@@ -129,8 +132,8 @@ type RaftConfig struct {
 	ID    int
 	Peers []int
 	// ElectionTicks is the base election timeout in ticks; each election
-	// waits a randomized timeout in [ElectionTicks, 2*ElectionTicks).
-	// Default 10.
+	// waits a randomized timeout in [ElectionTicks, 2*ElectionTicks),
+	// except the bootstrap election (see NewRaft). Default 10.
 	ElectionTicks int
 	// HeartbeatTicks is the leader's heartbeat period in ticks. Default 2.
 	HeartbeatTicks int
@@ -212,6 +215,16 @@ type Raft struct {
 }
 
 // NewRaft builds a consensus core.
+//
+// Bootstrap: the replica whose ID is the lowest in Peers campaigns on its
+// first Tick instead of after a randomized timeout, so a fresh cluster (or a
+// RaftConfig.Restore rebootstrap) serves after one tick. Election safety does
+// not depend on timing, and one deterministic early candidate cannot split a
+// vote; every other replica, and every later election, keeps the randomized
+// timeout. The rule holds only for a replica without prior hard state (term
+// and vote) — true of every construction today. A replica restarted from a
+// persisted term must not take the shortcut: it would bump the term under a
+// healthy leader.
 func NewRaft(cfg RaftConfig) *Raft {
 	cfg.setDefaults()
 	r := &Raft{
@@ -228,7 +241,12 @@ func NewRaft(cfg RaftConfig) *Raft {
 		r.applied = cfg.Restore.LastIndex
 		r.term = cfg.Restore.LastTerm
 	}
+	// Draw the first timeout even when bootstrapping, so the lowest ID's
+	// later draws are the ones they always were.
 	r.resetTimeout()
+	if len(cfg.Peers) > 0 && cfg.ID == slices.Min(cfg.Peers) {
+		r.timeoutTarget = 1
+	}
 	return r
 }
 
@@ -453,8 +471,13 @@ func (r *Raft) sendApp(to int) {
 	}
 }
 
-// Step feeds one incoming message into the core.
+// Step feeds one incoming message into the core. The consensus listener
+// decodes frames from anyone who connects, so a message not addressed to
+// this replica, or not from another member, is dropped unread.
 func (r *Raft) Step(m Message) {
+	if m.To != r.cfg.ID || m.From == r.cfg.ID || !slices.Contains(r.cfg.Peers, m.From) {
+		return
+	}
 	if m.Term > r.term {
 		leader := -1
 		if m.Type == MsgApp || m.Type == MsgSnap {
@@ -514,6 +537,14 @@ func (r *Raft) stepApp(m Message) {
 	r.leader = m.From
 	r.resetTimeout()
 
+	// The entries must run contiguously from PrevIndex+1: everything below
+	// indexes the log by position on that promise.
+	for i := range m.Entries {
+		if m.Entries[i].Index != m.PrevIndex+1+uint64(i) {
+			r.send(Message{Type: MsgAppResp, To: m.From, Success: false, MatchIndex: r.LastIndex()})
+			return
+		}
+	}
 	prevTerm, reachable := r.entryTerm(m.PrevIndex)
 	if m.PrevIndex < r.snapIndex {
 		// The anchor predates our snapshot: everything up to snapIndex is
@@ -544,6 +575,13 @@ func (r *Raft) stepApp(m Message) {
 		if have, ok := r.entryTerm(e.Index); ok && e.Index <= r.LastIndex() {
 			if have == e.Term {
 				continue
+			}
+			if e.Index <= r.commit {
+				// No leader's log contradicts a committed entry; only a
+				// forged or corrupt append can. Nothing is truncated yet:
+				// every earlier entry in m matched.
+				r.send(Message{Type: MsgAppResp, To: m.From, Success: false, MatchIndex: r.LastIndex()})
+				return
 			}
 			r.log = r.log[:e.Index-r.snapIndex-1]
 		}

@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -314,11 +315,11 @@ func TestRestoreFromSnapshotBootstrapsLog(t *testing.T) {
 		ID: 7, Peers: []int{7}, Seed: 9,
 		Restore: &Snapshot{LastIndex: 42, LastTerm: 3, Data: []byte("survivor")},
 	})
-	for i := 0; i < 40 && r.State() != Leader; i++ {
-		r.Tick()
-	}
-	if r.State() != Leader {
-		t.Fatal("single restored replica did not elect itself")
+	// A rebootstrap has no prior hard state: the lone (hence lowest)
+	// replica campaigns on its first tick.
+	r.Tick()
+	if r.State() != Leader || r.Term() != 4 {
+		t.Fatalf("single restored replica after one tick: %v in term %d, want leader in term 4", r.State(), r.Term())
 	}
 	idx, _, ok := r.Propose([]byte("resumed"))
 	if !ok || idx != 43 {
@@ -331,5 +332,187 @@ func TestRestoreFromSnapshotBootstrapsLog(t *testing.T) {
 	snap, ok := r.CurrentSnapshot()
 	if !ok || string(snap.Data) != "survivor" {
 		t.Fatalf("CurrentSnapshot = %+v ok=%v", snap, ok)
+	}
+}
+
+// TestBootstrapLowestIDLeadsAfterOneTick: in a fresh cluster the lowest ID
+// campaigns on its first tick and wins term 1 unopposed, whatever the seed
+// and however Peers is ordered.
+func TestBootstrapLowestIDLeadsAfterOneTick(t *testing.T) {
+	for _, ids := range [][]int{{2, 0, 1}, {4, 1, 3, 0, 2}, {9, 5, 7}} {
+		lowest := slices.Min(ids)
+		for seed := uint64(1); seed <= 50; seed++ {
+			c := newCluster(ids, seed)
+			c.tickAll()
+			for id, r := range c.nodes {
+				want := Follower
+				if id == lowest {
+					want = Leader
+				}
+				if r.State() != want || r.Term() != 1 || r.Leader() != lowest {
+					t.Fatalf("peers %v seed %d: replica %d is %v in term %d following %d, want %v in term 1 following %d",
+						ids, seed, id, r.State(), r.Term(), r.Leader(), want, lowest)
+				}
+			}
+		}
+	}
+}
+
+// TestBootstrapWithoutLowestIDFallsBackToTimeouts: with the lowest ID cut
+// off from boot, the others elect exactly as before the shortcut — the
+// earliest randomized timeout wins, within 2×ElectionTicks. When two first
+// timeouts tie, the vote splits and a later draw decides.
+func TestBootstrapWithoutLowestIDFallsBackToTimeouts(t *testing.T) {
+	const electionTicks = 10
+	for _, ids := range [][]int{{0, 1, 2}, {0, 1, 2, 3, 4}} {
+		ties := 0
+		for seed := uint64(1); seed <= 50; seed++ {
+			c := newCluster(ids, seed)
+			c.isolate(0)
+			first, tied := -1, false
+			for _, id := range ids[1:] {
+				switch tt := c.nodes[id].timeoutTarget; {
+				case first < 0 || tt < c.nodes[first].timeoutTarget:
+					first, tied = id, false
+				case tt == c.nodes[first].timeoutTarget:
+					tied = true
+				}
+			}
+			firstTimeout := c.nodes[first].timeoutTarget
+			limit := 2 * electionTicks
+			if tied {
+				ties++
+				limit = 10 * electionTicks
+			}
+			var ld *Raft
+			ticks := 0
+			for ld == nil && ticks < limit {
+				c.tickAll()
+				ticks++
+				ld = c.leader()
+			}
+			if ld == nil || ld.ID() == 0 {
+				t.Fatalf("peers %v seed %d: no leader among the connected replicas in %d ticks", ids, seed, limit)
+			}
+			if !tied && (ld.ID() != first || ticks != firstTimeout) {
+				t.Fatalf("peers %v seed %d: replica %d led after %d ticks, want replica %d at its first timeout %d",
+					ids, seed, ld.ID(), ticks, first, firstTimeout)
+			}
+		}
+		t.Logf("peers %v: %d of 50 seeds tie on the earliest first timeout", ids, ties)
+	}
+}
+
+// draw returns the n-th output (from 1) of the splitmix64 stream Raft.rand
+// draws from a seed.
+func draw(seed uint64, n int) uint64 {
+	var z uint64
+	for i := 0; i < n; i++ {
+		seed += 0x9e3779b97f4a7c15
+		z = seed
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+	}
+	return z
+}
+
+// TestBootstrapKeepsOtherReplicasDraws: only the lowest ID's first timeout
+// changes. Every other replica's first timeout is the draw it always was,
+// and the lowest ID's later timeouts are its own draws 2, 3, ….
+func TestBootstrapKeepsOtherReplicasDraws(t *testing.T) {
+	// First timeouts of newCluster({0..4}, seed) recorded before the
+	// shortcut (replica 0's entry is what it no longer waits).
+	recorded := map[uint64][]int{1: {15, 17, 16, 13, 13}, 2: {10, 12, 14, 11, 13}}
+	ids := []int{0, 1, 2, 3, 4}
+	for seed := uint64(1); seed <= 50; seed++ {
+		c := newCluster(ids, seed)
+		for _, id := range ids {
+			want := 10 + int(draw(seed+uint64(id)*977, 1)%10)
+			if rec, ok := recorded[seed]; ok && rec[id] != want {
+				t.Fatalf("seed %d replica %d: reference draw %d, recorded %d", seed, id, want, rec[id])
+			}
+			if id == 0 {
+				want = 1
+			}
+			if got := c.nodes[id].timeoutTarget; got != want {
+				t.Fatalf("seed %d replica %d: first timeout %d, want %d", seed, id, got, want)
+			}
+		}
+		c.isolate(0)
+		c.tickAll()
+		if got, want := c.nodes[0].timeoutTarget, 10+int(draw(seed, 2)%10); got != want {
+			t.Fatalf("seed %d: replica 0's second timeout %d, want draw 2 = %d", seed, got, want)
+		}
+	}
+}
+
+// TestStepDropsStrangers: the consensus listener decodes frames from anyone
+// who connects, so Step ignores a message from outside Peers, from this
+// replica itself, or addressed to another replica — a forged vote does not
+// count toward a quorum and a forged higher term does not depose a leader.
+func TestStepDropsStrangers(t *testing.T) {
+	c := newCluster([]int{0, 1, 2}, 1)
+	c.isolate(0)
+	c.tickAll() // replica 0 campaigns for term 1, cut off
+	r := c.nodes[0]
+	for _, m := range []Message{
+		{Type: MsgVoteResp, From: 7, To: 0, Term: 1, Granted: true},
+		{Type: MsgVoteResp, From: -1, To: 0, Term: 1, Granted: true},
+		{Type: MsgVoteResp, From: 0, To: 0, Term: 1, Granted: true},
+	} {
+		r.Step(m)
+		if r.State() != Candidate {
+			t.Fatalf("after %+v: %v, want a candidate still", m, r.State())
+		}
+	}
+	r.Step(Message{Type: MsgVoteResp, From: 1, To: 0, Term: 1, Granted: true})
+	if r.State() != Leader {
+		t.Fatalf("a member's vote did not elect replica 0: %v", r.State())
+	}
+	r.Ready()
+	for _, m := range []Message{
+		{Type: MsgApp, From: 7, To: 0, Term: 9},
+		{Type: MsgVoteReq, From: 3, To: 0, Term: 9, LastLogIndex: 99, LastLogTerm: 9},
+		{Type: MsgApp, From: 1, To: 2, Term: 9},
+		{Type: MsgSnap, From: 0, To: 0, Term: 9, SnapIndex: 5, SnapTerm: 9},
+	} {
+		r.Step(m)
+		if r.State() != Leader || r.Term() != 1 || r.HasReady() {
+			t.Fatalf("after %+v: %v in term %d (ready %v), want an untouched leader of term 1", m, r.State(), r.Term(), r.HasReady())
+		}
+	}
+}
+
+// TestStepRejectsMalformedAppends: entries that do not run contiguously from
+// PrevIndex+1, or that contradict a committed entry, are nacked and leave
+// the log as it was.
+func TestStepRejectsMalformedAppends(t *testing.T) {
+	c := newCluster([]int{0, 1, 2}, 1)
+	ld := c.tickUntilLeader(t, 5)
+	ld.Propose([]byte("a"))
+	ld.Propose([]byte("b"))
+	c.deliverAll()
+	c.tickAll()
+	c.tickAll()
+	f := c.nodes[1]
+	if f.Commit() != 2 || f.LastIndex() != 2 {
+		t.Fatalf("follower commit %d last %d, want 2 and 2", f.Commit(), f.LastIndex())
+	}
+	for _, m := range []Message{
+		{Entries: []Entry{{Index: 0, Term: 5}}},                                                 // at the snapshot index
+		{Entries: []Entry{{Index: 4, Term: 1}}},                                                 // a gap
+		{PrevIndex: 1, PrevTerm: 1, Entries: []Entry{{Index: 2, Term: 1}, {Index: 2, Term: 1}}}, // a repeat
+		{Entries: []Entry{{Index: 1, Term: 2}}},                                                 // over a committed entry
+	} {
+		m.Type, m.From, m.To, m.Term = MsgApp, 0, 1, 1
+		f.Step(m)
+		rd := f.Ready()
+		if len(rd.Messages) != 1 || rd.Messages[0].Type != MsgAppResp || rd.Messages[0].Success {
+			t.Fatalf("after %+v: sent %+v, want one nack", m, rd.Messages)
+		}
+		if f.LastIndex() != 2 || len(f.log) != 2 || f.log[0].Term != 1 || f.log[1].Term != 1 || f.Commit() != 2 {
+			t.Fatalf("after %+v: log %+v commit %d, want the two committed entries", m, f.log, f.Commit())
+		}
 	}
 }
