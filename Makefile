@@ -1,13 +1,14 @@
 # Quality gates for the ShareBackup reproduction. `make check` is what CI
-# (and ISSUE reviewers) run: vet, build, full test suite, then the race
-# detector on the packages with real concurrency. `make check-race` runs the
-# whole suite under the race detector (slower; CI runs it as its own job).
+# runs: vet, build, full test suite, the race detector on the packages with
+# real concurrency, then every command and example once. `make check-race`
+# runs the whole suite under the race detector (slower; CI runs it as its
+# own job).
 
 GO ?= go
 
-.PHONY: check check-race vet build test race soak-failover fuzz-smoke bench bench-e2e-smoke tools
+.PHONY: check check-race vet build test race smoke soak-failover fuzz-smoke bench bench-e2e-smoke tools
 
-check: vet build test race
+check: vet build test race smoke
 
 check-race:
 	$(GO) test -race ./...
@@ -36,6 +37,19 @@ race:
 	# and GOMAXPROCS workers against its pinned finish-time hash.
 	$(GO) test -race -run 'TestDifferentialParallelWorkers|TestStormFinishTimesGolden' ./internal/fluid/
 
+# Every command and example at its smallest flags, in a scratch directory,
+# so a main that builds but no longer runs fails CI. Outputs are discarded;
+# any non-zero exit fails the target (about a second in total).
+smoke:
+	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && set -ex && \
+	$(GO) build -o "$$tmp/" ./cmd/... ./examples/... && cd "$$tmp" && \
+	./sbexperiments -run all -k 4 > experiments.out && \
+	./sbemu -fail-path -trace emu.jsonl > emu.out && ./sbtap emu.jsonl > tap.out && \
+	./sbemu -ctlnet -trace-dir traces > ctlnet.out && ./sbtap -stitch -strict traces/*.jsonl > stitch.out && \
+	./sbtrace -gen -racks 16 -coflows 20 -duration 60 > trace.txt && ./sbtrace -inspect trace.txt > inspect.out && \
+	./sbwire -verify > wire.out && \
+	for ex in coflowstudy diagnosis livefailover nonuniform quickstart; do ./$$ex > $$ex.out; done
+
 # Leader-failover soak: the kill-the-leader (mid-storm in the cluster
 # emulation), quorum-loss and rebootstrap drills, the bootstrap-election and
 # paused-peer transport tests, and the election-safety fuzz, repeated under
@@ -48,10 +62,12 @@ soak-failover:
 
 # Ten seconds of coverage-guided fuzzing per target, on top of the committed
 # corpora under testdata/fuzz (which plain `go test` already replays): the
-# consensus wire (every Raft message anyone can send the listener) and the
-# coflow trace parser. Standard library only; runs offline.
+# consensus wire (every Raft message anyone can send the listener), the
+# control-plane wire (every ctlnet frame and payload decoder) and the coflow
+# trace parser. Standard library only; runs offline.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRaftStep$$' -fuzztime 10s ./internal/ctlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/ctlnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/coflow/
 
 # Recovery-path microbenchmarks; instrumentation must stay free when no

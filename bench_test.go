@@ -101,7 +101,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var points int
 	for i := 0; i < b.N; i++ {
-		series, err := Fig5(nil, nil)
+		series, err := Fig5()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func main() {
 		cluster    = flag.Int("cluster", 0, "ctlnet mode: run this many controller replicas with leader election and kill the leader mid-storm (0 = single controller)")
 		kaBatch    = flag.Bool("ka-batch", false, "run the fleet-scale keep-alive demo: -agents batched agents through one server, printing sustained ingest and server goroutine count")
 	)
-	obsFlags := debughttp.RegisterFlags(flag.CommandLine, "trace")
+	obsFlags := debughttp.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *kaBatch {

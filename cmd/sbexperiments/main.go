@@ -4,28 +4,37 @@
 //
 // Usage:
 //
-//	sbexperiments [-run all|fig1a|fig1b|fig1c|table2|table3|fig5|capacity|latency|tablesize]
-//	              [-k N] [-n N] [-seed S] [-full] [-workers N]
-//	              [-trace FILE] [-events] [-json FILE]
+//	sbexperiments [-run all|fig1a|fig1b|fig1c|table2|fig5|table3|capacity|latency|tablesize|extensions|transient|montecarlo|recovery]
+//	              [-k N] [-n N] [-seed S] [-full] [-workers N] [-trials N]
+//	              [-coflow-trace FILE] [-json FILE] [-trace FILE] [-events]
+//
+// -run takes a comma-separated list. -full runs the paper-scale
+// configurations (k=16 failure study, a 1e8-hour Monte-Carlo horizon); the
+// default is a laptop-scale run with the same shapes. -coflow-trace replays
+// a coflow-benchmark trace file (e.g. FB2010-1Hr-150-0.txt) in Figure
+// 1(a)/(b) instead of the synthetic workload. -trials sets the failovers per
+// kind of the recovery study; -json writes that study's result (per-phase
+// percentiles per circuit technology and recovery kind) to the named file as
+// indented JSON: without -run it runs the study alone, and with -run the list
+// must include recovery.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
-// with sbtap); -events logs them human-readably to stderr. -json runs the
-// Section 5.3 many-failover recovery study and writes its result (per-phase
-// percentiles per circuit technology and recovery kind) to the named file as
-// indented JSON.
-//
-// -full runs the paper-scale configurations (k=16 failure study); the
-// default is a laptop-scale run with the same shapes.
+// with sbtap); -events logs them human-readably to stderr; -debug-addr serves
+// /varz, where the sweep.* gauges report a running sweep's progress.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"sharebackup"
+	"sharebackup/internal/coflow"
+	"sharebackup/internal/failure"
 	"sharebackup/internal/fluid"
 	"sharebackup/internal/metrics"
 	"sharebackup/internal/obs"
@@ -33,18 +42,52 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// order is what -run all runs.
+var order = []string{"fig1a", "fig1b", "fig1c", "table2", "fig5", "table3", "capacity", "latency", "tablesize", "extensions", "transient", "montecarlo", "recovery"}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sbexperiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run      = flag.String("run", "all", "experiment to run (all, fig1a, fig1b, fig1c, table2, table3, fig5, capacity, latency, tablesize)")
-		k        = flag.Int("k", 0, "fat-tree parameter override (0 = experiment default)")
-		n        = flag.Int("n", 1, "backup switches per failure group")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		full     = flag.Bool("full", false, "run paper-scale configurations (slower)")
-		jsonPath = flag.String("json", "", "run the many-failover recovery study and write its per-phase percentiles to this file as JSON")
-		trials   = flag.Int("trials", 32, "failovers per kind for the -json recovery study")
-		workers  = flag.Int("workers", 0, "sweep worker pool size for fig1a/fig1b/fig1c and the -json recovery study (0 = GOMAXPROCS; results are identical for any value)")
+		runList   = fs.String("run", "", "comma-separated experiments: all (the default), "+strings.Join(order, ", "))
+		k         = fs.Int("k", 0, "fat-tree parameter override (0 = experiment default)")
+		n         = fs.Int("n", 1, "backup switches per failure group")
+		seed      = fs.Int64("seed", 1, "deterministic seed")
+		full      = fs.Bool("full", false, "run paper-scale configurations (slower)")
+		jsonPath  = fs.String("json", "", "write the recovery study's per-phase percentiles to this file as JSON (runs the study alone unless -run is given)")
+		trials    = fs.Int("trials", 32, "failovers per kind for the recovery study")
+		workers   = fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS; results are identical for any value)")
+		tracePath = fs.String("coflow-trace", "", "coflow-benchmark trace file for fig1a/fig1b (default: synthetic trace)")
 	)
-	obsFlags := debughttp.RegisterFlags(flag.CommandLine, "trace")
-	flag.Parse()
+	obsFlags := debughttp.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sbexperiments:", err)
+		return 1
+	}
+
+	selected := strings.Split(*runList, ",")
+	switch {
+	case *runList == "" && *jsonPath != "":
+		selected = []string{"recovery"}
+	case *runList == "" || *runList == "all":
+		selected = order
+	}
+
+	var trace *coflow.Trace
+	if *tracePath != "" {
+		var err error
+		if trace, err = loadTrace(*tracePath); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "loaded trace: %d racks, %d coflows, %d flows, %.0fs\n",
+			trace.NumRacks, len(trace.Coflows), trace.TotalFlows(), trace.Duration())
+	}
 
 	if obsFlags.DebugAddr != "" {
 		// Every fluid.Simulator the experiments build from here on samples
@@ -53,60 +96,66 @@ func main() {
 	}
 	traceSink, stopObs, err := obsFlags.Start("sbexperiments")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbexperiments:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer func() {
 		if err := stopObs(); err != nil {
-			fmt.Fprintln(os.Stderr, "sbexperiments:", err)
+			fmt.Fprintln(stderr, "sbexperiments:", err)
 		}
 	}()
-	if *jsonPath != "" {
-		if err := writeRecoveryJSON(*k, *n, *trials, *workers, *jsonPath, traceSink); err != nil {
-			fmt.Fprintf(os.Stderr, "sbexperiments: recovery study: %v\n", err)
-			os.Exit(1)
-		}
-		if *run == "all" {
-			return
-		}
-	}
 
 	experiments := map[string]func() error{
-		"fig1a":      func() error { return runFig1(true, *k, *seed, *full, *workers) },
-		"fig1b":      func() error { return runFig1(false, *k, *seed, *full, *workers) },
-		"fig1c":      func() error { return runFig1c(*k, *seed, *full, *workers) },
-		"table2":     func() error { return runTable2(*k, *n) },
-		"table3":     func() error { return runTable3(*k, *seed) },
-		"fig5":       runFig5,
-		"capacity":   func() error { return runCapacity(*k, *n) },
-		"latency":    func() error { return runLatency(*k) },
-		"tablesize":  runTableSize,
-		"extensions": func() error { return runExtensions(*k, *seed) },
-		"transient":  func() error { return runTransient(*k, *seed) },
-	}
-	order := []string{"fig1a", "fig1b", "fig1c", "table2", "fig5", "table3", "capacity", "latency", "tablesize", "extensions", "transient"}
-
-	selected := strings.Split(*run, ",")
-	if *run == "all" {
-		selected = order
+		"fig1a":      func() error { return runFig1(stdout, true, *k, *seed, *full, *workers, trace) },
+		"fig1b":      func() error { return runFig1(stdout, false, *k, *seed, *full, *workers, trace) },
+		"fig1c":      func() error { return runFig1c(stdout, *k, *seed, *full, *workers) },
+		"table2":     func() error { return runTable2(stdout, *k, *n) },
+		"table3":     func() error { return runTable3(stdout, *k, *seed) },
+		"fig5":       func() error { return runFig5(stdout) },
+		"capacity":   func() error { return runCapacity(stdout, *k, *n) },
+		"latency":    func() error { return runLatency(stdout, *k) },
+		"tablesize":  func() error { return runTableSize(stdout) },
+		"extensions": func() error { return runExtensions(stdout, *k, *seed) },
+		"transient":  func() error { return runTransient(stdout, *k, *seed) },
+		"montecarlo": func() error { return runMonteCarlo(stdout, *k, *n, *seed, *full, *workers) },
+		"recovery": func() error {
+			return runRecovery(stdout, *k, *n, *trials, *workers, *jsonPath, traceSink)
+		},
 	}
 	for _, name := range selected {
-		f, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "sbexperiments: unknown experiment %q\n", name)
-			os.Exit(2)
+		if _, ok := experiments[name]; !ok {
+			fmt.Fprintf(stderr, "sbexperiments: unknown experiment %q\n", name)
+			return 2
 		}
-		fmt.Printf("===== %s =====\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "sbexperiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
 	}
+	if *jsonPath != "" && !slices.Contains(selected, "recovery") {
+		fmt.Fprintln(stderr, "sbexperiments: -json writes the recovery study's result; add recovery to -run")
+		return 2
+	}
+	for _, name := range selected {
+		fmt.Fprintf(stdout, "===== %s =====\n", name)
+		if err := experiments[name](); err != nil {
+			return fail(fmt.Errorf("%s: %w", name, err))
+		}
+		fmt.Fprintln(stdout)
+	}
+	return 0
 }
 
-func runFig1(nodes bool, k int, seed int64, full bool, workers int) error {
-	cfg := sharebackup.Fig1Config{K: k, Seed: seed, Workers: workers}
+func loadTrace(path string) (*coflow.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := coflow.Parse(f)
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return tr, nil
+}
+
+func runFig1(w io.Writer, nodes bool, k int, seed int64, full bool, workers int, trace *coflow.Trace) error {
+	cfg := sharebackup.Fig1Config{K: k, Seed: seed, Workers: workers, Trace: trace}
 	if cfg.K == 0 {
 		if full {
 			cfg.K = 16
@@ -118,35 +167,43 @@ func runFig1(nodes bool, k int, seed int64, full bool, workers int) error {
 		res *sharebackup.Fig1Result
 		err error
 	)
-	name, kind := "Figure 1(a)", "node"
 	if nodes {
 		res, err = sharebackup.Fig1a(cfg)
 	} else {
-		name, kind = "Figure 1(b)", "link"
 		res, err = sharebackup.Fig1b(cfg)
 	}
 	if err != nil {
 		return err
 	}
+	return printFig1(w, nodes, cfg.K, res)
+}
+
+// printFig1 renders one Figure 1(a)/(b) result: the two series, their
+// chart, and the single-failure headline.
+func printFig1(w io.Writer, nodes bool, k int, res *sharebackup.Fig1Result) error {
+	name, kind := "Figure 1(b)", "link"
+	if nodes {
+		name, kind = "Figure 1(a)", "node"
+	}
 	flows, coflows := res.Series(kind + " failure rate")
 	out, err := metrics.RenderSeries(
-		fmt.Sprintf("%s — %% of flows and coflows affected by %s failures (k=%d)", name, kind, cfg.K),
+		fmt.Sprintf("%s — %% of flows and coflows affected by %s failures (k=%d)", name, kind, k),
 		flows, coflows)
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
+	fmt.Fprint(w, out)
 	plot := &metrics.Plot{Title: name + " (curves)"}
 	if chart, err := plot.Render(coflows, flows); err == nil {
-		fmt.Print(chart)
+		fmt.Fprint(w, chart)
 	}
-	fmt.Printf("single %s failure: %.2f%% of flows, %.2f%% of coflows affected (magnification %.1fx)\n",
+	fmt.Fprintf(w, "single %s failure: %.2f%% of flows, %.2f%% of coflows affected (magnification %.1fx)\n",
 		kind, res.SingleFlowPct, res.SingleCoflowPct,
 		res.SingleCoflowPct/res.SingleFlowPct)
 	return nil
 }
 
-func runFig1c(k int, seed int64, full bool, workers int) error {
+func runFig1c(w io.Writer, k int, seed int64, full bool, workers int) error {
 	cfg := sharebackup.Fig1cConfig{K: k, Seed: seed, Workers: workers}
 	if cfg.K == 0 {
 		if full {
@@ -178,14 +235,14 @@ func runFig1c(k int, seed int64, full bool, workers int) error {
 			curves[a.Name] = cdf
 		}
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	if chart, err := metrics.PlotCDF("CCT slowdown CDF (x = slowdown, y = %% of affected coflows)", 24, false, curves); err == nil {
-		fmt.Print(chart)
+		fmt.Fprint(w, chart)
 	}
 	return nil
 }
 
-func runTable2(k, n int) error {
+func runTable2(w io.Writer, k, n int) error {
 	if k == 0 {
 		k = 48
 	}
@@ -193,11 +250,11 @@ func runTable2(k, n int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-func runTable3(k int, seed int64) error {
+func runTable3(w io.Writer, k int, seed int64) error {
 	if k == 0 {
 		k = 8
 	}
@@ -219,12 +276,12 @@ func runTable3(k int, seed int64) error {
 		tbl.AddRow(r.Arch, check(r.NoBandwidthLoss), check(r.NoPathDilation), check(r.NoUpstreamRepair),
 			r.Throughput, r.BaselineThroughput, r.MaxHops)
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-func runFig5() error {
-	series, err := sharebackup.Fig5(nil, nil)
+func runFig5(w io.Writer) error {
+	series, err := sharebackup.Fig5()
 	if err != nil {
 		return err
 	}
@@ -232,11 +289,11 @@ func runFig5() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
+	fmt.Fprint(w, out)
 	return nil
 }
 
-func runCapacity(k, n int) error {
+func runCapacity(w io.Writer, k, n int) error {
 	if k == 0 {
 		k = 8
 	}
@@ -256,11 +313,11 @@ func runCapacity(k, n int) error {
 	tbl.AddRow("backup ratio n/(k/2)", res.BackupRatio)
 	tbl.AddRow("switch failure rate (paper)", res.SwitchFailureRate)
 	tbl.AddRow("P[group exceeds n failures]", res.PGroupOverflow)
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-func runLatency(k int) error {
+func runLatency(w io.Writer, k int) error {
 	if k == 0 {
 		k = 8
 	}
@@ -275,11 +332,11 @@ func runLatency(k int) error {
 	for _, r := range rows {
 		tbl.AddRow(r.Scheme, r.Detection.String(), r.Comm.String(), r.Reconfig.String(), r.Total.String())
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-func runExtensions(k int, seed int64) error {
+func runExtensions(w io.Writer, k int, seed int64) error {
 	if k == 0 {
 		k = 8
 	}
@@ -287,7 +344,7 @@ func runExtensions(k int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(sharebackup.RenderExtensionStudy(rows).String())
+	fmt.Fprint(w, sharebackup.RenderExtensionStudy(rows).String())
 
 	augs, err := sharebackup.AugmentationStudy(k)
 	if err != nil {
@@ -304,11 +361,11 @@ func runExtensions(k int, seed int64) error {
 		}
 		tbl.AddRow(a.Pod, a.FabricLinksAdded, a.HostBandwidthAdded, ok)
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-func runTransient(k int, seed int64) error {
+func runTransient(w io.Writer, k int, seed int64) error {
 	rows, err := sharebackup.TransientStudy(sharebackup.TransientConfig{K: k, Seed: seed})
 	if err != nil {
 		return err
@@ -320,11 +377,11 @@ func runTransient(k int, seed int64) error {
 	for _, r := range rows {
 		tbl.AddRow(r.Scheme, r.Gap.String(), r.MeanSlowdown, r.MaxSlowdown, r.Disconnected)
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-func runTableSize() error {
+func runTableSize(w io.Writer) error {
 	rows, err := sharebackup.TableSizes([]int{8, 16, 32, 48, 64})
 	if err != nil {
 		return err
@@ -336,27 +393,70 @@ func runTableSize() error {
 	for _, r := range rows {
 		tbl.AddRow(r.K, r.Hosts, r.Inbound, r.Outbound, r.Total)
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(w, tbl.String())
 	return nil
 }
 
-// writeRecoveryJSON runs the many-failover recovery study and writes its
-// result to path as indented JSON. Trials shard across workers; traceSink,
-// when non-nil, receives every trial's events shard-tagged.
-func writeRecoveryJSON(k, n, trials, workers int, path string, traceSink obs.Sink) error {
+// runMonteCarlo is the Section 5.1 group-availability simulation: one
+// failure group of k/2 switches sharing n backups, at the paper's MTBF and
+// MTTR, over a horizon split into independent slices.
+func runMonteCarlo(w io.Writer, k, n int, seed int64, full bool, workers int) error {
+	if k == 0 {
+		k = 16
+	}
+	horizon, shards := 1e6, 64
+	if full {
+		horizon, shards = 1e8, 256
+	}
+	res, err := failure.SimulateGroupAvailability(failure.AvailabilityConfig{
+		GroupSize: k / 2, Backups: n, Horizon: horizon, Seed: seed, Shards: shards, Workers: workers,
+	})
+	if err != nil {
+		return err
+	}
+	tbl := &metrics.Table{
+		Title:   fmt.Sprintf("group availability (group=%d, n=%d, %d slices)", k/2, n, shards),
+		Headers: []string{"metric", "value"},
+	}
+	tbl.AddRow("switch failures simulated", res.Failures)
+	tbl.AddRow("pool-overflow events", res.OverflowEvents)
+	tbl.AddRow("overflow time fraction", res.OverflowFraction)
+	tbl.AddRow("measured unavailability", res.Unavailability)
+	tbl.AddRow("analytic overflow (binomial tail)", res.AnalyticOverflow)
+	fmt.Fprint(w, tbl.String())
+	return nil
+}
+
+// runRecovery runs the Section 5.3 many-failover recovery study and prints
+// its total-latency percentiles per technology; with jsonPath it also writes
+// the full result there as indented JSON. Trials shard across workers;
+// traceSink, when non-nil, receives every trial's events shard-tagged.
+func runRecovery(w io.Writer, k, n, trials, workers int, jsonPath string, traceSink obs.Sink) error {
 	res, err := sharebackup.RunRecoveryBench(sharebackup.RecoveryBenchConfig{
 		K: k, N: n, Trials: trials, Workers: workers, TraceSink: traceSink,
 	})
 	if err != nil {
 		return err
 	}
+	tbl := &metrics.Table{
+		Title:   fmt.Sprintf("recovery latency (k=%d, n=%d, %d trials/kind)", res.K, res.N, res.Trials),
+		Headers: []string{"tech", "recoveries", "total p50 (µs)", "total p99 (µs)"},
+	}
+	for _, t := range res.Techs {
+		total := t.PhasesUS["total"]
+		tbl.AddRow(t.Tech, t.Recoveries, total.Median, total.P99)
+	}
+	fmt.Fprint(w, tbl.String())
+	if jsonPath == "" {
+		return nil
+	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d techs, %d recoveries each)\n", path, len(res.Techs), res.Techs[0].Recoveries)
+	fmt.Fprintf(w, "wrote %s (%d techs, %d recoveries each)\n", jsonPath, len(res.Techs), res.Techs[0].Recoveries)
 	return nil
 }

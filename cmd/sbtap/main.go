@@ -1,6 +1,6 @@
 // Command sbtap tails or summarizes a JSONL event file produced by the
-// -trace flag of sbemu/sbexperiments (or sbsim's -trace-out): the offline
-// half of the observability pipeline. By default it reads the whole file (or
+// -trace flag of sbemu or sbexperiments: the offline half of the
+// observability pipeline. By default it reads the whole file (or
 // stdin when no file is named) and prints an event census plus the Section
 // 5.3 / Table 2 phase breakdown of every recovery span it contains.
 //

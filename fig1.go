@@ -35,10 +35,6 @@ type Fig1Config struct {
 	// (rate, trial) sample is one sweep shard with its own RNG substream,
 	// so the result is bit-identical for any worker count.
 	Workers int
-	// Checkpoint, when set, is the sweep's JSONL checkpoint file; with
-	// Resume, completed (rate, trial) shards are not re-run.
-	Checkpoint string
-	Resume     bool
 }
 
 func (c *Fig1Config) setDefaults() {
@@ -130,10 +126,9 @@ func routeTrace(ft *topo.FatTree, tr *coflow.Trace, seed int64) ([]flowRef, erro
 }
 
 // fig1Sample is one sweep shard's output: the affected percentages of a
-// single failure sample at one rate point. JSON-tagged so shards checkpoint.
+// single failure sample at one rate point.
 type fig1Sample struct {
-	Flow   float64 `json:"flow"`
-	Coflow float64 `json:"coflow"`
+	Flow, Coflow float64
 }
 
 func fig1(cfg Fig1Config, nodes bool) (*Fig1Result, error) {
@@ -180,12 +175,10 @@ func fig1(cfg Fig1Config, nodes bool) (*Fig1Result, error) {
 		name = "fig1a"
 	}
 	samples, err := sweep.Run(context.Background(), sweep.Config{
-		Name:       name,
-		Shards:     len(points) * cfg.Trials,
-		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
-		Checkpoint: cfg.Checkpoint,
-		Resume:     cfg.Resume,
+		Name:    name,
+		Shards:  len(points) * cfg.Trials,
+		Seed:    cfg.Seed,
+		Workers: cfg.Workers,
 	}, func(_ context.Context, sh sweep.Shard) (fig1Sample, error) {
 		rate := points[sh.Index/cfg.Trials]
 		inj := failure.NewInjector(ft, sh.Seed)

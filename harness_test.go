@@ -1,7 +1,6 @@
 package sharebackup
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -119,8 +118,7 @@ func TestTransientStudySmall(t *testing.T) {
 }
 
 // The sweep engine's contract surfaced at the experiment level: Fig1a merges
-// to the same result for any worker count, and a checkpointed run resumes to
-// the identical result.
+// to the same result for any worker count.
 func TestFig1aWorkerCountInvariance(t *testing.T) {
 	var want *Fig1Result
 	for _, workers := range []int{1, 4, 0} {
@@ -135,25 +133,5 @@ func TestFig1aWorkerCountInvariance(t *testing.T) {
 		} else if !reflect.DeepEqual(res, want) {
 			t.Fatalf("workers=%d: result differs from workers=1:\n%+v\nvs\n%+v", workers, res, want)
 		}
-	}
-}
-
-func TestFig1aCheckpointResume(t *testing.T) {
-	ref, err := Fig1a(fig1TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fig1TestConfig()
-	cfg.Checkpoint = filepath.Join(t.TempDir(), "fig1a.jsonl")
-	if _, err := Fig1a(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Resume = true
-	res, err := Fig1a(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Fatalf("resumed result differs:\n%+v\nvs\n%+v", res, ref)
 	}
 }

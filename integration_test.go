@@ -167,7 +167,7 @@ func TestRandomizedLifecycleChaos(t *testing.T) {
 		now += time.Millisecond
 		switch rng.Intn(4) {
 		case 0: // node failure
-			g := net.Groups()[rng.Intn(net.NumGroups())]
+			g := net.Group(sbnet.GroupID(rng.Intn(net.NumGroups())))
 			victim := g.Slots()[rng.Intn(len(g.Slots()))]
 			net.InjectNodeFailure(victim)
 			if _, err := ctl.RecoverNode(victim, now); err != nil {

@@ -78,10 +78,8 @@ type Switch struct {
 	aToB []int
 	bToA []int
 
-	failed     bool
-	reconfigs  int           // number of reconfiguration events applied
-	busyUntil  time.Duration // simulated-clock watermark (optional use)
-	totalDelay time.Duration // cumulative reconfiguration latency
+	failed    bool
+	reconfigs int // number of reconfiguration events applied
 }
 
 // New creates an n-port-per-side circuit switch with all ports unconnected.
@@ -103,20 +101,8 @@ func New(name string, tech Technology, n int) (*Switch, error) {
 // Name returns the switch's name.
 func (s *Switch) Name() string { return s.name }
 
-// Technology returns the implementation technology.
-func (s *Switch) Technology() Technology { return s.tech }
-
-// Ports returns the number of ports per side.
-func (s *Switch) Ports() int { return s.n }
-
 // Reconfigs returns the number of reconfiguration events applied so far.
 func (s *Switch) Reconfigs() int { return s.reconfigs }
-
-// TotalDelay returns the cumulative reconfiguration latency incurred.
-func (s *Switch) TotalDelay() time.Duration { return s.totalDelay }
-
-// Failed reports whether the switch is failed.
-func (s *Switch) Failed() bool { return s.failed }
 
 // Fail marks the switch failed. A failed switch keeps its circuits (light
 // stops passing, but the configuration memory survives) and rejects
@@ -207,29 +193,11 @@ func (s *Switch) Apply(changes []Change) (time.Duration, error) {
 		s.bToA[c.B] = c.A
 	}
 	s.reconfigs++
-	d := s.tech.ReconfigDelay()
-	s.totalDelay += d
-	return d, nil
+	return s.tech.ReconfigDelay(), nil
 }
 
-// Connect is shorthand for a single-circuit Apply.
-func (s *Switch) Connect(a, b int) (time.Duration, error) {
-	return s.Apply([]Change{{A: a, B: b}})
-}
-
-// DisconnectA tears down the circuit on A-side port a, if any.
-func (s *Switch) DisconnectA(a int) (time.Duration, error) {
-	return s.Apply([]Change{{A: a, B: Unconnected}})
-}
-
-// Snapshot captures the current configuration for later Restore — the
-// diagnosis engine uses this to try probe configurations and roll back.
-func (s *Switch) Snapshot() []int {
-	return append([]int(nil), s.aToB...)
-}
-
-// Restore applies a previously captured Snapshot as one reconfiguration
-// event.
+// Restore applies a whole configuration — the B-side port (or Unconnected)
+// of every A-side port — as one reconfiguration event.
 func (s *Switch) Restore(snap []int) (time.Duration, error) {
 	if len(snap) != s.n {
 		return 0, fmt.Errorf("circuit: switch %q: snapshot has %d ports, want %d", s.name, len(snap), s.n)
@@ -265,15 +233,4 @@ func (s *Switch) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Circuits returns every live (A, B) circuit pair in A-port order.
-func (s *Switch) Circuits() []Change {
-	var out []Change
-	for a, b := range s.aToB {
-		if b != Unconnected {
-			out = append(out, Change{A: a, B: b})
-		}
-	}
-	return out
 }

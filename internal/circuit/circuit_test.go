@@ -15,6 +15,14 @@ func newSwitch(t *testing.T, n int) *Switch {
 	return s
 }
 
+// config is the switch's A-side -> B-side port map, the form Restore takes.
+func config(s *Switch) []int { return append([]int(nil), s.aToB...) }
+
+// connect applies one circuit as its own reconfiguration event.
+func connect(s *Switch, a, b int) (time.Duration, error) {
+	return s.Apply([]Change{{A: a, B: b}})
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New("x", Crosspoint, 0); err == nil {
 		t.Error("zero ports accepted")
@@ -50,7 +58,7 @@ func TestTechnologyConstants(t *testing.T) {
 
 func TestConnectDisconnect(t *testing.T) {
 	s := newSwitch(t, 8)
-	if _, err := s.Connect(2, 5); err != nil {
+	if _, err := connect(s, 2, 5); err != nil {
 		t.Fatal(err)
 	}
 	if s.BOf(2) != 5 || s.AOf(5) != 2 {
@@ -59,7 +67,7 @@ func TestConnectDisconnect(t *testing.T) {
 	if s.BOf(0) != Unconnected {
 		t.Error("untouched port connected")
 	}
-	if _, err := s.DisconnectA(2); err != nil {
+	if _, err := connect(s, 2, Unconnected); err != nil {
 		t.Fatal(err)
 	}
 	if s.BOf(2) != Unconnected || s.AOf(5) != Unconnected {
@@ -75,10 +83,10 @@ func TestConnectStealsPorts(t *testing.T) {
 	// the failover operation: B-side port of a host moves from the failed
 	// switch's A-port to the backup's A-port.
 	s := newSwitch(t, 8)
-	if _, err := s.Connect(0, 3); err != nil {
+	if _, err := connect(s, 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Connect(1, 3); err != nil { // B3 moves from A0 to A1
+	if _, err := connect(s, 1, 3); err != nil { // B3 moves from A0 to A1
 		t.Fatal(err)
 	}
 	if s.BOf(0) != Unconnected {
@@ -133,14 +141,14 @@ func TestApplyErrors(t *testing.T) {
 
 func TestFailedSwitchRejectsReconfiguration(t *testing.T) {
 	s := newSwitch(t, 4)
-	if _, err := s.Connect(0, 0); err != nil {
+	if _, err := connect(s, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Fail()
-	if !s.Failed() {
-		t.Error("Failed() = false after Fail()")
+	if !s.failed {
+		t.Error("switch not failed after Fail()")
 	}
-	if _, err := s.Connect(1, 1); err == nil {
+	if _, err := connect(s, 1, 1); err == nil {
 		t.Error("failed switch accepted reconfiguration")
 	}
 	// Configuration memory survives the failure.
@@ -148,7 +156,7 @@ func TestFailedSwitchRejectsReconfiguration(t *testing.T) {
 		t.Error("failure erased circuits")
 	}
 	s.Repair()
-	if _, err := s.Connect(1, 1); err != nil {
+	if _, err := connect(s, 1, 1); err != nil {
 		t.Errorf("repaired switch rejected reconfiguration: %v", err)
 	}
 }
@@ -156,11 +164,11 @@ func TestFailedSwitchRejectsReconfiguration(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	s := newSwitch(t, 6)
 	for i := 0; i < 4; i++ {
-		if _, err := s.Connect(i, i); err != nil {
+		if _, err := connect(s, i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := s.Snapshot()
+	snap := config(s)
 	// Scramble.
 	if _, err := s.Apply([]Change{{0, 3}, {3, 0}, {1, Unconnected}}); err != nil {
 		t.Fatal(err)
@@ -189,32 +197,19 @@ func TestReconfigDelayAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := s.Connect(0, 0)
-	if err != nil {
-		t.Fatal(err)
+	// One technology delay per reconfiguration event, whatever the batch
+	// size: the crossbar resets all its circuits in one operation.
+	for _, batch := range [][]Change{{{0, 0}}, {{1, 1}, {2, 2}, {3, Unconnected}}} {
+		d, err := s.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != 40*time.Microsecond {
+			t.Errorf("%d-change batch cost %v, want one 40µs delay", len(batch), d)
+		}
 	}
-	if d1 != 40*time.Microsecond {
-		t.Errorf("per-event delay = %v, want 40µs", d1)
-	}
-	if _, err := s.Connect(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TotalDelay(); got != 80*time.Microsecond {
-		t.Errorf("total delay = %v, want 80µs", got)
-	}
-}
-
-func TestCircuits(t *testing.T) {
-	s := newSwitch(t, 5)
-	if got := s.Circuits(); got != nil {
-		t.Errorf("fresh switch has circuits: %v", got)
-	}
-	if _, err := s.Apply([]Change{{0, 4}, {2, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Circuits()
-	if len(got) != 2 || got[0] != (Change{0, 4}) || got[1] != (Change{2, 1}) {
-		t.Errorf("Circuits = %v", got)
+	if s.Reconfigs() != 2 {
+		t.Errorf("reconfigs = %d, want 2", s.Reconfigs())
 	}
 }
 
@@ -226,12 +221,12 @@ func TestMatchingInvariantRandomOps(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			_, err := s.Connect(rng.Intn(16), rng.Intn(16))
+			_, err := connect(s, rng.Intn(16), rng.Intn(16))
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		case 1:
-			if _, err := s.DisconnectA(rng.Intn(16)); err != nil {
+			if _, err := connect(s, rng.Intn(16), Unconnected); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		case 2:

@@ -7,8 +7,8 @@ import (
 )
 
 // TestQuickSnapshotRestoreIdentity: for any sequence of random operations,
-// Snapshot followed by more operations followed by Restore reproduces the
-// snapshot exactly.
+// capturing the configuration, operating further, then Restore reproduces
+// the captured configuration exactly.
 func TestQuickSnapshotRestoreIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -21,11 +21,11 @@ func TestQuickSnapshotRestoreIdentity(t *testing.T) {
 			for i := 0; i < steps; i++ {
 				switch r.Intn(2) {
 				case 0:
-					if _, err := s.Connect(r.Intn(n), r.Intn(n)); err != nil {
+					if _, err := connect(s, r.Intn(n), r.Intn(n)); err != nil {
 						return false
 					}
 				case 1:
-					if _, err := s.DisconnectA(r.Intn(n)); err != nil {
+					if _, err := connect(s, r.Intn(n), Unconnected); err != nil {
 						return false
 					}
 				}
@@ -35,7 +35,7 @@ func TestQuickSnapshotRestoreIdentity(t *testing.T) {
 		if !mutate(1 + r.Intn(20)) {
 			return false
 		}
-		snap := s.Snapshot()
+		snap := config(s)
 		if !mutate(1 + r.Intn(20)) {
 			return false
 		}
@@ -75,11 +75,11 @@ func TestQuickApplyIsIdempotent(t *testing.T) {
 		if _, err := s.Apply(batch); err != nil {
 			return false
 		}
-		first := s.Snapshot()
+		first := config(s)
 		if _, err := s.Apply(batch); err != nil {
 			return false
 		}
-		second := s.Snapshot()
+		second := config(s)
 		for i := range first {
 			if first[i] != second[i] {
 				return false

@@ -50,21 +50,6 @@ func (c *Coflow) TotalBytes() float64 {
 	return sum
 }
 
-// Racks returns the distinct racks the coflow touches.
-func (c *Coflow) Racks() []int {
-	seen := make(map[int]bool)
-	for _, f := range c.Flows {
-		seen[f.Src] = true
-		seen[f.Dst] = true
-	}
-	out := make([]int, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Trace is a sequence of coflows over a rack-level fabric.
 type Trace struct {
 	NumRacks int

@@ -234,8 +234,4 @@ func TestCoflowHelpers(t *testing.T) {
 	if c.TotalBytes() != 12 {
 		t.Error("total bytes")
 	}
-	racks := c.Racks()
-	if len(racks) != 3 || racks[0] != 0 || racks[1] != 1 || racks[2] != 2 {
-		t.Errorf("racks = %v", racks)
-	}
 }

@@ -226,27 +226,10 @@ func (c *Controller) FlaggedHosts() []int {
 	return out
 }
 
-// Heartbeat records a keep-alive from a switch.
+// Heartbeat records a keep-alive from a switch: RecoverNode charges the
+// time since the last one as the failure's detection latency.
 func (c *Controller) Heartbeat(id sbnet.SwitchID, at time.Duration) {
 	c.lastSeen[id] = at
-}
-
-// DetectFailures scans heartbeat state at time `at` and returns the active
-// switches whose keep-alives have been missing for MissThreshold intervals.
-// Switches that never sent a heartbeat are not reported (they are considered
-// not yet registered).
-func (c *Controller) DetectFailures(at time.Duration) []sbnet.SwitchID {
-	deadline := time.Duration(c.cfg.MissThreshold) * c.cfg.ProbeInterval
-	var out []sbnet.SwitchID
-	for id, last := range c.lastSeen {
-		if c.net.Switch(id).Role != sbnet.RoleActive {
-			continue
-		}
-		if at-last >= deadline {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // RecoverNode fails over a node detected dead at time `at`, whose last

@@ -18,26 +18,31 @@ func newCtl(t *testing.T, k, n int) (*Controller, *sbnet.Network) {
 	return New(net, Config{}), net
 }
 
+// TestHeartbeatDetection: a node failure's detection latency is the time
+// since the switch's latest heartbeat; a switch that never sent one is
+// charged the full miss window (MissThreshold x ProbeInterval = 3 ms).
 func TestHeartbeatDetection(t *testing.T) {
 	c, net := newCtl(t, 6, 1)
-	eg := net.EdgeGroup(0)
-	victim := eg.Members[0]
-	other := eg.Members[1]
+	victim, silent := net.EdgeGroup(0).Members[0], net.AggGroup(0).Members[0]
 
-	// Both switches heartbeat at t=0; the victim then goes silent.
 	c.Heartbeat(victim, 0)
-	c.Heartbeat(other, 0)
+	c.Heartbeat(victim, 2*time.Millisecond)
 	net.InjectNodeFailure(victim)
-
-	// Before the miss threshold (3 x 1 ms): nothing detected.
-	if got := c.DetectFailures(2 * time.Millisecond); len(got) != 0 {
-		t.Errorf("early detection: %v", got)
+	rec, err := c.RecoverNode(victim, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Heartbeat(other, 2*time.Millisecond)
+	if rec.Detection != 3*time.Millisecond {
+		t.Errorf("detection = %v, want 3ms since the latest heartbeat", rec.Detection)
+	}
 
-	got := c.DetectFailures(3 * time.Millisecond)
-	if len(got) != 1 || got[0] != victim {
-		t.Fatalf("DetectFailures = %v, want [%v]", got, victim)
+	net.InjectNodeFailure(silent)
+	rec, err = c.RecoverNode(silent, 40*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Detection != 3*time.Millisecond {
+		t.Errorf("detection without a heartbeat = %v, want the 3ms miss window", rec.Detection)
 	}
 }
 
@@ -112,7 +117,7 @@ func TestLinkFailureReplacesBothEndsAndQueuesDiagnosis(t *testing.T) {
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.PendingDiagnosis()) != 1 {
+	if len(c.pendingDiagnosis) != 1 {
 		t.Fatal("link failure not queued for diagnosis")
 	}
 
@@ -141,7 +146,7 @@ func TestLinkFailureReplacesBothEndsAndQueuesDiagnosis(t *testing.T) {
 	if net.Switch(edge).Role != sbnet.RoleOffline {
 		t.Error("faulty switch not kept offline")
 	}
-	if len(c.PendingDiagnosis()) != 0 {
+	if len(c.pendingDiagnosis) != 0 {
 		t.Error("diagnosis queue not drained")
 	}
 	if c.DiagnosisReconfigs() == 0 {

@@ -27,11 +27,6 @@ type DiagnosisResult struct {
 	Skipped bool
 }
 
-// PendingDiagnosis returns the queued link-failure suspects.
-func (c *Controller) PendingDiagnosis() []LinkSuspects {
-	return append([]LinkSuspects(nil), c.pendingDiagnosis...)
-}
-
 // RunDiagnosis drains the diagnosis queue, testing every suspect interface
 // against up to three partner interfaces reached through the circuit-switch
 // side-port rings (Section 4.2, Figure 4). A suspect with connectivity in at

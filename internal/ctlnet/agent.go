@@ -305,14 +305,6 @@ func (a *Agent) readLoop(conn net.Conn, gen uint64) {
 	}
 }
 
-// Table returns the preloaded failure-group table, or nil if none has
-// arrived (agg/core switches derive their shared tables locally).
-func (a *Agent) Table() *routing.VLANTable {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.table
-}
-
 // WaitTable blocks until the preloaded table arrives or the timeout
 // expires, reporting success.
 func (a *Agent) WaitTable(timeout time.Duration) bool {
@@ -589,24 +581,3 @@ func (m *Monitor) Err() error {
 
 // Close tears down the subscription.
 func (m *Monitor) Close() error { return m.conn.Close() }
-
-// FetchVarz requests the server's text metrics snapshot (counters, gauges,
-// uptime) over the wire protocol — the "/varz" dump of the control plane.
-func FetchVarz(addr string) (string, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("ctlnet: varz dial: %w", err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, msgVarzReq, nil); err != nil {
-		return "", fmt.Errorf("ctlnet: varz request: %w", err)
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return "", fmt.Errorf("ctlnet: varz reply: %w", err)
-	}
-	if typ != msgVarz {
-		return "", fmt.Errorf("ctlnet: varz reply: got message type %d", typ)
-	}
-	return string(payload), nil
-}

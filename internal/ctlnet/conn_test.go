@@ -152,7 +152,7 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	srv.wg.Add(1)
 	go srv.acceptLoop(flaky)
 
-	varz, err := FetchVarz(ln.Addr().String())
+	varz, err := fetchVarz(ln.Addr().String())
 	if err != nil {
 		t.Fatalf("no service behind a listener that failed twice: %v", err)
 	}

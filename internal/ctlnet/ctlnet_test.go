@@ -224,7 +224,9 @@ func TestTablePreloadOverTCP(t *testing.T) {
 	if !a.WaitTable(2 * time.Second) {
 		t.Fatal("preloaded table never arrived")
 	}
-	vt := a.Table()
+	a.mu.Lock()
+	vt := a.table
+	a.mu.Unlock()
 	if vt == nil || vt.K != 4 || vt.Pod != 0 {
 		t.Fatalf("table = %+v", vt)
 	}

@@ -185,10 +185,14 @@ func TestEmulationSLOBreachFlightDump(t *testing.T) {
 		t.Errorf("burn rate = %v, want 1", rate)
 	}
 
-	if !e.Flight.WaitDump(1, 5*time.Second) {
-		t.Fatal("flight recorder wrote no bundle within 5s")
+	// Bundles are written off the emitting goroutine.
+	for deadline := time.Now().Add(5 * time.Second); len(e.Flight.Dumps()) == 0 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
 	}
 	dumps := e.Flight.Dumps()
+	if len(dumps) == 0 {
+		t.Fatal("flight recorder wrote no bundle within 5s")
+	}
 	bundle := dumps[0]
 	if !strings.Contains(filepath.Base(bundle), "slo-breach") {
 		t.Errorf("bundle %s not named for its slo-breach trigger", bundle)

@@ -29,7 +29,6 @@ type AgentGroup struct {
 
 	mu     sync.Mutex
 	closed bool
-	seq    uint64
 
 	quit chan struct{}
 	done chan struct{}
@@ -74,13 +73,6 @@ func DialGroup(addr string, ids []sbnet.SwitchID, interval time.Duration) (*Agen
 // Len returns the number of agents riding this session.
 func (g *AgentGroup) Len() int { return len(g.ids) }
 
-// Seq returns the number of completed flush ticks.
-func (g *AgentGroup) Seq() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.seq
-}
-
 // flushLoop emits one keep-alive batch per tick: the group's IDs are
 // chunked at the wire format's pair capacity and each chunk leaves as a
 // single frame from the reused buffer.
@@ -88,15 +80,13 @@ func (g *AgentGroup) flushLoop() {
 	defer close(g.done)
 	ticker := time.NewTicker(g.interval)
 	defer ticker.Stop()
+	var seq uint64
 	for {
 		select {
 		case <-g.quit:
 			return
 		case <-ticker.C:
-			g.mu.Lock()
-			g.seq++
-			seq := g.seq
-			g.mu.Unlock()
+			seq++
 			for off := 0; off < len(g.ids); off += maxKAPairs {
 				end := off + maxKAPairs
 				if end > len(g.ids) {

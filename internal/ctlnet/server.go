@@ -188,7 +188,7 @@ func (s *Server) logf(format string, args ...interface{}) {
 
 // Varz renders the merged controller+server metric registry as a text
 // snapshot — the control plane's "/varz" dump, also served over the wire
-// protocol (see FetchVarz).
+// protocol as the reply to a msgVarzReq frame.
 func (s *Server) Varz() string {
 	return fmt.Sprintf("ctlnet.uptime_ns %d\n", time.Since(s.start).Nanoseconds()) +
 		s.ctl.Metrics().Snapshot()

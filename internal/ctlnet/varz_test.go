@@ -1,6 +1,7 @@
 package ctlnet
 
 import (
+	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -55,8 +56,8 @@ func TestVarzOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	wallRecovery := func() *obs.Event {
-		for _, ev := range ring.Find(obs.KindRecoveryComplete) {
-			if ev.Wall {
+		for _, ev := range ring.Events() {
+			if ev.Kind == obs.KindRecoveryComplete && ev.Wall {
 				return &ev
 			}
 		}
@@ -92,7 +93,7 @@ func TestVarzOverTCP(t *testing.T) {
 	}
 	wg.Wait()
 
-	varz, err := FetchVarz(srv.Addr())
+	varz, err := fetchVarz(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,4 +148,25 @@ func parseVarz(t *testing.T, varz string) map[string]int64 {
 		out[fields[0]] = v
 	}
 	return out
+}
+
+// fetchVarz requests the server's text metrics snapshot (counters, gauges,
+// uptime) over the wire protocol — the "/varz" dump of the control plane.
+func fetchVarz(addr string) (string, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("ctlnet: varz dial: %w", err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, msgVarzReq, nil); err != nil {
+		return "", fmt.Errorf("ctlnet: varz request: %w", err)
+	}
+	typ, payload, err := readFrame(conn)
+	if err != nil {
+		return "", fmt.Errorf("ctlnet: varz reply: %w", err)
+	}
+	if typ != msgVarz {
+		return "", fmt.Errorf("ctlnet: varz reply: got message type %d", typ)
+	}
+	return string(payload), nil
 }

@@ -322,6 +322,9 @@ func decodeLeaderInfo(p []byte) (isLeader bool, addr string, err error) {
 	if len(p) < 1 {
 		return false, "", fmt.Errorf("ctlnet: leader info payload empty")
 	}
+	if p[0] > 1 {
+		return false, "", fmt.Errorf("ctlnet: leader info flag %d, want 0 or 1", p[0])
+	}
 	return p[0] == 1, string(p[1:]), nil
 }
 
@@ -379,10 +382,13 @@ func decodeRecovery(p []byte) (RecoveryEvent, error) {
 	if len(p) < 1+4 {
 		return ev, fmt.Errorf("ctlnet: recovery payload too short")
 	}
-	if p[0] == 1 {
-		ev.Kind = "link"
-	} else {
+	switch p[0] {
+	case 0:
 		ev.Kind = "node"
+	case 1:
+		ev.Kind = "link"
+	default:
+		return ev, fmt.Errorf("ctlnet: recovery kind %d, want 0 (node) or 1 (link)", p[0])
 	}
 	rest := p[1:]
 	var err error
@@ -407,7 +413,8 @@ func readIDs(p []byte) ([]sbnet.SwitchID, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(p[:4])
 	p = p[4:]
-	if uint32(len(p)) < n*4 {
+	// In 64 bits: n*4 in uint32 wraps for n >= 2^30 and would pass.
+	if uint64(len(p)) < uint64(n)*4 {
 		return nil, nil, fmt.Errorf("ctlnet: ID list promises %d entries, %d bytes left", n, len(p))
 	}
 	ids := make([]sbnet.SwitchID, n)

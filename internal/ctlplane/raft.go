@@ -733,13 +733,3 @@ func (r *Raft) Ready() Ready {
 	}
 	return rd
 }
-
-// CurrentSnapshot returns the replica's retained snapshot (the compacted
-// prefix), for operator-style rebootstrap after quorum loss. The bool
-// reports whether a snapshot exists.
-func (r *Raft) CurrentSnapshot() (Snapshot, bool) {
-	if r.snapIndex == 0 && r.snapData == nil {
-		return Snapshot{}, false
-	}
-	return Snapshot{LastIndex: r.snapIndex, LastTerm: r.snapTerm, Data: r.snapData}, true
-}

@@ -329,9 +329,8 @@ func TestRestoreFromSnapshotBootstrapsLog(t *testing.T) {
 	if len(rd.Committed) != 1 || string(rd.Committed[0].Data) != "resumed" {
 		t.Fatalf("restored replica commit = %+v", rd.Committed)
 	}
-	snap, ok := r.CurrentSnapshot()
-	if !ok || string(snap.Data) != "survivor" {
-		t.Fatalf("CurrentSnapshot = %+v ok=%v", snap, ok)
+	if r.snapIndex != 42 || r.snapTerm != 3 || string(r.snapData) != "survivor" {
+		t.Fatalf("retained snapshot = (%d, %d, %q), want (42, 3, survivor)", r.snapIndex, r.snapTerm, r.snapData)
 	}
 }
 

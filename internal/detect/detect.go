@@ -12,8 +12,6 @@ package detect
 import (
 	"fmt"
 	"time"
-
-	"sharebackup/internal/obs"
 )
 
 // CheckKind is one of F10's three probe targets.
@@ -87,19 +85,6 @@ type Monitor struct {
 	firstMiss [numChecks]time.Duration
 	down      bool
 	lastProbe time.Duration
-
-	// bus, when set via SetObserver, receives probe-missed events for
-	// every missed check and a failure-declared event naming the first
-	// check that crossed the threshold.
-	bus      *obs.Bus
-	sw, port int32
-}
-
-// SetObserver attaches an event bus and names the monitored endpoint
-// (switch ID and port) for the emitted events. A nil bus disables emission.
-func (m *Monitor) SetObserver(bus *obs.Bus, sw, port int) {
-	m.bus = bus
-	m.sw, m.port = int32(sw), int32(port)
 }
 
 // NewMonitor builds a monitor over the oracle.
@@ -111,14 +96,11 @@ func NewMonitor(cfg Config, oracle Oracle) (*Monitor, error) {
 	if cfg.Interval <= 0 || cfg.MissThreshold <= 0 {
 		return nil, fmt.Errorf("detect: interval %v and threshold %d must be positive", cfg.Interval, cfg.MissThreshold)
 	}
-	return &Monitor{cfg: cfg, oracle: oracle, sw: obs.None, port: obs.None}, nil
+	return &Monitor{cfg: cfg, oracle: oracle}, nil
 }
 
 // Down reports whether the monitor has declared the link down.
 func (m *Monitor) Down() bool { return m.down }
-
-// Config returns the effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
 
 // Advance drives the monitor's probe loop from its last probe time through
 // `now`, returning a detection event if the miss threshold was crossed.
@@ -138,32 +120,12 @@ func (m *Monitor) Advance(now time.Duration) (Event, bool) {
 				m.firstMiss[k] = t
 			}
 			m.misses[k]++
-			if m.bus.Enabled() {
-				ev := obs.NewEvent(obs.KindProbeMissed, t)
-				ev.Switch = m.sw
-				ev.Port = m.port
-				ev.Check = k.String()
-				ev.Count = int32(m.misses[k])
-				ev.Span = m.bus.ActiveSpan()
-				m.bus.Emit(ev)
-			}
 			if m.misses[k] >= m.cfg.MissThreshold {
 				m.down = true
-				latency := t - m.firstMiss[k] + m.cfg.Interval
-				if m.bus.Enabled() {
-					ev := obs.NewEvent(obs.KindFailureDeclared, t)
-					ev.Switch = m.sw
-					ev.Port = m.port
-					ev.Check = k.String()
-					ev.Detection = latency
-					ev.Detail = "link"
-					ev.Span = m.bus.ActiveSpan()
-					m.bus.Emit(ev)
-				}
 				return Event{
 					Kind:    k,
 					At:      t,
-					Latency: latency,
+					Latency: t - m.firstMiss[k] + m.cfg.Interval,
 				}, true
 			}
 		}

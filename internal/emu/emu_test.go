@@ -169,7 +169,7 @@ func TestAllPairsAfterRandomChurn(t *testing.T) {
 			offline = append(offline[:i], offline[i+1:]...)
 			continue
 		}
-		g := net.Groups()[rng.Intn(net.NumGroups())]
+		g := net.Group(sbnet.GroupID(rng.Intn(net.NumGroups())))
 		victim := g.Slots()[rng.Intn(len(g.Slots()))]
 		if _, _, err := net.Replace(victim); err != nil {
 			continue // pool exhausted; fine

@@ -91,9 +91,6 @@ func (in *Injector) ReroutableSwitches() []topo.NodeID {
 	return out
 }
 
-// AllSwitches returns every packet switch.
-func (in *Injector) AllSwitches() []topo.NodeID { return in.FT.SwitchIDs() }
-
 // FabricLinks returns all switch-to-switch links (failure candidates for
 // link-failure experiments).
 func (in *Injector) FabricLinks() []topo.LinkID { return in.FT.SwitchLinkIDs() }
@@ -172,38 +169,6 @@ type Scenario struct {
 	Link   topo.LinkID // or topo.NoLink
 	At     float64
 	Repair float64
-}
-
-// Validate checks the scenario names exactly one element and has a sane
-// window.
-func (s Scenario) Validate() error {
-	hasNode := s.Node != topo.None
-	hasLink := s.Link != topo.NoLink
-	if hasNode == hasLink {
-		return fmt.Errorf("failure: scenario must name exactly one of node or link")
-	}
-	if s.Repair < s.At {
-		return fmt.Errorf("failure: scenario repairs (%v) before it fails (%v)", s.Repair, s.At)
-	}
-	return nil
-}
-
-// SingleNodeScenarios builds one whole-window scenario per candidate node.
-func SingleNodeScenarios(candidates []topo.NodeID, window float64) []Scenario {
-	out := make([]Scenario, len(candidates))
-	for i, n := range candidates {
-		out[i] = Scenario{Node: n, Link: topo.NoLink, At: 0, Repair: window}
-	}
-	return out
-}
-
-// SingleLinkScenarios builds one whole-window scenario per candidate link.
-func SingleLinkScenarios(candidates []topo.LinkID, window float64) []Scenario {
-	out := make([]Scenario, len(candidates))
-	for i, l := range candidates {
-		out[i] = Scenario{Node: topo.None, Link: l, At: 0, Repair: window}
-	}
-	return out
 }
 
 // Blocked converts the scenario into a path filter (ignoring timing).

@@ -78,9 +78,6 @@ func TestReroutableSwitchesExcludesEdge(t *testing.T) {
 	if got, want := len(in.ReroutableSwitches()), 8+4; got != want {
 		t.Errorf("reroutable switches = %d, want %d", got, want)
 	}
-	if got, want := len(in.AllSwitches()), 20; got != want {
-		t.Errorf("all switches = %d, want %d", got, want)
-	}
 	if got, want := len(in.FabricLinks()), 32; got != want {
 		t.Errorf("fabric links = %d, want %d (k^3/2)", got, want)
 	}
@@ -156,38 +153,23 @@ func TestBlockedConstruction(t *testing.T) {
 	}
 }
 
+// TestScenarios: a scenario blocks exactly the element it names, node or
+// link, for the path filter the Fig. 1(c) replay applies.
 func TestScenarios(t *testing.T) {
 	ft := newFT(t, 4)
-	nodes := []topo.NodeID{ft.Core(0), ft.Agg(0, 1)}
-	ss := SingleNodeScenarios(nodes, 300)
-	if len(ss) != 2 {
-		t.Fatalf("scenarios = %d", len(ss))
-	}
-	for _, s := range ss {
-		if err := s.Validate(); err != nil {
-			t.Errorf("valid scenario rejected: %v", err)
+	for _, n := range []topo.NodeID{ft.Core(0), ft.Agg(0, 1)} {
+		b := Scenario{Node: n, Link: topo.NoLink, Repair: 300}.Blocked()
+		if !b.NodeBlocked(n) {
+			t.Errorf("scenario on %v does not block it", n)
 		}
-		if s.Repair != 300 {
-			t.Error("window not applied")
-		}
-		if !s.Blocked().NodeBlocked(s.Node) {
-			t.Error("Blocked missing the failed node")
+		for _, other := range ft.SwitchIDs() {
+			if other != n && b.NodeBlocked(other) {
+				t.Errorf("scenario on %v also blocks %v", n, other)
+			}
 		}
 	}
-	ls := SingleLinkScenarios([]topo.LinkID{3}, 300)
-	if len(ls) != 1 || !ls[0].Blocked().LinkBlocked(3) {
-		t.Error("link scenario wrong")
-	}
-	bad := Scenario{Node: topo.None, Link: topo.NoLink}
-	if err := bad.Validate(); err == nil {
-		t.Error("empty scenario accepted")
-	}
-	both := Scenario{Node: 1, Link: 1}
-	if err := both.Validate(); err == nil {
-		t.Error("double scenario accepted")
-	}
-	backwards := Scenario{Node: 1, Link: topo.NoLink, At: 10, Repair: 5}
-	if err := backwards.Validate(); err == nil {
-		t.Error("repair before failure accepted")
+	b := Scenario{Node: topo.None, Link: 3, Repair: 300}.Blocked()
+	if !b.LinkBlocked(3) || b.LinkBlocked(2) || b.NodeBlocked(0) {
+		t.Error("link scenario blocks the wrong elements")
 	}
 }

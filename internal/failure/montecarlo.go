@@ -40,10 +40,6 @@ type AvailabilityConfig struct {
 	// Workers sizes the sweep worker pool (0 = GOMAXPROCS). Only
 	// meaningful with Shards > 1.
 	Workers int
-	// Checkpoint and Resume are the sweep's checkpoint file and resume
-	// flag (see internal/sweep); only meaningful with Shards > 1.
-	Checkpoint string
-	Resume     bool
 }
 
 func (c *AvailabilityConfig) setDefaults() error {
@@ -90,12 +86,9 @@ type AvailabilityResult struct {
 }
 
 // availabilitySlice is one shard's raw tallies over its horizon slice.
-// JSON-tagged so shards checkpoint.
 type availabilitySlice struct {
-	Failures       int     `json:"failures"`
-	OverflowEvents int     `json:"overflow_events"`
-	DownTime       float64 `json:"down_time"`
-	OverflowTime   float64 `json:"overflow_time"`
+	Failures, OverflowEvents int
+	DownTime, OverflowTime   float64
 }
 
 // simulateSlice runs the event loop for one horizon slice starting from the
@@ -165,7 +158,7 @@ func SimulateGroupAvailability(cfg AvailabilityConfig) (*AvailabilityResult, err
 		sliceHorizon := cfg.Horizon / float64(cfg.Shards)
 		slices, err := sweep.Run(context.Background(), sweep.Config{
 			Name: "montecarlo", Shards: cfg.Shards, Seed: cfg.Seed,
-			Workers: cfg.Workers, Checkpoint: cfg.Checkpoint, Resume: cfg.Resume,
+			Workers: cfg.Workers,
 		}, func(_ context.Context, sh sweep.Shard) (availabilitySlice, error) {
 			return simulateSlice(&cfg, sh.Seed, sliceHorizon), nil
 		})

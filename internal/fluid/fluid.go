@@ -48,38 +48,6 @@ type Flow struct {
 	sim *Simulator
 }
 
-// ID returns the flow's identifier.
-func (f *Flow) ID() FlowID { return f.id }
-
-// Bytes returns the flow's total transfer size.
-func (f *Flow) Bytes() float64 { return f.sim.fBytes[f.fi] }
-
-// Arrival returns the flow's arrival time in seconds.
-func (f *Flow) Arrival() float64 { return f.sim.fArrival[f.fi] }
-
-// Path returns the flow's current route. An empty path means the flow is
-// stalled (disconnected): it holds its remaining bytes at zero rate.
-func (f *Flow) Path() topo.Path { return f.sim.fPath[f.fi] }
-
-// Remaining returns the bytes the flow still has to transfer. Bytes drain
-// lazily between rate changes, so the value is materialized on demand from
-// the current rate and the simulator clock.
-func (f *Flow) Remaining() float64 {
-	s, fi := f.sim, f.fi
-	h := &s.hot[fi]
-	r := h.remaining
-	if !s.fStarted[fi] || s.fDone[fi] {
-		return r
-	}
-	if h.rate > 0 {
-		r -= h.rate * (s.now - h.lastT)
-		if r < 0 {
-			r = 0
-		}
-	}
-	return r
-}
-
 // Rate returns the flow's current max-min fair rate.
 func (f *Flow) Rate() float64 { return f.sim.hot[f.fi].rate }
 
@@ -234,8 +202,6 @@ type Simulator struct {
 	workers     int
 	parMinFlows int
 	workerWork  []int64
-
-	utilBuf []float64
 
 	stats EngineStats
 
@@ -691,37 +657,6 @@ func (s *Simulator) complete(fi int32) {
 	if s.OnComplete != nil {
 		s.OnComplete(s.handle(fi))
 	}
-}
-
-// Utilization returns each link's current aggregate flow rate divided by its
-// capacity — a snapshot of fabric load for experiments and debugging. Rates
-// are refreshed if a topology or flow change is pending. The slice is newly
-// allocated; hot callers should use UtilizationInto.
-func (s *Simulator) Utilization() []float64 { return s.UtilizationInto(nil) }
-
-// UtilizationInto is Utilization filling a caller-reusable buffer: buf is
-// resized (reallocating only when too small) and returned.
-func (s *Simulator) UtilizationInto(buf []float64) []float64 {
-	s.recompute()
-	if cap(buf) < len(s.links) {
-		buf = make([]float64, len(s.links))
-	}
-	buf = buf[:len(s.links)]
-	for i := range buf {
-		buf[i] = 0
-	}
-	for _, fi := range s.active {
-		h := &s.hot[fi]
-		for _, l := range s.linkArena[h.off : h.off+h.nl] {
-			buf[l] += h.rate
-		}
-	}
-	for i := range buf {
-		if c := s.links[i].cap; c > 0 {
-			buf[i] /= c
-		}
-	}
-	return buf
 }
 
 // recompute refreshes rates if any link is dirty. The scoped pass — ripple

@@ -374,3 +374,58 @@ func TestRunIsResumable(t *testing.T) {
 		t.Errorf("piecewise run: done=%v finish=%v, want done at 10", f.Done(), f.Finish())
 	}
 }
+
+// Test-side views of simulator state. The experiments read a flow's Rate,
+// Done, Finish and Stalled; the tests below also check identity, size,
+// route, remaining bytes and link load against the engine's tables.
+
+func (f *Flow) ID() FlowID { return f.id }
+
+func (f *Flow) Bytes() float64 { return f.sim.fBytes[f.fi] }
+
+func (f *Flow) Arrival() float64 { return f.sim.fArrival[f.fi] }
+
+func (f *Flow) Path() topo.Path { return f.sim.fPath[f.fi] }
+
+// Remaining materializes the bytes the flow still has to transfer: bytes
+// drain lazily between rate changes.
+func (f *Flow) Remaining() float64 {
+	s, fi := f.sim, f.fi
+	h := &s.hot[fi]
+	r := h.remaining
+	if !s.fStarted[fi] || s.fDone[fi] {
+		return r
+	}
+	if h.rate > 0 {
+		r -= h.rate * (s.now - h.lastT)
+		if r < 0 {
+			r = 0
+		}
+	}
+	return r
+}
+
+// Utilization returns each link's aggregate flow rate over its capacity,
+// refreshing rates first.
+func (s *Simulator) Utilization() []float64 {
+	s.recompute()
+	util := make([]float64, len(s.links))
+	for _, fi := range s.active {
+		h := &s.hot[fi]
+		for _, l := range s.linkArena[h.off : h.off+h.nl] {
+			util[l] += h.rate
+		}
+	}
+	for i := range util {
+		if c := s.links[i].cap; c > 0 {
+			util[i] /= c
+		}
+	}
+	return util
+}
+
+// SetTelemetry attaches (nil detaches) telemetry on this simulator only,
+// overriding the process default it was built with; Telemetry reads it.
+func (s *Simulator) SetTelemetry(t *Telemetry) { s.tel.Store(t) }
+
+func (s *Simulator) Telemetry() *Telemetry { return s.tel.Load() }

@@ -103,7 +103,7 @@ func TestScopedMatchesFullExact(t *testing.T) {
 			}
 			id++
 		}
-		for pod := 0; pod < ft.NumPods(); pod++ {
+		for pod := 0; pod < ft.K(); pod++ {
 			for e := 0; e < 2; e++ {
 				hosts := ft.HostsOfEdge(pod, e)
 				for _, src := range hosts {
@@ -187,33 +187,6 @@ func TestScopedMatchesFullExact(t *testing.T) {
 
 // TestUtilizationInto pins the reusable-buffer contract: the returned slice
 // aliases the input when capacity suffices, and matches Utilization.
-func TestUtilizationInto(t *testing.T) {
-	g, paths := pairField(t, 3, 10)
-	s := New(g)
-	for i, p := range paths {
-		if err := s.AddFlow(FlowID(i), 100, 0, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, 0, 16)
-	got := s.UtilizationInto(buf)
-	if &got[0] != &buf[:1][0] {
-		t.Error("UtilizationInto reallocated despite sufficient capacity")
-	}
-	want := s.Utilization()
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("util[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestHeapStaysIndexed: a reroute storm re-keys finish events en masse; the
 // indexed heap must hold at most one entry per active flow (no stale debris)
 // and keep the flows' heap positions consistent.

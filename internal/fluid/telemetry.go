@@ -1,16 +1,14 @@
 package fluid
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"sharebackup/internal/obs"
 )
 
 // Telemetry publishes the simulator's data-plane behaviour into an
-// obs.Registry: flow lifecycle counters, flow-rate and flow-completion-time
-// histograms, and link-utilization sampling. All handles are resolved once
+// obs.Registry: flow lifecycle and engine counters, and flow-rate and
+// flow-completion-time histograms. All handles are resolved once
 // at construction, so the simulator's hot paths touch only lock-free
 // counters/histograms — and a Simulator without telemetry attached pays a
 // single nil check per event (the data-plane analogue of the event bus'
@@ -18,11 +16,8 @@ import (
 //
 // Units: completion times are recorded in microseconds of simulated time,
 // rates in milli-bytes/second (experiment capacities are O(1..100) bytes/s,
-// so whole-byte buckets would round most rates to zero), utilization in
-// permille (0..1000) of capacity.
+// so whole-byte buckets would round most rates to zero).
 type Telemetry struct {
-	reg *obs.Registry
-
 	FlowsStarted      *obs.Counter // flows admitted into the active set
 	FlowsCompleted    *obs.Counter // flows drained to zero bytes
 	Stalls            *obs.Counter // SetPath to an empty path (disconnection)
@@ -44,17 +39,7 @@ type Telemetry struct {
 
 	FCT           *obs.Histogram // flow completion time, µs of simulated time
 	FlowRate      *obs.Histogram // max-min rate at completion, milli-bytes/s
-	LinkUtil      *obs.Histogram // per-link utilization samples, permille
 	RecomputeWork *obs.Histogram // flow×link incidences per filling pass
-
-	MaxLinkUtil *obs.Gauge // worst link's utilization at last sample, permille
-
-	// perLink caches per-link utilization gauges, created lazily on the
-	// first SampleUtilization for each link ("fluid.link_util_permille.N").
-	// Guarded by perLinkMu: one Telemetry may be shared by simulators on
-	// different goroutines (counters and histograms are already atomic).
-	perLinkMu sync.Mutex
-	perLink   []*obs.Gauge
 }
 
 // NewTelemetry resolves all metric handles under the "fluid." prefix in reg
@@ -64,7 +49,6 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		reg = obs.DefaultRegistry
 	}
 	return &Telemetry{
-		reg:               reg,
 		FlowsStarted:      reg.Counter("fluid.flows_started"),
 		FlowsCompleted:    reg.Counter("fluid.flows_completed"),
 		Stalls:            reg.Counter("fluid.stalls"),
@@ -84,9 +68,7 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		PendingFlows:      reg.Gauge("fluid.pending_flows"),
 		FCT:               reg.Histogram("fluid.fct_us"),
 		FlowRate:          reg.Histogram("fluid.flow_rate_mBps"),
-		LinkUtil:          reg.Histogram("fluid.link_util_permille"),
 		RecomputeWork:     reg.Histogram("fluid.recompute_work_per_pass"),
-		MaxLinkUtil:       reg.Gauge("fluid.max_link_util_permille"),
 	}
 }
 
@@ -112,59 +94,3 @@ var defaultTel atomic.Pointer[Telemetry]
 // constructed Simulator samples into (nil disables). Existing simulators are
 // unaffected.
 func SetDefaultTelemetry(t *Telemetry) { defaultTel.Store(t) }
-
-// DefaultTelemetry returns the telemetry installed by SetDefaultTelemetry,
-// or nil.
-func DefaultTelemetry() *Telemetry { return defaultTel.Load() }
-
-// SetTelemetry attaches (or, with nil, detaches) telemetry on this simulator
-// only, overriding the process default it was constructed with. Safe to call
-// from any goroutine; the rest of Simulator stays single-goroutine-owned.
-func (s *Simulator) SetTelemetry(t *Telemetry) { s.tel.Store(t) }
-
-// Telemetry returns the simulator's attached telemetry (possibly nil).
-func (s *Simulator) Telemetry() *Telemetry { return s.tel.Load() }
-
-// linkGauge returns the cached per-link utilization gauge, creating it on
-// first use. Called only from SampleUtilization, never from the hot path.
-func (t *Telemetry) linkGauge(link int, n int) *obs.Gauge {
-	t.perLinkMu.Lock()
-	defer t.perLinkMu.Unlock()
-	if len(t.perLink) < n {
-		grown := make([]*obs.Gauge, n)
-		copy(grown, t.perLink)
-		t.perLink = grown
-	}
-	g := t.perLink[link]
-	if g == nil {
-		g = t.reg.Gauge(fmt.Sprintf("fluid.link_util_permille.%d", link))
-		t.perLink[link] = g
-	}
-	return g
-}
-
-// SampleUtilization takes one utilization sample across every link: each
-// link's current aggregate rate over capacity is recorded into the LinkUtil
-// histogram and its per-link gauge, and the worst link into MaxLinkUtil.
-// It is a no-op without telemetry. Sampling is pull-based — call it at the
-// cadence the experiment cares about (e.g. after each Run step); it is
-// deliberately not hooked into the rate recomputation so the simulator's
-// inner loop stays telemetry-free.
-func (s *Simulator) SampleUtilization() {
-	tel := s.tel.Load()
-	if tel == nil {
-		return
-	}
-	s.utilBuf = s.UtilizationInto(s.utilBuf)
-	util := s.utilBuf
-	maxPm := int64(0)
-	for link, u := range util {
-		pm := int64(u*1000 + 0.5)
-		tel.LinkUtil.Record(pm)
-		tel.linkGauge(link, len(util)).Set(pm)
-		if pm > maxPm {
-			maxPm = pm
-		}
-	}
-	tel.MaxLinkUtil.Set(maxPm)
-}

@@ -46,18 +46,8 @@ func TestTelemetrySamplesLifecycle(t *testing.T) {
 	if err := sim.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	sim.SampleUtilization()
 	if got := tel.ActiveFlows.Value(); got != 2 {
 		t.Fatalf("active flows gauge = %d, want 2", got)
-	}
-	if got := tel.MaxLinkUtil.Value(); got != 1000 {
-		t.Fatalf("max link util = %d permille, want 1000 (saturated)", got)
-	}
-	if got := reg.Gauge("fluid.link_util_permille.0").Value(); got != 1000 {
-		t.Fatalf("per-link gauge = %d, want 1000", got)
-	}
-	if tel.LinkUtil.Count() != int64(g.NumLinks()) {
-		t.Fatalf("link util samples = %d, want %d", tel.LinkUtil.Count(), g.NumLinks())
 	}
 
 	// Stall one flow, then reroute it back.

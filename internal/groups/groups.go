@@ -9,13 +9,12 @@
 // share backups (same port count, wired to a common set of circuit switches)
 // and assigns each group a backup budget. The package provides the fat-tree
 // plan the paper builds, a degree-homogeneous plan for unstructured networks
-// such as Jellyfish, a criticality-weighted non-uniform allocator, and the
+// such as Jellyfish, a greedy criticality-weighted backup allocator, and the
 // analytics (overflow probability, hardware overhead) to compare plans.
 package groups
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"sharebackup/internal/failure"
@@ -198,11 +197,6 @@ func ByDegreePlan(t *topo.Topology, maxSize, n int) (*Plan, error) {
 // more backup (the paper's non-uniform direction).
 type Criticality func(t *topo.Topology, sw topo.NodeID) float64
 
-// DegreeCriticality scores by port count — a proxy for traffic carried.
-func DegreeCriticality(t *topo.Topology, sw topo.NodeID) float64 {
-	return float64(t.Degree(sw))
-}
-
 // CoverageCriticality scores by how many hosts lose all connectivity if the
 // switch dies: the size of the host set whose only switch neighbor it is.
 // Single-homed racks make their edge switch maximally critical.
@@ -254,50 +248,6 @@ func AllocateGreedy(t *topo.Topology, plan *Plan, budget int, unavail float64, s
 			}
 		}
 		plan.Groups[best].Backups++
-	}
-	return nil
-}
-
-// AllocateNonUniform distributes a total backup budget over a plan's groups
-// proportionally to their summed member criticality (largest-remainder
-// rounding), mutating the plan's Backups fields. Every group receives at
-// least minPerGroup.
-func AllocateNonUniform(t *topo.Topology, plan *Plan, budget, minPerGroup int, score Criticality) error {
-	if budget < 0 || minPerGroup < 0 {
-		return fmt.Errorf("groups: negative budget or minimum")
-	}
-	if minPerGroup*len(plan.Groups) > budget {
-		return fmt.Errorf("groups: budget %d cannot cover minimum %d x %d groups",
-			budget, minPerGroup, len(plan.Groups))
-	}
-	weights := make([]float64, len(plan.Groups))
-	total := 0.0
-	for i := range plan.Groups {
-		for _, m := range plan.Groups[i].Members {
-			weights[i] += score(t, m)
-		}
-		total += weights[i]
-	}
-	spare := budget - minPerGroup*len(plan.Groups)
-	type frac struct {
-		idx  int
-		frac float64
-	}
-	var fracs []frac
-	assigned := 0
-	for i := range plan.Groups {
-		share := 0.0
-		if total > 0 {
-			share = float64(spare) * weights[i] / total
-		}
-		whole := int(math.Floor(share))
-		plan.Groups[i].Backups = minPerGroup + whole
-		assigned += whole
-		fracs = append(fracs, frac{idx: i, frac: share - float64(whole)})
-	}
-	sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].frac > fracs[b].frac })
-	for i := 0; i < spare-assigned; i++ {
-		plan.Groups[fracs[i%len(fracs)].idx].Backups++
 	}
 	return nil
 }

@@ -152,57 +152,6 @@ func TestOverflowProbabilityAndExpectedUnprotected(t *testing.T) {
 	}
 }
 
-func TestAllocateNonUniform(t *testing.T) {
-	ft := fatTree(t, 4)
-	plan, err := FatTreePlan(ft, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Coverage criticality: edge switches carry single-homed hosts, so
-	// edge groups must receive more backups than core groups when the
-	// budget is scarce.
-	budget := len(plan.Groups) + 8
-	if err := AllocateNonUniform(ft.Topology, plan, budget, 1, CoverageCriticality); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	edgeBackups, coreBackups := 0, 0
-	for i := range plan.Groups {
-		total += plan.Groups[i].Backups
-		if plan.Groups[i].Backups < 1 {
-			t.Errorf("group %d below minimum", i)
-		}
-		switch ft.Node(plan.Groups[i].Members[0]).Kind {
-		case topo.KindEdge:
-			edgeBackups += plan.Groups[i].Backups
-		case topo.KindCore:
-			coreBackups += plan.Groups[i].Backups
-		}
-	}
-	if total != budget {
-		t.Errorf("allocated %d, budget %d", total, budget)
-	}
-	// 4 edge groups vs 2 core groups: compare per-group averages.
-	if float64(edgeBackups)/4 <= float64(coreBackups)/2 {
-		t.Errorf("edge groups (%d over 4) not favored over core groups (%d over 2)",
-			edgeBackups, coreBackups)
-	}
-
-	// The non-uniform plan must protect better than uniform at equal
-	// budget when criticality tracks actual risk. Check plan-level
-	// robustness arithmetic runs.
-	if e := plan.ExpectedUnprotectedFailures(failure.SwitchFailureRate); e < 0 || e > 1 {
-		t.Errorf("expected unprotected = %v", e)
-	}
-
-	if err := AllocateNonUniform(ft.Topology, plan, 2, 1, DegreeCriticality); err == nil {
-		t.Error("impossible budget accepted")
-	}
-	if err := AllocateNonUniform(ft.Topology, plan, -1, 0, DegreeCriticality); err == nil {
-		t.Error("negative budget accepted")
-	}
-}
-
 func TestAllocateGreedy(t *testing.T) {
 	ft := fatTree(t, 4)
 	plan, err := FatTreePlan(ft, 0)
@@ -243,19 +192,7 @@ func TestAllocateGreedy(t *testing.T) {
 		t.Errorf("allocated %d, want %d", plan2.TotalBackups(), len(plan2.Groups)+3)
 	}
 
-	if err := AllocateGreedy(ft.Topology, plan, -1, p, DegreeCriticality); err == nil {
+	if err := AllocateGreedy(ft.Topology, plan, -1, p, CoverageCriticality); err == nil {
 		t.Error("negative budget accepted")
-	}
-}
-
-func TestDegreeCriticality(t *testing.T) {
-	ft := fatTree(t, 4)
-	if DegreeCriticality(ft.Topology, ft.Edge(0, 0)) != 4 {
-		t.Error("degree criticality wrong")
-	}
-	// Edge switches with single-homed hosts are more critical than cores
-	// under coverage criticality.
-	if CoverageCriticality(ft.Topology, ft.Edge(0, 0)) <= CoverageCriticality(ft.Topology, ft.Core(0)) {
-		t.Error("coverage criticality does not favor edge switches")
 	}
 }

@@ -44,17 +44,8 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It returns NaN for an empty sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
+// quantileSorted returns the q-quantile (0 <= q <= 1) of the sorted,
+// non-empty sample s, interpolating linearly between order statistics.
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -86,15 +77,6 @@ func NewCDF(xs []float64) *CDF {
 
 // N returns the sample size.
 func (c *CDF) N() int { return len(c.xs) }
-
-// At returns P[X <= x].
-func (c *CDF) At(x float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.xs))
-}
 
 // Inverse returns the smallest sample value v with P[X <= v] >= p.
 func (c *CDF) Inverse(p float64) float64 {

@@ -20,47 +20,40 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the interpolation between order statistics behind
+// Summarize's median, p90 and p99.
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {1, 10}, {0.5, 5.5}, {0.25, 3.25}, {-1, 1}, {2, 10},
 	}
 	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if got := quantileSorted(xs, c.q); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(empty) != NaN")
+	if s := Summarize(xs); s.Median != 5.5 || math.Abs(s.P90-9.1) > 1e-9 || math.Abs(s.P99-9.91) > 1e-9 {
+		t.Errorf("Summarize = %+v, want median 5.5, p90 9.1, p99 9.91", s)
 	}
 }
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	Summarize(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Quantile sorted the caller's slice")
+		t.Error("Summarize sorted the caller's slice")
 	}
 }
 
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 4})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 0.75}, {4, 1}, {100, 1},
+	cases := []struct{ p, want float64 }{
+		{0, 1}, {0.25, 1}, {0.26, 2}, {0.5, 2}, {0.75, 2}, {0.76, 4}, {1, 4},
 	}
 	for _, tc := range cases {
-		if got := c.At(tc.x); got != tc.want {
-			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
+		if got := c.Inverse(tc.p); got != tc.want {
+			t.Errorf("Inverse(%v) = %v, want %v", tc.p, got, tc.want)
 		}
-	}
-	if got := c.Inverse(0.5); got != 2 {
-		t.Errorf("Inverse(0.5) = %v, want 2", got)
-	}
-	if got := c.Inverse(0); got != 1 {
-		t.Errorf("Inverse(0) = %v, want 1", got)
-	}
-	if got := c.Inverse(1); got != 4 {
-		t.Errorf("Inverse(1) = %v, want 4", got)
 	}
 	if c.N() != 4 {
 		t.Errorf("N = %d", c.N())
@@ -69,7 +62,7 @@ func TestCDF(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if !math.IsNaN(c.At(1)) || !math.IsNaN(c.Inverse(0.5)) {
+	if !math.IsNaN(c.Inverse(0.5)) {
 		t.Error("empty CDF should return NaN")
 	}
 	if c.Points(5) != nil {
@@ -113,18 +106,18 @@ func TestCDFPropertyMonotone(t *testing.T) {
 			return true
 		}
 		c := NewCDF(xs)
-		// CDF is monotone and hits 1 at the max.
+		// The inverse CDF is monotone and spans the sample's range.
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
-		prev := 0.0
-		for _, x := range sorted {
-			p := c.At(x)
-			if p < prev || p < 0 || p > 1 {
+		prev := math.Inf(-1)
+		for p := 0.0; p <= 1; p += 1.0 / 64 {
+			v := c.Inverse(p)
+			if v < prev || v < sorted[0] || v > sorted[len(sorted)-1] {
 				return false
 			}
-			prev = p
+			prev = v
 		}
-		return c.At(sorted[len(sorted)-1]) == 1
+		return c.Inverse(0) == sorted[0] && c.Inverse(1) == sorted[len(sorted)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -140,7 +133,9 @@ func TestQuantilePropertyBounds(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 100
 		}
 		q := rng.Float64()
-		v := Quantile(xs, q)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		v := quantileSorted(sorted, q)
 		lo, hi := xs[0], xs[0]
 		for _, x := range xs {
 			if x < lo {

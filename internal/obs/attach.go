@@ -5,17 +5,12 @@ import (
 	"os"
 )
 
-// TraceToFile attaches a JSONL sink writing to path on bus (Default when
-// nil) and returns a cleanup function that detaches the sink, flushes, and
-// closes the file. It is the implementation of the commands' -trace flag.
-func TraceToFile(bus *Bus, path string) (func() error, error) {
-	_, done, err := TraceSinkToFile(bus, path)
-	return done, err
-}
-
-// TraceSinkToFile is TraceToFile exposing the underlying sink, so callers
-// can additionally hand it to sweep workers (wrapped in ShardTagger) and
-// have shard-tagged events land in the same trace file as the bus' own.
+// TraceSinkToFile attaches a JSONL sink writing to path on bus (Default
+// when nil) and returns the sink and a cleanup function that detaches it,
+// flushes, and closes the file. It is the implementation of the commands'
+// -trace flag; callers can additionally hand the sink to sweep workers
+// (wrapped in ShardTagger) so shard-tagged events land in the same file as
+// the bus' own.
 func TraceSinkToFile(bus *Bus, path string) (*JSONLSink, func() error, error) {
 	if bus == nil {
 		bus = Default

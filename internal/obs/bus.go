@@ -60,9 +60,6 @@ func init() {
 	traceSeed.Store(uint64(time.Now().UnixNano())*0x9e3779b97f4a7c15 ^ uint64(os.Getpid())<<32)
 }
 
-// SetTraceIDSeed fixes the process' trace-ID seed (deterministic tests).
-func SetTraceIDSeed(seed uint64) { traceSeed.Store(seed) }
-
 // NewTraceID allocates a process-unique, cross-process-collision-resistant
 // trace ID (never 0).
 func NewTraceID() uint64 {

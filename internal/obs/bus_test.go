@@ -69,7 +69,7 @@ func TestDetachStopsDelivery(t *testing.T) {
 		t.Fatal("bus still enabled after detaching only sink")
 	}
 	b.Emit(NewEvent(KindLog, 0))
-	if got := r.Total(); got != 1 {
+	if got := len(r.Events()); got != 1 {
 		t.Fatalf("ring saw %d events, want 1", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestAttachIsIdempotent(t *testing.T) {
 	b.Attach(r)
 	b.Attach(r)
 	b.Emit(NewEvent(KindLog, 0))
-	if got := r.Total(); got != 1 {
+	if got := len(r.Events()); got != 1 {
 		t.Fatalf("double-attached ring saw %d events, want 1", got)
 	}
 }
@@ -109,11 +109,11 @@ func TestLogfFormatsOnlyWhenEnabled(t *testing.T) {
 	r := NewRing(4)
 	b.Attach(r)
 	b.Logf(time.Second, true, "hello %d", 7)
-	evs := r.Find(KindLog)
+	evs := r.Events()
 	if len(evs) != 1 {
-		t.Fatalf("got %d log events, want 1", len(evs))
+		t.Fatalf("got %d events, want 1", len(evs))
 	}
-	if evs[0].Detail != "hello 7" || !evs[0].Wall || evs[0].T != time.Second {
+	if evs[0].Kind != KindLog || evs[0].Detail != "hello 7" || !evs[0].Wall || evs[0].T != time.Second {
 		t.Fatalf("unexpected log event %+v", evs[0])
 	}
 }
@@ -134,8 +134,8 @@ func TestRingWrap(t *testing.T) {
 			t.Fatalf("ring[%d].Count = %d, want %d", i, evs[i].Count, want)
 		}
 	}
-	if r.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", r.Total())
+	if r.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want the 2 evicted events", r.Dropped())
 	}
 }
 

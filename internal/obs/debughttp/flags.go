@@ -9,7 +9,7 @@ import (
 	"sharebackup/internal/obs"
 )
 
-// Flags is the observability flag set sbsim, sbexperiments and sbemu share.
+// Flags is the observability flag set sbexperiments and sbemu share.
 // Register it before flag parsing, Start it after; the fields hold the
 // parsed values for the modes that wire observability themselves (sbemu
 // -ctlnet hands the budget and the recorder switch to the emulation).
@@ -23,13 +23,12 @@ type Flags struct {
 	server *Server // what Start started for DebugAddr
 }
 
-// RegisterFlags registers -debug-addr, -events, -slo-budget,
-// -flight-recorder and the JSONL trace flag on fs. traceFlag spells the
-// last one: "trace" everywhere but sbsim, whose -trace is its coflow input.
-func RegisterFlags(fs *flag.FlagSet, traceFlag string) *Flags {
+// RegisterFlags registers -debug-addr, -trace, -events, -slo-budget and
+// -flight-recorder on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz, /flightz) on this address, e.g. 127.0.0.1:6060")
-	fs.StringVar(&f.Trace, traceFlag, "", "write structured events as JSONL to this file (summarize with sbtap)")
+	fs.StringVar(&f.Trace, "trace", "", "write structured events as JSONL to this file (summarize with sbtap)")
 	fs.BoolVar(&f.Events, "events", false, "log structured events human-readably to stderr")
 	fs.DurationVar(&f.SLOBudget, "slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
 	fs.BoolVar(&f.FlightRecorder, "flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
@@ -41,9 +40,9 @@ func RegisterFlags(fs *flag.FlagSet, traceFlag string) *Flags {
 // the stderr event log, the SLO watchdog and the flight recorder. prog
 // prefixes the one line printed to stderr (the debug server's address).
 //
-// traceSink is the trace flag's JSONL sink, nil without the flag: sweep
-// workers wrap it in obs.ShardTagger so their events land in the same file
-// as the bus' own. cleanup detaches every sink Start attached, flushes the
+// traceSink is -trace's JSONL sink, nil without the flag: sweep workers
+// wrap it in obs.ShardTagger so their events land in the same file as the
+// bus' own. cleanup detaches every sink Start attached, flushes the
 // trace file, drains pending flight dumps and stops the debug server; it
 // returns the first error (in practice the trace file's). Call it before the
 // process exits.

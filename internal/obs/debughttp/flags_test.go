@@ -15,7 +15,7 @@ import (
 )
 
 // TestSharedFlagsWiring drives the one implementation behind the obs flags
-// of sbsim, sbexperiments and sbemu the way a main does: register on a flag
+// of sbexperiments and sbemu the way a main does: register on a flag
 // set, parse, Start, run a recovery on the process-wide bus, clean up.
 func TestSharedFlagsWiring(t *testing.T) {
 	t.Setenv("SHAREBACKUP_FLIGHT_DIR", t.TempDir())
@@ -27,9 +27,9 @@ func TestSharedFlagsWiring(t *testing.T) {
 	dumps0 := dumps.Value()
 
 	fs := flag.NewFlagSet("sbtest", flag.ContinueOnError)
-	f := RegisterFlags(fs, "trace-out")
+	f := RegisterFlags(fs)
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	err := fs.Parse([]string{"-debug-addr", "127.0.0.1:0", "-slo-budget", "1ns", "-flight-recorder", "-trace-out", tracePath})
+	err := fs.Parse([]string{"-debug-addr", "127.0.0.1:0", "-slo-budget", "1ns", "-flight-recorder", "-trace", tracePath})
 	if err != nil {
 		t.Fatal(err)
 	}

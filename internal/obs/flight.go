@@ -282,25 +282,6 @@ func (r *FlightRecorder) Dumps() []string {
 	return append([]string(nil), r.dumps...)
 }
 
-// WaitDump blocks until at least n bundles exist or the timeout expires,
-// reporting success — dump writing is asynchronous, so tests and shutdown
-// paths need a rendezvous.
-func (r *FlightRecorder) WaitDump(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		r.mu.Lock()
-		done := len(r.dumps) >= n
-		r.mu.Unlock()
-		if done {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // Close stops the dump goroutine after draining pending requests. It does
 // not detach the recorder from any bus — do that first.
 func (r *FlightRecorder) Close() {

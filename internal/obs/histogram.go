@@ -108,75 +108,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Merge adds every observation of o into h (o is read atomically but not
-// snapshotted; merging a live histogram gives a consistent-enough view).
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if v := o.max.Load(); v > 0 || o.count.Load() > 0 {
-		for {
-			cur := h.max.Load()
-			if v <= cur || h.max.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
-	if om := o.min.Load(); om != 0 {
-		v := -om - 1
-		for {
-			cur := h.min.Load()
-			if (cur != 0 && -cur-1 <= v) || h.min.CompareAndSwap(cur, om) {
-				break
-			}
-		}
-	}
-}
-
-// MergeSnapshot folds a point-in-time snapshot — the JSON form another
-// process exported over /varz or a flight-recorder bundle — into h, so
-// per-process or per-shard distributions combine into one. Bucket
-// boundaries are universal (histIndex is pure), so merging snapshots is
-// bucket-exact: merge-then-snapshot equals having recorded every
-// observation into a single histogram, up to intra-bucket placement (which
-// snapshots don't expose; count, sum, min, max, and every quantile agree).
-func (h *Histogram) MergeSnapshot(s HistogramSnapshot) {
-	if h == nil || s.Count == 0 {
-		return
-	}
-	for _, bk := range s.Buckets {
-		if bk.Count == 0 {
-			continue
-		}
-		low := bk.Low
-		if low < 0 {
-			low = 0
-		}
-		h.buckets[histIndex(low)].Add(bk.Count)
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
-			break
-		}
-	}
-	for {
-		cur := h.min.Load() // -min-1, 0 when unset
-		if (cur != 0 && -cur-1 <= s.Min) || h.min.CompareAndSwap(cur, -s.Min-1) {
-			break
-		}
-	}
-}
-
 // Quantile returns (approximately, within one bucket) the q-quantile of the
 // recorded values, q in [0, 1]. It returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {

@@ -66,36 +66,11 @@ func TestHistogramNegativeAndNil(t *testing.T) {
 	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 || nilH.Mean() != 0 {
 		t.Fatal("nil histogram not inert")
 	}
-	nilH.Merge(&Histogram{})
 
 	h := &Histogram{}
 	h.Record(-17) // clamps to 0
 	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 || h.Quantile(1) != 0 {
 		t.Fatalf("negative record: count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	for v := int64(1); v <= 100; v++ {
-		a.Record(v)
-	}
-	for v := int64(1001); v <= 1100; v++ {
-		b.Record(v)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", a.Count())
-	}
-	if a.Min() != 1 || a.Max() != 1100 {
-		t.Fatalf("merged min/max = %d/%d, want 1/1100", a.Min(), a.Max())
-	}
-	if got := a.Quantile(0.5); got < 90 || got > 115 {
-		t.Fatalf("merged p50 = %d, want ~100", got)
-	}
-	wantSum := int64(100*101/2) + int64(1100*1101/2-1000*1001/2)
-	if a.Sum() != wantSum {
-		t.Fatalf("merged sum = %d, want %d", a.Sum(), wantSum)
 	}
 }
 
@@ -193,7 +168,7 @@ func TestRingCountsDrops(t *testing.T) {
 	if got := ctr.Value(); got != 6 {
 		t.Fatalf("registry drop counter = %d, want 6", got)
 	}
-	if r.Total() != 10 || len(r.Events()) != 4 {
-		t.Fatalf("total=%d events=%d", r.Total(), len(r.Events()))
+	if got := len(r.Events()); got != 4 {
+		t.Fatalf("ring holds %d events, want 4", got)
 	}
 }

@@ -26,51 +26,15 @@ type Sink interface {
 // format sbtap summarizes. Encoding errors are remembered (first one wins)
 // and subsequent events dropped.
 type JSONLSink struct {
-	cw  countWriter
 	enc *json.Encoder
 
 	mu  sync.Mutex
 	err error
 }
 
-// countWriter forwards to w, tallying bytes (and mirroring them into an
-// optional counter) so the sink's serialization cost — bytes per event — is
-// measurable. Writes are serialized by the owning sink's mutex.
-type countWriter struct {
-	w     io.Writer
-	bytes int64
-	ctr   *Counter
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.bytes += int64(n)
-	c.ctr.Add(int64(n))
-	return n, err
-}
-
 // NewJSONLSink builds a sink over w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{}
-	s.cw.w = w
-	s.enc = json.NewEncoder(&s.cw)
-	return s
-}
-
-// CountBytesIn mirrors every byte this sink writes into c (typically
-// Registry.Counter("obs.sink_jsonl_bytes")), putting the trace stream's
-// serialization volume on the /varz surface. A nil counter detaches.
-func (s *JSONLSink) CountBytesIn(c *Counter) {
-	s.mu.Lock()
-	s.cw.ctr = c
-	s.mu.Unlock()
-}
-
-// Bytes returns the total bytes written so far.
-func (s *JSONLSink) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cw.bytes
+	return &JSONLSink{enc: json.NewEncoder(w)}
 }
 
 // Event implements Sink.
@@ -93,10 +57,9 @@ func (s *JSONLSink) Err() error {
 // ReadJSONL decodes a JSONL event stream (as written by JSONLSink).
 //
 // A truncated final line — the signature a crashed or killed producer
-// leaves, since JSONLSink writes whole lines — is tolerated and dropped,
-// mirroring the sweep checkpoint's truncated-tail tolerance: flight-recorder
-// bundles and crash-cut trace files stay readable. Corruption anywhere
-// before the unterminated tail still errors.
+// leaves, since JSONLSink writes whole lines — is tolerated and dropped, so
+// flight-recorder bundles and crash-cut trace files stay readable.
+// Corruption anywhere before the unterminated tail still errors.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
 	var out []Event
@@ -166,7 +129,6 @@ type Ring struct {
 	buf     []Event
 	next    int
 	wrap    bool
-	total   uint64
 	dropped uint64
 	dropCtr *Counter
 }
@@ -198,19 +160,11 @@ func (r *Ring) Event(ev Event) {
 	}
 	r.buf[r.next] = ev
 	r.next++
-	r.total++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.wrap = true
 	}
 	r.mu.Unlock()
-}
-
-// Total returns how many events were ever recorded (including evicted ones).
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Dropped returns how many buffered events were evicted unread.
@@ -230,15 +184,4 @@ func (r *Ring) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// Find returns the buffered events of one kind, oldest first.
-func (r *Ring) Find(kind Kind) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
 }

@@ -25,13 +25,10 @@ type Span struct {
 	Detection, Report, Reconfig, Total time.Duration
 }
 
-// PhaseSum returns Detection + Report + Reconfig; for a well-formed span it
-// equals Total.
-func (s *Span) PhaseSum() time.Duration { return s.Detection + s.Report + s.Reconfig }
-
 // SpanCollector is a sink that groups events into recovery spans and
 // accumulates the per-phase latency samples. Attach it to a bus (alone or
-// alongside other sinks), run the workload, then read Spans/Breakdown.
+// alongside other sinks), run the workload, then read Spans (NewBreakdown
+// aggregates them).
 type SpanCollector struct {
 	mu    sync.Mutex
 	spans map[uint64]*Span
@@ -93,11 +90,12 @@ func (c *SpanCollector) Spans() []*Span {
 	return out
 }
 
-// Breakdown aggregates the completed spans' phase samples. kind filters by
-// recovery kind ("node", "link"); the empty string aggregates all.
-func (c *SpanCollector) Breakdown(kind string) *Breakdown {
+// NewBreakdown aggregates the completed spans' phase samples, in span
+// order. kind filters by recovery kind ("node", "link"); the empty string
+// aggregates all.
+func NewBreakdown(spans []*Span, kind string) *Breakdown {
 	b := &Breakdown{Kind: kind}
-	for _, sp := range c.Spans() {
+	for _, sp := range spans {
 		if !sp.Complete || (kind != "" && sp.Kind != kind) {
 			continue
 		}

@@ -45,19 +45,19 @@ func TestSpanCollectorGroupsAndComputesBreakdown(t *testing.T) {
 		if len(sp.Events) != 3 {
 			t.Fatalf("span %d has %d events, want 3", sp.ID, len(sp.Events))
 		}
-		if sp.PhaseSum() != sp.Total {
-			t.Fatalf("span %d phases sum to %v, total %v", sp.ID, sp.PhaseSum(), sp.Total)
+		if sp.Detection+sp.Report+sp.Reconfig != sp.Total {
+			t.Fatalf("span %d phases sum to %v, total %v", sp.ID, sp.Detection+sp.Report+sp.Reconfig, sp.Total)
 		}
 	}
 	if spans[0].Kind != "node" || spans[1].Kind != "link" {
 		t.Fatalf("span kinds = %q, %q", spans[0].Kind, spans[1].Kind)
 	}
 
-	all := c.Breakdown("")
+	all := NewBreakdown(c.Spans(), "")
 	if all.N() != 2 {
 		t.Fatalf("breakdown N = %d, want 2", all.N())
 	}
-	nodes := c.Breakdown("node")
+	nodes := NewBreakdown(c.Spans(), "node")
 	if nodes.N() != 1 {
 		t.Fatalf("node breakdown N = %d, want 1", nodes.N())
 	}

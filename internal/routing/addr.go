@@ -13,11 +13,8 @@ package routing
 import "fmt"
 
 // Addr is a fat-tree address in the 10.pod.switch.id scheme of Al-Fares et
-// al.:
-//
-//	hosts:        10.pod.edge.(2 + position)
-//	pod switches: 10.pod.switch.1   (edge: switch in [0,k/2), agg: [k/2,k))
-//	core:         10.k.(j/(k/2)+1).(j%(k/2)+1)
+// al.; hosts are 10.pod.edge.(2 + position). Switches are never addressed:
+// the two-level tables match host destinations only.
 type Addr struct {
 	A, B, C, D uint8
 }
@@ -37,54 +34,6 @@ func HostAddr(k, pod, edge, position int) (Addr, error) {
 	}
 	return Addr{10, uint8(pod), uint8(edge), uint8(2 + position)}, nil
 }
-
-// EdgeAddr returns the address of edge switch E_{pod,j}.
-func EdgeAddr(k, pod, j int) (Addr, error) {
-	if err := checkK(k); err != nil {
-		return Addr{}, err
-	}
-	if pod < 0 || pod >= k || j < 0 || j >= k/2 {
-		return Addr{}, fmt.Errorf("routing: EdgeAddr(k=%d, pod=%d, j=%d) out of range", k, pod, j)
-	}
-	return Addr{10, uint8(pod), uint8(j), 1}, nil
-}
-
-// AggAddr returns the address of aggregation switch A_{pod,j}.
-func AggAddr(k, pod, j int) (Addr, error) {
-	if err := checkK(k); err != nil {
-		return Addr{}, err
-	}
-	if pod < 0 || pod >= k || j < 0 || j >= k/2 {
-		return Addr{}, fmt.Errorf("routing: AggAddr(k=%d, pod=%d, j=%d) out of range", k, pod, j)
-	}
-	return Addr{10, uint8(pod), uint8(k/2 + j), 1}, nil
-}
-
-// CoreAddr returns the address of core switch C_j.
-func CoreAddr(k, j int) (Addr, error) {
-	if err := checkK(k); err != nil {
-		return Addr{}, err
-	}
-	half := k / 2
-	if j < 0 || j >= half*half {
-		return Addr{}, fmt.Errorf("routing: CoreAddr(k=%d, j=%d) out of range", k, j)
-	}
-	return Addr{10, uint8(k), uint8(j/half + 1), uint8(j%half + 1)}, nil
-}
-
-// IsHost reports whether the address is a host address in a k-ary fat-tree.
-func (a Addr) IsHost(k int) bool {
-	return a.A == 10 && int(a.B) < k && int(a.C) < k/2 && int(a.D) >= 2 && int(a.D) < 2+k/2
-}
-
-// HostPod returns the pod of a host address.
-func (a Addr) HostPod() int { return int(a.B) }
-
-// HostEdge returns the edge-switch index of a host address.
-func (a Addr) HostEdge() int { return int(a.C) }
-
-// HostPosition returns the position of the host under its edge switch.
-func (a Addr) HostPosition() int { return int(a.D) - 2 }
 
 func checkK(k int) error {
 	if k < 4 || k%2 != 0 || k > 254 {

@@ -74,29 +74,3 @@ func TestRerouteScratchReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestLinkLoadReset checks Reset zeroes in place without reallocating.
-func TestLinkLoadReset(t *testing.T) {
-	ft, err := topo.NewFatTree(topo.Config{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll := NewLinkLoad(ft.Topology)
-	paths, err := ft.PathStore().Paths(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll.Add(paths[0], 3)
-	if ll.MaxOn(paths[0]) != 3 {
-		t.Fatal("Add did not register")
-	}
-	ll.Reset()
-	for i, v := range ll {
-		if v != 0 {
-			t.Fatalf("Reset left load %d on link %d", v, i)
-		}
-	}
-	if len(ll) != ft.NumLinks() {
-		t.Fatal("Reset changed length")
-	}
-}

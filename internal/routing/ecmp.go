@@ -44,38 +44,11 @@ type LinkLoad []int
 // NewLinkLoad returns a zeroed load vector sized for t.
 func NewLinkLoad(t *topo.Topology) LinkLoad { return make(LinkLoad, t.NumLinks()) }
 
-// Reset zeroes the vector in place so one allocation serves many trials.
-func (ll LinkLoad) Reset() {
-	for i := range ll {
-		ll[i] = 0
-	}
-}
-
 // Add applies delta flows along every link of p.
 func (ll LinkLoad) Add(p topo.Path, delta int) {
 	for _, l := range p.Links {
 		ll[l] += delta
 	}
-}
-
-// MaxOn returns the highest per-link flow count along p.
-func (ll LinkLoad) MaxOn(p topo.Path) int {
-	max := 0
-	for _, l := range p.Links {
-		if ll[l] > max {
-			max = ll[l]
-		}
-	}
-	return max
-}
-
-// SumOn returns the total flow count along p.
-func (ll LinkLoad) SumOn(p topo.Path) int {
-	sum := 0
-	for _, l := range p.Links {
-		sum += ll[l]
-	}
-	return sum
 }
 
 // MaxOnInterior returns the highest per-link flow count along p excluding

@@ -69,7 +69,7 @@ func TestQuickDeliveryMatchesECMPStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, err := NewDataPlane(ft)
+		dp, err := newDataPlane(ft)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestQuickDeliveryMatchesECMPStructure(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			walk, err := dp.Deliver(src, dst)
+			walk, err := dp.deliver(src, dst)
 			if err != nil {
 				t.Fatalf("k=%d Deliver(%d,%d): %v", k, src, dst, err)
 			}

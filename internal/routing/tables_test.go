@@ -17,36 +17,6 @@ func TestAddrConstruction(t *testing.T) {
 	if h.String() != "10.1.0.3" {
 		t.Errorf("String = %q", h.String())
 	}
-	if !h.IsHost(4) {
-		t.Error("host address not recognized")
-	}
-	if h.HostPod() != 1 || h.HostEdge() != 0 || h.HostPosition() != 1 {
-		t.Error("host address decomposition wrong")
-	}
-	e, err := EdgeAddr(4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != (Addr{10, 2, 1, 1}) {
-		t.Errorf("EdgeAddr = %v", e)
-	}
-	if e.IsHost(4) {
-		t.Error("edge address recognized as host")
-	}
-	a, err := AggAddr(4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != (Addr{10, 2, 3, 1}) {
-		t.Errorf("AggAddr = %v", a)
-	}
-	c, err := CoreAddr(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != (Addr{10, 4, 2, 2}) {
-		t.Errorf("CoreAddr = %v", c)
-	}
 }
 
 func TestAddrValidation(t *testing.T) {
@@ -62,10 +32,7 @@ func TestAddrValidation(t *testing.T) {
 	if _, err := HostAddr(3, 0, 0, 0); err == nil {
 		t.Error("odd k accepted")
 	}
-	if _, err := CoreAddr(4, 4); err == nil {
-		t.Error("core index out of range accepted")
-	}
-	if _, err := EdgeAddr(256, 0, 0); err == nil {
+	if _, err := HostAddr(256, 0, 0, 0); err == nil {
 		t.Error("unaddressable k accepted")
 	}
 }
@@ -229,7 +196,7 @@ func TestDataPlaneDeliversAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := NewDataPlane(ft)
+	dp, err := newDataPlane(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +205,7 @@ func TestDataPlaneDeliversAllPairs(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			walk, err := dp.Deliver(src, dst)
+			walk, err := dp.deliver(src, dst)
 			if err != nil {
 				t.Fatalf("Deliver(%d, %d): %v (walk %v)", src, dst, err, walk)
 			}
@@ -262,12 +229,12 @@ func TestDataPlaneABFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := NewDataPlane(ft)
+	dp, err := newDataPlane(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dst := range []int{1, 2, 5, 9, 15} {
-		if _, err := dp.Deliver(0, dst); err != nil {
+		if _, err := dp.deliver(0, dst); err != nil {
 			t.Errorf("AB Deliver(0, %d): %v", dst, err)
 		}
 	}
@@ -278,11 +245,11 @@ func TestDataPlaneRackLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := NewDataPlane(ft)
+	dp, err := newDataPlane(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dp.Deliver(0, ft.NumHosts()-1); err != nil {
+	if _, err := dp.deliver(0, ft.NumHosts()-1); err != nil {
 		t.Fatal(err)
 	}
 	// Too many hosts per edge cannot be addressed.
@@ -290,7 +257,7 @@ func TestDataPlaneRackLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDataPlane(big); err == nil {
+	if _, err := newDataPlane(big); err == nil {
 		t.Error("unaddressable host density accepted")
 	}
 }

@@ -88,16 +88,6 @@ func (n *Network) DeactivateIdleBackups(a *Augmentation) (time.Duration, error) 
 	return max, nil
 }
 
-// AugmentedPartner returns the switch an augmented backup is circuited to,
-// or NoSwitch.
-func (n *Network) AugmentedPartner(id SwitchID) SwitchID {
-	p, ok := n.augmentOf[id]
-	if !ok {
-		return NoSwitch
-	}
-	return p
-}
-
 // AddedFabricCapacity returns the raw edge-agg capacity (in links) an
 // augmentation contributes.
 func (a *Augmentation) AddedFabricCapacity() int { return a.Circuits }

@@ -152,3 +152,13 @@ func TestFailoverElsewhereKeepsAugmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AugmentedPartner returns the switch an augmented backup is circuited to,
+// or NoSwitch.
+func (n *Network) AugmentedPartner(id SwitchID) SwitchID {
+	p, ok := n.augmentOf[id]
+	if !ok {
+		return NoSwitch
+	}
+	return p
+}

@@ -289,9 +289,6 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Cfg returns the network's configuration.
-func (n *Network) Cfg() Config { return n.cfg }
-
 // K returns the fat-tree parameter.
 func (n *Network) K() int { return n.cfg.K }
 
@@ -314,9 +311,6 @@ func (n *Network) Switch(id SwitchID) *PhysSwitch { return &n.switches[id] }
 // Group returns a failure group.
 func (n *Network) Group(id GroupID) *Group { return &n.groups[id] }
 
-// Groups returns all failure groups.
-func (n *Network) Groups() []Group { return n.groups }
-
 // EdgeGroup returns the edge failure group of a pod.
 func (n *Network) EdgeGroup(pod int) *Group { return &n.groups[pod] }
 
@@ -326,15 +320,6 @@ func (n *Network) AggGroup(pod int) *Group { return &n.groups[n.cfg.K+pod] }
 // CoreGroup returns the t-th core failure group (cores C_j with
 // j mod k/2 == t).
 func (n *Network) CoreGroup(t int) *Group { return &n.groups[2*n.cfg.K+t] }
-
-// GroupOfCore returns the failure group of core C_j and its logical slot
-// within the group.
-func (n *Network) GroupOfCore(j int) (*Group, int) {
-	return n.CoreGroup(j % n.half), j / n.half
-}
-
-// ActiveAt returns the physical switch occupying the given logical slot.
-func (n *Network) ActiveAt(g GroupID, slot int) SwitchID { return n.groups[g].slots[slot] }
 
 // FreeBackups returns the group's physical switches currently in RoleBackup.
 func (n *Network) FreeBackups(g GroupID) []SwitchID {

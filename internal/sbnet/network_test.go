@@ -2,6 +2,7 @@ package sbnet
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -59,8 +60,8 @@ func TestConstructionCounts(t *testing.T) {
 			t.Errorf("k=%d n=%d: fresh network violates invariants: %v", tc.k, tc.n, err)
 		}
 		backups := 0
-		for _, g := range net.Groups() {
-			backups += len(net.FreeBackups(g.ID))
+		for g := 0; g < net.NumGroups(); g++ {
+			backups += len(net.FreeBackups(GroupID(g)))
 		}
 		if want := 5 * tc.k / 2 * tc.n; backups != want {
 			t.Errorf("k=%d n=%d: free backups = %d, want %d (5kn/2)", tc.k, tc.n, backups, want)
@@ -91,15 +92,13 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestGroupOfCore: core C_j sits in slot j / (k/2) of core group j mod k/2.
 func TestGroupOfCore(t *testing.T) {
 	net := newNet(t, 6, 1)
-	// C7 = slot 2 of group t=1 (7 = 2*3 + 1).
-	g, slot := net.GroupOfCore(7)
-	if g.Index != 1 || slot != 2 {
-		t.Errorf("GroupOfCore(7) = group %d slot %d, want group 1 slot 2", g.Index, slot)
-	}
-	if name := net.Name(g.slots[slot]); name != "C7" {
-		t.Errorf("occupant of C7's slot = %s", name)
+	for j := 0; j < 9; j++ {
+		if name := net.Name(net.CoreGroup(j % 3).slots[j/3]); name != fmt.Sprintf("C%d", j) {
+			t.Errorf("group %d slot %d holds %s, want C%d", j%3, j/3, name, j)
+		}
 	}
 }
 
@@ -150,14 +149,14 @@ func TestReplaceAgg(t *testing.T) {
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after agg replacement: %v", err)
 	}
-	if net.ActiveAt(ag.ID, 2) != backup {
+	if ag.slots[2] != backup {
 		t.Error("slot 2 not taken over by backup")
 	}
 }
 
 func TestReplaceCore(t *testing.T) {
 	net := newNet(t, 6, 1)
-	g, slot := net.GroupOfCore(4) // C4: group t=1, slot 1
+	g, slot := net.CoreGroup(1), 1 // C4 = slot 1 of group t=1 (4 = 1*3 + 1)
 	failed := g.slots[slot]
 	backup, _, err := net.Replace(failed)
 	if err != nil {
@@ -166,7 +165,7 @@ func TestReplaceCore(t *testing.T) {
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after core replacement: %v", err)
 	}
-	if net.ActiveAt(g.ID, slot) != backup {
+	if g.slots[slot] != backup {
 		t.Error("core slot not taken over")
 	}
 	// Core replacement must touch CS3 in every pod: each CS3[pod][1] has
@@ -262,7 +261,7 @@ func TestLinkFailureReplacesBothEnds(t *testing.T) {
 func TestEdgeServingRackSplitDetection(t *testing.T) {
 	net := newNet(t, 4, 1)
 	// Manually wedge one CS1 so rack 0's circuits disagree.
-	if _, err := net.CS1(0, 1).Connect(2, 0); err != nil { // A=backup member, B=rack 0
+	if _, err := net.CS1(0, 1).Apply([]circuit.Change{{A: 2, B: 0}}); err != nil { // A=backup member, B=rack 0
 		t.Fatal(err)
 	}
 	if _, err := net.EdgeServingRack(0, 0); err == nil {
@@ -315,7 +314,7 @@ func TestLogicalFatTreeInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.NumNodes() != after.NumNodes() || before.NumLinks() != after.NumLinks() {
+	if len(before.Nodes) != len(after.Nodes) || before.NumLinks() != after.NumLinks() {
 		t.Fatal("logical topology changed size after replacements")
 	}
 	for i := range before.Links {
@@ -347,7 +346,7 @@ func TestRandomReplacementStress(t *testing.T) {
 			}
 			offline = append(offline[:i], offline[i+1:]...)
 		} else {
-			g := &net.Groups()[rng.Intn(net.NumGroups())]
+			g := net.Group(GroupID(rng.Intn(net.NumGroups())))
 			victim := g.slots[rng.Intn(len(g.slots))]
 			_, _, err := net.Replace(victim)
 			if errors.Is(err, ErrNoBackup) {

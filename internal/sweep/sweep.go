@@ -10,13 +10,12 @@
 // results in shard-index order, so callers merge by folding a slice whose
 // layout does not depend on completion order.
 //
-// Sweeps checkpoint to a JSONL file (one line per completed shard, flushed
-// as it finishes), so a killed run resumed with Resume re-executes only the
-// missing shards and still merges to the same output. Progress is published
-// through the obs bus (one shard-tagged KindSweepShardDone event per shard)
-// and registry (sweep.shards_done / sweep.shards_total / sweep.trials_per_sec
-// / sweep.eta_ms), so /varz and -trace observe a sweep like any other
-// subsystem.
+// Progress is published through the obs bus (one shard-tagged
+// KindSweepShardDone event per shard) and registry (sweep.shards_done /
+// sweep.shards_total / sweep.trials_per_sec / sweep.eta_ms), so /varz and
+// -trace observe a sweep like any other subsystem. There is no checkpoint:
+// every paper-scale sweep but Fig. 1c finishes in tens of milliseconds, and
+// Fig. 1c's shards hold simulator state, not something worth serializing.
 package sweep
 
 import (
@@ -75,8 +74,7 @@ func SubSeed(root int64, index int) int64 {
 
 // Config parameterizes one sweep.
 type Config struct {
-	// Name identifies the sweep in checkpoints, events, and progress. A
-	// resumed run must use the same Name.
+	// Name identifies the sweep in events and errors.
 	Name string
 	// Shards is the trial-space size: fn runs once per index in [0, Shards).
 	Shards int
@@ -87,13 +85,6 @@ type Config struct {
 	Workers int
 	// TrialsPerShard weights the trials/sec progress gauge (default 1).
 	TrialsPerShard int
-	// Checkpoint, when non-empty, is the JSONL file completed shards are
-	// appended to as they finish. Without Resume an existing file is
-	// overwritten.
-	Checkpoint string
-	// Resume loads the checkpoint first and re-runs only missing shards.
-	// The file's header must match Name/Shards/Seed.
-	Resume bool
 	// Bus receives one shard-tagged KindSweepShardDone event per completed
 	// shard (nil = obs.Default).
 	Bus *obs.Bus
@@ -107,7 +98,7 @@ type Config struct {
 // in shard-index order. fn must be safe for concurrent invocation across
 // distinct shards and must take all randomness from its Shard's Seed. The
 // first shard error cancels the rest and is returned; a canceled ctx returns
-// ctx.Err(). With checkpointing enabled, T must round-trip through JSON.
+// ctx.Err().
 func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard) (T, error)) ([]T, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil shard function")
@@ -138,36 +129,8 @@ func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard)
 	}
 
 	results := make([]T, cfg.Shards)
-	skip := make([]bool, cfg.Shards)
-	resumed := 0
-	var ckpt *checkpointWriter
-	if cfg.Checkpoint != "" {
-		hdr := checkpointHeader{Sweep: cfg.Name, Shards: cfg.Shards, Seed: cfg.Seed, Version: checkpointVersion}
-		var prior map[int]json.RawMessage
-		if cfg.Resume {
-			var err error
-			prior, err = loadCheckpoint(cfg.Checkpoint, hdr)
-			if err != nil {
-				return nil, err
-			}
-			for i, raw := range prior {
-				if err := json.Unmarshal(raw, &results[i]); err != nil {
-					return nil, fmt.Errorf("sweep: checkpoint %s shard %d: %w", cfg.Checkpoint, i, err)
-				}
-				skip[i] = true
-			}
-			resumed = len(prior)
-		}
-		var err error
-		ckpt, err = openCheckpoint(cfg.Checkpoint, hdr, prior)
-		if err != nil {
-			return nil, err
-		}
-		defer ckpt.close()
-	}
-
 	base := tagBase.Add(uint64(cfg.Shards)) - uint64(cfg.Shards)
-	prog := newProgress(cfg, bus, reg, resumed)
+	prog := newProgress(cfg, bus, reg)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -191,9 +154,6 @@ func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard)
 				if i >= cfg.Shards {
 					return
 				}
-				if skip[i] {
-					continue
-				}
 				if runCtx.Err() != nil {
 					return
 				}
@@ -204,12 +164,6 @@ func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard)
 					return
 				}
 				results[i] = res
-				if ckpt != nil {
-					if err := ckpt.write(i, res); err != nil {
-						fail(err)
-						return
-					}
-				}
 				prog.complete(sh)
 			}
 		}()
@@ -230,37 +184,35 @@ type progress struct {
 	bus   *obs.Bus
 	start time.Time
 
-	mu       sync.Mutex
-	done     int // completed this run (excludes resumed shards)
-	resumed  int
-	total    *obs.Gauge
-	doneG    *obs.Gauge
-	tps      *obs.Gauge
-	eta      *obs.Gauge
-	trialsPS *obs.Gauge
+	mu    sync.Mutex
+	done  int
+	total *obs.Gauge
+	doneG *obs.Gauge
+	tps   *obs.Gauge
+	eta   *obs.Gauge
 }
 
-func newProgress(cfg Config, bus *obs.Bus, reg *obs.Registry, resumed int) *progress {
+func newProgress(cfg Config, bus *obs.Bus, reg *obs.Registry) *progress {
 	p := &progress{
-		cfg: cfg, bus: bus, start: time.Now(), resumed: resumed,
+		cfg: cfg, bus: bus, start: time.Now(),
 		total: reg.Gauge("sweep.shards_total"),
 		doneG: reg.Gauge("sweep.shards_done"),
 		tps:   reg.Gauge("sweep.trials_per_sec"),
 		eta:   reg.Gauge("sweep.eta_ms"),
 	}
 	p.total.Set(int64(cfg.Shards))
-	p.doneG.Set(int64(resumed))
+	p.doneG.Set(0)
 	p.tps.Set(0)
 	p.eta.Set(-1) // unknown until the first shard lands
 	return p
 }
 
-// complete records one freshly executed shard: gauges first, then the
-// shard-tagged bus event carrying the running completion count.
+// complete records one executed shard: gauges first, then the shard-tagged
+// bus event carrying the running completion count.
 func (p *progress) complete(sh Shard) {
 	p.mu.Lock()
 	p.done++
-	done := p.done + p.resumed
+	done := p.done
 	elapsed := time.Since(p.start)
 	var tps float64
 	var eta time.Duration
@@ -286,7 +238,7 @@ func (p *progress) complete(sh Shard) {
 
 // Fingerprint hashes any JSON-marshalable value (FNV-1a over its canonical
 // encoding). Sweeps use it to assert that merged aggregates are bit-identical
-// across worker counts and across checkpoint/resume round trips.
+// across worker counts.
 func Fingerprint(v interface{}) (uint64, error) {
 	data, err := json.Marshal(v)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -123,127 +121,6 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-func TestCheckpointResumeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.jsonl")
-	cfg := Config{
-		Name: "resume", Shards: 30, Seed: 3, Workers: 4,
-		Checkpoint: path, Registry: obs.NewRegistry(), Bus: &obs.Bus{},
-	}
-
-	// Uninterrupted reference run (no checkpoint) for the golden fingerprint.
-	ref, err := Run(context.Background(), Config{
-		Name: "resume", Shards: 30, Seed: 3, Workers: 1,
-		Registry: obs.NewRegistry(), Bus: &obs.Bus{},
-	}, noisyShard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFP, _ := Fingerprint(ref)
-
-	// First attempt dies partway through: shards fail once 12 have run.
-	var ran atomic.Int64
-	_, err = Run(context.Background(), cfg, func(c context.Context, sh Shard) (float64, error) {
-		if ran.Add(1) > 12 {
-			return 0, fmt.Errorf("killed")
-		}
-		return noisyShard(c, sh)
-	})
-	if err == nil {
-		t.Fatal("interrupted run reported success")
-	}
-
-	// Resume must re-run only the missing shards and merge identically.
-	resumeCfg := cfg
-	resumeCfg.Resume = true
-	var reran atomic.Int64
-	var rerunFirst atomic.Int64
-	rerunFirst.Store(-1)
-	res, err := Run(context.Background(), resumeCfg, func(c context.Context, sh Shard) (float64, error) {
-		reran.Add(1)
-		rerunFirst.CompareAndSwap(-1, int64(sh.Index))
-		return noisyShard(c, sh)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := int(reran.Load()); got >= 30 || got == 0 {
-		t.Fatalf("resume re-ran %d shards, want only the missing ones (0 < n < 30)", got)
-	}
-	fp, _ := Fingerprint(res)
-	if fp != wantFP {
-		t.Fatalf("resumed fingerprint %x != uninterrupted %x", fp, wantFP)
-	}
-
-	// A second resume re-runs nothing and still matches.
-	res, err = Run(context.Background(), resumeCfg, func(c context.Context, sh Shard) (float64, error) {
-		t.Errorf("shard %d re-ran on a complete checkpoint", sh.Index)
-		return noisyShard(c, sh)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp, _ := Fingerprint(res); fp != wantFP {
-		t.Fatalf("complete-checkpoint fingerprint %x != %x", fp, wantFP)
-	}
-}
-
-func TestCheckpointToleratesTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.jsonl")
-	cfg := Config{
-		Name: "trunc", Shards: 6, Seed: 1, Workers: 1,
-		Checkpoint: path, Registry: obs.NewRegistry(), Bus: &obs.Bus{},
-	}
-	if _, err := Run(context.Background(), cfg, noisyShard); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a kill mid-append: chop the last line in half.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-17], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumeCfg := cfg
-	resumeCfg.Resume = true
-	var reran atomic.Int64
-	if _, err := Run(context.Background(), resumeCfg, func(c context.Context, sh Shard) (float64, error) {
-		reran.Add(1)
-		return noisyShard(c, sh)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := reran.Load(); got != 1 {
-		t.Fatalf("re-ran %d shards after truncation, want exactly the chopped one", got)
-	}
-}
-
-func TestCheckpointHeaderMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.jsonl")
-	base := Config{
-		Name: "hdr", Shards: 4, Seed: 1, Workers: 1,
-		Checkpoint: path, Registry: obs.NewRegistry(), Bus: &obs.Bus{},
-	}
-	if _, err := Run(context.Background(), base, noisyShard); err != nil {
-		t.Fatal(err)
-	}
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Seed = 2 },
-		func(c *Config) { c.Shards = 5 },
-		func(c *Config) { c.Name = "other" },
-	} {
-		cfg := base
-		cfg.Resume = true
-		mutate(&cfg)
-		if _, err := Run(context.Background(), cfg, noisyShard); err == nil {
-			t.Errorf("resume with mutated config %+v accepted a foreign checkpoint", cfg)
-		}
-	}
-}
-
 func TestProgressGaugesAndEvents(t *testing.T) {
 	reg := obs.NewRegistry()
 	bus := &obs.Bus{}
@@ -261,12 +138,15 @@ func TestProgressGaugesAndEvents(t *testing.T) {
 	if got := reg.Gauge("sweep.shards_done").Value(); got != 8 {
 		t.Errorf("shards_done = %d, want 8", got)
 	}
-	evs := ring.Find(obs.KindSweepShardDone)
+	evs := ring.Events()
 	if len(evs) != 8 {
-		t.Fatalf("got %d shard-done events, want 8", len(evs))
+		t.Fatalf("got %d events, want 8 shard-done events", len(evs))
 	}
 	shards := make(map[uint64]bool)
 	for _, ev := range evs {
+		if ev.Kind != obs.KindSweepShardDone {
+			t.Errorf("unexpected event %v", ev)
+		}
 		if ev.Shard == 0 {
 			t.Errorf("event missing shard tag: %v", ev)
 		}

@@ -168,9 +168,6 @@ func (ft *FatTree) PathStore() *PathStore {
 // K returns the fat-tree parameter.
 func (ft *FatTree) K() int { return ft.Cfg.K }
 
-// NumPods returns the number of pods (k).
-func (ft *FatTree) NumPods() int { return ft.Cfg.K }
-
 // Edge returns E_{pod,j}.
 func (ft *FatTree) Edge(pod, j int) NodeID { return ft.edge[pod][j] }
 
@@ -179,9 +176,6 @@ func (ft *FatTree) Agg(pod, j int) NodeID { return ft.agg[pod][j] }
 
 // Core returns C_j.
 func (ft *FatTree) Core(j int) NodeID { return ft.core[j] }
-
-// NumCores returns (k/2)^2.
-func (ft *FatTree) NumCores() int { return len(ft.core) }
 
 // Host returns H_j by global host index.
 func (ft *FatTree) Host(j int) NodeID { return ft.hosts[j] }

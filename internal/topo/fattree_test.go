@@ -19,7 +19,7 @@ func TestFatTreeCounts(t *testing.T) {
 		if got := len(ft.NodesOfKind(KindAgg)); got != wantAggs {
 			t.Errorf("k=%d: agg switches = %d, want %d", k, got, wantAggs)
 		}
-		if got := ft.NumCores(); got != wantCores {
+		if got := len(ft.NodesOfKind(KindCore)); got != wantCores {
 			t.Errorf("k=%d: cores = %d, want %d", k, got, wantCores)
 		}
 		if got := ft.NumHosts(); got != wantHosts {
@@ -79,7 +79,7 @@ func TestFatTreeStructure(t *testing.T) {
 	// A_{i,s} connects exactly to cores [s*k/2, (s+1)*k/2).
 	for pod := 0; pod < 6; pod++ {
 		for s := 0; s < half; s++ {
-			for c := 0; c < ft.NumCores(); c++ {
+			for c := 0; c < len(ft.NodesOfKind(KindCore)); c++ {
 				linked := ft.LinkBetween(ft.Agg(pod, s), ft.Core(c)) != NoLink
 				want := c/half == s
 				if linked != want {
@@ -89,7 +89,7 @@ func TestFatTreeStructure(t *testing.T) {
 		}
 	}
 	// AggOfCoreInPod agrees with the link structure.
-	for c := 0; c < ft.NumCores(); c++ {
+	for c := 0; c < len(ft.NodesOfKind(KindCore)); c++ {
 		for pod := 0; pod < 6; pod++ {
 			a := ft.AggOfCoreInPod(c, pod)
 			if ft.LinkBetween(a, ft.Core(c)) == NoLink {
@@ -159,7 +159,7 @@ func TestABFatTreeWiring(t *testing.T) {
 	half := 2
 	// Type A (even) pods use canonical wiring, type B (odd) pods the
 	// transposed pattern; every core still has exactly one link per pod.
-	for c := 0; c < ft.NumCores(); c++ {
+	for c := 0; c < len(ft.NodesOfKind(KindCore)); c++ {
 		x, y := c/half, c%half
 		for pod := 0; pod < 4; pod++ {
 			wantAgg := x
@@ -204,7 +204,7 @@ func TestFatTreeDeterministicIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumNodes() != b.NumNodes() || a.NumLinks() != b.NumLinks() {
+	if len(a.Nodes) != len(b.Nodes) || a.NumLinks() != b.NumLinks() {
 		t.Fatal("two builds differ in size")
 	}
 	for i := range a.Nodes {

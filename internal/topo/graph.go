@@ -101,9 +101,6 @@ func (t *Topology) Node(id NodeID) Node { return t.Nodes[id] }
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) Link { return t.Links[id] }
 
-// NumNodes returns the number of nodes.
-func (t *Topology) NumNodes() int { return len(t.Nodes) }
-
 // NumLinks returns the number of links.
 func (t *Topology) NumLinks() int { return len(t.Links) }
 
@@ -125,15 +122,6 @@ func (t *Topology) LinkBetween(a, b NodeID) LinkID {
 
 // Degree returns the number of links incident to n.
 func (t *Topology) Degree(n NodeID) int { return len(t.adj[n]) }
-
-// Neighbors appends the IDs of all nodes adjacent to n to dst and returns
-// the extended slice. Pass nil to allocate.
-func (t *Topology) Neighbors(dst []NodeID, n NodeID) []NodeID {
-	for _, lid := range t.adj[n] {
-		dst = append(dst, t.Links[lid].Other(n))
-	}
-	return dst
-}
 
 // NodesOfKind returns the IDs of all nodes of the given kind in ID order.
 func (t *Topology) NodesOfKind(kind Kind) []NodeID {

@@ -237,14 +237,3 @@ func (jf *Jellyfish) Switches() []NodeID { return jf.switches }
 
 // Hosts returns the host node IDs.
 func (jf *Jellyfish) Hosts() []NodeID { return jf.hosts }
-
-// NetDegreeOf returns the realized switch-to-switch degree of a switch.
-func (jf *Jellyfish) NetDegreeOf(s NodeID) int {
-	d := 0
-	for _, lid := range jf.LinksOf(s) {
-		if jf.Node(jf.Link(lid).Other(s)).Kind.IsSwitch() {
-			d++
-		}
-	}
-	return d
-}

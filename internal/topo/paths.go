@@ -128,13 +128,6 @@ func (b *bitset) set(i int) {
 	(*b)[w] |= 1 << (uint(i) & 63)
 }
 
-func (b bitset) clear(i int) {
-	w := i >> 6
-	if uint(w) < uint(len(b)) {
-		b[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
 func (b bitset) reset() {
 	for i := range b {
 		b[i] = 0
@@ -159,12 +152,6 @@ func (b *Blocked) BlockNode(n NodeID) { b.nodes.set(int(n)) }
 
 // BlockLink marks a link unusable.
 func (b *Blocked) BlockLink(l LinkID) { b.links.set(int(l)) }
-
-// UnblockNode clears a node block.
-func (b *Blocked) UnblockNode(n NodeID) { b.nodes.clear(int(n)) }
-
-// UnblockLink clears a link block.
-func (b *Blocked) UnblockLink(l LinkID) { b.links.clear(int(l)) }
 
 // NodeBlocked reports whether node n is blocked.
 func (b *Blocked) NodeBlocked(n NodeID) bool { return b != nil && b.nodes.get(int(n)) }

@@ -144,7 +144,7 @@ func TestShortestPathAvoidsBlocked(t *testing.T) {
 
 	// Block every core except C0: paths must use C0.
 	b := NewBlocked()
-	for c := 1; c < ft.NumCores(); c++ {
+	for c := 1; c < len(ft.NodesOfKind(KindCore)); c++ {
 		b.BlockNode(ft.Core(c))
 	}
 	p, ok := ft.ShortestPath(src, dst, b)

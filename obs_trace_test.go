@@ -68,8 +68,8 @@ func TestRecoverySpanPhaseBreakdown(t *testing.T) {
 	}
 	// The span's phases must sum exactly to its end-to-end latency — the
 	// Table 2 property the phase-breakdown reports rely on.
-	if sp.PhaseSum() != sp.Total {
-		t.Fatalf("phase sum %v != span total %v", sp.PhaseSum(), sp.Total)
+	if sp.Detection+sp.Report+sp.Reconfig != sp.Total {
+		t.Fatalf("phase sum %v != span total %v", sp.Detection+sp.Report+sp.Reconfig, sp.Total)
 	}
 	if sp.Total != rec.Total() || sp.Total != wantTotal {
 		t.Fatalf("span total %v, recovery total %v, budget %v — all three must agree",
@@ -119,7 +119,7 @@ func TestRecoveryBreakdownAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := col.Breakdown("node")
+	b := obs.NewBreakdown(col.Spans(), "node")
 	if b.N() != trials {
 		t.Fatalf("aggregated %d recoveries, want %d", b.N(), trials)
 	}

@@ -214,18 +214,15 @@ func Table2(k, n int) (*metrics.Table, error) {
 	return tbl, nil
 }
 
-// Fig5 sweeps network scale and returns one relative-additional-cost series
-// per (architecture, price point), the curves of Figure 5.
-func Fig5(ks []int, ns []int) ([]*metrics.Series, error) {
-	if len(ks) == 0 {
-		ks = []int{8, 16, 24, 32, 40, 48, 56, 64}
-	}
-	if len(ns) == 0 {
-		ns = []int{1, 4}
-	}
+// Fig5 sweeps network scale (k = 8 … 64) and returns one
+// relative-additional-cost series per (architecture, price point), the
+// curves of Figure 5: ShareBackup at n = 1 and n = 4, Aspen Tree, and 1:1
+// backup.
+func Fig5() ([]*metrics.Series, error) {
+	ks := []int{8, 16, 24, 32, 40, 48, 56, 64}
 	var out []*metrics.Series
 	for _, p := range []cost.Prices{cost.EDC, cost.ODC} {
-		for _, n := range ns {
+		for _, n := range []int{1, 4} {
 			s := &metrics.Series{Name: fmt.Sprintf("ShareBackup(n=%d) %s", n, p.Name), XLabel: "k"}
 			for _, k := range ks {
 				ex, err := cost.ShareBackupExtra(k, n, p)

@@ -1,0 +1,144 @@
+package sharebackup
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnly lists the exported functions under internal/ that no non-test
+// file names, keyed package.Receiver.Name. Each entry says why it stays: the
+// test that uses it as its reference oracle, or the paper section whose
+// mechanism a reproducing test drives (DESIGN.md §4 names those tests).
+var testOnly = map[string]string{
+	"circuit.Switch.Fail": "§5.1 circuit-switch failure — TestSyncCircuitRestoresAuthoritativeState, TestCircuitSwitchFailureThreshold",
+
+	"controller.Controller.FlaggedHosts":            "§4.2 host-link failures — TestHostLinkFailurePolicy",
+	"controller.Controller.HandleHostLinkFailure":   "§4.2 host-link failures — TestHostLinkFailurePolicy",
+	"controller.Controller.ResumeAfterIntervention": "§5.1 halt on circuit-switch failure — TestCircuitSwitchFailureThreshold",
+
+	"detect.NewLinkMonitor":          "§4.1 F10 link probing — TestDetectionToRecoveryPipeline",
+	"detect.Monitor.Down":            "§4.1 F10 link probing — TestDetectionAfterMissThreshold",
+	"detect.Config.WorstCaseLatency": "§4.1 detection budget — TestDetectionAfterMissThreshold",
+
+	"failure.ExpectedConcurrent": "§5.1 availability arithmetic — TestExpectedConcurrent",
+
+	"fluid.Simulator.ForceFullRecompute": "oracle: the seed's global refill — TestScopedMatchesFullExact, TestDifferentialIncrementalVsFull",
+
+	"sbnet.Network.DeactivateIdleBackups": "§6 idle-backup augmentation — TestDeactivateIdleBackups",
+	"sbnet.Network.SyncCircuit":           "§5.1 circuit-switch re-sync — TestSyncCircuitRestoresAuthoritativeState",
+	"sbnet.Network.EdgeServingRack":       "oracle: which switch the circuits put behind a rack — TestReplaceEdge, TestEdgeServingRackSplitDetection",
+	"sbnet.Network.TotalReconfigs":        "oracle: circuit reconfigurations per failover — TestTotalReconfigsAccounting",
+
+	"topo.FatTree.EdgeOfHost":   "oracle: host numbering — TestFatTreeHostsOfEdge, TestDataPlaneDeliversAllPairs",
+	"topo.Topology.NodesOfKind": "oracle: the built fabric counted by kind — TestFatTreeCounts",
+	"topo.FatTree.ECMPPaths":    "oracle: full equal-cost enumeration — TestPathStoreDifferential, TestSelectMatchesFullSet",
+	"topo.FatTree.HostsOfEdge":  "oracle: host numbering — TestFatTreeHostsOfEdge, TestSelectMatchesFullSet",
+	"topo.Topology.Connected":   "oracle: reachability — TestQuickFatTreeSingleFailureKeepsFabricConnected, TestJellyfishConnected",
+	"topo.Path.ContainsLink":    "oracle: a detour avoids the failed link — TestF10LocalRerouteLink, TestQuickMaxMinInvariants",
+}
+
+// viaInterface names methods the standard library calls through an
+// interface (encoding/json, fmt, sort, container/heap, io, net/http), which
+// no caller names.
+var viaInterface = map[string]bool{
+	"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Write": true, "Read": true, "Close": true, "ServeHTTP": true,
+}
+
+// TestNoTestOnlyExports keeps code that only tests reach from growing back:
+// every exported function or method declared in a non-test file under
+// internal/ must be named by some non-test file of the module or of
+// benchmarks/, or be listed in testOnly with its reason. The check is by
+// name, not by type, so it misses an export whose name some unrelated call
+// also uses; it is the cheap guard, not the audit.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string]string{} // key -> position
+	named := map[string]bool{}      // identifiers used outside declarations
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declNames := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declNames[fd.Name] = true
+			if strings.HasPrefix(filepath.ToSlash(path), "internal/") && fd.Name.IsExported() {
+				declared[funcKey(f.Name.Name, fd)] = fset.Position(fd.Pos()).String()
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
+				named[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var unreached []string
+	for key, pos := range declared {
+		name := key[strings.LastIndex(key, ".")+1:]
+		used := named[name] || viaInterface[name]
+		_, listed := testOnly[key]
+		switch {
+		case !used && !listed:
+			unreached = append(unreached, key+" ("+pos+")")
+		case used && listed:
+			t.Errorf("testOnly lists %s, but a non-test file now names it: drop the entry", key)
+		}
+	}
+	for key := range testOnly {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("testOnly lists %s, which no longer exists: drop the entry", key)
+		}
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is named only by tests: delete it, or list it in testOnly with its oracle test or paper section", u)
+	}
+}
+
+// funcKey is package.Name or package.Receiver.Name.
+func funcKey(pkg string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return pkg + "." + fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if idx, ok := typ.(*ast.IndexExpr); ok {
+		typ = idx.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return pkg + "." + id.Name + "." + fd.Name.Name
+	}
+	return pkg + "." + fd.Name.Name
+}

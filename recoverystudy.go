@@ -9,8 +9,8 @@ import (
 	"sharebackup/internal/sweep"
 )
 
-// This file is the Section 5.3 many-failover study behind `sbsweep -sweep
-// recovery` and `sbexperiments -json`: where RecoveryLatency states the
+// This file is the Section 5.3 many-failover study behind `sbexperiments
+// -run recovery` (and its -json file): where RecoveryLatency states the
 // Table 2 phase budget analytically, this drives real failovers through the
 // controller in virtual time and reports the phase distribution they produce.
 
@@ -50,25 +50,10 @@ type RecoveryBenchConfig struct {
 	// runs in virtual time — each trial is a pure function of its index —
 	// so results are bit-identical for any worker count.
 	Workers int
-	// Checkpoint, when set, is the sweep checkpoint file prefix (one file
-	// per technology, suffixed ".<tech>"); with Resume, completed trials
-	// are not re-run.
-	Checkpoint string
-	Resume     bool
 	// TraceSink, when non-nil, additionally receives every trial's events,
 	// shard-tagged so concurrent trials can be told apart (pass the sink
 	// from obs.TraceSinkToFile).
 	TraceSink obs.Sink
-}
-
-// recoverySpan is one recovery's phase latencies as carried between a sweep
-// shard and the merge; JSON-tagged so shards checkpoint.
-type recoverySpan struct {
-	Kind        string        `json:"kind"`
-	DetectionNS time.Duration `json:"detection_ns"`
-	ReportNS    time.Duration `json:"report_ns"`
-	ReconfigNS  time.Duration `json:"reconfig_ns"`
-	TotalNS     time.Duration `json:"total_ns"`
 }
 
 // RunRecoveryBench drives cfg.Trials node and link failovers per circuit
@@ -86,17 +71,13 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 	res := &RecoveryBenchResult{Experiment: "recovery-latency", K: k, N: n, Trials: trials}
 	for _, tech := range []Technology{Crosspoint, MEMS2D} {
 		tech := tech
-		checkpoint := ""
-		if cfg.Checkpoint != "" {
-			checkpoint = cfg.Checkpoint + "." + tech.String()
-		}
-		var spans [][]recoverySpan
+		var spans [][]*obs.Span
 		var err error
 		if trials > 0 {
 			spans, err = sweep.Run(context.Background(), sweep.Config{
 				Name: "recovery-" + tech.String(), Shards: trials,
-				Workers: cfg.Workers, Checkpoint: checkpoint, Resume: cfg.Resume,
-			}, func(_ context.Context, sh sweep.Shard) ([]recoverySpan, error) {
+				Workers: cfg.Workers,
+			}, func(_ context.Context, sh sweep.Shard) ([]*obs.Span, error) {
 				i := sh.Index
 				bus := &obs.Bus{}
 				col := obs.NewSpanCollector()
@@ -135,17 +116,7 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 				); err != nil {
 					return nil, err
 				}
-				var out []recoverySpan
-				for _, sp := range col.Spans() {
-					if !sp.Complete {
-						continue
-					}
-					out = append(out, recoverySpan{
-						Kind: sp.Kind, DetectionNS: sp.Detection, ReportNS: sp.Report,
-						ReconfigNS: sp.Reconfig, TotalNS: sp.Total,
-					})
-				}
-				return out, nil
+				return col.Spans(), nil
 			})
 			if err != nil {
 				return nil, err
@@ -153,26 +124,19 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 		}
 		// Fold the per-trial spans back into breakdowns in shard order —
 		// the exact sample order the sequential loop produced.
-		all := &obs.Breakdown{}
-		byKind := map[string]*obs.Breakdown{
-			"node": {Kind: "node"}, "link": {Kind: "link"},
-		}
+		var all []*obs.Span
 		for _, trial := range spans {
-			for _, sp := range trial {
-				all.Add(sp.DetectionNS, sp.ReportNS, sp.ReconfigNS, sp.TotalNS)
-				if b := byKind[sp.Kind]; b != nil {
-					b.Add(sp.DetectionNS, sp.ReportNS, sp.ReconfigNS, sp.TotalNS)
-				}
-			}
+			all = append(all, trial...)
 		}
+		total := obs.NewBreakdown(all, "")
 		bt := RecoveryBenchTech{
 			Tech:       tech.String(),
-			Recoveries: all.N(),
-			PhasesUS:   all.Summaries(),
+			Recoveries: total.N(),
+			PhasesUS:   total.Summaries(),
 			Kinds:      make(map[string]RecoveryBenchKind),
 		}
 		for _, kind := range []string{"node", "link"} {
-			b := byKind[kind]
+			b := obs.NewBreakdown(all, kind)
 			bt.Kinds[kind] = RecoveryBenchKind{Recoveries: b.N(), PhasesUS: b.Summaries()}
 		}
 		res.Techs = append(res.Techs, bt)

@@ -339,7 +339,7 @@ func TestTable2Rendering(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	series, err := Fig5(nil, nil)
+	series, err := Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
