@@ -38,14 +38,23 @@ race:
 	$(GO) test -race -run 'TestDifferentialParallelWorkers|TestStormFinishTimesGolden' ./internal/fluid/
 
 # Every command and example at its smallest flags, in a scratch directory,
-# so a main that builds but no longer runs fails CI. Outputs are discarded;
-# any non-zero exit fails the target (about a second in total).
+# so a main that builds but no longer runs fails CI. sbemu's control-plane
+# emulation runs three more times: with the observability flags on the
+# controller's bus (an event line on stderr and a flight bundle, or it
+# fails), replicated with a leader kill (its traces must stitch strictly), and
+# with a flag its mode does not read (it must exit non-zero naming it).
+# Outputs are discarded; any other non-zero exit fails the target (a few
+# seconds in total).
 smoke:
 	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && set -ex && \
 	$(GO) build -o "$$tmp/" ./cmd/... ./examples/... && cd "$$tmp" && \
 	./sbexperiments -run all -k 4 > experiments.out && \
 	./sbemu -fail-path -trace emu.jsonl > emu.out && ./sbtap emu.jsonl > tap.out && \
 	./sbemu -ctlnet -trace-dir traces > ctlnet.out && ./sbtap -stitch -strict traces/*.jsonl > stitch.out && \
+	SHAREBACKUP_FLIGHT_DIR=flight ./sbemu -ctlnet -trace-dir obs-traces -events -slo-budget 1ns -flight-recorder > obs.out 2> obs.err && \
+	grep -q recovery-complete obs.err && ls flight/*/meta.json > /dev/null && \
+	./sbemu -ctlnet -cluster 3 -trace-dir cluster-traces > cluster.out && ./sbtap -stitch -strict cluster-traces/*.jsonl > cluster-stitch.out && \
+	! ./sbemu -ctlnet -src 1/0/0 2> unused.err && grep -q -- -src unused.err && \
 	./sbtrace -gen -racks 16 -coflows 20 -duration 60 > trace.txt && ./sbtrace -inspect trace.txt > inspect.out && \
 	./sbwire -verify > wire.out && \
 	for ex in coflowstudy diagnosis livefailover nonuniform quickstart; do ./$$ex > $$ex.out; done
@@ -63,11 +72,16 @@ soak-failover:
 # Ten seconds of coverage-guided fuzzing per target, on top of the committed
 # corpora under testdata/fuzz (which plain `go test` already replays): the
 # consensus wire (every Raft message anyone can send the listener), the
-# control-plane wire (every ctlnet frame and payload decoder) and the coflow
-# trace parser. Standard library only; runs offline.
+# replicated command and its decoder, the control-plane wire (every frame and
+# payload decoder of the one message table), a replica restoring a snapshot,
+# the JSONL trace reader and the coflow trace parser. Standard library only;
+# runs offline.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRaftStep$$' -fuzztime 10s ./internal/ctlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime 10s ./internal/ctlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/ctlnet/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s ./internal/ctlnet/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/coflow/
 
 # Recovery-path microbenchmarks; instrumentation must stay free when no

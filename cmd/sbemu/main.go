@@ -19,15 +19,21 @@
 //	sbemu -ctlnet -trace-dir /tmp/traces -slo-budget 50us -flight-recorder
 //	sbtap -stitch /tmp/traces/*.jsonl
 //
+// The observability flags (-events, -trace, -debug-addr, -slo-budget,
+// -flight-recorder) watch the controller's bus.
+//
 // -cluster N replicates the controller: N complete replicas (network model,
 // controller, server, consensus node) elect a leader over loopback TCP, the
 // agents keep-alive against it, and sbemu kills the leader in the middle of
 // the failure injections — the survivors elect a replacement and the
 // remaining recoveries complete against it. The stitched traces show the
-// agents' failover hops:
+// agents' failover hops; the observability flags watch a replica that
+// survives the kill:
 //
 //	sbemu -ctlnet -cluster 3 -agents 4 -trace-dir /tmp/traces
 //	sbtap -stitch /tmp/traces/*.jsonl
+//
+// A flag the chosen mode does not read is an error, not a no-op.
 package main
 
 import (
@@ -35,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -66,23 +73,31 @@ func main() {
 	obsFlags := debughttp.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
+	obsNames := []string{"debug-addr", "trace", "events", "slo-budget", "flight-recorder"}
 	if *kaBatch {
+		rejectUnused("-ka-batch", "ka-batch", "agents")
 		runFleetDemo(*numAgents)
 		return
 	}
 	if *ctlnetMode {
+		rejectUnused("-ctlnet", append(obsNames, "ctlnet", "k", "n", "agents", "cs", "cluster", "trace-dir")...)
+		if *traceDir == "" {
+			dir, err := os.MkdirTemp("", "sbemu-ctlnet-")
+			if err != nil {
+				fatal(err)
+			}
+			*traceDir = dir
+		}
 		if *cluster > 0 {
-			runCtlnetCluster(*k, *n, *numAgents, *numCS, *cluster, *traceDir)
+			runCtlnetCluster(*k, *n, *numAgents, *numCS, *cluster, *traceDir, obsFlags)
 			return
 		}
-		runCtlnet(*k, *n, *numAgents, *numCS, *traceDir, obsFlags.SLOBudget, obsFlags.FlightRecorder)
+		runCtlnet(*k, *n, *numAgents, *numCS, *traceDir, obsFlags)
 		return
 	}
-	if *cluster > 0 {
-		fatal(fmt.Errorf("-cluster requires -ctlnet"))
-	}
+	rejectUnused("the packet trace", append(obsNames, "k", "n", "src", "dst", "fail-path")...)
 
-	_, stopObs, err := obsFlags.Start("sbemu")
+	_, stopObs, err := obsFlags.Start("sbemu", obs.Default)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,10 +163,20 @@ func main() {
 	}
 }
 
-// runCtlnet drives the distributed control-plane emulation: a real ctlnet
-// controller server, switch agents, and circuit-switch services over loopback
-// TCP, one trace file per process. One link failure is injected per agent,
-// then the per-process files are listed for stitching.
+// rejectUnused exits non-zero, naming them, if any flag set on the command
+// line is not among the ones mode reads.
+func rejectUnused(mode string, reads ...string) {
+	var unused []string
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			unused = append(unused, "-"+f.Name)
+		}
+	})
+	if len(unused) > 0 {
+		fatal(fmt.Errorf("%s does not use %s", mode, strings.Join(unused, ", ")))
+	}
+}
+
 // runFleetDemo drives the fleet-scale keep-alive path: agents are grouped
 // onto shared connections sending batched keep-alive frames, the server reads
 // each connection on its own goroutine, and the sustained ingest rate plus the
@@ -171,24 +196,23 @@ func runFleetDemo(agents int) {
 		res.ServerGoroutines, res.Batches, res.WireErrors)
 }
 
-func runCtlnet(k, n, agents, cs int, traceDir string, budget time.Duration, flight bool) {
-	if traceDir == "" {
-		dir, err := os.MkdirTemp("", "sbemu-ctlnet-")
-		if err != nil {
-			fatal(err)
-		}
-		traceDir = dir
-	}
+// runCtlnet drives the distributed control-plane emulation: a real ctlnet
+// controller server, switch agents, and circuit-switch services over loopback
+// TCP, one trace file per process. One link failure is injected per agent,
+// then the per-process files are listed for stitching.
+func runCtlnet(k, n, agents, cs int, traceDir string, obsFlags *debughttp.Flags) {
 	em, err := ctlnet.NewEmulation(ctlnet.EmulationConfig{
-		K:              k,
-		N:              n,
-		NumAgents:      agents,
-		NumCS:          cs,
-		TraceDir:       traceDir,
-		SLOBudget:      budget,
-		FlightRecorder: flight,
-		Registry:       obs.DefaultRegistry,
+		K:         k,
+		N:         n,
+		NumAgents: agents,
+		NumCS:     cs,
+		TraceDir:  traceDir,
+		Registry:  obs.DefaultRegistry,
 	})
+	if err != nil {
+		fatal(err)
+	}
+	_, stopObs, err := obsFlags.Start("sbemu", em.ServerBus)
 	if err != nil {
 		fatal(err)
 	}
@@ -218,18 +242,12 @@ func runCtlnet(k, n, agents, cs int, traceDir string, budget time.Duration, flig
 		}
 	}
 	fmt.Printf("injected %d link failures; all recovered\n", len(em.Agents))
-	if w := em.Watchdog; w != nil {
-		fmt.Printf("slo watchdog: %d recoveries, %d breaches, burn rate %.2f (budget %v)\n",
-			w.Recoveries(), w.Breaches(), w.BurnRate(), budget)
+	if err := stopObs(); err != nil {
+		fatal(err)
 	}
 	files := em.TraceFiles()
 	if err := em.Close(); err != nil {
 		fatal(err)
-	}
-	if f := em.Flight; f != nil {
-		for _, d := range f.Dumps() {
-			fmt.Printf("flight-recorder bundle: %s\n", d)
-		}
 	}
 	fmt.Println("per-process traces:")
 	for _, f := range files {
@@ -242,14 +260,7 @@ func runCtlnet(k, n, agents, cs int, traceDir string, budget time.Duration, flig
 // controller replicas elect a leader, the agents report against it, and the
 // leader is killed after the first recovery — the rest complete against the
 // replacement the survivors elect, with the agents' failover hops traced.
-func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string) {
-	if traceDir == "" {
-		dir, err := os.MkdirTemp("", "sbemu-ctlnet-")
-		if err != nil {
-			fatal(err)
-		}
-		traceDir = dir
-	}
+func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string, obsFlags *debughttp.Flags) {
 	em, err := ctlnet.NewClusterEmulation(ctlnet.ClusterConfig{
 		EmulationConfig: ctlnet.EmulationConfig{
 			K:         k,
@@ -285,6 +296,10 @@ func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string) {
 	}
 	if surv == nil {
 		fatal(fmt.Errorf("need at least 2 replicas to kill the leader, have %d", replicas))
+	}
+	_, stopObs, err := obsFlags.Start("sbemu", surv.Bus)
+	if err != nil {
+		fatal(err)
 	}
 	mon, err := ctlnet.Subscribe(surv.Server.Addr())
 	if err != nil {
@@ -335,6 +350,9 @@ func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string) {
 		killed.ID, newLd.ID, newLd.Node.Term())
 	fmt.Printf("injected %d link failures; all recovered (%d through the failover)\n",
 		len(em.Agents), len(em.Agents)-1)
+	if err := stopObs(); err != nil {
+		fatal(err)
+	}
 
 	files := em.TraceFiles()
 	if err := em.Close(); err != nil {

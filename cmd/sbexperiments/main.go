@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// data-plane telemetry into the registry /varz serves.
 		fluid.SetDefaultTelemetry(fluid.NewTelemetry(obs.DefaultRegistry))
 	}
-	traceSink, stopObs, err := obsFlags.Start("sbexperiments")
+	traceSink, stopObs, err := obsFlags.Start("sbexperiments", obs.Default)
 	if err != nil {
 		return fail(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 	}
 	defer reporter.Close()
 	fmt.Printf("reporting link failure %s <-> %s...\n", sys.Network.Name(edge), sys.Network.Name(agg))
-	if err := reporter.ReportLinkFailure(sys.Network.K()/2, agg, 0); err != nil {
+	if err := reporter.ReportLinkFailureDetected(sys.Network.K()/2, agg, 0, 0); err != nil {
 		log.Fatal(err)
 	}
 	ev = <-mon.Events

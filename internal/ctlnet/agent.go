@@ -20,13 +20,15 @@ const clockSyncEvery = 8
 // ackRedirected is an agent-local sentinel pushed into the ack channel when a
 // redirect arrives: the pending report will never be acked on this session,
 // so the report loop should retry immediately instead of waiting out the ack
-// timeout. Never sent on the wire (servers only send reportAckOK/Failed).
+// timeout. Never sent on the wire (servers only send reportAckOK/Refused).
 const ackRedirected byte = 0xFF
 
-// Agent is a switch-side keep-alive client: it registers with the controller
-// server and sends periodic keep-alives until stopped. Stopping the agent
-// without closing the connection models a crashed forwarding engine whose
-// TCP session lingers — exactly the case keep-alive detection exists for.
+// Agent is a switch-side keep-alive client: it finds the controller replica
+// that leads (a standalone server always does), registers with it, and sends
+// periodic keep-alives until stopped, following the leader across failovers.
+// Stopping the agent without closing the connection models a crashed
+// forwarding engine whose TCP session lingers — exactly the case keep-alive
+// detection exists for.
 type Agent struct {
 	ID sbnet.SwitchID
 
@@ -40,10 +42,10 @@ type Agent struct {
 	// (t_agent ~= t_server + offset), stored +1 so zero means "unmeasured".
 	offsetNS atomic.Int64
 
-	// addrs holds every replica's serving address in cluster mode (empty
-	// for a solo Dial). gen counts connection generations: each write
-	// snapshots (conn, gen) and a failed write triggers reconnect(gen, ...),
-	// which is a no-op if another path already replaced that generation.
+	// addrs holds every replica's serving address (one for a standalone
+	// server). gen counts connection generations: each write snapshots
+	// (conn, gen) and a failed write triggers reconnect(gen, ...), which is a
+	// no-op if another path already replaced that generation.
 	addrs []string
 	gen   uint64
 
@@ -64,33 +66,10 @@ type Agent struct {
 	tableLoaded chan struct{}
 }
 
-// Dial connects an agent for the given switch to the controller server and
-// starts its keep-alive loop.
+// Dial connects an agent for the given switch to a standalone controller
+// server: a cluster of one.
 func Dial(addr string, id sbnet.SwitchID, interval time.Duration) (*Agent, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("ctlnet: agent interval %v must be positive", interval)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctlnet: agent dial: %w", err)
-	}
-	if err := writeFrame(conn, msgHello, encodeHello(id)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("ctlnet: agent hello: %w", err)
-	}
-	a := &Agent{
-		ID:          id,
-		conn:        conn,
-		interval:    interval,
-		start:       time.Now(),
-		ackCh:       make(chan byte, 4),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
-		tableLoaded: make(chan struct{}),
-	}
-	go a.keepAliveLoop()
-	go a.readLoop(conn, 0)
-	return a, nil
+	return DialCluster([]string{addr}, id, interval)
 }
 
 // DialCluster connects an agent to a replicated controller cluster: it
@@ -136,11 +115,7 @@ func DialCluster(addrs []string, id sbnet.SwitchID, interval time.Duration) (*Ag
 // (redirect hint first) who leads via msgLeaderReq, follows the answer, and
 // registers with msgHello once a self-professed leader is found.
 func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
-	cands := make([]string, 0, len(a.addrs)+1)
-	if hint != "" {
-		cands = append(cands, hint)
-	}
-	cands = append(cands, a.addrs...)
+	cands := append([]string{hint}, a.addrs...)
 	tried := make(map[string]bool, len(cands))
 	for len(cands) > 0 {
 		addr := cands[0]
@@ -187,14 +162,14 @@ func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
 }
 
 // reconnect replaces connection generation fromGen with a fresh session to
-// the current leader (hint-first). A no-op when the agent is closed, solo,
-// or when another path already reconnected; when every candidate fails the
-// dead connection stays in place so writes keep failing fast and the next
+// the current leader (hint-first). A no-op when the agent is closed or when
+// another path already reconnected; when every candidate fails the dead
+// connection stays in place so writes keep failing fast and the next
 // keep-alive tick (or report retry) tries again.
 func (a *Agent) reconnect(fromGen uint64, hint string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.closed || len(a.addrs) == 0 || a.gen != fromGen {
+	if a.closed || a.gen != fromGen {
 		return
 	}
 	a.conn.Close()
@@ -233,12 +208,6 @@ func (a *Agent) SetObserver(bus *obs.Bus) {
 	a.mu.Unlock()
 }
 
-func (a *Agent) observer() *obs.Bus {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.bus
-}
-
 // ClockOffset returns the latest measured offset to the server's epoch
 // (t_agent ~= t_server + offset) and whether a measurement exists yet.
 func (a *Agent) ClockOffset() (time.Duration, bool) {
@@ -252,7 +221,7 @@ func (a *Agent) ClockOffset() (time.Duration, bool) {
 // readLoop handles server-to-agent messages on one connection generation:
 // preloaded tables, clock-sync acks, report acks, and leader redirects.
 // Unknown message types are skipped (forward compatibility). It exits when
-// the connection closes — in cluster mode after kicking off a reconnect.
+// the connection closes, after kicking off a reconnect.
 func (a *Agent) readLoop(conn net.Conn, gen uint64) {
 	// One reusable frame buffer for the connection's lifetime; every case
 	// below decodes (or copies) the payload before the next frame is read.
@@ -327,7 +296,10 @@ func (a *Agent) handleClockSyncAck(payload []byte) {
 	}
 	offset := time.Duration((t1+t3.Nanoseconds())/2 - t2)
 	a.offsetNS.Store(int64(offset) + 1)
-	if bus := a.observer(); bus.Enabled() {
+	a.mu.Lock()
+	bus := a.bus
+	a.mu.Unlock()
+	if bus.Enabled() {
 		ev := obs.NewEvent(obs.KindClockSync, t3)
 		ev.Wall = true
 		ev.Switch = int32(a.ID)
@@ -338,10 +310,16 @@ func (a *Agent) handleClockSyncAck(payload []byte) {
 	}
 }
 
+// keepAliveLoop sends one keep-alive batch of one per tick, from a reused
+// buffer, with a clock-sync probe appended to the same write every
+// clockSyncEvery ticks once a bus is attached. A failed write re-dials the
+// leader and the stream goes on.
 func (a *Agent) keepAliveLoop() {
 	defer close(a.done)
 	ticker := time.NewTicker(a.interval)
 	defer ticker.Stop()
+	ids := []sbnet.SwitchID{a.ID}
+	var pay, buf []byte
 	seq := uint64(0)
 	for {
 		select {
@@ -349,46 +327,37 @@ func (a *Agent) keepAliveLoop() {
 			return
 		case <-ticker.C:
 			seq++
+			pay = appendKeepAliveBatch(pay[:0], ids, seq)
+			buf = appendFrame(buf[:0], msgKeepAliveBatch, pay)
 			a.mu.Lock()
-			gen := a.gen
-			cluster := len(a.addrs) > 0
-			err := writeFrame(a.conn, msgKeepAlive, encodeKeepAlive(a.ID, seq))
-			if err == nil && a.bus != nil && seq%clockSyncEvery == 1 {
+			if a.bus != nil && seq%clockSyncEvery == 1 {
 				// Piggyback a clock-sync probe so stitched traces can align
 				// this agent's epoch with the controller's.
-				err = writeFrame(a.conn, msgClockSync, encodeClockSync(time.Since(a.start).Nanoseconds()))
+				buf = appendFrame(buf, msgClockSync, encodeClockSync(time.Since(a.start).Nanoseconds()))
 			}
+			gen := a.gen
+			_, err := a.conn.Write(buf)
 			a.mu.Unlock()
 			if err != nil {
-				if !cluster {
-					return
-				}
-				// Cluster mode: a dead leader connection is survivable —
-				// re-dial and keep the heartbeat stream going.
 				a.reconnect(gen, "")
 			}
 		}
 	}
 }
 
-// ReportLinkFailure sends a link-failure report naming both suspect
-// interfaces (the agent's own and the peer's), as switches on both sides of
-// a failed link do in Section 4.1.
-func (a *Agent) ReportLinkFailure(ownPort int, peer sbnet.SwitchID, peerPort int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.stopped {
-		return fmt.Errorf("ctlnet: agent %d stopped", a.ID)
-	}
-	return writeFrame(a.conn, msgLinkFail, encodeLinkFail(a.ID, ownPort, peer, peerPort))
-}
-
-// ReportLinkFailureDetected is ReportLinkFailure for an agent that measured
-// the failure itself (e.g. via a detect.Monitor): it opens the recovery's
-// root span on the agent's bus, emits the failure-declared event with the
-// given detection latency, and sends a traced report so the controller's
+// ReportLinkFailureDetected reports a failed link by both suspect interfaces
+// (the agent's own and the peer's), as switches on both sides of a failed
+// link do in Section 4.1, with the detection latency the agent measured
+// (e.g. via a detect.Monitor; 0 means the controller's default). With a bus
+// attached it opens the recovery's root span, emits the failure-declared
+// event, and carries the span's context in the report, so the controller's
 // recovery — and the circuit-switch reconfigurations under it — join one
 // cross-process trace.
+//
+// The report is delivered reliably: it returns once the controller applied
+// it, with the refusal if the recovery was refused (no backup left,
+// controller halted). A report that did not commit — a write error, an ack
+// timeout, a redirect, a lost leadership — is resent to whoever leads.
 func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peerPort int, detection time.Duration) error {
 	a.mu.Lock()
 	if a.stopped {
@@ -396,10 +365,9 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 		return fmt.Errorf("ctlnet: agent %d stopped", a.ID)
 	}
 	bus := a.bus
-	cluster := len(a.addrs) > 0
 	a.mu.Unlock()
 
-	typ, payload := msgLinkFail, encodeLinkFail(a.ID, ownPort, peer, peerPort)
+	var ctx obs.TraceContext
 	if bus.Enabled() {
 		span := bus.BeginSpan()
 		defer bus.EndSpan()
@@ -413,19 +381,13 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 		ev.Detection = detection
 		ev.Detail = "link"
 		bus.Emit(ev)
-		ctx := bus.ActiveContext()
-		typ, payload = msgLinkFailTraced, encodeLinkFailTraced(ctx, detection, a.ID, ownPort, peer, peerPort)
+		ctx = bus.ActiveContext()
 	}
-	if !cluster {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return writeFrame(a.conn, typ, payload)
-	}
-	// Cluster mode: the report is delivered reliably. Each attempt writes
-	// to the current leader session and waits for msgReportAck; a write
-	// failure, ack timeout, or refused report triggers a failover (re-dial
-	// the leader, emitting KindFailover inside the recovery's span) and a
-	// resend — which the server deduplicates if the previous leader already
+	payload := encodeLinkFail(ctx, detection, a.ID, ownPort, peer, peerPort)
+	// Each attempt writes to the current leader session and waits for
+	// msgReportAck. Anything but an ack triggers a failover (re-dial the
+	// leader, emitting KindFailover inside the recovery's span) and a resend
+	// — which the server deduplicates if the previous leader already
 	// committed the recovery.
 	const attempts = 8
 	backoff := 25 * time.Millisecond
@@ -445,7 +407,7 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 				drained = true
 			}
 		}
-		err := writeFrame(a.conn, typ, payload)
+		err := writeFrame(a.conn, msgLinkFail, payload)
 		a.mu.Unlock()
 		if err == nil {
 			status, ok := a.waitAck(proposeTimeout)
@@ -455,7 +417,8 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 			case ok && status == ackRedirected:
 				lastErr = fmt.Errorf("ctlnet: leader changed mid-report")
 			case ok:
-				lastErr = fmt.Errorf("ctlnet: link report refused (status %d)", status)
+				// Applied and refused: final on every replica.
+				return fmt.Errorf("ctlnet: link report refused (status %d)", status)
 			default:
 				lastErr = fmt.Errorf("ctlnet: link report ack timed out")
 			}

@@ -2,8 +2,6 @@ package ctlnet
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -108,9 +106,13 @@ type Replica struct {
 // Kill tears the replica down abruptly (consensus node, server, transport)
 // — the emulation's "power off the controller" lever.
 func (r *Replica) Kill() {
-	r.Node.Stop()
+	if r.Node != nil {
+		r.Node.Stop()
+	}
 	r.Server.Close()
-	r.Transport.Close()
+	if r.Transport != nil {
+		r.Transport.Close()
+	}
 }
 
 // ClusterConfig tunes a replicated-controller emulation.
@@ -145,22 +147,19 @@ func (c *ClusterConfig) setDefaults() {
 // agents keep-aliving against whichever of the Replicas currently leads,
 // with consensus, redirects, and failover all riding real loopback TCP.
 type ClusterEmulation struct {
+	procs
 	Replicas []*Replica
-	Agents   []*Agent
-	CS       []*CSService
 
-	AgentBus []*obs.Bus
-	CSBus    []*obs.Bus
-
-	cfg   ClusterConfig
-	dir   *clusterDirectory
-	sinks procSinks
+	dir *clusterDirectory
 }
 
 // NewClusterEmulation builds and starts a replica cluster plus its agents.
 func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	cfg.setDefaults()
-	e := &ClusterEmulation{cfg: cfg, dir: newClusterDirectory(), sinks: procSinks{dir: cfg.TraceDir}}
+	e := &ClusterEmulation{
+		procs: procs{cfg: cfg.EmulationConfig, sinks: procSinks{dir: cfg.TraceDir}},
+		dir:   newClusterDirectory(),
+	}
 	ok := false
 	defer func() {
 		if !ok {
@@ -168,27 +167,11 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 		}
 	}()
 
-	// Circuit-switch processes first: every replica dials them, but only
-	// the leader mirrors recoveries (Server.applyReplicated gates on it).
-	var csAddrs []string
-	for i := 0; i < cfg.NumCS; i++ {
-		proc := fmt.Sprintf("cs-%d", i)
-		bus, err := e.sinks.newProcBus(proc)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := circuit.New(proc, circuit.Crosspoint, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		svc, err := NewCSService("127.0.0.1:0", sw)
-		if err != nil {
-			return nil, err
-		}
-		svc.SetObserver(bus)
-		e.CS = append(e.CS, svc)
-		e.CSBus = append(e.CSBus, bus)
-		csAddrs = append(csAddrs, svc.Addr())
+	// Every replica dials the circuit switches, but only the leader mirrors
+	// recoveries (Server.finishLive gates on it).
+	csAddrs, err := e.startCS()
+	if err != nil {
+		return nil, err
 	}
 
 	// Replicas: server + controller stack first (each its own process bus
@@ -280,28 +263,13 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 		return nil, err
 	}
 
-	// Switch agents, striped across pods exactly like the solo emulation.
 	var serving []string
 	for _, r := range e.Replicas {
 		serving = append(serving, r.Server.Addr())
 	}
-	ids := agentSwitchIDs(e.Replicas[0].Net, cfg.K, cfg.NumAgents)
-	if len(ids) < cfg.NumAgents {
-		return nil, fmt.Errorf("ctlnet: cluster emulation has only %d agent slots, want %d", len(ids), cfg.NumAgents)
-	}
-	for _, id := range ids {
-		proc := fmt.Sprintf("agent-%d", id)
-		bus, err := e.sinks.newProcBus(proc)
-		if err != nil {
-			return nil, err
-		}
-		a, err := DialCluster(serving, id, cfg.Interval)
-		if err != nil {
-			return nil, err
-		}
-		a.SetObserver(bus)
-		e.Agents = append(e.Agents, a)
-		e.AgentBus = append(e.AgentBus, bus)
+	e.model = e.Replicas[0].Net
+	if err := e.startAgents(serving); err != nil {
+		return nil, err
 	}
 	ok = true
 	return e, nil
@@ -335,150 +303,12 @@ func (e *ClusterEmulation) KillLeader(timeout time.Duration) (*Replica, error) {
 	return ld, nil
 }
 
-// WaitClockSync blocks until every agent has a clock-offset measurement.
-func (e *ClusterEmulation) WaitClockSync(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		synced := 0
-		for _, a := range e.Agents {
-			if _, ok := a.ClockOffset(); ok {
-				synced++
-			}
-		}
-		if synced == len(e.Agents) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// FailLink makes agent i report its switch's first up-link as failed, with
-// the given measured detection latency (see Emulation.FailLink).
-func (e *ClusterEmulation) FailLink(i int, detection time.Duration) error {
-	if i < 0 || i >= len(e.Agents) {
-		return fmt.Errorf("ctlnet: cluster emulation has no agent %d", i)
-	}
-	a := e.Agents[i]
-	ownPort, agg, aggPort := firstUpLink(e.Replicas[0].Net, a.ID, e.cfg.K)
-	return a.ReportLinkFailureDetected(ownPort, agg, aggPort, detection)
-}
-
-// TraceFiles lists the per-process JSONL trace files (empty without
-// TraceDir).
-func (e *ClusterEmulation) TraceFiles() []string { return e.sinks.names() }
-
 // Close stops agents, replicas, and circuit switches, and flushes traces.
 func (e *ClusterEmulation) Close() error {
-	for _, a := range e.Agents {
-		a.Close()
-	}
-	for _, r := range e.Replicas {
-		if r.Node != nil {
-			r.Node.Stop()
+	return e.shutdown(func() error {
+		for _, r := range e.Replicas {
+			r.Kill()
 		}
-		r.Server.Close()
-		if r.Transport != nil {
-			r.Transport.Close()
-		}
-	}
-	for _, svc := range e.CS {
-		svc.Close()
-	}
-	return e.sinks.close()
-}
-
-// procSinks owns the per-process trace buses' JSONL file sinks, shared by
-// both emulation flavors.
-type procSinks struct {
-	dir   string
-	files []*os.File
-	pairs []struct {
-		bus  *obs.Bus
-		sink obs.Sink
-	}
-}
-
-// newProcBus builds one emulated process' named bus, attaching a JSONL
-// file sink under dir when configured.
-func (p *procSinks) newProcBus(proc string) (*obs.Bus, error) {
-	bus := &obs.Bus{}
-	bus.SetProc(proc)
-	if p.dir != "" {
-		if err := os.MkdirAll(p.dir, 0o755); err != nil {
-			return nil, err
-		}
-		f, err := os.Create(filepath.Join(p.dir, proc+".jsonl"))
-		if err != nil {
-			return nil, err
-		}
-		p.files = append(p.files, f)
-		sink := obs.NewJSONLSink(f)
-		bus.Attach(sink)
-		p.pairs = append(p.pairs, struct {
-			bus  *obs.Bus
-			sink obs.Sink
-		}{bus, sink})
-	}
-	return bus, nil
-}
-
-func (p *procSinks) names() []string {
-	var out []string
-	for _, f := range p.files {
-		out = append(out, f.Name())
-	}
-	return out
-}
-
-func (p *procSinks) close() error {
-	for _, s := range p.pairs {
-		s.bus.Detach(s.sink)
-	}
-	var err error
-	for _, f := range p.files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// agentSwitchIDs picks n active edge switches striped across pods (pod 0
-// slot 0, pod 1 slot 0, ... then slot 1), so concurrently injected
-// failures land in distinct failure groups.
-func agentSwitchIDs(nw *sbnet.Network, k, n int) []sbnet.SwitchID {
-	var ids []sbnet.SwitchID
-	for slot := 0; len(ids) < n; slot++ {
-		added := false
-		for pod := 0; pod < k && len(ids) < n; pod++ {
-			slots := nw.EdgeGroup(pod).Slots()
-			if slot < len(slots) {
-				ids = append(ids, slots[slot])
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	return ids
-}
-
-// firstUpLink resolves the edge switch's first up-port and its agg-side
-// peer: edge slot s's up-port 0 (physical port K/2) reaches agg slot 0 by
-// the fat-tree rotation, and the agg end's port is the edge's slot index.
-func firstUpLink(nw *sbnet.Network, id sbnet.SwitchID, k int) (ownPort int, agg sbnet.SwitchID, aggPort int) {
-	sw := nw.Switch(id)
-	pod := nw.Group(sw.Group).Pod
-	slot := 0
-	for j, sid := range nw.EdgeGroup(pod).Slots() {
-		if sid == id {
-			slot = j
-			break
-		}
-	}
-	return k / 2, nw.AggGroup(pod).Slots()[0], slot
+		return nil
+	})
 }

@@ -177,6 +177,61 @@ func TestClusterFailoverMidStorm(t *testing.T) {
 	}
 }
 
+// TestRefusedReportIsFinal: a link report the leader applied and refused —
+// its link's two failure groups have no backup left — is final, and comes
+// back to the caller at once. Resending it like a lost ack (seven more times
+// in two seconds, as the agent once did) charges its circuit switch again
+// each time, until §5.1's report threshold halts every recovery in the
+// fabric.
+func TestRefusedReportIsFinal(t *testing.T) {
+	e := startCluster(t, ClusterConfig{EmulationConfig: EmulationConfig{K: 4, N: 1, NumAgents: 5}})
+	ld, err := e.Leader(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := Subscribe(ld.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+
+	// Agent 0's recovery spends pod 0's one edge backup and one agg backup.
+	if err := e.FailLink(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ev := nextEvent(t, mon); ev.Kind != "link" || len(ev.Failed) != 2 {
+		t.Fatalf("first recovery = %+v, want both ends of agent 0's link", ev)
+	}
+	// Agent 4 is pod 0's second edge switch: both ends of its first up-link
+	// sit in the groups just exhausted.
+	t0 := time.Now()
+	err = e.FailLink(4, 0)
+	took := time.Since(t0)
+	if err == nil {
+		t.Fatal("a report with no backup left on either end succeeded")
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("the refusal took %v to come back, want under 100ms (%v)", took, err)
+	}
+	rl, err := ctlplane.DecodeReplayLog(ld.Server.SnapshotState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rl.Commands) != 2 {
+		t.Errorf("the leader applied %d commands for 2 reports", len(rl.Commands))
+	}
+	if halts := ld.Ctl.Metrics().Counter("controller.halts").Value(); halts != 0 {
+		t.Fatalf("controller.halts = %d: the refused report halted recovery", halts)
+	}
+
+	// Recovery elsewhere is unaffected: a node failure in pod 1 recovers.
+	victim := e.Agents[1]
+	victim.StopHeartbeats()
+	if ev := nextEvent(t, mon); ev.Kind != "node" || len(ev.Failed) != 1 || ev.Failed[0] != victim.ID {
+		t.Fatalf("recovery after the refusal = %+v, want node failover of %d", ev, victim.ID)
+	}
+}
+
 // TestClusterQuorumLossDrill loses 2 of 3 replicas. The survivor must halt
 // safely — never elect itself, refuse proposals — rather than split-brain,
 // and an operator rebootstrap from its snapshot restores the full recovery

@@ -129,15 +129,10 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logged atomic.Int32
-	srv, err := NewServer("127.0.0.1:0", controller.New(nw, controller.Config{}), ServerConfig{
-		Obs: &obs.Bus{},
-		Logf: func(format string, _ ...interface{}) {
-			if strings.Contains(format, "accept") {
-				logged.Add(1)
-			}
-		},
-	})
+	bus := &obs.Bus{}
+	ring := obs.NewRing(64)
+	bus.Attach(ring)
+	srv, err := NewServer("127.0.0.1:0", controller.New(nw, controller.Config{}), ServerConfig{Obs: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +147,29 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	srv.wg.Add(1)
 	go srv.acceptLoop(flaky)
 
-	varz, err := fetchVarz(ln.Addr().String())
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
-		t.Fatalf("no service behind a listener that failed twice: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(varz, "ctlnet.connections") {
-		t.Errorf("varz reply misses ctlnet.connections:\n%s", varz)
+	defer conn.Close()
+	if err := writeFrame(conn, msgLeaderReq, nil); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if typ, _, err := readFrame(conn); err != nil || typ != msgLeaderInfo {
+		t.Fatalf("no service behind a listener that failed twice: reply type %d, %v", typ, err)
 	}
 	if got := flaky.fails.Load(); got >= 0 {
 		t.Errorf("listener still has %d failures to serve: the loop did not retry", got+1)
 	}
-	if got := logged.Load(); got != 1 {
-		t.Errorf("accept failures logged %d times, want once per streak", got)
+	logged := 0
+	for _, ev := range ring.Events() {
+		if ev.Kind == obs.KindLog && strings.Contains(ev.Detail, "accept") {
+			logged++
+		}
+	}
+	if logged != 1 {
+		t.Errorf("accept failures logged %d times, want once per streak", logged)
 	}
 }
 

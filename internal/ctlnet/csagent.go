@@ -2,26 +2,13 @@ package ctlnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/obs"
-)
-
-// Circuit-switch control messages.
-const (
-	msgCSReconfig byte = 16 // client -> service: batch of circuit changes
-	msgCSAck      byte = 17 // service -> client: applied, with latency
-	msgCSErr      byte = 18 // service -> client: error text
-	// msgCSReconfigTraced is msgCSReconfig prefixed with a trace context, so
-	// the service's circuit-reconfigured event joins the recovery's
-	// cross-process trace as a child of the controller's span.
-	msgCSReconfigTraced byte = 19
 )
 
 // CSService exposes one circuit switch's bare-minimum control software
@@ -64,12 +51,6 @@ func (s *CSService) SetObserver(bus *obs.Bus) {
 	s.mu.Unlock()
 }
 
-func (s *CSService) observer() *obs.Bus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bus
-}
-
 // Addr returns the service's listen address.
 func (s *CSService) Addr() string { return s.ln.Addr().String() }
 
@@ -105,12 +86,8 @@ func (s *CSService) handle(conn net.Conn) {
 	for {
 		typ, payload, err := readFrame(conn)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Connection-level noise; drop the session.
-			}
 			return
 		}
-		var ctx obs.TraceContext
 		switch typ {
 		case msgClockSync:
 			t1, err := decodeClockSync(payload)
@@ -118,26 +95,20 @@ func (s *CSService) handle(conn net.Conn) {
 				_ = writeFrame(conn, msgCSErr, []byte(err.Error()))
 				return
 			}
-			ack := encodeClockSyncAck(t1, time.Since(s.start).Nanoseconds(), s.observer().Proc())
+			s.mu.Lock()
+			proc := s.bus.Proc()
+			s.mu.Unlock()
+			ack := encodeClockSyncAck(t1, time.Since(s.start).Nanoseconds(), proc)
 			if err := writeFrame(conn, msgClockSyncAck, ack); err != nil {
 				return
 			}
 			continue
 		case msgCSReconfig:
-		case msgCSReconfigTraced:
-			var rest []byte
-			var err error
-			ctx, rest, err = readTraceContext(payload)
-			if err != nil {
-				_ = writeFrame(conn, msgCSErr, []byte(err.Error()))
-				return
-			}
-			payload = rest
 		default:
 			_ = writeFrame(conn, msgCSErr, []byte(fmt.Sprintf("unexpected message type %d", typ)))
 			return
 		}
-		changes, err := decodeCSReconfig(payload)
+		ctx, changes, err := decodeCSReconfig(payload)
 		if err != nil {
 			_ = writeFrame(conn, msgCSErr, []byte(err.Error()))
 			return
@@ -171,9 +142,7 @@ func (s *CSService) handle(conn net.Conn) {
 			}
 			continue
 		}
-		var ack [8]byte
-		binary.BigEndian.PutUint64(ack[:], uint64(d))
-		if err := writeFrame(conn, msgCSAck, ack[:]); err != nil {
+		if err := writeFrame(conn, msgCSAck, encodeCSAck(d)); err != nil {
 			return
 		}
 	}
@@ -201,25 +170,15 @@ func (c *CSClient) Reconfigure(changes []circuit.Change) (reconfig time.Duration
 	return c.reconfigure(obs.TraceContext{}, changes)
 }
 
-// ReconfigureTraced is Reconfigure carrying the caller's trace context, so
-// the service's reconfiguration event joins the recovery's trace.
-func (c *CSClient) ReconfigureTraced(ctx obs.TraceContext, changes []circuit.Change) (reconfig time.Duration, rtt time.Duration, err error) {
-	return c.reconfigure(ctx, changes)
-}
-
+// reconfigure is Reconfigure carrying the caller's trace context (zero when
+// untraced), so the service's reconfiguration event joins the recovery's
+// trace.
 func (c *CSClient) reconfigure(ctx obs.TraceContext, changes []circuit.Change) (reconfig time.Duration, rtt time.Duration, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t0 := time.Now()
-	var werr error
-	if ctx.Trace != 0 {
-		payload := appendTraceContext(nil, ctx)
-		werr = writeFrame(c.conn, msgCSReconfigTraced, append(payload, encodeCSReconfig(changes)...))
-	} else {
-		werr = writeFrame(c.conn, msgCSReconfig, encodeCSReconfig(changes))
-	}
-	if werr != nil {
-		return 0, 0, werr
+	if err := writeFrame(c.conn, msgCSReconfig, encodeCSReconfig(ctx, changes)); err != nil {
+		return 0, 0, err
 	}
 	typ, payload, err := readFrame(c.conn)
 	if err != nil {
@@ -228,10 +187,8 @@ func (c *CSClient) reconfigure(ctx obs.TraceContext, changes []circuit.Change) (
 	rtt = time.Since(t0)
 	switch typ {
 	case msgCSAck:
-		if len(payload) != 8 {
-			return 0, rtt, fmt.Errorf("ctlnet: cs ack payload %d bytes", len(payload))
-		}
-		return time.Duration(binary.BigEndian.Uint64(payload)), rtt, nil
+		d, err := decodeCSAck(payload)
+		return d, rtt, err
 	case msgCSErr:
 		return 0, rtt, fmt.Errorf("ctlnet: cs service: %s", payload)
 	default:
@@ -272,28 +229,52 @@ func (c *CSClient) SyncClock(epoch time.Time) (offset, rtt time.Duration, proc s
 // Close tears the control session down.
 func (c *CSClient) Close() error { return c.conn.Close() }
 
-func encodeCSReconfig(changes []circuit.Change) []byte {
-	b := make([]byte, 4+8*len(changes))
-	binary.BigEndian.PutUint32(b[:4], uint32(len(changes)))
-	for i, ch := range changes {
-		binary.BigEndian.PutUint32(b[4+8*i:], uint32(int32(ch.A)))
-		binary.BigEndian.PutUint32(b[8+8*i:], uint32(int32(ch.B)))
+// encodeCSReconfig builds a msgCSReconfig payload: the trace context, a
+// uint32 count, then count × (int32 A, int32 B).
+func encodeCSReconfig(ctx obs.TraceContext, changes []circuit.Change) []byte {
+	b := appendTraceContext(make([]byte, 0, 17+len(ctx.Proc)+4+8*len(changes)), ctx)
+	var v [8]byte
+	binary.BigEndian.PutUint32(v[:4], uint32(len(changes)))
+	b = append(b, v[:4]...)
+	for _, ch := range changes {
+		binary.BigEndian.PutUint32(v[:4], uint32(int32(ch.A)))
+		binary.BigEndian.PutUint32(v[4:], uint32(int32(ch.B)))
+		b = append(b, v[:]...)
 	}
 	return b
 }
 
-func decodeCSReconfig(p []byte) ([]circuit.Change, error) {
+func decodeCSReconfig(p []byte) (obs.TraceContext, []circuit.Change, error) {
+	ctx, p, err := readTraceContext(p)
+	if err != nil {
+		return ctx, nil, err
+	}
 	if len(p) < 4 {
-		return nil, fmt.Errorf("ctlnet: truncated reconfig")
+		return ctx, nil, fmt.Errorf("ctlnet: truncated reconfig")
 	}
 	n := binary.BigEndian.Uint32(p[:4])
-	if uint32(len(p)-4) != n*8 {
-		return nil, fmt.Errorf("ctlnet: reconfig promises %d changes, payload %d bytes", n, len(p)-4)
+	p = p[4:]
+	// In 64 bits: n*8 in uint32 wraps for n >= 2^29 and would pass.
+	if uint64(len(p)) != uint64(n)*8 {
+		return ctx, nil, fmt.Errorf("ctlnet: reconfig promises %d changes, payload %d bytes", n, len(p))
 	}
 	changes := make([]circuit.Change, n)
 	for i := range changes {
-		changes[i].A = int(int32(binary.BigEndian.Uint32(p[4+8*i:])))
-		changes[i].B = int(int32(binary.BigEndian.Uint32(p[8+8*i:])))
+		changes[i].A = int(int32(binary.BigEndian.Uint32(p[8*i:])))
+		changes[i].B = int(int32(binary.BigEndian.Uint32(p[8*i+4:])))
 	}
-	return changes, nil
+	return ctx, changes, nil
+}
+
+func encodeCSAck(d time.Duration) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(d))
+	return b[:]
+}
+
+func decodeCSAck(p []byte) (time.Duration, error) {
+	if len(p) != 8 {
+		return 0, fmt.Errorf("ctlnet: cs ack payload %d bytes, want 8", len(p))
+	}
+	return time.Duration(binary.BigEndian.Uint64(p)), nil
 }

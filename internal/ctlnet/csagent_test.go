@@ -1,11 +1,13 @@
 package ctlnet
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"sharebackup/internal/circuit"
+	"sharebackup/internal/obs"
 )
 
 func newCSService(t *testing.T) (*CSService, *CSClient, *circuit.Switch) {
@@ -92,18 +94,61 @@ func TestCSReconfigureErrors(t *testing.T) {
 
 func TestCSWireRoundTrip(t *testing.T) {
 	in := []circuit.Change{{A: 1, B: 2}, {A: 3, B: circuit.Unconnected}}
-	out, err := decodeCSReconfig(encodeCSReconfig(in))
-	if err != nil {
-		t.Fatal(err)
+	for _, ctx := range []obs.TraceContext{{}, {Trace: 7, Span: 2, Proc: "controller"}} {
+		gotCtx, out, err := decodeCSReconfig(encodeCSReconfig(ctx, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotCtx != ctx || len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
+			t.Fatalf("round trip = %+v %v", gotCtx, out)
+		}
 	}
-	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
-		t.Fatalf("round trip = %v", out)
+	noCtx := make([]byte, 17)
+	if _, _, err := decodeCSReconfig([]byte{1, 2}); err == nil {
+		t.Error("truncated context accepted")
 	}
-	if _, err := decodeCSReconfig([]byte{1, 2}); err == nil {
+	if _, _, err := decodeCSReconfig(append(noCtx, 1, 2)); err == nil {
 		t.Error("truncated reconfig accepted")
 	}
-	if _, err := decodeCSReconfig([]byte{0, 0, 0, 2, 0}); err == nil {
+	if _, _, err := decodeCSReconfig(append(noCtx, 0, 0, 0, 2, 0)); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	// 2^29 changes promise 2^32 bytes, which wraps to 0 in 32 bits: four
+	// bytes must not buy an 8 GiB allocation.
+	if _, _, err := decodeCSReconfig(append(noCtx, 0x20, 0, 0, 0)); err == nil {
+		t.Error("change count that overflows 32 bits accepted")
+	}
+	if d, err := decodeCSAck(encodeCSAck(70 * time.Nanosecond)); err != nil || d != 70*time.Nanosecond {
+		t.Errorf("ack round trip = %v %v", d, err)
+	}
+	if _, err := decodeCSAck([]byte{1}); err == nil {
+		t.Error("short ack accepted")
+	}
+}
+
+// TestCSServiceRejectsRetiredTypes: the circuit-switch session's own former
+// numbers (16-19, now agent-session types) and the agent session's frames
+// are answered with msgCSErr, never applied.
+func TestCSServiceRejectsRetiredTypes(t *testing.T) {
+	svc, _, sw := newCSService(t)
+	for _, typ := range []byte{16, 17, 18, 19, msgLinkFail} {
+		conn, err := net.Dial("tcp", svc.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The untraced reconfig layout: one change, A3 -> B3.
+		if err := writeFrame(conn, typ, []byte{0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		rtyp, _, err := readFrame(conn)
+		conn.Close()
+		if err != nil || rtyp != msgCSErr {
+			t.Errorf("type %d: reply type %d, %v; want msgCSErr", typ, rtyp, err)
+		}
+	}
+	if sw.BOf(3) != circuit.Unconnected {
+		t.Error("a retired frame reconfigured the crossbar")
 	}
 }
 

@@ -3,12 +3,12 @@ package ctlnet
 import (
 	"bytes"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/controller"
+	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
 
@@ -29,30 +29,20 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("hello = %v, %v", id, err)
 	}
 
-	buf.Reset()
-	if err := writeFrame(&buf, msgKeepAlive, encodeKeepAlive(7, 99)); err != nil {
-		t.Fatal(err)
-	}
-	_, payload, err = readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kid, seq, err := decodeKeepAlive(payload)
-	if err != nil || kid != 7 || seq != 99 {
-		t.Fatalf("keepalive = %v %v %v", kid, seq, err)
-	}
-
-	buf.Reset()
-	if err := writeFrame(&buf, msgLinkFail, encodeLinkFail(1, 5, 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	_, payload, err = readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, ap, b, bp, err := decodeLinkFail(payload)
-	if err != nil || a != 1 || ap != 5 || b != 2 || bp != 0 {
-		t.Fatalf("linkfail = %v %v %v %v %v", a, ap, b, bp, err)
+	// A dark agent's report carries the zero context and no detection.
+	for _, ctx := range []obs.TraceContext{{}, {Trace: 9, Span: 3, Proc: "agent-1"}} {
+		buf.Reset()
+		if err := writeFrame(&buf, msgLinkFail, encodeLinkFail(ctx, 0, 1, 5, 2, 0)); err != nil {
+			t.Fatal(err)
+		}
+		_, payload, err = readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCtx, det, a, ap, b, bp, err := decodeLinkFail(payload)
+		if err != nil || gotCtx != ctx || det != 0 || a != 1 || ap != 5 || b != 2 || bp != 0 {
+			t.Fatalf("linkfail = %+v %v %v %v %v %v %v", gotCtx, det, a, ap, b, bp, err)
+		}
 	}
 
 	ev := RecoveryEvent{Kind: "link", Failed: []sbnet.SwitchID{3, 4}, Backup: []sbnet.SwitchID{9}, Latency: 17 * time.Millisecond}
@@ -70,10 +60,10 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := decodeHello([]byte{1, 2}); err == nil {
 		t.Error("short hello accepted")
 	}
-	if _, _, err := decodeKeepAlive(make([]byte, 5)); err == nil {
-		t.Error("short keepalive accepted")
+	if _, err := kaBatchCount(make([]byte, 5)); err == nil {
+		t.Error("short keepalive batch accepted")
 	}
-	if _, _, _, _, err := decodeLinkFail(make([]byte, 3)); err == nil {
+	if _, _, _, _, _, _, err := decodeLinkFail(make([]byte, 17+3)); err == nil {
 		t.Error("short linkfail accepted")
 	}
 	if _, err := decodeRecovery([]byte{0}); err == nil {
@@ -173,6 +163,9 @@ func TestNodeFailoverOverTCP(t *testing.T) {
 
 func TestLinkFailureOverTCP(t *testing.T) {
 	srv, net := newServer(t)
+	ring := obs.NewRing(128)
+	srv.bus.Attach(ring)
+	defer srv.bus.Detach(ring)
 
 	mon, err := Subscribe(srv.Addr())
 	if err != nil {
@@ -188,8 +181,9 @@ func TestLinkFailureOverTCP(t *testing.T) {
 	}
 	defer a.Close()
 
-	// Edge slot 0's up-port 0 reaches agg slot 0 (rotation j=0).
-	if err := a.ReportLinkFailure(2, agg, 0); err != nil {
+	// Edge slot 0's up-port 0 reaches agg slot 0 (rotation j=0). The report
+	// returns once the server applied it.
+	if err := a.ReportLinkFailureDetected(2, agg, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -208,6 +202,39 @@ func TestLinkFailureOverTCP(t *testing.T) {
 	}
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	// The server's wall-clock recovery-complete event carries the phases,
+	// and they sum.
+	var wall *obs.Event
+	for _, ev := range ring.Events() {
+		if ev.Kind == obs.KindRecoveryComplete && ev.Wall {
+			wall = &ev
+		}
+	}
+	if wall == nil || wall.Detail != "link" {
+		t.Fatalf("no wall-clock link recovery-complete event: %+v", wall)
+	}
+	if wall.Total <= 0 || wall.Total != wall.Detection+wall.Report+wall.Reconfig {
+		t.Errorf("recovery-complete phases don't sum: detection=%v report=%v reconfig=%v total=%v",
+			wall.Detection, wall.Report, wall.Reconfig, wall.Total)
+	}
+}
+
+// TestLinkReportOutsideFabricIsRefused: a link report naming a switch the
+// fabric does not have is refused, not used as an index into the network
+// model — which crashed the server on one frame.
+func TestLinkReportOutsideFabricIsRefused(t *testing.T) {
+	srv, net := newServer(t)
+	a, err := Dial(srv.Addr(), net.EdgeGroup(0).Slots()[0], 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.ReportLinkFailureDetected(2, 1<<20, 0, 0); err == nil {
+		t.Fatal("a report naming switch 1<<20 was accepted")
+	}
+	if err := a.ReportLinkFailureDetected(2, net.AggGroup(0).Slots()[0], 0, 0); err != nil {
+		t.Fatalf("the server stopped serving after the refusal: %v", err)
 	}
 }
 
@@ -254,7 +281,7 @@ func TestAgentValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.StopHeartbeats()
-	if err := a.ReportLinkFailure(0, 1, 0); err == nil {
+	if err := a.ReportLinkFailureDetected(0, 1, 0, 0); err == nil {
 		t.Error("report after stop accepted")
 	}
 	a.Close()
@@ -266,33 +293,35 @@ func TestServerSkipsUnknownMessageTypes(t *testing.T) {
 	// types must not lose its session — the length-prefixed frame lets the
 	// server skip what it doesn't understand and keep serving.
 	srv, _ := newServer(t)
+	unknown := srv.ctl.Metrics().Counter("ctlnet.unknown_msgs")
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// 13 is the retired time-series query: an old peer may still send it,
-	// and it must be skipped like any other type the server does not know.
-	for _, typ := range []byte{0xEE, 13} {
+	// Retired numbers — the single keep-alive (2), the untraced link report
+	// (3), the wire registry dump and its reply (8, 9), the time-series
+	// query (13) — may still arrive from an old peer, and are skipped like
+	// any other type the server does not know. After each, the session
+	// still answers a leader query.
+	for i, typ := range []byte{0xEE, 2, 3, 8, 9, 13} {
 		if err := writeFrame(conn, typ, []byte{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The session is still alive: a varz request on the same connection
-	// gets its reply.
-	if err := writeFrame(conn, msgVarzReq, nil); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatalf("session died after an unknown message type: %v", err)
-	}
-	if typ != msgVarz {
-		t.Fatalf("got message type %d after unknown-type skip, want msgVarz", typ)
-	}
-	if !strings.Contains(string(payload), "ctlnet.unknown_msgs 2\n") {
-		t.Errorf("unknown_msgs did not count both skipped frames; varz:\n%s", payload)
+		if err := writeFrame(conn, msgLeaderReq, nil); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		rtyp, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("session died after message type %d: %v", typ, err)
+		}
+		if leader, _, err := decodeLeaderInfo(payload); rtyp != msgLeaderInfo || err != nil || !leader {
+			t.Fatalf("after message type %d got reply type %d (%x), want msgLeaderInfo from a leader", typ, rtyp, payload)
+		}
+		if got := unknown.Value(); got != int64(i+1) {
+			t.Fatalf("ctlnet.unknown_msgs = %d after skipping %d frames", got, i+1)
+		}
 	}
 }
 

@@ -403,7 +403,7 @@ func TestReportInFlightDoesNotSilenceReporter(t *testing.T) {
 	}
 	defer a.Close()
 	time.Sleep(5 * interval)
-	if err := a.ReportLinkFailure(2, agg, 0); err != nil {
+	if err := a.ReportLinkFailureDetected(2, agg, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if ev := nextEvent(t, mon); ev.Kind != "link" {

@@ -2,6 +2,8 @@ package ctlnet
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"sharebackup/internal/circuit"
@@ -36,16 +38,6 @@ type EmulationConfig struct {
 	// (controller.jsonl, agent-<id>.jsonl, cs-<i>.jsonl) — the input set
 	// for sbtap -stitch.
 	TraceDir string
-	// SLOBudget, when positive, attaches an SLO watchdog to the controller
-	// bus auditing every recovery against it.
-	SLOBudget time.Duration
-	// FlightRecorder attaches a flight recorder to the controller bus,
-	// dumping bundles into FlightDir on anomalies (SLO breach when
-	// SLOBudget is set, keep-alive gaps, ring-drop bursts).
-	FlightRecorder bool
-	// FlightDir is where flight-recorder bundles land. Empty resolves
-	// through obs.DefaultFlightDir.
-	FlightDir string
 	// Registry collects every process' metrics. Nil builds a private one.
 	Registry *obs.Registry
 }
@@ -71,57 +63,34 @@ func (c *EmulationConfig) setDefaults() {
 	}
 }
 
-// Emulation is ShareBackup's control plane as separate communicating
-// processes-in-miniature: a controller server, switch agents, and
-// circuit-switch services, each with its OWN event bus, its OWN epoch, and
-// (when TraceDir is set) its own JSONL trace file — connected only by TCP.
-// Nothing shares a clock: the trace files are stitched back into one causal
-// timeline by sbtap via the clock-sync events the wires carry.
-type Emulation struct {
-	Net      *sbnet.Network
-	Ctl      *controller.Controller
-	Server   *Server
-	Agents   []*Agent
-	CS       []*CSService
-	Watchdog *obs.SLOWatchdog
-	Flight   *obs.FlightRecorder
-
-	// ServerBus is the controller process' bus; AgentBus and CSBus are the
-	// per-process buses of the other emulated processes.
-	ServerBus *obs.Bus
-	AgentBus  []*obs.Bus
-	CSBus     []*obs.Bus
+// procs is what both emulations share: the circuit-switch services and the
+// switch agents, each process with its OWN event bus, its OWN epoch, and
+// (when TraceDir is set) its own JSONL trace file. The controller side — one
+// server, or a replica cluster — belongs to the embedding type.
+type procs struct {
+	Agents []*Agent
+	CS     []*CSService
+	// AgentBus and CSBus are the agents' and circuit switches' per-process
+	// buses.
+	AgentBus []*obs.Bus
+	CSBus    []*obs.Bus
 
 	cfg   EmulationConfig
+	model *sbnet.Network // agents' switches and link targets are read from it
 	sinks procSinks
 }
 
-// NewEmulation builds and starts the emulation.
-func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
-	cfg.setDefaults()
-	e := &Emulation{cfg: cfg, sinks: procSinks{dir: cfg.TraceDir}}
-	ok := false
-	defer func() {
-		if !ok {
-			e.Close()
-		}
-	}()
-
-	nw, err := sbnet.New(sbnet.Config{K: cfg.K, N: cfg.N, Tech: circuit.Crosspoint})
-	if err != nil {
-		return nil, err
-	}
-	e.Net = nw
-
-	// Circuit-switch processes first: the server dials them at startup.
-	var csAddrs []string
-	for i := 0; i < cfg.NumCS; i++ {
+// startCS starts the circuit-switch services and returns their addresses.
+// They come first: every server dials them at startup.
+func (p *procs) startCS() ([]string, error) {
+	var addrs []string
+	for i := 0; i < p.cfg.NumCS; i++ {
 		proc := fmt.Sprintf("cs-%d", i)
-		bus, err := e.newProcBus(proc)
+		bus, err := p.sinks.newProcBus(proc)
 		if err != nil {
 			return nil, err
 		}
-		sw, err := circuit.New(proc, circuit.Crosspoint, cfg.K)
+		sw, err := circuit.New(proc, circuit.Crosspoint, p.cfg.K)
 		if err != nil {
 			return nil, err
 		}
@@ -130,98 +99,51 @@ func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
 			return nil, err
 		}
 		svc.SetObserver(bus)
-		e.CS = append(e.CS, svc)
-		e.CSBus = append(e.CSBus, bus)
-		csAddrs = append(csAddrs, svc.Addr())
+		p.CS = append(p.CS, svc)
+		p.CSBus = append(p.CSBus, bus)
+		addrs = append(addrs, svc.Addr())
 	}
-
-	// The controller process.
-	serverBus, err := e.newProcBus("controller")
-	if err != nil {
-		return nil, err
-	}
-	e.ServerBus = serverBus
-	if cfg.FlightRecorder {
-		e.Flight = obs.NewFlightRecorder(obs.FlightConfig{
-			Dir:                   obs.DefaultFlightDir(cfg.FlightDir),
-			SLOBudget:             cfg.SLOBudget,
-			KeepAliveGapThreshold: 3,
-			DropBurstThreshold:    1024,
-			Registry:              cfg.Registry,
-		})
-		e.Flight.Attach(serverBus)
-	}
-	if cfg.SLOBudget > 0 {
-		e.Watchdog = obs.NewSLOWatchdog(obs.SLOConfig{
-			Budget:   cfg.SLOBudget,
-			Registry: cfg.Registry,
-		})
-		serverBus.Attach(e.Watchdog)
-	}
-	e.Ctl = controller.New(nw, controller.Config{
-		ProbeInterval: cfg.Interval,
-		Metrics:       cfg.Registry,
-	})
-	e.Ctl.SetObserver(serverBus)
-	e.Server, err = NewServer("127.0.0.1:0", e.Ctl, ServerConfig{
-		Interval:      cfg.Interval,
-		MissThreshold: cfg.MissThreshold,
-		Obs:           serverBus,
-		CSAddrs:       csAddrs,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Switch-agent processes, drawn from edge-group actives pod by pod.
-	ids := e.agentSwitches(cfg.NumAgents)
-	if len(ids) < cfg.NumAgents {
-		return nil, fmt.Errorf("ctlnet: emulation has only %d agent slots, want %d", len(ids), cfg.NumAgents)
-	}
-	for _, id := range ids {
-		proc := fmt.Sprintf("agent-%d", id)
-		bus, err := e.newProcBus(proc)
-		if err != nil {
-			return nil, err
-		}
-		a, err := Dial(e.Server.Addr(), id, cfg.Interval)
-		if err != nil {
-			return nil, err
-		}
-		a.SetObserver(bus)
-		e.Agents = append(e.Agents, a)
-		e.AgentBus = append(e.AgentBus, bus)
-	}
-	ok = true
-	return e, nil
+	return addrs, nil
 }
 
-// newProcBus builds one emulated process' named bus, attaching a JSONL file
-// sink under TraceDir when configured.
-func (e *Emulation) newProcBus(proc string) (*obs.Bus, error) {
-	return e.sinks.newProcBus(proc)
-}
-
-// agentSwitches picks n active edge switches striped across pods, so that
+// startAgents dials NumAgents agents against the controllers serving at
+// addrs. Their switches are active edge switches striped across pods, so
 // concurrently injected failures land in distinct failure groups: with N=1
 // each group has a single backup, and two failures in one group would leave
 // the second unrecoverable.
-func (e *Emulation) agentSwitches(n int) []sbnet.SwitchID {
-	return agentSwitchIDs(e.Net, e.cfg.K, n)
+func (p *procs) startAgents(addrs []string) error {
+	ids := agentSwitchIDs(p.model, p.cfg.K, p.cfg.NumAgents)
+	if len(ids) < p.cfg.NumAgents {
+		return fmt.Errorf("ctlnet: emulation has only %d agent slots, want %d", len(ids), p.cfg.NumAgents)
+	}
+	for _, id := range ids {
+		bus, err := p.sinks.newProcBus(fmt.Sprintf("agent-%d", id))
+		if err != nil {
+			return err
+		}
+		a, err := DialCluster(addrs, id, p.cfg.Interval)
+		if err != nil {
+			return err
+		}
+		a.SetObserver(bus)
+		p.Agents = append(p.Agents, a)
+		p.AgentBus = append(p.AgentBus, bus)
+	}
+	return nil
 }
 
 // WaitClockSync blocks until every agent has at least one clock-offset
 // measurement to the controller, or the timeout expires.
-func (e *Emulation) WaitClockSync(timeout time.Duration) bool {
+func (p *procs) WaitClockSync(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		synced := 0
-		for _, a := range e.Agents {
+		for _, a := range p.Agents {
 			if _, ok := a.ClockOffset(); ok {
 				synced++
 			}
 		}
-		if synced == len(e.Agents) {
+		if synced == len(p.Agents) {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -235,37 +157,185 @@ func (e *Emulation) WaitClockSync(timeout time.Duration) bool {
 // as if its local detect.Monitor crossed the miss threshold after the given
 // detection latency. The report is traced: the agent's span roots the
 // recovery's cross-process trace.
-func (e *Emulation) FailLink(i int, detection time.Duration) error {
-	if i < 0 || i >= len(e.Agents) {
+func (p *procs) FailLink(i int, detection time.Duration) error {
+	if i < 0 || i >= len(p.Agents) {
 		return fmt.Errorf("ctlnet: emulation has no agent %d", i)
 	}
-	a := e.Agents[i]
-	ownPort, agg, aggPort := firstUpLink(e.Net, a.ID, e.cfg.K)
+	a := p.Agents[i]
+	ownPort, agg, aggPort := firstUpLink(p.model, a.ID, p.cfg.K)
 	return a.ReportLinkFailureDetected(ownPort, agg, aggPort, detection)
 }
 
 // TraceFiles lists the per-process JSONL trace files (empty without
 // TraceDir).
-func (e *Emulation) TraceFiles() []string { return e.sinks.names() }
+func (p *procs) TraceFiles() []string { return p.sinks.names() }
 
-// Close stops every emulated process and flushes the trace files.
-func (e *Emulation) Close() error {
-	for _, a := range e.Agents {
+// shutdown stops the agents, then the controllers (stopControllers), then
+// the circuit switches, and flushes the trace files.
+func (p *procs) shutdown(stopControllers func() error) error {
+	for _, a := range p.Agents {
 		a.Close()
 	}
-	var err error
-	if e.Server != nil {
-		err = e.Server.Close()
-	}
-	for _, svc := range e.CS {
+	err := stopControllers()
+	for _, svc := range p.CS {
 		svc.Close()
 	}
-	if e.Flight != nil {
-		e.ServerBus.Detach(e.Flight)
-		e.Flight.Close() // drains pending dumps before trace files close
-	}
-	if cerr := e.sinks.close(); err == nil {
+	if cerr := p.sinks.close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// Emulation is ShareBackup's control plane as separate communicating
+// processes-in-miniature: a controller server, switch agents, and
+// circuit-switch services, each with its own bus and epoch — connected only
+// by TCP. Nothing shares a clock: the trace files are stitched back into one
+// causal timeline by sbtap via the clock-sync events the wires carry.
+type Emulation struct {
+	procs
+	Net    *sbnet.Network
+	Ctl    *controller.Controller
+	Server *Server
+	// ServerBus is the controller process' bus.
+	ServerBus *obs.Bus
+}
+
+// NewEmulation builds and starts the emulation.
+func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
+	cfg.setDefaults()
+	e := &Emulation{procs: procs{cfg: cfg, sinks: procSinks{dir: cfg.TraceDir}}}
+	ok := false
+	defer func() {
+		if !ok {
+			e.Close()
+		}
+	}()
+
+	nw, err := sbnet.New(sbnet.Config{K: cfg.K, N: cfg.N, Tech: circuit.Crosspoint})
+	if err != nil {
+		return nil, err
+	}
+	e.Net, e.model = nw, nw
+	csAddrs, err := e.startCS()
+	if err != nil {
+		return nil, err
+	}
+	if e.ServerBus, err = e.sinks.newProcBus("controller"); err != nil {
+		return nil, err
+	}
+	e.Ctl = controller.New(nw, controller.Config{
+		ProbeInterval: cfg.Interval,
+		Metrics:       cfg.Registry,
+	})
+	e.Ctl.SetObserver(e.ServerBus)
+	e.Server, err = NewServer("127.0.0.1:0", e.Ctl, ServerConfig{
+		Interval:      cfg.Interval,
+		MissThreshold: cfg.MissThreshold,
+		Obs:           e.ServerBus,
+		CSAddrs:       csAddrs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.startAgents([]string{e.Server.Addr()}); err != nil {
+		return nil, err
+	}
+	ok = true
+	return e, nil
+}
+
+// Close stops every emulated process and flushes the trace files.
+func (e *Emulation) Close() error {
+	return e.shutdown(func() error {
+		if e.Server == nil {
+			return nil
+		}
+		return e.Server.Close()
+	})
+}
+
+// procSinks owns the per-process trace buses' JSONL file sinks.
+type procSinks struct {
+	dir    string
+	files  []*os.File
+	detach []func()
+}
+
+// newProcBus builds one emulated process' named bus, attaching a JSONL
+// file sink under dir when configured.
+func (p *procSinks) newProcBus(proc string) (*obs.Bus, error) {
+	bus := &obs.Bus{}
+	bus.SetProc(proc)
+	if p.dir != "" {
+		if err := os.MkdirAll(p.dir, 0o755); err != nil {
+			return nil, err
+		}
+		f, err := os.Create(filepath.Join(p.dir, proc+".jsonl"))
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+		sink := obs.NewJSONLSink(f)
+		bus.Attach(sink)
+		p.detach = append(p.detach, func() { bus.Detach(sink) })
+	}
+	return bus, nil
+}
+
+func (p *procSinks) names() []string {
+	var out []string
+	for _, f := range p.files {
+		out = append(out, f.Name())
+	}
+	return out
+}
+
+func (p *procSinks) close() error {
+	for _, detach := range p.detach {
+		detach()
+	}
+	var err error
+	for _, f := range p.files {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// agentSwitchIDs picks n active edge switches striped across pods (pod 0
+// slot 0, pod 1 slot 0, ... then slot 1), so concurrently injected
+// failures land in distinct failure groups.
+func agentSwitchIDs(nw *sbnet.Network, k, n int) []sbnet.SwitchID {
+	var ids []sbnet.SwitchID
+	for slot := 0; len(ids) < n; slot++ {
+		added := false
+		for pod := 0; pod < k && len(ids) < n; pod++ {
+			slots := nw.EdgeGroup(pod).Slots()
+			if slot < len(slots) {
+				ids = append(ids, slots[slot])
+				added = true
+			}
+		}
+		if !added {
+			break
+		}
+	}
+	return ids
+}
+
+// firstUpLink resolves the edge switch's first up-port and its agg-side
+// peer: edge slot s's up-port 0 (physical port K/2) reaches agg slot 0 by
+// the fat-tree rotation, and the agg end's port is the edge's slot index.
+func firstUpLink(nw *sbnet.Network, id sbnet.SwitchID, k int) (ownPort int, agg sbnet.SwitchID, aggPort int) {
+	sw := nw.Switch(id)
+	pod := nw.Group(sw.Group).Pod
+	slot := 0
+	for j, sid := range nw.EdgeGroup(pod).Slots() {
+		if sid == id {
+			slot = j
+			break
+		}
+	}
+	return k / 2, nw.AggGroup(pod).Slots()[0], slot
 }

@@ -1,6 +1,7 @@
 package ctlnet
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"sharebackup/internal/obs"
+	"sharebackup/internal/obs/debughttp"
 )
 
 // startEmulation builds a trace-collecting emulation and tears it down with
@@ -147,18 +149,34 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	}
 }
 
-// TestEmulationSLOBreachFlightDump injects an over-budget recovery and
-// checks the SLO watchdog counts the breach (once, despite the virtual- and
-// wall-clock mirrors of the event) and the flight recorder writes a bundle.
+// TestEmulationSLOBreachFlightDump injects an over-budget recovery with the
+// commands' observability flags wired onto the controller's bus, as sbemu
+// -ctlnet wires them: the SLO watchdog counts the breach once (despite the
+// virtual- and wall-clock mirrors of the event) and the flight recorder
+// writes a bundle.
 func TestEmulationSLOBreachFlightDump(t *testing.T) {
-	t.Setenv("SHAREBACKUP_FLIGHT_DIR", filepath.Join(t.TempDir(), "dumps"))
+	dumpDir := filepath.Join(t.TempDir(), "dumps")
+	t.Setenv("SHAREBACKUP_FLIGHT_DIR", dumpDir)
 	e := startEmulation(t, EmulationConfig{
-		NumAgents:      1,
-		NumCS:          1,
-		TraceDir:       t.TempDir(),
-		SLOBudget:      time.Nanosecond, // every real recovery breaches
-		FlightRecorder: true,
+		NumAgents: 1,
+		NumCS:     1,
+		TraceDir:  t.TempDir(),
 	})
+	fs := flag.NewFlagSet("sbtest", flag.ContinueOnError)
+	f := debughttp.RegisterFlags(fs)
+	// Every real recovery breaches a 1 ns budget.
+	if err := fs.Parse([]string{"-slo-budget", "1ns", "-flight-recorder"}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.DefaultRegistry
+	breaches0, recoveries0 := reg.Counter("slo.breaches").Value(), reg.Counter("slo.recoveries").Value()
+	dumps := reg.Counter("flight.dumps")
+	dumps0 := dumps.Value()
+	_, cleanup, err := f.Start("sbtest", e.ServerBus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup() //nolint:errcheck // second call on the failure paths only
 
 	mon, err := Subscribe(e.Server.Addr())
 	if err != nil {
@@ -175,25 +193,28 @@ func TestEmulationSLOBreachFlightDump(t *testing.T) {
 		t.Fatal("no recovery event within 5s")
 	}
 
-	if got := e.Watchdog.Breaches(); got != 1 {
+	if got := reg.Counter("slo.breaches").Value() - breaches0; got != 1 {
 		t.Errorf("breaches = %d, want 1 (virtual+wall mirrors must dedup)", got)
 	}
-	if got := e.Watchdog.Recoveries(); got != 1 {
+	if got := reg.Counter("slo.recoveries").Value() - recoveries0; got != 1 {
 		t.Errorf("recoveries = %d, want 1", got)
 	}
-	if rate := e.Watchdog.BurnRate(); rate != 1 {
-		t.Errorf("burn rate = %v, want 1", rate)
+	if ppm := reg.Gauge("slo.burn_rate_ppm").Value(); ppm != 1e6 {
+		t.Errorf("burn rate = %d ppm, want 1e6", ppm)
 	}
 
-	// Bundles are written off the emitting goroutine.
-	for deadline := time.Now().Add(5 * time.Second); len(e.Flight.Dumps()) == 0 && time.Now().Before(deadline); {
+	// Bundles are written off the emitting goroutine; cleanup drains them.
+	for deadline := time.Now().Add(5 * time.Second); dumps.Value() == dumps0 && time.Now().Before(deadline); {
 		time.Sleep(2 * time.Millisecond)
 	}
-	dumps := e.Flight.Dumps()
-	if len(dumps) == 0 {
-		t.Fatal("flight recorder wrote no bundle within 5s")
+	if err := cleanup(); err != nil {
+		t.Fatal(err)
 	}
-	bundle := dumps[0]
+	bundles, err := filepath.Glob(filepath.Join(dumpDir, "*"))
+	if err != nil || len(bundles) == 0 {
+		t.Fatalf("flight recorder wrote no bundle: %v %v", bundles, err)
+	}
+	bundle := bundles[0]
 	if !strings.Contains(filepath.Base(bundle), "slo-breach") {
 		t.Errorf("bundle %s not named for its slo-breach trigger", bundle)
 	}

@@ -31,8 +31,6 @@ type FleetConfig struct {
 	Warmup time.Duration
 	// Duration is the measurement window. Default 1 s.
 	Duration time.Duration
-	// Shards passes through to ServerConfig (0 = default).
-	Shards int
 	// K is the in-model fat-tree arity backing the server. Default 8.
 	K int
 }
@@ -97,7 +95,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		// threshold keeps the shard detectors from declaring anyone dead under
 		// scheduler jitter at 10k agents.
 		MissThreshold: 1 << 20,
-		Shards:        cfg.Shards,
 		FleetSize:     cfg.Agents,
 		Obs:           &obs.Bus{},
 	})

@@ -63,10 +63,11 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 	}
 	defer g.Close()
 
-	// Inject garbage frames on the shared session: a short keep-alive, a
-	// batch whose count disagrees with its pairs, and a short link report.
+	// Inject garbage frames on the shared session: a batch too short for its
+	// count, a batch whose count disagrees with its pairs, and a short link
+	// report.
 	var raw bytes.Buffer
-	raw.Write(appendFrame(nil, msgKeepAlive, []byte{1, 2, 3}))
+	raw.Write(appendFrame(nil, msgKeepAliveBatch, []byte{1}))
 	raw.Write(appendFrame(nil, msgKeepAliveBatch, []byte{0, 9, 1, 2}))
 	raw.Write(appendFrame(nil, msgLinkFail, []byte{5}))
 	if _, err := g.conn.Write(raw.Bytes()); err != nil {
@@ -109,7 +110,6 @@ func TestFleetSoak(t *testing.T) {
 		Interval:  20 * time.Millisecond,
 		Warmup:    200 * time.Millisecond,
 		Duration:  500 * time.Millisecond,
-		Shards:    8,
 	}
 	res, err := RunFleet(cfg)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestFleetSoak(t *testing.T) {
 	// loop, the metric sampler, and slack for the test runtime's own
 	// goroutines. 1000 agents ride 20 connections; a goroutine per agent
 	// would sit at >= 1000.
-	bound := res.Conns + cfg.Shards + 24
+	bound := res.Conns + numShards + 24
 	if res.ServerGoroutines > bound {
 		t.Fatalf("server goroutines = %d, want <= %d (connections+shards+slack; conns=%d agents=%d)",
 			res.ServerGoroutines, bound, res.Conns, cfg.Agents)

@@ -1,6 +1,7 @@
 package ctlnet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -44,38 +45,22 @@ type ServerConfig struct {
 	// MissThreshold is how many missed intervals declare a node dead.
 	// Default 3.
 	MissThreshold int
-	// Logf, if set, receives server diagnostics (default: discarded).
-	//
-	// Concurrency contract: the server reaches its log path from the
-	// accept loop, every per-connection goroutine, and the shard detectors,
-	// but all diagnostics are routed through the event bus (whose sink
-	// dispatch holds one lock) and Logf itself is additionally serialized
-	// by a server-private mutex — so Logf is never invoked concurrently
-	// and needs no locking of its own.
-	Logf func(format string, args ...interface{})
 	// Obs receives the server's structured events (failure-declared,
-	// recovery-complete, tables-preloaded, log) with wall-clock
-	// timestamps relative to server start. Defaults to obs.Default so
-	// command-level -trace/-events flags observe the server without
-	// plumbing; set it explicitly to isolate a server in tests. If the bus
-	// has no process name yet, the server names it "controller".
+	// recovery-complete, tables-preloaded, and its diagnostics as log
+	// events) with wall-clock timestamps relative to server start.
+	// Defaults to obs.Default so command-level -trace/-events flags
+	// observe the server without plumbing; set it explicitly to isolate a
+	// server in tests. If the bus has no process name yet, the server names
+	// it "controller".
 	Obs *obs.Bus
 	// CSAddrs lists circuit-switch control-service addresses. The server
 	// dials each at startup, measures clock offsets (emitting clock-sync
 	// events the trace stitcher aligns epochs with), and mirrors every
 	// recovery to each service as a traced reconfiguration batch — making
 	// the controller-to-circuit-switch leg a measured hop of the recovery's
-	// cross-process trace. Empty disables mirroring.
+	// cross-process trace (one crossbar swap of ports 0 and 1 per
+	// recovery). Empty disables mirroring.
 	CSAddrs []string
-	// CSChanges maps a recovery to the circuit-change batch mirrored to
-	// each circuit switch. Default: one crossbar swap of ports 0 and 1.
-	CSChanges func(rec *controller.Recovery) []circuit.Change
-	// Shards is the number of keep-alive fan-in shards (see shard.go): a
-	// connection reader only appends to its shard's pending list, and one
-	// goroutine per shard folds them into its expiry queue — the keep-alive
-	// hot path never takes the server or controller lock. Default 8, capped
-	// at 254.
-	Shards int
 	// FleetSize widens the keep-alive tracking range beyond the network
 	// model: switch IDs in [0, max(FleetSize, NumSwitches)) are accepted
 	// on the keep-alive path (sharded by ID for out-of-model entries), but
@@ -102,13 +87,14 @@ func (c *ServerConfig) setDefaults() {
 	if c.Obs == nil {
 		c.Obs = obs.Default
 	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Shards > 254 {
-		c.Shards = 254 // shard indexes stage in uint8 scratch (see seenBatch)
-	}
 }
+
+// numShards is the number of keep-alive fan-in shards (see shard.go): a
+// connection reader only appends to its shard's pending list, and one
+// goroutine per shard folds them into its expiry queue — the keep-alive hot
+// path never takes the server or controller lock. At most 255: shard
+// indexes stage in uint8 scratch (see seenBatch).
+const numShards = 8
 
 // Server is the controller endpoint: it accepts switch agents and monitors,
 // tracks keep-alives on the wall clock, and drives failover on the
@@ -145,8 +131,6 @@ type Server struct {
 	gDetectorEntries *obs.Gauge
 	hDetectOvershoot *obs.Histogram
 
-	logMu sync.Mutex // serializes cfg.Logf (see ServerConfig.Logf)
-
 	// Keep-alive fan-in (shard.go): per-failure-group shards, each with its
 	// own detector goroutine.
 	shards []*kaShard
@@ -174,24 +158,11 @@ type Server struct {
 	quit chan struct{}
 }
 
-// logf routes a diagnostic line through the event bus (serialized sink
-// dispatch) and the optional ServerConfig.Logf (serialized by logMu).
+// logf counts a diagnostic line and routes it through the event bus as a log
+// event (the bus serializes sink dispatch).
 func (s *Server) logf(format string, args ...interface{}) {
 	s.mLogLines.Inc()
 	s.bus.Logf(time.Since(s.start), true, format, args...)
-	if s.cfg.Logf != nil {
-		s.logMu.Lock()
-		s.cfg.Logf(format, args...)
-		s.logMu.Unlock()
-	}
-}
-
-// Varz renders the merged controller+server metric registry as a text
-// snapshot — the control plane's "/varz" dump, also served over the wire
-// protocol as the reply to a msgVarzReq frame.
-func (s *Server) Varz() string {
-	return fmt.Sprintf("ctlnet.uptime_ns %d\n", time.Since(s.start).Nanoseconds()) +
-		s.ctl.Metrics().Snapshot()
 }
 
 // NewServer starts a controller server listening on addr (use
@@ -219,7 +190,7 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	}
 	s.stallSeen.Store(-int64(cfg.Interval))
 	deadline := time.Duration(cfg.MissThreshold) * cfg.Interval
-	for i := 0; i < cfg.Shards; i++ {
+	for i := 0; i < numShards; i++ {
 		s.shards = append(s.shards, newKAShard(s.fleetSize, deadline))
 	}
 	reg := ctl.Metrics()
@@ -437,17 +408,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 				s.bus.Emit(ev)
 			}
 		}
-	case msgKeepAlive:
-		id, _, err := decodeKeepAlive(payload)
-		if err != nil {
-			s.wireError(err)
-			return nil
-		}
-		s.mKeepalives.Inc()
-		if !s.isLeader() {
-			return s.redirectPaced(sc)
-		}
-		s.seen(id)
 	case msgKeepAliveBatch:
 		cnt, err := kaBatchCount(payload)
 		if err != nil {
@@ -461,15 +421,7 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		}
 		s.seenBatch(payload, cnt, sc)
 	case msgLinkFail:
-		aSw, aPort, bSw, bPort, err := decodeLinkFail(payload)
-		if err != nil {
-			s.wireError(err)
-			return nil
-		}
-		s.mLinkReports.Inc()
-		s.handleLinkFail(conn, obs.TraceContext{}, 0, aSw, aPort, bSw, bPort)
-	case msgLinkFailTraced:
-		ctx, detection, aSw, aPort, bSw, bPort, err := decodeLinkFailTraced(payload)
+		ctx, detection, aSw, aPort, bSw, bPort, err := decodeLinkFail(payload)
 		if err != nil {
 			s.wireError(err)
 			return nil
@@ -495,11 +447,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		ack := encodeClockSyncAck(t1, time.Since(s.start).Nanoseconds(), s.bus.Proc())
 		if err := writeReply(conn, msgClockSyncAck, ack); err != nil {
 			s.logf("ctlnet: clock sync ack: %v", err)
-			return err
-		}
-	case msgVarzReq:
-		if err := writeReply(conn, msgVarz, []byte(s.Varz())); err != nil {
-			s.logf("ctlnet: varz reply: %v", err)
 			return err
 		}
 	case msgSubscribe:
@@ -591,8 +538,8 @@ func (s *Server) tableFor(id sbnet.SwitchID) []byte {
 }
 
 // handleLinkFail turns a link-failure report into a replicated command (or
-// a direct apply when standalone) and acknowledges the outcome so agents
-// can resend reliably across a leader failover.
+// a direct apply when standalone) and answers with its outcome (ackReport),
+// so agents resend exactly the reports that never committed.
 func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) {
 	if !s.isLeader() {
 		if err := s.redirect(conn); err != nil {
@@ -639,17 +586,35 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 	}()
 }
 
-// ackReport tells the reporting agent how its link report fared.
+// ackReport tells the reporting agent how its link report fared. A command
+// that was applied is final either way: recovered, or refused (no backup
+// left, controller halted) — resending a refused report would only charge
+// its circuit switch again, toward the §5.1 halt. Any other error comes from
+// the consensus round (not leader, lost leadership, stopped, timed out), so
+// the report may never have committed: the agent is redirected, and resends
+// it to whoever leads.
 func (s *Server) ackReport(conn net.Conn, err error) {
 	status := reportAckOK
 	if err != nil {
-		status = reportAckFailed
 		s.logf("ctlnet: link recovery: %v", err)
+		if !errors.As(err, new(refused)) {
+			if err := s.redirect(conn); err != nil {
+				s.logf("ctlnet: link report redirect: %v", err)
+			}
+			return
+		}
+		status = reportAckRefused
 	}
 	if err := writeFrame(conn, msgReportAck, encodeReportAck(status)); err != nil {
 		s.logf("ctlnet: report ack: %v", err)
 	}
 }
+
+// refused marks the error of a command that was applied: its outcome is
+// part of the replicated history, the same on every replica.
+type refused struct{ error }
+
+func (r refused) Unwrap() error { return r.error }
 
 // linkAlreadyRecovered reports whether both reported endpoints have already
 // left active duty — the signature of a recovery that committed on a
@@ -723,6 +688,9 @@ func (s *Server) apply(cmd ctlplane.Command, data []byte, live bool) (*controlle
 	if rec != nil && live {
 		s.finishLive(cmd, rec, processing)
 	}
+	if err != nil {
+		err = refused{err}
+	}
 	return rec, err
 }
 
@@ -731,11 +699,17 @@ func (s *Server) apply(cmd ctlplane.Command, data []byte, live bool) (*controlle
 func (s *Server) applyLocked(cmd ctlplane.Command, live bool) (rec *controller.Recovery, err error) {
 	switch cmd.Kind {
 	case ctlplane.CmdRecoverNode:
+		if err := s.inFabric(cmd.Switch); err != nil {
+			return nil, err
+		}
 		if cmd.LastSeenNS > 0 {
 			s.ctl.Heartbeat(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.LastSeenNS))
 		}
 		rec, err = s.ctl.RecoverNode(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.AtNS))
 	case ctlplane.CmdRecoverLink:
+		if err := s.inFabric(cmd.ASwitch, cmd.BSwitch); err != nil {
+			return nil, err
+		}
 		traced := live && cmd.Trace != 0
 		if traced {
 			// The reporting agent opened the recovery's root span; the
@@ -754,6 +728,19 @@ func (s *Server) applyLocked(cmd ctlplane.Command, live bool) (rec *controller.R
 		}
 	}
 	return rec, err
+}
+
+// inFabric rejects switch IDs outside the network model: a log entry or a
+// snapshot is bytes from a peer, and the controller indexes its model by
+// them.
+func (s *Server) inFabric(ids ...int32) error {
+	n := s.ctl.Network().NumSwitches()
+	for _, id := range ids {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("ctlnet: command names switch %d, outside the fabric's %d", id, n)
+		}
+	}
+	return nil
 }
 
 // finishLive runs the leader-visible side effects of one applied recovery.
@@ -817,15 +804,9 @@ func (s *Server) mirrorCS(rec *controller.Recovery) {
 		return
 	}
 	changes := []circuit.Change{{A: 0, B: 1}}
-	if s.cfg.CSChanges != nil {
-		changes = s.cfg.CSChanges(rec)
-	}
-	if len(changes) == 0 {
-		return
-	}
 	ctx := obs.TraceContext{Trace: rec.Trace, Span: rec.Span, Proc: s.bus.Proc()}
 	for _, cl := range s.csClients {
-		if _, _, err := cl.ReconfigureTraced(ctx, changes); err != nil {
+		if _, _, err := cl.reconfigure(ctx, changes); err != nil {
 			s.logf("ctlnet: cs mirror: %v", err)
 		}
 	}

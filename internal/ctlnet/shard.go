@@ -118,7 +118,7 @@ func (s *Server) seenBatch(p []byte, cnt int, sc *srvConn) {
 			so[i] = 0xFF // out of model and fleet: forget the pair
 			continue
 		}
-		so[i] = uint8(s.shardIndex(id)) // Shards capped at 254 in setDefaults
+		so[i] = uint8(s.shardIndex(id)) // numShards <= 255
 	}
 	for si, sh := range s.shards {
 		locked := false

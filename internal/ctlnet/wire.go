@@ -19,17 +19,22 @@ import (
 	"sharebackup/internal/sbnet"
 )
 
-// Message types.
+// Message types: one namespace for every session — agent, monitor and
+// circuit switch — and one frame per request. A retired number is never
+// reused: the server skips it as an unknown type (counted in
+// ctlnet.unknown_msgs) and a circuit-switch service answers it with
+// msgCSErr.
 const (
-	msgHello     byte = 1 // agent -> server: int32 switch ID
-	msgKeepAlive byte = 2 // agent -> server: int32 switch ID, uint64 seq
-	msgLinkFail  byte = 3 // agent -> server: int32 switch, int32 port, int32 switch, int32 port
+	msgHello byte = 1 // agent -> server: uint32 switch ID
+	// 2 is retired (the single keep-alive): an agent sends a
+	// msgKeepAliveBatch of one. 3 is retired (the untraced link report):
+	// msgLinkFail carries a zero trace context instead.
 	msgSubscribe byte = 4 // monitor -> server: empty
 	msgRecovery  byte = 5 // server -> monitor: recovery event
 	msgSubAck    byte = 6 // server -> monitor: subscription registered
 	msgTableLoad byte = 7 // server -> agent: preloaded failure-group table (§4.3)
-	msgVarzReq   byte = 8 // client -> server: request the metrics snapshot
-	msgVarz      byte = 9 // server -> client: text metrics snapshot
+	// 8 and 9 are retired (a wire registry dump and its reply): debughttp's
+	// /varz serves the registry.
 
 	// Clock synchronization (usable on both agent->server and
 	// controller->circuit-switch sessions): the requester sends its local
@@ -41,33 +46,43 @@ const (
 	msgClockSync    byte = 10 // requester -> responder: int64 t1 ns
 	msgClockSyncAck byte = 11 // responder -> requester: int64 t1, int64 t2, proc name
 
-	// msgLinkFailTraced is msgLinkFail carrying a trace context (the
-	// reporting agent's root span) plus the agent-measured detection
-	// latency, so the controller's recovery joins the agent's causal trace.
-	msgLinkFailTraced byte = 12
+	// msgLinkFail reports a failed link by both of its interfaces (§4.1),
+	// with a trace context (the reporting agent's root span; zero when the
+	// agent is not tracing) and the agent-measured detection latency (zero
+	// for the controller's default), so the controller's recovery joins the
+	// agent's causal trace.
+	msgLinkFail byte = 12 // agent -> server: context, int64 detection, 4 × uint32
 
-	// 13 and 14 are retired (a time-series query and its reply) and must
-	// never be reused: a peer that still sends 13 is skipped as an unknown
-	// message type and counted in ctlnet.unknown_msgs.
+	// 13 and 14 are retired (a time-series query and its reply).
 
 	// Replicated-controller cluster messages (§5.1). A replica that is not
 	// the current leader answers state-mutating requests (hello, link-fail
 	// reports) — and, rate-limited, keep-alives — with msgNotLeader carrying
 	// its best guess at the leader's serving address so agents can redirect.
-	msgNotLeader  byte = 15 // server -> client: leader serving address (may be empty)
-	msgLeaderReq  byte = 16 // client -> server: empty — ask who leads
-	msgLeaderInfo byte = 17 // server -> client: byte isLeader, leader serving address
-	// msgReportAck closes the loop on a link-failure report so agents can
-	// reliably resend across a leader failover: status 0 = recovery
-	// committed (or duplicate of an already-completed recovery), 1 = the
-	// recovery failed (no backup left, controller halted, ...).
+	// A standalone server always leads.
+	msgNotLeader  byte = 15 // server -> agent: leader serving address (may be empty)
+	msgLeaderReq  byte = 16 // agent -> server: empty — ask who leads
+	msgLeaderInfo byte = 17 // server -> agent: byte isLeader, leader serving address
+	// msgReportAck closes the loop on a link report whose command was
+	// applied: status 0 = recovered (or a duplicate of a completed
+	// recovery), 1 = refused (no backup left, controller halted, ...). A
+	// refusal is final. A report that never committed (leadership lost,
+	// consensus timed out) is answered with msgNotLeader instead, and the
+	// agent resends it to whoever leads.
 	msgReportAck byte = 18 // server -> agent: byte status
 
-	// msgKeepAliveBatch coalesces one flush tick's worth of keep-alives
-	// from co-located agents sharing a connection (AgentGroup): uint16
-	// count, then count × (uint32 switch ID, uint64 seq). One frame, one
-	// syscall, one decode on the server — the fleet-scale ingest format.
-	msgKeepAliveBatch byte = 19 // agent group -> server: batched (id, seq) pairs
+	// msgKeepAliveBatch carries keep-alives: uint16 count, then count ×
+	// (uint32 switch ID, uint64 seq). An Agent sends a batch of one per
+	// tick; an AgentGroup coalesces its co-located agents' into one frame —
+	// one syscall, one decode on the server, the fleet-scale ingest format.
+	msgKeepAliveBatch byte = 19 // agent -> server: (id, seq) pairs
+
+	// Circuit-switch session (csagent.go). 16–19 were this session's own
+	// numbers before it joined the shared table; a service answers them
+	// with msgCSErr like any other type it does not serve.
+	msgCSReconfig byte = 20 // controller -> circuit switch: context, batch of circuit changes
+	msgCSAck      byte = 21 // circuit switch -> controller: int64 reconfiguration delay ns
+	msgCSErr      byte = 22 // circuit switch -> controller: error text
 )
 
 // maxFrame bounds frame sizes; control messages are tiny.
@@ -99,22 +114,9 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// readFrame reads one frame, allocating a fresh payload. Read loops use
-// frameReader (reusable scratch) instead.
+// readFrame reads one frame with a buffer of its own, for one-shot reads.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("ctlnet: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
+	return (&frameReader{r: r}).next()
 }
 
 // frameReader reads frames into a reusable scratch buffer. The returned
@@ -161,20 +163,6 @@ func decodeHello(p []byte) (sbnet.SwitchID, error) {
 	return sbnet.SwitchID(binary.BigEndian.Uint32(p)), nil
 }
 
-func encodeKeepAlive(id sbnet.SwitchID, seq uint64) []byte {
-	var b [12]byte
-	binary.BigEndian.PutUint32(b[:4], uint32(id))
-	binary.BigEndian.PutUint64(b[4:], seq)
-	return b[:]
-}
-
-func decodeKeepAlive(p []byte) (sbnet.SwitchID, uint64, error) {
-	if len(p) != 12 {
-		return 0, 0, fmt.Errorf("ctlnet: keepalive payload %d bytes, want 12", len(p))
-	}
-	return sbnet.SwitchID(binary.BigEndian.Uint32(p[:4])), binary.BigEndian.Uint64(p[4:]), nil
-}
-
 // Keep-alive batch payload: uint16 count, then count kaPairSize-byte
 // (uint32 id, uint64 seq) records. maxKAPairs is what fits one frame.
 const (
@@ -212,23 +200,6 @@ func kaBatchCount(p []byte) (int, error) {
 func kaBatchPair(p []byte, i int) (sbnet.SwitchID, uint64) {
 	rec := p[2+i*kaPairSize:]
 	return sbnet.SwitchID(binary.BigEndian.Uint32(rec[:4])), binary.BigEndian.Uint64(rec[4:kaPairSize])
-}
-
-func encodeLinkFail(aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(aSw))
-	binary.BigEndian.PutUint32(b[4:8], uint32(aPort))
-	binary.BigEndian.PutUint32(b[8:12], uint32(bSw))
-	binary.BigEndian.PutUint32(b[12:16], uint32(bPort))
-	return b[:]
-}
-
-func decodeLinkFail(p []byte) (aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int, err error) {
-	if len(p) != 16 {
-		return 0, 0, 0, 0, fmt.Errorf("ctlnet: linkfail payload %d bytes, want 16", len(p))
-	}
-	return sbnet.SwitchID(binary.BigEndian.Uint32(p[0:4])), int(int32(binary.BigEndian.Uint32(p[4:8]))),
-		sbnet.SwitchID(binary.BigEndian.Uint32(p[8:12])), int(int32(binary.BigEndian.Uint32(p[12:16]))), nil
 }
 
 // appendTraceContext appends trace(8) span(8) procLen(1) proc.
@@ -289,25 +260,28 @@ func decodeClockSyncAck(p []byte) (t1, t2 int64, proc string, err error) {
 	return int64(binary.BigEndian.Uint64(p[:8])), int64(binary.BigEndian.Uint64(p[8:16])), string(p[16:]), nil
 }
 
-func encodeLinkFailTraced(ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) []byte {
+func encodeLinkFail(ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) []byte {
 	b := appendTraceContext(make([]byte, 0, 17+len(ctx.Proc)+8+16), ctx)
-	var d [8]byte
-	binary.BigEndian.PutUint64(d[:], uint64(detection))
-	b = append(b, d[:]...)
-	return append(b, encodeLinkFail(aSw, aPort, bSw, bPort)...)
+	var v [8 + 16]byte
+	binary.BigEndian.PutUint64(v[0:8], uint64(detection))
+	binary.BigEndian.PutUint32(v[8:12], uint32(aSw))
+	binary.BigEndian.PutUint32(v[12:16], uint32(aPort))
+	binary.BigEndian.PutUint32(v[16:20], uint32(bSw))
+	binary.BigEndian.PutUint32(v[20:24], uint32(bPort))
+	return append(b, v[:]...)
 }
 
-func decodeLinkFailTraced(p []byte) (ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int, err error) {
+func decodeLinkFail(p []byte) (ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int, err error) {
 	ctx, rest, err := readTraceContext(p)
 	if err != nil {
 		return ctx, 0, 0, 0, 0, 0, err
 	}
 	if len(rest) != 8+16 {
-		return ctx, 0, 0, 0, 0, 0, fmt.Errorf("ctlnet: traced linkfail payload %d bytes after context, want 24", len(rest))
+		return ctx, 0, 0, 0, 0, 0, fmt.Errorf("ctlnet: linkfail payload %d bytes after context, want 24", len(rest))
 	}
-	detection = time.Duration(binary.BigEndian.Uint64(rest[:8]))
-	aSw, aPort, bSw, bPort, err = decodeLinkFail(rest[8:])
-	return ctx, detection, aSw, aPort, bSw, bPort, err
+	return ctx, time.Duration(binary.BigEndian.Uint64(rest[0:8])),
+		sbnet.SwitchID(binary.BigEndian.Uint32(rest[8:12])), int(int32(binary.BigEndian.Uint32(rest[12:16]))),
+		sbnet.SwitchID(binary.BigEndian.Uint32(rest[16:20])), int(int32(binary.BigEndian.Uint32(rest[20:24]))), nil
 }
 
 func encodeLeaderInfo(isLeader bool, addr string) []byte {
@@ -330,8 +304,8 @@ func decodeLeaderInfo(p []byte) (isLeader bool, addr string, err error) {
 
 // Report-ack statuses.
 const (
-	reportAckOK     byte = 0
-	reportAckFailed byte = 1
+	reportAckOK      byte = 0
+	reportAckRefused byte = 1
 )
 
 func encodeReportAck(status byte) []byte { return []byte{status} }

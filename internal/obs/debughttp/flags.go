@@ -11,8 +11,7 @@ import (
 
 // Flags is the observability flag set sbexperiments and sbemu share.
 // Register it before flag parsing, Start it after; the fields hold the
-// parsed values for the modes that wire observability themselves (sbemu
-// -ctlnet hands the budget and the recorder switch to the emulation).
+// parsed values.
 type Flags struct {
 	DebugAddr      string
 	Trace          string
@@ -35,10 +34,12 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Start wires what the parsed flags ask for onto obs.Default and
-// obs.DefaultRegistry: bus self-metering, the debug server, the trace file,
-// the stderr event log, the SLO watchdog and the flight recorder. prog
-// prefixes the one line printed to stderr (the debug server's address).
+// Start wires what the parsed flags ask for onto bus and
+// obs.DefaultRegistry: bus self-metering, the debug server (whose /events
+// follows bus), the trace file, the stderr event log, the SLO watchdog and
+// the flight recorder. A process whose events go to obs.Default passes it;
+// sbemu -ctlnet passes its controller's bus. prog prefixes the lines printed
+// to stderr (the debug server's address, each flight-recorder bundle).
 //
 // traceSink is -trace's JSONL sink, nil without the flag: sweep workers
 // wrap it in obs.ShardTagger so their events land in the same file as the
@@ -46,8 +47,8 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // trace file, drains pending flight dumps and stops the debug server; it
 // returns the first error (in practice the trace file's). Call it before the
 // process exits.
-func (f *Flags) Start(prog string) (traceSink obs.Sink, cleanup func() error, err error) {
-	bus, reg := obs.Default, obs.DefaultRegistry
+func (f *Flags) Start(prog string, bus *obs.Bus) (traceSink obs.Sink, cleanup func() error, err error) {
+	reg := obs.DefaultRegistry
 	var undo []func() error // run last to first
 	cleanup = func() error {
 		var first error
@@ -62,7 +63,7 @@ func (f *Flags) Start(prog string) (traceSink obs.Sink, cleanup func() error, er
 
 	bus.MeterOverhead(reg)
 	if f.DebugAddr != "" {
-		srv, err := Start(f.DebugAddr, Config{})
+		srv, err := Start(f.DebugAddr, Config{Bus: bus})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -97,7 +98,14 @@ func (f *Flags) Start(prog string) (traceSink obs.Sink, cleanup func() error, er
 			DropBurstThreshold:    1024,
 		})
 		fr.Attach(bus)
-		undo = append(undo, func() error { bus.Detach(fr); fr.Close(); return nil })
+		undo = append(undo, func() error {
+			bus.Detach(fr)
+			fr.Close()
+			for _, d := range fr.Dumps() {
+				fmt.Fprintf(os.Stderr, "%s: flight-recorder bundle %s\n", prog, d)
+			}
+			return nil
+		})
 	}
 	return traceSink, cleanup, nil
 }

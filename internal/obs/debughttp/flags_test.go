@@ -33,7 +33,7 @@ func TestSharedFlagsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traceSink, cleanup, err := f.Start("sbtest")
+	traceSink, cleanup, err := f.Start("sbtest", obs.Default)
 	if err != nil {
 		t.Fatal(err)
 	}

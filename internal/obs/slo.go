@@ -116,14 +116,3 @@ func (w *SLOWatchdog) Event(ev Event) {
 		}
 	}
 }
-
-// Breaches returns the cumulative breach count.
-func (w *SLOWatchdog) Breaches() int64 { return w.mBreaches.Value() }
-
-// Recoveries returns the cumulative audited-recovery count.
-func (w *SLOWatchdog) Recoveries() int64 { return w.mRecoveries.Value() }
-
-// BurnRate returns the breached fraction of the sliding window [0, 1].
-func (w *SLOWatchdog) BurnRate() float64 {
-	return float64(w.gBurnPPM.Value()) / 1e6
-}

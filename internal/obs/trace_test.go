@@ -80,14 +80,14 @@ func TestSLOWatchdog(t *testing.T) {
 	w.Event(completeEvent(2, 2, 20*time.Millisecond)) // mirror again
 	w.Event(NewEvent(KindLog, 0))                     // unrelated kinds ignored
 
-	if got := w.Recoveries(); got != 2 {
+	if got := reg.Counter("slo.recoveries").Value(); got != 2 {
 		t.Errorf("recoveries = %d, want 2", got)
 	}
-	if got := w.Breaches(); got != 1 {
+	if got := reg.Counter("slo.breaches").Value(); got != 1 {
 		t.Errorf("breaches = %d, want 1", got)
 	}
-	if got := w.BurnRate(); got != 0.5 {
-		t.Errorf("burn rate = %v, want 0.5", got)
+	if got := reg.Gauge("slo.burn_rate_ppm").Value(); got != 5e5 {
+		t.Errorf("burn rate = %d ppm, want 5e5", got)
 	}
 	if len(breached) != 1 || breached[0].Trace != 2 {
 		t.Errorf("OnBreach calls = %+v, want one for trace 2", breached)
@@ -102,7 +102,7 @@ func TestSLOWatchdog(t *testing.T) {
 	// Untraced events (trace 0) never dedup against each other.
 	w.Event(completeEvent(0, 0, time.Millisecond))
 	w.Event(completeEvent(0, 0, time.Millisecond))
-	if got := w.Recoveries(); got != 4 {
+	if got := reg.Counter("slo.recoveries").Value(); got != 4 {
 		t.Errorf("recoveries after untraced pair = %d, want 4", got)
 	}
 }

@@ -44,10 +44,10 @@ var testOnly = map[string]string{
 }
 
 // viaInterface names methods the standard library calls through an
-// interface (encoding/json, fmt, sort, container/heap, io, net/http), which
-// no caller names.
+// interface (encoding/json, fmt, errors, sort, container/heap, io,
+// net/http), which no caller names.
 var viaInterface = map[string]bool{
-	"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true, "Unwrap": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"Write": true, "Read": true, "Close": true, "ServeHTTP": true,
 }
