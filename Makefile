@@ -60,22 +60,23 @@ smoke:
 	for ex in coflowstudy diagnosis livefailover nonuniform quickstart; do ./$$ex > $$ex.out; done
 
 # Leader-failover soak: the kill-the-leader (mid-storm in the cluster
-# emulation), quorum-loss and rebootstrap drills, the bootstrap-election and
-# paused-peer transport tests, and the election-safety fuzz, repeated under
-# the race detector. A fresh cluster's first election is deterministic (the
-# lowest ID campaigns on its first tick), but every failover election waits
-# a randomized timeout, so repetition is the point — one pass only samples
-# one draw.
+# emulation), quorum-loss and rebootstrap drills, the bootstrap-election,
+# vote-retry, directory-hold and paused-peer transport tests, and the
+# election-safety fuzz, repeated under the race detector. A fresh cluster's
+# first election is deterministic (the lowest ID campaigns as its node
+# starts), but every failover election waits a randomized timeout, so
+# repetition is the point — one pass only samples one draw.
 soak-failover:
-	$(GO) test -race -count 8 -run 'TestCluster|TestElectionSafety|TestLiveCluster|TestRebootstrap|TestBootstrap|TestTransport' ./internal/ctlnet/... ./internal/ctlplane/...
+	$(GO) test -race -count 8 -run 'TestCluster|TestElectionSafety|TestLiveCluster|TestRebootstrap|TestBootstrap|TestCandidate|TestDirectoryHolds|TestTransport' ./internal/ctlnet/... ./internal/ctlplane/...
 
 # Ten seconds of coverage-guided fuzzing per target, on top of the committed
-# corpora under testdata/fuzz (which plain `go test` already replays): the
-# consensus wire (every Raft message anyone can send the listener), the
-# replicated command and its decoder, the control-plane wire (every frame and
-# payload decoder of the one message table), a replica restoring a snapshot,
-# the JSONL trace reader and the coflow trace parser. Standard library only;
-# runs offline.
+# corpora under testdata/fuzz (which plain `go test` and each -fuzz run
+# replay first; FuzzRaftStep's include a vote round dropped, then resent and
+# duplicated): the consensus wire (every Raft message anyone can send the
+# listener), the replicated command and its decoder, the control-plane wire
+# (every frame and payload decoder of the one message table), a replica
+# restoring a snapshot, the JSONL trace reader and the coflow trace parser.
+# Standard library only; runs offline.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRaftStep$$' -fuzztime 10s ./internal/ctlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime 10s ./internal/ctlplane/

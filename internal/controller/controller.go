@@ -104,6 +104,23 @@ type csKey struct {
 	layer, pod, idx int
 }
 
+// linkKey names a reported link by its two endpoints, lower first, so both
+// ends' reports of one link are one key.
+type linkKey [2]EndPoint
+
+func linkOf(a, b EndPoint) linkKey {
+	if b.Switch < a.Switch || (b.Switch == a.Switch && b.Port < a.Port) {
+		a, b = b, a
+	}
+	return linkKey{a, b}
+}
+
+// csCharge is one link charged against a circuit switch.
+type csCharge struct {
+	at   time.Duration
+	link linkKey
+}
+
 // Controller is the ShareBackup control plane over one network.
 type Controller struct {
 	net *sbnet.Network
@@ -113,7 +130,7 @@ type Controller struct {
 	halted   bool
 
 	recoveries []Recovery
-	csReports  map[csKey][]time.Duration
+	csReports  map[csKey][]csCharge
 
 	// pendingDiagnosis holds link-failure suspects awaiting offline
 	// diagnosis (Section 4.2).
@@ -156,7 +173,7 @@ func New(net *sbnet.Network, cfg Config) *Controller {
 		net:          net,
 		cfg:          cfg,
 		lastSeen:     make(map[sbnet.SwitchID]time.Duration),
-		csReports:    make(map[csKey][]time.Duration),
+		csReports:    make(map[csKey][]csCharge),
 		flaggedHosts: make(map[int]bool),
 		reg:          reg,
 	}
@@ -319,9 +336,9 @@ func (c *Controller) emitRecoveryDone(span uint64, at time.Duration, rec *Recove
 // diagnosis. If either failure group has no backup left, the available side
 // is still replaced and an error is returned for the other.
 //
-// The report is also charged against the circuit switch carrying the link;
-// crossing the report threshold within the window halts recovery
-// (suspected circuit-switch failure, Section 5.1).
+// The link is also charged, once per window, against the circuit switch
+// carrying it; crossing the report threshold within the window halts
+// recovery (suspected circuit-switch failure, Section 5.1).
 //
 // The detection latency in the recovery record is the probing interval; use
 // ReportLinkFailureDetected when the actual measured detection delay (e.g.
@@ -337,7 +354,7 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 		return nil, ErrHalted
 	}
 	if key, ok := c.circuitSwitchOf(a, b); ok {
-		if c.chargeCSReport(key, at) {
+		if c.chargeCSReport(key, linkOf(a, b), at) {
 			c.halted = true
 			c.mHalts.Inc()
 			if c.bus.Enabled() {
@@ -436,17 +453,24 @@ func (c *Controller) circuitSwitchOf(a, b EndPoint) (csKey, bool) {
 	return csKey{}, false
 }
 
-// chargeCSReport records a report against a circuit switch and reports
-// whether the threshold is now exceeded.
-func (c *Controller) chargeCSReport(key csKey, at time.Duration) bool {
+// chargeCSReport charges a reported link against a circuit switch and
+// reports whether the threshold is now exceeded. A link already charged
+// inside the window is not charged again: its other end's report (§4.1 has
+// both ends report) and a resent report describe the same failure. A
+// replaced link's position fails anew under new switch IDs, so it counts.
+func (c *Controller) chargeCSReport(key csKey, link linkKey, at time.Duration) bool {
 	reports := c.csReports[key]
 	kept := reports[:0]
-	for _, t := range reports {
-		if at-t <= c.cfg.CSReportWindow {
-			kept = append(kept, t)
+	charged := false
+	for _, r := range reports {
+		if at-r.at <= c.cfg.CSReportWindow {
+			kept = append(kept, r)
+			charged = charged || r.link == link
 		}
 	}
-	kept = append(kept, at)
+	if !charged {
+		kept = append(kept, csCharge{at: at, link: link})
+	}
 	c.csReports[key] = kept
 	return len(kept) > c.cfg.CSReportThreshold
 }
@@ -456,7 +480,7 @@ func (c *Controller) chargeCSReport(key csKey, at time.Duration) bool {
 // authoritative configuration (Network.SyncCircuit).
 func (c *Controller) ResumeAfterIntervention() {
 	c.halted = false
-	c.csReports = make(map[csKey][]time.Duration)
+	c.csReports = make(map[csKey][]csCharge)
 }
 
 // HandleHostLinkFailure implements Section 4.2's host-link policy: offline

@@ -296,6 +296,46 @@ func TestCSReportWindowSlides(t *testing.T) {
 	}
 }
 
+// TestCSReportChargesEachLinkOnce: inside the window a circuit switch is
+// charged once per failed link. A refused report resent, and the same link
+// reported from its other end (§4.1 has both ends report), describe the
+// failure already charged. The same position failing again after its
+// replacement names new switches and is charged anew.
+func TestCSReportChargesEachLinkOnce(t *testing.T) {
+	c, net := newCtl(t, 4, 1)
+	half := 2
+	edges, aggs := net.EdgeGroup(0).Slots(), net.AggGroup(0).Slots()
+	charges := func() int { return len(c.csReports[csKey{2, 0, 0}]) }
+
+	// Link 1 recovers and spends pod 0's one edge and one agg backup.
+	rec, err := c.ReportLinkFailure(EndPoint{edges[0], half}, EndPoint{aggs[0], 0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backups := rec.Backup
+	// Link 2 is refused for lack of a backup, resent, then reported from
+	// its agg end.
+	e2, a2 := EndPoint{edges[1], half}, EndPoint{aggs[1], 0}
+	for i, r := range [][2]EndPoint{{e2, a2}, {e2, a2}, {a2, e2}} {
+		if _, err := c.ReportLinkFailure(r[0], r[1], time.Duration(i+1)*time.Millisecond); !errors.Is(err, sbnet.ErrNoBackup) {
+			t.Fatalf("report %d of link 2: %v, want a refusal for lack of a backup", i, err)
+		}
+	}
+	if got := charges(); got != 2 {
+		t.Fatalf("%d charges after two links, want 2", got)
+	}
+	// Link 1's position fails again: its ends are now the two backups.
+	if _, err := c.ReportLinkFailure(EndPoint{backups[0], half}, EndPoint{backups[1], 0}, 4*time.Millisecond); !errors.Is(err, sbnet.ErrNoBackup) {
+		t.Fatalf("report of the replaced link: %v, want a refusal for lack of a backup", err)
+	}
+	if got := charges(); got != 3 {
+		t.Fatalf("%d charges after the replaced link failed again, want 3", got)
+	}
+	if c.Halted() {
+		t.Fatal("halted at 3 charges; the threshold is more than 3")
+	}
+}
+
 func TestHostLinkFailurePolicy(t *testing.T) {
 	c, net := newCtl(t, 6, 2)
 	edge := net.EdgeGroup(1).Slots()[0]

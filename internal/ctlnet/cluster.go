@@ -2,6 +2,7 @@ package ctlnet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,20 +27,54 @@ type clusterDirectory struct {
 	mu      sync.Mutex
 	nodes   map[int]*ctlplane.Node
 	serving map[int]string
+	// held keeps the consensus messages that reach a member before its node
+	// is registered. A node campaigns as it starts, so the bootstrap vote
+	// can arrive at peers whose nodes are still being built; holding it
+	// rather than dropping it keeps the first election from waiting a tick
+	// for a retry.
+	held map[int][]ctlplane.Message
 }
 
-func newClusterDirectory() *clusterDirectory {
-	return &clusterDirectory{
+// maxHeld bounds a member's held messages. The hold lasts microseconds and
+// sees a handful of votes, but the consensus listener reads from anyone.
+const maxHeld = 1024
+
+func newClusterDirectory(members ...int) *clusterDirectory {
+	d := &clusterDirectory{
 		nodes:   make(map[int]*ctlplane.Node),
 		serving: make(map[int]string),
+		held:    make(map[int][]ctlplane.Message),
 	}
+	for _, id := range members {
+		d.held[id] = nil
+	}
+	return d
 }
 
+// register publishes a member's node and hands it the messages held for it,
+// in arrival order.
 func (d *clusterDirectory) register(id int, node *ctlplane.Node, servingAddr string) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.nodes[id] = node
 	d.serving[id] = servingAddr
-	d.mu.Unlock()
+	for _, m := range d.held[id] {
+		node.Deliver(m)
+	}
+	delete(d.held, id)
+}
+
+// deliver routes one incoming consensus message to its addressee's node,
+// holding it while a member's node is not registered yet. Node.Deliver never
+// blocks, so it runs under the lock that orders it after the held messages.
+func (d *clusterDirectory) deliver(m ctlplane.Message) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := d.nodes[m.To]; n != nil {
+		n.Deliver(m)
+	} else if q, member := d.held[m.To]; member && len(q) < maxHeld {
+		d.held[m.To] = append(q, m)
+	}
 }
 
 func (d *clusterDirectory) node(id int) *ctlplane.Node {
@@ -121,9 +156,9 @@ type ClusterConfig struct {
 	// Replicas is the cluster size. Default 3.
 	Replicas int
 	// TickEvery is one consensus logical tick. Default 10 ms: the first
-	// election takes one tick (replica 0 campaigns at once) and later ones
-	// — a killed leader, a lost quorum — a randomized 10–20 ticks, so they
-	// converge in ~100–200 ms and a leader-kill test completes quickly.
+	// election waits no tick (replica 0 campaigns as it starts) and later
+	// ones — a killed leader, a lost quorum — a randomized 10–20 ticks, so
+	// they converge in ~100–200 ms and a leader-kill test completes quickly.
 	TickEvery time.Duration
 	// Seed feeds the replicas' randomized election timeouts: every
 	// election after the first.
@@ -156,9 +191,13 @@ type ClusterEmulation struct {
 // NewClusterEmulation builds and starts a replica cluster plus its agents.
 func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	cfg.setDefaults()
+	peers := make([]int, cfg.Replicas)
+	for i := range peers {
+		peers[i] = i
+	}
 	e := &ClusterEmulation{
 		procs: procs{cfg: cfg.EmulationConfig, sinks: procSinks{dir: cfg.TraceDir}},
-		dir:   newClusterDirectory(),
+		dir:   newClusterDirectory(peers...),
 	}
 	ok := false
 	defer func() {
@@ -176,10 +215,6 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 
 	// Replicas: server + controller stack first (each its own process bus
 	// and epoch), then the consensus mesh once every server address exists.
-	peers := make([]int, cfg.Replicas)
-	for i := range peers {
-		peers[i] = i
-	}
 	for i := 0; i < cfg.Replicas; i++ {
 		bus, err := e.sinks.newProcBus(fmt.Sprintf("controller-%d", i))
 		if err != nil {
@@ -218,12 +253,7 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	// Consensus mesh: bind every transport, then exchange addresses.
 	addrs := make(map[int]string, cfg.Replicas)
 	for _, r := range e.Replicas {
-		r := r
-		tr, err := ctlplane.NewTCPTransport(r.ID, map[int]string{r.ID: "127.0.0.1:0"}, func(m ctlplane.Message) {
-			if n := e.dir.node(m.To); n != nil {
-				n.Deliver(m)
-			}
-		})
+		tr, err := ctlplane.NewTCPTransport(r.ID, map[int]string{r.ID: "127.0.0.1:0"}, e.dir.deliver)
 		if err != nil {
 			return nil, err
 		}
@@ -275,20 +305,17 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	return e, nil
 }
 
-// Leader polls until one replica reports leadership, returning it.
+// Leader waits until one replica reports leadership, returning it.
 func (e *ClusterEmulation) Leader(timeout time.Duration) (*Replica, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		for _, r := range e.Replicas {
-			if r.Node != nil && r.Node.IsLeader() {
-				return r, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("ctlnet: no replica led within %v", timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
+	nodes := make([]*ctlplane.Node, len(e.Replicas))
+	for i, r := range e.Replicas {
+		nodes[i] = r.Node
 	}
+	ld, err := ctlplane.WaitLeader(nodes, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return e.Replicas[slices.Index(nodes, ld)], nil
 }
 
 // KillLeader abruptly stops the current leader (consensus node, server,

@@ -3,6 +3,7 @@ package ctlnet
 import (
 	"bytes"
 	"encoding/base64"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -177,6 +178,79 @@ func TestClusterFailoverMidStorm(t *testing.T) {
 	}
 }
 
+// TestClusterBootstrapElectsWithoutATick: a fresh cluster serves without
+// waiting for a tick, so a one-minute tick does not hold up construction.
+// Replica 0 campaigns on the tick its node runs as it starts. The directory
+// holds the vote request for a peer whose node is not registered yet. Leader
+// wakes on the role change. A construction that waited a tick would fail
+// on Leader's 10 s.
+func TestClusterBootstrapElectsWithoutATick(t *testing.T) {
+	e := startCluster(t, ClusterConfig{TickEvery: time.Minute})
+	ld, err := e.Leader(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld.ID != 0 {
+		t.Fatalf("replica %d leads, want replica 0", ld.ID)
+	}
+	guard := time.After(30 * time.Second)
+	for _, r := range e.Replicas {
+		for {
+			changed := r.Node.RoleChanged()
+			if r.Node.Term() == 1 && r.Node.LeaderID() == 0 {
+				break
+			}
+			select {
+			case <-changed:
+			case <-guard:
+				t.Fatalf("replica %d is in term %d following %d, want term 1 following replica 0", r.ID, r.Node.Term(), r.Node.LeaderID())
+			}
+		}
+	}
+	for _, r := range e.Replicas {
+		want := int64(0)
+		if r.ID == 0 {
+			want = 1
+		}
+		if got := e.cfg.Registry.Counter(fmt.Sprintf("ctlplane.replica%d.elections_won", r.ID)).Value(); got != want {
+			t.Errorf("ctlplane.replica%d.elections_won = %d, want %d", r.ID, got, want)
+		}
+	}
+}
+
+// sendTo is a Transport that hands every message to a channel.
+type sendTo chan ctlplane.Message
+
+func (s sendTo) Send(m ctlplane.Message) { s <- m }
+
+// TestDirectoryHoldsVotesUntilRegistered: a vote request that reaches a
+// member before its node is registered is handed to the node at
+// registration, not dropped; one addressed to a non-member is dropped.
+func TestDirectoryHoldsVotesUntilRegistered(t *testing.T) {
+	dir := newClusterDirectory(0, 1)
+	dir.deliver(ctlplane.Message{Type: ctlplane.MsgVoteReq, From: 0, To: 1, Term: 1})
+	dir.deliver(ctlplane.Message{Type: ctlplane.MsgVoteReq, From: 0, To: 7, Term: 1})
+	sent := make(sendTo, 1)
+	node := ctlplane.NewNode(ctlplane.NodeConfig{
+		Raft:      ctlplane.RaftConfig{ID: 1, Peers: []int{0, 1}},
+		TickEvery: time.Minute,
+		Transport: sent,
+	})
+	defer node.Stop()
+	dir.register(1, node, "")
+	select {
+	case m := <-sent:
+		if m.Type != ctlplane.MsgVoteResp || m.To != 0 || m.Term != 1 || !m.Granted {
+			t.Fatalf("replica 1 sent %+v, want its term-1 vote for replica 0", m)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held vote request never reached replica 1")
+	}
+	if _, ok := dir.held[7]; ok || len(dir.held) != 1 {
+		t.Errorf("held = %v, want only member 0's (empty) queue", dir.held)
+	}
+}
+
 // TestRefusedReportIsFinal: a link report the leader applied and refused —
 // its link's two failure groups have no backup left — is final, and comes
 // back to the caller at once. Resending it like a lost ack (seven more times
@@ -343,12 +417,8 @@ func TestClusterQuorumLossDrill(t *testing.T) {
 
 	// The single-replica cluster leads itself and serves a new recovery
 	// end to end: agent dial, leader discovery, report, ack, publish.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !node9.IsLeader() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !node9.IsLeader() {
-		t.Fatal("rebootstrapped replica never led its single-node cluster")
+	if _, err := ctlplane.WaitLeader([]*ctlplane.Node{node9}, 5*time.Second); err != nil {
+		t.Fatalf("rebootstrapped replica never led its single-node cluster: %v", err)
 	}
 	mon2, err := Subscribe(srv2.Addr())
 	if err != nil {

@@ -3,6 +3,7 @@ package ctlplane
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,11 @@ type Transport interface {
 // NodeConfig parameterizes a live replica driver.
 type NodeConfig struct {
 	Raft RaftConfig
-	// TickEvery is the wall-clock length of one logical tick. Default 25ms:
-	// a fresh cluster's first election takes one tick (the lowest ID
-	// campaigns at once, see NewRaft); every later election waits a
-	// randomized 250–500ms with the default ElectionTicks.
+	// TickEvery is the wall-clock length of one logical tick. Default 25ms.
+	// A fresh cluster's first election waits no tick: a node ticks once as
+	// it starts, and the lowest ID campaigns on that tick (see NewRaft).
+	// Every later election waits a randomized 250–500ms with the default
+	// ElectionTicks.
 	TickEvery time.Duration
 	// Transport sends consensus messages to peers; incoming messages are
 	// fed through Node.Deliver.
@@ -97,6 +99,9 @@ type Node struct {
 	isLeader atomic.Bool
 	leader   atomic.Int64 // current known leader ID, -1 unknown
 	term     atomic.Uint64
+	// roleChanged is closed, and replaced, after each change to the three
+	// above (see RoleChanged).
+	roleChanged atomic.Pointer[chan struct{}]
 
 	waiters      map[uint64]waiter
 	sinceCompact uint64
@@ -141,6 +146,8 @@ func NewNode(cfg NodeConfig) *Node {
 		waiters:  make(map[uint64]waiter),
 	}
 	n.leader.Store(-1)
+	changed := make(chan struct{})
+	n.roleChanged.Store(&changed)
 	label := fmt.Sprintf("ctlplane.replica%d.", cfg.Raft.ID)
 	n.gTerm = reg.Gauge(label + "term")
 	n.gIsLeader = reg.Gauge(label + "is_leader")
@@ -168,6 +175,40 @@ func (n *Node) LeaderID() int { return int(n.leader.Load()) }
 
 // Term returns the replica's current term.
 func (n *Node) Term() uint64 { return n.term.Load() }
+
+// RoleChanged returns a channel that is closed at the replica's next change
+// of leadership, known leader or term, and when it stops. Take the channel
+// before reading the role: a change in between then closes the channel
+// already in hand instead of being missed.
+func (n *Node) RoleChanged() <-chan struct{} { return *n.roleChanged.Load() }
+
+// publishRole wakes every RoleChanged waiter; call it after storing the role.
+func (n *Node) publishRole() {
+	next := make(chan struct{})
+	close(*n.roleChanged.Swap(&next))
+}
+
+// WaitLeader returns the first of nodes that leads, waiting on their role
+// changes, and fails once timeout has passed with none leading.
+func WaitLeader(nodes []*Node, timeout time.Duration) (*Node, error) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	cases := make([]reflect.SelectCase, len(nodes)+1)
+	cases[len(nodes)] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer.C)}
+	for {
+		for i, n := range nodes {
+			cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.RoleChanged())}
+		}
+		for _, n := range nodes {
+			if n.IsLeader() {
+				return n, nil
+			}
+		}
+		if chosen, _, _ := reflect.Select(cases); chosen == len(nodes) {
+			return nil, fmt.Errorf("ctlplane: no replica led within %v", timeout)
+		}
+	}
+}
 
 // Deliver feeds one incoming consensus message into the replica. Never
 // blocks: messages are dropped if the replica is saturated or stopped
@@ -240,12 +281,17 @@ func (n *Node) Stop() {
 	n.stopOnce.Do(func() { close(n.quit) })
 	<-n.done
 	n.isLeader.Store(false)
+	n.publishRole()
 }
 
 func (n *Node) run() {
 	defer close(n.done)
 	ticker := time.NewTicker(n.cfg.TickEvery)
 	defer ticker.Stop()
+	// The first tick runs now, not TickEvery from now: it is the one the
+	// lowest ID campaigns on at bootstrap.
+	n.raft.Tick()
+	n.processReady()
 	for {
 		select {
 		case <-n.quit:
@@ -336,8 +382,17 @@ func (n *Node) processReady() {
 	// Publish role transitions.
 	isLeader := n.raft.State() == Leader
 	term := n.raft.Term()
+	if isLeader && (!wasLeader || term != prevTerm) {
+		// Counted before the role is stored: whoever sees this leader sees
+		// its election counted.
+		n.cElected.Inc()
+		n.cfg.Logf("ctlplane: replica %d elected leader of term %d", n.raft.ID(), term)
+		n.emitRole(obs.KindLeaderElected, term)
+	}
 	n.isLeader.Store(isLeader)
-	n.leader.Store(int64(n.raft.Leader()))
+	leader := int64(n.raft.Leader())
+	prevLeader := n.leader.Swap(leader)
+	changed := isLeader != wasLeader || term != prevTerm || leader != prevLeader
 	n.term.Store(term)
 	n.gTerm.Set(int64(term))
 	n.gCommit.Set(int64(n.raft.Commit()))
@@ -347,16 +402,14 @@ func (n *Node) processReady() {
 	} else {
 		n.gIsLeader.Set(0)
 	}
-	if isLeader && (!wasLeader || term != prevTerm) {
-		n.cElected.Inc()
-		n.cfg.Logf("ctlplane: replica %d elected leader of term %d", n.raft.ID(), term)
-		n.emitRole(obs.KindLeaderElected, term)
-	}
 	if wasLeader && !isLeader {
 		n.cStepdown.Inc()
 		n.failWaiters(ErrLostLeadership)
 		n.cfg.Logf("ctlplane: replica %d lost leadership (term %d)", n.raft.ID(), term)
 		n.emitRole(obs.KindLeaderLost, term)
+	}
+	if changed {
+		n.publishRole()
 	}
 }
 

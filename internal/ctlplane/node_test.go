@@ -104,17 +104,17 @@ func newLiveCluster(t *testing.T, n int) *liveCluster {
 
 func (lc *liveCluster) waitLeader(t *testing.T, exclude int, timeout time.Duration) *Node {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, n := range lc.nodes {
-			if n.ID() != exclude && n.IsLeader() {
-				return n
-			}
+	var nodes []*Node
+	for _, n := range lc.nodes {
+		if n.ID() != exclude {
+			nodes = append(nodes, n)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("no leader within %v", timeout)
-	return nil
+	ld, err := WaitLeader(nodes, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ld
 }
 
 func (lc *liveCluster) appliedOn(id int) []string {
@@ -197,6 +197,26 @@ func TestLiveClusterFailsOverOnLeaderDeath(t *testing.T) {
 	}
 }
 
+// TestRoleChangePublishesLeaderLearnedWithTerm: one batch that both raises
+// the term and names the leader — a vote request and the winner's first
+// append, drained together — publishes both, and wakes RoleChanged.
+func TestRoleChangePublishesLeaderLearnedWithTerm(t *testing.T) {
+	n := NewNode(NodeConfig{Raft: RaftConfig{ID: 1, Peers: []int{0, 1, 2}}, TickEvery: time.Minute})
+	n.Stop() // the test drives the core on its own goroutine from here
+	changed := n.RoleChanged()
+	n.raft.Step(Message{Type: MsgVoteReq, From: 0, To: 1, Term: 1})
+	n.raft.Step(Message{Type: MsgApp, From: 0, To: 1, Term: 1})
+	n.processReady()
+	select {
+	case <-changed:
+	default:
+		t.Fatal("the batch published no role change")
+	}
+	if n.Term() != 1 || n.LeaderID() != 0 {
+		t.Fatalf("published term %d, leader %d; want term 1, leader 0", n.Term(), n.LeaderID())
+	}
+}
+
 func TestRebootstrapFromSurvivorSnapshot(t *testing.T) {
 	lc := newLiveCluster(t, 3)
 	ld := lc.waitLeader(t, -1, 5*time.Second)
@@ -241,12 +261,8 @@ func TestRebootstrapFromSurvivorSnapshot(t *testing.T) {
 		Snapshot: func() []byte { return nil },
 	})
 	defer node.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !node.IsLeader() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !node.IsLeader() {
-		t.Fatal("rebootstrapped replica did not become leader")
+	if _, err := WaitLeader([]*Node{node}, 5*time.Second); err != nil {
+		t.Fatalf("rebootstrapped replica: %v", err)
 	}
 	if _, err := node.Propose([]byte("post-reboot"), 2*time.Second); err != nil {
 		t.Fatalf("propose after rebootstrap: %v", err)

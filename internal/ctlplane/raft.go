@@ -185,7 +185,10 @@ type Raft struct {
 	votedFor int
 	// leader is the known leader of the current term (-1 unknown).
 	leader int
-	votes  map[int]bool
+	// votes holds a candidate's answered vote requests of this term,
+	// granted or not (its own vote included); a peer not in it is asked
+	// again on every tick.
+	votes map[int]bool
 
 	// log holds entries (snapIndex+1 ..); snapIndex/snapTerm anchor the
 	// compacted prefix, snapData is the retained snapshot for lagging peers.
@@ -218,10 +221,11 @@ type Raft struct {
 //
 // Bootstrap: the replica whose ID is the lowest in Peers campaigns on its
 // first Tick instead of after a randomized timeout, so a fresh cluster (or a
-// RaftConfig.Restore rebootstrap) serves after one tick. Election safety does
-// not depend on timing, and one deterministic early candidate cannot split a
-// vote; every other replica, and every later election, keeps the randomized
-// timeout. The rule holds only for a replica without prior hard state (term
+// RaftConfig.Restore rebootstrap) serves one vote round trip after that tick,
+// which Node runs as soon as it starts. Election safety does not depend on
+// timing, and one deterministic early candidate cannot split a vote; every
+// other replica, and every later election, keeps the randomized timeout.
+// The rule holds only for a replica without prior hard state (term
 // and vote) — true of every construction today. A replica restarted from a
 // persisted term must not take the shortcut: it would bump the term under a
 // healthy leader.
@@ -321,13 +325,18 @@ func (r *Raft) send(m Message) {
 }
 
 // Tick advances logical time by one unit: election timeouts for followers
-// and candidates, heartbeats and the quorum-loss check for leaders.
+// and candidates, vote-request retries for candidates, heartbeats and the
+// quorum-loss check for leaders.
 func (r *Raft) Tick() {
 	switch r.state {
 	case Follower, Candidate:
 		r.electionElapsed++
 		if r.electionElapsed >= r.timeoutTarget {
 			r.campaign()
+		} else if r.state == Candidate {
+			// Retry unanswered requests in the same term: one lost request
+			// costs a tick, not a randomized timeout of 10–20.
+			r.requestVotes()
 		}
 	case Leader:
 		r.heartbeatElapsed++
@@ -366,8 +375,13 @@ func (r *Raft) campaign() {
 		r.becomeLeader()
 		return
 	}
+	r.requestVotes()
+}
+
+// requestVotes asks every peer that has not answered this term's campaign.
+func (r *Raft) requestVotes() {
 	for _, p := range r.cfg.Peers {
-		if p == r.cfg.ID {
+		if _, answered := r.votes[p]; answered {
 			continue
 		}
 		r.send(Message{
@@ -518,11 +532,17 @@ func (r *Raft) stepVoteReq(m Message) {
 }
 
 func (r *Raft) stepVoteResp(m Message) {
-	if r.state != Candidate || m.Term != r.term || !m.Granted {
+	if r.state != Candidate || m.Term != r.term {
 		return
 	}
-	r.votes[m.From] = true
-	if len(r.votes) >= r.quorum() {
+	r.votes[m.From] = m.Granted
+	granted := 0
+	for _, g := range r.votes {
+		if g {
+			granted++
+		}
+	}
+	if granted >= r.quorum() {
 		r.becomeLeader()
 	}
 }

@@ -335,14 +335,16 @@ func TestRestoreFromSnapshotBootstrapsLog(t *testing.T) {
 }
 
 // TestBootstrapLowestIDLeadsAfterOneTick: in a fresh cluster the lowest ID
-// campaigns on its first tick and wins term 1 unopposed, whatever the seed
-// and however Peers is ordered.
+// campaigns on its own first tick — the one Node runs as it starts — and wins
+// term 1 unopposed after one vote round trip, with no other replica having
+// ticked, whatever the seed and however Peers is ordered.
 func TestBootstrapLowestIDLeadsAfterOneTick(t *testing.T) {
 	for _, ids := range [][]int{{2, 0, 1}, {4, 1, 3, 0, 2}, {9, 5, 7}} {
 		lowest := slices.Min(ids)
 		for seed := uint64(1); seed <= 50; seed++ {
 			c := newCluster(ids, seed)
-			c.tickAll()
+			c.nodes[lowest].Tick()
+			c.deliverAll()
 			for id, r := range c.nodes {
 				want := Follower
 				if id == lowest {
@@ -442,6 +444,70 @@ func TestBootstrapKeepsOtherReplicasDraws(t *testing.T) {
 		c.tickAll()
 		if got, want := c.nodes[0].timeoutTarget, 10+int(draw(seed, 2)%10); got != want {
 			t.Fatalf("seed %d: replica 0's second timeout %d, want draw 2 = %d", seed, got, want)
+		}
+	}
+}
+
+// TestCandidateRetransmitsUnansweredVotes: on every tick short of its
+// timeout a candidate asks again, in the same term, each peer whose vote
+// response has not arrived — granted or refused — so a lost request costs a
+// tick, not a randomized timeout of 10–20 and a second campaign.
+func TestCandidateRetransmitsUnansweredVotes(t *testing.T) {
+	c := newCluster([]int{0, 1, 2, 3, 4}, 1)
+	cand := c.nodes[0]
+	take := func() []Message {
+		c.pump()
+		msgs := c.inflight
+		c.inflight = nil
+		return msgs
+	}
+	asked := func(msgs []Message) []int {
+		t.Helper()
+		var to []int
+		for _, m := range msgs {
+			if m.Type != MsgVoteReq || m.From != 0 || m.Term != 1 {
+				t.Fatalf("candidate sent %+v, want only term-1 vote requests", m)
+			}
+			to = append(to, m.To)
+		}
+		slices.Sort(to)
+		return to
+	}
+
+	cand.Tick() // the bootstrap campaign; every request is lost
+	if got := asked(take()); !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("campaign asked %v, want [1 2 3 4]", got)
+	}
+	cand.Tick()
+	reqs := take()
+	if got := asked(reqs); !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("first retry asked %v, want [1 2 3 4] again", got)
+	}
+	// Replica 1 grants. Replica 2 has voted for replica 3 in term 1 and
+	// refuses. The requests to 3 and 4 are lost again.
+	c.nodes[2].Step(Message{Type: MsgVoteReq, From: 3, To: 2, Term: 1})
+	take()
+	for _, m := range reqs {
+		if m.To == 1 || m.To == 2 {
+			c.nodes[m.To].Step(m)
+		}
+	}
+	for _, m := range take() {
+		cand.Step(m)
+	}
+	if cand.State() != Candidate {
+		t.Fatalf("with 2 of 5 votes: %v, want a candidate", cand.State())
+	}
+	cand.Tick()
+	retry := take()
+	if got := asked(retry); !slices.Equal(got, []int{3, 4}) {
+		t.Fatalf("second retry asked %v, want only the unanswered [3 4]", got)
+	}
+	c.inflight = retry
+	c.deliverAll()
+	for id, r := range c.nodes {
+		if r.Term() != 1 || r.Leader() != 0 || (id == 0) != (r.State() == Leader) {
+			t.Fatalf("replica %d is %v in term %d following %d, want replica 0 leading term 1", id, r.State(), r.Term(), r.Leader())
 		}
 	}
 }
