@@ -75,8 +75,10 @@ soak-failover:
 # duplicated): the consensus wire (every Raft message anyone can send the
 # listener), the replicated command and its decoder, the control-plane wire
 # (every frame and payload decoder of the one message table), a replica
-# restoring a snapshot, the JSONL trace reader and the coflow trace parser.
-# Standard library only; runs offline.
+# restoring a snapshot, the JSONL trace reader, the coflow trace parser, and
+# every input the fluid simulator takes (raw IDs, floats and link IDs; its
+# corpus holds a NaN arrival, Run(+Inf) and a link outside the fabric, each of
+# which once hung or crashed Run). Standard library only; runs offline.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRaftStep$$' -fuzztime 10s ./internal/ctlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime 10s ./internal/ctlplane/
@@ -84,14 +86,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s ./internal/ctlnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/coflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorInputs$$' -fuzztime 10s ./internal/fluid/
 
 # Recovery-path microbenchmarks; instrumentation must stay free when no
 # event sink is attached, so watch these against the seed numbers.
 # BenchmarkFig1cStudy (one pinned sim-fig1c study at 1x) is the data plane's
 # profile target: go test -run '^$$' -bench Fig1cStudy -benchtime 40x -cpuprofile cpu.out .
 # BenchmarkStormWaves (sim-storm's storm: k=32, 40960 flows, 8 waves x 512
-# reroutes; ns/wave) is the ripple pass's:
-# go test -run '^$$' -bench StormWaves -benchtime 3x -cpuprofile cpu.out ./internal/fluid
+# reroutes; ns/wave, and with -benchmem the bytes one replay allocates) is the
+# ripple pass's:
+# go test -run '^$$' -bench StormWaves -benchtime 3x -benchmem -cpuprofile cpu.out ./internal/fluid
 # BenchmarkPathStoreStormSchedule (sim-storm's set-up: the k=32 fabric plus its
 # 40 960 first lookups; bytes and allocs per build) and BenchmarkPathStoreWarm
 # (Paths and Select over 4 096 interned pod-local pairs) are the path store's:

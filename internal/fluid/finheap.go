@@ -6,18 +6,18 @@ package fluid
 // the flow's one entry in place (O(log n)) instead of abandoning it. The
 // heap therefore never holds stale entries — at most one event per active
 // flow, no validity checks on pop, no compaction sweeps. The event carries
-// the flow's slot and ID by value (24 bytes, no pointers), so heap
-// operations touch flow state only to maintain heapPos — in the record the
-// seal that triggered the re-key has just written.
+// the flow's slot by value (16 bytes, no pointers), so heap operations touch
+// flow state only to maintain heapPos — in the record the seal that triggered
+// the re-key has just written.
 type finEvent struct {
 	t  float64
-	id FlowID
 	fi int32
 }
 
 // finHeap is a hand-rolled indexed binary min-heap of finish events, ordered
-// by time then flow ID (the ID tie-break keeps cohort completion order
-// deterministic and ID-sorted, matching the seed engine's scan order).
+// by time then slot (a slot is its flow's ID; the tie-break keeps cohort
+// completion order deterministic and ID-sorted, matching the seed engine's
+// scan order).
 // Hand-rolled rather than container/heap so the sift loops stay inlineable
 // and allocation-free on the hot path; the sift helpers live on Simulator
 // because every swap must mirror into the flows' heapPos.
@@ -29,7 +29,7 @@ func (h finHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
-	return h[i].id < h[j].id
+	return h[i].fi < h[j].fi
 }
 
 // finSchedule inserts — or, if the flow already has an event, re-keys in
@@ -45,9 +45,11 @@ func (s *Simulator) finSchedule(fi int32, t float64) {
 		}
 		return
 	}
-	s.hot[fi].heapPos = int32(len(s.fin))
-	s.fin = append(s.fin, finEvent{t: t, id: s.fID[fi], fi: fi})
-	s.finUp(len(s.fin) - 1)
+	p := len(s.fin)
+	s.hot[fi].heapPos = int32(p)
+	s.fin = grow(s.fin, 1)
+	s.fin[p] = finEvent{t: t, fi: fi}
+	s.finUp(p)
 }
 
 // finRemove deletes fi's finish event if one is scheduled (rate dropped to

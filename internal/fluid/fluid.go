@@ -13,17 +13,18 @@
 // (parallel.go), which can fill independent components on a bounded worker
 // pool with bit-identical results for any worker count. Nearly every pass is
 // a ripple pass over a few dozen flows scattered across the slot space, so
-// what a pass pays for is cache lines, and the state is laid out for that:
-// flows are dense slot numbers, everything a recomputation reads or writes
-// about a flow sits in one 64-byte record (flowHot) and everything about a
-// link in one linkState, while the fields only arrivals, completions and the
-// public accessors touch stay in cold per-field columns; link incidence is
-// packed into shared index arenas. The next completion comes from an indexed
-// finish-time heap instead of a scan, and bytes drain lazily so advancing
-// time is O(1). Max-min allocations decompose exactly over link-sharing
-// components, so scoped recomputation is equivalent to the global algorithm;
-// the differential property tests in property_test.go replay randomized
-// schedules through both engines to enforce it.
+// what a pass pays for is cache lines, and the state is laid out for that: a
+// FlowID is its slot (AddFlow takes IDs 0, 1, 2, … in call order), everything
+// a recomputation reads or writes about a flow sits in one 64-byte record
+// (flowHot) and everything about a link in one linkState, while the fields
+// only arrivals, completions and the public accessors touch share one
+// 32-byte record (flowCold); a flow's route lives only in the shared link
+// incidence arena, and per-flow tables grow by doubling. The next completion
+// comes from an indexed finish-time heap instead of a scan, and bytes drain
+// lazily so advancing time is O(1). Max-min allocations decompose exactly
+// over link-sharing components, so scoped recomputation is equivalent to the
+// global algorithm; the differential property tests in property_test.go
+// replay randomized schedules through both engines to enforce it.
 package fluid
 
 import (
@@ -35,7 +36,8 @@ import (
 	"sharebackup/internal/topo"
 )
 
-// FlowID identifies a flow within one Simulator.
+// FlowID identifies a flow within one Simulator. It is the flow's slot: the
+// number of flows added before it.
 type FlowID int64
 
 // Flow is a stable handle onto one flow's state. The state itself lives in
@@ -43,7 +45,6 @@ type FlowID int64
 // index, so a *Flow held across reroutes and recomputes stays valid for the
 // simulator's lifetime. Handles live in chunked slabs that never move.
 type Flow struct {
-	id  FlowID
 	fi  int32
 	sim *Simulator
 }
@@ -52,15 +53,15 @@ type Flow struct {
 func (f *Flow) Rate() float64 { return f.sim.hot[f.fi].rate }
 
 // Done reports whether the flow has completed.
-func (f *Flow) Done() bool { return f.sim.fDone[f.fi] }
+func (f *Flow) Done() bool { return f.sim.cold[f.fi].done }
 
 // Finish returns the completion time; valid only when Done.
-func (f *Flow) Finish() float64 { return f.sim.fFinish[f.fi] }
+func (f *Flow) Finish() float64 { return f.sim.cold[f.fi].finish }
 
 // Stalled reports whether the flow is active but disconnected.
 func (f *Flow) Stalled() bool {
-	s, fi := f.sim, f.fi
-	return s.fStarted[fi] && !s.fDone[fi] && len(s.fPath[fi].Links) == 0
+	c := &f.sim.cold[f.fi]
+	return c.started && !c.done && c.rlen == 0
 }
 
 // Handle slabs are fixed-size chunks so handle addresses are stable as the
@@ -93,8 +94,10 @@ type flowHot struct {
 	lastT     float64
 	visit     uint64 // component/ripple membership generation
 	prep      uint64 // prepare() generation; guards one-drain-per-pass
-	// The flow's attached links are linkArena[off : off+nl]; posArena (same
-	// span) holds its position in each link's flow list.
+	// The flow's route is linkArena[off : off+flowCold.rlen]. nl is how many
+	// of those links it is attached to: all of them while active, none
+	// before arrival or after completion. posArena (same span) holds its
+	// position in each attached link's flow list.
 	off int32
 	nl  int32
 	// cert is the flow's bottleneck certificate: a link where the flow was
@@ -103,6 +106,20 @@ type flowHot struct {
 	// ripple background checks use it as an O(1) fast path; see ripple.go.
 	cert    topo.LinkID
 	heapPos int32 // position in the finish heap, -1 when unscheduled
+}
+
+// flowCold is the rest of a flow's state: what only arrivals, completions,
+// reroutes and the public accessors touch (TestFlowColdRecordSize pins the
+// size). The route itself is in the incidence arena, the flow's size only in
+// flowHot.remaining.
+type flowCold struct {
+	arrival float64 // FCT telemetry reads it at completion
+	finish  float64
+	active  int32 // index in active, -1 when not active
+	cap     int32 // entries reserved for the slot's incidence span
+	rlen    int32 // route length; 0 stalls the flow
+	started bool
+	done    bool
 }
 
 // linkState is one link's share of the engine state: the active flows
@@ -135,39 +152,29 @@ type EngineStats struct {
 
 // Simulator advances a set of flows over a capacitated topology.
 //
-// Flows are dense slots, assigned in AddFlow order and never reused. hot
-// holds the per-slot record the recompute passes work on; the f* columns hold
-// the fields only the event loop and the accessors touch (DESIGN.md §15).
+// A FlowID is its slot: slots are assigned in AddFlow order and never
+// reused. hot holds the per-slot record the recompute passes work on; cold
+// holds the fields only the event loop and the accessors touch (DESIGN.md
+// §15). The two grow together, by doubling.
 type Simulator struct {
 	topo  *topo.Topology
 	links []linkState // indexed by topo.LinkID
 
 	now float64
 
-	hot []flowHot // indexed by slot
+	hot  []flowHot  // indexed by slot
+	cold []flowCold // indexed by slot
 
-	// --- cold per-flow columns, indexed by slot ---
-	fID      []FlowID
-	fBytes   []float64
-	fArrival []float64
-	fPath    []topo.Path
-	fFinish  []float64
-	fActive  []int32 // index in active, -1 when not active
-	fStarted []bool
-	fDone    []bool
-	fCap     []int32 // entries reserved for the slot's incidence span
-
-	// Link incidence spans (flowHot.off/nl) are bump-allocated; retired spans
-	// are garbage, compacted away when they dominate.
+	// Each slot's route is its incidence span (flowHot.off, flowCold.cap
+	// entries reserved, flowCold.rlen used), bump-allocated from the arena;
+	// retired spans are garbage, compacted away when they dominate.
 	linkArena    []topo.LinkID
 	posArena     []int32
 	arenaGarbage int
 
-	// Handles are chunked so they never move; byID maps IDs to slots.
-	handles []*handleChunk
-	byID    map[FlowID]int32
+	handles []*handleChunk // chunked so they never move
 
-	active  []int32 // started, not done; index-mapped via fActive
+	active  []int32 // started, not done; index-mapped via flowCold.active
 	pending arrivalHeap
 	fin     finHeap // indexed finish-time heap; positions mirrored in flowHot.heapPos
 
@@ -238,7 +245,6 @@ func New(t *topo.Topology) *Simulator {
 	s := &Simulator{
 		topo:        t,
 		links:       links,
-		byID:        make(map[FlowID]int32),
 		linkGen:     make([]uint64, nl),
 		rIdx:        make([]int32, nl),
 		workers:     runtime.GOMAXPROCS(0),
@@ -274,12 +280,13 @@ func (s *Simulator) PendingCount() int { return s.pending.Len() }
 
 // Flow returns the flow's handle, or nil if unknown.
 func (s *Simulator) Flow(id FlowID) *Flow {
-	fi, ok := s.byID[id]
-	if !ok {
+	if !s.known(id) {
 		return nil
 	}
-	return s.handle(fi)
+	return s.handle(int32(id))
 }
+
+func (s *Simulator) known(id FlowID) bool { return id >= 0 && id < FlowID(len(s.hot)) }
 
 // Stats returns a snapshot of the engine's internal work counters.
 func (s *Simulator) Stats() EngineStats { return s.stats }
@@ -295,48 +302,86 @@ func (s *Simulator) handle(fi int32) *Flow {
 	return &s.handles[fi>>handleShift][fi&handleMask]
 }
 
-// AddFlow schedules a flow. Arrival must not be in the simulator's past.
-// Bytes must be positive. A zero-length path stalls the flow from the start.
+// AddFlow schedules a flow. A FlowID is its slot: id must be the number of
+// flows added so far, so callers number flows 0, 1, 2, … in call order. Bytes
+// must be positive and finite, arrival finite and not in the simulator's
+// past, and every link of the path inside the topology. A zero-length path
+// stalls the flow from the start. The route's links are copied; Nodes is
+// never read.
 func (s *Simulator) AddFlow(id FlowID, bytes, arrival float64, path topo.Path) error {
-	if _, dup := s.byID[id]; dup {
-		return fmt.Errorf("fluid: duplicate flow %d", id)
+	if next := FlowID(len(s.hot)); id != next {
+		return fmt.Errorf("fluid: flow %d is not the next ID (%d)", id, next)
 	}
 	if bytes <= 0 || math.IsNaN(bytes) || math.IsInf(bytes, 0) {
 		return fmt.Errorf("fluid: flow %d: bytes %v must be positive and finite", id, bytes)
 	}
+	if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
+		return fmt.Errorf("fluid: flow %d: arrival %v must be finite", id, arrival)
+	}
 	if arrival < s.now {
 		return fmt.Errorf("fluid: flow %d arrives at %v, before now (%v)", id, arrival, s.now)
 	}
-	fi := int32(len(s.hot))
-	s.hot = append(s.hot, flowHot{remaining: bytes, off: -1, cert: -1, heapPos: -1})
-	s.fID = append(s.fID, id)
-	s.fBytes = append(s.fBytes, bytes)
-	s.fArrival = append(s.fArrival, arrival)
-	s.fPath = append(s.fPath, path)
-	s.fFinish = append(s.fFinish, 0)
-	s.fActive = append(s.fActive, -1)
-	s.fStarted = append(s.fStarted, false)
-	s.fDone = append(s.fDone, false)
-	s.fCap = append(s.fCap, 0)
+	if err := s.checkRoute("fluid: ", id, path.Links); err != nil {
+		return err
+	}
+	fi := int32(id)
+	// hot and cold start empty and grow by the same rule, so they double
+	// together.
+	s.hot, s.cold = grow(s.hot, 1), grow(s.cold, 1)
+	s.hot[fi] = flowHot{remaining: bytes, off: -1, cert: -1, heapPos: -1}
+	s.cold[fi] = flowCold{arrival: arrival, active: -1}
+	s.setRoute(fi, path.Links)
 	if int(fi)>>handleShift == len(s.handles) {
 		s.handles = append(s.handles, new(handleChunk))
 	}
 	h := s.handle(fi)
-	h.id, h.fi, h.sim = id, fi, s
-	s.byID[id] = fi
-	s.pending.push(arrEvent{at: arrival, id: id, fi: fi})
+	h.fi, h.sim = fi, s
+	s.pending.push(arrEvent{at: arrival, fi: fi})
 	return nil
 }
 
+// checkRoute rejects a link the topology does not have: per-link state is
+// indexed by link ID, so one would otherwise panic inside Run.
+func (s *Simulator) checkRoute(op string, id FlowID, links []topo.LinkID) error {
+	for _, l := range links {
+		if l < 0 || int(l) >= len(s.links) {
+			return fmt.Errorf("%sflow %d: link %d is outside the topology (%d links)", op, id, l, len(s.links))
+		}
+	}
+	return nil
+}
+
+// grow returns s lengthened by n, doubling the backing array when it is
+// full. Every per-flow table grows by this one rule: append's 1.25× steps
+// for large slices copy a multi-megabyte table more often, and each copy is
+// too large for any span an earlier one freed.
+func grow[S ~[]E, E any](s S, n int) S {
+	l := len(s) + n
+	if l <= cap(s) {
+		return s[:l]
+	}
+	c := 2 * cap(s)
+	if c < l {
+		c = l
+	}
+	g := make(S, l, c)
+	copy(g, s)
+	return g
+}
+
 // SetPath reroutes (or stalls, with an empty path) an active or pending
-// flow at the current time. Completed flows are rejected.
+// flow at the current time. Completed flows are rejected, and so is a link
+// outside the topology. The route's links are copied; Nodes is never read.
 func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
-	fi, ok := s.byID[id]
-	if !ok {
+	if !s.known(id) {
 		return fmt.Errorf("fluid: SetPath: unknown flow %d", id)
 	}
-	if s.fDone[fi] {
+	fi := int32(id)
+	if s.cold[fi].done {
 		return fmt.Errorf("fluid: SetPath: flow %d already completed", id)
+	}
+	if err := s.checkRoute("fluid: SetPath: ", id, path.Links); err != nil {
+		return err
 	}
 	if tel := s.tel.Load(); tel != nil {
 		if len(path.Links) == 0 {
@@ -348,9 +393,9 @@ func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
 	// The certificate names a link on the old path; it can't survive a
 	// route change.
 	s.hot[fi].cert = -1
-	if !s.fStarted[fi] {
-		// Pending flow: just swap the path; rates don't depend on it yet.
-		s.fPath[fi] = path
+	if !s.cold[fi].started {
+		// Pending flow: just swap the route; rates don't depend on it yet.
+		s.setRoute(fi, path.Links)
 		return nil
 	}
 	// Materialize bytes at the old rate before the route (and hence the
@@ -361,7 +406,7 @@ func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
 	// outside a filling pass).
 	s.drain(&s.hot[fi])
 	s.detachLinks(fi)
-	s.fPath[fi] = path
+	s.setRoute(fi, path.Links)
 	s.attachLinks(fi)
 	if len(path.Links) == 0 && s.hot[fi].rate != 0 {
 		s.hot[fi].rate = 0 // stalled immediately; no finish event until rerouted
@@ -396,23 +441,32 @@ func (s *Simulator) prepare(h *flowHot) {
 	h.prevRate = h.rate
 }
 
-// attachLinks adds the flow to the per-link flow lists of its current path,
-// adds its rate into the links' aggregates, and marks those links dirty.
-func (s *Simulator) attachLinks(fi int32) {
-	links := s.fPath[fi].Links
+// setRoute copies a detached slot's new route into its incidence span,
+// moving it to a fresh span when the route outgrows the old one.
+func (s *Simulator) setRoute(fi int32, links []topo.LinkID) {
 	n := int32(len(links))
-	s.hot[fi].nl = n
+	if s.cold[fi].cap < n {
+		s.growSpan(fi, n)
+	}
+	if n > 0 {
+		off := s.hot[fi].off
+		copy(s.linkArena[off:off+n], links)
+	}
+	s.cold[fi].rlen = n
+}
+
+// attachLinks adds the flow to the per-link flow lists of its route, adds
+// its rate into the links' aggregates, and marks those links dirty.
+func (s *Simulator) attachLinks(fi int32) {
+	h := &s.hot[fi]
+	n := s.cold[fi].rlen
+	h.nl = n
 	if n == 0 {
 		return
 	}
-	if s.fCap[fi] < n {
-		s.growSpan(fi, n)
-	}
-	off := s.hot[fi].off
-	rate := s.hot[fi].rate
-	for j, l := range links {
+	off, rate := h.off, h.rate
+	for j, l := range s.linkArena[off : off+n] {
 		ls := &s.links[l]
-		s.linkArena[off+int32(j)] = l
 		s.posArena[off+int32(j)] = int32(len(ls.flows))
 		ls.flows = append(ls.flows, linkRef{fi: fi, slot: int32(j)})
 		if rate != 0 {
@@ -426,25 +480,23 @@ func (s *Simulator) attachLinks(fi int32) {
 // tail, retiring any previous span as garbage and compacting the arena when
 // garbage dominates it.
 func (s *Simulator) growSpan(fi, n int32) {
-	if old := s.fCap[fi]; old > 0 {
-		s.arenaGarbage += int(old)
-		s.hot[fi].off, s.fCap[fi] = -1, 0
+	c := &s.cold[fi]
+	if c.cap > 0 {
+		s.arenaGarbage += int(c.cap)
+		s.hot[fi].off, c.cap = -1, 0
 	}
 	if s.arenaGarbage > len(s.linkArena)/2 && len(s.linkArena) > 4096 {
 		s.compactArena()
 	}
-	s.hot[fi].off = int32(len(s.linkArena))
-	s.fCap[fi] = n
-	for i := int32(0); i < n; i++ {
-		s.linkArena = append(s.linkArena, 0)
-		s.posArena = append(s.posArena, 0)
-	}
+	s.hot[fi].off, c.cap = int32(len(s.linkArena)), n
+	s.linkArena = grow(s.linkArena, int(n))
+	s.posArena = grow(s.posArena, int(n))
 }
 
-// compactArena rewrites the incidence arenas keeping only each slot's live
-// prefix (attached flows keep their nl entries; detached spans drop).
-// posArena values are positions in the links' flow lists, unaffected by the
-// move.
+// compactArena rewrites the incidence arenas keeping only the routes that
+// can still be read: every flow not done keeps its rlen entries, pending and
+// active alike; retired spans and completed flows' routes drop. posArena
+// values are positions in the links' flow lists, unaffected by the move.
 func (s *Simulator) compactArena() {
 	live := len(s.linkArena) - s.arenaGarbage
 	if live < 0 {
@@ -453,18 +505,19 @@ func (s *Simulator) compactArena() {
 	nla := make([]topo.LinkID, 0, live)
 	npa := make([]int32, 0, live)
 	for fi := range s.hot {
-		h := &s.hot[fi]
-		keep := h.nl
-		if keep > s.fCap[fi] {
-			keep = s.fCap[fi]
+		h, c := &s.hot[fi], &s.cold[fi]
+		keep := c.rlen
+		if c.done || keep > c.cap {
+			// Done, or the slot growSpan is moving (its span already
+			// retired): nothing to keep.
+			keep = 0
 		}
-		if keep <= 0 {
-			h.off, s.fCap[fi] = -1, 0
+		if keep == 0 {
+			h.off, c.cap, c.rlen = -1, 0, 0
 			continue
 		}
 		off := h.off
-		h.off = int32(len(nla))
-		s.fCap[fi] = keep
+		h.off, c.cap = int32(len(nla)), keep
 		nla = append(nla, s.linkArena[off:off+keep]...)
 		npa = append(npa, s.posArena[off:off+keep]...)
 	}
@@ -516,8 +569,12 @@ func (s *Simulator) markDirty(l topo.LinkID) {
 
 // Run advances the simulation until `until` (inclusive), processing every
 // arrival and completion in time order. It may be called repeatedly;
-// callers inject failures by mutating paths between calls.
+// callers inject failures by mutating paths between calls. Run(+Inf)
+// returns once no arrival or completion is left, with Now at the last event.
 func (s *Simulator) Run(until float64) error {
+	if math.IsNaN(until) {
+		return fmt.Errorf("fluid: Run(NaN): until must be a time")
+	}
 	if until < s.now {
 		return fmt.Errorf("fluid: Run(%v) is before now (%v)", until, s.now)
 	}
@@ -532,6 +589,9 @@ func (s *Simulator) Run(until float64) error {
 		if t > until {
 			s.now = until
 			return nil
+		}
+		if math.IsInf(t, 1) {
+			return nil // until is +Inf, and nothing is left to happen
 		}
 		s.now = t
 		if tArr <= tFin {
@@ -572,11 +632,10 @@ func (s *Simulator) RunToCompletion() error {
 func (s *Simulator) admitArrivals(t float64) {
 	admitted := 0
 	for s.pending.Len() > 0 && s.pending[0].at == t {
-		e := s.pending.pop()
-		fi := e.fi
-		s.fStarted[fi] = true
+		fi := s.pending.pop().fi
+		s.cold[fi].started = true
+		s.cold[fi].active = int32(len(s.active))
 		s.hot[fi].lastT = t
-		s.fActive[fi] = int32(len(s.active))
 		s.active = append(s.active, fi)
 		s.attachLinks(fi)
 		admitted++
@@ -600,8 +659,9 @@ func (s *Simulator) nextFinishTime() float64 {
 
 // completeDue completes every flow whose finish event falls within relEps of
 // the current time, so cohorts finishing together cost one rate
-// recomputation instead of one each. The heap orders ties by flow ID, which
-// keeps completion order deterministic and ID-sorted like the seed's scan.
+// recomputation instead of one each. The heap orders ties by slot — the flow
+// ID — which keeps completion order deterministic and ID-sorted like the
+// seed's scan.
 func (s *Simulator) completeDue() {
 	tol := relEps * (math.Abs(s.now) + 1)
 	for s.fin.Len() > 0 {
@@ -633,26 +693,26 @@ const (
 )
 
 func (s *Simulator) complete(fi int32) {
-	s.fDone[fi] = true
-	s.fFinish[fi] = s.now
+	c := &s.cold[fi]
+	c.done, c.finish = true, s.now
 	h := &s.hot[fi]
 	rate := h.rate
 	s.detachLinks(fi) // subtracts the still-current rate from the links' aggregates
 	h.rate, h.remaining, h.lastT = 0, 0, s.now
-	// Swap-remove from the active set; the index column keeps this O(1)
+	// Swap-remove from the active set; the index field keeps this O(1)
 	// regardless of cohort size.
-	i := s.fActive[fi]
+	i := c.active
 	last := len(s.active) - 1
 	moved := s.active[last]
 	s.active[i] = moved
-	s.fActive[moved] = i
+	s.cold[moved].active = i
 	s.active = s.active[:last]
-	s.fActive[fi] = -1
+	c.active = -1
 	if tel := s.tel.Load(); tel != nil {
 		tel.FlowsCompleted.Inc()
 		tel.ActiveFlows.Set(int64(len(s.active)))
-		tel.FCT.Record(int64((s.now - s.fArrival[fi]) * 1e6)) // seconds → µs
-		tel.FlowRate.Record(int64(rate*1e3 + 0.5))            // bytes/s → milli-bytes/s
+		tel.FCT.Record(int64((s.now - c.arrival) * 1e6)) // seconds → µs
+		tel.FlowRate.Record(int64(rate*1e3 + 0.5))       // bytes/s → milli-bytes/s
 	}
 	if s.OnComplete != nil {
 		s.OnComplete(s.handle(fi))
@@ -1169,13 +1229,12 @@ func (s *Simulator) freezeRound(sc *fillScratch, idx []int32, links []topo.LinkI
 // arrEvent is one scheduled arrival.
 type arrEvent struct {
 	at float64
-	id FlowID
 	fi int32
 }
 
-// arrivalHeap orders pending arrivals by time, then ID for determinism.
-// Hand-rolled (not container/heap) so push/pop stay inlineable and free of
-// interface boxing on the hot path.
+// arrivalHeap orders pending arrivals by time, then slot (the flow ID) for
+// determinism. Hand-rolled (not container/heap) so push/pop stay inlineable
+// and free of interface boxing on the hot path.
 type arrivalHeap []arrEvent
 
 func (h arrivalHeap) Len() int { return len(h) }
@@ -1183,12 +1242,13 @@ func (h arrivalHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].id < h[j].id
+	return h[i].fi < h[j].fi
 }
 
 func (h *arrivalHeap) push(e arrEvent) {
-	*h = append(*h, e)
-	a := *h
+	a := grow(*h, 1)
+	a[len(a)-1] = e
+	*h = a
 	for i := len(a) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !a.less(i, parent) {

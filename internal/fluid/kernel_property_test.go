@@ -509,3 +509,22 @@ func TestFlowRecordIsOneCacheLine(t *testing.T) {
 		t.Fatalf("flowHot is %d bytes, want 64", got)
 	}
 }
+
+// TestFlowColdRecordSize pins the rest of a flow's cost: with flowHot, 96
+// bytes per flow (per-field columns and a copy of the route took 154), and
+// 16-byte heap events and handles.
+func TestFlowColdRecordSize(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"flowCold", unsafe.Sizeof(flowCold{}), 32},
+		{"arrEvent", unsafe.Sizeof(arrEvent{}), 16},
+		{"finEvent", unsafe.Sizeof(finEvent{}), 16},
+		{"Flow", unsafe.Sizeof(Flow{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}

@@ -127,10 +127,11 @@ func TestQuickByteConservation(t *testing.T) {
 		sim := New(g)
 		nf := 1 + r.Intn(10)
 		total := 0.0
-		for i := 0; i < nf; i++ {
-			bytes := 1 + r.Float64()*1000
-			total += bytes
-			if err := sim.AddFlow(FlowID(i), bytes, r.Float64()*10, p); err != nil {
+		sizes := make([]float64, nf)
+		for i := range sizes {
+			sizes[i] = 1 + r.Float64()*1000
+			total += sizes[i]
+			if err := sim.AddFlow(FlowID(i), sizes[i], r.Float64()*10, p); err != nil {
 				return false
 			}
 		}
@@ -141,14 +142,14 @@ func TestQuickByteConservation(t *testing.T) {
 		// with remaining == 0.
 		for i := 0; i < nf; i++ {
 			fl := sim.Flow(FlowID(i))
-			if !fl.Done() || fl.Remaining() > 1e-6*fl.Bytes() {
+			if !fl.Done() || fl.Remaining() > 1e-6*sizes[i] {
 				return false
 			}
 			if fl.Finish() < fl.Arrival()-1e-12 {
 				return false
 			}
 			// A flow can never beat the line rate.
-			minTime := fl.Bytes() / minCapOn(g, p)
+			minTime := sizes[i] / minCapOn(g, p)
 			if fl.Finish()-fl.Arrival() < minTime*(1-1e-6) {
 				return false
 			}

@@ -260,6 +260,27 @@ func TestStormWorkRatio(t *testing.T) {
 	}
 }
 
+// TestStormReplayAllocBytes pins what a flow costs in bytes allocated over
+// one replay of the k=16 storm (2048 flows, 768 reroutes; one worker, so the
+// count repeats exactly): New, every AddFlow, the waves and the drain. The
+// limit is the measured value plus 25 %. At the parent layout — ten per-flow
+// columns grown by append, a copy of every route beside the arena's, an ID
+// map — it was 949 B per flow; with the route only in the arena, two records
+// per flow and every per-flow table doubling, 529.
+func TestStormReplayAllocBytes(t *testing.T) {
+	const limit = 661
+	ft, adds, waves := buildStormWorkload(t, 16, 4, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replayStorm(t, ft, adds, waves, func(s *Simulator) { s.SetWorkers(1) })
+	runtime.ReadMemStats(&after)
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(adds))
+	if perFlow > limit {
+		t.Fatalf("one storm replay allocates %.0f B per flow, want <= %d", perFlow, limit)
+	}
+	t.Logf("%.0f B allocated per flow", perFlow)
+}
+
 // TestStormFinishTimesGolden is the bit-identity oracle for the ripple-heavy
 // path: the k=16 storm (10240 flows, three waves of 256 reroutes) replayed at
 // one and at GOMAXPROCS workers must land every finish time on the same bits,

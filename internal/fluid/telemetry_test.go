@@ -37,10 +37,10 @@ func TestTelemetrySamplesLifecycle(t *testing.T) {
 	sim.SetTelemetry(tel)
 
 	// Two flows sharing the path: 2 bytes each at fair rate 1/2 → FCT 4s.
-	if err := sim.AddFlow(1, 2, 0, path); err != nil {
+	if err := sim.AddFlow(0, 2, 0, path); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.AddFlow(2, 2, 0, path); err != nil {
+	if err := sim.AddFlow(1, 2, 0, path); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.Run(1); err != nil {
@@ -51,10 +51,10 @@ func TestTelemetrySamplesLifecycle(t *testing.T) {
 	}
 
 	// Stall one flow, then reroute it back.
-	if err := sim.SetPath(2, topo.Path{}); err != nil {
+	if err := sim.SetPath(1, topo.Path{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.SetPath(2, path); err != nil {
+	if err := sim.SetPath(1, path); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunToCompletion(); err != nil {
@@ -79,7 +79,7 @@ func TestTelemetrySamplesLifecycle(t *testing.T) {
 	if tel.FCT.Count() != 2 {
 		t.Fatalf("FCT samples = %d, want 2", tel.FCT.Count())
 	}
-	// Flow 1 ran at rate 1/2 until flow 2 stalled at t=1s... regardless of
+	// Flow 0 ran at rate 1/2 until flow 1 stalled at t=1s... regardless of
 	// the exact schedule, both FCTs are in (0s, 10s] in µs.
 	if min, max := tel.FCT.Min(), tel.FCT.Max(); min <= 0 || max > 10_000_000 {
 		t.Fatalf("FCT range [%d, %d] µs implausible", min, max)
@@ -100,7 +100,7 @@ func TestDefaultTelemetryPickup(t *testing.T) {
 	if sim.Telemetry() != tel {
 		t.Fatal("New did not pick up the default telemetry")
 	}
-	if err := sim.AddFlow(1, 1, 0, path); err != nil {
+	if err := sim.AddFlow(0, 1, 0, path); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.RunToCompletion(); err != nil {
