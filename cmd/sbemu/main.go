@@ -16,11 +16,11 @@
 // -trace-dir. It injects one link failure per agent and prints the files to
 // stitch:
 //
-//	sbemu -ctlnet -trace-dir /tmp/traces -slo-budget 50us -flight-recorder
+//	sbemu -ctlnet -trace-dir /tmp/traces -slo-budget 50us
 //	sbtap -stitch /tmp/traces/*.jsonl
 //
-// The observability flags (-events, -trace, -debug-addr, -slo-budget,
-// -flight-recorder) watch the controller's bus.
+// The observability flags (-events, -trace, -debug-addr, -slo-budget) watch
+// the controller's bus.
 //
 // -cluster N replicates the controller: N complete replicas (network model,
 // controller, server, consensus node) elect a leader over loopback TCP, the
@@ -73,7 +73,7 @@ func main() {
 	obsFlags := debughttp.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	obsNames := []string{"debug-addr", "trace", "events", "slo-budget", "flight-recorder"}
+	obsNames := []string{"debug-addr", "trace", "events", "slo-budget"}
 	if *kaBatch {
 		rejectUnused("-ka-batch", "ka-batch", "agents")
 		runFleetDemo(*numAgents)

@@ -108,14 +108,15 @@ func main() {
 	}
 
 	shards, shardSpans := collectSpans(evs)
-	all := breakdown(shardSpans, "")
+	flat := spansOf(shardSpans)
+	all := obs.NewBreakdown(flat, "")
 	if all.N() == 0 {
 		fmt.Println("no completed recovery spans")
 		os.Exit(exitCode)
 	}
 	fmt.Print(all.Table(fmt.Sprintf("recovery phase breakdown — all kinds (%d recoveries)", all.N())).String())
 	for _, kind := range []string{"node", "link"} {
-		if b := breakdown(shardSpans, kind); b.N() > 0 {
+		if b := obs.NewBreakdown(flat, kind); b.N() > 0 {
 			fmt.Print(b.Table(fmt.Sprintf("recovery phase breakdown — %s failures (%d recoveries)", kind, b.N())).String())
 		}
 	}
@@ -264,17 +265,13 @@ func collectSpans(evs []obs.Event) ([]uint64, []shardSpan) {
 	return shards, out
 }
 
-// breakdown aggregates completed spans across every shard (kind "" = all).
-func breakdown(spans []shardSpan, kind string) *obs.Breakdown {
-	b := &obs.Breakdown{Kind: kind}
-	for _, ss := range spans {
-		sp := ss.span
-		if !sp.Complete || (kind != "" && sp.Kind != kind) {
-			continue
-		}
-		b.Add(sp.Detection, sp.Report, sp.Reconfig, sp.Total)
+// spansOf drops the shard tags, for aggregating across every shard.
+func spansOf(spans []shardSpan) []*obs.Span {
+	out := make([]*obs.Span, len(spans))
+	for i, ss := range spans {
+		out[i] = ss.span
 	}
-	return b
+	return out
 }
 
 // shardCount returns the number of distinct sweep shards in the trace

@@ -65,7 +65,7 @@ func TestCollectSpansDeinterleavesShards(t *testing.T) {
 			t.Fatalf("shard %d span incomplete", ss.shard)
 		}
 	}
-	if n := breakdown(spans, "").N(); n != 2 {
+	if n := obs.NewBreakdown(spansOf(spans), "").N(); n != 2 {
 		t.Fatalf("breakdown aggregated %d recoveries, want 2", n)
 	}
 }

@@ -744,37 +744,30 @@ func (s *Simulator) recompute() {
 // Every dispatch decision depends only on simulator state, never on the
 // worker count, which is what keeps parallel runs bit-identical.
 func (s *Simulator) recomputeDirty() {
-	s.stats.Recomputes++
-	s.passGen++
 	tel := s.tel.Load()
 	var before EngineStats
 	if tel != nil {
-		tel.RateRecomputes.Inc()
 		before = s.stats
 	}
+	s.stats.Recomputes++
+	s.passGen++
 	switch {
 	case s.forceFull:
 		s.stats.FullRecomputes++
-		if tel != nil {
-			tel.FullRecomputes.Inc()
-		}
-		s.fillUnion(tel)
+		s.fillUnion()
 	case s.fullDirty:
 		s.stats.FullRecomputes++
-		if tel != nil {
-			tel.FullRecomputes.Inc()
-		}
 		s.decomposeAll()
-		s.fillComponents(tel)
+		s.fillComponents()
 	default:
 		// Every scoped pass is one or the other, so Recomputes =
 		// RipplePasses + RippleFallbacks + FullRecomputes.
-		if s.ripple(tel) {
+		if s.ripple() {
 			s.stats.RipplePasses++
 		} else {
 			s.stats.RippleFallbacks++
 			s.decomposeFromSeeds()
-			s.fillComponents(tel)
+			s.fillComponents()
 		}
 	}
 	s.fullDirty = false
@@ -786,7 +779,7 @@ func (s *Simulator) recomputeDirty() {
 
 // fillUnion is the reference pass: prepare and fill the whole active set as
 // one union, exactly the seed algorithm's behaviour.
-func (s *Simulator) fillUnion(tel *Telemetry) {
+func (s *Simulator) fillUnion() {
 	for _, fi := range s.active {
 		s.prepare(&s.hot[fi])
 	}
@@ -794,7 +787,7 @@ func (s *Simulator) fillUnion(tel *Telemetry) {
 	work, _ := s.fillRates(s.active, sc)
 	s.sealFlows(s.active)
 	s.sealLinks(sc.engaged)
-	s.finishPass(work, tel)
+	s.finishPass(work)
 }
 
 // sealFlows re-keys the finish event of every flow whose rate actually
@@ -834,18 +827,14 @@ func (s *Simulator) sealLinks(links []topo.LinkID) {
 	}
 }
 
-// finishPass books the pass work into stats and telemetry.
-func (s *Simulator) finishPass(work int64, tel *Telemetry) {
+// finishPass books the pass work into stats.
+func (s *Simulator) finishPass(work int64) {
 	s.stats.RecomputeWork += work
 	for _, sc := range s.scratch {
 		s.stats.FillRounds += sc.rounds
 		s.stats.LinkScans += sc.scans
 		s.stats.ScanRebuilds += sc.rebuilds
 		sc.rounds, sc.scans, sc.rebuilds = 0, 0, 0
-	}
-	if tel != nil {
-		tel.RateRecomputeWork.Add(work)
-		tel.RecomputeWork.Record(work)
 	}
 }
 

@@ -126,7 +126,7 @@ func (s *Simulator) decomposeAll() {
 // fillComponents fills every decomposed component — on the worker pool when
 // the pass is big enough to amortize goroutine handoff — then seals flows
 // and links serially in deterministic order.
-func (s *Simulator) fillComponents(tel *Telemetry) {
+func (s *Simulator) fillComponents() {
 	var work int64
 	if s.workers > 1 && len(s.comps) > 1 && len(s.compFlows) >= s.parMinFlows {
 		s.stats.ParallelPasses++
@@ -141,7 +141,7 @@ func (s *Simulator) fillComponents(tel *Telemetry) {
 	s.stats.Components += int64(len(s.comps))
 	s.sealFlows(s.compFlows)
 	s.sealLinks(s.compLinks)
-	s.finishPass(work, tel)
+	s.finishPass(work)
 }
 
 // fillComponentsParallel distributes component fills over the worker pool

@@ -62,7 +62,7 @@ const (
 // component decomposition; every flow whose rate it dirtied is on or
 // adjacent to a dirty link, so the seeded BFS re-covers them. The caller
 // counts the outcome (RipplePasses or RippleFallbacks).
-func (s *Simulator) ripple(tel *Telemetry) bool {
+func (s *Simulator) ripple() bool {
 	if len(s.active) == 0 {
 		return true
 	}
@@ -199,7 +199,7 @@ func (s *Simulator) ripple(tel *Telemetry) bool {
 	}
 	s.sealFlows(flows)
 	s.compFlows, s.compLinks = flows, links
-	s.finishPass(work, tel)
+	s.finishPass(work)
 	return true
 }
 

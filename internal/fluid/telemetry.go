@@ -39,7 +39,7 @@ type Telemetry struct {
 
 	FCT           *obs.Histogram // flow completion time, µs of simulated time
 	FlowRate      *obs.Histogram // max-min rate at completion, milli-bytes/s
-	RecomputeWork *obs.Histogram // flow×link incidences per filling pass
+	RecomputeWork *obs.Histogram // flow×link incidences per rate recompute
 }
 
 // NewTelemetry resolves all metric handles under the "fluid." prefix in reg
@@ -68,13 +68,17 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		PendingFlows:      reg.Gauge("fluid.pending_flows"),
 		FCT:               reg.Histogram("fluid.fct_us"),
 		FlowRate:          reg.Histogram("fluid.flow_rate_mBps"),
-		RecomputeWork:     reg.Histogram("fluid.recompute_work_per_pass"),
+		RecomputeWork:     reg.Histogram("fluid.recompute_work_per_recompute"),
 	}
 }
 
-// addEngine publishes the engine counters one recompute pass moved (the
-// pass's own counters — recomputes, work — are added where they happen).
+// addEngine publishes the engine counters one rate recompute moved, so the
+// registry mirrors EngineStats without a second set of increment sites.
 func (t *Telemetry) addEngine(before, after EngineStats) {
+	t.RateRecomputes.Add(after.Recomputes - before.Recomputes)
+	t.FullRecomputes.Add(after.FullRecomputes - before.FullRecomputes)
+	t.RateRecomputeWork.Add(after.RecomputeWork - before.RecomputeWork)
+	t.RecomputeWork.Record(after.RecomputeWork - before.RecomputeWork)
 	t.RipplePasses.Add(after.RipplePasses - before.RipplePasses)
 	t.RippleExpansions.Add(after.RippleExpansions - before.RippleExpansions)
 	t.RippleFallbacks.Add(after.RippleFallbacks - before.RippleFallbacks)

@@ -124,8 +124,8 @@ func TestNewTelemetryNilRegistryUsesDefault(t *testing.T) {
 }
 
 // TestTelemetryMirrorsEngineStats: with telemetry attached from the start,
-// every engine counter in the registry equals the simulator's own Stats —
-// the pass-level counters published per recompute included.
+// every engine counter in the registry equals the simulator's own Stats,
+// and the work histogram holds one sample per recompute.
 func TestTelemetryMirrorsEngineStats(t *testing.T) {
 	// Disjoint pair links with staggered arrivals: the first batch fills as
 	// closed components, every later arrival dirties one link out of many
@@ -152,6 +152,7 @@ func TestTelemetryMirrorsEngineStats(t *testing.T) {
 		moved bool // the workload must have exercised it
 	}{
 		{"fluid.rate_recomputes", st.Recomputes, true},
+		{"fluid.rate_recomputes_full", st.FullRecomputes, false},
 		{"fluid.rate_recompute_work", st.RecomputeWork, true},
 		{"fluid.ripple_passes", st.RipplePasses, true},
 		{"fluid.ripple_expansions", st.RippleExpansions, false},
@@ -168,5 +169,10 @@ func TestTelemetryMirrorsEngineStats(t *testing.T) {
 		if c.moved && c.stat == 0 {
 			t.Errorf("%s stayed zero; the workload no longer exercises it", c.name)
 		}
+	}
+	// One work sample per recompute, summing to the work counter.
+	if h := reg.Histogram("fluid.recompute_work_per_recompute"); h.Count() != st.Recomputes || h.Sum() != st.RecomputeWork {
+		t.Errorf("fluid.recompute_work_per_recompute count %d sum %d, want %d and %d",
+			h.Count(), h.Sum(), st.Recomputes, st.RecomputeWork)
 	}
 }

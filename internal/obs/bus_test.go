@@ -36,7 +36,7 @@ func TestEmitDeliversToAllSinksInOrder(t *testing.T) {
 		t.Fatal("bus with sinks reports disabled")
 	}
 	for i := 0; i < 5; i++ {
-		ev := NewEvent(KindProbeMissed, time.Duration(i)*time.Millisecond)
+		ev := NewEvent(KindFailureDeclared, time.Duration(i)*time.Millisecond)
 		ev.Switch = int32(i)
 		b.Emit(ev)
 	}
@@ -120,6 +120,8 @@ func TestLogfFormatsOnlyWhenEnabled(t *testing.T) {
 
 func TestRingWrap(t *testing.T) {
 	r := NewRing(3)
+	dropped := NewRegistry().Counter("obs.ring_dropped_events")
+	r.CountDropsIn(dropped)
 	for i := 0; i < 5; i++ {
 		ev := NewEvent(KindLog, time.Duration(i))
 		ev.Count = int32(i)
@@ -134,8 +136,8 @@ func TestRingWrap(t *testing.T) {
 			t.Fatalf("ring[%d].Count = %d, want %d", i, evs[i].Count, want)
 		}
 	}
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want the 2 evicted events", r.Dropped())
+	if got := dropped.Value(); got != 2 {
+		t.Fatalf("dropped = %d, want the 2 evicted events", got)
 	}
 }
 

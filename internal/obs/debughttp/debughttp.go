@@ -5,16 +5,11 @@
 //	/            index of everything below
 //	/healthz     liveness probe ("ok")
 //	/varz        JSON snapshot of an obs.Registry — counters, gauges, and
-//	             histogram quantiles; ?buckets=1 adds bucket detail,
-//	             ?format=text serves the classic sorted "name value" dump
+//	             histogram quantiles; ?buckets=1 adds bucket detail
 //	/metricsz    the same registry in Prometheus text exposition format
 //	             (counters, gauges, histograms-as-summaries)
-//	/events      the live event bus as JSONL; ?sse=1 (or an
-//	             Accept: text/event-stream header) switches to
-//	             server-sent events; ?replay=1 first replays the buffered
-//	             backlog; ?n=N closes after N events
-//	/flightz     JSON listing of flight-recorder dump bundles on disk
-//	             (name, trigger, size, mtime, files)
+//	/events      the live event bus as JSONL; ?replay=1 first replays the
+//	             buffered backlog; ?n=N closes after N events
 //	/debug/pprof the standard net/http/pprof profiling surface
 //
 // The server observes without being load-bearing: it attaches one ring sink
@@ -30,11 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"time"
 
 	"sharebackup/internal/obs"
 )
@@ -48,10 +39,6 @@ type Config struct {
 	// Backlog is the replay ring capacity for /events?replay=1.
 	// 0 means 1024.
 	Backlog int
-	// FlightDir is the directory /flightz lists flight-recorder bundles
-	// from. Empty resolves through obs.DefaultFlightDir (so a process
-	// using the default flight dir needs no extra wiring).
-	FlightDir string
 }
 
 func (c *Config) setDefaults() {
@@ -63,9 +50,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Backlog == 0 {
 		c.Backlog = 1024
-	}
-	if c.FlightDir == "" {
-		c.FlightDir = obs.DefaultFlightDir("")
 	}
 }
 
@@ -127,7 +111,6 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("/varz", s.serveVarz)
 	mux.HandleFunc("/metricsz", s.serveMetricsz)
 	mux.HandleFunc("/events", s.serveEvents)
-	mux.HandleFunc("/flightz", s.serveFlightz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -144,10 +127,9 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, `sharebackup debug server
   /healthz            liveness
-  /varz               metrics snapshot (JSON; ?format=text, ?buckets=1)
+  /varz               metrics snapshot (JSON; ?buckets=1)
   /metricsz           Prometheus text exposition of the same registry
-  /events             live event stream (JSONL; ?sse=1, ?replay=1, ?n=N)
-  /flightz            flight-recorder dump bundles on disk
+  /events             live event stream (JSONL; ?replay=1, ?n=N)
   /debug/pprof/       profiling
 `)
 }
@@ -158,77 +140,10 @@ func (s *Server) serveMetricsz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) serveVarz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, s.cfg.Registry.Snapshot())
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(s.cfg.Registry.Export(r.URL.Query().Get("buckets") == "1")) //nolint:errcheck
-}
-
-// flightBundle is one /flightz entry: a flight-recorder dump directory.
-type flightBundle struct {
-	Name    string       `json:"name"`
-	Trigger string       `json:"trigger,omitempty"`
-	Bytes   int64        `json:"bytes"`
-	ModTime time.Time    `json:"mtime"`
-	Files   []flightFile `json:"files,omitempty"`
-}
-
-type flightFile struct {
-	Name  string `json:"name"`
-	Bytes int64  `json:"bytes"`
-}
-
-// serveFlightz lists flight-recorder bundles under the configured flight
-// directory so dumps are discoverable without shelling into the box. A
-// missing directory is an empty list, not an error — the recorder creates
-// it lazily on the first dump.
-func (s *Server) serveFlightz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	bundles := []flightBundle{}
-	entries, err := os.ReadDir(s.cfg.FlightDir)
-	if err == nil {
-		for _, e := range entries {
-			if !e.IsDir() {
-				continue
-			}
-			dir := filepath.Join(s.cfg.FlightDir, e.Name())
-			b := flightBundle{Name: e.Name()}
-			if info, err := e.Info(); err == nil {
-				b.ModTime = info.ModTime().UTC()
-			}
-			files, err := os.ReadDir(dir)
-			if err != nil {
-				continue
-			}
-			for _, f := range files {
-				info, err := f.Info()
-				if err != nil || f.IsDir() {
-					continue
-				}
-				b.Files = append(b.Files, flightFile{Name: f.Name(), Bytes: info.Size()})
-				b.Bytes += info.Size()
-			}
-			// The trigger reason lives in the bundle's meta.json.
-			if mb, err := os.ReadFile(filepath.Join(dir, "meta.json")); err == nil {
-				var meta struct {
-					Reason string `json:"reason"`
-				}
-				if json.Unmarshal(mb, &meta) == nil {
-					b.Trigger = meta.Reason
-				}
-			}
-			bundles = append(bundles, b)
-		}
-	}
-	sort.Slice(bundles, func(i, j int) bool { return bundles[i].Name < bundles[j].Name })
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(bundles) //nolint:errcheck
 }
 
 // chanSink forwards bus events into a buffered channel, dropping (and
@@ -249,7 +164,6 @@ func (c *chanSink) Event(ev obs.Event) {
 
 func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	sse := q.Get("sse") == "1" || r.Header.Get("Accept") == "text/event-stream"
 	limit := -1
 	if ns := q.Get("n"); ns != "" {
 		n, err := strconv.Atoi(ns)
@@ -260,12 +174,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	flusher, _ := w.(http.Flusher)
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/jsonl")
-	}
+	w.Header().Set("Content-Type", "application/jsonl")
 	w.WriteHeader(http.StatusOK)
 	if flusher != nil {
 		// Push the headers out now: a client tailing a quiet bus should
@@ -278,12 +187,7 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false
 		}
-		if sse {
-			_, err = fmt.Fprintf(w, "data: %s\n\n", data)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", data)
-		}
-		if err != nil {
+		if _, err := fmt.Fprintf(w, "%s\n", data); err != nil {
 			return false
 		}
 		if flusher != nil {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -80,10 +78,8 @@ func TestIndexAndHealthz(t *testing.T) {
 func TestIndexMentionsNewEndpoints(t *testing.T) {
 	ts, _, _ := testServer(t)
 	_, body := get(t, ts.URL+"/")
-	for _, want := range []string{"/metricsz", "/flightz"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("index missing %s:\n%s", want, body)
-		}
+	if !strings.Contains(body, "/metricsz") {
+		t.Errorf("index missing /metricsz:\n%s", body)
 	}
 }
 
@@ -130,20 +126,6 @@ func TestVarzJSON(t *testing.T) {
 	}
 }
 
-func TestVarzText(t *testing.T) {
-	ts, _, _ := testServer(t)
-	code, body := get(t, ts.URL+"/varz?format=text")
-	if code != http.StatusOK {
-		t.Fatalf("varz text: code=%d", code)
-	}
-	if !strings.Contains(body, "controller.failovers 7\n") {
-		t.Fatalf("varz text missing counter line:\n%s", body)
-	}
-	if !strings.Contains(body, "fluid.fct_us.count 100\n") {
-		t.Fatalf("varz text missing histogram count line:\n%s", body)
-	}
-}
-
 func TestEventsReplayJSONL(t *testing.T) {
 	ts, _, _ := testServer(t)
 	code, body := get(t, ts.URL+"/events?replay=1&n=3")
@@ -160,27 +142,6 @@ func TestEventsReplayJSONL(t *testing.T) {
 	for i, ev := range evs {
 		if ev.Kind != obs.KindFailureDeclared || ev.Switch != int32(i) {
 			t.Fatalf("event %d = %+v", i, ev)
-		}
-	}
-}
-
-func TestEventsReplaySSE(t *testing.T) {
-	ts, _, _ := testServer(t)
-	code, body := get(t, ts.URL+"/events?replay=1&n=2&sse=1")
-	if code != http.StatusOK {
-		t.Fatalf("events sse: code=%d", code)
-	}
-	lines := strings.Split(strings.TrimSpace(body), "\n\n")
-	if len(lines) != 2 {
-		t.Fatalf("sse: got %d frames, want 2:\n%s", len(lines), body)
-	}
-	for _, l := range lines {
-		if !strings.HasPrefix(l, "data: ") {
-			t.Fatalf("sse frame %q lacks data: prefix", l)
-		}
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(l, "data: ")), &ev); err != nil {
-			t.Fatalf("sse frame not JSON: %v", err)
 		}
 	}
 }
@@ -284,68 +245,5 @@ func TestRingDropsSurfaceInVarz(t *testing.T) {
 	}
 	if got := ex.Counters["obs.ring_dropped_events"]; got != 6 {
 		t.Fatalf("ring_dropped_events = %d, want 6", got)
-	}
-}
-
-func TestFlightzEndpoint(t *testing.T) {
-	flightDir := filepath.Join(t.TempDir(), "flight")
-	s := newServer(Config{Registry: obs.NewRegistry(), Bus: &obs.Bus{}, FlightDir: flightDir})
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { s.Close() })
-
-	// No flight dir yet: an empty list, not an error.
-	code, body := get(t, ts.URL+"/flightz")
-	if code != http.StatusOK {
-		t.Fatalf("empty: code=%d", code)
-	}
-	var bundles []flightBundle
-	if err := json.Unmarshal([]byte(body), &bundles); err != nil || len(bundles) != 0 {
-		t.Fatalf("empty listing: %q err=%v", body, err)
-	}
-
-	// Fake two dump bundles, one with a meta.json trigger reason.
-	for _, name := range []string{"flightdump-001", "flightdump-002"} {
-		dir := filepath.Join(flightDir, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "events.jsonl"), []byte("{}\n{}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	meta := []byte(`{"reason": "slo-breach"}`)
-	if err := os.WriteFile(filepath.Join(flightDir, "flightdump-002", "meta.json"), meta, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A stray file in the flight dir must not become a bundle.
-	if err := os.WriteFile(filepath.Join(flightDir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, body = get(t, ts.URL+"/flightz")
-	if code != http.StatusOK {
-		t.Fatalf("listing: code=%d", code)
-	}
-	if err := json.Unmarshal([]byte(body), &bundles); err != nil {
-		t.Fatal(err)
-	}
-	if len(bundles) != 2 {
-		t.Fatalf("got %d bundles, want 2: %s", len(bundles), body)
-	}
-	if bundles[0].Name != "flightdump-001" || bundles[1].Name != "flightdump-002" {
-		t.Fatalf("order: %+v", bundles)
-	}
-	if bundles[0].Trigger != "" || bundles[1].Trigger != "slo-breach" {
-		t.Fatalf("triggers: %+v", bundles)
-	}
-	if bundles[0].Bytes != 6 || len(bundles[0].Files) != 1 {
-		t.Fatalf("sizes: %+v", bundles[0])
-	}
-	if bundles[1].Bytes != int64(6+len(meta)) || len(bundles[1].Files) != 2 {
-		t.Fatalf("sizes with meta: %+v", bundles[1])
-	}
-	if bundles[1].ModTime.IsZero() {
-		t.Error("mtime not populated")
 	}
 }

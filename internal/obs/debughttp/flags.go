@@ -13,40 +13,37 @@ import (
 // Register it before flag parsing, Start it after; the fields hold the
 // parsed values.
 type Flags struct {
-	DebugAddr      string
-	Trace          string
-	Events         bool
-	SLOBudget      time.Duration
-	FlightRecorder bool
+	DebugAddr string
+	Trace     string
+	Events    bool
+	SLOBudget time.Duration
 
 	server *Server // what Start started for DebugAddr
 }
 
-// RegisterFlags registers -debug-addr, -trace, -events, -slo-budget and
-// -flight-recorder on fs.
+// RegisterFlags registers -debug-addr, -trace, -events and -slo-budget on
+// fs.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz, /flightz) on this address, e.g. 127.0.0.1:6060")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve live introspection (pprof, /varz, /events, /metricsz) on this address, e.g. 127.0.0.1:6060")
 	fs.StringVar(&f.Trace, "trace", "", "write structured events as JSONL to this file (summarize with sbtap)")
 	fs.BoolVar(&f.Events, "events", false, "log structured events human-readably to stderr")
 	fs.DurationVar(&f.SLOBudget, "slo-budget", 0, "recovery-time SLO budget; breaches trip the watchdog (0 disables)")
-	fs.BoolVar(&f.FlightRecorder, "flight-recorder", false, "keep an always-on event ring and dump a diagnostic bundle on anomalies")
 	return f
 }
 
 // Start wires what the parsed flags ask for onto bus and
 // obs.DefaultRegistry: bus self-metering, the debug server (whose /events
-// follows bus), the trace file, the stderr event log, the SLO watchdog and
-// the flight recorder. A process whose events go to obs.Default passes it;
-// sbemu -ctlnet passes its controller's bus. prog prefixes the lines printed
-// to stderr (the debug server's address, each flight-recorder bundle).
+// follows bus), the trace file, the stderr event log and the SLO watchdog.
+// A process whose events go to obs.Default passes it; sbemu -ctlnet passes
+// its controller's bus. prog prefixes the debug server's address, printed
+// to stderr.
 //
 // traceSink is -trace's JSONL sink, nil without the flag: sweep workers
 // wrap it in obs.ShardTagger so their events land in the same file as the
 // bus' own. cleanup detaches every sink Start attached, flushes the
-// trace file, drains pending flight dumps and stops the debug server; it
-// returns the first error (in practice the trace file's). Call it before the
-// process exits.
+// trace file and stops the debug server; it returns the first error (in
+// practice the trace file's). Call it before the process exits.
 func (f *Flags) Start(prog string, bus *obs.Bus) (traceSink obs.Sink, cleanup func() error, err error) {
 	reg := obs.DefaultRegistry
 	var undo []func() error // run last to first
@@ -90,22 +87,6 @@ func (f *Flags) Start(prog string, bus *obs.Bus) (traceSink obs.Sink, cleanup fu
 		w := obs.NewSLOWatchdog(obs.SLOConfig{Budget: f.SLOBudget, Registry: reg})
 		bus.Attach(w)
 		undo = append(undo, func() error { bus.Detach(w); return nil })
-	}
-	if f.FlightRecorder {
-		fr := obs.NewFlightRecorder(obs.FlightConfig{
-			SLOBudget:             f.SLOBudget,
-			KeepAliveGapThreshold: 3,
-			DropBurstThreshold:    1024,
-		})
-		fr.Attach(bus)
-		undo = append(undo, func() error {
-			bus.Detach(fr)
-			fr.Close()
-			for _, d := range fr.Dumps() {
-				fmt.Fprintf(os.Stderr, "%s: flight-recorder bundle %s\n", prog, d)
-			}
-			return nil
-		})
 	}
 	return traceSink, cleanup, nil
 }

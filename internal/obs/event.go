@@ -1,8 +1,9 @@
 // Package obs is the control plane's observability subsystem: a typed event
 // bus with pluggable sinks (JSONL, human-readable log, in-memory ring), spans
 // that group events into per-recovery timelines with the Section 5.3 phase
-// breakdown (detection / report / reconfiguration / total), and an atomic
-// counter/gauge registry with a text ("varz") snapshot.
+// breakdown (detection / report / reconfiguration / total), an atomic
+// counter/gauge/histogram registry, and the SLO watchdog that audits every
+// recovery against a latency budget.
 //
 // The virtual-time controller, the TCP control plane, the link detectors,
 // and the physical network all emit through one Bus. Emission is
@@ -21,11 +22,9 @@ import (
 type Kind uint8
 
 const (
-	// KindProbeMissed is one missed keep-alive/probe check (detect.Monitor).
-	KindProbeMissed Kind = iota
 	// KindFailureDeclared is a node or link declared failed (threshold
-	// crossed); Check names the first failing probe check when known.
-	KindFailureDeclared
+	// crossed).
+	KindFailureDeclared Kind = iota
 	// KindBackupAssigned is a backup switch chosen for a failed switch.
 	KindBackupAssigned
 	// KindCircuitReconfigured is one switch-replacement circuit
@@ -62,9 +61,6 @@ const (
 	// trip. Stitchers (sbtap -stitch) use these to align per-process trace
 	// files onto one timeline.
 	KindClockSync
-	// KindFlightDump is a flight-recorder snapshot written to disk; Detail
-	// is the trigger reason and the bundle directory.
-	KindFlightDump
 	// KindLeaderElected marks a ctlplane replica winning an election; Switch
 	// carries the replica ID and Count the term.
 	KindLeaderElected
@@ -80,7 +76,6 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"probe-missed",
 	"failure-declared",
 	"backup-assigned",
 	"circuit-reconfigured",
@@ -92,13 +87,12 @@ var kindNames = [numKinds]string{
 	"log",
 	"sweep-shard-done",
 	"clock-sync",
-	"flight-dump",
 	"leader-elected",
 	"leader-lost",
 	"failover",
 }
 
-// String names the kind ("probe-missed", "recovery-complete", ...).
+// String names the kind ("failure-declared", "recovery-complete", ...).
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -167,8 +161,6 @@ type Event struct {
 	// Count is a kind-specific cardinality: circuit switches touched,
 	// table bytes pushed, diagnosis suspects, exonerations.
 	Count int32
-	// Check names the first failing probe check (detect.CheckKind).
-	Check string
 	// Detail is free-form context: recovery kind ("node"/"link"), halt
 	// reason, log line.
 	Detail string
@@ -239,9 +231,6 @@ func (e Event) String() string {
 	if e.Count != 0 {
 		fmt.Fprintf(&b, " count=%d", e.Count)
 	}
-	if e.Check != "" {
-		fmt.Fprintf(&b, " check=%s", e.Check)
-	}
 	if e.Kind == KindRecoveryComplete {
 		fmt.Fprintf(&b, " detection=%v report=%v reconfig=%v total=%v",
 			e.Detection, e.Report, e.Reconfig, e.Total)
@@ -280,7 +269,6 @@ type eventJSON struct {
 	Port       int32  `json:"port"`
 	PeerPort   int32  `json:"peer_port"`
 	Count      int32  `json:"count,omitempty"`
-	Check      string `json:"check,omitempty"`
 	Detail     string `json:"detail,omitempty"`
 	DetNs      int64  `json:"detection_ns,omitempty"`
 	RepNs      int64  `json:"report_ns,omitempty"`
@@ -296,7 +284,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Kind: e.Kind.String(), Seq: e.Seq, TNs: int64(e.T), Wall: e.Wall, Span: e.Span, Shard: e.Shard,
 		Trace: e.Trace, Parent: e.Parent, ParentProc: e.ParentProc, Proc: e.Proc,
 		Switch: e.Switch, Peer: e.Peer, Backup: e.Backup, Port: e.Port, PeerPort: e.PeerPort,
-		Count: e.Count, Check: e.Check, Detail: e.Detail,
+		Count: e.Count, Detail: e.Detail,
 		DetNs: int64(e.Detection), RepNs: int64(e.Report), RecNs: int64(e.Reconfig), TotNs: int64(e.Total),
 		OffNs: int64(e.Offset), RTTNs: int64(e.RTT),
 	})
@@ -316,7 +304,7 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 		Kind: kind, Seq: j.Seq, T: time.Duration(j.TNs), Wall: j.Wall, Span: j.Span, Shard: j.Shard,
 		Trace: j.Trace, Parent: j.Parent, ParentProc: j.ParentProc, Proc: j.Proc,
 		Switch: j.Switch, Peer: j.Peer, Backup: j.Backup, Port: j.Port, PeerPort: j.PeerPort,
-		Count: j.Count, Check: j.Check, Detail: j.Detail,
+		Count: j.Count, Detail: j.Detail,
 		Detection: time.Duration(j.DetNs), Report: time.Duration(j.RepNs),
 		Reconfig: time.Duration(j.RecNs), Total: time.Duration(j.TotNs),
 		Offset: time.Duration(j.OffNs), RTT: time.Duration(j.RTTNs),

@@ -124,13 +124,6 @@ func TestRegistryHistogramAndExport(t *testing.T) {
 		t.Fatal("Export(false) kept buckets")
 	}
 
-	snap := r.Snapshot()
-	for _, want := range []string{"c 3", "g -1", "fluid.fct_us.count 100", "fluid.fct_us.p50 ", "fluid.fct_us.max 99"} {
-		if !strings.Contains(snap, want) {
-			t.Errorf("snapshot missing %q:\n%s", want, snap)
-		}
-	}
-
 	var nilR *Registry
 	nilR.Histogram("x").Record(1)
 	if nilR.Export(true).Counters == nil {
@@ -162,9 +155,6 @@ func TestRingCountsDrops(t *testing.T) {
 		r.Event(NewEvent(KindLog, 0))
 	}
 	// Capacity 4, 10 writes: the first 4 fill, the next 6 each evict one.
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
-	}
 	if got := ctr.Value(); got != 6 {
 		t.Fatalf("registry drop counter = %d, want 6", got)
 	}

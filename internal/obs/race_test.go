@@ -30,7 +30,7 @@ func TestBusConcurrentEmittersAndAttachDetach(t *testing.T) {
 				if !b.Enabled() {
 					continue
 				}
-				ev := NewEvent(KindProbeMissed, time.Duration(i))
+				ev := NewEvent(KindFailureDeclared, time.Duration(i))
 				ev.Switch = int32(g)
 				ev.Count = int32(i)
 				b.Emit(ev)
@@ -92,12 +92,12 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 			}
 		}()
 	}
-	// Snapshot concurrently with the updates.
+	// Export concurrently with the updates.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_ = r.Snapshot()
+			_ = r.PromText()
 		}
 	}()
 	wg.Wait()

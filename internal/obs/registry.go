@@ -64,7 +64,8 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Registry names counters and gauges and renders text snapshots. Lookup
+// Registry names counters, gauges and histograms and exports them (/varz
+// JSON, /metricsz Prometheus text). Lookup
 // (get-or-create) takes a lock; the returned handles are lock-free, so
 // components resolve their handles once at construction time.
 // All methods are nil-safe.
@@ -251,40 +252,6 @@ func (r *Registry) PromText() string {
 		fmt.Fprintf(&b, "%s{quantile=\"0.99\"} %d\n", pn, h.P99)
 		fmt.Fprintf(&b, "%s_sum %d\n", pn, h.Sum)
 		fmt.Fprintf(&b, "%s_count %d\n", pn, h.Count)
-	}
-	return b.String()
-}
-
-// Snapshot renders every metric as "name value" lines, sorted by name — the
-// /varz-style text dump the ctlnet server serves. Histograms contribute one
-// line per order statistic (name.count, name.p50, name.p90, name.p99,
-// name.max), keeping the two-field line format.
-func (r *Registry) Snapshot() string {
-	if r == nil {
-		return ""
-	}
-	ex := r.Export(false)
-	lines := make([]string, 0, len(ex.Counters)+len(ex.Gauges)+5*len(ex.Histograms))
-	for name, v := range ex.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range ex.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, h := range ex.Histograms {
-		lines = append(lines,
-			fmt.Sprintf("%s.count %d", name, h.Count),
-			fmt.Sprintf("%s.p50 %d", name, h.P50),
-			fmt.Sprintf("%s.p90 %d", name, h.P90),
-			fmt.Sprintf("%s.p99 %d", name, h.P99),
-			fmt.Sprintf("%s.max %d", name, h.Max),
-		)
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

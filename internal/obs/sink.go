@@ -58,7 +58,7 @@ func (s *JSONLSink) Err() error {
 //
 // A truncated final line — the signature a crashed or killed producer
 // leaves, since JSONLSink writes whole lines — is tolerated and dropped, so
-// flight-recorder bundles and crash-cut trace files stay readable.
+// a trace file cut short by a crash stays readable.
 // Corruption anywhere before the unterminated tail still errors.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
@@ -122,14 +122,13 @@ func (t *ShardTagger) Event(ev Event) {
 // Ring is a fixed-capacity in-memory event buffer: it keeps the most recent
 // Cap events. Older events are evicted silently from the buffer's point of
 // view, but never silently from the operator's: every eviction increments
-// Dropped and, when one is attached via CountDropsIn, a registry counter —
-// so /varz and sbtap can report how much of the stream was lost.
+// the registry counter attached via CountDropsIn, so /varz can report how
+// much of the stream was lost.
 type Ring struct {
 	mu      sync.Mutex
 	buf     []Event
 	next    int
 	wrap    bool
-	dropped uint64
 	dropCtr *Counter
 }
 
@@ -155,7 +154,6 @@ func (r *Ring) Event(ev Event) {
 	r.mu.Lock()
 	if r.wrap {
 		// The slot being overwritten still held an unread event.
-		r.dropped++
 		r.dropCtr.Inc()
 	}
 	r.buf[r.next] = ev
@@ -165,13 +163,6 @@ func (r *Ring) Event(ev Event) {
 		r.wrap = true
 	}
 	r.mu.Unlock()
-}
-
-// Dropped returns how many buffered events were evicted unread.
-func (r *Ring) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Events returns the buffered events, oldest first.

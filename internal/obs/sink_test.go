@@ -19,7 +19,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	want.Backup = 7
 	want.Port = 2
 	want.Detail = "node"
-	want.Check = "forwarding-engine"
 	want.Count = 8
 	want.Wall = true
 	want.Detection = 500 * time.Microsecond
@@ -27,7 +26,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	want.Reconfig = 30 * time.Microsecond
 	want.Total = 730 * time.Microsecond
 	b.Emit(want)
-	b.Emit(NewEvent(KindProbeMissed, time.Millisecond))
+	b.Emit(NewEvent(KindFailureDeclared, time.Millisecond))
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if evs[1].Kind != KindProbeMissed || evs[1].Switch != None {
+	if evs[1].Kind != KindFailureDeclared || evs[1].Switch != None {
 		t.Fatalf("second event decoded as %+v", evs[1])
 	}
 }
@@ -72,29 +71,12 @@ func TestLogfSinkRenders(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z.count").Add(3)
-	r.Counter("a.count").Inc()
-	r.Gauge("m.level").Set(-2)
-	snap := r.Snapshot()
-	want := "a.count 1\nm.level -2\nz.count 3\n"
-	if snap != want {
-		t.Fatalf("snapshot = %q, want %q", snap, want)
-	}
-	// Same-name handles alias the same metric.
-	r.Counter("a.count").Inc()
-	if got := r.Counter("a.count").Value(); got != 2 {
-		t.Fatalf("aliased counter = %d, want 2", got)
-	}
-}
-
 func TestNilRegistryHandles(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	if r.Snapshot() != "" {
-		t.Fatal("nil registry snapshot not empty")
+	if r.PromText() != "" {
+		t.Fatal("nil registry exposition not empty")
 	}
 	var c *Counter
 	c.Inc()

@@ -5,37 +5,36 @@ import (
 	"time"
 )
 
+// sloWindow is the number of most recent recoveries the burn rate is
+// computed over, and the reach of the mirror deduplication.
+const sloWindow = 64
+
 // SLOConfig tunes an SLOWatchdog.
 type SLOConfig struct {
 	// Budget is the recovery-latency SLO: a recovery whose Total exceeds it
 	// is a breach. 0 disables breach detection (the watchdog still
 	// histograms totals).
 	Budget time.Duration
-	// Window is the sliding window (in recoveries) the burn rate is
-	// computed over. Default 64.
-	Window int
 	// Registry receives the watchdog's counters and gauges
 	// (slo.recoveries, slo.breaches, slo.burn_rate_ppm, slo.budget_ns,
 	// histogram slo.recovery_total_ns). Nil means DefaultRegistry.
 	Registry *Registry
-	// OnBreach, if set, is called (outside the watchdog's lock, on the
-	// emitting goroutine) with each breaching recovery-complete event —
-	// the flight-recorder trigger hook.
-	OnBreach func(Event)
 }
 
 // SLOWatchdog is a sink that audits every completed recovery against a
 // latency budget: SPIDER's argument made operational — a recovery-delay
 // guarantee is only a guarantee if it is continuously measured and alerted
 // on, not benchmarked once. It keeps cumulative breach counters, a sliding
-// burn-rate gauge (breached fraction of the last Window recoveries, in
+// burn-rate gauge (breached fraction of the last sloWindow recoveries, in
 // ppm), and a histogram of recovery totals, all surfaced through the
 // registry (/varz, /metricsz).
 //
 // Recoveries driven through the TCP control plane are emitted twice on one
 // bus — the controller's virtual-time span and the server's wall-clock
-// mirror of the same recovery, sharing trace and span IDs — so the watchdog
-// deduplicates by (trace, span) and audits each recovery once.
+// mirror of the same recovery, sharing trace and span IDs — and concurrent
+// recoveries can interleave their pairs (A, B, A′, B′). The watchdog skips a
+// traced event whose (trace, span) is already in its window, so it audits
+// each recovery once.
 type SLOWatchdog struct {
 	cfg SLOConfig
 
@@ -45,19 +44,20 @@ type SLOWatchdog struct {
 	gBudget     *Gauge
 	hTotal      *Histogram
 
-	mu        sync.Mutex
-	window    []bool // ring of breach outcomes
-	next      int
-	filled    bool
-	lastTrace uint64
-	lastSpan  uint64
+	mu     sync.Mutex
+	window [sloWindow]sloOutcome // ring of the last recoveries audited
+	next   int
+	filled bool
+}
+
+// sloOutcome is one audited recovery: its identity and whether it breached.
+type sloOutcome struct {
+	trace, span uint64
+	breach      bool
 }
 
 // NewSLOWatchdog builds a watchdog; attach it to a bus to start auditing.
 func NewSLOWatchdog(cfg SLOConfig) *SLOWatchdog {
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = DefaultRegistry
 	}
@@ -68,7 +68,6 @@ func NewSLOWatchdog(cfg SLOConfig) *SLOWatchdog {
 		gBurnPPM:    cfg.Registry.Gauge("slo.burn_rate_ppm"),
 		gBudget:     cfg.Registry.Gauge("slo.budget_ns"),
 		hTotal:      cfg.Registry.Histogram("slo.recovery_total_ns"),
-		window:      make([]bool, cfg.Window),
 	}
 	w.gBudget.Set(int64(cfg.Budget))
 	return w
@@ -81,24 +80,24 @@ func (w *SLOWatchdog) Event(ev Event) {
 	}
 	breach := w.cfg.Budget > 0 && ev.Total > w.cfg.Budget
 	w.mu.Lock()
-	if ev.Trace != 0 && ev.Trace == w.lastTrace && ev.Span == w.lastSpan {
-		w.mu.Unlock()
-		return // wall-clock mirror of the recovery just audited
+	if ev.Trace != 0 {
+		for _, o := range w.held() {
+			if o.trace == ev.Trace && o.span == ev.Span {
+				w.mu.Unlock()
+				return // mirror of a recovery already audited
+			}
+		}
 	}
-	w.lastTrace, w.lastSpan = ev.Trace, ev.Span
-	w.window[w.next] = breach
+	w.window[w.next] = sloOutcome{trace: ev.Trace, span: ev.Span, breach: breach}
 	w.next++
 	if w.next == len(w.window) {
 		w.next = 0
 		w.filled = true
 	}
-	n := len(w.window)
-	if !w.filled {
-		n = w.next
-	}
+	held := w.held()
 	breached := 0
-	for i := 0; i < n; i++ {
-		if w.window[i] {
+	for _, o := range held {
+		if o.breach {
 			breached++
 		}
 	}
@@ -106,13 +105,16 @@ func (w *SLOWatchdog) Event(ev Event) {
 
 	w.mRecoveries.Inc()
 	w.hTotal.Record(ev.Total.Nanoseconds())
-	if n > 0 {
-		w.gBurnPPM.Set(int64(float64(breached) / float64(n) * 1e6))
-	}
+	w.gBurnPPM.Set(int64(float64(breached) / float64(len(held)) * 1e6))
 	if breach {
 		w.mBreaches.Inc()
-		if w.cfg.OnBreach != nil {
-			w.cfg.OnBreach(ev)
-		}
 	}
+}
+
+// held returns the audited recoveries in the window; w.mu must be held.
+func (w *SLOWatchdog) held() []sloOutcome {
+	if w.filled {
+		return w.window[:]
+	}
+	return w.window[:w.next]
 }

@@ -101,12 +101,12 @@ func TestAddEventsReplaysDecodedStream(t *testing.T) {
 
 func TestKindCounts(t *testing.T) {
 	evs := []Event{
-		NewEvent(KindProbeMissed, 0),
-		NewEvent(KindProbeMissed, 0),
+		NewEvent(KindFailureDeclared, 0),
+		NewEvent(KindFailureDeclared, 0),
 		NewEvent(KindRecoveryComplete, 0),
 	}
 	tbl := KindCounts(evs).String()
-	if !strings.Contains(tbl, "probe-missed") || !strings.Contains(tbl, "recovery-complete") {
+	if !strings.Contains(tbl, "failure-declared") || !strings.Contains(tbl, "recovery-complete") {
 		t.Fatalf("kind counts table missing kinds:\n%s", tbl)
 	}
 }

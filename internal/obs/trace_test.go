@@ -1,21 +1,10 @@
 package obs
 
 import (
-	"os"
 	"strings"
 	"testing"
 	"time"
 )
-
-func mustOpenFile(t *testing.T, path string) *os.File {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	return f
-}
 
 func TestReadJSONLTruncatedTail(t *testing.T) {
 	var sb strings.Builder
@@ -65,103 +54,62 @@ func completeEvent(trace, span uint64, total time.Duration) Event {
 }
 
 func TestSLOWatchdog(t *testing.T) {
-	reg := NewRegistry()
-	var breached []Event
-	w := NewSLOWatchdog(SLOConfig{
-		Budget:   10 * time.Millisecond,
-		Window:   4,
-		Registry: reg,
-		OnBreach: func(ev Event) { breached = append(breached, ev) },
-	})
-
-	w.Event(completeEvent(1, 1, 5*time.Millisecond))  // ok
-	w.Event(completeEvent(1, 1, 99*time.Millisecond)) // wall mirror of the same recovery: ignored
-	w.Event(completeEvent(2, 2, 20*time.Millisecond)) // breach
-	w.Event(completeEvent(2, 2, 20*time.Millisecond)) // mirror again
-	w.Event(NewEvent(KindLog, 0))                     // unrelated kinds ignored
-
-	if got := reg.Counter("slo.recoveries").Value(); got != 2 {
-		t.Errorf("recoveries = %d, want 2", got)
-	}
-	if got := reg.Counter("slo.breaches").Value(); got != 1 {
-		t.Errorf("breaches = %d, want 1", got)
-	}
-	if got := reg.Gauge("slo.burn_rate_ppm").Value(); got != 5e5 {
-		t.Errorf("burn rate = %d ppm, want 5e5", got)
-	}
-	if len(breached) != 1 || breached[0].Trace != 2 {
-		t.Errorf("OnBreach calls = %+v, want one for trace 2", breached)
-	}
-	if got := reg.Gauge("slo.budget_ns").Value(); got != int64(10*time.Millisecond) {
-		t.Errorf("slo.budget_ns = %d", got)
-	}
-	if got := reg.Histogram("slo.recovery_total_ns").Count(); got != 2 {
-		t.Errorf("slo.recovery_total_ns count = %d, want 2", got)
-	}
-
-	// Untraced events (trace 0) never dedup against each other.
-	w.Event(completeEvent(0, 0, time.Millisecond))
-	w.Event(completeEvent(0, 0, time.Millisecond))
-	if got := reg.Counter("slo.recoveries").Value(); got != 4 {
-		t.Errorf("recoveries after untraced pair = %d, want 4", got)
-	}
-}
-
-func TestFlightRecorderTriggerWritesBundle(t *testing.T) {
-	reg := NewRegistry()
-	bus := &Bus{}
-	bus.SetProc("test-proc")
-	fr := NewFlightRecorder(FlightConfig{
-		Dir:       t.TempDir(),
-		SLOBudget: time.Millisecond,
-		Registry:  reg,
-	})
-	fr.Attach(bus)
-	defer fr.Close()
-
-	for i := 0; i < 10; i++ {
-		bus.Emit(NewEvent(KindLog, time.Duration(i)))
-	}
-	bus.Emit(completeEvent(7, 7, 5*time.Millisecond)) // over budget
-
-	// Bundles are written off the emitting goroutine.
-	for deadline := time.Now().Add(5 * time.Second); len(fr.Dumps()) == 0 && time.Now().Before(deadline); {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if len(fr.Dumps()) == 0 {
-		t.Fatal("no bundle written")
-	}
-	bundle := fr.Dumps()[0]
-	if !strings.Contains(bundle, "slo-breach") {
-		t.Errorf("bundle %s not named for trigger", bundle)
-	}
-	evs, err := ReadJSONL(mustOpenFile(t, bundle+"/events.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 11 {
-		t.Errorf("bundle holds %d events, want 11", len(evs))
-	}
-	if got := reg.Counter("flight.dumps").Value(); got != 1 {
-		t.Errorf("flight.dumps = %d, want 1", got)
-	}
-
-	// A second breach inside the cooldown writes no bundle and is counted
-	// as a suppressed trigger. The dump goroutine handles it asynchronously,
-	// so wait for the counter rather than for a fixed time.
-	bus.Emit(completeEvent(8, 8, 5*time.Millisecond))
-	suppressed := reg.Counter("flight.trigger_errors")
-	for deadline := time.Now().Add(5 * time.Second); suppressed.Value() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if got := suppressed.Value(); got != 1 {
-		t.Errorf("flight.trigger_errors = %d after a trigger inside the cooldown, want 1", got)
-	}
-	if got := len(fr.Dumps()); got != 1 {
-		t.Errorf("cooldown violated: %d bundles", got)
-	}
-	if got := reg.Counter("flight.dumps").Value(); got != 1 {
-		t.Errorf("flight.dumps = %d after the suppressed trigger, want 1", got)
+	const budget = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name       string
+		events     []Event
+		recoveries int64
+		breaches   int64
+		burnPPM    int64
+	}{{
+		name: "wall mirror follows its recovery",
+		events: []Event{
+			completeEvent(1, 1, 5*time.Millisecond),
+			completeEvent(1, 1, 99*time.Millisecond), // mirror: ignored
+			completeEvent(2, 2, 20*time.Millisecond), // breach
+			completeEvent(2, 2, 20*time.Millisecond), // mirror
+			NewEvent(KindLog, 0),                     // unrelated kinds ignored
+		},
+		recoveries: 2, breaches: 1, burnPPM: 5e5,
+	}, {
+		name: "interleaved recoveries A, B, A', B'",
+		events: []Event{
+			completeEvent(1, 1, 20*time.Millisecond),
+			completeEvent(2, 2, 5*time.Millisecond),
+			completeEvent(1, 1, 20*time.Millisecond),
+			completeEvent(2, 2, 5*time.Millisecond),
+		},
+		recoveries: 2, breaches: 1, burnPPM: 5e5,
+	}, {
+		name: "untraced events never dedup",
+		events: []Event{
+			completeEvent(0, 0, time.Millisecond),
+			completeEvent(0, 0, time.Millisecond),
+		},
+		recoveries: 2, breaches: 0, burnPPM: 0,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			w := NewSLOWatchdog(SLOConfig{Budget: budget, Registry: reg})
+			for _, ev := range tc.events {
+				w.Event(ev)
+			}
+			if got := reg.Counter("slo.recoveries").Value(); got != tc.recoveries {
+				t.Errorf("slo.recoveries = %d, want %d", got, tc.recoveries)
+			}
+			if got := reg.Counter("slo.breaches").Value(); got != tc.breaches {
+				t.Errorf("slo.breaches = %d, want %d", got, tc.breaches)
+			}
+			if got := reg.Gauge("slo.burn_rate_ppm").Value(); got != tc.burnPPM {
+				t.Errorf("slo.burn_rate_ppm = %d, want %d", got, tc.burnPPM)
+			}
+			if got := reg.Histogram("slo.recovery_total_ns").Count(); got != tc.recoveries {
+				t.Errorf("slo.recovery_total_ns count = %d, want %d", got, tc.recoveries)
+			}
+			if got := reg.Gauge("slo.budget_ns").Value(); got != int64(budget) {
+				t.Errorf("slo.budget_ns = %d", got)
+			}
+		})
 	}
 }
 

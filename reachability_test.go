@@ -59,26 +59,10 @@ var viaInterface = map[string]bool{
 // name, not by type, so it misses an export whose name some unrelated call
 // also uses; it is the cheap guard, not the audit.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset := token.NewFileSet()
+	fset, files := parseModule(t)
 	declared := map[string]string{} // key -> position
 	named := map[string]bool{}      // identifiers used outside declarations
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	for path, f := range files {
 		declNames := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -86,7 +70,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				continue
 			}
 			declNames[fd.Name] = true
-			if strings.HasPrefix(filepath.ToSlash(path), "internal/") && fd.Name.IsExported() {
+			if strings.HasPrefix(path, "internal/") && fd.Name.IsExported() {
 				declared[funcKey(f.Name.Name, fd)] = fset.Position(fd.Pos()).String()
 			}
 		}
@@ -96,10 +80,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	var unreached []string
@@ -123,6 +103,145 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, u := range unreached {
 		t.Errorf("%s is named only by tests: delete it, or list it in testOnly with its oracle test or paper section", u)
 	}
+}
+
+// TestEveryEventKindIsEmitted keeps the event taxonomy honest: every
+// obs.Kind constant must be the kind argument of some non-test NewEvent
+// call, directly or through a function that forwards one of its parameters
+// as NewEvent's kind (ctlplane's emitRole). A kind nothing emits is a row of
+// DESIGN.md §8 that no trace can ever contain.
+func TestEveryEventKindIsEmitted(t *testing.T) {
+	_, files := parseModule(t)
+	kinds := map[string]bool{} // declared obs.Kind constants -> emitted
+	for path, f := range files {
+		if !strings.HasPrefix(path, "internal/obs/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST || len(gd.Specs) == 0 {
+				continue
+			}
+			if typ, ok := gd.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "Kind" {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					if id.IsExported() {
+						kinds[id.Name] = false
+					}
+				}
+			}
+		}
+	}
+	if len(kinds) == 0 {
+		t.Fatal("found no obs.Kind constants")
+	}
+
+	// kindArg maps a callee name to the argument index that is an event kind:
+	// NewEvent's first, and each forwarder's kind parameter.
+	kindArg := map[string]int{"NewEvent": 0}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			params := map[string]int{}
+			for _, field := range fd.Type.Params.List {
+				for _, id := range field.Names {
+					params[id.Name] = len(params)
+				}
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == "NewEvent" && len(call.Args) > 0 {
+					if id, ok := call.Args[0].(*ast.Ident); ok {
+						if i, ok := params[id.Name]; ok {
+							kindArg[fd.Name.Name] = i
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			i, ok := kindArg[calleeName(call)]
+			if !ok || i >= len(call.Args) {
+				return true
+			}
+			var name string
+			switch arg := call.Args[i].(type) {
+			case *ast.Ident:
+				name = arg.Name
+			case *ast.SelectorExpr:
+				name = arg.Sel.Name
+			}
+			if _, ok := kinds[name]; ok {
+				kinds[name] = true
+			}
+			return true
+		})
+	}
+	var dead []string
+	for name, emitted := range kinds {
+		if !emitted {
+			dead = append(dead, name)
+		}
+	}
+	sort.Strings(dead)
+	for _, name := range dead {
+		t.Errorf("obs.%s is the kind of no non-test NewEvent call: delete it, or emit it", name)
+	}
+}
+
+// parseModule parses every non-test Go file of the module and of
+// benchmarks/, keyed by slash-separated path.
+func parseModule(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(path)] = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// calleeName is the called function's or method's bare name ("" for other
+// call forms).
+func calleeName(call *ast.CallExpr) string {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
 }
 
 // funcKey is package.Name or package.Receiver.Name.
