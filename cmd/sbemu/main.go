@@ -10,28 +10,24 @@
 //	sbemu -fail-path -trace trace.jsonl   # then: sbtap trace.jsonl
 //	sbemu -fail-path -events              # human-readable event log on stderr
 //
-// -ctlnet switches to the distributed control-plane emulation: a real ctlnet
-// controller server, switch agents, and circuit-switch services talking over
-// loopback TCP, each process-in-miniature writing its own trace file into
-// -trace-dir. It injects one link failure per agent and prints the files to
-// stitch:
+// -ctlnet switches to the distributed control-plane emulation: -cluster
+// controller replicas (network model, controller, server, consensus node;
+// default 1, a cluster of one), switch agents, and circuit-switch services
+// talking over loopback TCP, each process-in-miniature writing its own trace
+// file into -trace-dir. It injects one link failure per agent, each
+// committed through the replicated log, and prints the files to stitch:
 //
 //	sbemu -ctlnet -trace-dir /tmp/traces -slo-budget 50us
 //	sbtap -stitch /tmp/traces/*.jsonl
 //
-// The observability flags (-events, -trace, -debug-addr, -slo-budget) watch
-// the controller's bus.
-//
-// -cluster N replicates the controller: N complete replicas (network model,
-// controller, server, consensus node) elect a leader over loopback TCP, the
-// agents keep-alive against it, and sbemu kills the leader in the middle of
-// the failure injections — the survivors elect a replacement and the
-// remaining recoveries complete against it. The stitched traces show the
-// agents' failover hops; the observability flags watch a replica that
-// survives the kill:
+// With -cluster 2 or more, sbemu kills the leader after the first recovery —
+// the survivors elect a replacement and the remaining recoveries complete
+// against it, and the stitched traces show the agents' failover hops:
 //
 //	sbemu -ctlnet -cluster 3 -agents 4 -trace-dir /tmp/traces
-//	sbtap -stitch /tmp/traces/*.jsonl
+//
+// The observability flags (-events, -trace, -debug-addr, -slo-budget) watch
+// the bus of a replica that survives the kill.
 //
 // A flag the chosen mode does not read is an error, not a no-op.
 package main
@@ -67,7 +63,7 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "ctlnet mode: directory for per-process trace files (stitch with sbtap -stitch)")
 		numAgents  = flag.Int("agents", 2, "ctlnet mode: number of switch agents")
 		numCS      = flag.Int("cs", 1, "ctlnet mode: number of circuit-switch services")
-		cluster    = flag.Int("cluster", 0, "ctlnet mode: run this many controller replicas with leader election and kill the leader mid-storm (0 = single controller)")
+		cluster    = flag.Int("cluster", 1, "ctlnet mode: controller replicas; with 2 or more they elect a leader and sbemu kills it mid-storm")
 		kaBatch    = flag.Bool("ka-batch", false, "run the fleet-scale keep-alive demo: -agents batched agents through one server, printing sustained ingest and server goroutine count")
 	)
 	obsFlags := debughttp.RegisterFlags(flag.CommandLine)
@@ -88,11 +84,10 @@ func main() {
 			}
 			*traceDir = dir
 		}
-		if *cluster > 0 {
-			runCtlnetCluster(*k, *n, *numAgents, *numCS, *cluster, *traceDir, obsFlags)
-			return
+		if *cluster < 1 {
+			fatal(fmt.Errorf("-cluster must be at least 1"))
 		}
-		runCtlnet(*k, *n, *numAgents, *numCS, *traceDir, obsFlags)
+		runCtlnet(*k, *n, *numAgents, *numCS, *cluster, *traceDir, obsFlags)
 		return
 	}
 	rejectUnused("the packet trace", append(obsNames, "k", "n", "src", "dst", "fail-path")...)
@@ -196,71 +191,12 @@ func runFleetDemo(agents int) {
 		res.ServerGoroutines, res.Batches, res.WireErrors)
 }
 
-// runCtlnet drives the distributed control-plane emulation: a real ctlnet
-// controller server, switch agents, and circuit-switch services over loopback
-// TCP, one trace file per process. One link failure is injected per agent,
-// then the per-process files are listed for stitching.
-func runCtlnet(k, n, agents, cs int, traceDir string, obsFlags *debughttp.Flags) {
-	em, err := ctlnet.NewEmulation(ctlnet.EmulationConfig{
-		K:         k,
-		N:         n,
-		NumAgents: agents,
-		NumCS:     cs,
-		TraceDir:  traceDir,
-		Registry:  obs.DefaultRegistry,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	_, stopObs, err := obsFlags.Start("sbemu", em.ServerBus)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("ctlnet emulation up: controller %s, %d agents, %d circuit switches\n",
-		em.Server.Addr(), len(em.Agents), len(em.CS))
-
-	mon, err := ctlnet.Subscribe(em.Server.Addr())
-	if err != nil {
-		fatal(err)
-	}
-	defer mon.Close()
-
-	if !em.WaitClockSync(5 * time.Second) {
-		fatal(fmt.Errorf("agents did not complete clock sync"))
-	}
-	for i := range em.Agents {
-		if err := em.FailLink(i, time.Millisecond); err != nil {
-			fatal(err)
-		}
-		select {
-		case _, ok := <-mon.Events:
-			if !ok {
-				fatal(fmt.Errorf("event monitor closed: %v", mon.Err()))
-			}
-		case <-time.After(5 * time.Second):
-			fatal(fmt.Errorf("no recovery event for agent %d within 5s", i))
-		}
-	}
-	fmt.Printf("injected %d link failures; all recovered\n", len(em.Agents))
-	if err := stopObs(); err != nil {
-		fatal(err)
-	}
-	files := em.TraceFiles()
-	if err := em.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Println("per-process traces:")
-	for _, f := range files {
-		fmt.Printf("  %s\n", f)
-	}
-	fmt.Printf("stitch them: sbtap -stitch %s\n", filepath.Join(traceDir, "*.jsonl"))
-}
-
-// runCtlnetCluster drives the replicated-controller emulation: replicas
-// controller replicas elect a leader, the agents report against it, and the
-// leader is killed after the first recovery — the rest complete against the
-// replacement the survivors elect, with the agents' failover hops traced.
-func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string, obsFlags *debughttp.Flags) {
+// runCtlnet drives the control-plane emulation: the controller replicas
+// elect a leader, the agents report against it, one link failure per agent,
+// and with two or more replicas the leader is killed after the first
+// recovery — the rest complete against the replacement the survivors elect,
+// with the agents' failover hops traced.
+func runCtlnet(k, n, agents, cs, replicas int, traceDir string, obsFlags *debughttp.Flags) {
 	em, err := ctlnet.NewClusterEmulation(ctlnet.ClusterConfig{
 		EmulationConfig: ctlnet.EmulationConfig{
 			K:         k,
@@ -286,22 +222,20 @@ func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string, obsFlags 
 	fmt.Printf("ctlnet cluster up: %d replicas, leader controller-%d (%s), %d agents, %d circuit switches\n",
 		len(em.Replicas), ld.ID, ld.Server.Addr(), len(em.Agents), len(em.CS))
 
-	// Watch recoveries from a survivor: the leader is about to die.
-	var surv *ctlnet.Replica
+	// Watch recoveries from a replica that survives: with others to take
+	// over, the leader is about to die.
+	watch := ld
 	for _, r := range em.Replicas {
 		if r != ld {
-			surv = r
+			watch = r
 			break
 		}
 	}
-	if surv == nil {
-		fatal(fmt.Errorf("need at least 2 replicas to kill the leader, have %d", replicas))
-	}
-	_, stopObs, err := obsFlags.Start("sbemu", surv.Bus)
+	_, stopObs, err := obsFlags.Start("sbemu", watch.Bus)
 	if err != nil {
 		fatal(err)
 	}
-	mon, err := ctlnet.Subscribe(surv.Server.Addr())
+	mon, err := ctlnet.Subscribe(watch.Server.Addr())
 	if err != nil {
 		fatal(err)
 	}
@@ -310,8 +244,16 @@ func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string, obsFlags 
 	if !em.WaitClockSync(5 * time.Second) {
 		fatal(fmt.Errorf("agents did not complete clock sync"))
 	}
-
-	waitEvent := func(i int) {
+	var killed *ctlnet.Replica
+	for i := range em.Agents {
+		// After a kill the failures go in at once, while the survivors are
+		// still electing: the agents' reports straddle the leader change, so
+		// their redirect-and-redial lands inside the report span and the
+		// stitched trees show the failover hop. (FailLink blocks until the
+		// report is acked by whoever wins.)
+		if err := em.FailLink(i, time.Millisecond); err != nil {
+			fatal(err)
+		}
 		select {
 		case _, ok := <-mon.Events:
 			if !ok {
@@ -320,36 +262,25 @@ func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string, obsFlags 
 		case <-time.After(10 * time.Second):
 			fatal(fmt.Errorf("no recovery event for agent %d within 10s", i))
 		}
+		if i == 0 && watch != ld {
+			fmt.Printf("agent %d recovered on leader controller-%d; killing the leader\n", em.Agents[0].ID, ld.ID)
+			if killed, err = em.KillLeader(5 * time.Second); err != nil {
+				fatal(err)
+			}
+		}
 	}
-	if err := em.FailLink(0, time.Millisecond); err != nil {
-		fatal(err)
-	}
-	waitEvent(0)
-	fmt.Printf("agent %d recovered on leader controller-%d; killing the leader\n", em.Agents[0].ID, ld.ID)
-
-	killed, err := em.KillLeader(5 * time.Second)
-	if err != nil {
-		fatal(err)
-	}
-	// Inject the remaining failures NOW, while the survivors are still
-	// electing: the agents' reports straddle the leader change, so their
-	// redirect-and-redial lands inside the report span and the stitched
-	// trees show the failover hop. (FailLink blocks until the report is
-	// acked by whoever wins.)
-	for i := 1; i < len(em.Agents); i++ {
-		if err := em.FailLink(i, time.Millisecond); err != nil {
+	if killed != nil {
+		newLd, err := em.Leader(30 * time.Second)
+		if err != nil {
 			fatal(err)
 		}
-		waitEvent(i)
+		fmt.Printf("controller-%d killed; controller-%d elected (term %d)\n",
+			killed.ID, newLd.ID, newLd.Node.Term())
+		fmt.Printf("injected %d link failures; all recovered (%d through the failover)\n",
+			len(em.Agents), len(em.Agents)-1)
+	} else {
+		fmt.Printf("injected %d link failures; all recovered\n", len(em.Agents))
 	}
-	newLd, err := em.Leader(30 * time.Second)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("controller-%d killed; controller-%d elected (term %d)\n",
-		killed.ID, newLd.ID, newLd.Node.Term())
-	fmt.Printf("injected %d link failures; all recovered (%d through the failover)\n",
-		len(em.Agents), len(em.Agents)-1)
 	if err := stopObs(); err != nil {
 		fatal(err)
 	}
@@ -362,7 +293,7 @@ func runCtlnetCluster(k, n, agents, cs, replicas int, traceDir string, obsFlags 
 	for _, f := range files {
 		fmt.Printf("  %s\n", f)
 	}
-	fmt.Printf("stitch them (failover hops included): sbtap -stitch %s\n", filepath.Join(traceDir, "*.jsonl"))
+	fmt.Printf("stitch them: sbtap -stitch %s\n", filepath.Join(traceDir, "*.jsonl"))
 }
 
 func printWalk(sys *sharebackup.System, walk []emu.Hop) {

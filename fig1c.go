@@ -403,30 +403,10 @@ func simulateCCT(ft *topo.FatTree, tr *coflow.Trace, flows []flowRef) ([]float64
 	if idx != len(flows) {
 		return nil, fmt.Errorf("sharebackup: flow list longer than trace")
 	}
-	horizon := tr.Duration() + 1
-	// Run in bounded steps so stalled flows do not spin RunToCompletion.
-	if err := sim.Run(horizon); err != nil {
+	// Run(+Inf) returns once only permanently stalled flows remain; they
+	// never finish, and their coflows' CCT is +Inf below.
+	if err := sim.Run(math.Inf(1)); err != nil {
 		return nil, err
-	}
-	for iter := 0; sim.ActiveCount() > 0 || sim.PendingCount() > 0; iter++ {
-		if iter > 10000 {
-			break // only permanently stalled flows remain
-		}
-		allStalled := true
-		for i := range metas {
-			f := sim.Flow(fluid.FlowID(i))
-			if !f.Done() && !f.Stalled() {
-				allStalled = false
-				break
-			}
-		}
-		if allStalled && sim.PendingCount() == 0 {
-			break
-		}
-		horizon *= 2
-		if err := sim.Run(horizon); err != nil {
-			return nil, err
-		}
 	}
 	cct := make([]float64, len(tr.Coflows))
 	for i, m := range metas {

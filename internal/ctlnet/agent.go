@@ -24,7 +24,7 @@ const clockSyncEvery = 8
 const ackRedirected byte = 0xFF
 
 // Agent is a switch-side keep-alive client: it finds the controller replica
-// that leads (a standalone server always does), registers with it, and sends
+// that leads (a cluster of one always does), registers with it, and sends
 // periodic keep-alives until stopped, following the leader across failovers.
 // Stopping the agent without closing the connection models a crashed
 // forwarding engine whose TCP session lingers — exactly the case keep-alive
@@ -42,8 +42,8 @@ type Agent struct {
 	// (t_agent ~= t_server + offset), stored +1 so zero means "unmeasured".
 	offsetNS atomic.Int64
 
-	// addrs holds every replica's serving address (one for a standalone
-	// server). gen counts connection generations: each write snapshots
+	// addrs holds every replica's serving address (one for a cluster of
+	// one). gen counts connection generations: each write snapshots
 	// (conn, gen) and a failed write triggers reconnect(gen, ...), which is a
 	// no-op if another path already replaced that generation.
 	addrs []string
@@ -66,8 +66,8 @@ type Agent struct {
 	tableLoaded chan struct{}
 }
 
-// Dial connects an agent for the given switch to a standalone controller
-// server: a cluster of one.
+// Dial connects an agent for the given switch to the controller serving at
+// addr: a cluster of one.
 func Dial(addr string, id sbnet.SwitchID, interval time.Duration) (*Agent, error) {
 	return DialCluster([]string{addr}, id, interval)
 }

@@ -15,7 +15,7 @@ import (
 
 // This file wires N complete controller replicas — each its own network
 // model, controller, ctlnet server, and consensus node — into one cluster
-// over loopback TCP. The layering rule: the Server knows its consensus
+// over loopback TCP; a single controller is a cluster of one. The layering rule: the Server knows its consensus
 // replica only through ClusterHooks, and the consensus node knows the
 // Server only through its Apply/Snapshot/Restore hooks. The directory below
 // late-binds the two (the Server needs hooks at construction time, before
@@ -150,7 +150,73 @@ func (r *Replica) Kill() {
 	}
 }
 
-// ClusterConfig tunes a replicated-controller emulation.
+// startReplicas builds every controller replica there is: one around each
+// controller in ctls, replica i serving on loopback with cfgs[i] (its
+// Cluster hooks are set here), its consensus node applying what commits. It
+// returns once one of them leads. reg receives every replica's consensus
+// gauges (their names carry the replica ID). A single controller is a
+// cluster of one: it commits alone, through the same log.
+func startReplicas(ctls []*controller.Controller, cfgs []ServerConfig, tick time.Duration, seed uint64, reg *obs.Registry) (rs []*Replica, err error) {
+	peers := make([]int, len(ctls))
+	for i := range peers {
+		peers[i] = i
+	}
+	dir := newClusterDirectory(peers...)
+	defer func() {
+		if err != nil {
+			for _, r := range rs {
+				r.Kill()
+			}
+			rs = nil
+		}
+	}()
+	// Servers first, then the consensus mesh once every server address
+	// exists.
+	for i, ctl := range ctls {
+		cfg := cfgs[i]
+		cfg.Cluster = &clusterHooks{dir: dir, self: i}
+		srv, err := NewServer("127.0.0.1:0", ctl, cfg)
+		if err != nil {
+			return rs, err
+		}
+		rs = append(rs, &Replica{ID: i, Net: ctl.Network(), Ctl: ctl, Server: srv, Bus: srv.bus})
+	}
+	// Bind every transport, then exchange addresses.
+	addrs := make(map[int]string, len(rs))
+	for _, r := range rs {
+		if r.Transport, err = ctlplane.NewTCPTransport(r.ID, map[int]string{r.ID: "127.0.0.1:0"}, dir.deliver); err != nil {
+			return rs, err
+		}
+		addrs[r.ID] = r.Transport.Addr()
+	}
+	nodes := make([]*ctlplane.Node, len(rs))
+	for i, r := range rs {
+		r.Transport.SetPeers(addrs)
+		r.Node = ctlplane.NewNode(ctlplane.NodeConfig{
+			Raft: ctlplane.RaftConfig{
+				ID:    r.ID,
+				Peers: peers,
+				Seed:  seed + uint64(r.ID)*977,
+			},
+			TickEvery: tick,
+			Transport: r.Transport,
+			Apply:     func(data []byte) (any, error) { return r.Server.ApplyCommand(data) },
+			Snapshot:  r.Server.SnapshotState,
+			Restore:   r.Server.RestoreState,
+			Bus:       r.Bus,
+			Now:       r.Server.Now,
+			Metrics:   reg,
+		})
+		nodes[i] = r.Node
+		dir.register(r.ID, r.Node, r.Server.Addr())
+	}
+	// Wait for a first leader so agents don't spend their dial budget on an
+	// unelected cluster.
+	_, err = ctlplane.WaitLeader(nodes, 10*time.Second)
+	return rs, err
+}
+
+// ClusterConfig tunes a control-plane emulation.
 type ClusterConfig struct {
 	EmulationConfig
 	// Replicas is the cluster size. Default 3.
@@ -178,27 +244,31 @@ func (c *ClusterConfig) setDefaults() {
 	}
 }
 
-// ClusterEmulation is the Emulation's replicated sibling: NumAgents switch
-// agents keep-aliving against whichever of the Replicas currently leads,
-// with consensus, redirects, and failover all riding real loopback TCP.
+// ClusterEmulation is ShareBackup's control plane as separate communicating
+// processes-in-miniature: Replicas controller replicas, NumAgents switch
+// agents keep-aliving against whichever of them currently leads, and NumCS
+// circuit-switch services, with consensus, redirects, and failover all riding
+// real loopback TCP. Each process has its OWN event bus, its OWN epoch, and
+// (when TraceDir is set) its own JSONL trace file: nothing shares a clock,
+// and sbtap stitches the files back into one causal timeline via the
+// clock-sync events the wires carry.
 type ClusterEmulation struct {
-	procs
 	Replicas []*Replica
+	Agents   []*Agent
+	CS       []*CSService
+	// AgentBus and CSBus are the agents' and circuit switches' per-process
+	// buses.
+	AgentBus []*obs.Bus
+	CSBus    []*obs.Bus
 
-	dir *clusterDirectory
+	cfg   ClusterConfig
+	sinks procSinks
 }
 
 // NewClusterEmulation builds and starts a replica cluster plus its agents.
 func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	cfg.setDefaults()
-	peers := make([]int, cfg.Replicas)
-	for i := range peers {
-		peers[i] = i
-	}
-	e := &ClusterEmulation{
-		procs: procs{cfg: cfg.EmulationConfig, sinks: procSinks{dir: cfg.TraceDir}},
-		dir:   newClusterDirectory(peers...),
-	}
+	e := &ClusterEmulation{cfg: cfg, sinks: procSinks{dir: cfg.TraceDir}}
 	ok := false
 	defer func() {
 		if !ok {
@@ -212,10 +282,9 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Replicas: server + controller stack first (each its own process bus
-	// and epoch), then the consensus mesh once every server address exists.
-	for i := 0; i < cfg.Replicas; i++ {
+	ctls := make([]*controller.Controller, cfg.Replicas)
+	srvCfgs := make([]ServerConfig, cfg.Replicas)
+	for i := range ctls {
 		bus, err := e.sinks.newProcBus(fmt.Sprintf("controller-%d", i))
 		if err != nil {
 			return nil, err
@@ -224,86 +293,124 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 		if err != nil {
 			return nil, err
 		}
-		reg := obs.NewRegistry()
-		if i == 0 && cfg.Registry != nil {
-			// The shared registry observes replica 0 (metric names collide
-			// across replicas; the consensus gauges are ID-namespaced and
-			// registered below for every replica).
-			reg = cfg.Registry
+		// The shared registry observes replica 0: metric names collide
+		// across replicas (the consensus gauges are ID-namespaced, and every
+		// replica's land in it).
+		reg := cfg.Registry
+		if i > 0 {
+			reg = obs.NewRegistry()
 		}
-		ctl := controller.New(nw, controller.Config{
-			ProbeInterval: cfg.Interval,
-			Metrics:       reg,
-		})
-		ctl.SetObserver(bus)
-		srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
+		ctls[i] = controller.New(nw, controller.Config{ProbeInterval: cfg.Interval, Metrics: reg})
+		srvCfgs[i] = ServerConfig{
 			Interval:      cfg.Interval,
 			MissThreshold: cfg.MissThreshold,
 			Obs:           bus,
 			CSAddrs:       csAddrs,
-			Cluster:       &clusterHooks{dir: e.dir, self: i},
-		})
-		if err != nil {
-			return nil, err
 		}
-		e.Replicas = append(e.Replicas, &Replica{
-			ID: i, Net: nw, Ctl: ctl, Server: srv, Bus: bus,
-		})
 	}
-	// Consensus mesh: bind every transport, then exchange addresses.
-	addrs := make(map[int]string, cfg.Replicas)
-	for _, r := range e.Replicas {
-		tr, err := ctlplane.NewTCPTransport(r.ID, map[int]string{r.ID: "127.0.0.1:0"}, e.dir.deliver)
-		if err != nil {
-			return nil, err
-		}
-		r.Transport = tr
-		addrs[r.ID] = tr.Addr()
-	}
-	for _, r := range e.Replicas {
-		r.Transport.SetPeers(addrs)
-	}
-	for _, r := range e.Replicas {
-		r := r
-		reg := obs.NewRegistry()
-		if cfg.Registry != nil {
-			reg = cfg.Registry
-		}
-		r.Node = ctlplane.NewNode(ctlplane.NodeConfig{
-			Raft: ctlplane.RaftConfig{
-				ID:    r.ID,
-				Peers: peers,
-				Seed:  cfg.Seed + uint64(r.ID)*977,
-			},
-			TickEvery: cfg.TickEvery,
-			Transport: r.Transport,
-			Apply:     func(data []byte) (any, error) { return r.Server.ApplyCommand(data) },
-			Snapshot:  r.Server.SnapshotState,
-			Restore:   r.Server.RestoreState,
-			Bus:       r.Bus,
-			Now:       r.Server.Now,
-			Metrics:   reg,
-		})
-		e.dir.register(r.ID, r.Node, r.Server.Addr())
-	}
-
-	// Wait for a first leader so agents don't spend their dial budget on an
-	// unelected cluster.
-	if _, err := e.Leader(10 * time.Second); err != nil {
+	if e.Replicas, err = startReplicas(ctls, srvCfgs, cfg.TickEvery, cfg.Seed, cfg.Registry); err != nil {
 		return nil, err
 	}
-
 	var serving []string
 	for _, r := range e.Replicas {
 		serving = append(serving, r.Server.Addr())
 	}
-	e.model = e.Replicas[0].Net
 	if err := e.startAgents(serving); err != nil {
 		return nil, err
 	}
 	ok = true
 	return e, nil
 }
+
+// startCS starts the circuit-switch services and returns their addresses.
+// They come first: every server dials them at startup.
+func (e *ClusterEmulation) startCS() ([]string, error) {
+	var addrs []string
+	for i := 0; i < e.cfg.NumCS; i++ {
+		proc := fmt.Sprintf("cs-%d", i)
+		bus, err := e.sinks.newProcBus(proc)
+		if err != nil {
+			return nil, err
+		}
+		sw, err := circuit.New(proc, circuit.Crosspoint, e.cfg.K)
+		if err != nil {
+			return nil, err
+		}
+		svc, err := NewCSService("127.0.0.1:0", sw)
+		if err != nil {
+			return nil, err
+		}
+		svc.SetObserver(bus)
+		e.CS = append(e.CS, svc)
+		e.CSBus = append(e.CSBus, bus)
+		addrs = append(addrs, svc.Addr())
+	}
+	return addrs, nil
+}
+
+// startAgents dials NumAgents agents against the replicas serving at addrs.
+// Their switches are active edge switches striped across pods, so
+// concurrently injected failures land in distinct failure groups: with N=1
+// each group has a single backup, and two failures in one group would leave
+// the second unrecoverable.
+func (e *ClusterEmulation) startAgents(addrs []string) error {
+	ids := agentSwitchIDs(e.Replicas[0].Net, e.cfg.K, e.cfg.NumAgents)
+	if len(ids) < e.cfg.NumAgents {
+		return fmt.Errorf("ctlnet: emulation has only %d agent slots, want %d", len(ids), e.cfg.NumAgents)
+	}
+	for _, id := range ids {
+		bus, err := e.sinks.newProcBus(fmt.Sprintf("agent-%d", id))
+		if err != nil {
+			return err
+		}
+		a, err := DialCluster(addrs, id, e.cfg.Interval)
+		if err != nil {
+			return err
+		}
+		a.SetObserver(bus)
+		e.Agents = append(e.Agents, a)
+		e.AgentBus = append(e.AgentBus, bus)
+	}
+	return nil
+}
+
+// WaitClockSync blocks until every agent has at least one clock-offset
+// measurement to the controller, or the timeout expires.
+func (e *ClusterEmulation) WaitClockSync(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for {
+		synced := 0
+		for _, a := range e.Agents {
+			if _, ok := a.ClockOffset(); ok {
+				synced++
+			}
+		}
+		if synced == len(e.Agents) {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// FailLink makes agent i report the failure of its switch's first up-link,
+// as if its local detect.Monitor crossed the miss threshold after the given
+// detection latency. The report is traced: the agent's span roots the
+// recovery's cross-process trace.
+func (e *ClusterEmulation) FailLink(i int, detection time.Duration) error {
+	if i < 0 || i >= len(e.Agents) {
+		return fmt.Errorf("ctlnet: emulation has no agent %d", i)
+	}
+	a := e.Agents[i]
+	ownPort, agg, aggPort := firstUpLink(e.Replicas[0].Net, a.ID, e.cfg.K)
+	return a.ReportLinkFailureDetected(ownPort, agg, aggPort, detection)
+}
+
+// TraceFiles lists the per-process JSONL trace files (empty without
+// TraceDir).
+func (e *ClusterEmulation) TraceFiles() []string { return e.sinks.names() }
 
 // Leader waits until one replica reports leadership, returning it.
 func (e *ClusterEmulation) Leader(timeout time.Duration) (*Replica, error) {
@@ -330,12 +437,17 @@ func (e *ClusterEmulation) KillLeader(timeout time.Duration) (*Replica, error) {
 	return ld, nil
 }
 
-// Close stops agents, replicas, and circuit switches, and flushes traces.
+// Close stops the agents, then the replicas, then the circuit switches, and
+// flushes the trace files.
 func (e *ClusterEmulation) Close() error {
-	return e.shutdown(func() error {
-		for _, r := range e.Replicas {
-			r.Kill()
-		}
-		return nil
-	})
+	for _, a := range e.Agents {
+		a.Close()
+	}
+	for _, r := range e.Replicas {
+		r.Kill()
+	}
+	for _, svc := range e.CS {
+		svc.Close()
+	}
+	return e.sinks.close()
 }

@@ -31,11 +31,7 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ctl := controller.New(nw, controller.Config{ProbeInterval: interval, Metrics: reg})
-	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := soloReplica(t, ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}}).Server
 
 	for _, id := range agentSwitchIDs(nw, 8, 16) {
 		a, err := Dial(srv.Addr(), id, interval)
@@ -44,7 +40,9 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 		}
 		defer a.Close()
 	}
-	time.Sleep(3 * interval)
+	if entries := reg.Gauge("ctlnet.detector_entries"); !waitUntil(2*time.Second, func() bool { return entries.Value() == 16 }) {
+		t.Fatalf("ctlnet.detector_entries = %d, want all 16 agents registered", entries.Value())
+	}
 
 	// One write's worth of requests: 64 KB of 13-byte frames.
 	var flood []byte
@@ -132,11 +130,7 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	bus := &obs.Bus{}
 	ring := obs.NewRing(64)
 	bus.Attach(ring)
-	srv, err := NewServer("127.0.0.1:0", controller.New(nw, controller.Config{}), ServerConfig{Obs: bus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := soloReplica(t, controller.New(nw, controller.Config{}), ServerConfig{Obs: bus}).Server
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,15 +167,22 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesIdleConnections: a standalone server runs its accept loop
-// and its shard detectors and nothing else (no background sampler), Close
-// severs every connection and waits for its reader, so it returns promptly
-// however many peers sit idle, and leaves no goroutine behind.
+// TestCloseReleasesIdleConnections: a cluster of one runs its server's
+// accept loop and shard detectors, its consensus node's loop and listener,
+// and nothing else (no background sampler). Close severs every connection and
+// waits for its reader, so it returns promptly however many peers sit idle,
+// and the replica leaves no goroutine behind.
 func TestCloseReleasesIdleConnections(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, _, reg := detectorServer(t, 1, 5*time.Millisecond)
-	if own := len(srv.shards) + 1; !waitUntil(time.Second, func() bool { return runtime.NumGoroutine()-baseline <= own }) {
-		t.Errorf("%d goroutines over the baseline on an idle server, want %d (accept loop + %d shards)",
+	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r := soloReplica(t, controller.New(nw, controller.Config{Metrics: reg}), ServerConfig{Obs: &obs.Bus{}})
+	srv := r.Server
+	if own := len(srv.shards) + 3; !waitUntil(time.Second, func() bool { return runtime.NumGoroutine()-baseline <= own }) {
+		t.Errorf("%d goroutines over the baseline on an idle replica, want %d (accept loop + %d shards + node loop + consensus listener)",
 			runtime.NumGoroutine()-baseline, own, len(srv.shards))
 	}
 	const idle = 200
@@ -201,7 +202,7 @@ func TestCloseReleasesIdleConnections(t *testing.T) {
 	}
 
 	t0 := time.Now()
-	srv.Close()
+	r.Kill()
 	if took := time.Since(t0); took > time.Second {
 		t.Errorf("Close with %d idle connections took %v, want under 1s", idle, took)
 	}

@@ -81,6 +81,18 @@ func TestWireDecodeErrors(t *testing.T) {
 	}
 }
 
+// soloReplica starts a cluster of one around ctl, serving with cfg — a single
+// controller, built the way every replica is — and kills it with the test.
+func soloReplica(t *testing.T, ctl *controller.Controller, cfg ServerConfig) *Replica {
+	t.Helper()
+	rs, err := startReplicas([]*controller.Controller{ctl}, []ServerConfig{cfg}, 0, 0, ctl.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs[0].Kill)
+	return rs[0]
+}
+
 func newServer(t *testing.T) (*Server, *sbnet.Network) {
 	t.Helper()
 	net, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
@@ -88,14 +100,10 @@ func newServer(t *testing.T) (*Server, *sbnet.Network) {
 		t.Fatal(err)
 	}
 	ctl := controller.New(net, controller.Config{ProbeInterval: 5 * time.Millisecond})
-	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
+	srv := soloReplica(t, ctl, ServerConfig{
 		Interval:      5 * time.Millisecond,
 		MissThreshold: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	}).Server
 	return srv, net
 }
 
@@ -118,8 +126,10 @@ func TestNodeFailoverOverTCP(t *testing.T) {
 		defer a.Close()
 		agents = append(agents, a)
 	}
-	// Let heartbeats register.
-	time.Sleep(20 * time.Millisecond)
+	entries := srv.ctl.Metrics().Gauge("ctlnet.detector_entries")
+	if !waitUntil(2*time.Second, func() bool { return entries.Value() == int64(len(agents)) }) {
+		t.Fatalf("ctlnet.detector_entries = %d, want all %d agents registered", entries.Value(), len(agents))
+	}
 
 	// Kill one switch: its agent goes silent.
 	victim := agents[0]
@@ -378,7 +388,6 @@ func TestServerCloseUnblocksMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	srv.Close()
 	select {
 	case _, ok := <-mon.Events:

@@ -225,7 +225,7 @@ func TestExpiryQueueCases(t *testing.T) {
 	})
 }
 
-// detectorServer is a standalone server with its own registry and no agents.
+// detectorServer is a cluster of one with its own registry and no agents.
 func detectorServer(t *testing.T, n int, interval time.Duration) (*Server, *sbnet.Network, *obs.Registry) {
 	t.Helper()
 	nw, err := sbnet.New(sbnet.Config{K: 4, N: n, Tech: circuit.Crosspoint})
@@ -234,12 +234,7 @@ func detectorServer(t *testing.T, n int, interval time.Duration) (*Server, *sbne
 	}
 	reg := obs.NewRegistry()
 	ctl := controller.New(nw, controller.Config{ProbeInterval: interval, Metrics: reg})
-	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, nw, reg
+	return soloReplica(t, ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}}).Server, nw, reg
 }
 
 // TestEmptyShardDoesNotSpin: with nothing to watch a shard re-arms for one
@@ -402,7 +397,9 @@ func TestReportInFlightDoesNotSilenceReporter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	time.Sleep(5 * interval)
+	if entries := reg.Gauge("ctlnet.detector_entries"); !waitUntil(2*time.Second, func() bool { return entries.Value() == 1 }) {
+		t.Fatalf("ctlnet.detector_entries = %d, want the reporter registered", entries.Value())
+	}
 	if err := a.ReportLinkFailureDetected(2, agg, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -470,17 +467,17 @@ func detectionRun(t *testing.T, interval time.Duration) string {
 	}
 	reg := obs.NewRegistry()
 	ctl := controller.New(nw, controller.Config{ProbeInterval: interval, Metrics: reg})
-	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := soloReplica(t, ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}}).Server
 	mon, err := Subscribe(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
 
+	// The two sleeps below spread the agents' keep-alive phases and the
+	// victims' deaths over wall time: the test measures detection against
+	// deadlines that fall at different points of a shard's timer, which is
+	// what a wall-clock spread gives it.
 	ids := agentSwitchIDs(nw, 8, 24)
 	agents := make([]*Agent, len(ids))
 	for i, id := range ids {
@@ -488,9 +485,11 @@ func detectionRun(t *testing.T, interval time.Duration) string {
 			t.Fatal(err)
 		}
 		defer agents[i].Close()
-		time.Sleep(interval / 8) // spread the agents' keep-alive phases
+		time.Sleep(interval / 8)
 	}
-	time.Sleep(3 * interval)
+	if entries := reg.Gauge("ctlnet.detector_entries"); !waitUntil(2*time.Second, func() bool { return entries.Value() == int64(len(ids)) }) {
+		return fmt.Sprintf("ctlnet.detector_entries = %d, want all %d agents registered", entries.Value(), len(ids))
+	}
 
 	const victims = 16
 	silenced := make(map[sbnet.SwitchID]bool)

@@ -1,18 +1,17 @@
 package ctlnet
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"sharebackup/internal/circuit"
 	"sharebackup/internal/controller"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
 
-// EmulationConfig tunes a multi-process control-plane emulation.
+// EmulationConfig tunes a multi-process control-plane emulation (see
+// ClusterEmulation).
 type EmulationConfig struct {
 	// K is the fat-tree parameter. Default 4.
 	K int
@@ -38,7 +37,8 @@ type EmulationConfig struct {
 	// (controller.jsonl, agent-<id>.jsonl, cs-<i>.jsonl) — the input set
 	// for sbtap -stitch.
 	TraceDir string
-	// Registry collects every process' metrics. Nil builds a private one.
+	// Registry collects the metrics of replica 0 and every replica's
+	// consensus gauges. Nil builds a private one.
 	Registry *obs.Registry
 }
 
@@ -63,136 +63,11 @@ func (c *EmulationConfig) setDefaults() {
 	}
 }
 
-// procs is what both emulations share: the circuit-switch services and the
-// switch agents, each process with its OWN event bus, its OWN epoch, and
-// (when TraceDir is set) its own JSONL trace file. The controller side — one
-// server, or a replica cluster — belongs to the embedding type.
-type procs struct {
-	Agents []*Agent
-	CS     []*CSService
-	// AgentBus and CSBus are the agents' and circuit switches' per-process
-	// buses.
-	AgentBus []*obs.Bus
-	CSBus    []*obs.Bus
-
-	cfg   EmulationConfig
-	model *sbnet.Network // agents' switches and link targets are read from it
-	sinks procSinks
-}
-
-// startCS starts the circuit-switch services and returns their addresses.
-// They come first: every server dials them at startup.
-func (p *procs) startCS() ([]string, error) {
-	var addrs []string
-	for i := 0; i < p.cfg.NumCS; i++ {
-		proc := fmt.Sprintf("cs-%d", i)
-		bus, err := p.sinks.newProcBus(proc)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := circuit.New(proc, circuit.Crosspoint, p.cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		svc, err := NewCSService("127.0.0.1:0", sw)
-		if err != nil {
-			return nil, err
-		}
-		svc.SetObserver(bus)
-		p.CS = append(p.CS, svc)
-		p.CSBus = append(p.CSBus, bus)
-		addrs = append(addrs, svc.Addr())
-	}
-	return addrs, nil
-}
-
-// startAgents dials NumAgents agents against the controllers serving at
-// addrs. Their switches are active edge switches striped across pods, so
-// concurrently injected failures land in distinct failure groups: with N=1
-// each group has a single backup, and two failures in one group would leave
-// the second unrecoverable.
-func (p *procs) startAgents(addrs []string) error {
-	ids := agentSwitchIDs(p.model, p.cfg.K, p.cfg.NumAgents)
-	if len(ids) < p.cfg.NumAgents {
-		return fmt.Errorf("ctlnet: emulation has only %d agent slots, want %d", len(ids), p.cfg.NumAgents)
-	}
-	for _, id := range ids {
-		bus, err := p.sinks.newProcBus(fmt.Sprintf("agent-%d", id))
-		if err != nil {
-			return err
-		}
-		a, err := DialCluster(addrs, id, p.cfg.Interval)
-		if err != nil {
-			return err
-		}
-		a.SetObserver(bus)
-		p.Agents = append(p.Agents, a)
-		p.AgentBus = append(p.AgentBus, bus)
-	}
-	return nil
-}
-
-// WaitClockSync blocks until every agent has at least one clock-offset
-// measurement to the controller, or the timeout expires.
-func (p *procs) WaitClockSync(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		synced := 0
-		for _, a := range p.Agents {
-			if _, ok := a.ClockOffset(); ok {
-				synced++
-			}
-		}
-		if synced == len(p.Agents) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// FailLink makes agent i report the failure of its switch's first up-link,
-// as if its local detect.Monitor crossed the miss threshold after the given
-// detection latency. The report is traced: the agent's span roots the
-// recovery's cross-process trace.
-func (p *procs) FailLink(i int, detection time.Duration) error {
-	if i < 0 || i >= len(p.Agents) {
-		return fmt.Errorf("ctlnet: emulation has no agent %d", i)
-	}
-	a := p.Agents[i]
-	ownPort, agg, aggPort := firstUpLink(p.model, a.ID, p.cfg.K)
-	return a.ReportLinkFailureDetected(ownPort, agg, aggPort, detection)
-}
-
-// TraceFiles lists the per-process JSONL trace files (empty without
-// TraceDir).
-func (p *procs) TraceFiles() []string { return p.sinks.names() }
-
-// shutdown stops the agents, then the controllers (stopControllers), then
-// the circuit switches, and flushes the trace files.
-func (p *procs) shutdown(stopControllers func() error) error {
-	for _, a := range p.Agents {
-		a.Close()
-	}
-	err := stopControllers()
-	for _, svc := range p.CS {
-		svc.Close()
-	}
-	if cerr := p.sinks.close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Emulation is ShareBackup's control plane as separate communicating
-// processes-in-miniature: a controller server, switch agents, and
-// circuit-switch services, each with its own bus and epoch — connected only
-// by TCP. Nothing shares a clock: the trace files are stitched back into one
-// causal timeline by sbtap via the clock-sync events the wires carry.
+// Emulation is a ClusterEmulation of one replica — a single controller,
+// which commits every recovery through its own log — with that replica's
+// parts named.
 type Emulation struct {
-	procs
+	*ClusterEmulation
 	Net    *sbnet.Network
 	Ctl    *controller.Controller
 	Server *Server
@@ -200,58 +75,14 @@ type Emulation struct {
 	ServerBus *obs.Bus
 }
 
-// NewEmulation builds and starts the emulation.
+// NewEmulation builds and starts a one-replica emulation.
 func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
-	cfg.setDefaults()
-	e := &Emulation{procs: procs{cfg: cfg, sinks: procSinks{dir: cfg.TraceDir}}}
-	ok := false
-	defer func() {
-		if !ok {
-			e.Close()
-		}
-	}()
-
-	nw, err := sbnet.New(sbnet.Config{K: cfg.K, N: cfg.N, Tech: circuit.Crosspoint})
+	c, err := NewClusterEmulation(ClusterConfig{EmulationConfig: cfg, Replicas: 1})
 	if err != nil {
 		return nil, err
 	}
-	e.Net, e.model = nw, nw
-	csAddrs, err := e.startCS()
-	if err != nil {
-		return nil, err
-	}
-	if e.ServerBus, err = e.sinks.newProcBus("controller"); err != nil {
-		return nil, err
-	}
-	e.Ctl = controller.New(nw, controller.Config{
-		ProbeInterval: cfg.Interval,
-		Metrics:       cfg.Registry,
-	})
-	e.Ctl.SetObserver(e.ServerBus)
-	e.Server, err = NewServer("127.0.0.1:0", e.Ctl, ServerConfig{
-		Interval:      cfg.Interval,
-		MissThreshold: cfg.MissThreshold,
-		Obs:           e.ServerBus,
-		CSAddrs:       csAddrs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.startAgents([]string{e.Server.Addr()}); err != nil {
-		return nil, err
-	}
-	ok = true
-	return e, nil
-}
-
-// Close stops every emulated process and flushes the trace files.
-func (e *Emulation) Close() error {
-	return e.shutdown(func() error {
-		if e.Server == nil {
-			return nil
-		}
-		return e.Server.Close()
-	})
+	r := c.Replicas[0]
+	return &Emulation{ClusterEmulation: c, Net: r.Net, Ctl: r.Ctl, Server: r.Server, ServerBus: r.Bus}, nil
 }
 
 // procSinks owns the per-process trace buses' JSONL file sinks.

@@ -78,8 +78,8 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	if len(res.Unstitchable) != 0 {
 		t.Fatalf("unstitchable: %v", res.Unstitchable)
 	}
-	if res.Reference != "controller" {
-		t.Errorf("reference proc = %q, want controller", res.Reference)
+	if res.Reference != "controller-0" {
+		t.Errorf("reference proc = %q, want controller-0", res.Reference)
 	}
 	if len(res.Traces) != 1 {
 		t.Fatalf("stitched %d traces, want 1", len(res.Traces))
@@ -99,7 +99,7 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	for _, ss := range tr.Spans {
 		byProc[ss.Proc]++
 	}
-	if byProc["controller"] == 0 {
+	if byProc["controller-0"] == 0 {
 		t.Errorf("no controller span in trace:\n%s", tr.Render())
 	}
 	csSpans := 0
@@ -113,7 +113,7 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	}
 	var ctlSpan *obs.StitchedSpan
 	for _, ss := range tr.Spans {
-		if ss.Proc == "controller" {
+		if ss.Proc == "controller-0" {
 			ctlSpan = ss
 		}
 	}
@@ -133,10 +133,10 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	if got := attr["detection"][root.Proc]; got != 5*time.Millisecond {
 		t.Errorf("detection attributed to %s = %v, want 5ms", root.Proc, got)
 	}
-	if _, ok := attr["report"]["controller"]; !ok {
+	if _, ok := attr["report"]["controller-0"]; !ok {
 		t.Errorf("no report phase attributed to controller: %v", attr)
 	}
-	if _, ok := attr["reconfig"]["controller"]; !ok {
+	if _, ok := attr["reconfig"]["controller-0"]; !ok {
 		t.Errorf("no reconfig phase attributed to controller: %v", attr)
 	}
 
@@ -199,6 +199,52 @@ func TestEmulationSLOBreach(t *testing.T) {
 	}
 
 	if err := cleanup(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSoloClusterRecoversThroughTheLog: a single controller is a cluster of
+// one, and recovers the way every replica does — proposed, committed, then
+// applied on its node's loop. A silent switch and a reported link each
+// advance its commit index by exactly one, and the network stays sound. A
+// server with no consensus replica is refused.
+func TestSoloClusterRecoversThroughTheLog(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := startEmulation(t, EmulationConfig{NumAgents: 2, Registry: reg})
+	if _, err := NewServer("127.0.0.1:0", e.Ctl, ServerConfig{}); err == nil {
+		t.Fatal("NewServer without ClusterHooks succeeded")
+	}
+	commit := reg.Gauge("ctlplane.replica0.commit_index")
+	mon, err := Subscribe(e.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	// committed waits for the commit index to reach want, then holds it there:
+	// the event is published as the entry applies, just before the gauge moves.
+	committed := func(want int64) {
+		t.Helper()
+		if !waitUntil(2*time.Second, func() bool { return commit.Value() >= want }) || commit.Value() != want {
+			t.Fatalf("commit index = %d, want %d", commit.Value(), want)
+		}
+	}
+	base := commit.Value()
+
+	victim := e.Agents[0]
+	victim.StopHeartbeats()
+	if ev := nextEvent(t, mon); ev.Kind != "node" || len(ev.Failed) != 1 || ev.Failed[0] != victim.ID {
+		t.Fatalf("first recovery = %+v, want node failover of %d", ev, victim.ID)
+	}
+	committed(base + 1)
+
+	if err := e.FailLink(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ev := nextEvent(t, mon); ev.Kind != "link" || len(ev.Failed) != 2 {
+		t.Fatalf("second recovery = %+v, want both ends of agent 1's link", ev)
+	}
+	committed(base + 2)
+	if err := e.Net.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

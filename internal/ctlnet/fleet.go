@@ -66,8 +66,8 @@ type FleetResult struct {
 	// the server: total at measurement time minus the harness's own client
 	// goroutines (two per AgentGroup) and the baseline captured before the
 	// server started: one reader per connection (Conns), one detector per
-	// shard, the accept loop and the metric sampler — O(connections), never
-	// O(agents), which is what the soak test bounds.
+	// shard, the accept loop, and the consensus node's loop and listener —
+	// O(connections), never O(agents), which is what the soak test bounds.
 	ServerGoroutines int
 	// WireErrors and Batches are the server's ctlnet.wire_errors and
 	// ctlnet.ka_batches counters at the end of the window.
@@ -75,8 +75,9 @@ type FleetResult struct {
 	Batches    int64
 }
 
-// RunFleet builds a server, dials Agents/GroupSize batched sessions against
-// it, and measures sustained keep-alive throughput over cfg.Duration.
+// RunFleet builds a one-replica controller cluster, dials Agents/GroupSize
+// batched sessions against it, and measures sustained keep-alive throughput
+// over cfg.Duration.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	cfg.setDefaults()
 	baseline := runtime.NumGoroutine()
@@ -89,7 +90,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		ProbeInterval: cfg.Interval,
 		Metrics:       reg,
 	})
-	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
+	rs, err := startReplicas([]*controller.Controller{ctl}, []ServerConfig{{
 		Interval: cfg.Interval,
 		// The fleet run measures ingest, not detection: a huge miss
 		// threshold keeps the shard detectors from declaring anyone dead under
@@ -97,11 +98,12 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		MissThreshold: 1 << 20,
 		FleetSize:     cfg.Agents,
 		Obs:           &obs.Bus{},
-	})
+	}}, 0, 0, reg)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
+	defer rs[0].Kill()
+	srv := rs[0].Server
 
 	var groups []*AgentGroup
 	defer func() {

@@ -47,15 +47,11 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ctl := controller.New(nw, controller.Config{ProbeInterval: 5 * time.Millisecond, Metrics: reg})
-	srv, err := NewServer("127.0.0.1:0", ctl, ServerConfig{
+	srv := soloReplica(t, ctl, ServerConfig{
 		Interval:      5 * time.Millisecond,
 		MissThreshold: 1 << 20,
 		Obs:           &obs.Bus{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	}).Server
 
 	g, err := DialGroup(srv.Addr(), []sbnet.SwitchID{1, 2, 3}, time.Millisecond)
 	if err != nil {
@@ -125,8 +121,8 @@ func TestFleetSoak(t *testing.T) {
 		t.Fatal("no batched keep-alive frames seen")
 	}
 	// Server footprint: one reader per connection, the shard loops, the accept
-	// loop, the metric sampler, and slack for the test runtime's own
-	// goroutines. 1000 agents ride 20 connections; a goroutine per agent
+	// loop, the consensus node's loop and listener, and slack for the test
+	// runtime's own goroutines. 1000 agents ride 20 connections; a goroutine per agent
 	// would sit at >= 1000.
 	bound := res.Conns + numShards + 24
 	if res.ServerGoroutines > bound {

@@ -17,10 +17,10 @@ import (
 	"sharebackup/internal/topo"
 )
 
-// ClusterHooks is the server's view of its consensus replica when it runs
-// as one member of a replicated controller cluster. ctlnet owns the
-// interface (and ctlplane knows nothing of ctlnet) so the dependency points
-// one way: server → consensus.
+// ClusterHooks is the server's view of its consensus replica: every server
+// is one member of a replicated controller cluster, a single controller a
+// cluster of one. ctlnet owns the interface (and ctlplane knows nothing of
+// ctlnet) so the dependency points one way: server → consensus.
 type ClusterHooks interface {
 	// IsLeader reports whether this replica currently leads.
 	IsLeader() bool
@@ -69,11 +69,10 @@ type ServerConfig struct {
 	// through a server whose fat-tree model is far smaller. Default 0
 	// (track exactly the network model).
 	FleetSize int
-	// Cluster, when set, makes this server one replica of a replicated
-	// controller cluster: recovery mutations are proposed into the
-	// replicated log instead of applied directly, non-leaders redirect
-	// agents with msgNotLeader, and link reports are acknowledged so agents
-	// can resend across a leader failover. Nil means standalone.
+	// Cluster is this server's consensus replica, and is required: recovery
+	// mutations are proposed into the replicated log and applied when they
+	// commit, non-leaders redirect agents with msgNotLeader, and link reports
+	// are acknowledged so agents can resend across a leader failover.
 	Cluster ClusterHooks
 }
 
@@ -169,6 +168,9 @@ func (s *Server) logf(format string, args ...interface{}) {
 // "127.0.0.1:0" for tests). The controller's virtual clock is driven from
 // the wall clock relative to server start.
 func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Server, error) {
+	if cfg.Cluster == nil {
+		return nil, errors.New("ctlnet: a server needs its consensus replica (ServerConfig.Cluster)")
+	}
 	cfg.setDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -383,7 +385,7 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			return err
 		}
 		s.mHellos.Inc()
-		if !s.isLeader() {
+		if !s.cfg.Cluster.IsLeader() {
 			return s.redirect(conn)
 		}
 		s.seen(id)
@@ -416,7 +418,7 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		}
 		s.mKABatches.Inc()
 		s.mKeepalives.Add(int64(cnt))
-		if !s.isLeader() {
+		if !s.cfg.Cluster.IsLeader() {
 			return s.redirectPaced(sc)
 		}
 		s.seenBatch(payload, cnt, sc)
@@ -429,10 +431,10 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		s.mLinkReports.Inc()
 		s.handleLinkFail(conn, ctx, detection, aSw, aPort, bSw, bPort)
 	case msgLeaderReq:
-		isLeader := s.isLeader()
+		isLeader := s.cfg.Cluster.IsLeader()
 		addr := s.Addr()
 		if !isLeader {
-			addr = s.leaderAddr()
+			addr = s.cfg.Cluster.LeaderAddr()
 		}
 		if err := writeReply(conn, msgLeaderInfo, encodeLeaderInfo(isLeader, addr)); err != nil {
 			s.logf("ctlnet: leader info reply: %v", err)
@@ -486,23 +488,9 @@ func (s *Server) redirectPaced(sc *srvConn) error {
 	return s.redirect(sc.conn)
 }
 
-// isLeader reports whether this server may mutate controller state:
-// standalone servers always lead; cluster replicas ask their consensus node.
-func (s *Server) isLeader() bool {
-	return s.cfg.Cluster == nil || s.cfg.Cluster.IsLeader()
-}
-
-// leaderAddr is the redirect hint for agents ("" when unknown).
-func (s *Server) leaderAddr() string {
-	if s.cfg.Cluster == nil {
-		return s.Addr()
-	}
-	return s.cfg.Cluster.LeaderAddr()
-}
-
-// redirect tells an agent where the leader is.
+// redirect tells an agent where the leader is ("" when unknown).
 func (s *Server) redirect(conn net.Conn) error {
-	return writeFrame(conn, msgNotLeader, []byte(s.leaderAddr()))
+	return writeFrame(conn, msgNotLeader, []byte(s.cfg.Cluster.LeaderAddr()))
 }
 
 // tableFor builds (and caches) the serialized combined table for an
@@ -537,11 +525,11 @@ func (s *Server) tableFor(id sbnet.SwitchID) []byte {
 	return b
 }
 
-// handleLinkFail turns a link-failure report into a replicated command (or
-// a direct apply when standalone) and answers with its outcome (ackReport),
-// so agents resend exactly the reports that never committed.
+// handleLinkFail turns a link-failure report into a replicated command and
+// answers with its outcome (ackReport), so agents resend exactly the reports
+// that never committed.
 func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) {
-	if !s.isLeader() {
+	if !s.cfg.Cluster.IsLeader() {
 		if err := s.redirect(conn); err != nil {
 			s.logf("ctlnet: link report redirect: %v", err)
 		}
@@ -566,11 +554,6 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 		Trace:       ctx.Trace,
 		Span:        ctx.Span,
 		Proc:        ctx.Proc,
-	}
-	if s.cfg.Cluster == nil {
-		_, err := s.ApplyCommand(cmd.Encode())
-		s.ackReport(conn, err)
-		return
 	}
 	// A consensus round can outlast many keep-alive intervals (an election
 	// in progress, a slow follower), and this goroutine is the connection's
@@ -630,12 +613,11 @@ func (s *Server) linkAlreadyRecovered(aSw, bSw sbnet.SwitchID) bool {
 	return net.Switch(aSw).Role != sbnet.RoleActive && net.Switch(bSw).Role != sbnet.RoleActive
 }
 
-// recoverDead proposes (or, standalone, applies) the node failover for one
-// switch a shard's detector declared dead. Each declared switch gets its own
-// short-lived goroutine (shardLoop): a stalled consensus round holds up no
-// recovery behind it, and the node pipelines a storm's proposals. A switch
-// leaves the detector when it is declared, so at most one goroutine per
-// in-model switch is in flight.
+// recoverDead proposes the node failover for one switch a shard's detector
+// declared dead. Each declared switch gets its own short-lived goroutine
+// (shardLoop): a stalled consensus round holds up no recovery behind it, and
+// the node pipelines a storm's proposals. A switch leaves the detector when
+// it is declared, so at most one goroutine per in-model switch is in flight.
 func (s *Server) recoverDead(c deadCandidate) {
 	defer s.wg.Done()
 	cmd := ctlplane.Command{
@@ -644,25 +626,19 @@ func (s *Server) recoverDead(c deadCandidate) {
 		LastSeenNS: c.lastSeen.Nanoseconds(),
 		AtNS:       time.Since(s.start).Nanoseconds(),
 	}
-	var err error
-	if s.cfg.Cluster != nil {
-		if !s.cfg.Cluster.IsLeader() {
-			return
-		}
-		_, err = s.cfg.Cluster.Propose(cmd, proposeTimeout)
-	} else {
-		_, err = s.ApplyCommand(cmd.Encode())
+	if !s.cfg.Cluster.IsLeader() {
+		return
 	}
-	if err != nil {
+	if _, err := s.cfg.Cluster.Propose(cmd, proposeTimeout); err != nil {
 		s.logf("ctlnet: node recovery of %d: %v", c.id, err)
 	}
 }
 
-// ApplyCommand applies one committed (or, standalone, direct) controller
-// mutation and returns its recovery. As the consensus node's Apply hook it
-// runs on every replica — leader and follower alike — against the replica's
-// own controller and network copy, with all timestamps taken from the
-// command, so the applied state is deterministic across the cluster.
+// ApplyCommand applies one committed controller mutation and returns its
+// recovery. As the consensus node's Apply hook it runs on every replica —
+// leader and follower alike — against the replica's own controller and
+// network copy, with all timestamps taken from the command, so the applied
+// state is deterministic across the cluster.
 func (s *Server) ApplyCommand(data []byte) (*controller.Recovery, error) {
 	cmd, err := ctlplane.DecodeCommand(data)
 	if err != nil {
@@ -747,7 +723,7 @@ func (s *Server) inFabric(ids ...int32) error {
 func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, processing time.Duration) {
 	detection := time.Duration(cmd.DetectionNS)
 	s.emitRecovered(rec, time.Since(s.start)-processing, processing, detection)
-	if s.isLeader() {
+	if s.cfg.Cluster.IsLeader() {
 		// Followers apply the same command but must not re-reconfigure the
 		// shared circuit switches the leader already drove.
 		s.mirrorCS(rec)

@@ -59,7 +59,7 @@ const (
 	// the current leader answers state-mutating requests (hello, link-fail
 	// reports) — and, rate-limited, keep-alives — with msgNotLeader carrying
 	// its best guess at the leader's serving address so agents can redirect.
-	// A standalone server always leads.
+	// A cluster of one always leads.
 	msgNotLeader  byte = 15 // server -> agent: leader serving address (may be empty)
 	msgLeaderReq  byte = 16 // agent -> server: empty — ask who leads
 	msgLeaderInfo byte = 17 // server -> agent: byte isLeader, leader serving address

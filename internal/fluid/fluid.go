@@ -570,7 +570,8 @@ func (s *Simulator) markDirty(l topo.LinkID) {
 // Run advances the simulation until `until` (inclusive), processing every
 // arrival and completion in time order. It may be called repeatedly;
 // callers inject failures by mutating paths between calls. Run(+Inf)
-// returns once no arrival or completion is left, with Now at the last event.
+// returns once no arrival or completion is left — every flow finished, or
+// only stalled ones remain — with Now at the last event.
 func (s *Simulator) Run(until float64) error {
 	if math.IsNaN(until) {
 		return fmt.Errorf("fluid: Run(NaN): until must be a time")
@@ -578,7 +579,7 @@ func (s *Simulator) Run(until float64) error {
 	if until < s.now {
 		return fmt.Errorf("fluid: Run(%v) is before now (%v)", until, s.now)
 	}
-	for {
+	for s.pending.Len() > 0 || len(s.active) > 0 {
 		s.recompute()
 		tArr := math.Inf(1)
 		if s.pending.Len() > 0 {
@@ -591,7 +592,7 @@ func (s *Simulator) Run(until float64) error {
 			return nil
 		}
 		if math.IsInf(t, 1) {
-			return nil // until is +Inf, and nothing is left to happen
+			return nil // until is +Inf, and only stalled flows are left
 		}
 		s.now = t
 		if tArr <= tFin {
@@ -600,29 +601,21 @@ func (s *Simulator) Run(until float64) error {
 			s.completeDue()
 		}
 	}
+	if !math.IsInf(until, 1) {
+		s.now = until
+	}
+	return nil
 }
 
 // RunToCompletion advances until every flow has arrived and finished, or
 // returns an error if progress is impossible (stalled flows with nothing
 // else happening).
 func (s *Simulator) RunToCompletion() error {
-	for s.pending.Len() > 0 || len(s.active) > 0 {
-		s.recompute()
-		tArr := math.Inf(1)
-		if s.pending.Len() > 0 {
-			tArr = s.pending[0].at
-		}
-		tFin := s.nextFinishTime()
-		if math.IsInf(tArr, 1) && math.IsInf(tFin, 1) {
-			return fmt.Errorf("fluid: %d stalled flows cannot make progress", len(s.active))
-		}
-		if tArr <= tFin {
-			s.now = tArr
-			s.admitArrivals(tArr)
-		} else {
-			s.now = tFin
-			s.completeDue()
-		}
+	if err := s.Run(math.Inf(1)); err != nil {
+		return err
+	}
+	if len(s.active) > 0 {
+		return fmt.Errorf("fluid: %d stalled flows cannot make progress", len(s.active))
 	}
 	return nil
 }
