@@ -296,7 +296,6 @@ func TestFillRatesTable(t *testing.T) {
 			if err := s.Run(0); err != nil {
 				t.Fatal(err)
 			}
-			sc := s.scratchFor(0)
 			var routed []int32 // ripple sets only ever hold flows with links
 			for _, fi := range s.active {
 				if s.hot[fi].nl > 0 {
@@ -304,22 +303,22 @@ func TestFillRatesTable(t *testing.T) {
 				}
 			}
 			for _, withBG := range []bool{false, true} {
-				s.passGen++
-				s.gen++
+				w := s.beginPass()
+				sc := &w.sc
 				for _, fi := range routed {
-					s.prepare(&s.hot[fi])
-					s.hot[fi].visit = s.gen
+					w.prepare(&s.hot[fi])
+					s.hot[fi].visit = w.p.gen
 				}
 				ok := false
 				if withBG {
 					var links []topo.LinkID
 					sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
-					links, _, ok = s.fillBackground(routed, 0, sc, nil)
+					links, _, ok = w.fillBackground(routed, 0, nil)
 					for _, l := range links {
 						s.rIdx[l] = -1
 					}
 				} else {
-					_, ok = s.fillRates(routed, sc)
+					_, ok = w.fillRates(routed)
 				}
 				if !ok {
 					t.Fatalf("fill (withBG=%v) took the defensive break", withBG)
@@ -327,9 +326,9 @@ func TestFillRatesTable(t *testing.T) {
 				if got := c.rates(s); !bitEqual(got, want) {
 					t.Errorf("fillRates(withBG=%v) rates %v, reference %v", withBG, got, want)
 				}
-				for l, li := range sc.linkIdx {
+				for l, li := range s.rIdx {
 					if li != -1 {
-						t.Fatalf("fillRates(withBG=%v) left linkIdx[%d] = %d", withBG, l, li)
+						t.Fatalf("fillRates(withBG=%v) left rIdx[%d] = %d", withBG, l, li)
 					}
 				}
 			}

@@ -611,6 +611,7 @@ func (f *Flow) Remaining() float64 {
 // refreshing rates first.
 func (s *Simulator) Utilization() []float64 {
 	s.recompute()
+	s.endRun()
 	util := make([]float64, len(s.links))
 	for _, fi := range s.active {
 		h := &s.hot[fi]

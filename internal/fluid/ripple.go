@@ -62,23 +62,23 @@ const (
 // component decomposition; every flow whose rate it dirtied is on or
 // adjacent to a dirty link, so the seeded BFS re-covers them. The caller
 // counts the outcome (RipplePasses or RippleFallbacks).
-func (s *Simulator) ripple() bool {
-	if len(s.active) == 0 {
+func (w *worker) ripple() bool {
+	s, p := w.s, w.p
+	if p.active == 0 {
 		return true
 	}
-	s.gen++
-	gen := s.gen
-	flows := s.compFlows[:0]
-	links := s.compLinks[:0]
+	gen := p.gen
+	flows := w.compFlows[:0]
+	links := w.compLinks[:0]
 	// S starts as every flow on a dirty link. (Departed flows' links are
 	// dirty, so the flows left behind — the ones whose rates can rise —
 	// are members; arrivals and reroute targets are on dirty links
 	// directly.)
-	for _, seed := range s.dirtySeeds {
+	for _, seed := range p.seeds {
 		for _, ref := range s.links[seed].flows {
 			if h := &s.hot[ref.fi]; h.visit != gen {
 				h.visit = gen
-				s.prepare(h)
+				w.prepare(h)
 				flows = append(flows, ref.fi)
 			}
 		}
@@ -86,13 +86,13 @@ func (s *Simulator) ripple() bool {
 	if len(flows) == 0 {
 		// Dirty links with nothing on them (last flow on a rack finished):
 		// no rate can change, and their rates were zeroed by the eager detach.
-		s.compFlows, s.compLinks = flows, links
+		w.compFlows, w.compLinks = flows, links
 		return true
 	}
-	if 2*len(flows) > len(s.active) {
+	if 2*len(flows) > p.active {
 		// Not "scoped" in any useful sense; decompose instead. No links
 		// were marked yet, so there is nothing to unwind.
-		s.compFlows, s.compLinks = flows, links
+		w.compFlows, w.compLinks = flows, links
 		return false
 	}
 
@@ -101,13 +101,13 @@ func (s *Simulator) ripple() bool {
 		for _, l := range links {
 			s.rIdx[l] = -1
 		}
-		s.compFlows, s.compLinks = flows, links
+		w.compFlows, w.compLinks = flows, links
 		return false
 	}
 
 	// The fill's slot tables live as long as the pass: links (with rIdx) is
 	// the slot space, and a refill engages only the flows appended since.
-	sc := s.scratchFor(0)
+	sc := &w.sc
 	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
 	filled := 0 // members the fills have engaged so far; check (a) judges exactly these
 	for round := 0; ; round++ {
@@ -117,15 +117,15 @@ func (s *Simulator) ripple() bool {
 		// populated: vSum = background sum + member rates, vMax = member
 		// maximum, vChg = some member moved, vBG = -1 (no background) or
 		// bgUnknown (background present, maximum resolved lazily below).
-		var w int64
+		var wk int64
 		var completed bool
-		links, w, completed = s.fillBackground(flows, filled, sc, links)
+		links, wk, completed = w.fillBackground(flows, filled, links)
 		filled = len(flows)
-		work += w
+		work += wk
 		if !completed {
 			return bail() // defensive fill break: arrays are inconsistent
 		}
-		vSum, vSat := s.vSum, s.vSat
+		vSum, vSat := w.vSum, w.vSat
 		work += int64(len(links))
 		for i, l := range links {
 			c := s.links[l].cap
@@ -144,11 +144,11 @@ func (s *Simulator) ripple() bool {
 			if h.nl == 0 {
 				continue // stalled member; rate 0 by construction
 			}
-			if s.certifyMember(h, gen, &work) {
+			if w.certifyMember(h, gen, &work) {
 				continue
 			}
 			var found bool
-			flows, found = s.adoptBeaters(h, flows, gen, &work)
+			flows, found = w.adoptBeaters(h, flows, gen, &work)
 			if !found && len(flows) == filled {
 				// No background flow explains the failure and nothing else
 				// grew the set this round — a numeric corner this proof
@@ -164,17 +164,17 @@ func (s *Simulator) ripple() bool {
 		// fill time, so there is nothing to check.
 		if !expanded {
 			for i, l := range links {
-				if !s.vChg[i] || s.vBG[i] == -1 {
+				if !w.vChg[i] || w.vBG[i] == -1 {
 					continue
 				}
 				list := s.links[l].flows
 				for _, ref := range list {
 					hj := &s.hot[ref.fi]
-					if hj.visit == gen || s.bgStillBottlenecked(hj, gen, &work) {
+					if hj.visit == gen || w.bgStillBottlenecked(hj, gen, &work) {
 						continue
 					}
 					hj.visit = gen
-					s.prepare(hj)
+					w.prepare(hj)
 					flows = append(flows, ref.fi)
 					expanded = true
 				}
@@ -185,8 +185,8 @@ func (s *Simulator) ripple() bool {
 		if !expanded {
 			break // proof closed: the scoped fill is the global allocation
 		}
-		s.stats.RippleExpansions++
-		if round+1 >= rippleMaxRounds || 2*len(flows) > len(s.active) {
+		p.stats.RippleExpansions++
+		if round+1 >= rippleMaxRounds || 2*len(flows) > p.active {
 			return bail()
 		}
 	}
@@ -194,25 +194,25 @@ func (s *Simulator) ripple() bool {
 	// Seal: link rates from the verification sums, finish events for changed
 	// rates, scratch invariants restored.
 	for i, l := range links {
-		s.links[l].rate = s.vSum[i]
+		s.links[l].rate = w.vSum[i]
 		s.rIdx[l] = -1
 	}
-	s.sealFlows(flows)
-	s.compFlows, s.compLinks = flows, links
-	s.finishPass(work)
+	w.sealFlows(flows)
+	w.compFlows, w.compLinks = flows, links
+	w.finishPass(work)
 	return true
 }
 
 // inScopeBottleneck reports whether links(S) entry i / link l is a bottleneck
 // for a flow whose rate, plus tolerance, is rtol: saturated, and neither a
 // member (vMax) nor a background flow (vBG, resolved lazily) outruns it.
-func (s *Simulator) inScopeBottleneck(i int32, l topo.LinkID, rtol float64, gen uint64, work *int64) bool {
-	if !s.vSat[i] || s.vMax[i] > rtol {
+func (w *worker) inScopeBottleneck(i int32, l topo.LinkID, rtol float64, gen uint64, work *int64) bool {
+	if !w.vSat[i] || w.vMax[i] > rtol {
 		return false
 	}
-	b := s.vBG[i]
+	b := w.vBG[i]
 	if b == bgUnknown {
-		b = s.lazyBG(i, l, gen, work)
+		b = w.lazyBG(i, l, gen, work)
 	}
 	return b <= rtol
 }
@@ -224,14 +224,15 @@ func (s *Simulator) inScopeBottleneck(i int32, l topo.LinkID, rtol float64, gen 
 // it passes the member-side tests by construction and is the one link whose
 // background walk (if it needs one) is likely to settle the question; the
 // rest of the path, in order, is the fallback.
-func (s *Simulator) certifyMember(h *flowHot, gen uint64, work *int64) bool {
+func (w *worker) certifyMember(h *flowHot, gen uint64, work *int64) bool {
+	s := w.s
 	rtol := h.rate + rippleTol*(h.rate+1)
 	froze := h.cert
-	if s.inScopeBottleneck(s.rIdx[froze], froze, rtol, gen, work) {
+	if w.inScopeBottleneck(s.rIdx[froze], froze, rtol, gen, work) {
 		return true
 	}
 	for _, l := range s.linkArena[h.off : h.off+h.nl] {
-		if l != froze && s.inScopeBottleneck(s.rIdx[l], l, rtol, gen, work) {
+		if l != froze && w.inScopeBottleneck(s.rIdx[l], l, rtol, gen, work) {
 			h.cert = l
 			return true
 		}
@@ -243,17 +244,18 @@ func (s *Simulator) certifyMember(h *flowHot, gen uint64, work *int64) bool {
 // each of its saturated links it adopts the background flows outrunning it —
 // they hold capacity this member deserves. It returns the grown set and
 // whether it adopted anything.
-func (s *Simulator) adoptBeaters(h *flowHot, flows []int32, gen uint64, work *int64) ([]int32, bool) {
+func (w *worker) adoptBeaters(h *flowHot, flows []int32, gen uint64, work *int64) ([]int32, bool) {
+	s := w.s
 	r := h.rate
 	found := false
 	for _, l := range s.linkArena[h.off : h.off+h.nl] {
 		i := s.rIdx[l]
-		if !s.vSat[i] {
+		if !w.vSat[i] {
 			continue
 		}
-		b := s.vBG[i]
+		b := w.vBG[i]
 		if b == bgUnknown {
-			b = s.lazyBG(i, l, gen, work)
+			b = w.lazyBG(i, l, gen, work)
 		}
 		if b <= r {
 			continue
@@ -265,7 +267,7 @@ func (s *Simulator) adoptBeaters(h *flowHot, flows []int32, gen uint64, work *in
 				continue
 			}
 			hj.visit = gen
-			s.prepare(hj)
+			w.prepare(hj)
 			flows = append(flows, ref.fi)
 			found = true
 		}
@@ -281,7 +283,8 @@ func (s *Simulator) adoptBeaters(h *flowHot, flows []int32, gen uint64, work *in
 // shrink the background set, so the cached value reflects the background as
 // of the walk — the growth-excused bail in check (a) is what keeps that
 // sound.
-func (s *Simulator) lazyBG(i int32, l topo.LinkID, gen uint64, work *int64) float64 {
+func (w *worker) lazyBG(i int32, l topo.LinkID, gen uint64, work *int64) float64 {
+	s := w.s
 	b := -1.0
 	list := s.links[l].flows
 	for _, ref := range list {
@@ -290,7 +293,7 @@ func (s *Simulator) lazyBG(i int32, l topo.LinkID, gen uint64, work *int64) floa
 		}
 	}
 	*work += int64(len(list))
-	s.vBG[i] = b
+	w.vBG[i] = b
 	return b
 }
 
@@ -317,12 +320,13 @@ func (s *Simulator) lazyBG(i int32, l topo.LinkID, gen uint64, work *int64) floa
 // re-certifies on success. A spurious fast-path failure only costs that
 // walk; the fuzz suite (which replays schedules against the reference
 // engine) is the backstop for the invariant itself.
-func (s *Simulator) bgStillBottlenecked(h *flowHot, gen uint64, work *int64) bool {
+func (w *worker) bgStillBottlenecked(h *flowHot, gen uint64, work *int64) bool {
+	s := w.s
 	r := h.rate
 	rtol := r + rippleTol*(r+1)
 	if lc := h.cert; lc >= 0 {
 		if i := s.rIdx[lc]; i >= 0 {
-			if s.inScopeBottleneck(i, lc, rtol, gen, work) {
+			if w.inScopeBottleneck(i, lc, rtol, gen, work) {
 				return true
 			}
 		} else if ls := &s.links[lc]; ls.rate >= ls.cap-rippleTol*(ls.cap+1) {
@@ -337,7 +341,7 @@ func (s *Simulator) bgStillBottlenecked(h *flowHot, gen uint64, work *int64) boo
 	// gates a list scan.
 	for _, l := range s.linkArena[h.off : h.off+h.nl] {
 		if i := s.rIdx[l]; i >= 0 {
-			if s.inScopeBottleneck(i, l, rtol, gen, work) {
+			if w.inScopeBottleneck(i, l, rtol, gen, work) {
 				h.cert = l
 				return true
 			}

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -212,24 +213,28 @@ func BenchmarkStormK48Incremental(b *testing.B) { runStormBench(b, 48, 1, nil) }
 // the end-to-end benchmark's sim-storm workload runs: k=32, 4 hosts per edge
 // switch, 20 flows per host (40960 flows), 8 waves of 512 reroutes one second
 // apart. ns/wave is one wave's SetPath batch plus the Run to one second past
-// it, sim-storm's operation.
+// it, sim-storm's operation. The workers=1 and workers=GOMAXPROCS
+// sub-benchmarks are the ablation of passes side by side: each of the storm's
+// 32 pods is a link-sharing class.
 //
 //	go test -run '^$' -bench StormWaves -benchtime 3x -cpuprofile cpu.out ./internal/fluid
 func BenchmarkStormWaves(b *testing.B) {
 	const nWaves = 8
 	ft, adds, waves := buildStormWaves(b, 32, 4, 20, nWaves, 512, 2, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var inWaves time.Duration
-	var events int64
-	for i := 0; i < b.N; i++ {
-		res := replayStorm(b, ft, adds, waves, nil)
-		inWaves += res.waves
-		events += res.events
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var inWaves time.Duration
+			var events int64
+			for i := 0; i < b.N; i++ {
+				res := replayStorm(b, ft, adds, waves, func(s *Simulator) { s.SetWorkers(workers) })
+				inWaves += res.waves
+				events += res.events
+			}
+			b.ReportMetric(float64(inWaves.Nanoseconds())/float64(b.N*nWaves), "ns/wave")
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(inWaves.Nanoseconds())/float64(b.N*nWaves), "ns/wave")
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // TestStormWorkRatio pins what component scoping buys, in the deterministic
@@ -283,8 +288,9 @@ func TestStormReplayAllocBytes(t *testing.T) {
 
 // TestStormFinishTimesGolden is the bit-identity oracle for the ripple-heavy
 // path: the k=16 storm (10240 flows, three waves of 256 reroutes) replayed at
-// one and at GOMAXPROCS workers must land every finish time on the same bits,
-// pinned as one FNV-1a hash. The engine counters are pinned beside it, so a
+// one, two and four workers — fixed counts, so passes are queued beside the
+// loop even on a one-core runner — must land every finish time on the same
+// bits, pinned as one FNV-1a hash. The engine counters are pinned beside it, so a
 // change to the pass structure — which flows a pass fills, how often it
 // expands or falls back — shows up as a count, and only a change to the
 // arithmetic or its order shows up as a hash mismatch. The constants were
@@ -298,7 +304,7 @@ func TestStormFinishTimesGolden(t *testing.T) {
 	type counts struct{ recomputes, ripplePasses, rippleExpansions, rippleFallbacks, recomputeWork, fillRounds int64 }
 	want := counts{20482, 20470, 9754, 12, 17621026, 258803}
 	ft, adds, waves := buildStormWorkload(t, 16, 4, 20)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 2, 4} {
 		res := replayStorm(t, ft, adds, waves, func(s *Simulator) { s.SetWorkers(workers) })
 		if res.hash != wantHash {
 			t.Errorf("workers=%d: finish-time hash %#x, want %#x", workers, res.hash, uint64(wantHash))
