@@ -73,8 +73,8 @@ func runGoldenStudy(tb testing.TB, seed int64, want string) {
 // studies (about a tenth of a second each) against golden.json. The replays
 // run under a private telemetry registry, which also checks the fluid
 // engine's pass accounting on Fig. 1c's arrivals-and-completions load: every
-// rate recomputation is a full pass, a scoped pass the ripple settled, or one
-// it handed to component decomposition.
+// rate recomputation is a pass the ripple settled or one it handed to
+// component decomposition.
 func TestFig1cGoldenStudies(t *testing.T) {
 	reg := obs.NewRegistry()
 	fluid.SetDefaultTelemetry(fluid.NewTelemetry(reg))
@@ -88,10 +88,8 @@ func TestFig1cGoldenStudies(t *testing.T) {
 		runGoldenStudy(t, seed, want)
 	}
 	count := func(name string) int64 { return reg.Counter(name).Value() }
-	all, settled, handed, full := count("fluid.rate_recomputes"), count("fluid.ripple_passes"),
-		count("fluid.ripple_fallbacks"), count("fluid.rate_recomputes_full")
-	if all == 0 || settled == 0 || all != settled+handed+full {
-		t.Errorf("fluid.rate_recomputes %d != ripple_passes %d + ripple_fallbacks %d + rate_recomputes_full %d",
-			all, settled, handed, full)
+	all, settled, handed := count("fluid.rate_recomputes"), count("fluid.ripple_passes"), count("fluid.ripple_fallbacks")
+	if all == 0 || settled == 0 || all != settled+handed {
+		t.Errorf("fluid.rate_recomputes %d != ripple_passes %d + ripple_fallbacks %d", all, settled, handed)
 	}
 }

@@ -263,7 +263,7 @@ func fillCases() []fillCase {
 }
 
 // TestFillRatesTable runs each case through the public engine in both
-// configurations (scoped and ForceFullRecompute), and through the kernel
+// configurations (scoped and the forceFull reference), and through the kernel
 // directly in closed and in background mode, and requires every rate to be
 // bit-equal to the two-scan reference.
 func TestFillRatesTable(t *testing.T) {
@@ -277,12 +277,12 @@ func TestFillRatesTable(t *testing.T) {
 
 			for _, full := range []bool{false, true} {
 				s := c.build(t)
-				s.ForceFullRecompute(full)
+				s.forceFull = full
 				if err := s.Run(0); err != nil {
 					t.Fatal(err)
 				}
 				if got := c.rates(s); !bitEqual(got, want) {
-					t.Errorf("engine (ForceFullRecompute=%v) rates %v, reference %v", full, got, want)
+					t.Errorf("engine (forceFull=%v) rates %v, reference %v", full, got, want)
 				}
 				if full && c.check != nil {
 					c.check(t, s.Stats())
@@ -360,7 +360,7 @@ func bitEqual(a, b []float64) bool {
 func TestEngineStatsFillCounters(t *testing.T) {
 	c := fillCase{caps: []float64{1, 3, 8}, flows: [][]int{{0, 1, 2}, {1, 2}, {2}}}
 	s := c.build(t)
-	s.ForceFullRecompute(true)
+	s.forceFull = true
 	tel := NewTelemetry(obs.NewRegistry())
 	s.SetTelemetry(tel)
 	if err := s.Run(0); err != nil {

@@ -137,8 +137,8 @@ type linkState struct {
 // integers (telemetry-independent, so benchmarks and regression tests can
 // assert on algorithmic cost instead of wall-clock).
 type EngineStats struct {
-	Recomputes       int64 // rate recomputation passes (scoped or full)
-	FullRecomputes   int64 // passes that ran over the whole active set
+	Recomputes       int64 // rate recomputation passes
+	FullRecomputes   int64 // reference fills over the whole active set (tests force them)
 	RecomputeWork    int64 // flow×link incidences touched by filling passes
 	HeapPops         int64 // finish events consumed from the heap
 	RipplePasses     int64 // scoped passes the ripple pass settled (an empty seed set settles trivially)
@@ -180,10 +180,11 @@ type Simulator struct {
 	fin     finHeap // indexed finish-time heap; positions mirrored in flowHot.heapPos
 
 	// Dirty tracking: links whose flow set or demand changed since the last
-	// recompute seed the scoped pass; fullDirty forces a global pass.
+	// recompute seed the next pass, each once (dirty[l] says it is listed).
+	// Loop-owned; a pass reads only the seeds newPass copied into it.
 	dirtySeeds []topo.LinkID
-	fullDirty  bool
-	forceFull  bool // ForceFullRecompute: retained reference engine
+	dirty      []bool
+	forceFull  bool // tests only: every pass is the reference fill (fillUnion)
 
 	// Generations the loop hands each pass (parallel.go): passGen stamps
 	// prepare(), gen the visit marks — flowHot.visit, and linkGen per link
@@ -241,6 +242,7 @@ func New(t *topo.Topology) *Simulator {
 	s := &Simulator{
 		topo:    t,
 		links:   links,
+		dirty:   make([]bool, nl),
 		linkGen: make([]uint64, nl),
 		rIdx:    make([]int32, nl),
 		cls:     newClasses(nl),
@@ -288,13 +290,6 @@ func (s *Simulator) known(id FlowID) bool { return id >= 0 && id < FlowID(len(s.
 
 // Stats returns a snapshot of the engine's internal work counters.
 func (s *Simulator) Stats() EngineStats { return s.stats }
-
-// ForceFullRecompute disables scoped recomputation: every dirty event
-// triggers a global progressive-filling pass over the whole active set,
-// exactly the seed algorithm's behaviour. This is the retained reference
-// engine the differential property tests and the storm benchmark compare
-// against.
-func (s *Simulator) ForceFullRecompute(on bool) { s.forceFull = on }
 
 func (s *Simulator) handle(fi int32) *Flow {
 	return &s.handles[fi>>handleShift][fi&handleMask]
@@ -551,20 +546,12 @@ func (s *Simulator) detachLinks(fi int32) {
 	h.nl = 0
 }
 
-// maxDirtySeeds bounds the dirty-link list; past it the next recompute is
-// global anyway, so the seeds stop being worth tracking individually.
-const maxDirtySeeds = 4096
-
+// markDirty lists l as a seed of the next pass, unless it is listed already.
 func (s *Simulator) markDirty(l topo.LinkID) {
-	if s.fullDirty {
-		return
+	if !s.dirty[l] {
+		s.dirty[l] = true
+		s.dirtySeeds = append(s.dirtySeeds, l)
 	}
-	if len(s.dirtySeeds) >= maxDirtySeeds {
-		s.fullDirty = true
-		s.dirtySeeds = s.dirtySeeds[:0]
-		return
-	}
-	s.dirtySeeds = append(s.dirtySeeds, l)
 }
 
 // Run advances the simulation until `until` (inclusive), processing every
@@ -720,8 +707,8 @@ func (s *Simulator) complete(fi int32) {
 	}
 }
 
-// fillUnion is the reference pass: prepare and fill the whole active set as
-// one union, exactly the seed algorithm's behaviour.
+// fillUnion is the reference pass tests force (Simulator.forceFull): prepare
+// and fill the whole active set as one union, the seed algorithm's behaviour.
 func (w *worker) fillUnion() {
 	s := w.s
 	for _, fi := range s.active {

@@ -50,17 +50,17 @@ func TestCohortCompletionNotQuadratic(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	// The initial arrival batch dirties every link at once and legitimately
-	// falls back to one full pass (2n incidences); every later pass must be
-	// component-sized. Budget: one full pass + ~2n scoped passes of a few
-	// incidences each. Quadratic behaviour would cost ~2n²=720k.
+	// The initial arrival batch dirties every link at once (one pass of 2n
+	// incidences); every later pass must be component-sized. Budget: that
+	// pass + ~2n scoped passes of a few incidences each. Quadratic behaviour
+	// would cost ~2n²=720k.
 	budget := int64(30 * n)
 	if st.RecomputeWork > budget {
 		t.Fatalf("recompute work = %d incidences for n=%d pairs, want <= %d (scoped); quadratic would be ~%d",
 			st.RecomputeWork, n, budget, 2*n*n)
 	}
-	if st.FullRecomputes > 2 {
-		t.Errorf("full recomputes = %d, want <= 2 (only the initial mass arrival)", st.FullRecomputes)
+	if st.FullRecomputes != 0 {
+		t.Errorf("full recomputes = %d, want 0", st.FullRecomputes)
 	}
 	if st.HeapPops != 2*n {
 		t.Errorf("heap pops = %d, want %d (one per completion)", st.HeapPops, 2*n)
@@ -73,6 +73,77 @@ func TestCohortCompletionNotQuadratic(t *testing.T) {
 	}
 	if math.Abs(f1.Finish()-40) > 1e-9 { // 100 B at 5, then 200 B at 10
 		t.Errorf("flow 1 finish = %v, want 40", f1.Finish())
+	}
+}
+
+// TestMassArrivalSeedsEachLinkOnce admits, at one instant, one flow per
+// ordered rack pair of a k=8 fat-tree — the transient and Table 3 studies'
+// all-to-all shape, more than 4 096 link incidences. The dirty links are a
+// set: each loaded link is seeded once, the pass is the scoped one (never a
+// fill over the whole active set), and every rate bit-equals the reference
+// fill's.
+func TestMassArrivalSeedsEachLinkOnce(t *testing.T) {
+	ft, err := topo.NewFatTree(topo.Config{K: 8, HostsPerEdge: 1, HostCapacity: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(full bool) *Simulator {
+		s := New(ft.Topology)
+		s.forceFull = full
+		id := 0
+		for src := 0; src < ft.NumHosts(); src++ {
+			for dst := 0; dst < ft.NumHosts(); dst++ {
+				if src == dst {
+					continue
+				}
+				paths, err := ft.ECMPPaths(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.AddFlow(FlowID(id), 1e3, 0, paths[id%len(paths)]); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			}
+		}
+		return s
+	}
+	ref, inc := build(true), build(false)
+
+	inc.admitArrivals(0)
+	loaded, incidences := 0, 0
+	for l := range inc.links {
+		if n := len(inc.links[l].flows); n > 0 {
+			loaded++
+			incidences += n
+		}
+	}
+	if incidences <= 4096 {
+		t.Fatalf("%d link incidences; the test wants more than 4096", incidences)
+	}
+	seen := make([]bool, len(inc.links))
+	for _, l := range inc.dirtySeeds {
+		if seen[l] {
+			t.Fatalf("link %d seeded twice", l)
+		}
+		seen[l] = true
+	}
+	if n := len(inc.dirtySeeds); n != loaded || n > ft.NumLinks() {
+		t.Fatalf("%d dirty seeds for %d loaded links (%d links in all)", n, loaded, ft.NumLinks())
+	}
+
+	for _, s := range []*Simulator{ref, inc} {
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := inc.Stats(); st.FullRecomputes != 0 || st.Recomputes != 1 {
+		t.Errorf("FullRecomputes %d of %d passes, want 0 of 1", st.FullRecomputes, st.Recomputes)
+	}
+	for id := FlowID(0); id < FlowID(len(inc.hot)); id++ {
+		if got, want := inc.Flow(id).Rate(), ref.Flow(id).Rate(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("flow %d: rate %v, reference %v", id, got, want)
+		}
 	}
 }
 
@@ -91,7 +162,7 @@ func TestScopedMatchesFullExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := New(ft.Topology)
-		s.ForceFullRecompute(full)
+		s.forceFull = full
 		id := 0
 		add := func(src, dst int, bytes, arrival float64, variant int) {
 			paths, err := ft.ECMPPaths(src, dst)

@@ -33,9 +33,8 @@ import (
 //  2. The loop joins a pending pass — waits for it, then re-keys the changed
 //     flows' finish events and applies its stats — before it admits into,
 //     completes from or merges the pass's class; it joins every pending pass
-//     before a step whose dirty links span several classes, before a full
-//     pass, and before Run returns. Multi-class and full passes run on the
-//     loop.
+//     before a step whose dirty links span several classes, and before Run
+//     returns. Multi-class passes run on the loop.
 //  3. It processes an event ahead of another class's pending pass only if the
 //     event's time plus completeDue's tolerance comes before every finish
 //     time that pass could schedule (classes.lb).
@@ -132,8 +131,7 @@ type pass struct {
 	active  int    // active-set size at the pass (ripple's 2·|S| > active cut)
 	passGen uint64 // prepare() generation
 	gen     uint64 // the ripple pass's visit generation; gen+1 is its fallback's
-	full    bool   // the seed list overflowed: decompose the whole active set
-	force   bool   // ForceFullRecompute: one fill over the whole active set
+	force   bool   // Simulator.forceFull: one fill over the whole active set
 	seeds   []topo.LinkID
 
 	root int32       // the class while pending, -1 for a pass the loop runs at once
@@ -167,16 +165,12 @@ type worker struct {
 }
 
 // run executes p on w. Every dispatch decision depends only on simulator
-// state, never on the worker count:
-//
-//   - force: one progressive fill over the whole active set (the reference
-//     engine, seed semantics).
-//   - full (seed list overflowed): exact decomposition into link-sharing
-//     components.
-//   - otherwise: the ripple pass (fill only flows on dirty links, prove
-//     optimality locally), falling back to seeded component decomposition
-//     when the proof doesn't close. Every scoped pass is one or the other, so
-//     Recomputes = RipplePasses + RippleFallbacks + FullRecomputes.
+// state, never on the worker count. A pass is the ripple pass (fill only
+// flows on dirty links, prove optimality locally), or, when the proof doesn't
+// close, the exact decomposition into the link-sharing components its seeds
+// reach; tests may force the reference fill over the whole active set
+// instead. So Recomputes = RipplePasses + RippleFallbacks + FullRecomputes,
+// and FullRecomputes is 0 outside tests.
 func (w *worker) run(p *pass) {
 	w.p = p
 	st := &p.stats
@@ -185,10 +179,6 @@ func (w *worker) run(p *pass) {
 	case p.force:
 		st.FullRecomputes++
 		w.fillUnion()
-	case p.full:
-		st.FullRecomputes++
-		w.decomposeAll()
-		w.fillComponents()
 	case w.ripple():
 		st.RipplePasses++
 	default:
@@ -341,11 +331,14 @@ func (s *Simulator) newPass(p *pass) *pass {
 	s.passGen++
 	s.gen += 2
 	p.now, p.active, p.passGen, p.gen = s.now, len(s.active), s.passGen, s.gen-1
-	p.full, p.force = s.fullDirty, s.forceFull
-	p.seeds, s.dirtySeeds = append(p.seeds[:0], s.dirtySeeds...), s.dirtySeeds[:0]
+	p.force = s.forceFull
+	p.seeds = append(p.seeds[:0], s.dirtySeeds...)
+	for _, l := range s.dirtySeeds {
+		s.dirty[l] = false
+	}
+	s.dirtySeeds = s.dirtySeeds[:0]
 	p.root = -1
 	p.fin, p.stats = p.fin[:0], EngineStats{}
-	s.fullDirty = false
 	return p
 }
 
@@ -358,7 +351,7 @@ func (s *Simulator) newPass(p *pass) *pass {
 // the loop; any other pass joins every pending one and runs here, always in
 // s.onLoop, so the large passes grow one record's buffers, not every spare's.
 func (s *Simulator) recompute() {
-	if !s.fullDirty && len(s.dirtySeeds) == 0 {
+	if len(s.dirtySeeds) == 0 {
 		return
 	}
 	if root := s.soleClass(); root >= 0 {
@@ -378,9 +371,10 @@ func (s *Simulator) recompute() {
 }
 
 // soleClass returns the class all dirty seeds lie in, or -1 when the pass
-// must run on the loop: one worker, a full pass, or seeds in several classes.
+// must run on the loop: one worker, a reference fill, or seeds in several
+// classes.
 func (s *Simulator) soleClass() int32 {
-	if s.workers < 2 || s.fullDirty || s.forceFull {
+	if s.workers < 2 || s.forceFull {
 		return -1
 	}
 	root := s.cls.find(s.dirtySeeds[0])
@@ -572,40 +566,6 @@ func (w *worker) decomposeFromSeeds() {
 			w.compLinks = w.compLinks[:l0]
 			continue
 		}
-		w.comps = append(w.comps, compSpan{
-			f0: int32(f0), f1: int32(len(w.compFlows)),
-			l0: int32(l0), l1: int32(len(w.compLinks)),
-		})
-	}
-}
-
-// decomposeAll partitions the entire active set into link-sharing components
-// (the full pass: the seed list overflowed, so every flow is suspect). Stalled
-// flows are their own trivial components: their rate is already zero and
-// stays there, so they are prepared but not filled. Only the loop runs it.
-func (w *worker) decomposeAll() {
-	s, gen := w.s, w.p.gen+1
-	w.comps, w.compFlows, w.compLinks = w.comps[:0], w.compFlows[:0], w.compLinks[:0]
-	for _, fi := range s.active {
-		h := &s.hot[fi]
-		if h.visit == gen {
-			continue
-		}
-		h.visit = gen
-		w.prepare(h)
-		if h.nl == 0 {
-			h.rate = 0 // stalled; rate was zeroed when the path emptied
-			continue
-		}
-		f0, l0 := len(w.compFlows), len(w.compLinks)
-		w.compFlows = append(w.compFlows, fi)
-		for _, l := range s.linkArena[h.off : h.off+h.nl] {
-			if s.linkGen[l] != gen {
-				s.linkGen[l] = gen
-				w.compLinks = append(w.compLinks, l)
-			}
-		}
-		w.bfsFrom(l0, gen)
 		w.comps = append(w.comps, compSpan{
 			f0: int32(f0), f1: int32(len(w.compFlows)),
 			l0: int32(l0), l1: int32(len(w.compLinks)),

@@ -95,7 +95,7 @@ func parallelDifferentialSchedule(t *testing.T, seed int64, workerCounts []int) 
 	}
 	helpersOnly(par)
 	full := New(g)
-	full.ForceFullRecompute(true)
+	full.forceFull = true
 	all := append(append([]*Simulator{serial}, par...), full)
 
 	// checkLockstep asserts the parallel variants match the serial engine

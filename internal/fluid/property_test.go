@@ -201,14 +201,23 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 }
 
 // runClosed is Simulator.Run with every rate recomputation forced through
-// the fullDirty dispatch: exact component decomposition and closed-mode
-// fills, never the ripple pass.
+// exact component decomposition and closed-mode fills, never the ripple
+// pass: each pass seeds every loaded link, on the loop's worker.
 func runClosed(s *Simulator, until float64) error {
 	for {
 		if len(s.dirtySeeds) > 0 {
-			s.fullDirty = true
+			for l := range s.links {
+				if len(s.links[l].flows) > 0 {
+					s.markDirty(topo.LinkID(l))
+				}
+			}
+			w := s.ws[0]
+			w.p = s.newPass(&s.onLoop)
+			w.decomposeFromSeeds()
+			w.fillComponents()
+			s.finish(w.p)
+			w.p = nil
 		}
-		s.recompute()
 		tArr := math.Inf(1)
 		if s.pending.Len() > 0 {
 			tArr = s.pending[0].at
@@ -279,7 +288,7 @@ func differentialSchedule(t *testing.T, seed int64, closed bool) (EngineStats, b
 	}
 
 	inc, full := New(g), New(g)
-	full.ForceFullRecompute(true)
+	full.forceFull = true
 	both := [2]*Simulator{inc, full}
 	run := func(s *Simulator, until float64) error {
 		if closed && s == inc {

@@ -186,7 +186,7 @@ func replayStorm(tb testing.TB, ft *topo.FatTree, adds []stormAdd, waves []storm
 	return res
 }
 
-func forceFull(s *Simulator) { s.ForceFullRecompute(true) }
+func forceFull(s *Simulator) { s.forceFull = true }
 
 func runStormBench(b *testing.B, k, hostsPerEdge int, setup func(*Simulator)) {
 	ft, adds, waves := buildStormWorkload(b, k, hostsPerEdge, 20)

@@ -22,8 +22,7 @@ type Telemetry struct {
 	FlowsCompleted    *obs.Counter // flows drained to zero bytes
 	Stalls            *obs.Counter // SetPath to an empty path (disconnection)
 	Reroutes          *obs.Counter // SetPath to a different non-empty path
-	RateRecomputes    *obs.Counter // progressive-filling passes (scoped or full)
-	FullRecomputes    *obs.Counter // passes that fell back to the whole active set
+	RateRecomputes    *obs.Counter // progressive-filling passes
 	RateRecomputeWork *obs.Counter // flow×link incidences touched by filling passes
 	RipplePasses      *obs.Counter // scoped passes the ripple pass settled
 	RippleExpansions  *obs.Counter // verification-driven ripple set growths
@@ -54,7 +53,6 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		Stalls:            reg.Counter("fluid.stalls"),
 		Reroutes:          reg.Counter("fluid.reroutes"),
 		RateRecomputes:    reg.Counter("fluid.rate_recomputes"),
-		FullRecomputes:    reg.Counter("fluid.rate_recomputes_full"),
 		RateRecomputeWork: reg.Counter("fluid.rate_recompute_work"),
 		RipplePasses:      reg.Counter("fluid.ripple_passes"),
 		RippleExpansions:  reg.Counter("fluid.ripple_expansions"),
@@ -76,7 +74,6 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 // registry mirrors EngineStats without a second set of increment sites.
 func (t *Telemetry) addEngine(d *EngineStats) {
 	t.RateRecomputes.Add(d.Recomputes)
-	t.FullRecomputes.Add(d.FullRecomputes)
 	t.RateRecomputeWork.Add(d.RecomputeWork)
 	t.RecomputeWork.Record(d.RecomputeWork)
 	t.RipplePasses.Add(d.RipplePasses)

@@ -152,7 +152,6 @@ func TestTelemetryMirrorsEngineStats(t *testing.T) {
 		moved bool // the workload must have exercised it
 	}{
 		{"fluid.rate_recomputes", st.Recomputes, true},
-		{"fluid.rate_recomputes_full", st.FullRecomputes, false},
 		{"fluid.rate_recompute_work", st.RecomputeWork, true},
 		{"fluid.ripple_passes", st.RipplePasses, true},
 		{"fluid.ripple_expansions", st.RippleExpansions, false},

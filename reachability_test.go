@@ -28,8 +28,6 @@ var testOnly = map[string]string{
 
 	"failure.ExpectedConcurrent": "§5.1 availability arithmetic — TestExpectedConcurrent",
 
-	"fluid.Simulator.ForceFullRecompute": "oracle: the seed's global refill — TestScopedMatchesFullExact, TestDifferentialIncrementalVsFull",
-
 	"sbnet.Network.DeactivateIdleBackups": "§6 idle-backup augmentation — TestDeactivateIdleBackups",
 	"sbnet.Network.SyncCircuit":           "§5.1 circuit-switch re-sync — TestSyncCircuitRestoresAuthoritativeState",
 	"sbnet.Network.EdgeServingRack":       "oracle: which switch the circuits put behind a rack — TestReplaceEdge, TestEdgeServingRackSplitDetection",

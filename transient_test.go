@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sharebackup/internal/sweep"
 )
 
 func TestTransientStudy(t *testing.T) {
@@ -52,5 +54,37 @@ func TestTransientStudy(t *testing.T) {
 
 	if !strings.Contains(sb.String(), "ShareBackup") {
 		t.Error("row rendering broken")
+	}
+}
+
+// TestTransientTable3Golden pins every bit of the k=8 transient study and
+// Table 3. Both admit an all-to-all set at one instant, the fluid engine's
+// largest simultaneous arrival; the tests above check only their qualitative
+// shape. The fingerprints hash each row's JSON encoding, which spells every
+// float exactly.
+func TestTransientTable3Golden(t *testing.T) {
+	transient, err := TransientStudy(TransientConfig{K: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table3, err := Table3(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rows any
+		want uint64
+	}{
+		{"TransientStudy(K=8, Seed=1)", transient, 0x105e253b5e0abeef},
+		{"Table3(8, 1)", table3, 0x1e592689d772c531},
+	} {
+		got, err := sweep.Fingerprint(c.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x; rows %+v", c.name, got, c.want, c.rows)
+		}
 	}
 }
