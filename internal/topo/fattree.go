@@ -47,14 +47,14 @@ func (c *Config) setDefaults() error {
 	if c.LinkCapacity == 0 {
 		c.LinkCapacity = 1
 	}
-	if c.LinkCapacity < 0 {
-		return fmt.Errorf("topo: LinkCapacity=%v must be positive", c.LinkCapacity)
+	if !validCapacity(c.LinkCapacity) {
+		return fmt.Errorf("topo: LinkCapacity=%v must be positive and finite", c.LinkCapacity)
 	}
 	if c.HostCapacity == 0 {
 		c.HostCapacity = c.LinkCapacity
 	}
-	if c.HostCapacity < 0 {
-		return fmt.Errorf("topo: HostCapacity=%v must be positive", c.HostCapacity)
+	if !validCapacity(c.HostCapacity) {
+		return fmt.Errorf("topo: HostCapacity=%v must be positive and finite", c.HostCapacity)
 	}
 	return nil
 }
@@ -78,18 +78,35 @@ type FatTree struct {
 // NewFatTree builds a fat-tree from cfg. Node IDs are assigned
 // deterministically: all edge switches pod by pod, then all aggregation
 // switches, then cores, then hosts.
+//
+// Link IDs follow the wiring rule, a contract the path store resolves links
+// by (edgeAggLink, aggCoreLink): first the edge↔aggregation links by (pod,
+// edge, agg), then the aggregation↔core links by (pod, agg, t) with t in
+// coreIndexOfAgg's order, then each host's access link.
+// TestFatTreeLinkOrderContract fails if these loops are reordered.
 func NewFatTree(cfg Config) (*FatTree, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
 	k := cfg.K
 	half := k / 2
+	n := k * half * cfg.HostsPerEdge
+	nodes := k*half*2 + half*half + n
+	links := 2*k*half*half + n
 	ft := &FatTree{
-		Topology: &Topology{},
+		Topology: &Topology{
+			Nodes:  make([]Node, 0, nodes),
+			Links:  make([]Link, 0, links),
+			adj:    make([][]LinkID, 0, nodes),
+			byPair: make(map[linkKey]LinkID, links),
+		},
 		Cfg:      cfg,
 		edge:     make([][]NodeID, k),
 		agg:      make([][]NodeID, k),
 		core:     make([]NodeID, half*half),
+		hosts:    make([]NodeID, 0, n),
+		hostEdge: make([]NodeID, 0, n),
+		hostLink: make([]LinkID, 0, n),
 	}
 	for pod := 0; pod < k; pod++ {
 		ft.edge[pod] = make([]NodeID, half)
@@ -130,10 +147,6 @@ func NewFatTree(cfg Config) (*FatTree, error) {
 	}
 
 	// Hosts.
-	n := k * half * cfg.HostsPerEdge
-	ft.hosts = make([]NodeID, 0, n)
-	ft.hostEdge = make([]NodeID, 0, n)
-	ft.hostLink = make([]LinkID, 0, n)
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			for h := 0; h < cfg.HostsPerEdge; h++ {
@@ -221,6 +234,31 @@ func (ft *FatTree) aggIndexOfCore(c, pod int) int {
 		return c % half
 	}
 	return c / half
+}
+
+// coreSlotOfAgg inverts coreIndexOfAgg's t: core C_c is the t-th core of
+// the aggregation switch of pod it connects to (aggIndexOfCore).
+func (ft *FatTree) coreSlotOfAgg(pod, c int) int {
+	half := ft.Cfg.K / 2
+	if ft.typeB(pod) {
+		return c / half
+	}
+	return c % half
+}
+
+// edgeAggLink is the link joining E_{pod,e} and A_{pod,a}, by NewFatTree's
+// link order.
+func (ft *FatTree) edgeAggLink(pod, e, a int) LinkID {
+	half := ft.Cfg.K / 2
+	return LinkID((pod*half+e)*half + a)
+}
+
+// aggCoreLink is the link joining A_{pod,s} and its t-th core,
+// C_{coreIndexOfAgg(pod, s, t)}, by NewFatTree's link order: it follows
+// all k·(k/2)² edge↔aggregation links.
+func (ft *FatTree) aggCoreLink(pod, s, t int) LinkID {
+	k, half := ft.Cfg.K, ft.Cfg.K/2
+	return LinkID(k*half*half + (pod*half+s)*half + t)
 }
 
 // CoreIndicesOfAgg returns the global core indices A_{pod,s} connects to.

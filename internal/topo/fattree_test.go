@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestFatTreeCounts(t *testing.T) {
 	for _, k := range []int{4, 6, 8, 16} {
@@ -215,6 +218,82 @@ func TestFatTreeDeterministicIDs(t *testing.T) {
 	for i := range a.Links {
 		if a.Links[i] != b.Links[i] {
 			t.Fatalf("link %d differs between builds", i)
+		}
+	}
+}
+
+// TestFatTreeLinkOrderContract pins NewFatTree's link order, which the path
+// store resolves fabric links by instead of looking node pairs up: every
+// edge–aggregation and aggregation–core link the wiring-rule helpers name is
+// LinkBetween of its endpoints, the two blocks tile the first 2·k·(k/2)²
+// link IDs, and coreSlotOfAgg undoes coreIndexOfAgg's t.
+func TestFatTreeLinkOrderContract(t *testing.T) {
+	for _, k := range []int{4, 6, 8, 16} {
+		for _, ab := range []bool{false, true} {
+			ft, err := NewFatTree(Config{K: k, HostsPerEdge: 2, AB: ab})
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := k / 2
+			next := LinkID(0)
+			for pod := 0; pod < k; pod++ {
+				for e := 0; e < half; e++ {
+					for a := 0; a < half; a++ {
+						got, want := ft.edgeAggLink(pod, e, a), ft.LinkBetween(ft.Edge(pod, e), ft.Agg(pod, a))
+						if got != want || got != next {
+							t.Fatalf("k=%d ab=%v: edgeAggLink(%d, %d, %d) = %d, LinkBetween says %d, link order says %d", k, ab, pod, e, a, got, want, next)
+						}
+						next++
+					}
+				}
+			}
+			for pod := 0; pod < k; pod++ {
+				for s := 0; s < half; s++ {
+					for tt := 0; tt < half; tt++ {
+						c := ft.coreIndexOfAgg(pod, s, tt)
+						got, want := ft.aggCoreLink(pod, s, tt), ft.LinkBetween(ft.Agg(pod, s), ft.Core(c))
+						if got != want || got != next {
+							t.Fatalf("k=%d ab=%v: aggCoreLink(%d, %d, %d) = %d, LinkBetween says %d, link order says %d", k, ab, pod, s, tt, got, want, next)
+						}
+						if back := ft.coreSlotOfAgg(pod, c); back != tt {
+							t.Fatalf("k=%d ab=%v pod %d agg %d: coreSlotOfAgg(core %d) = %d, want t=%d", k, ab, pod, s, c, back, tt)
+						}
+						next++
+					}
+				}
+			}
+			for j := 0; j < ft.NumHosts(); j++ {
+				if got := ft.hostLink[j]; got != next {
+					t.Fatalf("k=%d ab=%v: host %d's access link is %d, link order says %d", k, ab, j, got, next)
+				}
+				next++
+			}
+		}
+	}
+}
+
+// TestNonFiniteCapacityRejected: a capacity must be positive and finite
+// wherever one enters a topology. NaN slips past every "<= 0" check, and the
+// fluid engine reserves +Inf as a sentinel.
+func TestNonFiniteCapacityRejected(t *testing.T) {
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var g Topology
+		a, b := g.AddNode(KindEdge, 0, 0), g.AddNode(KindAgg, 0, 0)
+		if _, err := g.AddLink(a, b, c); err == nil {
+			t.Errorf("AddLink accepted capacity %v", c)
+		}
+		for _, cfg := range []Config{{K: 4, LinkCapacity: c}, {K: 4, HostCapacity: c}} {
+			if _, err := NewFatTree(cfg); err == nil {
+				t.Errorf("NewFatTree accepted %+v", cfg)
+			}
+		}
+		for _, cfg := range []JellyfishConfig{
+			{Switches: 10, Ports: 6, NetDegree: 3, LinkCapacity: c},
+			{Switches: 10, Ports: 6, NetDegree: 3, HostCapacity: c},
+		} {
+			if _, err := NewJellyfish(cfg); err == nil {
+				t.Errorf("NewJellyfish accepted %+v", cfg)
+			}
 		}
 	}
 }

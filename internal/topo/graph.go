@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -67,7 +68,7 @@ func (t *Topology) AddNode(kind Kind, pod, index int) NodeID {
 
 // AddLink joins a and b with a link of the given capacity and returns its ID.
 // It returns an error if either node does not exist, a == b, capacity is not
-// positive, or the pair is already linked.
+// positive and finite, or the pair is already linked.
 func (t *Topology) AddLink(a, b NodeID, capacity float64) (LinkID, error) {
 	if !t.valid(a) || !t.valid(b) {
 		return NoLink, fmt.Errorf("topo: AddLink(%d, %d): node out of range", a, b)
@@ -75,8 +76,8 @@ func (t *Topology) AddLink(a, b NodeID, capacity float64) (LinkID, error) {
 	if a == b {
 		return NoLink, fmt.Errorf("topo: AddLink: self-loop at node %d", a)
 	}
-	if capacity <= 0 {
-		return NoLink, fmt.Errorf("topo: AddLink(%d, %d): capacity %v must be positive", a, b, capacity)
+	if !validCapacity(capacity) {
+		return NoLink, fmt.Errorf("topo: AddLink(%d, %d): capacity %v must be positive and finite", a, b, capacity)
 	}
 	if t.byPair == nil {
 		t.byPair = make(map[linkKey]LinkID)
@@ -92,6 +93,11 @@ func (t *Topology) AddLink(a, b NodeID, capacity float64) (LinkID, error) {
 	t.byPair[key] = id
 	return id, nil
 }
+
+// validCapacity reports whether c is a usable link capacity: positive and
+// finite. NaN fails every comparison, and the fluid engine reserves +Inf as
+// a sentinel.
+func validCapacity(c float64) bool { return c > 0 && !math.IsInf(c, 1) }
 
 func (t *Topology) valid(n NodeID) bool { return n >= 0 && int(n) < len(t.Nodes) }
 

@@ -41,14 +41,14 @@ func (c *JellyfishConfig) setDefaults() error {
 	if c.LinkCapacity == 0 {
 		c.LinkCapacity = 1
 	}
-	if c.LinkCapacity < 0 {
-		return fmt.Errorf("topo: LinkCapacity=%v must be positive", c.LinkCapacity)
+	if !validCapacity(c.LinkCapacity) {
+		return fmt.Errorf("topo: LinkCapacity=%v must be positive and finite", c.LinkCapacity)
 	}
 	if c.HostCapacity == 0 {
 		c.HostCapacity = c.LinkCapacity
 	}
-	if c.HostCapacity < 0 {
-		return fmt.Errorf("topo: HostCapacity=%v must be positive", c.HostCapacity)
+	if !validCapacity(c.HostCapacity) {
+		return fmt.Errorf("topo: HostCapacity=%v must be positive and finite", c.HostCapacity)
 	}
 	return nil
 }

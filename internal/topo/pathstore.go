@@ -170,7 +170,7 @@ func (ps *PathStore) Paths(srcHost, dstHost int) ([]Path, error) {
 	if e := ps.load(srcHost, dstHost); e != nil && e.paths != nil {
 		return e.paths, nil
 	}
-	return ps.build(srcHost, dstHost)
+	return ps.build(srcHost, dstHost), nil
 }
 
 // Select returns Paths(srcHost, dstHost)[hash % len(Paths(srcHost, dstHost))],
@@ -192,25 +192,24 @@ func (ps *PathStore) Select(srcHost, dstHost int, hash uint64) (Path, error) {
 			return e.single[i].path, nil
 		}
 	}
-	return ps.buildOne(srcHost, dstHost, hash)
+	return ps.buildOne(srcHost, dstHost, hash), nil
 }
 
 // buildOne resolves and interns the one path of the pair that hash selects,
 // by its rank in ECMPPaths order: one path for a shared edge switch, k/2
 // inside a pod, (k/2)^2 across pods. The pair's entry is replaced by one
 // whose rank-sorted list holds the new path too.
-func (ps *PathStore) buildOne(srcHost, dstHost int, hash uint64) (Path, error) {
+func (ps *PathStore) buildOne(srcHost, dstHost int, hash uint64) Path {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ft := ps.ft
 	half := ft.Cfg.K / 2
-	es, ed := ft.hostEdge[srcHost], ft.hostEdge[dstHost]
-	sp, dp := ft.Node(es).Pod, ft.Node(ed).Pod
+	es, ed := ft.Node(ft.hostEdge[srcHost]), ft.Node(ft.hostEdge[dstHost])
 	count := half
 	switch {
-	case es == ed:
+	case es.ID == ed.ID:
 		count = 1
-	case sp != dp:
+	case es.Pod != ed.Pod:
 		count = half * half
 	}
 	rank := int(hash % uint64(count))
@@ -218,58 +217,57 @@ func (ps *PathStore) buildOne(srcHost, dstHost int, hash uint64) (Path, error) {
 	var single []rankedPath
 	if old := slot.Load(); old != nil {
 		if old.paths != nil {
-			return old.paths[rank], nil
+			return old.paths[rank]
 		}
 		single = old.single
 	}
 	at := searchRank(single, rank)
 	if at < len(single) && single[at].rank == rank {
-		return single[at].path, nil
+		return single[at].path
 	}
 	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
-	var nodes []NodeID
+	sl, dl := ft.hostLink[srcHost], ft.hostLink[dstHost]
+	var p Path
 	switch {
-	case es == ed:
-		nodes = []NodeID{s, es, d}
-	case sp == dp:
-		nodes = []NodeID{s, es, ft.agg[sp][rank], ed, d}
+	case es.ID == ed.ID:
+		p = Path{Nodes: []NodeID{s, es.ID, d}, Links: []LinkID{sl, dl}}
+	case es.Pod == ed.Pod:
+		p = Path{
+			Nodes: []NodeID{s, es.ID, ft.agg[es.Pod][rank], ed.ID, d},
+			Links: []LinkID{sl, ft.edgeAggLink(es.Pod, es.Index, rank), ft.edgeAggLink(ed.Pod, ed.Index, rank), dl},
+		}
 	default:
-		ci := ft.coreIndexOfAgg(sp, rank/half, rank%half)
-		nodes = []NodeID{s, es, ft.agg[sp][rank/half], ft.core[ci], ft.AggOfCoreInPod(ci, dp), ed, d}
-	}
-	links := make([]LinkID, len(nodes)-1)
-	links[0], links[len(links)-1] = ft.hostLink[srcHost], ft.hostLink[dstHost]
-	for i := 1; i < len(links)-1; i++ {
-		if links[i] = ft.LinkBetween(nodes[i], nodes[i+1]); links[i] == NoLink {
-			return Path{}, fmt.Errorf("topo: no link between %s and %s", ft.Node(nodes[i]).Name(), ft.Node(nodes[i+1]).Name())
+		up, t := rank/half, rank%half
+		ci := ft.coreIndexOfAgg(es.Pod, up, t)
+		dn := ft.aggIndexOfCore(ci, ed.Pod)
+		p = Path{
+			Nodes: []NodeID{s, es.ID, ft.agg[es.Pod][up], ft.core[ci], ft.agg[ed.Pod][dn], ed.ID, d},
+			Links: []LinkID{sl, ft.edgeAggLink(es.Pod, es.Index, up), ft.aggCoreLink(es.Pod, up, t),
+				ft.aggCoreLink(ed.Pod, dn, ft.coreSlotOfAgg(ed.Pod, ci)), ft.edgeAggLink(ed.Pod, ed.Index, dn), dl},
 		}
 	}
-	p := Path{Nodes: nodes, Links: links}
 	grown := make([]rankedPath, len(single)+1)
 	copy(grown, single[:at])
 	grown[at] = rankedPath{rank, p}
 	copy(grown[at+1:], single[at:])
 	ps.singlePaths.Add(1)
 	slot.Store(&pairEntry{count: count, single: grown})
-	return p, nil
+	return p
 }
 
 // build materializes one pair's path set under the store lock: resolve the
 // pair's class interior (enumerating it on the class's first appearance),
 // then stamp the pair's endpoints and access links into fresh slabs. The new
 // entry drops what Select interned: it serves from the full set from now on.
-func (ps *PathStore) build(srcHost, dstHost int) ([]Path, error) {
+func (ps *PathStore) build(srcHost, dstHost int) []Path {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	slot := ps.slot(srcHost, dstHost)
 	if old := slot.Load(); old != nil && old.paths != nil {
-		return old.paths, nil
+		return old.paths
 	}
 	ft := ps.ft
-	cls, err := ps.class(ft.hostEdge[srcHost], ft.hostEdge[dstHost])
-	if err != nil {
-		return nil, err
-	}
+	cls := ps.class(ft.hostEdge[srcHost], ft.hostEdge[dstHost])
 	m := cls.paths
 	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
 	sl, dl := ft.hostLink[srcHost], ft.hostLink[dstHost]
@@ -294,63 +292,49 @@ func (ps *PathStore) build(srcHost, dstHost int) ([]Path, error) {
 	ps.builtPairs.Add(1)
 	ps.internedPaths.Add(int64(m))
 	slot.Store(&pairEntry{paths: paths, count: m})
-	return paths, nil
+	return paths
 }
 
 // class resolves the (es, ed) interior, enumerating it on first use
 // straight from the wiring accessors ECMPPaths walks, in ECMPPaths order:
 // one segment for a shared edge switch, one per aggregation switch inside a
-// pod, one per (aggregation, core) pair across pods. Segments of a class
-// share most of their links — every inter-pod segment through one source
-// aggregation switch starts on the same uplink, and all segments descend on
-// one of k/2 downlinks — so each distinct link is resolved once rather than
-// once per segment it appears on. Callers hold ps.mu.
-func (ps *PathStore) class(es, ed NodeID) (*classEntry, error) {
-	key := classKey{es, ed}
+// pod, one per (aggregation, core) pair across pods. Every link comes from
+// NewFatTree's link order (edgeAggLink, aggCoreLink), not from a node-pair
+// lookup. Callers hold ps.mu.
+func (ps *PathStore) class(esID, edID NodeID) *classEntry {
+	key := classKey{esID, edID}
 	if c, ok := ps.classes[key]; ok {
-		return c, nil
+		return c
 	}
 	ft := ps.ft
 	half := ft.Cfg.K / 2
-	sp, dp := ft.Node(es).Pod, ft.Node(ed).Pod
+	es, ed := ft.Node(esID), ft.Node(edID)
 	var c *classEntry
 	switch {
-	case es == ed:
-		c = &classEntry{paths: 1, nn: 1, nodes: []NodeID{es}}
-	case sp == dp:
+	case esID == edID:
+		c = &classEntry{paths: 1, nn: 1, nodes: []NodeID{esID}}
+	case es.Pod == ed.Pod:
 		c = &classEntry{paths: half, nn: 3, nodes: make([]NodeID, 0, half*3), links: make([]LinkID, 0, half*2)}
-		for _, a := range ft.agg[sp] {
-			c.nodes = append(c.nodes, es, a, ed)
-			c.links = append(c.links, ft.LinkBetween(es, a), ft.LinkBetween(a, ed))
+		for a, agg := range ft.agg[es.Pod] {
+			c.nodes = append(c.nodes, esID, agg, edID)
+			c.links = append(c.links, ft.edgeAggLink(es.Pod, es.Index, a), ft.edgeAggLink(ed.Pod, ed.Index, a))
 		}
 	default:
 		m := half * half
 		c = &classEntry{paths: m, nn: 5, nodes: make([]NodeID, 0, m*5), links: make([]LinkID, 0, m*4)}
-		// The last hop depends only on which destination-pod aggregation
-		// switch a core descends to.
-		down := make([]LinkID, half)
-		for j, a := range ft.agg[dp] {
-			down[j] = ft.LinkBetween(a, ed)
-		}
-		for s, up := range ft.agg[sp] {
-			first := ft.LinkBetween(es, up)
+		for s, up := range ft.agg[es.Pod] {
+			first := ft.edgeAggLink(es.Pod, es.Index, s)
 			for t := 0; t < half; t++ {
-				ci := ft.coreIndexOfAgg(sp, s, t)
-				core := ft.core[ci]
-				j := ft.aggIndexOfCore(ci, dp)
-				dn := ft.agg[dp][j]
-				c.nodes = append(c.nodes, es, up, core, dn, ed)
-				c.links = append(c.links, first, ft.LinkBetween(up, core), ft.LinkBetween(core, dn), down[j])
+				ci := ft.coreIndexOfAgg(es.Pod, s, t)
+				j := ft.aggIndexOfCore(ci, ed.Pod)
+				c.nodes = append(c.nodes, esID, up, ft.core[ci], ft.agg[ed.Pod][j], edID)
+				c.links = append(c.links, first, ft.aggCoreLink(es.Pod, s, t),
+					ft.aggCoreLink(ed.Pod, j, ft.coreSlotOfAgg(ed.Pod, ci)), ft.edgeAggLink(ed.Pod, ed.Index, j))
 			}
 		}
 	}
-	for _, l := range c.links {
-		if l == NoLink {
-			return nil, fmt.Errorf("topo: PathStore: class (%s, %s) crosses a missing link", ft.Node(es).Name(), ft.Node(ed).Name())
-		}
-	}
 	ps.classes[key] = c
-	return c, nil
+	return c
 }
 
 // PathStoreStats summarizes a store's interned state.

@@ -288,11 +288,8 @@ func TestClassEnumerationMatchesECMPInterior(t *testing.T) {
 					t.Fatal(err)
 				}
 				ps.mu.Lock()
-				c, err := ps.class(ft.EdgeOfHost(p.src), ft.EdgeOfHost(p.dst))
+				c := ps.class(ft.EdgeOfHost(p.src), ft.EdgeOfHost(p.dst))
 				ps.mu.Unlock()
-				if err != nil {
-					t.Fatalf("k=%d ab=%v %s: %v", k, ab, p.kind, err)
-				}
 				if c.paths != p.paths || c.paths != len(fresh) {
 					t.Fatalf("k=%d ab=%v %s: %d segments, ECMPPaths has %d, want %d", k, ab, p.kind, c.paths, len(fresh), p.paths)
 				}
@@ -600,5 +597,74 @@ func TestSelectCostIndependentOfPathCount(t *testing.T) {
 	small, large := perPair(8), perPair(32)
 	if large > small || large > 256 {
 		t.Fatalf("an inter-pod Select interns %d bytes at k=32 and %d at k=8; want equal, and at most 256", large, small)
+	}
+}
+
+// TestBuildCostGate pins the cold build's cost without a wall clock: the
+// allocations of NewFatTree at k=8, and what a fresh store then allocates to
+// serve a storm-style schedule on it. NewFatTree sizes its node, link and
+// pair-index tables once (399 allocations measured, nearly all of them
+// per-node adjacency; 435 when the tables grew by appending), and the store
+// resolves fabric links by the wiring rule: with the pair index dropped, its
+// paths must still match ECMPPaths.
+func TestBuildCostGate(t *testing.T) {
+	cfg := Config{K: 8, HostsPerEdge: 4}
+	pairs := stormPairs(8, 4, 20, 1)
+	build := func() *FatTree {
+		ft, err := NewFatTree(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
+	}
+	fabric := testing.AllocsPerRun(5, func() { build() })
+	if limit := 410.0; fabric > limit {
+		t.Errorf("NewFatTree(k=8) allocates %v times, want at most %v", fabric, limit)
+	}
+	schedule := testing.AllocsPerRun(5, func() {
+		ps := build().PathStore()
+		for _, p := range pairs {
+			if _, err := ps.Paths(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// 3 603 measured: rows, chunks, class slabs and four allocations per
+	// built pair.
+	if store, limit := schedule-fabric, 3660.0; store > limit {
+		t.Errorf("a store serving %d storm lookups allocates %v times, want at most %v", len(pairs), store, limit)
+	}
+
+	// Every kind of pair, from the first and the last host.
+	ref, ft := build(), build()
+	ft.byPair = nil // LinkBetween now answers NoLink for every pair
+	ps := ft.PathStore()
+	n := ft.NumHosts()
+	for _, src := range []int{0, n - 1} {
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				continue
+			}
+			want, err := ref.ECMPPaths(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ps.Paths(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := NewPathStore(ft).Select(src, dst, uint64(dst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := dst % len(want); !pathsEqual(one, want[r]) {
+				t.Fatalf("(%d, %d) rank %d: Select without the pair index gives %v, ECMPPaths %v", src, dst, r, one, want[r])
+			}
+			for r := range want {
+				if !pathsEqual(got[r], want[r]) {
+					t.Fatalf("(%d, %d) path %d: %v without the pair index, ECMPPaths %v", src, dst, r, got[r], want[r])
+				}
+			}
+		}
 	}
 }
