@@ -39,6 +39,9 @@ race:
 	# class-parallel differential runs ten times.
 	$(GO) test -race -run 'TestDifferentialParallelWorkers|TestStormFinishTimesGolden' ./internal/fluid/
 	$(GO) test -race -count=10 -run 'TestDifferentialClassParallel' ./internal/fluid/
+	# The path store carves its arenas under its mutex and serves them
+	# lock-free: the concurrent build tests, ten times over.
+	$(GO) test -race -count=10 -run 'TestPathStoreConcurrent|TestSelectConcurrentWithPaths' ./internal/topo/
 
 # Every command and example at its smallest flags, in a scratch directory,
 # so a main that builds but no longer runs fails CI. sbemu's control-plane
@@ -67,7 +70,7 @@ smoke:
 # sizes in bytes (theirs when last lowered), so a new paragraph is paid for with
 # deletions. Lower a budget when a file shrinks; never raise one.
 docs-budget:
-	@fail=0; for budget in DESIGN.md:83525 EXPERIMENTS.md:87207; do \
+	@fail=0; for budget in DESIGN.md:83489 EXPERIMENTS.md:87173; do \
 		f="$${budget%%:*}"; max="$${budget##*:}"; size=$$(wc -c < "$$f"); \
 		if [ "$$size" -gt "$$max" ]; then echo "$$f is $$size bytes, over its $$max-byte budget"; fail=1; fi; \
 	done; exit $$fail
@@ -88,7 +91,8 @@ soak-failover:
 # duplicated): the consensus wire (every Raft message anyone can send the
 # listener), the replicated command and its decoder, the control-plane wire
 # (every frame and payload decoder of the one message table), a replica
-# restoring a snapshot, the JSONL trace reader, the coflow trace parser, and
+# restoring a snapshot, the JSONL trace reader, the coflow trace parser, the
+# coflow generator and Partition (a NaN or tiny window once panicked), and
 # every input the fluid simulator takes (raw IDs, floats and link IDs; its
 # corpus holds a NaN arrival, Run(+Inf) and a link outside the fabric, each of
 # which once hung or crashed Run). Standard library only; runs offline.
@@ -99,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s ./internal/ctlnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/coflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/coflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulatorInputs$$' -fuzztime 10s ./internal/fluid/
 
 # Recovery-path microbenchmarks; instrumentation must stay free when no

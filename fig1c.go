@@ -116,6 +116,9 @@ type fig1cInputs struct {
 
 // newFig1cInputs builds the study's inputs from cfg (defaults already set).
 func newFig1cInputs(cfg Fig1cConfig) (*fig1cInputs, error) {
+	if !(cfg.Window > 0) || math.IsInf(cfg.Window, 1) {
+		return nil, fmt.Errorf("sharebackup: Fig1c: Window=%v must be positive and finite", cfg.Window)
+	}
 	// Topologies: fat-tree for the fat-tree and ShareBackup runs
 	// (ShareBackup's logical topology IS the fat-tree, restored exactly
 	// after replacement), AB fat-tree for F10.

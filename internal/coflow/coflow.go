@@ -79,24 +79,39 @@ func (t *Trace) TotalFlows() int {
 // Partition slices the trace into consecutive windows of windowSec seconds
 // by arrival time (the paper runs 5-minute partitions; Section 2.2). Each
 // window's coflows have arrivals rebased to the window start. Empty windows
-// are included so window indices stay aligned with time.
+// are included so window indices stay aligned with time, so a window that
+// would cut the trace into more than maxWindows of them is refused. An
+// infinite window yields one window holding the whole trace.
 func (t *Trace) Partition(windowSec float64) ([]*Trace, error) {
-	if windowSec <= 0 {
+	if !(windowSec > 0) {
 		return nil, fmt.Errorf("coflow: Partition: window %v must be positive", windowSec)
 	}
-	nw := int(math.Floor(t.Duration()/windowSec)) + 1
-	out := make([]*Trace, nw)
+	span := math.Floor(t.Duration() / windowSec)
+	if span >= maxWindows {
+		return nil, fmt.Errorf("coflow: Partition: window %v cuts the %vs trace into more than %d windows", windowSec, t.Duration(), maxWindows)
+	}
+	windows := make([]Trace, int(span)+1)
+	out := make([]*Trace, len(windows))
 	for i := range out {
-		out[i] = &Trace{NumRacks: t.NumRacks}
+		windows[i].NumRacks = t.NumRacks
+		out[i] = &windows[i]
 	}
 	for _, c := range t.Coflows {
+		if !(c.Arrival >= 0) {
+			return nil, fmt.Errorf("coflow: Partition: coflow %d arrives at %v, before the trace starts", c.ID, c.Arrival)
+		}
 		w := int(c.Arrival / windowSec)
-		cc := c
-		cc.Arrival = c.Arrival - float64(w)*windowSec
-		out[w].Coflows = append(out[w].Coflows, cc)
+		if w > 0 {
+			c.Arrival -= float64(w) * windowSec
+		}
+		out[w].Coflows = append(out[w].Coflows, c)
 	}
 	return out, nil
 }
+
+// maxWindows bounds Partition's window count: 2^20 windows (12 days of one-
+// second windows) already cost tens of megabytes before any coflow lands.
+const maxWindows = 1 << 20
 
 // MB is one megabyte in bytes, the unit of the coflow-benchmark format.
 const MB = 1e6
@@ -326,8 +341,8 @@ func (c *GenConfig) setDefaults() error {
 	if c.Duration == 0 {
 		c.Duration = 3600
 	}
-	if c.Duration < 0 {
-		return fmt.Errorf("coflow: Duration=%v must be positive", c.Duration)
+	if !(c.Duration > 0) || math.IsInf(c.Duration, 1) {
+		return fmt.Errorf("coflow: Duration=%v must be positive and finite", c.Duration)
 	}
 	if c.MapperLogMean == 0 {
 		c.MapperLogMean = 1.2
@@ -347,6 +362,18 @@ func (c *GenConfig) setDefaults() error {
 	if c.SizeLogStdMB == 0 {
 		c.SizeLogStdMB = 1.9
 	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"MapperLogMean", c.MapperLogMean}, {"MapperLogStd", c.MapperLogStd},
+		{"ReducerLogMean", c.ReducerLogMean}, {"ReducerLogStd", c.ReducerLogStd},
+		{"SizeLogMeanMB", c.SizeLogMeanMB}, {"SizeLogStdMB", c.SizeLogStdMB},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("coflow: %s=%v must be finite", p.name, p.v)
+		}
+	}
 	return nil
 }
 
@@ -361,15 +388,17 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{NumRacks: cfg.Racks}
+	// lognormInt clips in floating point: a draw past the int range is the
+	// rack count, not whatever converting it would give.
 	lognormInt := func(mu, sigma float64, max int) int {
-		v := int(math.Round(math.Exp(rng.NormFloat64()*sigma + mu)))
+		v := math.Round(math.Exp(rng.NormFloat64()*sigma + mu))
+		if v >= float64(max) {
+			return max
+		}
 		if v < 1 {
-			v = 1
+			return 1
 		}
-		if v > max {
-			v = max
-		}
-		return v
+		return int(v)
 	}
 	for i := 0; i < cfg.NumCoflows; i++ {
 		m := lognormInt(cfg.MapperLogMean, cfg.MapperLogStd, cfg.Racks)
@@ -398,6 +427,12 @@ func Generate(cfg GenConfig) (*Trace, error) {
 			dst := (mappers[0] + 1) % cfg.Racks
 			c.Flows = append(c.Flows, Flow{Src: mappers[0], Dst: dst,
 				Bytes: math.Exp(rng.NormFloat64()*cfg.SizeLogStdMB+cfg.SizeLogMeanMB) * MB})
+		}
+		for _, f := range c.Flows {
+			if !(f.Bytes > 0) || math.IsInf(f.Bytes, 1) {
+				return nil, fmt.Errorf("coflow: SizeLogMeanMB=%v, SizeLogStdMB=%v drew a %v-byte flow; sizes must be positive and finite",
+					cfg.SizeLogMeanMB, cfg.SizeLogStdMB, f.Bytes)
+			}
 		}
 		tr.Coflows = append(tr.Coflows, c)
 	}

@@ -2,6 +2,7 @@ package coflow
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -193,6 +194,38 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(GenConfig{Duration: -1}); err == nil {
 		t.Error("negative duration accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		cfg   GenConfig
+	}{
+		{"Duration", GenConfig{Duration: nan}},
+		{"Duration", GenConfig{Duration: inf}},
+		{"MapperLogMean", GenConfig{MapperLogMean: nan}},
+		{"MapperLogStd", GenConfig{MapperLogStd: -inf}},
+		{"ReducerLogMean", GenConfig{ReducerLogMean: inf}},
+		{"ReducerLogStd", GenConfig{ReducerLogStd: nan}},
+		{"SizeLogMeanMB", GenConfig{SizeLogMeanMB: nan}},
+		{"SizeLogStdMB", GenConfig{SizeLogStdMB: nan}},
+		// Finite parameters whose draws overflow or underflow a size.
+		{"SizeLogMeanMB", GenConfig{SizeLogMeanMB: 1000}},
+		{"SizeLogMeanMB", GenConfig{SizeLogMeanMB: -1000}},
+	} {
+		if _, err := Generate(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field+"=") {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.field)
+		}
+	}
+	// A huge finite width parameter clips to every rack, as documented,
+	// rather than to one.
+	tr, err := Generate(GenConfig{Racks: 5, NumCoflows: 3, MapperLogMean: 1e6, ReducerLogMean: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tr.Coflows {
+		if c.Width() != 5*4 {
+			t.Fatalf("coflow %d has %d flows, want every mapper to every other reducer (20)", c.ID, c.Width())
+		}
+	}
 }
 
 func TestPartition(t *testing.T) {
@@ -221,8 +254,20 @@ func TestPartition(t *testing.T) {
 	if got := windows[3].Coflows[0].Arrival; got != 0 {
 		t.Errorf("rebased arrival = %v, want 0", got)
 	}
-	if _, err := tr.Partition(0); err == nil {
-		t.Error("zero window accepted")
+	// A window Partition cannot count by is an error naming it, not a
+	// makeslice panic; an infinite one is one window.
+	for _, w := range []float64{0, -1, math.NaN(), 1e-300} {
+		if _, err := tr.Partition(w); err == nil || !strings.Contains(err.Error(), fmt.Sprint(w)) {
+			t.Errorf("window %v: err = %v, want one naming the window", w, err)
+		}
+	}
+	one, err := tr.Partition(math.Inf(1))
+	if err != nil || len(one) != 1 || len(one[0].Coflows) != len(tr.Coflows) || one[0].Coflows[3].Arrival != 900 {
+		t.Errorf("infinite window: %d windows, err %v; want one holding the trace as it is", len(one), err)
+	}
+	early := &Trace{NumRacks: 2, Coflows: []Coflow{{ID: 7, Arrival: -600, Flows: []Flow{{0, 1, 1}}}}}
+	if _, err := early.Partition(300); err == nil {
+		t.Error("a coflow arriving before the trace start was accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package coflow
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -40,6 +41,72 @@ func FuzzParse(f *testing.F) {
 				if !(fl.Bytes > 0) {
 					t.Fatalf("non-positive flow bytes: %v", fl.Bytes)
 				}
+			}
+		}
+	})
+}
+
+// FuzzGenerate drives the generator with arbitrary parameters on small
+// fabrics, and partitions what it yields by an arbitrary window. Generate
+// either refuses the config or yields a well-formed trace; Partition either
+// refuses the window or keeps every coflow exactly once. A NaN duration once
+// yielded NaN arrivals, and a NaN or tiny window panicked in makeslice.
+func FuzzGenerate(f *testing.F) {
+	f.Add(uint8(20), uint8(10), 100.0, int64(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 30.0)
+	f.Add(uint8(5), uint8(3), math.NaN(), int64(2), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0)
+	f.Add(uint8(5), uint8(3), 60.0, int64(3), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.NaN())
+	f.Add(uint8(5), uint8(3), 60.0, int64(4), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-300)
+	f.Add(uint8(3), uint8(2), 1.0, int64(5), 1e6, 0.1, -1e6, 0.1, 1000.0, 0.1, math.Inf(1))
+	f.Fuzz(func(t *testing.T, racks, coflows uint8, duration float64, seed int64,
+		mMean, mStd, rMean, rStd, sMean, sStd, window float64) {
+		cfg := GenConfig{
+			Racks: 2 + int(racks%30), NumCoflows: 1 + int(coflows%20), Duration: duration, Seed: seed,
+			MapperLogMean: mMean, MapperLogStd: mStd, ReducerLogMean: rMean, ReducerLogStd: rStd,
+			SizeLogMeanMB: sMean, SizeLogStdMB: sStd,
+		}
+		tr, err := Generate(cfg)
+		if err != nil {
+			return
+		}
+		if duration == 0 {
+			duration = 3600 // the default
+		}
+		if len(tr.Coflows) != cfg.NumCoflows || tr.NumRacks != cfg.Racks {
+			t.Fatalf("%d coflows on %d racks, want %d on %d", len(tr.Coflows), tr.NumRacks, cfg.NumCoflows, cfg.Racks)
+		}
+		for i := range tr.Coflows {
+			c := &tr.Coflows[i]
+			if !(c.Arrival >= 0 && c.Arrival < duration) {
+				t.Fatalf("coflow %d arrives at %v, outside [0, %v)", c.ID, c.Arrival, duration)
+			}
+			if len(c.Flows) == 0 {
+				t.Fatalf("coflow %d has no flow", c.ID)
+			}
+			for _, fl := range c.Flows {
+				if fl.Src < 0 || fl.Src >= tr.NumRacks || fl.Dst < 0 || fl.Dst >= tr.NumRacks {
+					t.Fatalf("flow endpoint out of range: %+v", fl)
+				}
+				if fl.Src == fl.Dst {
+					t.Fatalf("rack-local flow: %+v", fl)
+				}
+				if !(fl.Bytes > 0) || math.IsInf(fl.Bytes, 1) {
+					t.Fatalf("flow bytes %v not positive and finite", fl.Bytes)
+				}
+			}
+		}
+		windows, err := tr.Partition(window)
+		if err != nil {
+			return
+		}
+		seen := make([]int, len(tr.Coflows)) // IDs are 0..NumCoflows-1
+		for _, w := range windows {
+			for _, c := range w.Coflows {
+				seen[c.ID]++
+			}
+		}
+		for id, n := range seen {
+			if n != 1 {
+				t.Fatalf("window %v: coflow %d kept %d times", window, id, n)
 			}
 		}
 	})

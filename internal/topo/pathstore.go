@@ -7,20 +7,12 @@ import (
 )
 
 // PathStore interns the ECMP path sets of a fat-tree: each ordered host
-// pair's equal-cost paths are enumerated once, stored in shared backing
-// slabs, and handed out as immutable views. Lookups after the first are
-// lock-free and allocation-free — the hot-path contract ECMP routing and the
-// reroute strategies rely on during failure sweeps. A caller that wants one
-// path of a pair (ECMP hashing a flow onto it) uses Select, which builds and
-// interns only that path.
-//
-// Interning exploits fat-tree symmetry: the interior of every path (source
-// edge switch through the agg/core pattern to the destination edge switch)
-// depends only on the (src-edge, dst-edge) class, not on which hosts under
-// those edges are talking. The store enumerates each class once and stamps
-// per-pair paths from the class's interior plus the pair's two access links,
-// so the expensive graph walk runs once per class rather than once per pair
-// (and never at lookup time).
+// pair's equal-cost paths are written once, by stamp straight from the
+// wiring rule, into shared arenas, and handed out as immutable views.
+// Lookups after the first are lock-free and allocation-free — the hot-path
+// contract ECMP routing and the reroute strategies rely on during failure
+// sweeps. A caller that wants one path of a pair (ECMP hashing a flow onto
+// it) uses Select, which builds and interns only that path.
 //
 // Exactness contract: Paths(src, dst) returns paths bit-identical — same
 // order, same node and link sequences — to a fresh FatTree.ECMPPaths
@@ -41,8 +33,14 @@ type PathStore struct {
 	// unpublished, so reads are lock-free atomic loads.
 	rows []atomic.Pointer[pairRow]
 
+	// mu serializes interning. The arenas, carved under it, hold what a
+	// full build writes once and never replaces: the pair's node and link
+	// slabs, its path headers and its entry.
 	mu      sync.Mutex
-	classes map[classKey]*classEntry
+	nodes   arena[NodeID]
+	links   arena[LinkID]
+	headers arena[Path]
+	entries arena[pairEntry]
 
 	builtPairs    atomic.Int64
 	internedPaths atomic.Int64
@@ -58,25 +56,33 @@ type (
 	pairChunk [chunkSize]atomic.Pointer[pairEntry]
 )
 
-// classKey identifies an edge-pair equivalence class.
-type classKey struct{ es, ed NodeID }
+// arena hands out full-capacity slices of shared chunks. Chunks double from
+// arenaFirst up to arenaMax elements; a request larger than the current
+// chunk's rest opens the next chunk, and one larger than arenaMax gets a
+// chunk of its own size.
+type arena[T any] struct {
+	free []T
+	size int // elements of the last chunk opened
+}
 
-// classEntry is the host-independent interior of one class: every equal-cost
-// src-edge → ... → dst-edge segment, in ECMPPaths enumeration order. All
-// segments of a class have equal length (the paths are equal-cost), so they
-// sit back to back in one slab per kind: segment i is nodes[i*nn:(i+1)*nn]
-// and links[i*(nn-1):(i+1)*(nn-1)].
-type classEntry struct {
-	paths int // number of segments
-	nn    int // nodes per segment (one more than links per segment)
-	nodes []NodeID
-	links []LinkID
+const arenaFirst, arenaMax = 64, 1 << 14
+
+func (a *arena[T]) take(n int) []T {
+	if n > len(a.free) {
+		a.size = min(max(2*a.size, arenaFirst), arenaMax)
+		a.free = make([]T, max(a.size, n))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 // pairEntry is what one ordered host pair has interned: the full path set
 // once Paths asked for it, and before that the paths Select built one at a
 // time, sorted by rank. A published entry is immutable; interning more of
-// the pair replaces it.
+// the pair replaces it. An entry with the full set lives in the entries
+// arena; the entries and rank lists Select replaces, and their paths, are
+// allocated one by one so the arenas never hold what a later build drops.
 type pairEntry struct {
 	paths  []Path
 	count  int // equal-cost paths of the pair; len(paths) once they exist
@@ -112,7 +118,6 @@ func NewPathStore(ft *FatTree) *PathStore {
 		ft:       ft,
 		numHosts: n,
 		rows:     make([]atomic.Pointer[pairRow], n),
-		classes:  make(map[classKey]*classEntry),
 	}
 }
 
@@ -175,10 +180,9 @@ func (ps *PathStore) Paths(srcHost, dstHost int) ([]Path, error) {
 
 // Select returns Paths(srcHost, dstHost)[hash % len(Paths(srcHost, dstHost))],
 // bit-identical to the fully built set's entry, without building the set: on
-// a pair's first lookup at a rank only that path is resolved — rank ->
-// (aggregation, core) straight from the wiring accessors class enumerates
-// with — and interned. Later lookups at the rank, and every lookup once the
-// pair's full set exists, are lock-free and allocation-free.
+// a pair's first lookup at a rank only that path is stamped and interned.
+// Later lookups at the rank, and every lookup once the pair's full set
+// exists, are lock-free and allocation-free.
 func (ps *PathStore) Select(srcHost, dstHost int, hash uint64) (Path, error) {
 	if err := ps.checkHostPair(srcHost, dstHost); err != nil {
 		return Path{}, err
@@ -195,24 +199,71 @@ func (ps *PathStore) Select(srcHost, dstHost int, hash uint64) (Path, error) {
 	return ps.buildOne(srcHost, dstHost, hash), nil
 }
 
-// buildOne resolves and interns the one path of the pair that hash selects,
-// by its rank in ECMPPaths order: one path for a shared edge switch, k/2
-// inside a pod, (k/2)^2 across pods. The pair's entry is replaced by one
-// whose rank-sorted list holds the new path too.
+// hostPair is an ordered host pair as stamp reads it: the hosts, their
+// access links and edge switches, and the pair's equal-cost path count and
+// hops per path — one path of two hops for a shared edge switch, k/2 of four
+// inside a pod, (k/2)^2 of six across pods.
+type hostPair struct {
+	s, d        NodeID
+	sl, dl      LinkID
+	es, ed      Node
+	count, hops int
+}
+
+func (ps *PathStore) pair(srcHost, dstHost int) hostPair {
+	ft := ps.ft
+	half := ft.Cfg.K / 2
+	hp := hostPair{
+		s: ft.hosts[srcHost], d: ft.hosts[dstHost],
+		sl: ft.hostLink[srcHost], dl: ft.hostLink[dstHost],
+		es: ft.Node(ft.hostEdge[srcHost]), ed: ft.Node(ft.hostEdge[dstHost]),
+	}
+	switch {
+	case hp.es.ID == hp.ed.ID:
+		hp.count, hp.hops = 1, 2
+	case hp.es.Pod == hp.ed.Pod:
+		hp.count, hp.hops = half, 4
+	default:
+		hp.count, hp.hops = half*half, 6
+	}
+	return hp
+}
+
+// stamp writes the pair's rank-th path in ECMPPaths order into p, whose
+// slices hold hp.hops+1 nodes and hp.hops links: inside a pod rank is the
+// aggregation switch, across pods rank/(k/2) is the source pod's
+// aggregation switch and rank%(k/2) its core slot. Every switch and link
+// comes from the wiring rule (coreIndexOfAgg and its inverses,
+// NewFatTree's link order), not from a node-pair lookup.
+func (ps *PathStore) stamp(p Path, hp *hostPair, rank int) {
+	ft := ps.ft
+	n, l := p.Nodes, p.Links
+	es, ed := hp.es, hp.ed
+	n[0], n[1], n[hp.hops-1], n[hp.hops] = hp.s, es.ID, ed.ID, hp.d
+	l[0], l[hp.hops-1] = hp.sl, hp.dl
+	switch hp.hops {
+	case 4:
+		n[2] = ft.agg[es.Pod][rank]
+		l[1], l[2] = ft.edgeAggLink(es.Pod, es.Index, rank), ft.edgeAggLink(ed.Pod, ed.Index, rank)
+	case 6:
+		half := ft.Cfg.K / 2
+		up, t := rank/half, rank%half
+		ci := ft.coreIndexOfAgg(es.Pod, up, t)
+		dn := ft.aggIndexOfCore(ci, ed.Pod)
+		n[2], n[3], n[4] = ft.agg[es.Pod][up], ft.core[ci], ft.agg[ed.Pod][dn]
+		l[1], l[2] = ft.edgeAggLink(es.Pod, es.Index, up), ft.aggCoreLink(es.Pod, up, t)
+		l[3], l[4] = ft.aggCoreLink(ed.Pod, dn, ft.coreSlotOfAgg(ed.Pod, ci)), ft.edgeAggLink(ed.Pod, ed.Index, dn)
+	}
+}
+
+// buildOne stamps and interns the one path of the pair that hash selects,
+// by its rank in ECMPPaths order. The pair's entry is replaced by one whose
+// rank-sorted list holds the new path too.
 func (ps *PathStore) buildOne(srcHost, dstHost int, hash uint64) Path {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ft := ps.ft
-	half := ft.Cfg.K / 2
-	es, ed := ft.Node(ft.hostEdge[srcHost]), ft.Node(ft.hostEdge[dstHost])
-	count := half
-	switch {
-	case es.ID == ed.ID:
-		count = 1
-	case es.Pod != ed.Pod:
-		count = half * half
-	}
-	rank := int(hash % uint64(count))
+	hp := ps.pair(srcHost, dstHost)
+	rank := int(hash % uint64(hp.count))
 	slot := ps.slot(srcHost, dstHost)
 	var single []rankedPath
 	if old := slot.Load(); old != nil {
@@ -225,40 +276,22 @@ func (ps *PathStore) buildOne(srcHost, dstHost int, hash uint64) Path {
 	if at < len(single) && single[at].rank == rank {
 		return single[at].path
 	}
-	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
-	sl, dl := ft.hostLink[srcHost], ft.hostLink[dstHost]
-	var p Path
-	switch {
-	case es.ID == ed.ID:
-		p = Path{Nodes: []NodeID{s, es.ID, d}, Links: []LinkID{sl, dl}}
-	case es.Pod == ed.Pod:
-		p = Path{
-			Nodes: []NodeID{s, es.ID, ft.agg[es.Pod][rank], ed.ID, d},
-			Links: []LinkID{sl, ft.edgeAggLink(es.Pod, es.Index, rank), ft.edgeAggLink(ed.Pod, ed.Index, rank), dl},
-		}
-	default:
-		up, t := rank/half, rank%half
-		ci := ft.coreIndexOfAgg(es.Pod, up, t)
-		dn := ft.aggIndexOfCore(ci, ed.Pod)
-		p = Path{
-			Nodes: []NodeID{s, es.ID, ft.agg[es.Pod][up], ft.core[ci], ft.agg[ed.Pod][dn], ed.ID, d},
-			Links: []LinkID{sl, ft.edgeAggLink(es.Pod, es.Index, up), ft.aggCoreLink(es.Pod, up, t),
-				ft.aggCoreLink(ed.Pod, dn, ft.coreSlotOfAgg(ed.Pod, ci)), ft.edgeAggLink(ed.Pod, ed.Index, dn), dl},
-		}
-	}
+	p := Path{Nodes: make([]NodeID, hp.hops+1), Links: make([]LinkID, hp.hops)}
+	ps.stamp(p, &hp, rank)
 	grown := make([]rankedPath, len(single)+1)
 	copy(grown, single[:at])
 	grown[at] = rankedPath{rank, p}
 	copy(grown[at+1:], single[at:])
 	ps.singlePaths.Add(1)
-	slot.Store(&pairEntry{count: count, single: grown})
+	slot.Store(&pairEntry{count: hp.count, single: grown})
 	return p
 }
 
-// build materializes one pair's path set under the store lock: resolve the
-// pair's class interior (enumerating it on the class's first appearance),
-// then stamp the pair's endpoints and access links into fresh slabs. The new
-// entry drops what Select interned: it serves from the full set from now on.
+// build materializes one pair's path set under the store lock, stamping
+// every rank into slabs carved from the arenas. Each path gets full-capacity
+// views, so an (erroneous) append on a returned path or set cannot clobber
+// its neighbor. The new entry drops what Select interned: it serves from the
+// full set from now on.
 func (ps *PathStore) build(srcHost, dstHost int) []Path {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -266,75 +299,20 @@ func (ps *PathStore) build(srcHost, dstHost int) []Path {
 	if old := slot.Load(); old != nil && old.paths != nil {
 		return old.paths
 	}
-	ft := ps.ft
-	cls := ps.class(ft.hostEdge[srcHost], ft.hostEdge[dstHost])
-	m := cls.paths
-	s, d := ft.hosts[srcHost], ft.hosts[dstHost]
-	sl, dl := ft.hostLink[srcHost], ft.hostLink[dstHost]
-	// One slab per pair; each path gets a full-capacity subslice so an
-	// (erroneous) append on a returned path cannot clobber its neighbor.
-	cn, cl := cls.nn, cls.nn-1
-	nn, nl := cn+2, cl+2
-	nodesSlab := make([]NodeID, m*nn)
-	linksSlab := make([]LinkID, m*nl)
-	paths := make([]Path, m)
+	hp := ps.pair(srcHost, dstHost)
+	m, nn, nl := hp.count, hp.hops+1, hp.hops
+	nodes, links := ps.nodes.take(m*nn), ps.links.take(m*nl)
+	paths := ps.headers.take(m)
 	for i := range paths {
-		nv := nodesSlab[i*nn : (i+1)*nn : (i+1)*nn]
-		lv := linksSlab[i*nl : (i+1)*nl : (i+1)*nl]
-		nv[0] = s
-		copy(nv[1:], cls.nodes[i*cn:(i+1)*cn])
-		nv[nn-1] = d
-		lv[0] = sl
-		copy(lv[1:], cls.links[i*cl:(i+1)*cl])
-		lv[nl-1] = dl
-		paths[i] = Path{Nodes: nv, Links: lv}
+		paths[i] = Path{Nodes: nodes[i*nn : (i+1)*nn : (i+1)*nn], Links: links[i*nl : (i+1)*nl : (i+1)*nl]}
+		ps.stamp(paths[i], &hp, i)
 	}
 	ps.builtPairs.Add(1)
 	ps.internedPaths.Add(int64(m))
-	slot.Store(&pairEntry{paths: paths, count: m})
+	e := &ps.entries.take(1)[0]
+	*e = pairEntry{paths: paths, count: m}
+	slot.Store(e)
 	return paths
-}
-
-// class resolves the (es, ed) interior, enumerating it on first use
-// straight from the wiring accessors ECMPPaths walks, in ECMPPaths order:
-// one segment for a shared edge switch, one per aggregation switch inside a
-// pod, one per (aggregation, core) pair across pods. Every link comes from
-// NewFatTree's link order (edgeAggLink, aggCoreLink), not from a node-pair
-// lookup. Callers hold ps.mu.
-func (ps *PathStore) class(esID, edID NodeID) *classEntry {
-	key := classKey{esID, edID}
-	if c, ok := ps.classes[key]; ok {
-		return c
-	}
-	ft := ps.ft
-	half := ft.Cfg.K / 2
-	es, ed := ft.Node(esID), ft.Node(edID)
-	var c *classEntry
-	switch {
-	case esID == edID:
-		c = &classEntry{paths: 1, nn: 1, nodes: []NodeID{esID}}
-	case es.Pod == ed.Pod:
-		c = &classEntry{paths: half, nn: 3, nodes: make([]NodeID, 0, half*3), links: make([]LinkID, 0, half*2)}
-		for a, agg := range ft.agg[es.Pod] {
-			c.nodes = append(c.nodes, esID, agg, edID)
-			c.links = append(c.links, ft.edgeAggLink(es.Pod, es.Index, a), ft.edgeAggLink(ed.Pod, ed.Index, a))
-		}
-	default:
-		m := half * half
-		c = &classEntry{paths: m, nn: 5, nodes: make([]NodeID, 0, m*5), links: make([]LinkID, 0, m*4)}
-		for s, up := range ft.agg[es.Pod] {
-			first := ft.edgeAggLink(es.Pod, es.Index, s)
-			for t := 0; t < half; t++ {
-				ci := ft.coreIndexOfAgg(es.Pod, s, t)
-				j := ft.aggIndexOfCore(ci, ed.Pod)
-				c.nodes = append(c.nodes, esID, up, ft.core[ci], ft.agg[ed.Pod][j], edID)
-				c.links = append(c.links, first, ft.aggCoreLink(es.Pod, s, t),
-					ft.aggCoreLink(ed.Pod, j, ft.coreSlotOfAgg(ed.Pod, ci)), ft.edgeAggLink(ed.Pod, ed.Index, j))
-			}
-		}
-	}
-	ps.classes[key] = c
-	return c
 }
 
 // PathStoreStats summarizes a store's interned state.

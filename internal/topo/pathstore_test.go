@@ -255,11 +255,11 @@ func TestPathStoreConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestClassEnumerationMatchesECMPInterior checks the direct class
-// enumeration against what it replaced: a fresh ECMPPaths set with the
-// pair-specific endpoints stripped. Every kind of class is covered per
+// TestClassEnumerationMatchesECMPInterior checks stamp, the store's one path
+// writer, against the independent enumeration: for every kind of pair per
 // wiring — a shared edge switch, two edge switches of one pod, and pods of
-// each wiring type on either end — node for node and link for link.
+// each wiring type on either end — every rank stamped alone is ECMPPaths'
+// path at that rank, node for node and link for link.
 func TestClassEnumerationMatchesECMPInterior(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		for _, ab := range []bool{false, true} {
@@ -287,23 +287,42 @@ func TestClassEnumerationMatchesECMPInterior(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps.mu.Lock()
-				c := ps.class(ft.EdgeOfHost(p.src), ft.EdgeOfHost(p.dst))
-				ps.mu.Unlock()
-				if c.paths != p.paths || c.paths != len(fresh) {
-					t.Fatalf("k=%d ab=%v %s: %d segments, ECMPPaths has %d, want %d", k, ab, p.kind, c.paths, len(fresh), p.paths)
+				hp := ps.pair(p.src, p.dst)
+				if hp.count != p.paths || hp.count != len(fresh) {
+					t.Fatalf("k=%d ab=%v %s: %d paths, ECMPPaths has %d, want %d", k, ab, p.kind, hp.count, len(fresh), p.paths)
 				}
-				if len(c.nodes) != c.paths*c.nn || len(c.links) != c.paths*(c.nn-1) {
-					t.Fatalf("k=%d ab=%v %s: slabs hold %d nodes / %d links for %d segments of %d nodes",
-						k, ab, p.kind, len(c.nodes), len(c.links), c.paths, c.nn)
-				}
-				for i, f := range fresh {
-					want := Path{Nodes: f.Nodes[1 : len(f.Nodes)-1], Links: f.Links[1 : len(f.Links)-1]}
-					got := Path{Nodes: c.nodes[i*c.nn : (i+1)*c.nn], Links: c.links[i*(c.nn-1) : (i+1)*(c.nn-1)]}
+				for rank, want := range fresh {
+					got := Path{Nodes: make([]NodeID, hp.hops+1), Links: make([]LinkID, hp.hops)}
+					ps.stamp(got, &hp, rank)
 					if !pathsEqual(got, want) {
-						t.Fatalf("k=%d ab=%v %s segment %d:\n got %v\nwant %v", k, ab, p.kind, i, got, want)
+						t.Fatalf("k=%d ab=%v %s rank %d:\n got %v\nwant %v", k, ab, p.kind, rank, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestArenaViews: every slice an arena hands out is a full-capacity view of
+// its own elements — across chunk boundaries, past arenaMax, and at the
+// chunk's exact end — so an append on one can never write into another.
+func TestArenaViews(t *testing.T) {
+	var a arena[int]
+	var views [][]int
+	for i, n := range []int{1, arenaFirst - 1, arenaFirst + 1, 7, arenaMax + 3, 2, arenaMax, 1} {
+		v := a.take(n)
+		if len(v) != n || cap(v) != n {
+			t.Fatalf("take(%d): len %d cap %d", n, len(v), cap(v))
+		}
+		for j := range v {
+			v[j] = i
+		}
+		views = append(views, v)
+	}
+	for i, v := range views {
+		for _, x := range v {
+			if x != i {
+				t.Fatalf("view %d holds %d: two views share elements", i, x)
 			}
 		}
 	}
@@ -629,9 +648,9 @@ func TestBuildCostGate(t *testing.T) {
 			}
 		}
 	})
-	// 3 603 measured: rows, chunks, class slabs and four allocations per
-	// built pair.
-	if store, limit := schedule-fabric, 3660.0; store > limit {
+	// 409 measured: rows, chunks and arena chunks (3 603 when a class cache
+	// fed four allocations per built pair).
+	if store, limit := schedule-fabric, 415.0; store > limit {
 		t.Errorf("a store serving %d storm lookups allocates %v times, want at most %v", len(pairs), store, limit)
 	}
 

@@ -203,6 +203,17 @@ func TestFig1cShareBackupHasNoSlowdown(t *testing.T) {
 	}
 }
 
+// TestFig1cRejectsBadWindow: a window Partition cannot cut the trace by is
+// an error naming the window; a NaN one once panicked in makeslice.
+func TestFig1cRejectsBadWindow(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), -60} {
+		_, err := Fig1c(Fig1cConfig{K: 4, Seed: 2, Coflows: 6, Scenarios: 2, Window: w})
+		if err == nil || !strings.Contains(err.Error(), "Window=") {
+			t.Errorf("Window=%v: err = %v, want one naming the window", w, err)
+		}
+	}
+}
+
 func TestFig1cMultiWindow(t *testing.T) {
 	res, err := Fig1c(Fig1cConfig{K: 4, Seed: 4, Coflows: 6, Scenarios: 6, Window: 60, Windows: 3})
 	if err != nil {
