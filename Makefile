@@ -70,7 +70,7 @@ smoke:
 # sizes in bytes (theirs when last lowered), so a new paragraph is paid for with
 # deletions. Lower a budget when a file shrinks; never raise one.
 docs-budget:
-	@fail=0; for budget in DESIGN.md:83489 EXPERIMENTS.md:87173; do \
+	@fail=0; for budget in DESIGN.md:82861 EXPERIMENTS.md:87066; do \
 		f="$${budget%%:*}"; max="$${budget##*:}"; size=$$(wc -c < "$$f"); \
 		if [ "$$size" -gt "$$max" ]; then echo "$$f is $$size bytes, over its $$max-byte budget"; fail=1; fi; \
 	done; exit $$fail

@@ -241,9 +241,6 @@ func runCtlnet(k, n, agents, cs, replicas int, traceDir string, obsFlags *debugh
 	}
 	defer mon.Close()
 
-	if !em.WaitClockSync(5 * time.Second) {
-		fatal(fmt.Errorf("agents did not complete clock sync"))
-	}
 	var killed *ctlnet.Replica
 	for i := range em.Agents {
 		// After a kill the failures go in at once, while the survivors are

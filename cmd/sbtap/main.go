@@ -13,16 +13,15 @@
 //	sbemu -fail-path -trace /dev/stdout | sbtap
 //
 // Multi-process traces (one JSONL file per process, as written by
-// sbemu -ctlnet -trace-dir) are merged with -stitch: clock-sync events align
-// the processes' independent epochs, and spans sharing a trace ID are linked
-// into one causal tree per recovery with per-hop phase attribution:
+// sbemu -ctlnet -trace-dir) are merged with -stitch: the processes share one
+// epoch, and spans sharing a trace ID are linked into one causal tree per
+// recovery with per-hop phase attribution:
 //
 //	sbtap -stitch dir/controller.jsonl dir/agent-*.jsonl dir/cs-*.jsonl
 //
 // -strict makes sbtap exit non-zero when the trace shows integrity problems:
 // sequence gaps (events lost to a bounded sink) or, with -stitch,
-// unstitchable references (spans whose parent is missing from the file set,
-// processes with no clock-sync path to the reference).
+// unstitchable references (spans whose parent is missing from the file set).
 package main
 
 import (
@@ -46,7 +45,7 @@ func main() {
 		follow = flag.Bool("f", false, "follow the file: render events human-readably as they are appended")
 		spans  = flag.Bool("spans", false, "list every recovery span with its phase breakdown")
 		hist   = flag.Bool("hist", false, "render recovery phase latencies as bucketed histograms with p50/p90/p99")
-		stitch = flag.Bool("stitch", false, "merge several per-process trace files into cross-process recovery timelines (clock-offset aligned)")
+		stitch = flag.Bool("stitch", false, "merge several per-process trace files into cross-process recovery timelines")
 		strict = flag.Bool("strict", false, "exit non-zero on sequence gaps or (with -stitch) unstitchable trace references")
 	)
 	flag.Parse()
@@ -169,15 +168,7 @@ func stitchFiles(paths []string, strict bool) int {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("stitched %d processes, reference clock %q\n", len(procs), res.Reference)
-	names := make([]string, 0, len(res.Offsets))
-	for n := range res.Offsets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Printf("  %-20s epoch shift %v\n", n, res.Offsets[n])
-	}
+	fmt.Printf("stitched %d processes\n", len(procs))
 	if len(res.Traces) == 0 {
 		fmt.Println("no recovery traces found")
 	}

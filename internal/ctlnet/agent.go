@@ -4,18 +4,12 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sharebackup/internal/obs"
 	"sharebackup/internal/routing"
 	"sharebackup/internal/sbnet"
 )
-
-// clockSyncEvery is how many keep-alives pass between piggybacked clock-sync
-// probes once a bus is attached (the first probe goes out on the first tick,
-// so a trace captured right after startup is already alignable).
-const clockSyncEvery = 8
 
 // ackRedirected is an agent-local sentinel pushed into the ack channel when a
 // redirect arrives: the pending report will never be acked on this session,
@@ -34,13 +28,6 @@ type Agent struct {
 
 	conn     net.Conn
 	interval time.Duration
-	// start is the agent's private epoch: its events' T values are
-	// durations since it, aligned to other processes via clock sync.
-	start time.Time
-
-	// offsetNS is the latest measured clock offset to the server
-	// (t_agent ~= t_server + offset), stored +1 so zero means "unmeasured".
-	offsetNS atomic.Int64
 
 	// addrs holds every replica's serving address (one for a cluster of
 	// one). gen counts connection generations: each write snapshots
@@ -87,7 +74,6 @@ func DialCluster(addrs []string, id sbnet.SwitchID, interval time.Duration) (*Ag
 	a := &Agent{
 		ID:          id,
 		interval:    interval,
-		start:       time.Now(),
 		addrs:       append([]string(nil), addrs...),
 		ackCh:       make(chan byte, 4),
 		quit:        make(chan struct{}),
@@ -180,15 +166,10 @@ func (a *Agent) reconnect(fromGen uint64, hint string) {
 	a.gen++
 	a.conn = conn
 	go a.readLoop(conn, a.gen)
-	if a.bus != nil {
-		// Immediate clock-sync probe so traces spanning the failover are
-		// alignable against the new leader's epoch right away.
-		writeFrame(conn, msgClockSync, encodeClockSync(time.Since(a.start).Nanoseconds()))
-	}
 	if a.bus.Enabled() {
 		// Emitted inside the active span (if any): a stitched recovery
 		// trace shows the failover hop between report attempts.
-		ev := obs.NewEvent(obs.KindFailover, time.Since(a.start))
+		ev := obs.NewEvent(obs.KindFailover, obs.Now())
 		ev.Wall = true
 		ev.Switch = int32(a.ID)
 		ev.Detail = addr
@@ -199,7 +180,7 @@ func (a *Agent) reconnect(fromGen uint64, hint string) {
 }
 
 // SetObserver attaches an event bus: the agent emits failure-declared and
-// clock-sync events on it, giving the switch process its own span in
+// failover events on it, giving the switch process its own span in
 // stitched traces. Name the bus (e.g. bus.SetProc("agent-12")) so spans are
 // attributable. Attach before failures are reported.
 func (a *Agent) SetObserver(bus *obs.Bus) {
@@ -208,18 +189,8 @@ func (a *Agent) SetObserver(bus *obs.Bus) {
 	a.mu.Unlock()
 }
 
-// ClockOffset returns the latest measured offset to the server's epoch
-// (t_agent ~= t_server + offset) and whether a measurement exists yet.
-func (a *Agent) ClockOffset() (time.Duration, bool) {
-	v := a.offsetNS.Load()
-	if v == 0 {
-		return 0, false
-	}
-	return time.Duration(v - 1), true
-}
-
 // readLoop handles server-to-agent messages on one connection generation:
-// preloaded tables, clock-sync acks, report acks, and leader redirects.
+// preloaded tables, report acks, and leader redirects.
 // Unknown message types are skipped (forward compatibility). It exits when
 // the connection closes, after kicking off a reconnect.
 func (a *Agent) readLoop(conn net.Conn, gen uint64) {
@@ -233,8 +204,6 @@ func (a *Agent) readLoop(conn net.Conn, gen uint64) {
 			return
 		}
 		switch typ {
-		case msgClockSyncAck:
-			a.handleClockSyncAck(payload)
 		case msgNotLeader:
 			// This replica lost (or never had) leadership; chase its hint
 			// on a fresh session. Abort any report wait first — a redirect
@@ -285,35 +254,8 @@ func (a *Agent) WaitTable(timeout time.Duration) bool {
 	}
 }
 
-// handleClockSyncAck finishes one NTP-style exchange: the ack echoes our
-// send time t1 and carries the server's receive time t2 (server epoch);
-// with our receive time t3, offset = (t1+t3)/2 - t2.
-func (a *Agent) handleClockSyncAck(payload []byte) {
-	t3 := time.Since(a.start)
-	t1, t2, proc, err := decodeClockSyncAck(payload)
-	if err != nil {
-		return
-	}
-	offset := time.Duration((t1+t3.Nanoseconds())/2 - t2)
-	a.offsetNS.Store(int64(offset) + 1)
-	a.mu.Lock()
-	bus := a.bus
-	a.mu.Unlock()
-	if bus.Enabled() {
-		ev := obs.NewEvent(obs.KindClockSync, t3)
-		ev.Wall = true
-		ev.Switch = int32(a.ID)
-		ev.Detail = proc
-		ev.Offset = offset
-		ev.RTT = t3 - time.Duration(t1)
-		bus.Emit(ev)
-	}
-}
-
 // keepAliveLoop sends one keep-alive batch of one per tick, from a reused
-// buffer, with a clock-sync probe appended to the same write every
-// clockSyncEvery ticks once a bus is attached. A failed write re-dials the
-// leader and the stream goes on.
+// buffer. A failed write re-dials the leader and the stream goes on.
 func (a *Agent) keepAliveLoop() {
 	defer close(a.done)
 	ticker := time.NewTicker(a.interval)
@@ -330,11 +272,6 @@ func (a *Agent) keepAliveLoop() {
 			pay = appendKeepAliveBatch(pay[:0], ids, seq)
 			buf = appendFrame(buf[:0], msgKeepAliveBatch, pay)
 			a.mu.Lock()
-			if a.bus != nil && seq%clockSyncEvery == 1 {
-				// Piggyback a clock-sync probe so stitched traces can align
-				// this agent's epoch with the controller's.
-				buf = appendFrame(buf, msgClockSync, encodeClockSync(time.Since(a.start).Nanoseconds()))
-			}
 			gen := a.gen
 			_, err := a.conn.Write(buf)
 			a.mu.Unlock()
@@ -371,7 +308,7 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 	if bus.Enabled() {
 		span := bus.BeginSpan()
 		defer bus.EndSpan()
-		ev := obs.NewEvent(obs.KindFailureDeclared, time.Since(a.start))
+		ev := obs.NewEvent(obs.KindFailureDeclared, obs.Now())
 		ev.Wall = true
 		ev.Span = span
 		ev.Switch = int32(a.ID)

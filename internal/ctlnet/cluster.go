@@ -1,6 +1,7 @@
 package ctlnet
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -204,7 +205,6 @@ func startReplicas(ctls []*controller.Controller, cfgs []ServerConfig, tick time
 			Snapshot:  r.Server.SnapshotState,
 			Restore:   r.Server.RestoreState,
 			Bus:       r.Bus,
-			Now:       r.Server.Now,
 			Metrics:   reg,
 		})
 		nodes[i] = r.Node
@@ -231,6 +231,15 @@ type ClusterConfig struct {
 	Seed uint64
 }
 
+// check rejects a negative field by name; zero keeps its default.
+func (c *ClusterConfig) check() error {
+	return errors.Join(
+		c.EmulationConfig.check(),
+		negative("ClusterConfig", "Replicas", c.Replicas),
+		negative("ClusterConfig", "TickEvery", c.TickEvery),
+	)
+}
+
 func (c *ClusterConfig) setDefaults() {
 	c.EmulationConfig.setDefaults()
 	if c.Replicas == 0 {
@@ -248,10 +257,10 @@ func (c *ClusterConfig) setDefaults() {
 // processes-in-miniature: Replicas controller replicas, NumAgents switch
 // agents keep-aliving against whichever of them currently leads, and NumCS
 // circuit-switch services, with consensus, redirects, and failover all riding
-// real loopback TCP. Each process has its OWN event bus, its OWN epoch, and
-// (when TraceDir is set) its own JSONL trace file: nothing shares a clock,
-// and sbtap stitches the files back into one causal timeline via the
-// clock-sync events the wires carry.
+// real loopback TCP. Each process has its OWN event bus and (when TraceDir
+// is set) its own JSONL trace file; all of them stamp the one process epoch
+// (obs.Now), and sbtap stitches the files back into one causal timeline by
+// the trace context the wires carry.
 type ClusterEmulation struct {
 	Replicas []*Replica
 	Agents   []*Agent
@@ -267,6 +276,9 @@ type ClusterEmulation struct {
 
 // NewClusterEmulation builds and starts a replica cluster plus its agents.
 func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	cfg.setDefaults()
 	e := &ClusterEmulation{cfg: cfg, sinks: procSinks{dir: cfg.TraceDir}}
 	ok := false
@@ -374,26 +386,11 @@ func (e *ClusterEmulation) startAgents(addrs []string) error {
 	return nil
 }
 
-// WaitClockSync blocks until every agent has at least one clock-offset
-// measurement to the controller, or the timeout expires.
-func (e *ClusterEmulation) WaitClockSync(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		synced := 0
-		for _, a := range e.Agents {
-			if _, ok := a.ClockOffset(); ok {
-				synced++
-			}
-		}
-		if synced == len(e.Agents) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
+// WaitClockSync returns true at once: every emulated process stamps the one
+// process epoch, so there are no clocks to sync. It remains only because the
+// benchmark's live workloads (benchmarks/live.go) call it; the next change
+// to the benchmark drops that call and this method.
+func (e *ClusterEmulation) WaitClockSync(time.Duration) bool { return true }
 
 // FailLink makes agent i report the failure of its switch's first up-link,
 // as if its local detect.Monitor crossed the miss threshold after the given

@@ -16,8 +16,8 @@ import (
 	"sharebackup/internal/sbnet"
 )
 
-// TestStalledPeerDoesNotSilenceOthers: two peers flood clock-sync requests
-// and never read the acks, so the server's replies to them back up and block
+// TestStalledPeerDoesNotSilenceOthers: two peers flood leader queries and
+// never read the answers, so the server's replies to them back up and block
 // in writeReply until replyWriteTimeout. That may cost those two peers their
 // connections and nothing else: sixteen live agents keep-aliving next to
 // them must all stay alive. (When readers were multiplexed, a reader loop
@@ -44,10 +44,10 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 		t.Fatalf("ctlnet.detector_entries = %d, want all 16 agents registered", entries.Value())
 	}
 
-	// One write's worth of requests: 64 KB of 13-byte frames.
+	// One write's worth of requests: 64 KB of 5-byte frames.
 	var flood []byte
 	for len(flood) < 64<<10 {
-		flood = appendFrame(flood, msgClockSync, encodeClockSync(1))
+		flood = appendFrame(flood, msgLeaderReq, nil)
 	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -58,8 +58,8 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		// Small buffers on both ends of the ack path make the unread acks
-		// back up after a few hundred frames: the test is about a reader
+		// Small buffers on both ends of the reply path make the unread
+		// replies back up after a few hundred frames: the test is about a reader
 		// blocked in a write, not about the CPU a long flood takes from
 		// everybody.
 		conn.(*net.TCPConn).SetReadBuffer(4096)

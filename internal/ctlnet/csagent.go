@@ -20,13 +20,11 @@ import (
 type CSService struct {
 	sw *circuit.Switch
 	ln net.Listener
-	// start is the service's private epoch; its events' T values are
-	// durations since it, aligned offline via clock-sync offsets.
-	start time.Time
 
 	mu     sync.Mutex
 	bus    *obs.Bus
 	closed bool
+	conns  map[net.Conn]struct{} // live sessions, severed by Close
 	wg     sync.WaitGroup
 }
 
@@ -36,7 +34,7 @@ func NewCSService(addr string, sw *circuit.Switch) (*CSService, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: cs service listen: %w", err)
 	}
-	s := &CSService{sw: sw, ln: ln, start: time.Now()}
+	s := &CSService{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -54,7 +52,8 @@ func (s *CSService) SetObserver(bus *obs.Bus) {
 // Addr returns the service's listen address.
 func (s *CSService) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the service.
+// Close stops the service, severs its sessions and waits for their
+// handlers: an idle client must not hold it open.
 func (s *CSService) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -62,6 +61,9 @@ func (s *CSService) Close() error {
 		return nil
 	}
 	s.closed = true
+	for c := range s.conns {
+		c.Close()
+	}
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
@@ -75,36 +77,33 @@ func (s *CSService) acceptLoop() {
 		if err != nil {
 			return
 		}
-		s.wg.Add(1)
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1) // under mu with closed unset: ordered before Close's Wait
+		s.mu.Unlock()
 		go s.handle(conn)
 	}
 }
 
 func (s *CSService) handle(conn net.Conn) {
 	defer s.wg.Done()
-	defer conn.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
 	for {
 		typ, payload, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		switch typ {
-		case msgClockSync:
-			t1, err := decodeClockSync(payload)
-			if err != nil {
-				_ = writeFrame(conn, msgCSErr, []byte(err.Error()))
-				return
-			}
-			s.mu.Lock()
-			proc := s.bus.Proc()
-			s.mu.Unlock()
-			ack := encodeClockSyncAck(t1, time.Since(s.start).Nanoseconds(), proc)
-			if err := writeFrame(conn, msgClockSyncAck, ack); err != nil {
-				return
-			}
-			continue
-		case msgCSReconfig:
-		default:
+		if typ != msgCSReconfig {
 			_ = writeFrame(conn, msgCSErr, []byte(fmt.Sprintf("unexpected message type %d", typ)))
 			return
 		}
@@ -115,7 +114,7 @@ func (s *CSService) handle(conn net.Conn) {
 		}
 		s.mu.Lock()
 		bus := s.bus
-		at := time.Since(s.start)
+		at := obs.Now()
 		var span uint64
 		if ctx.Trace != 0 && bus.Enabled() {
 			// Join the controller's recovery trace as a child span covering
@@ -194,36 +193,6 @@ func (c *CSClient) reconfigure(ctx obs.TraceContext, changes []circuit.Change) (
 	default:
 		return 0, rtt, fmt.Errorf("ctlnet: cs client got message type %d", typ)
 	}
-}
-
-// SyncClock measures the clock offset between the caller's epoch and the
-// service's: it returns offset such that t_local ~= t_service + offset,
-// along with the request RTT and the service's process name. The caller
-// passes its own epoch (the instant its event timestamps are relative to).
-func (c *CSClient) SyncClock(epoch time.Time) (offset, rtt time.Duration, proc string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t1 := time.Since(epoch)
-	if err := writeFrame(c.conn, msgClockSync, encodeClockSync(t1.Nanoseconds())); err != nil {
-		return 0, 0, "", err
-	}
-	typ, payload, err := readFrame(c.conn)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	t3 := time.Since(epoch)
-	if typ != msgClockSyncAck {
-		return 0, 0, "", fmt.Errorf("ctlnet: clock sync got message type %d", typ)
-	}
-	t1e, t2, proc, err := decodeClockSyncAck(payload)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	if t1e != t1.Nanoseconds() {
-		return 0, 0, "", fmt.Errorf("ctlnet: clock sync ack echoes t1=%d, sent %d", t1e, t1.Nanoseconds())
-	}
-	offset = time.Duration((t1.Nanoseconds()+t3.Nanoseconds())/2 - t2)
-	return offset, t3 - t1, proc, nil
 }
 
 // Close tears the control session down.

@@ -127,11 +127,12 @@ func TestCSWireRoundTrip(t *testing.T) {
 }
 
 // TestCSServiceRejectsRetiredTypes: the circuit-switch session's own former
-// numbers (16-19, now agent-session types) and the agent session's frames
-// are answered with msgCSErr, never applied.
+// numbers (16-19, now agent-session types), the retired clock-sync probe
+// and ack (10, 11) and the agent session's frames are answered with
+// msgCSErr, never applied.
 func TestCSServiceRejectsRetiredTypes(t *testing.T) {
 	svc, _, sw := newCSService(t)
-	for _, typ := range []byte{16, 17, 18, 19, msgLinkFail} {
+	for _, typ := range []byte{10, 11, 16, 17, 18, 19, msgLinkFail} {
 		conn, err := net.Dial("tcp", svc.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -149,6 +150,43 @@ func TestCSServiceRejectsRetiredTypes(t *testing.T) {
 	}
 	if sw.BOf(3) != circuit.Unconnected {
 		t.Error("a retired frame reconfigured the crossbar")
+	}
+}
+
+// TestCSServiceCloseSeversIdleSessions: a client that dialed and then went
+// quiet must not hold Close open — its session's handler sits in a read that
+// only closing the connection ends.
+func TestCSServiceCloseSeversIdleSessions(t *testing.T) {
+	sw, err := circuit.New("cs-test", circuit.Crosspoint, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewCSService("127.0.0.1:0", sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", svc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One served request proves the session's handler is running.
+	if err := writeFrame(conn, msgCSReconfig, encodeCSReconfig(obs.TraceContext{}, []circuit.Change{{A: 0, B: 1}})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(conn); err != nil || typ != msgCSAck {
+		t.Fatalf("reconfig reply type %d, %v; want msgCSAck", typ, err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked 2s after it began, with one idle client")
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, _, err := readFrame(conn); err == nil {
+		t.Error("the idle session survived Close")
 	}
 }
 

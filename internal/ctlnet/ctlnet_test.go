@@ -2,7 +2,12 @@ package ctlnet
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +16,50 @@ import (
 	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
+
+// TestMessageTypesAvoidRetiredNumbers reads the msg* constants from wire.go
+// and checks that none reuses a retired number and no two share one: an old
+// peer's frame of a retired type must never mean something new.
+func TestMessageTypesAvoidRetiredNumbers(t *testing.T) {
+	retired := map[uint64]bool{2: true, 3: true, 8: true, 9: true, 10: true, 11: true, 13: true, 14: true}
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[uint64]string{}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "msg") {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok {
+					t.Fatalf("%s is not a literal number", name.Name)
+				}
+				v, err := strconv.ParseUint(lit.Value, 0, 8)
+				if err != nil {
+					t.Fatalf("%s = %s: %v", name.Name, lit.Value, err)
+				}
+				if retired[v] {
+					t.Errorf("%s reuses retired message type %d", name.Name, v)
+				}
+				if prev, dup := owner[v]; dup {
+					t.Errorf("%s and %s share message type %d", prev, name.Name, v)
+				}
+				owner[v] = name.Name
+			}
+		}
+	}
+	if owner[uint64(msgHello)] != "msgHello" || owner[uint64(msgCSErr)] != "msgCSErr" {
+		t.Fatalf("msg* constants read from wire.go: %v; want the whole table, msgHello to msgCSErr", owner)
+	}
+}
 
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -310,11 +359,11 @@ func TestServerSkipsUnknownMessageTypes(t *testing.T) {
 	}
 	defer conn.Close()
 	// Retired numbers — the single keep-alive (2), the untraced link report
-	// (3), the wire registry dump and its reply (8, 9), the time-series
-	// query (13) — may still arrive from an old peer, and are skipped like
-	// any other type the server does not know. After each, the session
-	// still answers a leader query.
-	for i, typ := range []byte{0xEE, 2, 3, 8, 9, 13} {
+	// (3), the wire registry dump and its reply (8, 9), the clock-sync probe
+	// and its ack (10, 11), the time-series query (13) — may still arrive
+	// from an old peer, and are skipped like any other type the server does
+	// not know. After each, the session still answers a leader query.
+	for i, typ := range []byte{0xEE, 2, 3, 8, 9, 10, 11, 13} {
 		if err := writeFrame(conn, typ, []byte{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package ctlnet
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"time"
@@ -40,6 +41,18 @@ type EmulationConfig struct {
 	// Registry collects the metrics of replica 0 and every replica's
 	// consensus gauges. Nil builds a private one.
 	Registry *obs.Registry
+}
+
+// check rejects a negative field by name; zero keeps its default.
+func (c *EmulationConfig) check() error {
+	return errors.Join(
+		negative("EmulationConfig", "K", c.K),
+		negative("EmulationConfig", "N", c.N),
+		negative("EmulationConfig", "NumAgents", c.NumAgents),
+		negative("EmulationConfig", "NumCS", c.NumCS),
+		negative("EmulationConfig", "Interval", c.Interval),
+		negative("EmulationConfig", "MissThreshold", c.MissThreshold),
+	)
 }
 
 func (c *EmulationConfig) setDefaults() {

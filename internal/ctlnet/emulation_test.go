@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"sharebackup/internal/circuit"
+	"sharebackup/internal/controller"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/obs/debughttp"
+	"sharebackup/internal/sbnet"
 )
 
 // startEmulation builds a trace-collecting emulation and tears it down with
@@ -26,9 +29,9 @@ func startEmulation(t *testing.T, cfg EmulationConfig) *Emulation {
 
 // TestEmulationStitchedTrace drives one link-failure recovery through the
 // multi-process emulation — agent, controller, and circuit-switch services,
-// each with a private bus, epoch, and trace file — and checks that sbtap's
-// stitcher reassembles a single cross-process causal trace with per-hop
-// Table-2 phase attribution.
+// each with a private bus and trace file on the one process epoch — and
+// checks that sbtap's stitcher reassembles a single cross-process causal
+// trace, in causal order, with per-hop Table-2 phase attribution.
 func TestEmulationStitchedTrace(t *testing.T) {
 	dir := t.TempDir()
 	e := startEmulation(t, EmulationConfig{
@@ -43,9 +46,6 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	}
 	defer mon.Close()
 
-	if !e.WaitClockSync(5 * time.Second) {
-		t.Fatal("agents never synced clocks with the controller")
-	}
 	if err := e.FailLink(0, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +77,6 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	}
 	if len(res.Unstitchable) != 0 {
 		t.Fatalf("unstitchable: %v", res.Unstitchable)
-	}
-	if res.Reference != "controller-0" {
-		t.Errorf("reference proc = %q, want controller-0", res.Reference)
 	}
 	if len(res.Traces) != 1 {
 		t.Fatalf("stitched %d traces, want 1", len(res.Traces))
@@ -119,6 +116,13 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	}
 	if ctlSpan.Parent != root {
 		t.Error("controller span is not a child of the agent's root span")
+	}
+	// One epoch, unshifted: every span starts no earlier than its parent.
+	for _, ss := range tr.Spans {
+		if ss.Parent != nil && ss.Start < ss.Parent.Start {
+			t.Errorf("%s/span %d starts at %v, before its parent %s/span %d at %v",
+				ss.Proc, ss.Span.ID, ss.Start, ss.Parent.Proc, ss.Parent.Span.ID, ss.Parent.Start)
+		}
 	}
 
 	// Table-2 phase attribution per hop: detection on the agent, report and
@@ -246,6 +250,57 @@ func TestSoloClusterRecoversThroughTheLog(t *testing.T) {
 	committed(base + 2)
 	if err := e.Net.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNegativeConfigRejectedByName: a negative count or duration is refused
+// with the field's name, by the emulation and by the server; zero keeps its
+// default.
+func TestNegativeConfigRejectedByName(t *testing.T) {
+	emu := func(c EmulationConfig) ClusterConfig { return ClusterConfig{EmulationConfig: c, Replicas: 1} }
+	for _, c := range []struct {
+		field string
+		cfg   ClusterConfig
+	}{
+		{"EmulationConfig.K", emu(EmulationConfig{K: -4})},
+		{"EmulationConfig.N", emu(EmulationConfig{N: -1})},
+		{"EmulationConfig.NumAgents", emu(EmulationConfig{NumAgents: -3})},
+		{"EmulationConfig.NumCS", emu(EmulationConfig{NumCS: -2})},
+		{"EmulationConfig.Interval", emu(EmulationConfig{Interval: -time.Millisecond})},
+		{"EmulationConfig.MissThreshold", emu(EmulationConfig{NumAgents: 4, MissThreshold: -1})},
+		{"ClusterConfig.Replicas", ClusterConfig{Replicas: -1}},
+		{"ClusterConfig.TickEvery", ClusterConfig{Replicas: 1, TickEvery: -time.Millisecond}},
+	} {
+		e, err := NewClusterEmulation(c.cfg)
+		if err == nil {
+			e.Close()
+			t.Errorf("%s negative: emulation started", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s negative: error %q does not name it", c.field, err)
+		}
+	}
+	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := controller.New(nw, controller.Config{})
+	hooks := &clusterHooks{dir: newClusterDirectory(0)}
+	for _, c := range []struct {
+		field string
+		cfg   ServerConfig
+	}{
+		{"ServerConfig.Interval", ServerConfig{Interval: -time.Millisecond}},
+		{"ServerConfig.MissThreshold", ServerConfig{MissThreshold: -1}},
+		{"ServerConfig.FleetSize", ServerConfig{FleetSize: -1}},
+	} {
+		c.cfg.Cluster = hooks
+		srv, err := NewServer("127.0.0.1:0", ctl, c.cfg)
+		if err == nil {
+			srv.Close()
+			t.Errorf("%s negative: server started", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s negative: error %q does not name it", c.field, err)
+		}
 	}
 }
 

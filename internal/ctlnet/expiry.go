@@ -14,7 +14,7 @@ import (
 // deadlines that arrive out of order, and these arrive sorted.
 //
 // The queue is pure: times are offsets on whatever clock the caller stamps
-// with (the server uses time since its start), and there is no clock, lock or
+// with (the server uses the process epoch), and there is no clock, lock or
 // socket inside — the shard goroutine owns it exclusively and the tests drive
 // it without sleeping.
 //

@@ -28,8 +28,8 @@ func FuzzWireDecode(f *testing.F) {
 		append([]byte{msgKeepAliveBatch}, appendKeepAliveBatch(nil, []sbnet.SwitchID{1, 2, 3}, 5)...),
 		append([]byte{msgLinkFail}, encodeLinkFail(obs.TraceContext{}, 0, 1, 5, 2, 0)...),
 		append([]byte{msgLinkFail}, encodeLinkFail(obs.TraceContext{Trace: 9, Span: 3, Proc: "agent-1"}, 60e6, 1, 5, 2, 0)...),
-		append([]byte{msgClockSync}, encodeClockSync(123)...),
-		append([]byte{msgClockSyncAck}, encodeClockSyncAck(123, 456, "server")...),
+		append([]byte{msgRecovery}, encodeRecovery(RecoveryEvent{Kind: "node", Failed: []sbnet.SwitchID{3}, Backup: []sbnet.SwitchID{7}, Latency: 60e6})...),
+		appendFrame(appendFrame(nil, 10, make([]byte, 8)), 11, make([]byte, 16)), // retired types still frame
 		append([]byte{msgLeaderInfo}, encodeLeaderInfo(true, "127.0.0.1:7000")...),
 		append([]byte{msgReportAck}, encodeReportAck(reportAckRefused)...),
 		append([]byte{msgRecovery}, encodeRecovery(RecoveryEvent{Kind: "link", Failed: []sbnet.SwitchID{4, 5}, Backup: []sbnet.SwitchID{8, 9}, Latency: 1500})...),
@@ -99,18 +99,6 @@ func checkPayload(typ byte, p []byte) error {
 			return nil
 		}
 		enc = encodeLinkFail(ctx, det, a, ap, b, bp)
-	case msgClockSync:
-		t1, err := decodeClockSync(p)
-		if err != nil {
-			return nil
-		}
-		enc = encodeClockSync(t1)
-	case msgClockSyncAck:
-		t1, t2, proc, err := decodeClockSyncAck(p)
-		if err != nil {
-			return nil
-		}
-		enc = encodeClockSyncAck(t1, t2, proc)
 	case msgLeaderInfo:
 		leader, addr, err := decodeLeaderInfo(p)
 		if err != nil {

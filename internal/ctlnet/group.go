@@ -103,7 +103,7 @@ func (g *AgentGroup) flushLoop() {
 }
 
 // drainReplies consumes server-to-group frames (table pushes for in-model
-// IDs, clock-sync acks) so the server's reply writes never block; the fleet
+// IDs, redirects) so the server's reply writes never block; the fleet
 // harness has no per-agent state to deliver them to.
 func (g *AgentGroup) drainReplies() {
 	fr := frameReader{r: g.conn}

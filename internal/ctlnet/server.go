@@ -47,19 +47,17 @@ type ServerConfig struct {
 	MissThreshold int
 	// Obs receives the server's structured events (failure-declared,
 	// recovery-complete, tables-preloaded, and its diagnostics as log
-	// events) with wall-clock timestamps relative to server start.
+	// events) with wall-clock timestamps on the process epoch (obs.Now).
 	// Defaults to obs.Default so command-level -trace/-events flags
 	// observe the server without plumbing; set it explicitly to isolate a
 	// server in tests. If the bus has no process name yet, the server names
 	// it "controller".
 	Obs *obs.Bus
 	// CSAddrs lists circuit-switch control-service addresses. The server
-	// dials each at startup, measures clock offsets (emitting clock-sync
-	// events the trace stitcher aligns epochs with), and mirrors every
-	// recovery to each service as a traced reconfiguration batch — making
-	// the controller-to-circuit-switch leg a measured hop of the recovery's
-	// cross-process trace (one crossbar swap of ports 0 and 1 per
-	// recovery). Empty disables mirroring.
+	// dials each at startup and mirrors every recovery to each service as a
+	// traced reconfiguration batch — making the controller-to-circuit-switch
+	// leg a measured hop of the recovery's cross-process trace (one crossbar
+	// swap of ports 0 and 1 per recovery). Empty disables mirroring.
 	CSAddrs []string
 	// FleetSize widens the keep-alive tracking range beyond the network
 	// model: switch IDs in [0, max(FleetSize, NumSwitches)) are accepted
@@ -74,6 +72,23 @@ type ServerConfig struct {
 	// commit, non-leaders redirect agents with msgNotLeader, and link reports
 	// are acknowledged so agents can resend across a leader failover.
 	Cluster ClusterHooks
+}
+
+// check rejects a negative field by name; zero keeps its default.
+func (c *ServerConfig) check() error {
+	return errors.Join(
+		negative("ServerConfig", "Interval", c.Interval),
+		negative("ServerConfig", "MissThreshold", c.MissThreshold),
+		negative("ServerConfig", "FleetSize", c.FleetSize),
+	)
+}
+
+// negative reports a negative config field as an error naming it.
+func negative[T int | time.Duration](cfg, field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("ctlnet: %s.%s is %v; it may not be negative", cfg, field, v)
+	}
+	return nil
 }
 
 func (c *ServerConfig) setDefaults() {
@@ -102,7 +117,6 @@ type Server struct {
 	cfg       ServerConfig
 	ctl       *controller.Controller
 	ln        net.Listener
-	start     time.Time
 	bus       *obs.Bus
 	csClients []*CSClient
 
@@ -133,7 +147,7 @@ type Server struct {
 	// Keep-alive fan-in (shard.go): per-failure-group shards, each with its
 	// own detector goroutine.
 	shards []*kaShard
-	// stallSeen is when (on the server's epoch, ns) a shard last woke well
+	// stallSeen is when (on the process epoch, ns) a shard last woke well
 	// behind its timer — the detector's stall guard (shardWake). It starts
 	// one interval before the epoch, so it guards nothing.
 	stallSeen atomic.Int64
@@ -161,15 +175,18 @@ type Server struct {
 // event (the bus serializes sink dispatch).
 func (s *Server) logf(format string, args ...interface{}) {
 	s.mLogLines.Inc()
-	s.bus.Logf(time.Since(s.start), true, format, args...)
+	s.bus.Logf(s.Now(), true, format, args...)
 }
 
 // NewServer starts a controller server listening on addr (use
 // "127.0.0.1:0" for tests). The controller's virtual clock is driven from
-// the wall clock relative to server start.
+// the wall clock on the process epoch.
 func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Server, error) {
 	if cfg.Cluster == nil {
 		return nil, errors.New("ctlnet: a server needs its consensus replica (ServerConfig.Cluster)")
+	}
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	cfg.setDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -180,7 +197,6 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		cfg:   cfg,
 		ctl:   ctl,
 		ln:    ln,
-		start: time.Now(),
 		bus:   cfg.Obs,
 		conns: make(map[net.Conn]struct{}),
 		quit:  make(chan struct{}),
@@ -231,10 +247,6 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 			return nil, fmt.Errorf("ctlnet: cs dial %s: %w", addr, err)
 		}
 		s.csClients = append(s.csClients, cl)
-		// Three probes give the stitcher a median over per-exchange jitter.
-		for i := 0; i < 3; i++ {
-			s.syncCSClock(cl)
-		}
 	}
 	s.wg.Add(1 + len(s.shards))
 	go s.acceptLoop(ln)
@@ -244,29 +256,10 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	return s, nil
 }
 
-// Now returns the server's epoch offset (time since start) — the timestamp
-// base for every event the server emits, exported so a co-located consensus
-// replica (ctlplane.NodeConfig.Now) stamps its election events on the same
-// epoch.
-func (s *Server) Now() time.Duration { return time.Since(s.start) }
-
-// syncCSClock runs one clock-sync exchange against a circuit-switch service
-// and emits the resulting offset edge for the trace stitcher.
-func (s *Server) syncCSClock(cl *CSClient) {
-	off, rtt, proc, err := cl.SyncClock(s.start)
-	if err != nil {
-		s.logf("ctlnet: cs clock sync: %v", err)
-		return
-	}
-	if proc != "" && s.bus.Enabled() {
-		ev := obs.NewEvent(obs.KindClockSync, time.Since(s.start))
-		ev.Wall = true
-		ev.Detail = proc
-		ev.Offset = off
-		ev.RTT = rtt
-		s.bus.Emit(ev)
-	}
-}
+// Now is the server's one clock: the process epoch (obs.Now) on which its
+// detector stamps keep-alives and deadlines, its events are stamped and its
+// commands carry their times.
+func (s *Server) Now() time.Duration { return obs.Now() }
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -403,7 +396,7 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			}
 			s.mTablePushes.Inc()
 			if s.bus.Enabled() {
-				ev := obs.NewEvent(obs.KindTablesPreloaded, time.Since(s.start))
+				ev := obs.NewEvent(obs.KindTablesPreloaded, s.Now())
 				ev.Wall = true
 				ev.Switch = int32(id)
 				ev.Count = int32(len(tbl))
@@ -438,17 +431,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		}
 		if err := writeReply(conn, msgLeaderInfo, encodeLeaderInfo(isLeader, addr)); err != nil {
 			s.logf("ctlnet: leader info reply: %v", err)
-			return err
-		}
-	case msgClockSync:
-		t1, err := decodeClockSync(payload)
-		if err != nil {
-			s.wireError(err)
-			return nil
-		}
-		ack := encodeClockSyncAck(t1, time.Since(s.start).Nanoseconds(), s.bus.Proc())
-		if err := writeReply(conn, msgClockSyncAck, ack); err != nil {
-			s.logf("ctlnet: clock sync ack: %v", err)
 			return err
 		}
 	case msgSubscribe:
@@ -549,7 +531,7 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 		APort:       int32(aPort),
 		BSwitch:     int32(bSw),
 		BPort:       int32(bPort),
-		AtNS:        time.Since(s.start).Nanoseconds(),
+		AtNS:        s.Now().Nanoseconds(),
 		DetectionNS: detection.Nanoseconds(),
 		Trace:       ctx.Trace,
 		Span:        ctx.Span,
@@ -624,7 +606,7 @@ func (s *Server) recoverDead(c deadCandidate) {
 		Kind:       ctlplane.CmdRecoverNode,
 		Switch:     int32(c.id),
 		LastSeenNS: c.lastSeen.Nanoseconds(),
-		AtNS:       time.Since(s.start).Nanoseconds(),
+		AtNS:       s.Now().Nanoseconds(),
 	}
 	if !s.cfg.Cluster.IsLeader() {
 		return
@@ -722,7 +704,7 @@ func (s *Server) inFabric(ids ...int32) error {
 // finishLive runs the leader-visible side effects of one applied recovery.
 func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, processing time.Duration) {
 	detection := time.Duration(cmd.DetectionNS)
-	s.emitRecovered(rec, time.Since(s.start)-processing, processing, detection)
+	s.emitRecovered(rec, s.Now()-processing, processing, detection)
 	if s.cfg.Cluster.IsLeader() {
 		// Followers apply the same command but must not re-reconfigure the
 		// shared circuit switches the leader already drove.
@@ -792,7 +774,7 @@ func (s *Server) mirrorCS(rec *controller.Recovery) {
 // recovery the server just drove: detection and circuit reconfiguration come
 // from the controller's record (or the reporting agent's measured detection,
 // when it sent one), the report phase is the measured server processing
-// time, and T is the offset of completion since server start. The controller
+// time, and T is the completion time on the process epoch. The controller
 // already emitted the virtual-time span; this event is the wall-clock view
 // of the same recovery, sharing its trace and span IDs so stitchers and the
 // SLO watchdog see one recovery, not two.

@@ -23,7 +23,7 @@ import (
 // recorded lastSeen, so detection latency is still "time of action minus last
 // heartbeat".
 
-// kaRecord is one observed keep-alive (or hello), stamped on the server's
+// kaRecord is one observed keep-alive (or hello), stamped on the process
 // epoch (Server.Now).
 type kaRecord struct {
 	id sbnet.SwitchID

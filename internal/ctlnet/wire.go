@@ -35,16 +35,8 @@ const (
 	msgTableLoad byte = 7 // server -> agent: preloaded failure-group table (§4.3)
 	// 8 and 9 are retired (a wire registry dump and its reply): debughttp's
 	// /varz serves the registry.
-
-	// Clock synchronization (usable on both agent->server and
-	// controller->circuit-switch sessions): the requester sends its local
-	// epoch-relative send time t1; the responder echoes t1 and adds its own
-	// epoch-relative receive time t2 plus its process name. The requester
-	// computes, NTP-style, offset = (t1+t3)/2 - t2 (t3 its receive time),
-	// meaning t_requester ~= t_responder + offset — what sbtap's stitcher
-	// uses to align independent per-process epochs.
-	msgClockSync    byte = 10 // requester -> responder: int64 t1 ns
-	msgClockSyncAck byte = 11 // responder -> requester: int64 t1, int64 t2, proc name
+	// 10 and 11 are retired (a clock-sync probe and its ack): every
+	// emulated process stamps the one process epoch (obs.Now).
 
 	// msgLinkFail reports a failed link by both of its interfaces (§4.1),
 	// with a trace context (the reporting agent's root span; zero when the
@@ -231,33 +223,6 @@ func readTraceContext(p []byte) (obs.TraceContext, []byte, error) {
 	}
 	ctx.Proc = string(p[17 : 17+n])
 	return ctx, p[17+n:], nil
-}
-
-func encodeClockSync(t1 int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(t1))
-	return b[:]
-}
-
-func decodeClockSync(p []byte) (int64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("ctlnet: clocksync payload %d bytes, want 8", len(p))
-	}
-	return int64(binary.BigEndian.Uint64(p)), nil
-}
-
-func encodeClockSyncAck(t1, t2 int64, proc string) []byte {
-	b := make([]byte, 16, 16+len(proc))
-	binary.BigEndian.PutUint64(b[:8], uint64(t1))
-	binary.BigEndian.PutUint64(b[8:16], uint64(t2))
-	return append(b, proc...)
-}
-
-func decodeClockSyncAck(p []byte) (t1, t2 int64, proc string, err error) {
-	if len(p) < 16 {
-		return 0, 0, "", fmt.Errorf("ctlnet: clocksync ack payload %d bytes, want >= 16", len(p))
-	}
-	return int64(binary.BigEndian.Uint64(p[:8])), int64(binary.BigEndian.Uint64(p[8:16])), string(p[16:]), nil
 }
 
 func encodeLinkFail(ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) []byte {

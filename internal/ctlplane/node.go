@@ -56,10 +56,9 @@ type NodeConfig struct {
 	// Default 1024. Ignored when Snapshot is nil.
 	CompactEvery uint64
 
-	// Bus receives leader-elected / leader-lost events (nil-safe); Now
-	// supplies their timestamps on the process epoch (nil → node start).
+	// Bus receives leader-elected / leader-lost events (nil-safe), stamped
+	// on the process epoch (obs.Now).
 	Bus *obs.Bus
-	Now func() time.Duration
 	// Metrics resolves the replica gauges (nil → private registry).
 	Metrics *obs.Registry
 	// Logf receives diagnostic lines (nil → silent).
@@ -126,10 +125,6 @@ func NewNode(cfg NodeConfig) *Node {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.Now == nil {
-		start := time.Now()
-		cfg.Now = func() time.Duration { return time.Since(start) }
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -417,7 +412,7 @@ func (n *Node) emitRole(kind obs.Kind, term uint64) {
 	if !n.cfg.Bus.Enabled() {
 		return
 	}
-	ev := obs.NewEvent(kind, n.cfg.Now())
+	ev := obs.NewEvent(kind, obs.Now())
 	ev.Wall = true
 	ev.Switch = int32(n.raft.ID())
 	ev.Count = int32(term)

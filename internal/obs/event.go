@@ -54,13 +54,6 @@ const (
 	// (internal/sweep); Count is the running number of completed shards,
 	// Detail the sweep name, and Shard the 1-based shard tag.
 	KindSweepShardDone
-	// KindClockSync is one clock-offset measurement between two processes:
-	// the emitting (measuring) process probed the remote process named in
-	// Detail over its control connection. Offset maps the remote epoch into
-	// the local one (t_local ≈ t_remote + Offset), RTT is the probe round
-	// trip. Stitchers (sbtap -stitch) use these to align per-process trace
-	// files onto one timeline.
-	KindClockSync
 	// KindLeaderElected marks a ctlplane replica winning an election; Switch
 	// carries the replica ID and Count the term.
 	KindLeaderElected
@@ -86,7 +79,6 @@ var kindNames = [numKinds]string{
 	"circuit-switch-halted",
 	"log",
 	"sweep-shard-done",
-	"clock-sync",
 	"leader-elected",
 	"leader-lost",
 	"failover",
@@ -110,14 +102,22 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)
 }
 
+// processStart is the process epoch: every wall-clock event and replicated
+// command time in the process is a duration since it, so the emulated
+// processes sharing one OS process share one timeline.
+var processStart = time.Now()
+
+// Now returns the time since the process epoch.
+func Now() time.Duration { return time.Since(processStart) }
+
 // None is the sentinel for "no switch / no port" in event fields.
 const None int32 = -1
 
 // Event is one control-plane event. Fields not meaningful for a kind are
 // left at their zero value (None for switch/port fields — use NewEvent).
 // Timestamps are durations since an epoch: the virtual clock's origin for
-// the simulated controller, or server start for the wall-clock control
-// plane (Wall reports which).
+// the simulated controller, or the process epoch (Now) for the wall-clock
+// control plane (Wall reports which).
 type Event struct {
 	Kind Kind
 	// Seq is a bus-assigned monotonically increasing sequence number; it
@@ -171,12 +171,6 @@ type Event struct {
 	Report    time.Duration
 	Reconfig  time.Duration
 	Total     time.Duration
-
-	// Clock-sync payload (KindClockSync): Offset maps the remote epoch
-	// (process named in Detail) into the emitter's epoch, RTT is the probe
-	// round trip bounding the estimate's error.
-	Offset time.Duration
-	RTT    time.Duration
 }
 
 // NewEvent returns an Event of the given kind at time t with all switch and
@@ -242,9 +236,6 @@ func (e Event) String() string {
 			fmt.Fprintf(&b, " reconfig=%v", e.Reconfig)
 		}
 	}
-	if e.Kind == KindClockSync {
-		fmt.Fprintf(&b, " offset=%v rtt=%v", e.Offset, e.RTT)
-	}
 	if e.Detail != "" {
 		fmt.Fprintf(&b, " %s", e.Detail)
 	}
@@ -274,8 +265,6 @@ type eventJSON struct {
 	RepNs      int64  `json:"report_ns,omitempty"`
 	RecNs      int64  `json:"reconfig_ns,omitempty"`
 	TotNs      int64  `json:"total_ns,omitempty"`
-	OffNs      int64  `json:"offset_ns,omitempty"`
-	RTTNs      int64  `json:"rtt_ns,omitempty"`
 }
 
 // MarshalJSON renders the event in the JSONL wire form.
@@ -286,7 +275,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Switch: e.Switch, Peer: e.Peer, Backup: e.Backup, Port: e.Port, PeerPort: e.PeerPort,
 		Count: e.Count, Detail: e.Detail,
 		DetNs: int64(e.Detection), RepNs: int64(e.Report), RecNs: int64(e.Reconfig), TotNs: int64(e.Total),
-		OffNs: int64(e.Offset), RTTNs: int64(e.RTT),
 	})
 }
 
@@ -307,7 +295,6 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 		Count: j.Count, Detail: j.Detail,
 		Detection: time.Duration(j.DetNs), Report: time.Duration(j.RepNs),
 		Reconfig: time.Duration(j.RecNs), Total: time.Duration(j.TotNs),
-		Offset: time.Duration(j.OffNs), RTT: time.Duration(j.RTTNs),
 	}
 	return nil
 }

@@ -21,8 +21,7 @@ type StitchedSpan struct {
 	Span     *Span
 	Parent   *StitchedSpan // nil for the trace root (or an orphan)
 	Children []*StitchedSpan
-	// Start is the span's earliest event time shifted into the reference
-	// epoch (clock-offset corrected).
+	// Start is the span's earliest event time.
 	Start time.Duration
 	// Orphan marks a span whose Parent reference did not resolve to any
 	// span in the stitched file set.
@@ -39,22 +38,15 @@ type StitchedTrace struct {
 
 // StitchResult is the outcome of merging per-process trace files.
 type StitchResult struct {
-	// Reference is the process whose epoch the merged timeline uses.
-	Reference string
-	// Offsets maps each process to the shift (added to its timestamps)
-	// into the reference epoch, estimated from clock-sync events.
-	Offsets map[string]time.Duration
 	// Procs lists every process seen, sorted.
 	Procs []string
 	// Traces holds the stitched cross-process traces, ordered by first
 	// event time.
 	Traces []*StitchedTrace
 	// Unstitchable collects integrity problems: parent references naming
-	// spans absent from the file set, and processes with no clock-sync
-	// path to the reference (their timestamps could not be aligned).
+	// spans absent from the file set.
 	Unstitchable []string
-	// Events is the merged, offset-corrected event stream (all processes),
-	// ordered by adjusted time.
+	// Events is the merged event stream (all processes), ordered by time.
 	Events []Event
 }
 
@@ -64,10 +56,10 @@ type procSpanKey struct {
 }
 
 // Stitch merges per-process trace files into cross-process traces: it
-// estimates each process' clock offset to a reference epoch from the
-// keep-alive clock-sync events (KindClockSync), shifts every timestamp
-// accordingly, then links spans across processes via their trace IDs and
-// (proc-qualified) parent references.
+// merges the events onto one timeline and links spans across processes via
+// their trace IDs and (proc-qualified) parent references. The processes
+// must share one epoch, as the emulated processes of one OS process do (every
+// wall-clock emitter stamps obs.Now), so no timestamp is shifted.
 func Stitch(procs []ProcTrace) (*StitchResult, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("obs: nothing to stitch")
@@ -92,102 +84,19 @@ func Stitch(procs []ProcTrace) (*StitchResult, error) {
 	}
 	sort.Strings(names)
 
-	res := &StitchResult{
-		Offsets: make(map[string]time.Duration, len(names)),
-		Procs:   names,
-	}
-	res.alignClocks(events)
+	res := &StitchResult{Procs: names}
 	res.mergeEvents(events)
 	res.linkSpans(events)
 	return res, nil
 }
 
-// alignClocks picks the reference process and solves per-process offsets
-// from the clock-sync edges. Each KindClockSync event emitted by process M
-// about remote R (Detail) asserts t_M ≈ t_R + Offset; edges are combined by
-// median and propagated breadth-first from the reference.
-func (res *StitchResult) alignClocks(events map[string][]Event) {
-	type edge struct {
-		from, to string // offset maps `to` timestamps into `from` epoch
-		offsets  []time.Duration
-	}
-	edges := make(map[[2]string]*edge)
-	measurers := make(map[string]map[string]bool)
-	for proc, evs := range events {
-		for _, ev := range evs {
-			if ev.Kind != KindClockSync || ev.Detail == "" {
-				continue
-			}
-			key := [2]string{proc, ev.Detail}
-			e := edges[key]
-			if e == nil {
-				e = &edge{from: proc, to: ev.Detail}
-				edges[key] = e
-			}
-			e.offsets = append(e.offsets, ev.Offset)
-			if measurers[ev.Detail] == nil {
-				measurers[ev.Detail] = make(map[string]bool)
-			}
-			measurers[ev.Detail][proc] = true
-		}
-	}
-	// Reference: the process the most distinct peers sync against — the
-	// control plane's hub (the controller: every agent measures it) — not
-	// merely the one with the most sync events. Fall back to the first
-	// process.
-	ref := res.Procs[0]
-	best := -1
-	for _, p := range res.Procs {
-		if n := len(measurers[p]); n > best {
-			ref, best = p, n
-		}
-	}
-	res.Reference = ref
-	res.Offsets[ref] = 0
-
-	median := func(ds []time.Duration) time.Duration {
-		s := append([]time.Duration(nil), ds...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return s[len(s)/2]
-	}
-	// BFS over the offset graph. shift[p] satisfies t_ref = t_p + shift[p].
-	// Edge (M, R, O) gives t_M = t_R + O, so shift[R] = shift[M] + O and
-	// shift[M] = shift[R] - O.
-	for changed := true; changed; {
-		changed = false
-		for _, e := range edges {
-			o := median(e.offsets)
-			if sm, ok := res.Offsets[e.from]; ok {
-				if _, ok := res.Offsets[e.to]; !ok {
-					res.Offsets[e.to] = sm + o
-					changed = true
-				}
-			} else if st, ok := res.Offsets[e.to]; ok {
-				res.Offsets[e.from] = st - o
-				changed = true
-			}
-		}
-	}
-	for _, p := range res.Procs {
-		if _, ok := res.Offsets[p]; !ok {
-			if len(res.Procs) > 1 {
-				res.Unstitchable = append(res.Unstitchable,
-					fmt.Sprintf("proc %s has no clock-sync path to reference %s; its timestamps are unaligned", p, ref))
-			}
-			res.Offsets[p] = 0
-		}
-	}
-}
-
-// mergeEvents builds the single offset-corrected timeline.
+// mergeEvents builds the single timeline.
 func (res *StitchResult) mergeEvents(events map[string][]Event) {
 	for proc, evs := range events {
-		shift := res.Offsets[proc]
 		for _, ev := range evs {
 			if ev.Proc == "" {
 				ev.Proc = proc
 			}
-			ev.T += shift
 			res.Events = append(res.Events, ev)
 		}
 	}
@@ -200,7 +109,6 @@ func (res *StitchResult) linkSpans(events map[string][]Event) {
 	traceOf := make(map[uint64]*StitchedTrace)
 	var traceOrder []uint64
 	for proc, evs := range events {
-		shift := res.Offsets[proc]
 		for _, ev := range evs {
 			if ev.Span == 0 || ev.Trace == 0 {
 				continue
@@ -208,7 +116,7 @@ func (res *StitchResult) linkSpans(events map[string][]Event) {
 			key := procSpanKey{proc, ev.Span}
 			ss := spans[key]
 			if ss == nil {
-				ss = &StitchedSpan{Proc: proc, Span: &Span{ID: ev.Span}, Start: ev.T + shift}
+				ss = &StitchedSpan{Proc: proc, Span: &Span{ID: ev.Span}, Start: ev.T}
 				spans[key] = ss
 				tr := traceOf[ev.Trace]
 				if tr == nil {
@@ -218,9 +126,7 @@ func (res *StitchResult) linkSpans(events map[string][]Event) {
 				}
 				tr.Spans = append(tr.Spans, ss)
 			}
-			if t := ev.T + shift; t < ss.Start {
-				ss.Start = t
-			}
+			ss.Start = min(ss.Start, ev.T)
 			sp := ss.Span
 			sp.Events = append(sp.Events, ev)
 			if ev.Kind == KindRecoveryComplete {

@@ -6,37 +6,21 @@ import (
 	"time"
 )
 
-// syntheticTraces builds a three-process recovery with deliberately skewed
-// epochs: the agent's clock runs 10ms ahead of the controller's and the
-// circuit switch's 5ms behind it.
-//
-//	controller epoch = 0 (reference)
-//	agent epoch      = controller - 10ms  => t_agent = t_controller + 10ms
-//	cs epoch         = controller + 5ms   => t_cs    = t_controller - 5ms
+// syntheticTraces builds a three-process recovery on one epoch: the agent
+// declares the link failure at 2ms, the circuit switch reconfigures at 3.5ms
+// and the controller completes the recovery at 4ms.
 func syntheticTraces() []ProcTrace {
 	const trace = uint64(0xabc)
 
-	sync := func(remote string, off time.Duration, t time.Duration) Event {
-		ev := NewEvent(KindClockSync, t)
-		ev.Detail = remote
-		ev.Offset = off
-		ev.RTT = 100 * time.Microsecond
-		return ev
-	}
-
-	// Agent: measures the controller at offset +10ms, roots the trace.
-	agentFail := NewEvent(KindFailureDeclared, 12*time.Millisecond) // 2ms controller time
+	// Agent: roots the trace.
+	agentFail := NewEvent(KindFailureDeclared, 2*time.Millisecond)
 	agentFail.Span = 1
 	agentFail.Trace = trace
 	agentFail.Detection = 3 * time.Millisecond
 	agentFail.Detail = "link"
-	agent := ProcTrace{Name: "agent-5", Events: []Event{
-		sync("controller", 10*time.Millisecond, 11*time.Millisecond),
-		agentFail,
-	}}
+	agent := ProcTrace{Name: "agent-5", Events: []Event{NewEvent(KindLog, time.Millisecond), agentFail}}
 
-	// Controller: measures the cs at offset +5ms, recovery span child of
-	// the agent's.
+	// Controller: recovery span child of the agent's.
 	ctlDone := NewEvent(KindRecoveryComplete, 4*time.Millisecond)
 	ctlDone.Span = 9
 	ctlDone.Trace = trace
@@ -47,13 +31,10 @@ func syntheticTraces() []ProcTrace {
 	ctlDone.Report = 500 * time.Microsecond
 	ctlDone.Reconfig = 30 * time.Microsecond
 	ctlDone.Total = ctlDone.Detection + ctlDone.Report + ctlDone.Reconfig
-	ctl := ProcTrace{Name: "controller", Events: []Event{
-		sync("cs-0", 5*time.Millisecond, time.Millisecond),
-		ctlDone,
-	}}
+	ctl := ProcTrace{Name: "controller", Events: []Event{ctlDone}}
 
 	// Circuit switch: reconfiguration span child of the controller's.
-	csEv := NewEvent(KindCircuitReconfigured, 3500*time.Microsecond-5*time.Millisecond) // 3.5ms controller time in cs epoch
+	csEv := NewEvent(KindCircuitReconfigured, 3500*time.Microsecond)
 	csEv.Span = 2
 	csEv.Trace = trace
 	csEv.Parent = 9
@@ -64,7 +45,7 @@ func syntheticTraces() []ProcTrace {
 	return []ProcTrace{agent, ctl, cs}
 }
 
-func TestStitchAlignsEpochsAndLinksSpans(t *testing.T) {
+func TestStitchLinksSpansAcrossProcesses(t *testing.T) {
 	procs := syntheticTraces()
 	// Stamp Proc from the file-level name, as real per-process buses do.
 	for i := range procs {
@@ -76,17 +57,11 @@ func TestStitchAlignsEpochsAndLinksSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reference != "controller" {
-		t.Fatalf("reference = %q", res.Reference)
-	}
 	if len(res.Unstitchable) != 0 {
 		t.Fatalf("unstitchable: %v", res.Unstitchable)
 	}
-	if got := res.Offsets["agent-5"]; got != -10*time.Millisecond {
-		t.Errorf("agent shift = %v, want -10ms", got)
-	}
-	if got := res.Offsets["cs-0"]; got != 5*time.Millisecond {
-		t.Errorf("cs shift = %v, want +5ms", got)
+	if want := []string{"agent-5", "controller", "cs-0"}; strings.Join(res.Procs, ",") != strings.Join(want, ",") {
+		t.Errorf("procs = %v, want %v", res.Procs, want)
 	}
 	if len(res.Traces) != 1 {
 		t.Fatalf("traces = %d", len(res.Traces))
@@ -95,17 +70,15 @@ func TestStitchAlignsEpochsAndLinksSpans(t *testing.T) {
 	if len(tr.Roots) != 1 || tr.Roots[0].Proc != "agent-5" {
 		t.Fatalf("root = %+v", tr.Roots)
 	}
-	// Corrected starts: agent fail at 2ms, controller at 4ms, cs at -1.5ms+5ms=... cs
-	// event T = -1.5ms, +5ms shift = 3.5ms controller time.
+	// Span starts are the events' own times: nothing is shifted.
 	byProc := map[string]*StitchedSpan{}
 	for _, ss := range tr.Spans {
 		byProc[ss.Proc] = ss
 	}
-	if got := byProc["agent-5"].Start; got != 2*time.Millisecond {
-		t.Errorf("agent span start = %v, want 2ms", got)
-	}
-	if got := byProc["cs-0"].Start; got != 3500*time.Microsecond {
-		t.Errorf("cs span start = %v, want 3.5ms", got)
+	for proc, want := range map[string]time.Duration{"agent-5": 2 * time.Millisecond, "controller": 4 * time.Millisecond, "cs-0": 3500 * time.Microsecond} {
+		if got := byProc[proc].Start; got != want {
+			t.Errorf("%s span start = %v, want %v", proc, got, want)
+		}
 	}
 	if byProc["controller"].Parent != byProc["agent-5"] {
 		t.Error("controller span not child of agent span")
@@ -113,7 +86,10 @@ func TestStitchAlignsEpochsAndLinksSpans(t *testing.T) {
 	if byProc["cs-0"].Parent != byProc["controller"] {
 		t.Error("cs span not child of controller span")
 	}
-	// The merged event stream is offset-corrected and time-ordered.
+	// The merged event stream holds every event, time-ordered.
+	if len(res.Events) != 4 {
+		t.Errorf("merged %d events, want 4", len(res.Events))
+	}
 	for i := 1; i < len(res.Events); i++ {
 		if res.Events[i].T < res.Events[i-1].T {
 			t.Fatalf("merged events out of order at %d", i)
@@ -130,9 +106,8 @@ func TestStitchAlignsEpochsAndLinksSpans(t *testing.T) {
 
 func TestStitchReportsUnstitchable(t *testing.T) {
 	procs := syntheticTraces()
-	// Drop the circuit switch's file: the controller's sync edge to it
-	// remains (harmless), but also orphan the controller's parent by
-	// dropping the agent file — parent references must be diagnosed.
+	// Stitch the controller's file alone: its span's parent lives in the
+	// agent's file, which is missing — the reference must be diagnosed.
 	orphan := procs[1:2] // controller only
 	res, err := Stitch(orphan)
 	if err != nil {
@@ -153,21 +128,5 @@ func TestStitchReportsUnstitchable(t *testing.T) {
 	// The orphaned span still renders, flagged.
 	if len(res.Traces) != 1 || !res.Traces[0].Spans[0].Orphan {
 		t.Error("orphan span not flagged")
-	}
-
-	// A process with no clock-sync path is reported too.
-	disconnected := []ProcTrace{procs[0], {Name: "island", Events: []Event{NewEvent(KindLog, 0)}}}
-	res, err = Stitch(disconnected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundIsland := false
-	for _, u := range res.Unstitchable {
-		if strings.Contains(u, "island") && strings.Contains(u, "no clock-sync path") {
-			foundIsland = true
-		}
-	}
-	if !foundIsland {
-		t.Errorf("diagnostics = %v, want island unaligned", res.Unstitchable)
 	}
 }

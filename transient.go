@@ -7,7 +7,6 @@ import (
 
 	"sharebackup/internal/controller"
 	"sharebackup/internal/fluid"
-	"sharebackup/internal/routing"
 	"sharebackup/internal/topo"
 )
 
@@ -166,13 +165,10 @@ func completionTimes(ft *topo.FatTree, flows []flowRef, bytes float64, blocked *
 			return nil, err
 		}
 		// Failure: affected, unfinished flows stall.
-		var affected []int
 		for i, f := range flows {
-			fl := sim.Flow(fluid.FlowID(i))
-			if fl.Done() || blocked.PathOK(f.path) {
+			if sim.Flow(fluid.FlowID(i)).Done() || blocked.PathOK(f.path) {
 				continue
 			}
-			affected = append(affected, i)
 			if err := sim.SetPath(fluid.FlowID(i), topo.Path{}); err != nil {
 				return nil, err
 			}
@@ -180,61 +176,29 @@ func completionTimes(ft *topo.FatTree, flows []flowRef, bytes float64, blocked *
 		if err := sim.Run(failAt + gapSec); err != nil {
 			return nil, err
 		}
-		// Recovery: resume on the scheme's paths.
-		load := routing.NewLinkLoad(ft.Topology)
-		var scratch routing.Scratch // shared avoid set across the reroute burst
+		// Recovery: the scheme reroutes the flows still running, and the
+		// stalled ones resume on their new routes.
+		var running []flowRef
+		var ids []fluid.FlowID
 		for i, f := range flows {
-			if !sim.Flow(fluid.FlowID(i)).Done() && blocked.PathOK(f.path) {
-				load.Add(f.path, 1)
+			if !sim.Flow(fluid.FlowID(i)).Done() {
+				running = append(running, f)
+				ids = append(ids, fluid.FlowID(i))
 			}
 		}
-		for _, i := range affected {
-			f := flows[i]
-			var np topo.Path
-			ok := true
-			switch mode {
-			case schemeShareBackup:
-				np = f.path // hardware replaced: exact path restored
-			case schemeGlobalOptimal:
-				src := hostIndexOf(ft, f.path.Nodes[0])
-				dst := hostIndexOf(ft, f.path.Nodes[len(f.path.Nodes)-1])
-				np, ok = routing.GlobalOptimalReroute(ft, src, dst, blocked, load)
-			case schemeF10Local:
-				np, ok = routing.F10LocalReroute(ft, f.path, blocked, &scratch)
-				if !ok {
-					src := hostIndexOf(ft, f.path.Nodes[0])
-					dst := hostIndexOf(ft, f.path.Nodes[len(f.path.Nodes)-1])
-					np, ok = routing.GlobalOptimalReroute(ft, src, dst, blocked, load)
-				}
+		routes, hit, _ := applyScheme(ft, running, blocked, mode)
+		for j, r := range routes {
+			if !hit[j] || len(r.path.Nodes) == 0 {
+				continue // unaffected, or left with no route: disconnected
 			}
-			if !ok {
-				continue // stays stalled: disconnected
-			}
-			if err := sim.SetPath(fluid.FlowID(i), np); err != nil {
+			if err := sim.SetPath(ids[j], r.path); err != nil {
 				return nil, err
 			}
-			load.Add(np, 1)
 		}
 	}
-	// Drive to completion with a widening horizon (stalled flows would
-	// wedge RunToCompletion).
-	horizon := sim.Now() + 1
-	for iter := 0; iter < 80; iter++ {
-		if err := sim.Run(horizon); err != nil {
-			return nil, err
-		}
-		allSettled := true
-		for i := range flows {
-			fl := sim.Flow(fluid.FlowID(i))
-			if !fl.Done() && !fl.Stalled() {
-				allSettled = false
-				break
-			}
-		}
-		if allSettled && sim.PendingCount() == 0 {
-			break
-		}
-		horizon *= 2
+	// Run(+Inf) returns once only permanently stalled flows remain.
+	if err := sim.Run(math.Inf(1)); err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(flows))
 	for i := range flows {
