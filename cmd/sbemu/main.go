@@ -175,7 +175,7 @@ func rejectUnused(mode string, reads ...string) {
 // runFleetDemo drives the fleet-scale keep-alive path: agents are grouped
 // onto shared connections sending batched keep-alive frames, the server reads
 // each connection on its own goroutine, and the sustained ingest rate plus the
-// server goroutine count (connections + shards + a constant) are printed.
+// server goroutine count (connections + the detector + a constant) are printed.
 func runFleetDemo(agents int) {
 	if agents <= 0 {
 		fatal(fmt.Errorf("-ka-batch requires -agents > 0"))
@@ -187,7 +187,7 @@ func runFleetDemo(agents int) {
 	}
 	fmt.Printf("%d agents on %d conns (group size %d): %.0f keep-alives/s sustained\n",
 		res.Agents, res.Conns, res.GroupSize, res.KAPerSec)
-	fmt.Printf("server goroutines: %d (one reader per connection + shard detectors); batched frames: %d; wire errors: %d\n",
+	fmt.Printf("server goroutines: %d (one reader per connection + one detector); batched frames: %d; wire errors: %d\n",
 		res.ServerGoroutines, res.Batches, res.WireErrors)
 }
 

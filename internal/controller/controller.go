@@ -2,8 +2,8 @@
 // plane (Section 4): keep-alive failure detection, backup allocation and
 // circuit reconfiguration for node failures, replace-both-ends handling of
 // link failures, offline failure diagnosis over the circuit-switch side-port
-// rings, live impersonation bookkeeping, circuit-switch failure thresholds,
-// and a replicated-controller election model.
+// rings, live impersonation bookkeeping, and circuit-switch failure
+// thresholds. Consensus among controller replicas lives in internal/ctlplane.
 //
 // Time is virtual: callers drive the controller with explicit timestamps
 // (time.Duration since an epoch), which makes recovery-latency accounting

@@ -25,10 +25,6 @@ type srvConn struct {
 	// subscribed marks recovery-event subscribers; their conns are owned
 	// by the publish path once set (dropConn then never closes them).
 	subscribed bool
-
-	// shardOf stages shard indexes for keep-alive batch fan-in (seenBatch),
-	// so the steady state allocates nothing.
-	shardOf []uint8
 }
 
 // serveConn is the connection's reader loop.

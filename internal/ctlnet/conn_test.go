@@ -168,7 +168,7 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 }
 
 // TestCloseReleasesIdleConnections: a cluster of one runs its server's
-// accept loop and shard detectors, its consensus node's loop and listener,
+// accept loop and detector, its consensus node's loop and listener,
 // and nothing else (no background sampler). Close severs every connection and
 // waits for its reader, so it returns promptly however many peers sit idle,
 // and the replica leaves no goroutine behind.
@@ -181,9 +181,10 @@ func TestCloseReleasesIdleConnections(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := soloReplica(t, controller.New(nw, controller.Config{Metrics: reg}), ServerConfig{Obs: &obs.Bus{}})
 	srv := r.Server
-	if own := len(srv.shards) + 3; !waitUntil(time.Second, func() bool { return runtime.NumGoroutine()-baseline <= own }) {
-		t.Errorf("%d goroutines over the baseline on an idle replica, want %d (accept loop + %d shards + node loop + consensus listener)",
-			runtime.NumGoroutine()-baseline, own, len(srv.shards))
+	const own = 4
+	if !waitUntil(time.Second, func() bool { return runtime.NumGoroutine()-baseline <= own }) {
+		t.Errorf("%d goroutines over the baseline on an idle replica, want %d (accept loop + detector + node loop + consensus listener)",
+			runtime.NumGoroutine()-baseline, own)
 	}
 	const idle = 200
 	for i := 0; i < idle; i++ {

@@ -109,6 +109,9 @@ func TestWireDecodeErrors(t *testing.T) {
 	if _, err := decodeHello([]byte{1, 2}); err == nil {
 		t.Error("short hello accepted")
 	}
+	if id, err := decodeHello([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err == nil {
+		t.Errorf("hello with ID 0xFFFFFFFF accepted as switch %d", id)
+	}
 	if _, err := kaBatchCount(make([]byte, 5)); err == nil {
 		t.Error("short keepalive batch accepted")
 	}
@@ -132,7 +135,7 @@ func TestWireDecodeErrors(t *testing.T) {
 
 // soloReplica starts a cluster of one around ctl, serving with cfg — a single
 // controller, built the way every replica is — and kills it with the test.
-func soloReplica(t *testing.T, ctl *controller.Controller, cfg ServerConfig) *Replica {
+func soloReplica(t testing.TB, ctl *controller.Controller, cfg ServerConfig) *Replica {
 	t.Helper()
 	rs, err := startReplicas([]*controller.Controller{ctl}, []ServerConfig{cfg}, 0, 0, ctl.Metrics())
 	if err != nil {
@@ -398,6 +401,35 @@ func TestServerDropsProtocolViolations(t *testing.T) {
 	conn2.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := readFrame(conn2); err == nil {
 		t.Error("server kept a session alive after a malformed hello")
+	}
+}
+
+// TestHelloWithNegativeIDIsRefused: a hello whose ID does not fit a
+// non-negative SwitchID is a malformed hello. The server drops that client
+// and keeps serving: a well-formed agent still registers. The ID once reached
+// the table lookup as switch -1 and panicked the server's reader goroutine,
+// taking the whole process down.
+func TestHelloWithNegativeIDIsRefused(t *testing.T) {
+	srv, nw := newServer(t)
+	bad, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if err := writeFrame(bad, msgHello, []byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	bad.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, _, err := readFrame(bad); err == nil {
+		t.Error("server kept a session alive after a hello with ID 0xFFFFFFFF")
+	}
+	a, err := Dial(srv.Addr(), nw.EdgeGroup(0).Slots()[0], 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("well-formed agent after the bad hello: %v", err)
+	}
+	defer a.Close()
+	if !a.WaitTable(2 * time.Second) {
+		t.Error("well-formed agent after the bad hello got no table: not registered")
 	}
 }
 

@@ -237,18 +237,36 @@ func detectorServer(t *testing.T, n int, interval time.Duration) (*Server, *sbne
 	return soloReplica(t, ctl, ServerConfig{Interval: interval, MissThreshold: 3, Obs: &obs.Bus{}}).Server, nw, reg
 }
 
-// TestEmptyShardDoesNotSpin: with nothing to watch a shard re-arms for one
-// full deadline per wake — a handful of wakes, not a busy loop.
-func TestEmptyShardDoesNotSpin(t *testing.T) {
+// hear stamps a keep-alive from id at the synthetic instant at, as a
+// connection reader would.
+func hear(srv *Server, id sbnet.SwitchID, at time.Duration) {
+	srv.det.mu.Lock()
+	srv.det.pending = append(srv.det.pending, kaRecord{id: id, at: at})
+	srv.det.mu.Unlock()
+}
+
+// TestIdleDetectorWakesEveryHalfInterval: with nothing to watch the detector
+// re-arms half an interval ahead per wake — two wakes per interval, not a
+// busy loop.
+func TestIdleDetectorWakesEveryHalfInterval(t *testing.T) {
 	const interval = 5 * time.Millisecond
 	srv, _, reg := detectorServer(t, 1, interval)
-	time.Sleep(20 * 3 * interval)
-	wakes := reg.Counter("ctlnet.shard_wakes").Value()
-	if max := int64(len(srv.shards) * 21); wakes > max {
-		t.Errorf("%d idle shards woke %d times in 20 deadlines, want at most %d", len(srv.shards), wakes, max)
+	srv.Close() // the loop is gone: the test runs its wakes by hand
+	wakes := reg.Counter("ctlnet.detector_wakes")
+	before := wakes.Value()
+	at := time.Second
+	for i := 0; i < 20; i++ {
+		dead, next := srv.wake(at, at)
+		if len(dead) != 0 {
+			t.Fatalf("idle detector declared %v", dead)
+		}
+		if next != at+interval/2 {
+			t.Fatalf("idle wake at %v re-armed for %v, want %v", at, next, at+interval/2)
+		}
+		at = next
 	}
-	if wakes == 0 {
-		t.Error("idle shards never woke")
+	if got := wakes.Value() - before; got != 20 {
+		t.Errorf("ctlnet.detector_wakes rose by %d over 20 wakes", got)
 	}
 	if got := reg.Gauge("ctlnet.detector_entries").Value(); got != 0 {
 		t.Errorf("ctlnet.detector_entries = %d on an idle server", got)
@@ -537,50 +555,100 @@ func detectionRun(t *testing.T, interval time.Duration) string {
 
 // TestLateWakeDeclaresNobody pins the stall guard: a wake that ran well
 // behind its timer means the process stood still, and the readers with it,
-// so for one keep-alive interval no shard trusts the silence it finds — not
-// the shard that woke late, and not one that wakes on time just after. The
-// next on-time wake does the declaring.
+// so for one keep-alive interval the detector trusts no silence it finds —
+// not at the late wake, and not at an on-time wake just after. The first wake
+// past the grace does the declaring.
 func TestLateWakeDeclaresNobody(t *testing.T) {
 	const interval = 5 * time.Millisecond
+	const deadline = 3 * interval
 	srv, nw, reg := detectorServer(t, 1, interval)
-	srv.Close() // the shard loops are gone: the test runs the shards' wakes by hand
+	srv.Close() // the loop is gone: the test runs its wakes by hand
 	id := nw.EdgeGroup(0).Slots()[0]
-	sh := srv.shards[srv.shardIndex(id)]
-	other := srv.shards[(srv.shardIndex(id)+1)%len(srv.shards)]
 	graces := reg.Counter("ctlnet.detector_stall_graces")
-	srv.seen(id)
-	time.Sleep(3*interval + time.Millisecond)
+	const lastSeen = time.Second
+	hear(srv, id, lastSeen)
 
-	// Another shard wakes one interval late: it has nothing to declare, but
-	// it saw the stall.
-	if dead, _ := srv.shardWake(other, srv.Now()-interval); len(dead) != 0 || graces.Value() != 0 {
-		t.Fatalf("empty shard's late wake: declared %v, %d graces", dead, graces.Value())
+	// A wake one interval late, past the switch's deadline.
+	stall := lastSeen + deadline + interval/2
+	dead, next := srv.wake(stall, stall-interval)
+	if len(dead) != 0 || graces.Value() != 1 {
+		t.Fatalf("late wake: declared %v, %d graces, want none and 1", dead, graces.Value())
 	}
-	// This shard wakes on time right after it, past its head's deadline.
-	dead, next := srv.shardWake(sh, srv.Now())
-	if len(dead) != 0 {
-		t.Fatalf("declared %v within an interval of a stall", dead)
+	if wait := next - stall; wait <= 0 || wait > interval/2 {
+		t.Errorf("guarded wake re-armed %v ahead, want within half an interval", wait)
 	}
-	if wait := next - srv.Now(); wait <= 0 || wait > interval {
-		t.Errorf("guarded wake re-armed %v ahead, want within one interval", wait)
-	}
-	if graces.Value() != 1 {
-		t.Errorf("ctlnet.detector_stall_graces = %d, want 1", graces.Value())
-	}
-	// So does a wake that is itself late.
-	time.Sleep(interval)
-	if dead, _ = srv.shardWake(sh, srv.Now()-interval); len(dead) != 0 || graces.Value() != 2 {
-		t.Fatalf("late wake: declared %v, %d graces, want none and 2", dead, graces.Value())
+	// An on-time wake inside the grace declares nobody either.
+	if dead, _ = srv.wake(next, next); len(dead) != 0 || graces.Value() != 2 {
+		t.Fatalf("on-time wake %v after the stall: declared %v, %d graces, want none and 2", next-stall, dead, graces.Value())
 	}
 	// A keep-alive read during the grace would have saved the switch; none
-	// came, and the on-time wake after it declares it, once, with its true
-	// last-seen stamp.
-	time.Sleep(interval)
-	dead, _ = srv.shardWake(sh, srv.Now())
-	if len(dead) != 1 || dead[0].id != id {
-		t.Fatalf("on-time wake declared %v, want switch %d", dead, id)
+	// came, and the first wake past the grace declares it, once, with its
+	// true last-seen stamp.
+	end := stall + interval
+	dead, _ = srv.wake(end, end)
+	if len(dead) != 1 || dead[0].id != id || dead[0].lastSeen != lastSeen {
+		t.Fatalf("wake after the grace declared %v, want switch %d last seen at %v", dead, id, lastSeen)
 	}
-	if dead, _ = srv.shardWake(sh, srv.Now()); len(dead) != 0 {
+	if dead, _ = srv.wake(end, end); len(dead) != 0 {
 		t.Fatalf("switch handed off twice: %v", dead)
+	}
+}
+
+// TestStallAtAnyPhaseIsSeen runs the detector's wake schedule against live
+// agents through a process stall, on synthetic instants: at MissThreshold 2
+// and 3, for every stall start over one deadline (every phase of the
+// keep-alives and of the wakes) and every stall length from three quarters of
+// an interval to the deadline, no live switch is declared dead. During the
+// stall nothing runs: the wake due inside it runs when it ends, before the
+// readers stamp the keep-alives that queued up meanwhile.
+func TestStallAtAnyPhaseIsSeen(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	const step = interval / 32
+	const t0 = time.Second
+	srv, nw, _ := detectorServer(t, 1, interval)
+	srv.Close() // the loop is gone: the test runs its wakes by hand
+	ids := nw.EdgeGroup(0).Slots()
+	for _, g := range []*sbnet.Group{nw.AggGroup(0), nw.EdgeGroup(1)} {
+		ids = append(ids, g.Slots()...)
+	}
+	for _, misses := range []int{2, 3} {
+		srv.cfg.MissThreshold = misses
+		deadline := time.Duration(misses) * interval
+		for start := t0 + 4*interval; start < t0+4*interval+deadline; start += step {
+			for length := 3 * interval / 4; length <= deadline; length += step {
+				srv.det = detector{queue: newExpiryQueue(srv.fleetSize, deadline), stallAt: -interval}
+				resume := start + length
+				stalled := func(at time.Duration) bool { return at >= start && at < resume }
+				// Agent i keeps alive every interval from its own phase.
+				sent := make([]time.Duration, len(ids))
+				for i := range ids {
+					sent[i] = t0 + time.Duration(i)*interval/time.Duration(len(ids))
+				}
+				for armedFor := t0; armedFor < resume+2*deadline; {
+					now := armedFor
+					if stalled(now) {
+						now = resume
+					}
+					for i, id := range ids {
+						for ; sent[i] <= now; sent[i] += interval {
+							at := sent[i]
+							if stalled(at) {
+								if now == resume {
+									break // read after the wake the stall held up
+								}
+								at = resume
+							}
+							hear(srv, id, at)
+						}
+					}
+					dead, next := srv.wake(now, armedFor)
+					if len(dead) != 0 {
+						t.Fatalf("MissThreshold %d, stall of %v from %v: live switches declared dead at %v: %v",
+							misses, length, start-t0, now-t0, dead)
+					}
+					armedFor = next
+				}
+			}
+		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sharebackup/internal/sbnet"
 )
 
-// expiryQueue is one shard's failure detector: the switches it tracks, kept
+// expiryQueue is the server's failure detector: the switches it tracks, kept
 // in last-seen order. Every switch has the same timeout, so the order of
 // last-seen stamps IS the order of expiries — the earliest deadline is always
 // at the head and a keep-alive is "stamp and move to back". That is why a
@@ -15,7 +15,7 @@ import (
 //
 // The queue is pure: times are offsets on whatever clock the caller stamps
 // with (the server uses the process epoch), and there is no clock, lock or
-// socket inside — the shard goroutine owns it exclusively and the tests drive
+// socket inside — the detector goroutine owns it exclusively and the tests drive
 // it without sleeping.
 //
 // State is dense per-switch columns indexed by SwitchID; the list is

@@ -17,7 +17,7 @@ import (
 // AgentGroup sessions — GroupSize co-located agents per connection, one
 // batched keep-alive frame per flush — so a 10k-agent fleet is a few
 // hundred connections and a few hundred client goroutines, and the server
-// side is one reader goroutine per connection plus the shard detectors.
+// side is one reader goroutine per connection plus the one detector.
 
 // FleetConfig sizes one fleet throughput run.
 type FleetConfig struct {
@@ -65,8 +65,8 @@ type FleetResult struct {
 	// ServerGoroutines is the steady-state goroutine count attributable to
 	// the server: total at measurement time minus the harness's own client
 	// goroutines (two per AgentGroup) and the baseline captured before the
-	// server started: one reader per connection (Conns), one detector per
-	// shard, the accept loop, and the consensus node's loop and listener —
+	// server started: one reader per connection (Conns), the detector, the
+	// accept loop, and the consensus node's loop and listener —
 	// O(connections), never O(agents), which is what the soak test bounds.
 	ServerGoroutines int
 	// WireErrors and Batches are the server's ctlnet.wire_errors and
@@ -93,7 +93,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	rs, err := startReplicas([]*controller.Controller{ctl}, []ServerConfig{{
 		Interval: cfg.Interval,
 		// The fleet run measures ingest, not detection: a huge miss
-		// threshold keeps the shard detectors from declaring anyone dead under
+		// threshold keeps the detector from declaring anyone dead under
 		// scheduler jitter at 10k agents.
 		MissThreshold: 1 << 20,
 		FleetSize:     cfg.Agents,

@@ -94,7 +94,7 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 
 // TestFleetSoak runs a 1k-agent fleet through one server and asserts the
 // goroutine contract: the server's steady-state goroutine count follows its
-// connections (one reader each) and shards, never its agents. Runs under
+// connections (one reader each) and its one detector, never its agents. Runs under
 // -race in `make race`.
 func TestFleetSoak(t *testing.T) {
 	if testing.Short() {
@@ -120,13 +120,13 @@ func TestFleetSoak(t *testing.T) {
 	if res.Batches == 0 {
 		t.Fatal("no batched keep-alive frames seen")
 	}
-	// Server footprint: one reader per connection, the shard loops, the accept
+	// Server footprint: one reader per connection, the detector, the accept
 	// loop, the consensus node's loop and listener, and slack for the test
 	// runtime's own goroutines. 1000 agents ride 20 connections; a goroutine per agent
 	// would sit at >= 1000.
-	bound := res.Conns + numShards + 24
+	bound := res.Conns + 1 + 24
 	if res.ServerGoroutines > bound {
-		t.Fatalf("server goroutines = %d, want <= %d (connections+shards+slack; conns=%d agents=%d)",
+		t.Fatalf("server goroutines = %d, want <= %d (connections+detector+slack; conns=%d agents=%d)",
 			res.ServerGoroutines, bound, res.Conns, cfg.Agents)
 	}
 	t.Logf("fleet: %d agents on %d conns, %.0f ka/s, %d server goroutines",

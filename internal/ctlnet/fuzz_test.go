@@ -3,8 +3,11 @@ package ctlnet
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"slices"
 	"testing"
+	"time"
 
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/controller"
@@ -136,6 +139,65 @@ func checkPayload(typ byte, p []byte) error {
 		return fmt.Errorf("type %d payload %x re-encodes to %x", typ, p, enc)
 	}
 	return nil
+}
+
+// FuzzHandleFrame feeds each input as a frame stream through the server's
+// dispatcher, handleFrame, as one connection's reader would: a cluster of
+// one whose connection is a net.Pipe with a drained far end. A handler error
+// ends the stream, as it would drop the connection. It checks that nothing
+// panics, and that the server still answers msgLeaderReq afterwards. The
+// committed corpus holds one reproducer per fixed dispatcher bug.
+func FuzzHandleFrame(f *testing.F) {
+	for _, seed := range [][]byte{
+		appendFrame(nil, msgHello, encodeHello(5)),
+		appendFrame(appendFrame(nil, msgHello, encodeHello(40)), msgKeepAliveBatch, appendKeepAliveBatch(nil, []sbnet.SwitchID{40, 2, 1 << 20}, 1)),
+		appendFrame(nil, msgLinkFail, encodeLinkFail(obs.TraceContext{}, 0, 1, 5, 2, 0)),
+		appendFrame(nil, msgLinkFail, encodeLinkFail(obs.TraceContext{}, 0, -7, 5, 1<<30, 0)),
+		appendFrame(appendFrame(nil, msgLeaderReq, nil), msgSubscribe, nil),
+		appendFrame(nil, 200, []byte("unknown type")),
+	} {
+		f.Add(seed)
+	}
+	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctl := controller.New(nw, controller.Config{ProbeInterval: 5 * time.Millisecond, Metrics: obs.NewRegistry()})
+	srv := soloReplica(f, ctl, ServerConfig{Interval: 5 * time.Millisecond, Obs: &obs.Bus{}}).Server
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := &srvConn{conn: drainedPipe(t)}
+		fr := &frameReader{r: bytes.NewReader(data)}
+		for {
+			typ, payload, err := fr.next()
+			if err != nil || srv.handleFrame(sc, typ, payload) != nil {
+				break
+			}
+		}
+		near, far := net.Pipe()
+		defer near.Close()
+		defer far.Close()
+		go srv.handleFrame(&srvConn{conn: near}, msgLeaderReq, nil) //nolint:errcheck // the reply is checked
+		far.SetReadDeadline(time.Now().Add(2 * time.Second))
+		typ, payload, err := readFrame(far)
+		if err != nil || typ != msgLeaderInfo {
+			t.Fatalf("after %x the server answers msgLeaderReq with type %d, %v", data, typ, err)
+		}
+		if leader, _, err := decodeLeaderInfo(payload); err != nil || !leader {
+			t.Fatalf("after %x the server's leader info reads %x", data, payload)
+		}
+	})
+}
+
+// drainedPipe returns the near end of a net.Pipe whose far end discards
+// whatever the server writes; both close with the test.
+func drainedPipe(t *testing.T) net.Conn {
+	near, far := net.Pipe()
+	go io.Copy(io.Discard, far) //nolint:errcheck // ends when the pipe closes
+	t.Cleanup(func() {
+		near.Close()
+		far.Close()
+	})
+	return near
 }
 
 // FuzzRestoreState feeds arbitrary bytes to Server.RestoreState on a fresh

@@ -14,7 +14,7 @@ import (
 // processor) share a single TCP session, and every flush tick their
 // heartbeats leave as one msgKeepAliveBatch frame instead of len(ids)
 // individual keep-alives. The server decodes one frame per batch into the
-// sharded fan-in, so the per-heartbeat cost on both ends is a few dozen
+// detector's fan-in, so the per-heartbeat cost on both ends is a few dozen
 // nanoseconds of buffer work rather than a syscall.
 //
 // An AgentGroup costs two goroutines total (flush ticker + reply drain),

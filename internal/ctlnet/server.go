@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sharebackup/internal/circuit"
@@ -61,11 +60,10 @@ type ServerConfig struct {
 	CSAddrs []string
 	// FleetSize widens the keep-alive tracking range beyond the network
 	// model: switch IDs in [0, max(FleetSize, NumSwitches)) are accepted
-	// on the keep-alive path (sharded by ID for out-of-model entries), but
-	// only in-model switches are recovery-eligible — a silent synthetic ID
-	// is simply forgotten. This is how the fleet bench drives 10k+ agents
-	// through a server whose fat-tree model is far smaller. Default 0
-	// (track exactly the network model).
+	// on the keep-alive path, but only in-model switches are
+	// recovery-eligible — a silent synthetic ID is simply forgotten. This is
+	// how the fleet bench drives 10k+ agents through a server whose fat-tree
+	// model is far smaller. Default 0 (track exactly the network model).
 	FleetSize int
 	// Cluster is this server's consensus replica, and is required: recovery
 	// mutations are proposed into the replicated log and applied when they
@@ -103,13 +101,6 @@ func (c *ServerConfig) setDefaults() {
 	}
 }
 
-// numShards is the number of keep-alive fan-in shards (see shard.go): a
-// connection reader only appends to its shard's pending list, and one
-// goroutine per shard folds them into its expiry queue — the keep-alive hot
-// path never takes the server or controller lock. At most 255: shard
-// indexes stage in uint8 scratch (see seenBatch).
-const numShards = 8
-
 // Server is the controller endpoint: it accepts switch agents and monitors,
 // tracks keep-alives on the wall clock, and drives failover on the
 // underlying network when a switch goes silent.
@@ -134,23 +125,18 @@ type Server struct {
 	gSubscribers *obs.Gauge
 	gConns       *obs.Gauge
 
-	// The detector's own lights (shard.go): how often the shards wake and how
-	// much they fold, how many switches have a deadline pending, and how far
+	// The detector's own lights (detector.go): how often it wakes and how
+	// much it folds, how many switches have a deadline pending, and how far
 	// past lastSeen+deadline each dead switch was declared; and how often a
 	// late wake declined to declare (the stall guard).
-	mShardWakes      *obs.Counter
+	mDetectorWakes   *obs.Counter
 	mRecordsFolded   *obs.Counter
 	mStallGraces     *obs.Counter
 	gDetectorEntries *obs.Gauge
 	hDetectOvershoot *obs.Histogram
 
-	// Keep-alive fan-in (shard.go): per-failure-group shards, each with its
-	// own detector goroutine.
-	shards []*kaShard
-	// stallSeen is when (on the process epoch, ns) a shard last woke well
-	// behind its timer — the detector's stall guard (shardWake). It starts
-	// one interval before the epoch, so it guards nothing.
-	stallSeen atomic.Int64
+	// det is the keep-alive fan-in and node-failure detector (detector.go).
+	det detector
 
 	// numSwitches and fleetSize are fixed at construction so the keep-alive
 	// hot path never consults the network model's size under a lock.
@@ -206,11 +192,8 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	if cfg.FleetSize > s.fleetSize {
 		s.fleetSize = cfg.FleetSize
 	}
-	s.stallSeen.Store(-int64(cfg.Interval))
-	deadline := time.Duration(cfg.MissThreshold) * cfg.Interval
-	for i := 0; i < numShards; i++ {
-		s.shards = append(s.shards, newKAShard(s.fleetSize, deadline))
-	}
+	s.det.queue = newExpiryQueue(s.fleetSize, time.Duration(cfg.MissThreshold)*cfg.Interval)
+	s.det.stallAt = -cfg.Interval
 	reg := ctl.Metrics()
 	s.mKeepalives = reg.Counter("ctlnet.keepalives")
 	s.mHellos = reg.Counter("ctlnet.hellos")
@@ -223,8 +206,8 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	s.mKABatches = reg.Counter("ctlnet.ka_batches")
 	s.gSubscribers = reg.Gauge("ctlnet.subscribers")
 	s.gConns = reg.Gauge("ctlnet.connections")
-	s.mShardWakes = reg.Counter("ctlnet.shard_wakes")
-	s.mRecordsFolded = reg.Counter("ctlnet.shard_records_folded")
+	s.mDetectorWakes = reg.Counter("ctlnet.detector_wakes")
+	s.mRecordsFolded = reg.Counter("ctlnet.detector_records_folded")
 	s.mStallGraces = reg.Counter("ctlnet.detector_stall_graces")
 	s.gDetectorEntries = reg.Gauge("ctlnet.detector_entries")
 	s.hDetectOvershoot = reg.Histogram("ctlnet.detect_overshoot_ns")
@@ -248,11 +231,9 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		}
 		s.csClients = append(s.csClients, cl)
 	}
-	s.wg.Add(1 + len(s.shards))
+	s.wg.Add(2)
 	go s.acceptLoop(ln)
-	for _, sh := range s.shards {
-		go s.shardLoop(sh)
-	}
+	go s.detectLoop()
 	return s, nil
 }
 
@@ -414,7 +395,7 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		if !s.cfg.Cluster.IsLeader() {
 			return s.redirectPaced(sc)
 		}
-		s.seenBatch(payload, cnt, sc)
+		s.seenBatch(payload, cnt)
 	case msgLinkFail:
 		ctx, detection, aSw, aPort, bSw, bPort, err := decodeLinkFail(payload)
 		if err != nil {
@@ -595,9 +576,9 @@ func (s *Server) linkAlreadyRecovered(aSw, bSw sbnet.SwitchID) bool {
 	return net.Switch(aSw).Role != sbnet.RoleActive && net.Switch(bSw).Role != sbnet.RoleActive
 }
 
-// recoverDead proposes the node failover for one switch a shard's detector
+// recoverDead proposes the node failover for one switch the detector
 // declared dead. Each declared switch gets its own short-lived goroutine
-// (shardLoop): a stalled consensus round holds up no recovery behind it, and
+// (detectLoop): a stalled consensus round holds up no recovery behind it, and
 // the node pipelines a storm's proposals. A switch leaves the detector when
 // it is declared, so at most one goroutine per in-model switch is in flight.
 func (s *Server) recoverDead(c deadCandidate) {

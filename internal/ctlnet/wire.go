@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"sharebackup/internal/obs"
@@ -152,7 +153,11 @@ func decodeHello(p []byte) (sbnet.SwitchID, error) {
 	if len(p) != 4 {
 		return 0, fmt.Errorf("ctlnet: hello payload %d bytes, want 4", len(p))
 	}
-	return sbnet.SwitchID(binary.BigEndian.Uint32(p)), nil
+	v := binary.BigEndian.Uint32(p)
+	if v > math.MaxInt32 {
+		return 0, fmt.Errorf("ctlnet: hello switch ID %d is not a valid SwitchID", v)
+	}
+	return sbnet.SwitchID(v), nil
 }
 
 // Keep-alive batch payload: uint16 count, then count kaPairSize-byte

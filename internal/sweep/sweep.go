@@ -4,7 +4,7 @@
 // bit-identical to a single-threaded run.
 //
 // Determinism rests on two rules. First, every shard draws randomness from
-// its own substream, seeded as SubSeed(rootSeed, shardIndex) — a pure
+// its own substream, shard i's seeded as SubSeed(rootSeed, i) — a pure
 // function of the sweep's root seed and the shard's position, never of
 // worker count or goroutine scheduling. Second, Run returns the per-shard
 // results in shard-index order, so callers merge by folding a slice whose

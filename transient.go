@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"sharebackup/internal/controller"
 	"sharebackup/internal/fluid"
 	"sharebackup/internal/topo"
 )
@@ -84,11 +83,14 @@ func TransientStudy(cfg TransientConfig) ([]TransientRow, error) {
 		return nil, err
 	}
 
-	// Recovery gaps from the Section 5.3 constants (probe + comm +
-	// reset / rule update).
-	probe := time.Millisecond
-	sbGap := probe + 200*time.Microsecond + 70*time.Nanosecond
-	rerouteGap := probe + controller.SDNRuleUpdateLatency
+	// Recovery gaps: Section 5.3's totals (probe + comm + crosspoint reset,
+	// and probe + rule update), from the latency table's crosspoint and
+	// rerouting rows.
+	latency, err := RecoveryLatency(cfg.K)
+	if err != nil {
+		return nil, err
+	}
+	sbGap, rerouteGap := latency[0].Total, latency[len(latency)-1].Total
 
 	type scheme struct {
 		name   string
