@@ -13,21 +13,23 @@
 // -ctlnet switches to the distributed control-plane emulation: -cluster
 // controller replicas (network model, controller, server, consensus node;
 // default 1, a cluster of one), switch agents, and circuit-switch services
-// talking over loopback TCP, each process-in-miniature writing its own trace
-// file into -trace-dir. It injects one link failure per agent, each
-// committed through the replicated log, and prints the files to stitch:
+// talking over loopback TCP. Every process-in-miniature writes into one
+// trace file, trace.jsonl in -trace-dir, stamping its events with its name.
+// It injects one link failure per agent, each committed through the
+// replicated log, and names the file:
 //
 //	sbemu -ctlnet -trace-dir /tmp/traces -slo-budget 50us
-//	sbtap -stitch /tmp/traces/*.jsonl
+//	sbtap -spans /tmp/traces/trace.jsonl
 //
 // With -cluster 2 or more, sbemu kills the leader after the first recovery —
 // the survivors elect a replacement and the remaining recoveries complete
-// against it, and the stitched traces show the agents' failover hops:
+// against it, and the stitched spans show the agents' failover hops:
 //
 //	sbemu -ctlnet -cluster 3 -agents 4 -trace-dir /tmp/traces
 //
-// The observability flags (-events, -trace, -debug-addr, -slo-budget) watch
-// the bus of a replica that survives the kill.
+// The observability flags (-events, -debug-addr, -slo-budget) watch the bus
+// of a replica that survives the kill. -trace is refused in this mode: the
+// emulation's trace already holds every process, that replica's included.
 //
 // A flag the chosen mode does not read is an error, not a no-op.
 package main
@@ -36,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func main() {
 		failPath = flag.Bool("fail-path", false, "fail every switch on the path, recover, and re-trace")
 
 		ctlnetMode = flag.Bool("ctlnet", false, "run the multi-process control-plane emulation over loopback TCP instead of a packet trace")
-		traceDir   = flag.String("trace-dir", "", "ctlnet mode: directory for per-process trace files (stitch with sbtap -stitch)")
+		traceDir   = flag.String("trace-dir", "", "ctlnet mode: directory for the trace file every process writes (summarize with sbtap)")
 		numAgents  = flag.Int("agents", 2, "ctlnet mode: number of switch agents")
 		numCS      = flag.Int("cs", 1, "ctlnet mode: number of circuit-switch services")
 		cluster    = flag.Int("cluster", 1, "ctlnet mode: controller replicas; with 2 or more they elect a leader and sbemu kills it mid-storm")
@@ -69,14 +70,13 @@ func main() {
 	obsFlags := debughttp.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	obsNames := []string{"debug-addr", "trace", "events", "slo-budget"}
 	if *kaBatch {
 		rejectUnused("-ka-batch", "ka-batch", "agents")
 		runFleetDemo(*numAgents)
 		return
 	}
 	if *ctlnetMode {
-		rejectUnused("-ctlnet", append(obsNames, "ctlnet", "k", "n", "agents", "cs", "cluster", "trace-dir")...)
+		rejectUnused("-ctlnet", "debug-addr", "events", "slo-budget", "ctlnet", "k", "n", "agents", "cs", "cluster", "trace-dir")
 		if *traceDir == "" {
 			dir, err := os.MkdirTemp("", "sbemu-ctlnet-")
 			if err != nil {
@@ -90,7 +90,7 @@ func main() {
 		runCtlnet(*k, *n, *numAgents, *numCS, *cluster, *traceDir, obsFlags)
 		return
 	}
-	rejectUnused("the packet trace", append(obsNames, "k", "n", "src", "dst", "fail-path")...)
+	rejectUnused("the packet trace", "debug-addr", "trace", "events", "slo-budget", "k", "n", "src", "dst", "fail-path")
 
 	_, stopObs, err := obsFlags.Start("sbemu", obs.Default)
 	if err != nil {
@@ -286,11 +286,8 @@ func runCtlnet(k, n, agents, cs, replicas int, traceDir string, obsFlags *debugh
 	if err := em.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Println("per-process traces:")
-	for _, f := range files {
-		fmt.Printf("  %s\n", f)
-	}
-	fmt.Printf("stitch them: sbtap -stitch %s\n", filepath.Join(traceDir, "*.jsonl"))
+	fmt.Printf("trace of every process: %s\n", files[0])
+	fmt.Printf("summarize it: sbtap -spans %s\n", files[0])
 }
 
 func printWalk(sys *sharebackup.System, walk []emu.Hop) {

@@ -430,7 +430,8 @@ func runMonteCarlo(w io.Writer, k, n int, seed int64, full bool, workers int) er
 // runRecovery runs the Section 5.3 many-failover recovery study and prints
 // its total-latency percentiles per technology; with jsonPath it also writes
 // the full result there as indented JSON. Trials shard across workers;
-// traceSink, when non-nil, receives every trial's events shard-tagged.
+// traceSink, when non-nil, receives every trial's events, each trial's bus
+// stamping its own process name.
 func runRecovery(w io.Writer, k, n, trials, workers int, jsonPath string, traceSink obs.Sink) error {
 	res, err := sharebackup.RunRecoveryBench(sharebackup.RecoveryBenchConfig{
 		K: k, N: n, Trials: trials, Workers: workers, TraceSink: traceSink,

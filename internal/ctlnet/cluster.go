@@ -3,6 +3,8 @@ package ctlnet
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -257,10 +259,11 @@ func (c *ClusterConfig) setDefaults() {
 // processes-in-miniature: Replicas controller replicas, NumAgents switch
 // agents keep-aliving against whichever of them currently leads, and NumCS
 // circuit-switch services, with consensus, redirects, and failover all riding
-// real loopback TCP. Each process has its OWN event bus and (when TraceDir
-// is set) its own JSONL trace file; all of them stamp the one process epoch
-// (obs.Now), and sbtap stitches the files back into one causal timeline by
-// the trace context the wires carry.
+// real loopback TCP. Each process has its OWN event bus, named after it;
+// when TraceDir is set, every bus writes into the one trace file. All of
+// them stamp the one process epoch (obs.Now), and sbtap stitches the
+// processes' spans into one causal timeline by the trace context the wires
+// carry.
 type ClusterEmulation struct {
 	Replicas []*Replica
 	Agents   []*Agent
@@ -270,8 +273,14 @@ type ClusterEmulation struct {
 	AgentBus []*obs.Bus
 	CSBus    []*obs.Bus
 
-	cfg   ClusterConfig
-	sinks procSinks
+	cfg ClusterConfig
+	// trace is the JSONL sink of the trace file at tracePath, attached to
+	// every process bus in buses (nil without TraceDir); closeTrace flushes
+	// and closes the file.
+	trace      *obs.JSONLSink
+	tracePath  string
+	closeTrace func() error
+	buses      []*obs.Bus
 }
 
 // NewClusterEmulation builds and starts a replica cluster plus its agents.
@@ -280,13 +289,26 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 		return nil, err
 	}
 	cfg.setDefaults()
-	e := &ClusterEmulation{cfg: cfg, sinks: procSinks{dir: cfg.TraceDir}}
+	e := &ClusterEmulation{cfg: cfg}
 	ok := false
 	defer func() {
 		if !ok {
 			e.Close()
 		}
 	}()
+	if cfg.TraceDir != "" {
+		if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
+			return nil, err
+		}
+		// The bus the file is opened on carries no events: newProcBus
+		// attaches the sink to every process bus.
+		var err error
+		e.tracePath = filepath.Join(cfg.TraceDir, "trace.jsonl")
+		e.trace, e.closeTrace, err = obs.TraceSinkToFile(&obs.Bus{}, e.tracePath)
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	// Every replica dials the circuit switches, but only the leader mirrors
 	// recoveries (Server.finishLive gates on it).
@@ -297,10 +319,7 @@ func NewClusterEmulation(cfg ClusterConfig) (*ClusterEmulation, error) {
 	ctls := make([]*controller.Controller, cfg.Replicas)
 	srvCfgs := make([]ServerConfig, cfg.Replicas)
 	for i := range ctls {
-		bus, err := e.sinks.newProcBus(fmt.Sprintf("controller-%d", i))
-		if err != nil {
-			return nil, err
-		}
+		bus := e.newProcBus(fmt.Sprintf("controller-%d", i))
 		nw, err := sbnet.New(sbnet.Config{K: cfg.K, N: cfg.N, Tech: circuit.Crosspoint})
 		if err != nil {
 			return nil, err
@@ -340,10 +359,7 @@ func (e *ClusterEmulation) startCS() ([]string, error) {
 	var addrs []string
 	for i := 0; i < e.cfg.NumCS; i++ {
 		proc := fmt.Sprintf("cs-%d", i)
-		bus, err := e.sinks.newProcBus(proc)
-		if err != nil {
-			return nil, err
-		}
+		bus := e.newProcBus(proc)
 		sw, err := circuit.New(proc, circuit.Crosspoint, e.cfg.K)
 		if err != nil {
 			return nil, err
@@ -371,10 +387,7 @@ func (e *ClusterEmulation) startAgents(addrs []string) error {
 		return fmt.Errorf("ctlnet: emulation has only %d agent slots, want %d", len(ids), e.cfg.NumAgents)
 	}
 	for _, id := range ids {
-		bus, err := e.sinks.newProcBus(fmt.Sprintf("agent-%d", id))
-		if err != nil {
-			return err
-		}
+		bus := e.newProcBus(fmt.Sprintf("agent-%d", id))
 		a, err := DialCluster(addrs, id, e.cfg.Interval)
 		if err != nil {
 			return err
@@ -405,9 +418,26 @@ func (e *ClusterEmulation) FailLink(i int, detection time.Duration) error {
 	return a.ReportLinkFailureDetected(ownPort, agg, aggPort, detection)
 }
 
-// TraceFiles lists the per-process JSONL trace files (empty without
-// TraceDir).
-func (e *ClusterEmulation) TraceFiles() []string { return e.sinks.names() }
+// newProcBus builds one emulated process' bus, named proc and writing into
+// the trace file when there is one.
+func (e *ClusterEmulation) newProcBus(proc string) *obs.Bus {
+	bus := &obs.Bus{}
+	bus.SetProc(proc)
+	if e.trace != nil {
+		bus.Attach(e.trace)
+	}
+	e.buses = append(e.buses, bus)
+	return bus
+}
+
+// TraceFiles lists the trace file: TraceDir's trace.jsonl, or nothing
+// without TraceDir.
+func (e *ClusterEmulation) TraceFiles() []string {
+	if e.trace == nil {
+		return nil
+	}
+	return []string{e.tracePath}
+}
 
 // Leader waits until one replica reports leadership, returning it.
 func (e *ClusterEmulation) Leader(timeout time.Duration) (*Replica, error) {
@@ -435,7 +465,7 @@ func (e *ClusterEmulation) KillLeader(timeout time.Duration) (*Replica, error) {
 }
 
 // Close stops the agents, then the replicas, then the circuit switches, and
-// flushes the trace files.
+// flushes the trace file.
 func (e *ClusterEmulation) Close() error {
 	for _, a := range e.Agents {
 		a.Close()
@@ -446,5 +476,11 @@ func (e *ClusterEmulation) Close() error {
 	for _, svc := range e.CS {
 		svc.Close()
 	}
-	return e.sinks.close()
+	if e.trace == nil {
+		return nil
+	}
+	for _, bus := range e.buses {
+		bus.Detach(e.trace)
+	}
+	return e.closeTrace()
 }

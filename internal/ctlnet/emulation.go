@@ -2,8 +2,6 @@ package ctlnet
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"time"
 
 	"sharebackup/internal/controller"
@@ -34,9 +32,9 @@ type EmulationConfig struct {
 	// where agents legitimately pause heartbeats — e.g. while chasing a
 	// new leader across a controller failover.
 	MissThreshold int
-	// TraceDir, when set, receives one JSONL trace file per process
-	// (controller.jsonl, agent-<id>.jsonl, cs-<i>.jsonl) — the input set
-	// for sbtap -stitch.
+	// TraceDir, when set, receives trace.jsonl: one JSONL trace every
+	// process writes into, each event stamped with its process' name
+	// (controller-<i>, agent-<id>, cs-<i>) — the input for sbtap.
 	TraceDir string
 	// Registry collects the metrics of replica 0 and every replica's
 	// consensus gauges. Nil builds a private one.
@@ -96,55 +94,6 @@ func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
 	}
 	r := c.Replicas[0]
 	return &Emulation{ClusterEmulation: c, Net: r.Net, Ctl: r.Ctl, Server: r.Server, ServerBus: r.Bus}, nil
-}
-
-// procSinks owns the per-process trace buses' JSONL file sinks.
-type procSinks struct {
-	dir    string
-	files  []*os.File
-	detach []func()
-}
-
-// newProcBus builds one emulated process' named bus, attaching a JSONL
-// file sink under dir when configured.
-func (p *procSinks) newProcBus(proc string) (*obs.Bus, error) {
-	bus := &obs.Bus{}
-	bus.SetProc(proc)
-	if p.dir != "" {
-		if err := os.MkdirAll(p.dir, 0o755); err != nil {
-			return nil, err
-		}
-		f, err := os.Create(filepath.Join(p.dir, proc+".jsonl"))
-		if err != nil {
-			return nil, err
-		}
-		p.files = append(p.files, f)
-		sink := obs.NewJSONLSink(f)
-		bus.Attach(sink)
-		p.detach = append(p.detach, func() { bus.Detach(sink) })
-	}
-	return bus, nil
-}
-
-func (p *procSinks) names() []string {
-	var out []string
-	for _, f := range p.files {
-		out = append(out, f.Name())
-	}
-	return out
-}
-
-func (p *procSinks) close() error {
-	for _, detach := range p.detach {
-		detach()
-	}
-	var err error
-	for _, f := range p.files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }
 
 // agentSwitchIDs picks n active edge switches striped across pods (pod 0

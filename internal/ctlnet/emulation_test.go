@@ -3,7 +3,6 @@ package ctlnet
 import (
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,9 +28,10 @@ func startEmulation(t *testing.T, cfg EmulationConfig) *Emulation {
 
 // TestEmulationStitchedTrace drives one link-failure recovery through the
 // multi-process emulation — agent, controller, and circuit-switch services,
-// each with a private bus and trace file on the one process epoch — and
-// checks that sbtap's stitcher reassembles a single cross-process causal
-// trace, in causal order, with per-hop Table-2 phase attribution.
+// each with a private bus on the one process epoch, all writing one trace
+// file — and checks that sbtap's stitcher reassembles a single
+// cross-process causal trace, in causal order, with per-hop Table-2 phase
+// attribution.
 func TestEmulationStitchedTrace(t *testing.T) {
 	dir := t.TempDir()
 	e := startEmulation(t, EmulationConfig{
@@ -62,15 +62,19 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var procs []obs.ProcTrace
-	for _, path := range files {
-		evs, err := obs.ReadJSONL(mustOpen(t, path))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		name := strings.TrimSuffix(filepath.Base(path), ".jsonl")
-		procs = append(procs, obs.ProcTrace{Name: name, Events: evs})
+	if len(files) != 1 {
+		t.Fatalf("emulation wrote %d trace files, want 1: %v", len(files), files)
 	}
+	evs, err := obs.ReadJSONL(mustOpen(t, files[0]))
+	if err != nil {
+		t.Fatalf("%s: %v", files[0], err)
+	}
+	for _, ev := range evs {
+		if ev.Proc == "" {
+			t.Fatalf("event without a process name: %v", ev)
+		}
+	}
+	procs := []obs.ProcTrace{{Events: evs}}
 	res, err := obs.Stitch(procs)
 	if err != nil {
 		t.Fatal(err)

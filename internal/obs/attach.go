@@ -8,9 +8,9 @@ import (
 // TraceSinkToFile attaches a JSONL sink writing to path on bus (Default
 // when nil) and returns the sink and a cleanup function that detaches it,
 // flushes, and closes the file. It is the implementation of the commands'
-// -trace flag; callers can additionally hand the sink to sweep workers
-// (wrapped in ShardTagger) so shard-tagged events land in the same file as
-// the bus' own.
+// -trace flag; callers can attach the sink to further buses (each stamping
+// its own process name) so their events land in the same file as the bus'
+// own, provided they stop emitting (or detach it) before the cleanup runs.
 func TraceSinkToFile(bus *Bus, path string) (*JSONLSink, func() error, error) {
 	if bus == nil {
 		bus = Default

@@ -39,9 +39,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // its controller's bus. prog prefixes the debug server's address, printed
 // to stderr.
 //
-// traceSink is -trace's JSONL sink, nil without the flag: sweep workers
-// wrap it in obs.ShardTagger so their events land in the same file as the
-// bus' own. cleanup detaches every sink Start attached, flushes the
+// traceSink is -trace's JSONL sink, nil without the flag: sweep trials
+// attach it to their own named buses so their events land in the same file
+// as the bus' own. cleanup detaches every sink Start attached, flushes the
 // trace file and stops the debug server; it returns the first error (in
 // practice the trace file's). Call it before the process exits.
 func (f *Flags) Start(prog string, bus *obs.Bus) (traceSink obs.Sink, cleanup func() error, err error) {

@@ -51,8 +51,8 @@ const (
 	// Logf output here so sinks serialize it).
 	KindLog
 	// KindSweepShardDone is one completed shard of an experiment sweep
-	// (internal/sweep); Count is the running number of completed shards,
-	// Detail the sweep name, and Shard the 1-based shard tag.
+	// (internal/sweep); Count is the running number of completed shards and
+	// Detail names the shard as "<sweep>/<index>".
 	KindSweepShardDone
 	// KindLeaderElected marks a ctlplane replica winning an election; Switch
 	// carries the replica ID and Count the term.
@@ -129,11 +129,6 @@ type Event struct {
 	Wall bool
 	// Span groups the events of one recovery; 0 means no span.
 	Span uint64
-	// Shard is the 1-based sweep-shard tag (sweep.Shard.ID()); 0 means the
-	// event was not emitted from a sweep worker. Shards run private buses
-	// whose Seq streams interleave in a shared trace; the tag lets readers
-	// (sbtap) de-interleave them.
-	Shard uint64
 
 	// Trace groups the spans of one causal recovery across processes: the
 	// switch agent that reported, the controller that recovered, and the
@@ -147,9 +142,10 @@ type Event struct {
 	// ParentProc names the process owning the Parent span; empty means the
 	// parent span lives on the same bus (same process).
 	ParentProc string
-	// Proc names the emitting process ("controller", "agent-12", "cs-0");
-	// stamped by the bus (Bus.SetProc) so stitched multi-process traces can
-	// tell span ID spaces apart. Empty on single-process traces.
+	// Proc names the emitting process ("controller-0", "agent-12", "cs-0",
+	// "recovery-crosspoint/3"): the one stream label. The bus stamps it
+	// (Bus.SetProc), so a trace that interleaves many buses tells their
+	// span ID spaces and Seq streams apart. Empty for an unnamed bus.
 	Proc string
 
 	Switch   int32 // subject switch ID (None when n/a)
@@ -204,9 +200,6 @@ func (e Event) String() string {
 			fmt.Fprintf(&b, " parent=%d", e.Parent)
 		}
 	}
-	if e.Shard != 0 {
-		fmt.Fprintf(&b, " shard=%d", e.Shard)
-	}
 	if e.Switch != None {
 		fmt.Fprintf(&b, " switch=%d", e.Switch)
 	}
@@ -249,7 +242,6 @@ type eventJSON struct {
 	TNs        int64  `json:"t_ns"`
 	Wall       bool   `json:"wall,omitempty"`
 	Span       uint64 `json:"span,omitempty"`
-	Shard      uint64 `json:"shard,omitempty"`
 	Trace      uint64 `json:"trace,omitempty"`
 	Parent     uint64 `json:"parent,omitempty"`
 	ParentProc string `json:"parent_proc,omitempty"`
@@ -270,7 +262,7 @@ type eventJSON struct {
 // MarshalJSON renders the event in the JSONL wire form.
 func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(eventJSON{
-		Kind: e.Kind.String(), Seq: e.Seq, TNs: int64(e.T), Wall: e.Wall, Span: e.Span, Shard: e.Shard,
+		Kind: e.Kind.String(), Seq: e.Seq, TNs: int64(e.T), Wall: e.Wall, Span: e.Span,
 		Trace: e.Trace, Parent: e.Parent, ParentProc: e.ParentProc, Proc: e.Proc,
 		Switch: e.Switch, Peer: e.Peer, Backup: e.Backup, Port: e.Port, PeerPort: e.PeerPort,
 		Count: e.Count, Detail: e.Detail,
@@ -289,7 +281,7 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*e = Event{
-		Kind: kind, Seq: j.Seq, T: time.Duration(j.TNs), Wall: j.Wall, Span: j.Span, Shard: j.Shard,
+		Kind: kind, Seq: j.Seq, T: time.Duration(j.TNs), Wall: j.Wall, Span: j.Span,
 		Trace: j.Trace, Parent: j.Parent, ParentProc: j.ParentProc, Proc: j.Proc,
 		Switch: j.Switch, Peer: j.Peer, Backup: j.Backup, Port: j.Port, PeerPort: j.PeerPort,
 		Count: j.Count, Detail: j.Detail,

@@ -100,25 +100,6 @@ func NewLogfSink(logf func(format string, args ...interface{})) *LogfSink {
 // Event implements Sink.
 func (s *LogfSink) Event(ev Event) { s.logf("%s", ev.String()) }
 
-// ShardTagger forwards events to Dst with the sweep-shard tag stamped on.
-// Sweep workers attach one to their private bus (alongside the worker's own
-// sinks) so events from many concurrent shards can share one destination
-// sink — a trace file, a ring — and still be told apart afterwards. Dst must
-// itself be safe for concurrent use when several shard buses share it
-// (JSONLSink and Ring both are).
-type ShardTagger struct {
-	// Shard is the 1-based tag (sweep.Shard.ID()).
-	Shard uint64
-	// Dst receives every tagged event.
-	Dst Sink
-}
-
-// Event implements Sink.
-func (t *ShardTagger) Event(ev Event) {
-	ev.Shard = t.Shard
-	t.Dst.Event(ev)
-}
-
 // Ring is a fixed-capacity in-memory event buffer: it keeps the most recent
 // Cap events. Older events are evicted silently from the buffer's point of
 // view, but never silently from the operator's: every eviction increments

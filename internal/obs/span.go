@@ -3,14 +3,14 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"sharebackup/internal/metrics"
 )
 
-// Span is one recovery timeline: every event that carried the same span ID,
-// plus the phase breakdown lifted from its recovery-complete event.
+// Span is one recovery timeline: every event one process emitted under the
+// same span ID, plus the phase breakdown lifted from its recovery-complete
+// event. Stitch builds them.
 type Span struct {
 	ID     uint64
 	Kind   string // "node" or "link" (from the recovery-complete Detail)
@@ -23,71 +23,6 @@ type Span struct {
 	// controller-to-circuit-switch communication, Reconfig the circuit
 	// reconfiguration latency.
 	Detection, Report, Reconfig, Total time.Duration
-}
-
-// SpanCollector is a sink that groups events into recovery spans and
-// accumulates the per-phase latency samples. Attach it to a bus (alone or
-// alongside other sinks), run the workload, then read Spans (NewBreakdown
-// aggregates them).
-type SpanCollector struct {
-	mu    sync.Mutex
-	spans map[uint64]*Span
-	order []uint64
-}
-
-// NewSpanCollector builds an empty collector.
-func NewSpanCollector() *SpanCollector {
-	return &SpanCollector{spans: make(map[uint64]*Span)}
-}
-
-// Event implements Sink.
-func (c *SpanCollector) Event(ev Event) {
-	if ev.Span == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(ev)
-}
-
-func (c *SpanCollector) add(ev Event) {
-	sp := c.spans[ev.Span]
-	if sp == nil {
-		sp = &Span{ID: ev.Span}
-		c.spans[ev.Span] = sp
-		c.order = append(c.order, ev.Span)
-	}
-	sp.Events = append(sp.Events, ev)
-	if ev.Kind == KindRecoveryComplete {
-		sp.Complete = true
-		sp.Kind = ev.Detail
-		sp.Detection = ev.Detection
-		sp.Report = ev.Report
-		sp.Reconfig = ev.Reconfig
-		sp.Total = ev.Total
-	}
-}
-
-// AddEvents replays decoded events (e.g. from ReadJSONL) into the collector.
-func (c *SpanCollector) AddEvents(evs []Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ev := range evs {
-		if ev.Span != 0 {
-			c.add(ev)
-		}
-	}
-}
-
-// Spans returns all spans in first-seen order.
-func (c *SpanCollector) Spans() []*Span {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Span, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.spans[id])
-	}
-	return out
 }
 
 // NewBreakdown aggregates the completed spans' phase samples, in span

@@ -60,9 +60,6 @@ func TestStitchLinksSpansAcrossProcesses(t *testing.T) {
 	if len(res.Unstitchable) != 0 {
 		t.Fatalf("unstitchable: %v", res.Unstitchable)
 	}
-	if want := []string{"agent-5", "controller", "cs-0"}; strings.Join(res.Procs, ",") != strings.Join(want, ",") {
-		t.Errorf("procs = %v, want %v", res.Procs, want)
-	}
 	if len(res.Traces) != 1 {
 		t.Fatalf("traces = %d", len(res.Traces))
 	}
@@ -85,15 +82,6 @@ func TestStitchLinksSpansAcrossProcesses(t *testing.T) {
 	}
 	if byProc["cs-0"].Parent != byProc["controller"] {
 		t.Error("cs span not child of controller span")
-	}
-	// The merged event stream holds every event, time-ordered.
-	if len(res.Events) != 4 {
-		t.Errorf("merged %d events, want 4", len(res.Events))
-	}
-	for i := 1; i < len(res.Events); i++ {
-		if res.Events[i].T < res.Events[i-1].T {
-			t.Fatalf("merged events out of order at %d", i)
-		}
 	}
 	// Rendering names every hop.
 	out := tr.Render()
@@ -128,5 +116,84 @@ func TestStitchReportsUnstitchable(t *testing.T) {
 	// The orphaned span still renders, flagged.
 	if len(res.Traces) != 1 || !res.Traces[0].Spans[0].Orphan {
 		t.Error("orphan span not flagged")
+	}
+}
+
+// recoverySpan is one virtual-time recovery on proc's bus: declared at at,
+// its circuit reconfigured at an unknown time (T = -1, as sbnet emits it),
+// complete 1ms later. Each span roots its own trace.
+func recoverySpan(proc string, span, trace uint64, kind string, at time.Duration) []Event {
+	fd := NewEvent(KindFailureDeclared, at)
+	cr := NewEvent(KindCircuitReconfigured, -1)
+	done := NewEvent(KindRecoveryComplete, at+time.Millisecond)
+	done.Detail = kind
+	done.Total = time.Millisecond
+	evs := []Event{fd, cr, done}
+	for i := range evs {
+		evs[i].Proc, evs[i].Span, evs[i].Trace = proc, span, trace
+	}
+	return evs
+}
+
+// Span IDs are per-bus counters, so two processes interleaved in one stream
+// both use span ID 1: they stay two spans, not one merged span that would
+// halve the breakdown's recovery count.
+func TestStitchKeepsProcessSpansApart(t *testing.T) {
+	a := recoverySpan("recovery-crosspoint/0", 1, 0xa, "node", time.Millisecond)
+	b := recoverySpan("recovery-crosspoint/1", 1, 0xb, "node", 2*time.Millisecond)
+	evs := []Event{a[0], b[0], b[1], a[1], b[2], a[2]}
+	res, err := Stitch([]ProcTrace{{Events: evs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []*Span
+	for _, tr := range res.Traces {
+		for _, ss := range tr.Spans {
+			if len(ss.Span.Events) != 3 || !ss.Span.Complete {
+				t.Errorf("%s/span %d: %d events, complete=%v, want 3 and complete",
+					ss.Proc, ss.Span.ID, len(ss.Span.Events), ss.Span.Complete)
+			}
+			spans = append(spans, ss.Span)
+		}
+	}
+	if n := NewBreakdown(spans, "").N(); n != 2 {
+		t.Fatalf("breakdown aggregated %d recoveries, want 2", n)
+	}
+}
+
+// Stitching is a function of its input: spans that start at the same
+// virtual instant keep their first-seen order, and an event of unknown time
+// (T = -1) never becomes a span's start.
+func TestStitchIsDeterministic(t *testing.T) {
+	var evs []Event
+	for i, proc := range []string{"recovery-crosspoint/0", "recovery-crosspoint/1"} {
+		at := 5 * time.Millisecond
+		evs = append(evs, recoverySpan(proc, 1, uint64(4*i+1), "node", at)...)
+		evs = append(evs, recoverySpan(proc, 2, uint64(4*i+2), "link", at)...)
+	}
+	render := func() string {
+		res, err := Stitch([]ProcTrace{{Events: evs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tr := range res.Traces {
+			for _, ss := range tr.Spans {
+				if ss.Start < 0 {
+					t.Fatalf("%s/span %d starts at %v", ss.Proc, ss.Span.ID, ss.Start)
+				}
+			}
+			b.WriteString(tr.Render())
+		}
+		return b.String()
+	}
+	first := render()
+	for i := 1; i < 20; i++ {
+		if got := render(); got != first {
+			t.Fatalf("stitch %d rendered\n%s\nfirst stitch rendered\n%s", i, got, first)
+		}
+	}
+	if want := "trace 1 (node recovery, 1 spans)\n  recovery-crosspoint/0/span 1 @ 5ms (3 events)\n"; !strings.HasPrefix(first, want) {
+		t.Errorf("first-seen trace does not lead:\n%s", first)
 	}
 }

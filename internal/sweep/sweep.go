@@ -10,8 +10,8 @@
 // results in shard-index order, so callers merge by folding a slice whose
 // layout does not depend on completion order.
 //
-// Progress is published through the obs bus (one shard-tagged
-// KindSweepShardDone event per shard) and registry (sweep.shards_done /
+// Progress is published through the obs bus (one KindSweepShardDone event
+// per shard, naming it "<sweep>/<index>") and registry (sweep.shards_done /
 // sweep.shards_total / sweep.trials_per_sec / sweep.eta_ms), so /varz and
 // -trace observe a sweep like any other subsystem. There is no checkpoint:
 // every paper-scale sweep but Fig. 1c finishes in tens of milliseconds, and
@@ -38,25 +38,6 @@ type Shard struct {
 	// Seed is the shard's RNG substream seed, SubSeed(rootSeed, Index).
 	// Shard functions must draw all their randomness from it.
 	Seed int64
-
-	// tag is the shard's process-unique obs tag, assigned by Run.
-	tag uint64
-}
-
-// tagBase allocates each Run a disjoint block of shard tags, so traces that
-// interleave several sweeps (e.g. one per circuit technology) never reuse a
-// tag — tools like sbtap rely on the tag to tell private-bus event streams
-// apart. Tags are a tracing identity, not part of any result, so the global
-// counter does not affect determinism.
-var tagBase atomic.Uint64
-
-// ID returns the 1-based shard tag stamped on obs events (0 = untagged),
-// unique across every sweep in the process.
-func (s Shard) ID() uint64 {
-	if s.tag != 0 {
-		return s.tag
-	}
-	return uint64(s.Index) + 1
 }
 
 // SubSeed derives a shard's RNG substream seed from the sweep's root seed
@@ -85,8 +66,8 @@ type Config struct {
 	Workers int
 	// TrialsPerShard weights the trials/sec progress gauge (default 1).
 	TrialsPerShard int
-	// Bus receives one shard-tagged KindSweepShardDone event per completed
-	// shard (nil = obs.Default).
+	// Bus receives one KindSweepShardDone event per completed shard (nil =
+	// obs.Default).
 	Bus *obs.Bus
 	// Registry receives the progress gauges (nil = obs.DefaultRegistry).
 	// Gauge names are process-global; run one sweep at a time per registry
@@ -129,7 +110,6 @@ func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard)
 	}
 
 	results := make([]T, cfg.Shards)
-	base := tagBase.Add(uint64(cfg.Shards)) - uint64(cfg.Shards)
 	prog := newProgress(cfg, bus, reg)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -157,7 +137,7 @@ func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard)
 				if runCtx.Err() != nil {
 					return
 				}
-				sh := Shard{Index: i, Seed: SubSeed(cfg.Seed, i), tag: base + uint64(i) + 1}
+				sh := Shard{Index: i, Seed: SubSeed(cfg.Seed, i)}
 				res, err := fn(runCtx, sh)
 				if err != nil {
 					fail(fmt.Errorf("sweep: %s shard %d: %w", cfg.Name, i, err))
@@ -207,8 +187,8 @@ func newProgress(cfg Config, bus *obs.Bus, reg *obs.Registry) *progress {
 	return p
 }
 
-// complete records one executed shard: gauges first, then the shard-tagged
-// bus event carrying the running completion count.
+// complete records one executed shard: gauges first, then the bus event
+// naming the shard and carrying the running completion count.
 func (p *progress) complete(sh Shard) {
 	p.mu.Lock()
 	p.done++
@@ -229,9 +209,8 @@ func (p *progress) complete(sh Shard) {
 	if p.bus.Enabled() {
 		ev := obs.NewEvent(obs.KindSweepShardDone, elapsed)
 		ev.Wall = true
-		ev.Shard = sh.ID()
 		ev.Count = int32(done)
-		ev.Detail = p.cfg.Name
+		ev.Detail = fmt.Sprintf("%s/%d", p.cfg.Name, sh.Index)
 		p.bus.Emit(ev)
 	}
 }

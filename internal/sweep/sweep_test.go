@@ -142,44 +142,16 @@ func TestProgressGaugesAndEvents(t *testing.T) {
 	if len(evs) != 8 {
 		t.Fatalf("got %d events, want 8 shard-done events", len(evs))
 	}
-	shards := make(map[uint64]bool)
+	shards := make(map[string]bool)
 	for _, ev := range evs {
 		if ev.Kind != obs.KindSweepShardDone {
 			t.Errorf("unexpected event %v", ev)
 		}
-		if ev.Shard == 0 {
-			t.Errorf("event missing shard tag: %v", ev)
+		shards[ev.Detail] = true
+	}
+	for i := 0; i < 8; i++ {
+		if name := fmt.Sprintf("prog/%d", i); !shards[name] {
+			t.Errorf("no event names shard %s; got %v", name, shards)
 		}
-		shards[ev.Shard] = true
-		if ev.Detail != "prog" {
-			t.Errorf("event names sweep %q, want prog", ev.Detail)
-		}
-	}
-	if len(shards) != 8 {
-		t.Errorf("events carry %d distinct shard tags, want 8", len(shards))
-	}
-}
-
-func TestShardEventJSONRoundTrip(t *testing.T) {
-	ev := obs.NewEvent(obs.KindSweepShardDone, 5*time.Millisecond)
-	ev.Shard = 7
-	ev.Count = 3
-	ev.Detail = "fig1a"
-	data, err := ev.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"shard":7`) {
-		t.Fatalf("wire form missing shard tag: %s", data)
-	}
-	var back obs.Event
-	if err := back.UnmarshalJSON(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.Shard != 7 || back.Kind != obs.KindSweepShardDone || back.Detail != "fig1a" {
-		t.Fatalf("round trip lost fields: %+v", back)
-	}
-	if !strings.Contains(ev.String(), "shard=7") {
-		t.Fatalf("String() missing shard tag: %s", ev.String())
 	}
 }

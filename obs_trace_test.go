@@ -8,6 +8,23 @@ import (
 	"sharebackup/internal/obs"
 )
 
+// stitchedSpans stitches the events a ring collected and returns every
+// span, trace by trace.
+func stitchedSpans(t *testing.T, ring *obs.Ring) []*obs.Span {
+	t.Helper()
+	res, err := obs.Stitch([]obs.ProcTrace{{Events: ring.Events()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []*obs.Span
+	for _, tr := range res.Traces {
+		for _, ss := range tr.Spans {
+			spans = append(spans, ss.Span)
+		}
+	}
+	return spans
+}
+
 // TestRecoverySpanPhaseBreakdown pins the Section 5.3 latency budget in
 // virtual time: a single switch failover's span must decompose into
 // detection + report + reconfiguration phases that sum exactly to the
@@ -21,8 +38,8 @@ func TestRecoverySpanPhaseBreakdown(t *testing.T) {
 		comm      = 100 * time.Microsecond
 	)
 	bus := &obs.Bus{}
-	col := obs.NewSpanCollector()
-	bus.Attach(col)
+	ring := obs.NewRing(64)
+	bus.Attach(ring)
 	sys, err := New(Config{
 		K: 4, N: 1, Tech: Crosspoint,
 		Controller: controller.Config{
@@ -58,7 +75,7 @@ func TestRecoverySpanPhaseBreakdown(t *testing.T) {
 		t.Fatalf("recovery total %v, want %v", rec.Total(), wantTotal)
 	}
 
-	spans := col.Spans()
+	spans := stitchedSpans(t, ring)
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
@@ -104,8 +121,8 @@ func TestRecoverySpanPhaseBreakdown(t *testing.T) {
 // unchanged (no float drift at µs scale).
 func TestRecoveryBreakdownAggregation(t *testing.T) {
 	bus := &obs.Bus{}
-	col := obs.NewSpanCollector()
-	bus.Attach(col)
+	ring := obs.NewRing(256)
+	bus.Attach(ring)
 	const trials = 4
 	for i := 0; i < trials; i++ {
 		sys, err := New(Config{K: 4, N: 1, Obs: bus})
@@ -119,7 +136,7 @@ func TestRecoveryBreakdownAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := obs.NewBreakdown(col.Spans(), "node")
+	b := obs.NewBreakdown(stitchedSpans(t, ring), "node")
 	if b.N() != trials {
 		t.Fatalf("aggregated %d recoveries, want %d", b.N(), trials)
 	}

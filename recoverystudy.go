@@ -2,6 +2,7 @@ package sharebackup
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"sharebackup/internal/metrics"
@@ -50,19 +51,20 @@ type RecoveryBenchConfig struct {
 	// runs in virtual time — each trial is a pure function of its index —
 	// so results are bit-identical for any worker count.
 	Workers int
-	// TraceSink, when non-nil, additionally receives every trial's events,
-	// shard-tagged so concurrent trials can be told apart (pass the sink
-	// from obs.TraceSinkToFile).
+	// TraceSink, when non-nil, receives every trial's events. Each trial's
+	// bus names its process "recovery-<tech>/<index>", so concurrent
+	// trials stay apart in one file (pass the sink from
+	// obs.TraceSinkToFile).
 	TraceSink obs.Sink
 }
 
 // RunRecoveryBench drives cfg.Trials node and link failovers per circuit
-// technology, collecting their recovery spans on a private event bus.
-// Detection latency is varied by shifting the failure time against the last
-// heartbeat, as real failures land at arbitrary probe phases. Trials are
-// sharded across a sweep worker pool: each builds private systems on a
-// private bus, so trials are independent and the merged phase samples are
-// bit-identical for any worker count.
+// technology and folds the phases of the recoveries they return into
+// breakdowns. Detection latency is varied by shifting the failure time
+// against the last heartbeat, as real failures land at arbitrary probe
+// phases. Trials are sharded across a sweep worker pool: each builds private
+// systems on a private bus, so trials are independent and the merged phase
+// samples are bit-identical for any worker count.
 func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 	k, n, trials := cfg.K, cfg.N, cfg.Trials
 	if k == 0 {
@@ -71,64 +73,56 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 	res := &RecoveryBenchResult{Experiment: "recovery-latency", K: k, N: n, Trials: trials}
 	for _, tech := range []Technology{Crosspoint, MEMS2D} {
 		tech := tech
-		var spans [][]*obs.Span
+		var recs [][2]*Recovery
 		var err error
 		if trials > 0 {
-			spans, err = sweep.Run(context.Background(), sweep.Config{
+			recs, err = sweep.Run(context.Background(), sweep.Config{
 				Name: "recovery-" + tech.String(), Shards: trials,
 				Workers: cfg.Workers,
-			}, func(_ context.Context, sh sweep.Shard) ([]*obs.Span, error) {
+			}, func(_ context.Context, sh sweep.Shard) ([2]*Recovery, error) {
 				i := sh.Index
 				bus := &obs.Bus{}
-				col := obs.NewSpanCollector()
-				bus.Attach(col)
 				if cfg.TraceSink != nil {
-					bus.Attach(&obs.ShardTagger{Shard: sh.ID(), Dst: cfg.TraceSink})
+					bus.SetProc(fmt.Sprintf("recovery-%s/%d", tech, i))
+					bus.Attach(cfg.TraceSink)
 				}
 				pod := i % k
 				// Node failover: one agg switch per trial, failure time phased
 				// against its heartbeat.
 				sys, err := New(Config{K: k, N: n, Tech: tech, Obs: bus})
 				if err != nil {
-					return nil, err
+					return [2]*Recovery{}, err
 				}
 				probe := sys.Controller.Config().ProbeInterval
 				victim := sys.Network.AggGroup(pod).Slots()[i%(k/2)]
 				sys.Controller.Heartbeat(victim, 0)
 				at := probe + time.Duration(i%7)*probe/8
-				if _, err := sys.FailNode(victim, at); err != nil {
-					return nil, err
+				node, err := sys.FailNode(victim, at)
+				if err != nil {
+					return [2]*Recovery{}, err
 				}
 				// Link failover: fresh system so every trial starts with a full
 				// backup pool.
 				sys, err = New(Config{K: k, N: n, Tech: tech, Obs: bus})
 				if err != nil {
-					return nil, err
+					return [2]*Recovery{}, err
 				}
 				// Edge slot 0's up-port k/2 reaches agg slot 0's down-port 0
 				// (rotation j=0) in every pod.
 				edge := sys.Network.EdgeGroup(pod).Slots()[0]
 				agg := sys.Network.AggGroup(pod).Slots()[0]
-				if _, err := sys.FailLink(
+				link, err := sys.FailLink(
 					EndPoint{Switch: edge, Port: k / 2},
 					EndPoint{Switch: agg, Port: 0},
 					at,
-				); err != nil {
-					return nil, err
-				}
-				return col.Spans(), nil
+				)
+				return [2]*Recovery{node, link}, err
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		// Fold the per-trial spans back into breakdowns in shard order —
-		// the exact sample order the sequential loop produced.
-		var all []*obs.Span
-		for _, trial := range spans {
-			all = append(all, trial...)
-		}
-		total := obs.NewBreakdown(all, "")
+		total := recoveryBreakdown(recs, "")
 		bt := RecoveryBenchTech{
 			Tech:       tech.String(),
 			Recoveries: total.N(),
@@ -136,10 +130,24 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 			Kinds:      make(map[string]RecoveryBenchKind),
 		}
 		for _, kind := range []string{"node", "link"} {
-			b := obs.NewBreakdown(all, kind)
+			b := recoveryBreakdown(recs, kind)
 			bt.Kinds[kind] = RecoveryBenchKind{Recoveries: b.N(), PhasesUS: b.Summaries()}
 		}
 		res.Techs = append(res.Techs, bt)
 	}
 	return res, nil
+}
+
+// recoveryBreakdown folds the trials' recoveries of one kind ("" for all)
+// into a phase breakdown, in shard order.
+func recoveryBreakdown(trials [][2]*Recovery, kind string) *obs.Breakdown {
+	b := &obs.Breakdown{Kind: kind}
+	for _, trial := range trials {
+		for _, rec := range trial {
+			if kind == "" || rec.Kind == kind {
+				b.Add(rec.Detection, rec.Comm, rec.Reconfig, rec.Total())
+			}
+		}
+	}
+	return b
 }
