@@ -19,11 +19,11 @@ type fillCase struct {
 	// rawCaps, when set, overwrites simulator capacities after construction
 	// with values topo.AddLink would reject.
 	rawCaps map[int]float64
-	// check, when set, inspects the engine counters of the closed-mode run.
+	// check, when set, inspects the engine counters of the forceFull run.
 	check func(t *testing.T, st EngineStats)
 }
 
-// refFill is the textbook two-scan progressive filling fillRates is checked
+// refFill is the textbook two-scan progressive filling the fill is checked
 // against: every round rescans every link for the lowest saturation level,
 // rescans again for the links within satTol of it, and freezes their flows.
 // No parking, no candidate list, no threshold.
@@ -263,9 +263,9 @@ func fillCases() []fillCase {
 }
 
 // TestFillRatesTable runs each case through the public engine in both
-// configurations (scoped and the forceFull reference), and through the kernel
-// directly in closed and in background mode, and requires every rate to be
-// bit-equal to the two-scan reference.
+// configurations (scoped and the forceFull reference), and through the fill
+// directly over the whole active set, and requires every rate to be bit-equal
+// to the two-scan reference.
 func TestFillRatesTable(t *testing.T) {
 	for _, c := range fillCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -289,9 +289,9 @@ func TestFillRatesTable(t *testing.T) {
 				}
 			}
 
-			// The kernel directly, over the whole active set: closed mode,
-			// then background mode with every flow a member (no background
-			// at all, so every link offers full capacity).
+			// The kernel directly, over the whole active set: a closed set,
+			// so the fill finds no background and every link offers full
+			// capacity.
 			s := c.build(t)
 			if err := s.Run(0); err != nil {
 				t.Fatal(err)
@@ -302,35 +302,23 @@ func TestFillRatesTable(t *testing.T) {
 					routed = append(routed, fi)
 				}
 			}
-			for _, withBG := range []bool{false, true} {
-				w := s.beginPass()
-				sc := &w.sc
-				for _, fi := range routed {
-					w.prepare(&s.hot[fi])
-					s.hot[fi].visit = w.p.gen
+			w := s.beginPass()
+			for _, fi := range routed {
+				w.prepare(&s.hot[fi])
+				s.hot[fi].visit = w.p.gen
+			}
+			links, _, ok := w.fill(routed, 0, nil)
+			if !ok {
+				t.Fatal("fill took the defensive break")
+			}
+			for i, l := range links {
+				if w.sc.vBG[i] != -1 {
+					t.Fatalf("fill found background on link %d of a closed set", l)
 				}
-				ok := false
-				if withBG {
-					var links []topo.LinkID
-					sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
-					links, _, ok = w.fillBackground(routed, 0, nil)
-					for _, l := range links {
-						s.rIdx[l] = -1
-					}
-				} else {
-					_, ok = w.fillRates(routed)
-				}
-				if !ok {
-					t.Fatalf("fill (withBG=%v) took the defensive break", withBG)
-				}
-				if got := c.rates(s); !bitEqual(got, want) {
-					t.Errorf("fillRates(withBG=%v) rates %v, reference %v", withBG, got, want)
-				}
-				for l, li := range s.rIdx {
-					if li != -1 {
-						t.Fatalf("fillRates(withBG=%v) left rIdx[%d] = %d", withBG, l, li)
-					}
-				}
+				s.rIdx[l] = -1
+			}
+			if got := c.rates(s); !bitEqual(got, want) {
+				t.Errorf("fill rates %v, reference %v", got, want)
 			}
 		})
 	}

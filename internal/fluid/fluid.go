@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"sharebackup/internal/topo"
 )
@@ -41,10 +40,10 @@ import (
 // number of flows added before it.
 type FlowID int64
 
-// Flow is a stable handle onto one flow's state. The state itself lives in
-// the simulator's slot-indexed tables; the handle carries only the slot
-// index, so a *Flow held across reroutes and recomputes stays valid for the
-// simulator's lifetime. Handles live in chunked slabs that never move.
+// Flow is a handle onto one flow's state. The state itself lives in the
+// simulator's slot-indexed tables; the handle carries only the slot index, so
+// a *Flow held across reroutes and recomputes stays valid for the simulator's
+// lifetime.
 type Flow struct {
 	fi  int32
 	sim *Simulator
@@ -64,16 +63,6 @@ func (f *Flow) Stalled() bool {
 	c := &f.sim.cold[f.fi]
 	return c.started && !c.done && c.rlen == 0
 }
-
-// Handle slabs are fixed-size chunks so handle addresses are stable as the
-// flow population grows (appending chunks never moves existing ones).
-const (
-	handleShift = 8
-	handleSize  = 1 << handleShift
-	handleMask  = handleSize - 1
-)
-
-type handleChunk [handleSize]Flow
 
 // linkRef is one entry of a per-link flow list: the flow's slot plus which
 // position of its path the link occupies, so swap-removal can repair the
@@ -173,8 +162,6 @@ type Simulator struct {
 	posArena     []int32
 	arenaGarbage int
 
-	handles []*handleChunk // chunked so they never move
-
 	active  []int32 // started, not done; index-mapped via flowCold.active
 	pending arrivalHeap
 	fin     finHeap // indexed finish-time heap; positions mirrored in flowHot.heapPos
@@ -214,25 +201,17 @@ type Simulator struct {
 	stats EngineStats
 
 	// tel, when non-nil, receives data-plane samples (flow lifecycle,
-	// FCT/rate histograms). Every hook site is a single atomic load plus
-	// nil check when telemetry is off, keeping the simulator
-	// benchmark-clean. The pointer is atomic because SetTelemetry may race
-	// with a simulation loop on another goroutine (e.g. debug wiring
-	// installing telemetry while sweep shards run); everything else on
-	// Simulator remains single-goroutine-owned, while one Telemetry value
-	// may be shared by many concurrent simulators (its counters and
-	// histograms are atomic, its per-link gauge cache mutex-guarded).
-	tel atomic.Pointer[Telemetry]
-
-	// OnComplete, if set, is invoked when a flow finishes, with the
-	// simulator already advanced to the finish time.
-	OnComplete func(*Flow)
+	// FCT/rate histograms); New reads it from the process default. Every
+	// hook site is one nil check when telemetry is off, keeping the
+	// simulator benchmark-clean. One Telemetry value may be shared by many
+	// concurrent simulators: its counters and histograms are atomic.
+	tel *Telemetry
 }
 
 // New creates a simulator over t. Link capacities are taken from the
 // topology (bytes per second). The simulator samples into the process-wide
-// default telemetry if one is installed (SetDefaultTelemetry); override
-// per-simulator with SetTelemetry.
+// default telemetry if one is installed when it is built
+// (SetDefaultTelemetry).
 func New(t *topo.Topology) *Simulator {
 	nl := t.NumLinks()
 	links := make([]linkState, nl)
@@ -247,12 +226,12 @@ func New(t *topo.Topology) *Simulator {
 		rIdx:    make([]int32, nl),
 		cls:     newClasses(nl),
 		workers: 1,
+		tel:     defaultTel.Load(),
 	}
 	for i := range s.rIdx {
 		s.rIdx[i] = -1
 	}
 	s.ws = []*worker{{s: s}}
-	s.tel.Store(defaultTel.Load())
 	return s
 }
 
@@ -269,9 +248,6 @@ func (s *Simulator) SetWorkers(n int) {
 	s.workers = n
 }
 
-// Now returns the current simulation time.
-func (s *Simulator) Now() float64 { return s.now }
-
 // ActiveCount returns the number of started, unfinished flows.
 func (s *Simulator) ActiveCount() int { return len(s.active) }
 
@@ -283,17 +259,13 @@ func (s *Simulator) Flow(id FlowID) *Flow {
 	if !s.known(id) {
 		return nil
 	}
-	return s.handle(int32(id))
+	return &Flow{fi: int32(id), sim: s}
 }
 
 func (s *Simulator) known(id FlowID) bool { return id >= 0 && id < FlowID(len(s.hot)) }
 
 // Stats returns a snapshot of the engine's internal work counters.
 func (s *Simulator) Stats() EngineStats { return s.stats }
-
-func (s *Simulator) handle(fi int32) *Flow {
-	return &s.handles[fi>>handleShift][fi&handleMask]
-}
 
 // AddFlow schedules a flow. A FlowID is its slot: id must be the number of
 // flows added so far, so callers number flows 0, 1, 2, … in call order. Bytes
@@ -324,11 +296,6 @@ func (s *Simulator) AddFlow(id FlowID, bytes, arrival float64, path topo.Path) e
 	s.hot[fi] = flowHot{remaining: bytes, off: -1, cert: -1, heapPos: -1}
 	s.cold[fi] = flowCold{arrival: arrival, active: -1}
 	s.setRoute(fi, path.Links)
-	if int(fi)>>handleShift == len(s.handles) {
-		s.handles = append(s.handles, new(handleChunk))
-	}
-	h := s.handle(fi)
-	h.fi, h.sim = fi, s
 	s.pending.push(arrEvent{at: arrival, fi: fi})
 	return nil
 }
@@ -376,7 +343,7 @@ func (s *Simulator) SetPath(id FlowID, path topo.Path) error {
 	if err := s.checkRoute("fluid: SetPath: ", id, path.Links); err != nil {
 		return err
 	}
-	if tel := s.tel.Load(); tel != nil {
+	if tel := s.tel; tel != nil {
 		if len(path.Links) == 0 {
 			tel.Stalls.Inc()
 		} else {
@@ -624,7 +591,7 @@ func (s *Simulator) admitArrivals(t float64) {
 		s.attachLinks(fi)
 		admitted++
 	}
-	if tel := s.tel.Load(); tel != nil {
+	if tel := s.tel; tel != nil {
 		tel.FlowsStarted.Add(int64(admitted))
 		tel.ActiveFlows.Set(int64(len(s.active)))
 		tel.PendingFlows.Set(int64(s.pending.Len()))
@@ -695,15 +662,11 @@ func (s *Simulator) complete(fi int32) {
 	s.cold[moved].active = i
 	s.active = s.active[:last]
 	c.active = -1
-	if tel := s.tel.Load(); tel != nil {
+	if tel := s.tel; tel != nil {
 		tel.FlowsCompleted.Inc()
 		tel.ActiveFlows.Set(int64(len(s.active)))
 		tel.FCT.Record(int64((s.now - c.arrival) * 1e6)) // seconds → µs
 		tel.FlowRate.Record(int64(rate*1e3 + 0.5))       // bytes/s → milli-bytes/s
-	}
-	if s.OnComplete != nil {
-		s.joinAll() // the callback may read any flow
-		s.OnComplete(s.handle(fi))
 	}
 }
 
@@ -714,10 +677,24 @@ func (w *worker) fillUnion() {
 	for _, fi := range s.active {
 		w.prepare(&s.hot[fi])
 	}
-	work, _ := w.fillRates(s.active)
+	work := w.fillClosed(s.active)
 	w.sealFlows(s.active)
 	w.sealLinks(w.sc.engaged)
 	w.finishPass(work)
+}
+
+// fillClosed fills a set closed under link sharing — a component, or the
+// whole active set — and leaves its links in sc.engaged for the caller's
+// seal. No flow outside the set crosses those links, so the set-up finds no
+// background on any of them and starts each slot at cap / members. It returns
+// the work: incidences engaged plus the rounds' slot counts.
+func (w *worker) fillClosed(flows []int32) int64 {
+	links, work, _ := w.fill(flows, 0, w.sc.engaged[:0])
+	for _, l := range links {
+		w.s.rIdx[l] = -1
+	}
+	w.sc.engaged = links
+	return work
 }
 
 // sealFlows re-keys the finish event of every flow whose rate actually
@@ -742,7 +719,9 @@ func (w *worker) sealFlows(flows []int32) {
 
 // sealLinks refreshes each touched link's aggregate rate with the exact sum
 // of attached rates, so eager attach/detach adjustments can't accumulate
-// float drift between passes.
+// float drift between passes. The closed passes seal this way rather than
+// from the fill's vSum, which adds the same rates in freeze order: a
+// different rounding, and the pinned results are the resum's.
 func (w *worker) sealLinks(links []topo.LinkID) {
 	s := w.s
 	for _, l := range links {
@@ -784,17 +763,27 @@ func (st *EngineStats) add(d *EngineStats) {
 
 // fillScratch is one worker's progressive-filling state; each worker owns
 // one, so fills on different workers never share mutable state. The per-slot
-// arrays are indexed by the fill's slot numbers; s.rIdx maps a link to its
-// slot. In closed mode engaged maps back. In background mode the slots are the
-// ripple pass's links list, and members/prevSum outlive a fill, so a refill
-// engages only the flows an expansion appended.
+// arrays are indexed by the fill's slot numbers, and s.rIdx maps a link to its
+// slot; the fill's links list (the ripple pass's, or engaged) maps back.
+// members and prevSum outlive a fill, so a ripple refill engages only the
+// flows an expansion appended.
 type fillScratch struct {
-	engaged []topo.LinkID // closed mode: valid until the scratch's next fill
+	engaged []topo.LinkID // a closed fill's links: valid until the scratch's next fill
 	members []int32       // flows of the set on the slot's link
-	prevSum []float64     // background mode: their pre-pass rates, summed in engagement order
+	prevSum []float64     // their pre-pass rates, summed in engagement order
 	avail   []float64
 	count   []int32   // members still unfrozen
 	satLv   []float64 // avail/count, the level the link saturates at; +Inf once parked
+	// The ripple verification sweep's per-slot results: vSum the background
+	// sum plus member rates, vMax the member maximum, vBG the background
+	// maximum (-1 without background, bgUnknown until walked), vSat
+	// saturation, vChg whether a member's rate moved. Closed fills keep them
+	// too; nothing reads them there.
+	vSum []float64
+	vMax []float64
+	vBG  []float64
+	vSat []bool
+	vChg []bool
 	// search state: cand holds, in slot order, every slot whose level was
 	// within thr at the last full scan and has not been seen above it since.
 	cand    []int32
@@ -805,13 +794,21 @@ type fillScratch struct {
 	rounds, scans, rebuilds int64
 }
 
-// size gives the per-fill slot arrays n entries. They are rewritten from
-// scratch by every fill, so growth never copies.
+// size gives every per-slot array n entries; like engage's new slots, they
+// grow by grow's rule.
 func (sc *fillScratch) size(n int) {
-	if cap(sc.avail) < n {
-		sc.avail, sc.count, sc.satLv = make([]float64, 2*n), make([]int32, 2*n), make([]float64, 2*n)
+	sc.members, sc.prevSum = fit(sc.members, n), fit(sc.prevSum, n)
+	sc.avail, sc.count, sc.satLv = fit(sc.avail, n), fit(sc.count, n), fit(sc.satLv, n)
+	sc.vSum, sc.vMax, sc.vBG = fit(sc.vSum, n), fit(sc.vMax, n), fit(sc.vBG, n)
+	sc.vSat, sc.vChg = fit(sc.vSat, n), fit(sc.vChg, n)
+}
+
+// fit returns s with n entries, its first ones kept.
+func fit[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	sc.avail, sc.count, sc.satLv = sc.avail[:n], sc.count[:n], sc.satLv[:n]
+	return grow(s, n-len(s))
 }
 
 // candFactor is how far above the bottleneck level a full scan still collects
@@ -896,29 +893,14 @@ func (sc *fillScratch) search(level float64) (lo, cut float64, ok bool) {
 // resolve it lazily (and cache it) only when a decision actually needs it.
 const bgUnknown = -2
 
-// ensureVCap grows the per-link verification arrays (indexed by rIdx) to at
-// least n entries. Entries are rewritten from scratch every fill round, so
-// growth never copies.
-func (w *worker) ensureVCap(n int) {
-	if len(w.vSum) >= n {
-		return
-	}
-	n *= 2
-	w.vSum = make([]float64, n)
-	w.vMax = make([]float64, n)
-	w.vBG = make([]float64, n)
-	w.vSat = make([]bool, n)
-	w.vChg = make([]bool, n)
-}
-
 // engage adds flows to a fill's slot tables: every link a flow crosses counts
 // it as a member, a link seen for the first time takes the next slot (s.rIdx
-// and links record it), and in background mode the link's prevSum accumulates the
-// flow's pre-pass rate. Routed flows are marked unfrozen with rate -1 — a
-// member can legitimately freeze at level 0 (background consuming a full
-// link), so zero cannot mark frozenness — and stalled flows get rate zero. It
-// returns the grown links list and how many flows and incidences it engaged.
-func (w *worker) engage(flows []int32, links []topo.LinkID, withBG bool) ([]topo.LinkID, int, int) {
+// and links record it), and the link's prevSum accumulates the flow's pre-pass
+// rate. Routed flows are marked unfrozen with rate -1 — a member can
+// legitimately freeze at level 0 (background consuming a full link), so zero
+// cannot mark frozenness — and stalled flows get rate zero. It returns the
+// grown links list and how many flows and incidences it engaged.
+func (w *worker) engage(flows []int32, links []topo.LinkID) ([]topo.LinkID, int, int) {
 	s, sc := w.s, &w.sc
 	idx, members, prevSum := s.rIdx, sc.members, sc.prevSum
 	routed, incid := 0, 0
@@ -938,77 +920,47 @@ func (w *worker) engage(flows []int32, links []topo.LinkID, withBG bool) ([]topo
 				li = int32(len(links))
 				idx[l] = li
 				links = append(links, l)
-				members = append(members, 0)
-				prevSum = append(prevSum, 0)
+				members, prevSum = grow(members, 1), grow(prevSum, 1)
+				members[li], prevSum[li] = 0, 0
 			}
 			members[li]++
-			if withBG {
-				prevSum[li] += pr
-			}
+			prevSum[li] += pr
 		}
 	}
 	sc.members, sc.prevSum = members, prevSum
 	return links, routed, incid
 }
 
-// fillRates runs progressive filling (water-filling) over flowSet, which must
-// be closed under link sharing — a component, or the whole active set — so
-// every engaged link's full capacity belongs to the set. All unfrozen flows'
-// rates rise together; when a link saturates, its flows freeze at the current
-// level. The engaged links stay in sc.engaged for the caller's seal. The
-// caller seals afterwards — rates are final on return, but finish events and
-// link rates are not yet updated — which is what makes concurrent fills of
-// disjoint components safe: the fill writes only its flows' rate and
-// certificate entries and its own scratch. The boolean result is false only on
-// waterFill's defensive break.
-func (w *worker) fillRates(flowSet []int32) (int64, bool) {
-	s, sc := w.s, &w.sc
-	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
-	links, unfrozen, incid := w.engage(flowSet, sc.engaged[:0], false)
-	sc.engaged = links
-	sc.size(len(links))
-	for i, l := range links {
-		c := s.links[l].cap
-		sc.avail[i], sc.count[i] = c, sc.members[i]
-		sc.satLv[i] = c / float64(sc.members[i])
-	}
-	work, ok := w.waterFill(links, unfrozen, false)
-	for _, l := range links {
-		s.rIdx[l] = -1
-	}
-	if !ok {
-		for _, fi := range flowSet {
-			if h := &s.hot[fi]; h.rate < 0 {
-				h.rate = 0
-			}
-		}
-	}
-	return int64(incid) + work, ok
-}
-
-// fillBackground is the ripple pass's fill: flows outside the set stay frozen
-// at their current rates and each link offers only its residual capacity.
+// fill is the one max-min fill: progressive filling (water-filling) over
+// flows, with every flow outside them frozen at its current rate and each
+// link offering only its residual capacity. All unfrozen flows' rates rise
+// together; when a link saturates, its flows freeze at the current level.
 // flows[:from] are the members the pass's previous fill already engaged, so
 // set-up costs O(slots + new incidences): only flows[from:] are engaged, and
-// every slot's residual is re-derived without a list walk. A link whose
-// member count equals its list length carries no background — the common case
-// for the rack-local links a scoped pass centres on — and keeps full
-// capacity, bit-identical to a closed-mode engagement; the rest subtract the
-// link's maintained aggregate rate minus the members' pre-pass rates. The
-// verification arrays start here and are finished by waterFill: vSum starts
-// at the background sum, and vBG is the no-background (-1) / bgUnknown marker
-// the checks resolve lazily. New links are appended to links with s.rIdx
-// assigned; the caller owns restoring rIdx.
-func (w *worker) fillBackground(flows []int32, from int, links []topo.LinkID) ([]topo.LinkID, int64, bool) {
-	links, unfrozen, setUp := w.setUpBackground(flows, from, links)
-	work, ok := w.waterFill(links, unfrozen, true)
-	return links, setUp + work, ok
+// every slot's residual is re-derived without a list walk. New links are
+// appended to links with s.rIdx assigned; the caller owns restoring rIdx, and
+// seals afterwards — rates are final on return, but finish events and link
+// rates are not yet updated — which is what makes concurrent fills of disjoint
+// classes safe: the fill writes only its flows' rate and certificate entries
+// and its own scratch. It returns the grown links list and the work
+// (incidences engaged plus the rounds' slot counts); the boolean is false only
+// on waterFill's defensive break.
+func (w *worker) fill(flows []int32, from int, links []topo.LinkID) ([]topo.LinkID, int64, bool) {
+	links, unfrozen, incid := w.setUpFill(flows, from, links)
+	work, ok := w.waterFill(links, unfrozen)
+	return links, int64(incid) + work, ok
 }
 
-// setUpBackground is fillBackground up to the first round: slot tables and
-// verification arrays ready, members marked unfrozen. It returns the grown
-// links list, the number of unfrozen members and the set-up work.
-func (w *worker) setUpBackground(flows []int32, from int, links []topo.LinkID) ([]topo.LinkID, int, int64) {
+// setUpFill is fill up to the first round: slot tables and verification
+// arrays ready, members marked unfrozen. A link whose member count equals its
+// list length carries no background — every link of a closed set, and the
+// common case for the rack-local links a ripple pass centres on — and keeps
+// full capacity; the rest subtract the link's maintained aggregate rate minus
+// the members' pre-pass rates. vSum starts at the background sum, and vBG is
+// the no-background (-1) / bgUnknown marker the ripple checks resolve lazily;
+// waterFill finishes them. It returns the grown links list, the number of
+// unfrozen members and the incidences engaged.
+func (w *worker) setUpFill(flows []int32, from int, links []topo.LinkID) ([]topo.LinkID, int, int) {
 	s, sc := w.s, &w.sc
 	unfrozen := 0
 	for _, fi := range flows[:from] {
@@ -1017,11 +969,10 @@ func (w *worker) setUpBackground(flows []int32, from int, links []topo.LinkID) (
 			unfrozen++
 		}
 	}
-	links, routed, incid := w.engage(flows[from:], links, true)
-	n := len(links)
-	sc.size(n)
-	w.ensureVCap(n)
-	vSum, vMax, vBG, vChg := w.vSum, w.vMax, w.vBG, w.vChg
+	sc.size(len(links)) // the slots filled so far keep their members
+	links, routed, incid := w.engage(flows[from:], links)
+	sc.size(len(links))
+	vSum, vMax, vBG, vChg := sc.vSum, sc.vMax, sc.vBG, sc.vChg
 	members, prevSum := sc.members, sc.prevSum
 	avail, count, satLv := sc.avail, sc.count, sc.satLv
 	for i, l := range links {
@@ -1042,15 +993,15 @@ func (w *worker) setUpBackground(flows []int32, from int, links []topo.LinkID) (
 		}
 		avail[i], count[i], satLv[i] = a, m, a/float64(m)
 	}
-	return links, unfrozen + routed, int64(incid + n)
+	return links, unfrozen + routed, incid
 }
 
 // waterFill runs the rounds of a fill whose slot arrays are set up: search
 // picks the saturating slots and the level, freezeRound freezes their unfrozen
 // members at it. The result is false only on the defensive no-live-links
 // break, which leaves rates at -1 and the verification arrays inconsistent;
-// ripple must fall back.
-func (w *worker) waterFill(links []topo.LinkID, unfrozen int, withBG bool) (int64, bool) {
+// ripple must fall back, and a closed pass's sealFlows zeroes them.
+func (w *worker) waterFill(links []topo.LinkID, unfrozen int) (int64, bool) {
 	sc := &w.sc
 	sc.cand = sc.cand[:0]
 	level := 0.0
@@ -1064,7 +1015,7 @@ func (w *worker) waterFill(links []topo.LinkID, unfrozen int, withBG bool) (int6
 			return work, false // defensive; cannot happen while unfrozen > 0
 		}
 		level = lo
-		frozen, parked, incid := w.freezeRound(links, level, cut, withBG)
+		frozen, parked, incid := w.freezeRound(links, level, cut)
 		unfrozen -= frozen
 		live -= parked
 		work += incid
@@ -1077,23 +1028,23 @@ func (w *worker) waterFill(links []topo.LinkID, unfrozen int, withBG bool) (int6
 // crosses loses one unfrozen count and the frozen allocation, and its
 // saturation level is re-derived (a link losing its last unfrozen flow parks
 // at +Inf, which no search selects). The walk is the saturating link's own
-// flow list; frozen members and, in background mode, non-members (whose rates
-// are never negative) are skipped by the same test, and the walk stops at the
+// flow list; frozen members and non-members (whose rates are never negative)
+// are skipped by the same test, and the walk stops at the
 // slot's last unfrozen member — count says when — instead of reading the rest
 // of the list to find nothing; a slot that an earlier slot of the round
 // already emptied is not walked at all. Within a round every flow freezes at
 // the same level, so neither the walk order nor where it stops can change a
-// rate, a residual or a certificate. In background mode the freeze also folds
-// the member into the verification arrays: vSum accumulates its rate, vMax
+// rate, a residual or a certificate. The freeze also folds the member into
+// the verification arrays: vSum accumulates its rate, vMax
 // tracks the member maximum (levels are nondecreasing, so the last write is
 // the max) and vChg marks links whose members moved. It returns the flows
 // frozen, the slots parked and the incidences touched.
-func (w *worker) freezeRound(links []topo.LinkID, level, cut float64, withBG bool) (frozen, parked int, incid int64) {
+func (w *worker) freezeRound(links []topo.LinkID, level, cut float64) (frozen, parked int, incid int64) {
 	s, sc := w.s, &w.sc
 	idx := s.rIdx
 	avail, count, satLv := sc.avail, sc.count, sc.satLv
 	hot, arena := s.hot, s.linkArena
-	vSum, vMax, vChg := w.vSum, w.vMax, w.vChg
+	vSum, vMax, vChg := sc.vSum, sc.vMax, sc.vChg
 	for _, li := range sc.satList {
 		if count[li] == 0 {
 			continue
@@ -1106,11 +1057,8 @@ func (w *worker) freezeRound(links []topo.LinkID, level, cut float64, withBG boo
 			}
 			h.rate = level
 			h.cert = cert
-			chg := false
-			if withBG {
-				pr := h.prevRate
-				chg = math.Abs(level-pr) > rippleTol*(pr+1)
-			}
+			pr := h.prevRate
+			chg := math.Abs(level-pr) > rippleTol*(pr+1)
 			for _, l2 := range arena[h.off : h.off+h.nl] {
 				li2 := idx[l2]
 				c := count[li2] - 1
@@ -1131,12 +1079,10 @@ func (w *worker) freezeRound(links []topo.LinkID, level, cut float64, withBG boo
 					satLv[li2] = math.Inf(1)
 					parked++
 				}
-				if withBG {
-					vSum[li2] += level
-					vMax[li2] = level
-					if chg {
-						vChg[li2] = true
-					}
+				vSum[li2] += level
+				vMax[li2] = level
+				if chg {
+					vChg[li2] = true
 				}
 			}
 			incid += int64(h.nl)

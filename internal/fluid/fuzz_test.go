@@ -120,7 +120,7 @@ func runSimProgram(prog []byte) error {
 			err, diff = both(func(s *Simulator) error { return s.Run(until) })
 		case simOpAdvance:
 			d := float64(next()) / 16
-			err, diff = both(func(s *Simulator) error { return s.Run(s.Now() + d) })
+			err, diff = both(func(s *Simulator) error { return s.Run(s.now + d) })
 		case simOpDrain:
 			_, diff = both(func(s *Simulator) error { return s.RunToCompletion() })
 		}

@@ -282,7 +282,7 @@ func TestHeapStaysIndexed(t *testing.T) {
 		if err := s.SetPath(id, paths[id]); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(s.Now()); err != nil {
+		if err := s.Run(s.now); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -220,8 +220,7 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// fill runs the background fills of one ripple pass over the given member
-// sets — each a prefix of the next, as expansions only append — and returns
+// fill runs the fills of one ripple pass over the given member sets — each a prefix of the next, as expansions only append — and returns
 // every bit the pass's verification and seal read: the links list, member
 // rates and certificates, the slot tables, and the verification arrays (vSum
 // is what the seal writes to the link's rate).
@@ -229,13 +228,12 @@ func (fx *rippleFixture) fill(t *testing.T, sets ...[]int32) []uint64 {
 	t.Helper()
 	s, w := fx.s, fx.w
 	sc := &w.sc
-	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
 	var links []topo.LinkID
 	from := 0
 	for _, flows := range sets {
 		var ok bool
-		if links, _, ok = w.fillBackground(flows, from, links); !ok {
-			t.Fatal("fillBackground took the defensive break")
+		if links, _, ok = w.fill(flows, from, links); !ok {
+			t.Fatal("fill took the defensive break")
 		}
 		from = len(flows)
 	}
@@ -246,7 +244,7 @@ func (fx *rippleFixture) fill(t *testing.T, sets ...[]int32) []uint64 {
 		}
 		s.rIdx[l] = -1
 		out = append(out, uint64(l), uint64(sc.members[i]), math.Float64bits(sc.prevSum[i]),
-			math.Float64bits(w.vSum[i]), math.Float64bits(w.vMax[i]), math.Float64bits(w.vBG[i]), boolBit(w.vChg[i]))
+			math.Float64bits(sc.vSum[i]), math.Float64bits(sc.vMax[i]), math.Float64bits(sc.vBG[i]), boolBit(sc.vChg[i]))
 	}
 	for _, fi := range sets[len(sets)-1] {
 		out = append(out, math.Float64bits(s.hot[fi].rate), uint64(s.hot[fi].cert))
@@ -348,9 +346,9 @@ func freezeRoundExhaustive(w *worker, links []topo.LinkID, level, cut float64) (
 					sc.satLv[i] = math.Inf(1)
 					parked++
 				}
-				w.vSum[i] += level
-				w.vMax[i] = level
-				w.vChg[i] = w.vChg[i] || chg
+				sc.vSum[i] += level
+				sc.vMax[i] = level
+				sc.vChg[i] = sc.vChg[i] || chg
 			}
 			incid += int64(h.nl)
 			frozen++
@@ -367,7 +365,7 @@ func (fx *rippleFixture) roundState(n int, flows []int32) []uint64 {
 	var out []uint64
 	for i := 0; i < n; i++ {
 		out = append(out, uint64(sc.count[i]), math.Float64bits(sc.avail[i]), math.Float64bits(sc.satLv[i]),
-			math.Float64bits(w.vSum[i]), math.Float64bits(w.vMax[i]), boolBit(w.vChg[i]))
+			math.Float64bits(sc.vSum[i]), math.Float64bits(sc.vMax[i]), boolBit(sc.vChg[i]))
 	}
 	for _, fi := range flows {
 		out = append(out, math.Float64bits(s.hot[fi].rate), uint64(s.hot[fi].cert))
@@ -387,8 +385,8 @@ func TestFreezeRoundStopsAtLastMember(t *testing.T) {
 		flows := append(slices.Clone(a.members), a.extra...)
 		arm := func(fx *rippleFixture) (*fillScratch, []topo.LinkID, int) {
 			sc := &fx.w.sc
-			sc.members, sc.prevSum, sc.cand = sc.members[:0], sc.prevSum[:0], sc.cand[:0]
-			links, unfrozen, _ := fx.w.setUpBackground(flows, 0, nil)
+			sc.cand = sc.cand[:0]
+			links, unfrozen, _ := fx.w.setUpFill(flows, 0, nil)
 			return sc, links, unfrozen
 		}
 		sa, links, unfrozen := arm(a)
@@ -401,7 +399,7 @@ func TestFreezeRoundStopsAtLastMember(t *testing.T) {
 				t.Fatalf("trial %d round %d: searches disagree: level %v/%v cut %v/%v slots %v/%v", trial, round, lo, lo2, cut, cut2, sa.satList, sb.satList)
 			}
 			level = lo
-			f, p, w := a.w.freezeRound(links, level, cut, true)
+			f, p, w := a.w.freezeRound(links, level, cut)
 			f2, p2, w2 := freezeRoundExhaustive(b.w, links, level, cut)
 			if f != f2 || p != p2 || w != w2 {
 				t.Fatalf("trial %d round %d: froze %d flows, parked %d slots, touched %d incidences; exhaustive walk %d, %d, %d", trial, round, f, p, w, f2, p2, w2)
@@ -452,14 +450,13 @@ func (fx *rippleFixture) checkMembers(t *testing.T, certify func(*worker, *flowH
 	t.Helper()
 	s, w := fx.s, fx.w
 	sc := &w.sc
-	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
-	links, _, ok := w.fillBackground(fx.members, 0, nil)
+	links, _, ok := w.fill(fx.members, 0, nil)
 	if !ok {
-		t.Fatal("fillBackground took the defensive break")
+		t.Fatal("fill took the defensive break")
 	}
 	for i, l := range links {
 		c := s.links[l].cap
-		w.vSat[i] = w.vSum[i] >= c-rippleTol*(c+1)
+		sc.vSat[i] = sc.vSum[i] >= c-rippleTol*(c+1)
 	}
 	flows := slices.Clone(fx.members)
 	for _, fi := range fx.members {
@@ -470,7 +467,7 @@ func (fx *rippleFixture) checkMembers(t *testing.T, certify func(*worker, *flowH
 			flows, _ = w.adoptBeaters(h, flows, w.p.gen, &walked)
 		}
 	}
-	return certified, flows[len(fx.members):], slices.Clone(w.vBG[:len(links)]), walked
+	return certified, flows[len(fx.members):], slices.Clone(sc.vBG[:len(links)]), walked
 }
 
 // TestCheckMembersFreezeLinkFirst: check (a) tries the link the fill froze a

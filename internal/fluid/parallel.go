@@ -154,14 +154,6 @@ type worker struct {
 	compFlows []int32
 	compLinks []topo.LinkID
 	comps     []compSpan
-
-	// The ripple verification sweep's per-link results, indexed like the
-	// pass's links list (s.rIdx).
-	vSum []float64
-	vMax []float64
-	vBG  []float64
-	vSat []bool
-	vChg []bool
 }
 
 // run executes p on w. Every dispatch decision depends only on simulator
@@ -445,7 +437,7 @@ func (s *Simulator) finish(p *pass) {
 		}
 	}
 	s.stats.add(&p.stats)
-	if tel := s.tel.Load(); tel != nil {
+	if tel := s.tel; tel != nil {
 		tel.addEngine(&p.stats)
 	}
 	if p.root >= 0 {
@@ -578,8 +570,7 @@ func (w *worker) decomposeFromSeeds() {
 func (w *worker) fillComponents() {
 	var work int64
 	for _, c := range w.comps {
-		wk, _ := w.fillRates(w.compFlows[c.f0:c.f1])
-		work += wk
+		work += w.fillClosed(w.compFlows[c.f0:c.f1])
 	}
 	w.p.stats.Components += int64(len(w.comps))
 	w.sealFlows(w.compFlows)

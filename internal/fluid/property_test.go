@@ -174,10 +174,10 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 	if testing.Short() {
 		schedules = 150
 	}
-	// Each schedule runs twice: as the engine dispatches it (background-mode
-	// ripple fills, closed-mode component fills when the proof does not
-	// close), and with every pass forced through closed-mode component
-	// decomposition, so both fillRates modes face the whole schedule set.
+	// Each schedule runs twice: as the engine dispatches it (ripple fills,
+	// component fills when the proof does not close), and with every pass
+	// forced through component decomposition, so fills with and without
+	// background both face the whole schedule set.
 	var ripple, comps int64
 	for seed := 0; seed < schedules; seed++ {
 		for _, closed := range []bool{false, true} {
@@ -201,7 +201,7 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 }
 
 // runClosed is Simulator.Run with every rate recomputation forced through
-// exact component decomposition and closed-mode fills, never the ripple
+// exact component decomposition and closed-set fills, never the ripple
 // pass: each pass seeds every loaded link, on the loop's worker.
 func runClosed(s *Simulator, until float64) error {
 	for {
@@ -244,7 +244,7 @@ func runClosed(s *Simulator, until float64) error {
 var dbgDump func(string, ...any)
 
 // differentialSchedule replays one randomized schedule through the scoped
-// engine (closed: with every pass forced into closed-mode decomposition) and
+// engine (closed: with every pass forced into component decomposition) and
 // the forced-full reference, and returns the scoped engine's counters.
 func differentialSchedule(t *testing.T, seed int64, closed bool) (EngineStats, bool) {
 	t.Helper()

@@ -48,27 +48,3 @@ func TestConcurrentSimulatorsShareDefaultTelemetry(t *testing.T) {
 		t.Fatalf("completed flows = %d, want %d", got, sims*4)
 	}
 }
-
-// SetTelemetry may race with a simulation loop on another goroutine (the
-// simulator's documented exception to single-goroutine ownership); the
-// atomic pointer makes attach/detach-while-running safe.
-func TestSetTelemetryWhileRunning(t *testing.T) {
-	g, path := twoLinkTopo(t)
-	tel := NewTelemetry(obs.NewRegistry())
-
-	sim := New(g)
-	for id := 0; id < 64; id++ {
-		if err := sim.AddFlow(FlowID(id), 2, float64(id), path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan error, 1)
-	go func() { done <- sim.RunToCompletion() }()
-	for i := 0; i < 100; i++ {
-		sim.SetTelemetry(tel)
-		sim.SetTelemetry(nil)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}

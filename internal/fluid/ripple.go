@@ -108,25 +108,24 @@ func (w *worker) ripple() bool {
 	// The fill's slot tables live as long as the pass: links (with rIdx) is
 	// the slot space, and a refill engages only the flows appended since.
 	sc := &w.sc
-	sc.members, sc.prevSum = sc.members[:0], sc.prevSum[:0]
 	filled := 0 // members the fills have engaged so far; check (a) judges exactly these
 	for round := 0; ; round++ {
-		// The background fill engages the new members' links (appending new
-		// ones to links with rIdx assigned), computes residuals from the
-		// links' maintained aggregate rates, and leaves the verification arrays
+		// The fill engages the new members' links (appending new ones to
+		// links with rIdx assigned), computes residuals from the links'
+		// maintained aggregate rates, and leaves the verification arrays
 		// populated: vSum = background sum + member rates, vMax = member
 		// maximum, vChg = some member moved, vBG = -1 (no background) or
 		// bgUnknown (background present, maximum resolved lazily below).
 		var wk int64
 		var completed bool
-		links, wk, completed = w.fillBackground(flows, filled, links)
+		links, wk, completed = w.fill(flows, filled, links)
 		filled = len(flows)
 		work += wk
 		if !completed {
 			return bail() // defensive fill break: arrays are inconsistent
 		}
-		vSum, vSat := w.vSum, w.vSat
-		work += int64(len(links))
+		vSum, vSat := sc.vSum, sc.vSat
+		work += 2 * int64(len(links)) // the slots' set-up and this sweep
 		for i, l := range links {
 			c := s.links[l].cap
 			vSat[i] = vSum[i] >= c-rippleTol*(c+1)
@@ -164,7 +163,7 @@ func (w *worker) ripple() bool {
 		// fill time, so there is nothing to check.
 		if !expanded {
 			for i, l := range links {
-				if !w.vChg[i] || w.vBG[i] == -1 {
+				if !sc.vChg[i] || sc.vBG[i] == -1 {
 					continue
 				}
 				list := s.links[l].flows
@@ -194,7 +193,7 @@ func (w *worker) ripple() bool {
 	// Seal: link rates from the verification sums, finish events for changed
 	// rates, scratch invariants restored.
 	for i, l := range links {
-		s.links[l].rate = w.vSum[i]
+		s.links[l].rate = sc.vSum[i]
 		s.rIdx[l] = -1
 	}
 	w.sealFlows(flows)
@@ -207,10 +206,11 @@ func (w *worker) ripple() bool {
 // for a flow whose rate, plus tolerance, is rtol: saturated, and neither a
 // member (vMax) nor a background flow (vBG, resolved lazily) outruns it.
 func (w *worker) inScopeBottleneck(i int32, l topo.LinkID, rtol float64, gen uint64, work *int64) bool {
-	if !w.vSat[i] || w.vMax[i] > rtol {
+	sc := &w.sc
+	if !sc.vSat[i] || sc.vMax[i] > rtol {
 		return false
 	}
-	b := w.vBG[i]
+	b := sc.vBG[i]
 	if b == bgUnknown {
 		b = w.lazyBG(i, l, gen, work)
 	}
@@ -250,10 +250,10 @@ func (w *worker) adoptBeaters(h *flowHot, flows []int32, gen uint64, work *int64
 	found := false
 	for _, l := range s.linkArena[h.off : h.off+h.nl] {
 		i := s.rIdx[l]
-		if !w.vSat[i] {
+		if !w.sc.vSat[i] {
 			continue
 		}
-		b := w.vBG[i]
+		b := w.sc.vBG[i]
 		if b == bgUnknown {
 			b = w.lazyBG(i, l, gen, work)
 		}
@@ -293,7 +293,7 @@ func (w *worker) lazyBG(i int32, l topo.LinkID, gen uint64, work *int64) float64
 		}
 	}
 	*work += int64(len(list))
-	w.vBG[i] = b
+	w.sc.vBG[i] = b
 	return b
 }
 
