@@ -2,6 +2,7 @@ package sharebackup
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,6 +70,29 @@ func (c *Fig1cConfig) setDefaults() {
 	}
 }
 
+// check rejects a bad field by name; setDefaults has run, so a zero field
+// holds its default.
+func (c *Fig1cConfig) check() error {
+	var errs []error
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"Coflows", c.Coflows}, {"Scenarios", c.Scenarios}, {"Windows", c.Windows}} {
+		if f.v < 0 {
+			errs = append(errs, fieldError("Fig1cConfig", f.name, f.v, "not be negative"))
+		}
+	}
+	if !(c.Oversub >= 0) || math.IsInf(c.Oversub, 0) {
+		errs = append(errs, fieldError("Fig1cConfig", "Oversub", c.Oversub, "be finite and not negative"))
+	}
+	return errors.Join(errs...)
+}
+
+// fieldError names a config field whose value breaks its rule.
+func fieldError(cfg, field string, v any, rule string) error {
+	return fmt.Errorf("sharebackup: %s.%s is %v; it must %s", cfg, field, v, rule)
+}
+
 // ArchSlowdowns is one architecture's curve in Figure 1(c).
 type ArchSlowdowns struct {
 	Name string
@@ -98,6 +122,9 @@ const (
 // ShareBackup.
 func Fig1c(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
 	cfg.setDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	in, err := newFig1cInputs(cfg)
 	if err != nil {
 		return nil, err

@@ -67,6 +67,9 @@ type RecoveryBenchConfig struct {
 // samples are bit-identical for any worker count.
 func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 	k, n, trials := cfg.K, cfg.N, cfg.Trials
+	if trials < 0 {
+		return nil, fieldError("RecoveryBenchConfig", "Trials", trials, "not be negative")
+	}
 	if k == 0 {
 		k = 8
 	}

@@ -3,6 +3,7 @@ package sharebackup
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,5 +65,21 @@ func TestRecoveryStudyMatchesModel(t *testing.T) {
 	}
 	if got, want := p50[1]-p50[0], MEMS2D.ReconfigDelay()-Crosspoint.ReconfigDelay(); got != want {
 		t.Errorf("2D-MEMS p50 exceeds crosspoint's by %v, want the reset-delay difference %v", got, want)
+	}
+}
+
+// TestRecoveryBenchConfigRejectsBadFields: a negative trial count is an error
+// naming the field, not an empty study.
+func TestRecoveryBenchConfigRejectsBadFields(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   RecoveryBenchConfig
+	}{
+		{"Trials", RecoveryBenchConfig{K: 4, Trials: -1}},
+	} {
+		res, err := RunRecoveryBench(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), "RecoveryBenchConfig."+c.field) {
+			t.Errorf("%+v: result %v, err = %v, want an error naming %s", c.cfg, res, err, c.field)
+		}
 	}
 }

@@ -214,6 +214,29 @@ func TestFig1cRejectsBadWindow(t *testing.T) {
 	}
 }
 
+// TestFig1cConfigRejectsBadFields: a negative count or a negative or
+// non-finite oversubscription is an error naming the field, returned before
+// any work.
+func TestFig1cConfigRejectsBadFields(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Fig1cConfig
+	}{
+		{"Coflows", Fig1cConfig{Coflows: -1}},
+		{"Scenarios", Fig1cConfig{Scenarios: -3}},
+		{"Windows", Fig1cConfig{Windows: -1}},
+		{"Oversub", Fig1cConfig{Oversub: -1}},
+		{"Oversub", Fig1cConfig{Oversub: math.NaN()}},
+		{"Oversub", Fig1cConfig{Oversub: math.Inf(1)}},
+	} {
+		c.cfg.K, c.cfg.Seed = 4, 2
+		_, err := Fig1c(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), "Fig1cConfig."+c.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, c.field)
+		}
+	}
+}
+
 func TestFig1cMultiWindow(t *testing.T) {
 	res, err := Fig1c(Fig1cConfig{K: 4, Seed: 4, Coflows: 6, Scenarios: 6, Window: 60, Windows: 3})
 	if err != nil {

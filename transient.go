@@ -45,6 +45,18 @@ func (c *TransientConfig) setDefaults() {
 	}
 }
 
+// check rejects a bad field by name; setDefaults has run, so a zero field
+// holds its default.
+func (c *TransientConfig) check() error {
+	if !(c.FlowBytes > 0) || math.IsInf(c.FlowBytes, 1) {
+		return fieldError("TransientConfig", "FlowBytes", c.FlowBytes, "be positive and finite")
+	}
+	if !(c.FailAfter > 0 && c.FailAfter < 1) {
+		return fieldError("TransientConfig", "FailAfter", c.FailAfter, "lie in (0, 1)")
+	}
+	return nil
+}
+
 // TransientRow is one scheme's outcome.
 type TransientRow struct {
 	Scheme string
@@ -63,6 +75,9 @@ type TransientRow struct {
 // and reports completion-time slowdowns against the unfailed baseline.
 func TransientStudy(cfg TransientConfig) ([]TransientRow, error) {
 	cfg.setDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	// Real units so millisecond gaps are measurable against seconds-scale
 	// transfers: 10 Gbps fabric links, 10:1 oversubscribed rack access.
 	const linkBps = 1.25e9

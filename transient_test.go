@@ -1,12 +1,38 @@
 package sharebackup
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"sharebackup/internal/sweep"
 )
+
+// TestTransientConfigRejectsBadFields: a flow size that is not positive and
+// finite, or a failure time outside (0, 1) of the baseline, is an error naming
+// the field.
+func TestTransientConfigRejectsBadFields(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   TransientConfig
+	}{
+		{"FlowBytes", TransientConfig{FlowBytes: -1}},
+		{"FlowBytes", TransientConfig{FlowBytes: math.NaN()}},
+		{"FlowBytes", TransientConfig{FlowBytes: math.Inf(1)}},
+		{"FailAfter", TransientConfig{FailAfter: -1}},
+		{"FailAfter", TransientConfig{FailAfter: 1}},
+		{"FailAfter", TransientConfig{FailAfter: 1e9}},
+		{"FailAfter", TransientConfig{FailAfter: math.Inf(1)}},
+		{"FailAfter", TransientConfig{FailAfter: math.NaN()}},
+	} {
+		c.cfg.K, c.cfg.Seed = 4, 1
+		_, err := TransientStudy(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), "TransientConfig."+c.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, c.field)
+		}
+	}
+}
 
 func TestTransientStudy(t *testing.T) {
 	rows, err := TransientStudy(TransientConfig{K: 4, Seed: 1})
