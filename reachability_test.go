@@ -16,7 +16,8 @@ import (
 // test that uses it as its reference oracle, or the paper section whose
 // mechanism a reproducing test drives (DESIGN.md §4 names those tests).
 var testOnly = map[string]string{
-	"circuit.Switch.Fail": "§5.1 circuit-switch failure — TestSyncCircuitRestoresAuthoritativeState, TestCircuitSwitchFailureThreshold",
+	"circuit.Switch.Fail":   "§5.1 circuit-switch failure — TestSyncCircuitRestoresAuthoritativeState, TestCircuitSwitchFailureThreshold",
+	"circuit.Switch.Repair": "§5.1 circuit-switch repair — TestSyncCircuitRestoresAuthoritativeState",
 
 	"controller.Controller.FlaggedHosts":            "§4.2 host-link failures — TestHostLinkFailurePolicy",
 	"controller.Controller.HandleHostLinkFailure":   "§4.2 host-link failures — TestHostLinkFailurePolicy",
@@ -55,12 +56,16 @@ var viaInterface = map[string]bool{
 // internal/ must be named by some non-test file of the module or of
 // benchmarks/, or be listed in testOnly with its reason. The check is by
 // name, not by type, so it misses an export whose name some unrelated call
-// also uses; it is the cheap guard, not the audit.
+// also uses; composite-literal keys and field and parameter names do not
+// count as uses. It is the cheap guard, not the audit.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset, files := parseModule(t)
 	declared := map[string]string{} // key -> position
 	named := map[string]bool{}      // identifiers used outside declarations
 	for path, f := range files {
+		// Names that declare rather than use: functions, composite-literal
+		// keys (failure.Scenario{Repair: …} names a field), and field and
+		// parameter names.
 		declNames := map[*ast.Ident]bool{}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -73,8 +78,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				named[id.Name] = true
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							declNames[id] = true
+						}
+					}
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					declNames[id] = true
+				}
+			case *ast.Ident:
+				if !declNames[n] {
+					named[n.Name] = true
+				}
 			}
 			return true
 		})
