@@ -26,7 +26,7 @@ import (
 func BenchmarkFig1a(b *testing.B) {
 	var single float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig1a(Fig1Config{K: 8, Seed: 1, Trials: 2, Rates: []float64{0.01, 0.1}})
+		res, err := Fig1a(Fig1Config{K: 8, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func BenchmarkFig1a(b *testing.B) {
 func BenchmarkFig1b(b *testing.B) {
 	var single float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig1b(Fig1Config{K: 8, Seed: 1, Trials: 2, Rates: []float64{0.01, 0.1}})
+		res, err := Fig1b(Fig1Config{K: 8, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func BenchmarkFig1b(b *testing.B) {
 func BenchmarkFig1c(b *testing.B) {
 	var worstReroute float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig1c(Fig1cConfig{K: 8, Seed: 1, Coflows: 20, Scenarios: 6, Window: 120})
+		res, err := Fig1c(Fig1cConfig{K: 8, Seed: 1, Coflows: 20, Scenarios: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func BenchmarkAblationDiagnosisBackupReturn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctl := controller.New(net, controller.Config{CSReportThreshold: 1000})
+		ctl := controller.New(net, controller.Config{})
 		for i := 0; i < 4; i++ {
 			edge := net.EdgeGroup(0).Slots()[i]
 			agg := net.AggGroup(0).Slots()[i]
@@ -342,7 +342,7 @@ func BenchmarkAblationDiagnosisBackupReturn(b *testing.B) {
 			if _, err := ctl.ReportLinkFailure(
 				controller.EndPoint{Switch: edge, Port: 4},
 				controller.EndPoint{Switch: agg, Port: i},
-				time.Duration(i)*time.Millisecond,
+				time.Duration(i)*2*time.Second, // beyond the 1 s report window
 			); err != nil {
 				b.Fatal(err)
 			}

@@ -29,9 +29,7 @@ func main() {
 		len(tr.Coflows), tr.TotalFlows(), s.Median, s.P90, s.Max)
 
 	// Figure 1(a): affected flows vs coflows under node failures.
-	res, err := sharebackup.Fig1a(sharebackup.Fig1Config{
-		K: 8, Seed: 7, Trace: tr, Rates: []float64{0.01, 0.05, 0.1, 0.2},
-	})
+	res, err := sharebackup.Fig1a(sharebackup.Fig1Config{K: 8, Seed: 7, Trace: tr})
 	if err != nil {
 		log.Fatal(err)
 	}

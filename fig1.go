@@ -22,12 +22,6 @@ type Fig1Config struct {
 	// Seed drives workload generation, ECMP hashing and failure
 	// sampling.
 	Seed int64
-	// Rates is the failure-rate sweep (fraction of candidate elements
-	// failed). Defaults to {0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2}.
-	Rates []float64
-	// Trials averages each rate over this many independent failure
-	// samples. Default 3.
-	Trials int
 	// Trace overrides the workload; by default a synthetic trace with
 	// the Facebook-like marginals is generated for the network's racks.
 	Trace *coflow.Trace
@@ -37,15 +31,16 @@ type Fig1Config struct {
 	Workers int
 }
 
+// fig1Rates is the failure-rate sweep, the figures' x-axis: the fraction
+// of candidate elements failed.
+var fig1Rates = [...]float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2}
+
+// fig1Trials is how many independent failure samples each rate averages.
+const fig1Trials = 3
+
 func (c *Fig1Config) setDefaults() {
 	if c.K == 0 {
 		c.K = 16
-	}
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2}
-	}
-	if c.Trials == 0 {
-		c.Trials = 3
 	}
 }
 
@@ -58,7 +53,7 @@ type Fig1Result struct {
 	FlowPct   []float64
 	CoflowPct []float64
 	// SingleFlowPct / SingleCoflowPct are the percentages under exactly
-	// one failed element (averaged over Trials samples) — the paper's
+	// one failed element (averaged over fig1Trials samples) — the paper's
 	// headline single-failure numbers (29.6% of coflows for one node,
 	// 17% for one link).
 	SingleFlowPct   float64
@@ -158,8 +153,8 @@ func fig1(cfg Fig1Config, nodes bool) (*Fig1Result, error) {
 	linkCands := cands.FabricLinks()
 
 	// The trial space: rate point 0 is the single-failure headline number
-	// (rate rounding to exactly one element), points 1..len(Rates) the
-	// figure's x-axis; each point is averaged over Trials independent
+	// (rate rounding to exactly one element), points 1..len(fig1Rates) the
+	// figure's x-axis; each point is averaged over fig1Trials independent
 	// failure samples. One (point, trial) pair is one sweep shard drawing
 	// its failure sample from its own substream, so the sweep merges
 	// identically for any worker count.
@@ -169,18 +164,18 @@ func fig1(cfg Fig1Config, nodes bool) (*Fig1Result, error) {
 	} else {
 		singleRate = 0.5 / float64(len(linkCands))
 	}
-	points := append([]float64{singleRate}, cfg.Rates...)
+	points := append([]float64{singleRate}, fig1Rates[:]...)
 	name := "fig1b"
 	if nodes {
 		name = "fig1a"
 	}
 	samples, err := sweep.Run(context.Background(), sweep.Config{
 		Name:    name,
-		Shards:  len(points) * cfg.Trials,
+		Shards:  len(points) * fig1Trials,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 	}, func(_ context.Context, sh sweep.Shard) (fig1Sample, error) {
-		rate := points[sh.Index/cfg.Trials]
+		rate := points[sh.Index/fig1Trials]
 		inj := failure.NewInjector(ft, sh.Seed)
 		var blocked *topo.Blocked
 		if nodes {
@@ -203,16 +198,16 @@ func fig1(cfg Fig1Config, nodes bool) (*Fig1Result, error) {
 		return nil, err
 	}
 
-	res := &Fig1Result{Rates: cfg.Rates}
+	res := &Fig1Result{Rates: points[1:]}
 	for pi := range points {
 		var f, c float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			s := samples[pi*cfg.Trials+trial]
+		for trial := 0; trial < fig1Trials; trial++ {
+			s := samples[pi*fig1Trials+trial]
 			f += s.Flow
 			c += s.Coflow
 		}
-		f /= float64(cfg.Trials)
-		c /= float64(cfg.Trials)
+		f /= fig1Trials
+		c /= fig1Trials
 		if pi == 0 {
 			res.SingleFlowPct, res.SingleCoflowPct = f, c
 			continue
@@ -243,8 +238,8 @@ func affected(flows []flowRef, numCoflows int, blocked *topo.Blocked) (flowPct, 
 // Series renders the result as two plottable series (the figure's two
 // curves).
 func (r *Fig1Result) Series(xlabel string) (flows, coflows *metrics.Series) {
-	flows = &metrics.Series{Name: "flows %", XLabel: xlabel, YLabel: "% affected"}
-	coflows = &metrics.Series{Name: "coflows %", XLabel: xlabel, YLabel: "% affected"}
+	flows = &metrics.Series{Name: "flows %", XLabel: xlabel}
+	coflows = &metrics.Series{Name: "coflows %", XLabel: xlabel}
 	for i, rate := range r.Rates {
 		flows.Add(rate, r.FlowPct[i])
 		coflows.Add(rate, r.CoflowPct[i])

@@ -27,10 +27,8 @@ type Fig1cConfig struct {
 	// Seed drives workload generation, ECMP hashing and scenario
 	// sampling.
 	Seed int64
-	// Window is the trace window length in seconds (the paper uses
-	// 5-minute partitions). Default 300.
-	Window float64
-	// Coflows is the number of coflows in the window. Default 30.
+	// Coflows is the number of coflows in each fig1cWindow-second window.
+	// Default 30.
 	Coflows int
 	// Scenarios is the number of single-failure scenarios to run (half
 	// node failures, half link failures). Default 12.
@@ -49,12 +47,13 @@ type Fig1cConfig struct {
 	Workers int
 }
 
+// fig1cWindow is the trace window length in seconds: the paper partitions
+// its trace into 5-minute windows.
+const fig1cWindow = 300.0
+
 func (c *Fig1cConfig) setDefaults() {
 	if c.K == 0 {
 		c.K = 8
-	}
-	if c.Window == 0 {
-		c.Window = 300
 	}
 	if c.Coflows == 0 {
 		c.Coflows = 30
@@ -143,9 +142,6 @@ type fig1cInputs struct {
 
 // newFig1cInputs builds the study's inputs from cfg (defaults already set).
 func newFig1cInputs(cfg Fig1cConfig) (*fig1cInputs, error) {
-	if !(cfg.Window > 0) || math.IsInf(cfg.Window, 1) {
-		return nil, fmt.Errorf("sharebackup: Fig1c: Window=%v must be positive and finite", cfg.Window)
-	}
 	// Topologies: fat-tree for the fat-tree and ShareBackup runs
 	// (ShareBackup's logical topology IS the fat-tree, restored exactly
 	// after replacement), AB fat-tree for F10.
@@ -167,13 +163,13 @@ func newFig1cInputs(cfg Fig1cConfig) (*fig1cInputs, error) {
 	full, err := coflow.Generate(coflow.GenConfig{
 		Racks:      ft.NumHosts(),
 		NumCoflows: cfg.Coflows * cfg.Windows,
-		Duration:   cfg.Window * float64(cfg.Windows),
+		Duration:   fig1cWindow * float64(cfg.Windows),
 		Seed:       cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	windows, err := full.Partition(cfg.Window)
+	windows, err := full.Partition(fig1cWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +197,11 @@ func newFig1cInputs(cfg Fig1cConfig) (*fig1cInputs, error) {
 	for i := 0; i < cfg.Scenarios; i++ {
 		if i%2 == 0 {
 			scenarios = append(scenarios, failure.Scenario{
-				Node: nodeCands[rng.Intn(len(nodeCands))], Link: topo.NoLink, Repair: cfg.Window,
+				Node: nodeCands[rng.Intn(len(nodeCands))], Link: topo.NoLink, Repair: fig1cWindow,
 			})
 		} else {
 			scenarios = append(scenarios, failure.Scenario{
-				Node: topo.None, Link: linkCands[rng.Intn(len(linkCands))], Repair: cfg.Window,
+				Node: topo.None, Link: linkCands[rng.Intn(len(linkCands))], Repair: fig1cWindow,
 			})
 		}
 	}

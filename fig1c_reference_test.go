@@ -87,7 +87,7 @@ func TestFig1cEqualsReplayEverything(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					// The generator is heavy-tailed; take the first seed whose
 					// trace is light enough to replay some sixty times here.
-					cfg := Fig1cConfig{K: k, Coflows: 5, Scenarios: nScen, Window: 60, Windows: nWin}
+					cfg := Fig1cConfig{K: k, Coflows: 5, Scenarios: nScen, Windows: nWin}
 					cfg.setDefaults()
 					var in *fig1cInputs
 					for cfg.Seed = 1; ; cfg.Seed++ {
@@ -169,7 +169,7 @@ func addHandMadeScenarios(t *testing.T, in *fig1cInputs, cfg Fig1cConfig) {
 	if err != nil || len(flows) == 0 {
 		t.Fatalf("no routed flows in the edge-switch scenario's window (err %v)", err)
 	}
-	in.scenarios = append(in.scenarios, failure.Scenario{Node: flows[0].path.Nodes[1], Link: topo.NoLink, Repair: cfg.Window})
+	in.scenarios = append(in.scenarios, failure.Scenario{Node: flows[0].path.Nodes[1], Link: topo.NoLink, Repair: fig1cWindow})
 
 	// Repeat the first scenario until the next slot lands on the sparse
 	// window, then fail a link its flows leave idle.
@@ -190,7 +190,7 @@ func addHandMadeScenarios(t *testing.T, in *fig1cInputs, cfg Fig1cConfig) {
 	}
 	for _, l := range in.ft.SwitchLinkIDs() {
 		if !used[l] {
-			in.scenarios = append(in.scenarios, failure.Scenario{Node: topo.None, Link: l, Repair: cfg.Window})
+			in.scenarios = append(in.scenarios, failure.Scenario{Node: topo.None, Link: l, Repair: fig1cWindow})
 			return
 		}
 	}

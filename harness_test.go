@@ -11,7 +11,7 @@ import (
 // machinery can't silently bend the figures.
 
 func fig1TestConfig() Fig1Config {
-	return Fig1Config{K: 4, Seed: 7, Rates: []float64{0.05, 0.1, 0.2}, Trials: 2}
+	return Fig1Config{K: 4, Seed: 7}
 }
 
 func checkFig1Result(t *testing.T, res *Fig1Result, rates int) {
@@ -51,7 +51,7 @@ func TestFig1aSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFig1Result(t, res, 3)
+	checkFig1Result(t, res, len(fig1Rates))
 
 	// Same seed, same result: the harness must be deterministic.
 	again, err := Fig1a(fig1TestConfig())
@@ -71,7 +71,7 @@ func TestFig1bSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFig1Result(t, res, 3)
+	checkFig1Result(t, res, len(fig1Rates))
 }
 
 func TestTransientStudySmall(t *testing.T) {

@@ -27,50 +27,34 @@ type Config struct {
 	// the same probing interval as F10 and Aspen Tree; the default is
 	// 1 ms (F10-class fast detection).
 	ProbeInterval time.Duration
-	// MissThreshold is how many consecutive missed keep-alives declare a
-	// node failure. Default 3.
-	MissThreshold int
-	// CommDelay is the one-way switch-to-controller (and
-	// controller-to-circuit-switch) communication delay. The paper argues
-	// an efficient controller keeps this sub-millisecond; default 100 µs.
-	CommDelay time.Duration
-	// CSReportThreshold is the number of link-failure reports associated
-	// with one circuit switch within CSReportWindow that triggers a halt
-	// and a request for human intervention (Section 5.1). Default 3.
-	CSReportThreshold int
-	// CSReportWindow is the sliding window for CSReportThreshold.
-	// Default 1 s.
-	CSReportWindow time.Duration
 	// Metrics is the registry the controller resolves its counters and
-	// gauges in. Nil keeps the historical behaviour — a private fresh
-	// registry per controller (test isolation). Commands pass
-	// obs.DefaultRegistry so controller metrics surface on the -debug-addr
-	// /varz endpoint alongside fluid telemetry.
+	// gauges in. Nil means a private registry per controller. Commands
+	// pass obs.DefaultRegistry so controller metrics surface on the
+	// -debug-addr /varz endpoint alongside fluid telemetry.
 	Metrics *obs.Registry
 }
+
+const (
+	// missThreshold is how many consecutive missed keep-alives declare a
+	// node failure.
+	missThreshold = 3
+	// csReportThreshold is the number of link-failure reports associated
+	// with one circuit switch within csReportWindow that triggers a halt
+	// and a request for human intervention (Section 5.1).
+	csReportThreshold = 3
+	// csReportWindow is the sliding window for csReportThreshold.
+	csReportWindow = time.Second
+)
 
 func (c *Config) setDefaults() {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Millisecond
 	}
-	if c.MissThreshold == 0 {
-		c.MissThreshold = 3
-	}
-	if c.CommDelay == 0 {
-		c.CommDelay = 100 * time.Microsecond
-	}
-	if c.CSReportThreshold == 0 {
-		c.CSReportThreshold = 3
-	}
-	if c.CSReportWindow == 0 {
-		c.CSReportWindow = time.Second
-	}
 }
 
 // Recovery records one recovery action and its latency breakdown.
 type Recovery struct {
-	At     time.Duration // when the controller acted
-	Kind   string        // "node" or "link"
+	Kind   string // "node" or "link"
 	Failed []sbnet.SwitchID
 	Backup []sbnet.SwitchID
 	// Detection is the time from the actual failure (or last heartbeat)
@@ -256,7 +240,7 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 		return nil, ErrHalted
 	}
 	last, ok := c.lastSeen[id]
-	detection := time.Duration(c.cfg.MissThreshold) * c.cfg.ProbeInterval
+	detection := missThreshold * c.cfg.ProbeInterval
 	if ok && at-last > 0 {
 		detection = at - last
 	}
@@ -279,12 +263,11 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 	}
 	delete(c.lastSeen, id)
 	rec := Recovery{
-		At:        at,
 		Kind:      "node",
 		Failed:    []sbnet.SwitchID{id},
 		Backup:    []sbnet.SwitchID{backup},
 		Detection: detection,
-		Comm:      2 * c.cfg.CommDelay, // report in, reconfigure out
+		Comm:      2 * CommDelay, // report in, reconfigure out
 		Reconfig:  reconfig,
 	}
 	c.recoveries = append(c.recoveries, rec)
@@ -362,11 +345,11 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 				ev.Switch = int32(a.Switch)
 				ev.Peer = int32(b.Switch)
 				ev.Detail = fmt.Sprintf("CS%d,%d,%d exceeded %d reports in %v",
-					key.layer, key.pod, key.idx, c.cfg.CSReportThreshold, c.cfg.CSReportWindow)
+					key.layer, key.pod, key.idx, csReportThreshold, csReportWindow)
 				c.bus.Emit(ev)
 			}
 			return nil, fmt.Errorf("%w (circuit switch CS%d,%d,%d exceeded %d reports in %v)",
-				ErrHalted, key.layer, key.pod, key.idx, c.cfg.CSReportThreshold, c.cfg.CSReportWindow)
+				ErrHalted, key.layer, key.pod, key.idx, csReportThreshold, csReportWindow)
 		}
 	}
 	span := c.bus.BeginSpan()
@@ -383,10 +366,9 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 		c.bus.Emit(ev)
 	}
 	rec := Recovery{
-		At:        at,
 		Kind:      "link",
 		Detection: detection, // endpoint-to-endpoint probing
-		Comm:      2 * c.cfg.CommDelay,
+		Comm:      2 * CommDelay,
 	}
 	var firstErr error
 	for _, ep := range []EndPoint{a, b} {
@@ -463,7 +445,7 @@ func (c *Controller) chargeCSReport(key csKey, link linkKey, at time.Duration) b
 	kept := reports[:0]
 	charged := false
 	for _, r := range reports {
-		if at-r.at <= c.cfg.CSReportWindow {
+		if at-r.at <= csReportWindow {
 			kept = append(kept, r)
 			charged = charged || r.link == link
 		}
@@ -472,7 +454,7 @@ func (c *Controller) chargeCSReport(key csKey, link linkKey, at time.Duration) b
 		kept = append(kept, csCharge{at: at, link: link})
 	}
 	c.csReports[key] = kept
-	return len(kept) > c.cfg.CSReportThreshold
+	return len(kept) > csReportThreshold
 }
 
 // ResumeAfterIntervention clears the halt after a human has repaired or
@@ -513,11 +495,11 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 		return false, err
 	}
 	rec := Recovery{
-		At: at, Kind: "link",
+		Kind:      "link",
 		Failed:    []sbnet.SwitchID{edge},
 		Backup:    []sbnet.SwitchID{backup},
 		Detection: c.cfg.ProbeInterval,
-		Comm:      2 * c.cfg.CommDelay,
+		Comm:      2 * CommDelay,
 		Reconfig:  reconfig,
 	}
 	c.recoveries = append(c.recoveries, rec)
@@ -536,6 +518,11 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 	}
 	return false, nil
 }
+
+// CommDelay is the one-way switch-to-controller (and
+// controller-to-circuit-switch) communication delay. The paper argues an
+// efficient controller keeps this sub-millisecond.
+const CommDelay = 100 * time.Microsecond
 
 // SDNRuleUpdateLatency is the forwarding-rule modification time the paper
 // cites for SDN switches (~1 ms, He et al., SOSR'15); rerouting-based

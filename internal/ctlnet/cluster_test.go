@@ -568,3 +568,34 @@ func TestRestoreRejectsRetiredBatchEntry(t *testing.T) {
 		t.Errorf("history after the failed restore = %q, want the one entry before the kind-3 one", rl.Commands)
 	}
 }
+
+// TestLinkRecoveryRecordsMeasuredDetection: every replica applies a live
+// link report with the detection the reporting agent measured, not the
+// keep-alive interval.
+func TestLinkRecoveryRecordsMeasuredDetection(t *testing.T) {
+	const measured = 700 * time.Microsecond
+	e := startCluster(t, ClusterConfig{EmulationConfig: EmulationConfig{NumAgents: 2}, Replicas: 3})
+	if _, err := e.Leader(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FailLink(0, measured); err != nil {
+		t.Fatal(err)
+	}
+	lastDetection := func(r *Replica) time.Duration {
+		r.Server.mu.Lock()
+		defer r.Server.mu.Unlock()
+		recs := r.Ctl.Recoveries()
+		if len(recs) == 0 {
+			return -1
+		}
+		return recs[len(recs)-1].Detection
+	}
+	for _, r := range e.Replicas {
+		if !waitUntil(5*time.Second, func() bool { return lastDetection(r) >= 0 }) {
+			t.Fatalf("replica %d applied no recovery", r.ID)
+		}
+		if got := lastDetection(r); got != measured {
+			t.Errorf("replica %d recorded detection %v, want the agent's %v", r.ID, got, measured)
+		}
+	}
+}

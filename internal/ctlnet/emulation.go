@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"sharebackup/internal/controller"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
@@ -80,7 +79,6 @@ func (c *EmulationConfig) setDefaults() {
 type Emulation struct {
 	*ClusterEmulation
 	Net    *sbnet.Network
-	Ctl    *controller.Controller
 	Server *Server
 	// ServerBus is the controller process' bus.
 	ServerBus *obs.Bus
@@ -93,7 +91,7 @@ func NewEmulation(cfg EmulationConfig) (*Emulation, error) {
 		return nil, err
 	}
 	r := c.Replicas[0]
-	return &Emulation{ClusterEmulation: c, Net: r.Net, Ctl: r.Ctl, Server: r.Server, ServerBus: r.Bus}, nil
+	return &Emulation{ClusterEmulation: c, Net: r.Net, Server: r.Server, ServerBus: r.Bus}, nil
 }
 
 // agentSwitchIDs picks n active edge switches striped across pods (pod 0

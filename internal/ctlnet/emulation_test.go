@@ -219,7 +219,7 @@ func TestEmulationSLOBreach(t *testing.T) {
 func TestSoloClusterRecoversThroughTheLog(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := startEmulation(t, EmulationConfig{NumAgents: 2, Registry: reg})
-	if _, err := NewServer("127.0.0.1:0", e.Ctl, ServerConfig{}); err == nil {
+	if _, err := NewServer("127.0.0.1:0", e.Replicas[0].Ctl, ServerConfig{}); err == nil {
 		t.Fatal("NewServer without ClusterHooks succeeded")
 	}
 	commit := reg.Gauge("ctlplane.replica0.commit_index")

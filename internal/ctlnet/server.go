@@ -655,11 +655,15 @@ func (s *Server) applyLocked(cmd ctlplane.Command, live bool) (rec *controller.R
 			// controller's BeginSpan below joins it as a child.
 			s.bus.SetRemoteParent(obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc})
 		}
-		rec, err = s.ctl.ReportLinkFailure(
-			controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)},
-			controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)},
-			time.Duration(cmd.AtNS),
-		)
+		a := controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)}
+		b := controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)}
+		if cmd.DetectionNS > 0 {
+			// The reporting agent measured its detection; every replica
+			// records that, not the probing interval.
+			rec, err = s.ctl.ReportLinkFailureDetected(a, b, time.Duration(cmd.AtNS), time.Duration(cmd.DetectionNS))
+		} else {
+			rec, err = s.ctl.ReportLinkFailure(a, b, time.Duration(cmd.AtNS))
+		}
 		if err != nil && rec == nil && traced {
 			// Recovery never opened a span; drop the staged remote parent so
 			// it cannot leak into an unrelated recovery.
@@ -684,8 +688,7 @@ func (s *Server) inFabric(ids ...int32) error {
 
 // finishLive runs the leader-visible side effects of one applied recovery.
 func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, processing time.Duration) {
-	detection := time.Duration(cmd.DetectionNS)
-	s.emitRecovered(rec, s.Now()-processing, processing, detection)
+	s.emitRecovered(rec, s.Now()-processing, processing)
 	if s.cfg.Cluster.IsLeader() {
 		// Followers apply the same command but must not re-reconfigure the
 		// shared circuit switches the leader already drove.
@@ -753,18 +756,15 @@ func (s *Server) mirrorCS(rec *controller.Recovery) {
 
 // emitRecovered publishes the wall-clock recovery-complete event for a
 // recovery the server just drove: detection and circuit reconfiguration come
-// from the controller's record (or the reporting agent's measured detection,
-// when it sent one), the report phase is the measured server processing
-// time, and T is the completion time on the process epoch. The controller
-// already emitted the virtual-time span; this event is the wall-clock view
-// of the same recovery, sharing its trace and span IDs so stitchers and the
-// SLO watchdog see one recovery, not two.
-func (s *Server) emitRecovered(rec *controller.Recovery, at, processing, detection time.Duration) {
+// from the controller's record (whose link detection is the reporting
+// agent's measurement, when it sent one), the report phase is the measured
+// server processing time, and T is the completion time on the process epoch.
+// The controller already emitted the virtual-time span; this event is the
+// wall-clock view of the same recovery, sharing its trace and span IDs so
+// stitchers and the SLO watchdog see one recovery, not two.
+func (s *Server) emitRecovered(rec *controller.Recovery, at, processing time.Duration) {
 	if !s.bus.Enabled() {
 		return
-	}
-	if detection == 0 {
-		detection = rec.Detection
 	}
 	ev := obs.NewEvent(obs.KindRecoveryComplete, at+processing)
 	ev.Wall = true
@@ -778,10 +778,10 @@ func (s *Server) emitRecovered(rec *controller.Recovery, at, processing, detecti
 		ev.Backup = int32(rec.Backup[0])
 	}
 	ev.Count = int32(len(rec.Failed))
-	ev.Detection = detection
+	ev.Detection = rec.Detection
 	ev.Report = processing
 	ev.Reconfig = rec.Reconfig
-	ev.Total = detection + processing + rec.Reconfig
+	ev.Total = rec.Detection + processing + rec.Reconfig
 	s.bus.Emit(ev)
 }
 

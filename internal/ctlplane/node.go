@@ -29,14 +29,18 @@ type Transport interface {
 	Send(m Message)
 }
 
+// compactEvery is how many applied entries a replica takes between log
+// compactions (when it has a Snapshot hook).
+const compactEvery = 1024
+
 // NodeConfig parameterizes a live replica driver.
 type NodeConfig struct {
 	Raft RaftConfig
 	// TickEvery is the wall-clock length of one logical tick. Default 25ms.
 	// A fresh cluster's first election waits no tick: a node ticks once as
 	// it starts, and the lowest ID campaigns on that tick (see NewRaft).
-	// Every later election waits a randomized 250–500ms with the default
-	// ElectionTicks.
+	// Every later election waits a randomized electionTicks to
+	// 2×electionTicks ticks, 250–500ms at the default.
 	TickEvery time.Duration
 	// Transport sends consensus messages to peers; incoming messages are
 	// fed through Node.Deliver.
@@ -52,17 +56,13 @@ type NodeConfig struct {
 	// Snapshot serializes the state machine for log compaction. May be nil
 	// to disable compaction.
 	Snapshot func() []byte
-	// CompactEvery compacts the log after this many applied entries.
-	// Default 1024. Ignored when Snapshot is nil.
-	CompactEvery uint64
 
-	// Bus receives leader-elected / leader-lost events (nil-safe), stamped
-	// on the process epoch (obs.Now).
+	// Bus receives leader-elected / leader-lost events and a log line for
+	// each failed restore or compaction (nil-safe), stamped on the process
+	// epoch (obs.Now).
 	Bus *obs.Bus
 	// Metrics resolves the replica gauges (nil → private registry).
 	Metrics *obs.Registry
-	// Logf receives diagnostic lines (nil → silent).
-	Logf func(format string, args ...any)
 }
 
 type proposeReq struct {
@@ -120,12 +120,6 @@ func NewNode(cfg NodeConfig) *Node {
 	if cfg.TickEvery == 0 {
 		cfg.TickEvery = 25 * time.Millisecond
 	}
-	if cfg.CompactEvery == 0 {
-		cfg.CompactEvery = 1024
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -152,7 +146,7 @@ func NewNode(cfg NodeConfig) *Node {
 	n.cStepdown = reg.Counter(label + "stepdowns")
 	if cfg.Raft.Restore != nil && cfg.Restore != nil {
 		if err := cfg.Restore(cfg.Raft.Restore.Data); err != nil {
-			cfg.Logf("ctlplane: replica %d restore: %v", cfg.Raft.ID, err)
+			cfg.Bus.Logf(obs.Now(), true, "ctlplane: replica %d restore: %v", cfg.Raft.ID, err)
 		}
 	}
 	go n.run()
@@ -346,9 +340,7 @@ func (n *Node) processReady() {
 		}
 		if rd.Snapshot != nil && n.cfg.Restore != nil {
 			if err := n.cfg.Restore(rd.Snapshot.Data); err != nil {
-				n.cfg.Logf("ctlplane: replica %d snapshot restore: %v", n.raft.ID(), err)
-			} else {
-				n.cfg.Logf("ctlplane: replica %d installed snapshot at index %d", n.raft.ID(), rd.Snapshot.LastIndex)
+				n.cfg.Bus.Logf(obs.Now(), true, "ctlplane: replica %d snapshot restore at index %d: %v", n.raft.ID(), rd.Snapshot.LastIndex, err)
 			}
 		}
 		for _, e := range rd.Committed {
@@ -366,10 +358,10 @@ func (n *Node) processReady() {
 			}
 			n.sinceCompact++
 		}
-		if n.cfg.Snapshot != nil && n.sinceCompact >= n.cfg.CompactEvery {
+		if n.cfg.Snapshot != nil && n.sinceCompact >= compactEvery {
 			n.sinceCompact = 0
 			if err := n.raft.Compact(n.raft.applied, n.cfg.Snapshot()); err != nil {
-				n.cfg.Logf("ctlplane: replica %d compact: %v", n.raft.ID(), err)
+				n.cfg.Bus.Logf(obs.Now(), true, "ctlplane: replica %d compact: %v", n.raft.ID(), err)
 			}
 		}
 	}
@@ -381,7 +373,6 @@ func (n *Node) processReady() {
 		// Counted before the role is stored: whoever sees this leader sees
 		// its election counted.
 		n.cElected.Inc()
-		n.cfg.Logf("ctlplane: replica %d elected leader of term %d", n.raft.ID(), term)
 		n.emitRole(obs.KindLeaderElected, term)
 	}
 	n.isLeader.Store(isLeader)
@@ -400,7 +391,6 @@ func (n *Node) processReady() {
 	if wasLeader && !isLeader {
 		n.cStepdown.Inc()
 		n.failWaiters(ErrLostLeadership)
-		n.cfg.Logf("ctlplane: replica %d lost leadership (term %d)", n.raft.ID(), term)
 		n.emitRole(obs.KindLeaderLost, term)
 	}
 	if changed {

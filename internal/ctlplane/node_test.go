@@ -1,10 +1,14 @@
 package ctlplane
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sharebackup/internal/obs"
 )
 
 // liveCluster wires N Nodes over loopback TCP transports, each applying
@@ -215,6 +219,27 @@ func TestRoleChangePublishesLeaderLearnedWithTerm(t *testing.T) {
 	if n.Term() != 1 || n.LeaderID() != 0 {
 		t.Fatalf("published term %d, leader %d; want term 1, leader 0", n.Term(), n.LeaderID())
 	}
+}
+
+// TestRestoreFailureIsLogged: a replica whose state machine refuses the
+// rebootstrap snapshot says so on its bus, naming itself and the error.
+func TestRestoreFailureIsLogged(t *testing.T) {
+	bus := &obs.Bus{}
+	ring := obs.NewRing(16)
+	bus.Attach(ring)
+	node := NewNode(NodeConfig{
+		Raft:      RaftConfig{ID: 7, Peers: []int{7}, Restore: &Snapshot{LastIndex: 3, LastTerm: 1, Data: []byte("x")}},
+		TickEvery: 5 * time.Millisecond,
+		Restore:   func([]byte) error { return errors.New("corrupt snapshot") },
+		Bus:       bus,
+	})
+	node.Stop()
+	for _, ev := range ring.Events() {
+		if ev.Kind == obs.KindLog && strings.Contains(ev.Detail, "replica 7") && strings.Contains(ev.Detail, "corrupt snapshot") {
+			return
+		}
+	}
+	t.Fatalf("no log event names replica 7 and its restore error; events: %v", ring.Events())
 }
 
 func TestRebootstrapFromSurvivorSnapshot(t *testing.T) {

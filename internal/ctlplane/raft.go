@@ -125,20 +125,23 @@ type Snapshot struct {
 	Data      []byte
 }
 
+const (
+	// electionTicks is the base election timeout in ticks; each election
+	// waits a randomized timeout in [electionTicks, 2*electionTicks),
+	// except the bootstrap election (see NewRaft).
+	electionTicks = 10
+	// heartbeatTicks is the leader's heartbeat period in ticks.
+	heartbeatTicks = 2
+	// maxAppEntries bounds entries per MsgApp.
+	maxAppEntries = 64
+)
+
 // RaftConfig parameterizes one consensus core.
 type RaftConfig struct {
 	// ID is this replica's identity; Peers lists every cluster member
 	// (including ID).
 	ID    int
 	Peers []int
-	// ElectionTicks is the base election timeout in ticks; each election
-	// waits a randomized timeout in [ElectionTicks, 2*ElectionTicks),
-	// except the bootstrap election (see NewRaft). Default 10.
-	ElectionTicks int
-	// HeartbeatTicks is the leader's heartbeat period in ticks. Default 2.
-	HeartbeatTicks int
-	// MaxAppEntries bounds entries per MsgApp. Default 64.
-	MaxAppEntries int
 	// Seed seeds the private PRNG behind the randomized election timeouts,
 	// keeping a given configuration's behaviour reproducible. 0 derives a
 	// seed from ID.
@@ -149,15 +152,6 @@ type RaftConfig struct {
 }
 
 func (c *RaftConfig) setDefaults() {
-	if c.ElectionTicks == 0 {
-		c.ElectionTicks = 10
-	}
-	if c.HeartbeatTicks == 0 {
-		c.HeartbeatTicks = 2
-	}
-	if c.MaxAppEntries == 0 {
-		c.MaxAppEntries = 64
-	}
 	if c.Seed == 0 {
 		c.Seed = uint64(c.ID)*0x9e3779b97f4a7c15 + 1
 	}
@@ -203,7 +197,7 @@ type Raft struct {
 	next  map[int]uint64
 	match map[int]uint64
 	// ackElapsed counts ticks since each follower last answered; the leader
-	// steps down when it cannot reach a quorum for 2*ElectionTicks — the
+	// steps down when it cannot reach a quorum for 2*electionTicks — the
 	// quorum-loss halt that prevents split-brain writes.
 	ackElapsed map[int]int
 
@@ -265,7 +259,7 @@ func (r *Raft) rand() uint64 {
 
 func (r *Raft) resetTimeout() {
 	r.electionElapsed = 0
-	r.timeoutTarget = r.cfg.ElectionTicks + int(r.rand()%uint64(r.cfg.ElectionTicks))
+	r.timeoutTarget = electionTicks + int(r.rand()%electionTicks)
 }
 
 // ID returns this replica's identity.
@@ -346,7 +340,7 @@ func (r *Raft) Tick() {
 				continue
 			}
 			r.ackElapsed[p]++
-			if r.ackElapsed[p] < 2*r.cfg.ElectionTicks {
+			if r.ackElapsed[p] < 2*electionTicks {
 				reached++
 			}
 		}
@@ -357,7 +351,7 @@ func (r *Raft) Tick() {
 			r.becomeFollower(r.term, -1)
 			return
 		}
-		if r.heartbeatElapsed >= r.cfg.HeartbeatTicks {
+		if r.heartbeatElapsed >= heartbeatTicks {
 			r.heartbeatElapsed = 0
 			r.broadcastApp()
 		}
@@ -462,8 +456,8 @@ func (r *Raft) sendApp(to int) {
 	if next <= r.LastIndex() {
 		from := next - r.snapIndex - 1
 		n := uint64(len(r.log)) - from
-		if n > uint64(r.cfg.MaxAppEntries) {
-			n = uint64(r.cfg.MaxAppEntries)
+		if n > maxAppEntries {
+			n = maxAppEntries
 		}
 		entries = r.log[from : from+n]
 	}

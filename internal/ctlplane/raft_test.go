@@ -31,7 +31,6 @@ func newCluster(ids []int, seed uint64) *cluster {
 	for _, id := range ids {
 		c.nodes[id] = NewRaft(RaftConfig{
 			ID: id, Peers: ids,
-			ElectionTicks: 10, HeartbeatTicks: 2,
 			Seed: seed + uint64(id)*977,
 		})
 	}
@@ -361,10 +360,9 @@ func TestBootstrapLowestIDLeadsAfterOneTick(t *testing.T) {
 
 // TestBootstrapWithoutLowestIDFallsBackToTimeouts: with the lowest ID cut
 // off from boot, the others elect exactly as before the shortcut — the
-// earliest randomized timeout wins, within 2×ElectionTicks. When two first
+// earliest randomized timeout wins, within 2×electionTicks. When two first
 // timeouts tie, the vote splits and a later draw decides.
 func TestBootstrapWithoutLowestIDFallsBackToTimeouts(t *testing.T) {
-	const electionTicks = 10
 	for _, ids := range [][]int{{0, 1, 2}, {0, 1, 2, 3, 4}} {
 		ties := 0
 		for seed := uint64(1); seed <= 50; seed++ {

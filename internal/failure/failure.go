@@ -161,17 +161,17 @@ func BlockedInto(b *topo.Blocked, nodes []topo.NodeID, links []topo.LinkID) {
 	}
 }
 
-// Scenario is one timed failure for recovery experiments: the element fails
-// at At and is repaired at Repair. The paper's study uses one failure per
-// 5-minute window, present for the whole window.
+// Scenario is one failure for recovery experiments. The paper's study uses
+// one failure per 5-minute window, present for the whole window, so
+// Blocked ignores timing. Nothing reads Repair; it stays only because
+// benchmarks/sim_fig1c.go sets it.
 type Scenario struct {
 	Node   topo.NodeID // or topo.None
 	Link   topo.LinkID // or topo.NoLink
-	At     float64
 	Repair float64
 }
 
-// Blocked converts the scenario into a path filter (ignoring timing).
+// Blocked converts the scenario into a path filter.
 func (s Scenario) Blocked() *topo.Blocked {
 	b := topo.NewBlocked()
 	if s.Node != topo.None {

@@ -123,7 +123,6 @@ type Series struct {
 	X      []float64
 	Y      []float64
 	XLabel string
-	YLabel string
 }
 
 // Add appends a point to the series.

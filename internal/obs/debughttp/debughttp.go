@@ -36,10 +36,10 @@ type Config struct {
 	Registry *obs.Registry
 	// Bus backs /events. Nil means obs.Default.
 	Bus *obs.Bus
-	// Backlog is the replay ring capacity for /events?replay=1.
-	// 0 means 1024.
-	Backlog int
 }
+
+// backlog is the replay ring capacity for /events?replay=1.
+const backlog = 1024
 
 func (c *Config) setDefaults() {
 	if c.Registry == nil {
@@ -47,9 +47,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Bus == nil {
 		c.Bus = obs.Default
-	}
-	if c.Backlog == 0 {
-		c.Backlog = 1024
 	}
 }
 
@@ -67,7 +64,7 @@ type Server struct {
 func newServer(cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{cfg: cfg}
-	s.ring = obs.NewRing(cfg.Backlog)
+	s.ring = obs.NewRing(backlog)
 	s.ring.CountDropsIn(cfg.Registry.Counter("obs.ring_dropped_events"))
 	cfg.Bus.Attach(s.ring)
 	return s

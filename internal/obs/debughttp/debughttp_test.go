@@ -26,7 +26,7 @@ func testServer(t *testing.T) (*httptest.Server, *obs.Registry, *obs.Bus) {
 	for v := int64(1); v <= 100; v++ {
 		h.Record(v * 10)
 	}
-	s := newServer(Config{Registry: reg, Bus: bus, Backlog: 16})
+	s := newServer(Config{Registry: reg, Bus: bus})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { s.Close() })
@@ -231,11 +231,11 @@ func TestStartAndClose(t *testing.T) {
 func TestRingDropsSurfaceInVarz(t *testing.T) {
 	reg := obs.NewRegistry()
 	bus := &obs.Bus{}
-	s := newServer(Config{Registry: reg, Bus: bus, Backlog: 4})
+	s := newServer(Config{Registry: reg, Bus: bus})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { s.Close() })
-	for i := 0; i < 10; i++ {
+	for i := 0; i < backlog+6; i++ {
 		bus.Emit(obs.NewEvent(obs.KindLog, time.Duration(i)))
 	}
 	_, body := get(t, ts.URL+"/varz")

@@ -29,7 +29,7 @@ type Span struct {
 // order. kind filters by recovery kind ("node", "link"); the empty string
 // aggregates all.
 func NewBreakdown(spans []*Span, kind string) *Breakdown {
-	b := &Breakdown{Kind: kind}
+	b := &Breakdown{}
 	for _, sp := range spans {
 		if !sp.Complete || (kind != "" && sp.Kind != kind) {
 			continue
@@ -42,7 +42,6 @@ func NewBreakdown(spans []*Span, kind string) *Breakdown {
 // Breakdown holds per-phase latency samples in microseconds, the unit of the
 // paper's Section 5.3 budget.
 type Breakdown struct {
-	Kind                               string
 	Detection, Report, Reconfig, Total []float64
 }
 

@@ -61,9 +61,9 @@ func (r Role) String() string {
 	}
 }
 
-// PhysSwitch is a physical packet switch.
+// PhysSwitch is a physical packet switch; its SwitchID is its index in the
+// network's switch table.
 type PhysSwitch struct {
-	ID    SwitchID
 	Kind  topo.Kind // KindEdge, KindAgg or KindCore
 	Group GroupID
 	// Member is the switch's fixed index within its failure group
@@ -209,7 +209,7 @@ func New(cfg Config) (*Network, error) {
 		for m := 0; m < n.gsz; m++ {
 			id := SwitchID(len(n.switches))
 			sw := PhysSwitch{
-				ID: id, Kind: g.Kind, Group: g.ID, Member: m,
+				Kind: g.Kind, Group: g.ID, Member: m,
 				Slot: -1, Role: RoleBackup, Healthy: true,
 				PortHealthy: make([]bool, ports),
 			}

@@ -64,8 +64,6 @@ type Config struct {
 	// Workers sizes the worker pool; 0 or negative means GOMAXPROCS.
 	// Results are identical for every worker count.
 	Workers int
-	// TrialsPerShard weights the trials/sec progress gauge (default 1).
-	TrialsPerShard int
 	// Bus receives one KindSweepShardDone event per completed shard (nil =
 	// obs.Default).
 	Bus *obs.Bus
@@ -89,9 +87,6 @@ func Run[T any](ctx context.Context, cfg Config, fn func(context.Context, Shard)
 	}
 	if cfg.Name == "" {
 		cfg.Name = "sweep"
-	}
-	if cfg.TrialsPerShard <= 0 {
-		cfg.TrialsPerShard = 1
 	}
 	bus := cfg.Bus
 	if bus == nil {
@@ -197,7 +192,7 @@ func (p *progress) complete(sh Shard) {
 	var tps float64
 	var eta time.Duration
 	if elapsed > 0 {
-		tps = float64(p.done*p.cfg.TrialsPerShard) / elapsed.Seconds()
+		tps = float64(p.done) / elapsed.Seconds()
 		remaining := p.cfg.Shards - done
 		eta = time.Duration(float64(elapsed) / float64(p.done) * float64(remaining))
 	}

@@ -126,11 +126,17 @@ func TestProgressGaugesAndEvents(t *testing.T) {
 	bus := &obs.Bus{}
 	ring := obs.NewRing(128)
 	bus.Attach(ring)
+	start := time.Now()
 	if _, err := Run(context.Background(), Config{
-		Name: "prog", Shards: 8, Seed: 1, Workers: 2, TrialsPerShard: 10,
+		Name: "prog", Shards: 8, Seed: 1, Workers: 2,
 		Registry: reg, Bus: bus,
 	}, noisyShard); err != nil {
 		t.Fatal(err)
+	}
+	// One shard is one trial: the rate is at least 8 shards over the
+	// whole run.
+	if got, floor := reg.Gauge("sweep.trials_per_sec").Value(), int64(8/time.Since(start).Seconds()); got < floor || got <= 0 {
+		t.Errorf("trials_per_sec = %d, want at least %d shards per second", got, floor)
 	}
 	if got := reg.Gauge("sweep.shards_total").Value(); got != 8 {
 		t.Errorf("shards_total = %d, want 8", got)

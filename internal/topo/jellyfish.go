@@ -17,15 +17,15 @@ type JellyfishConfig struct {
 	// NetDegree is the number of ports per switch wired to other switches
 	// (R); the rest face hosts.
 	NetDegree int
-	// LinkCapacity defaults to 1.
-	LinkCapacity float64
-	// HostCapacity defaults to LinkCapacity.
-	HostCapacity float64
 	// Seed drives the random wiring.
 	Seed int64
 }
 
-func (c *JellyfishConfig) setDefaults() error {
+// jellyfishCapacity is the capacity of every Jellyfish link, switch to
+// switch and host to switch.
+const jellyfishCapacity = 1
+
+func (c *JellyfishConfig) check() error {
 	if c.Switches < 2 {
 		return fmt.Errorf("topo: jellyfish needs >= 2 switches, got %d", c.Switches)
 	}
@@ -37,18 +37,6 @@ func (c *JellyfishConfig) setDefaults() error {
 	}
 	if c.Switches*c.NetDegree%2 != 0 {
 		return fmt.Errorf("topo: jellyfish switches*degree = %d*%d must be even", c.Switches, c.NetDegree)
-	}
-	if c.LinkCapacity == 0 {
-		c.LinkCapacity = 1
-	}
-	if !validCapacity(c.LinkCapacity) {
-		return fmt.Errorf("topo: LinkCapacity=%v must be positive and finite", c.LinkCapacity)
-	}
-	if c.HostCapacity == 0 {
-		c.HostCapacity = c.LinkCapacity
-	}
-	if !validCapacity(c.HostCapacity) {
-		return fmt.Errorf("topo: HostCapacity=%v must be positive and finite", c.HostCapacity)
 	}
 	return nil
 }
@@ -65,7 +53,7 @@ type Jellyfish struct {
 // NewJellyfish builds a Jellyfish network using the standard incremental
 // random-matching construction with edge swaps to place the last stubs.
 func NewJellyfish(cfg JellyfishConfig) (*Jellyfish, error) {
-	if err := cfg.setDefaults(); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -102,7 +90,7 @@ func NewJellyfish(cfg JellyfishConfig) (*Jellyfish, error) {
 			remaining--
 			continue
 		}
-		if _, err := jf.AddLink(jf.switches[a], jf.switches[b], cfg.LinkCapacity); err != nil {
+		if _, err := jf.AddLink(jf.switches[a], jf.switches[b], jellyfishCapacity); err != nil {
 			return nil, err
 		}
 		free[a]--
@@ -116,7 +104,7 @@ func NewJellyfish(cfg JellyfishConfig) (*Jellyfish, error) {
 		for h := 0; h < hostPorts; h++ {
 			id := jf.AddNode(KindHost, -1, len(jf.hosts))
 			jf.hosts = append(jf.hosts, id)
-			if _, err := jf.AddLink(id, jf.switches[i], cfg.HostCapacity); err != nil {
+			if _, err := jf.AddLink(id, jf.switches[i], jellyfishCapacity); err != nil {
 				return nil, err
 			}
 		}
@@ -157,10 +145,10 @@ func (jf *Jellyfish) trySwap(rng *rand.Rand, free []int, a, b int) bool {
 				continue
 			}
 			jf.removeLink(l.ID)
-			if _, err := jf.AddLink(jf.switches[a], x, jf.Cfg.LinkCapacity); err != nil {
+			if _, err := jf.AddLink(jf.switches[a], x, jellyfishCapacity); err != nil {
 				return false
 			}
-			if _, err := jf.AddLink(jf.switches[a], y, jf.Cfg.LinkCapacity); err != nil {
+			if _, err := jf.AddLink(jf.switches[a], y, jellyfishCapacity); err != nil {
 				return false
 			}
 			free[a] -= 2
@@ -182,10 +170,10 @@ func (jf *Jellyfish) trySwap(rng *rand.Rand, free []int, a, b int) bool {
 			continue
 		}
 		jf.removeLink(l.ID)
-		if _, err := jf.AddLink(jf.switches[a], x, jf.Cfg.LinkCapacity); err != nil {
+		if _, err := jf.AddLink(jf.switches[a], x, jellyfishCapacity); err != nil {
 			return false
 		}
-		if _, err := jf.AddLink(jf.switches[b], y, jf.Cfg.LinkCapacity); err != nil {
+		if _, err := jf.AddLink(jf.switches[b], y, jellyfishCapacity); err != nil {
 			return false
 		}
 		free[a]--

@@ -83,7 +83,6 @@ func TestJellyfishValidation(t *testing.T) {
 		{Switches: 10, Ports: 2, NetDegree: 4},
 		{Switches: 10, Ports: 4, NetDegree: 12},
 		{Switches: 5, Ports: 6, NetDegree: 3}, // odd stub count
-		{Switches: 10, Ports: 6, NetDegree: 3, LinkCapacity: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := NewJellyfish(cfg); err == nil {

@@ -29,26 +29,18 @@ func stitchedSpans(t *testing.T, ring *obs.Ring) []*obs.Span {
 // virtual time: a single switch failover's span must decompose into
 // detection + report + reconfiguration phases that sum exactly to the
 // end-to-end recovery latency, with each phase equal to its budgeted value
-// (detection = MissThreshold probe intervals, report = two one-way
+// (detection = three missed probe intervals, report = two one-way
 // communication delays, reconfiguration = the crosspoint switching time).
 func TestRecoverySpanPhaseBreakdown(t *testing.T) {
 	const (
-		probe     = time.Millisecond
-		threshold = 3
-		comm      = 100 * time.Microsecond
+		probe     = time.Millisecond // the controller's default
+		threshold = 3                // missed keep-alives that declare a failure
+		comm      = controller.CommDelay
 	)
 	bus := &obs.Bus{}
 	ring := obs.NewRing(64)
 	bus.Attach(ring)
-	sys, err := New(Config{
-		K: 4, N: 1, Tech: Crosspoint,
-		Controller: controller.Config{
-			ProbeInterval: probe,
-			MissThreshold: threshold,
-			CommDelay:     comm,
-		},
-		Obs: bus,
-	})
+	sys, err := New(Config{K: 4, N: 1, Tech: Crosspoint, Obs: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +123,7 @@ func TestRecoveryBreakdownAggregation(t *testing.T) {
 		}
 		victim := sys.Network.EdgeGroup(i % 4).Slots()[0]
 		sys.Controller.Heartbeat(victim, 0)
-		at := time.Duration(sys.Controller.Config().MissThreshold) * sys.Controller.Config().ProbeInterval
+		at := 3 * sys.Controller.Config().ProbeInterval // three missed probes
 		if _, err := sys.FailNode(victim, at); err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,17 @@ package sharebackup
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,6 +127,283 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, u := range unreached {
 		t.Errorf("%s is named only by tests: delete it, or list it in testOnly with its oracle test or paper section", u)
 	}
+}
+
+// unsetOK lists the exported config fields that no program sets, keyed
+// package.Type.Field. Each entry says why the setting stays: the ROADMAP
+// item that will vary it, or the test that needs it.
+var unsetOK = map[string]string{
+	"coflow.GenConfig.MapperLogMean":  "ROADMAP item 3's grid varies the trace marginals",
+	"coflow.GenConfig.MapperLogStd":   "ROADMAP item 3's grid varies the trace marginals",
+	"coflow.GenConfig.ReducerLogMean": "ROADMAP item 3's grid varies the trace marginals",
+	"coflow.GenConfig.ReducerLogStd":  "ROADMAP item 3's grid varies the trace marginals",
+	"coflow.GenConfig.SizeLogMeanMB":  "ROADMAP item 3's grid varies the trace marginals",
+	"coflow.GenConfig.SizeLogStdMB":   "ROADMAP item 3's grid varies the trace marginals",
+	"sharebackup.Fig1cConfig.Oversub": "ROADMAP item 3's grid varies the oversubscription",
+	"detect.Config.Interval":          "ROADMAP item 13 wires detect into the agents",
+	"detect.Config.MissThreshold":     "ROADMAP item 13 wires detect into the agents",
+	"ctlplane.RaftConfig.Restore":     "ROADMAP item 9's restart needs it; TestClusterQuorumLossDrill drives it",
+	"failure.AvailabilityConfig.MTBF": "the Monte Carlo tests raise unavailability until overflow is observable",
+	"failure.AvailabilityConfig.MTTR": "the Monte Carlo tests raise unavailability until overflow is observable",
+	"sweep.Config.Bus":                "tests give a sweep a private bus instead of obs.Default",
+	"sweep.Config.Registry":           "tests give a sweep a private registry instead of obs.DefaultRegistry",
+	"debughttp.Config.Registry":       "tests give a server a private registry instead of obs.DefaultRegistry",
+	"ctlnet.ClusterConfig.Seed":       "ROADMAP item 1 replays a cluster from its seed",
+}
+
+// TestNoUnsetOptions keeps settings from outliving their callers: every
+// exported field of an exported *Config struct declared in a non-test file of
+// internal/ or the root package must be set by some non-test file outside
+// examples/ (benchmarks/ counts), as a composite-literal key of that type or
+// as an assignment, increment or address, or be listed in unsetOK with its
+// reason. The config type's own methods do not count, nor does defaulting
+// under a test of the same field (if c.F == 0 { c.F = … }). A setting every
+// run leaves at its default is a constant.
+func TestNoUnsetOptions(t *testing.T) {
+	fset, files := parseModule(t)
+	info := typeCheckModule(t, fset, files)
+
+	declared := map[string]string{} // package.Type.Field -> position
+	for path, f := range files {
+		if strings.Contains(path, "/") && !strings.HasPrefix(path, "internal/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if id.IsExported() {
+							declared[f.Name.Name+"."+ts.Name.Name+"."+id.Name] = fset.Position(id.Pos()).String()
+						}
+					}
+				}
+			}
+		}
+	}
+
+	set := map[string]bool{}
+	for path, f := range files {
+		if strings.HasPrefix(path, "examples/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			var own string // the config type whose method this is
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				own = strings.TrimSuffix(funcKey(f.Name.Name, fd), "."+fd.Name.Name) + "."
+			}
+			record := func(key string) {
+				if own == "" || !strings.HasPrefix(key, own) {
+					set[key] = true
+				}
+			}
+			var stack []ast.Node
+			setField := func(e ast.Expr) {
+				key := fieldKey(info, e)
+				if key == "" {
+					return
+				}
+				for _, n := range stack {
+					if ifs, ok := n.(*ast.IfStmt); ok && mentions(info, ifs.Cond, key) {
+						return // defaulting: if c.F == 0 { c.F = … }
+					}
+				}
+				record(key)
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return false
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					named := namedOf(info.TypeOf(n))
+					if named == nil {
+						break
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								record(typeKey(named) + "." + id.Name)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							setField(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					setField(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setField(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	for key, pos := range declared {
+		_, listed := unsetOK[key]
+		switch {
+		case !set[key] && !listed:
+			unset = append(unset, key+" ("+pos+")")
+		case set[key] && listed:
+			t.Errorf("unsetOK lists %s, but a program now sets it: drop the entry", key)
+		}
+	}
+	for key := range unsetOK {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("unsetOK lists %s, which no longer exists: drop the entry", key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no program: make it a constant, delete it, or list it in unsetOK with its reason", u)
+	}
+	t.Logf("%d exported config fields, %d allowlisted as unset", len(declared), len(unsetOK))
+}
+
+// fieldKey is package.Type.Field when e selects a field of a named struct
+// (through a pointer or not), else "".
+func fieldKey(info *types.Info, e ast.Expr) string {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal || len(s.Index()) != 1 {
+		return ""
+	}
+	named := namedOf(s.Recv())
+	if named == nil {
+		return ""
+	}
+	return typeKey(named) + "." + sel.Sel.Name
+}
+
+// namedOf is the named type typ is, or points to (nil for any other type).
+func namedOf(typ types.Type) *types.Named {
+	if ptr, ok := types.Unalias(typ).(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, _ := types.Unalias(typ).(*types.Named)
+	return named
+}
+
+// mentions reports whether e selects the field key anywhere.
+func mentions(info *types.Info, e ast.Expr, key string) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && fieldKey(info, sel) == key {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// typeKey is package.Type.
+func typeKey(named *types.Named) string {
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	return obj.Pkg().Name() + "." + obj.Name()
+}
+
+// typeCheckModule type-checks the module's and benchmarks/' non-test
+// packages (examples/ aside) from the parsed files, importing the standard
+// library from the export data one `go list -export` run reports.
+func typeCheckModule(t *testing.T, fset *token.FileSet, files map[string]*ast.File) *types.Info {
+	t.Helper()
+	byPkg := map[string][]*ast.File{} // import path -> files
+	std := map[string]bool{}
+	for path, f := range files {
+		if strings.HasPrefix(path, "examples/") {
+			continue
+		}
+		pkg := "sharebackup"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkg += "/" + dir // benchmarks/ is its own module, sharebackup/benchmarks
+		}
+		byPkg[pkg] = append(byPkg[pkg], f)
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); p != "sharebackup" && !strings.HasPrefix(p, "sharebackup/") {
+				std[p] = true
+			}
+		}
+	}
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	for p := range std {
+		args = append(args, p)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if ee, ok := err.(*exec.ExitError); ok {
+		t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+	} else if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		p, file, _ := strings.Cut(line, "=")
+		exports[p] = file
+	}
+	m := &moduleImporter{
+		fset:  fset,
+		files: byPkg,
+		pkgs:  map[string]*types.Package{},
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exports[path])
+		}),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	for pkg := range byPkg {
+		if _, err := m.Import(pkg); err != nil {
+			t.Fatalf("type-checking %s: %v", pkg, err)
+		}
+	}
+	return m.info
+}
+
+// moduleImporter type-checks the module's packages from source, once each,
+// into one shared types.Info.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	m.pkgs[path] = p
+	return p, err
 }
 
 // TestEveryEventKindIsEmitted keeps the event taxonomy honest: every

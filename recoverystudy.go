@@ -144,7 +144,7 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 // recoveryBreakdown folds the trials' recoveries of one kind ("" for all)
 // into a phase breakdown, in shard order.
 func recoveryBreakdown(trials [][2]*Recovery, kind string) *obs.Breakdown {
-	b := &obs.Breakdown{Kind: kind}
+	b := &obs.Breakdown{}
 	for _, trial := range trials {
 		for _, rec := range trial {
 			if kind == "" || rec.Kind == kind {

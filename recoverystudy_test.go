@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sharebackup/internal/controller"
 	"sharebackup/internal/metrics"
 )
 
@@ -47,7 +48,7 @@ func TestRecoveryStudyMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc := sys.Controller.Config()
-		fixed := 2*cc.CommDelay + tech.ReconfigDelay()
+		fixed := 2*controller.CommDelay + tech.ReconfigDelay()
 		var totals []float64
 		for i := 0; i < trials; i++ {
 			// Node failures land at a phased offset past the last heartbeat;

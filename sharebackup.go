@@ -37,7 +37,7 @@ import (
 
 // Re-exported names so typical callers need only this package.
 type (
-	// System bundles a ShareBackup network with its controller.
+	// SwitchID names a physical switch.
 	SwitchID = sbnet.SwitchID
 	// Recovery is one recovery action with its latency breakdown.
 	Recovery = controller.Recovery
@@ -65,23 +65,20 @@ type Config struct {
 	N int
 	// Tech is the circuit-switch technology (default Crosspoint).
 	Tech Technology
-	// Controller tunes the control plane; zero values take defaults.
-	Controller controller.Config
 	// Obs is the event bus the controller and network emit structured
 	// events on (see internal/obs). Defaults to obs.Default, the
 	// process-wide bus the commands' -trace/-events flags attach sinks
 	// to; emission costs one atomic load when no sink is attached.
 	Obs *obs.Bus
 	// Metrics is the registry the controller resolves its counters and
-	// gauges in (forwarded as Controller.Metrics unless that is already
-	// set). Nil keeps a private registry per system; commands pass
+	// gauges in. Nil keeps a private registry per system; commands pass
 	// obs.DefaultRegistry so the -debug-addr /varz endpoint sees
 	// controller metrics.
 	Metrics *obs.Registry
 }
 
-// System is a running ShareBackup deployment: the physical network plus its
-// logically centralized controller.
+// System bundles a ShareBackup network with its logically centralized
+// controller: a running deployment.
 type System struct {
 	Network    *sbnet.Network
 	Controller *controller.Controller
@@ -98,10 +95,7 @@ func New(cfg Config) (*System, error) {
 		bus = obs.Default
 	}
 	net.SetObserver(bus)
-	if cfg.Controller.Metrics == nil {
-		cfg.Controller.Metrics = cfg.Metrics
-	}
-	ctl := controller.New(net, cfg.Controller)
+	ctl := controller.New(net, controller.Config{Metrics: cfg.Metrics})
 	ctl.SetObserver(bus)
 	return &System{
 		Network:    net,

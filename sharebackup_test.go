@@ -57,8 +57,11 @@ func TestSystemValidation(t *testing.T) {
 	}
 }
 
+// TestFig1aShape runs at the paper's k=16, where every swept rate fails a
+// different number of switches; at k=8 the three lowest each fail one, so
+// their order is sampling noise.
 func TestFig1aShape(t *testing.T) {
-	res, err := Fig1a(Fig1Config{K: 8, Seed: 3, Trials: 2, Rates: []float64{0.01, 0.05, 0.1, 0.2}})
+	res, err := Fig1a(Fig1Config{K: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +99,7 @@ func TestFig1aShape(t *testing.T) {
 }
 
 func TestFig1bLinkFailures(t *testing.T) {
-	res, err := Fig1b(Fig1Config{K: 8, Seed: 3, Trials: 2, Rates: []float64{0.01, 0.1}})
+	res, err := Fig1b(Fig1Config{K: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestFig1WithExternalTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fig1a(Fig1Config{K: 8, Seed: 11, Trials: 2, Rates: []float64{0.05}, Trace: tr})
+	res, err := Fig1a(Fig1Config{K: 8, Seed: 11, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +141,11 @@ func TestFig1WithExternalTrace(t *testing.T) {
 func TestFig1NodeVsLinkSingleImpact(t *testing.T) {
 	// The paper: a single node failure (29.6% of coflows) hurts more than
 	// a single link failure (17%). Directionally, node > link.
-	na, err := Fig1a(Fig1Config{K: 8, Seed: 5, Trials: 4, Rates: []float64{0.01}})
+	na, err := Fig1a(Fig1Config{K: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := Fig1b(Fig1Config{K: 8, Seed: 5, Trials: 4, Rates: []float64{0.01}})
+	nb, err := Fig1b(Fig1Config{K: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestFig1NodeVsLinkSingleImpact(t *testing.T) {
 }
 
 func TestFig1cShareBackupHasNoSlowdown(t *testing.T) {
-	res, err := Fig1c(Fig1cConfig{K: 4, Seed: 2, Coflows: 12, Scenarios: 6, Window: 60})
+	res, err := Fig1c(Fig1cConfig{K: 4, Seed: 2, Coflows: 12, Scenarios: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,17 +206,6 @@ func TestFig1cShareBackupHasNoSlowdown(t *testing.T) {
 	}
 }
 
-// TestFig1cRejectsBadWindow: a window Partition cannot cut the trace by is
-// an error naming the window; a NaN one once panicked in makeslice.
-func TestFig1cRejectsBadWindow(t *testing.T) {
-	for _, w := range []float64{math.NaN(), math.Inf(1), -60} {
-		_, err := Fig1c(Fig1cConfig{K: 4, Seed: 2, Coflows: 6, Scenarios: 2, Window: w})
-		if err == nil || !strings.Contains(err.Error(), "Window=") {
-			t.Errorf("Window=%v: err = %v, want one naming the window", w, err)
-		}
-	}
-}
-
 // TestFig1cConfigRejectsBadFields: a negative count or a negative or
 // non-finite oversubscription is an error naming the field, returned before
 // any work.
@@ -238,7 +230,7 @@ func TestFig1cConfigRejectsBadFields(t *testing.T) {
 }
 
 func TestFig1cMultiWindow(t *testing.T) {
-	res, err := Fig1c(Fig1cConfig{K: 4, Seed: 4, Coflows: 6, Scenarios: 6, Window: 60, Windows: 3})
+	res, err := Fig1c(Fig1cConfig{K: 4, Seed: 4, Coflows: 6, Scenarios: 6, Windows: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

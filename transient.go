@@ -24,38 +24,17 @@ type TransientConfig struct {
 	K int
 	// Seed drives ECMP hashing.
 	Seed int64
-	// FlowBytes is each reference flow's size. Default 1e9 (a
-	// several-second transfer at the all-to-all max-min share of a
-	// 10 Gbps fabric, so millisecond gaps are ~1e-4 of the CCT).
-	FlowBytes float64
-	// FailAfter is when the aggregation switch fails, as a fraction of
-	// the baseline completion time. Default 0.25.
-	FailAfter float64
 }
 
-func (c *TransientConfig) setDefaults() {
-	if c.K == 0 {
-		c.K = 8
-	}
-	if c.FlowBytes == 0 {
-		c.FlowBytes = 1e9
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 0.25
-	}
-}
-
-// check rejects a bad field by name; setDefaults has run, so a zero field
-// holds its default.
-func (c *TransientConfig) check() error {
-	if !(c.FlowBytes > 0) || math.IsInf(c.FlowBytes, 1) {
-		return fieldError("TransientConfig", "FlowBytes", c.FlowBytes, "be positive and finite")
-	}
-	if !(c.FailAfter > 0 && c.FailAfter < 1) {
-		return fieldError("TransientConfig", "FailAfter", c.FailAfter, "lie in (0, 1)")
-	}
-	return nil
-}
+const (
+	// transientFlowBytes is each reference flow's size: a several-second
+	// transfer at the all-to-all max-min share of a 10 Gbps fabric, so
+	// millisecond gaps are ~1e-4 of the CCT.
+	transientFlowBytes = 1e9
+	// transientFailAfter is when the aggregation switch fails, as a
+	// fraction of the baseline completion time.
+	transientFailAfter = 0.25
+)
 
 // TransientRow is one scheme's outcome.
 type TransientRow struct {
@@ -74,9 +53,8 @@ type TransientRow struct {
 // mid-transfer, applies each scheme's recovery gap and post-recovery paths,
 // and reports completion-time slowdowns against the unfailed baseline.
 func TransientStudy(cfg TransientConfig) ([]TransientRow, error) {
-	cfg.setDefaults()
-	if err := cfg.check(); err != nil {
-		return nil, err
+	if cfg.K == 0 {
+		cfg.K = 8
 	}
 	// Real units so millisecond gaps are measurable against seconds-scale
 	// transfers: 10 Gbps fabric links, 10:1 oversubscribed rack access.
@@ -126,7 +104,7 @@ func TransientStudy(cfg TransientConfig) ([]TransientRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseline, err := completionTimes(s.ft, flows, cfg.FlowBytes, nil, 0, 0, s.mode)
+		baseline, err := completionTimes(s.ft, flows, transientFlowBytes, nil, 0, 0, s.mode)
 		if err != nil {
 			return nil, err
 		}
@@ -138,8 +116,8 @@ func TransientStudy(cfg TransientConfig) ([]TransientRow, error) {
 		}
 		blocked := topo.NewBlocked()
 		blocked.BlockNode(s.victim)
-		failAt := cfg.FailAfter * baseMax
-		withFailure, err := completionTimes(s.ft, flows, cfg.FlowBytes, blocked, failAt, s.gap.Seconds(), s.mode)
+		failAt := transientFailAfter * baseMax
+		withFailure, err := completionTimes(s.ft, flows, transientFlowBytes, blocked, failAt, s.gap.Seconds(), s.mode)
 		if err != nil {
 			return nil, err
 		}
