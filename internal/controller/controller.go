@@ -133,11 +133,8 @@ type Controller struct {
 	// once here so the recovery path never touches the registry map.
 	reg                  *obs.Registry
 	mFailovers           *obs.Counter
-	mLinkRecoveries      *obs.Counter
 	mHalts               *obs.Counter
-	mDiagnosisReconfigs  *obs.Counter
 	mBackupPoolExhausted *obs.Counter
-	gPendingDiagnosis    *obs.Gauge
 }
 
 // LinkSuspects is a pending diagnosis work item: the two suspect interfaces
@@ -162,11 +159,8 @@ func New(net *sbnet.Network, cfg Config) *Controller {
 		reg:          reg,
 	}
 	c.mFailovers = c.reg.Counter("controller.failovers")
-	c.mLinkRecoveries = c.reg.Counter("controller.link_recoveries")
 	c.mHalts = c.reg.Counter("controller.halts")
-	c.mDiagnosisReconfigs = c.reg.Counter("controller.diagnosis_reconfigs")
 	c.mBackupPoolExhausted = c.reg.Counter("controller.backup_pool_exhausted")
-	c.gPendingDiagnosis = c.reg.Gauge("controller.pending_diagnosis")
 	return c
 }
 
@@ -181,25 +175,6 @@ func (c *Controller) Observer() *obs.Bus { return c.bus }
 // Metrics returns the controller's counter/gauge registry. The ctlnet
 // server merges its own metrics into the same registry for the varz dump.
 func (c *Controller) Metrics() *obs.Registry { return c.reg }
-
-// groupLabel names a failure group for per-group gauges ("agg-pod2", ...).
-func (c *Controller) groupLabel(g sbnet.GroupID) string {
-	grp := c.net.Group(g)
-	switch grp.Kind {
-	case topo.KindEdge:
-		return fmt.Sprintf("edge-pod%d", grp.Pod)
-	case topo.KindAgg:
-		return fmt.Sprintf("agg-pod%d", grp.Pod)
-	default:
-		return fmt.Sprintf("core-%d", grp.Index)
-	}
-}
-
-// noteBackupUse refreshes the backups-in-use gauge of one failure group.
-func (c *Controller) noteBackupUse(g sbnet.GroupID) {
-	inUse := c.net.NBackups() - len(c.net.FreeBackups(g))
-	c.reg.Gauge("controller.backups_in_use." + c.groupLabel(g)).Set(int64(inUse))
-}
 
 // Network returns the controlled network.
 func (c *Controller) Network() *sbnet.Network { return c.net }
@@ -272,7 +247,6 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 	}
 	c.recoveries = append(c.recoveries, rec)
 	c.mFailovers.Inc()
-	c.noteBackupUse(c.net.Switch(backup).Group)
 	c.emitRecoveryDone(span, at, &c.recoveries[len(c.recoveries)-1])
 	return &c.recoveries[len(c.recoveries)-1], nil
 }
@@ -384,7 +358,6 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 		}
 		rec.Failed = append(rec.Failed, ep.Switch)
 		rec.Backup = append(rec.Backup, backup)
-		c.noteBackupUse(c.net.Switch(backup).Group)
 		if reconfig > rec.Reconfig {
 			rec.Reconfig = reconfig
 		}
@@ -392,8 +365,6 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 	if len(rec.Failed) > 0 {
 		c.recoveries = append(c.recoveries, rec)
 		c.pendingDiagnosis = append(c.pendingDiagnosis, LinkSuspects{A: a, B: b})
-		c.mLinkRecoveries.Inc()
-		c.gPendingDiagnosis.Set(int64(len(c.pendingDiagnosis)))
 		c.emitRecoveryDone(span, at, &c.recoveries[len(c.recoveries)-1])
 		return &c.recoveries[len(c.recoveries)-1], firstErr
 	}
@@ -503,8 +474,6 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 		Reconfig:  reconfig,
 	}
 	c.recoveries = append(c.recoveries, rec)
-	c.mLinkRecoveries.Inc()
-	c.noteBackupUse(c.net.Switch(backup).Group)
 	c.emitRecoveryDone(span, at, &c.recoveries[len(c.recoveries)-1])
 	if hostAtFault {
 		// Replacement did not fix the link: mark the switch healthy
@@ -512,7 +481,6 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 		if err := c.net.Release(edge); err != nil {
 			return false, err
 		}
-		c.noteBackupUse(c.net.Switch(edge).Group)
 		c.flaggedHosts[host] = true
 		return true, nil
 	}

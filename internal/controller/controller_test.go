@@ -93,6 +93,56 @@ func TestRecoverNodeNoBackup(t *testing.T) {
 	}
 }
 
+// TestFailoverAndPoolExhaustionCounters: controller.failovers counts node
+// recoveries, and controller.backup_pool_exhausted counts every replacement
+// refused for an empty pool (§5.1 overflow) — on the node path, once per
+// end on the link path, and on the host-link path.
+func TestFailoverAndPoolExhaustionCounters(t *testing.T) {
+	c, net := newCtl(t, 4, 1)
+	failovers := c.Metrics().Counter("controller.failovers")
+	exhausted := c.Metrics().Counter("controller.backup_pool_exhausted")
+	check := func(step string, wantFailovers, wantExhausted int64) {
+		t.Helper()
+		if got := failovers.Value(); got != wantFailovers {
+			t.Errorf("%s: failovers = %d, want %d", step, got, wantFailovers)
+		}
+		if got := exhausted.Value(); got != wantExhausted {
+			t.Errorf("%s: backup_pool_exhausted = %d, want %d", step, got, wantExhausted)
+		}
+	}
+
+	// Node path: pod 0's one edge backup serves the first failure only.
+	for i, victim := range net.EdgeGroup(0).Slots() {
+		net.InjectNodeFailure(victim)
+		_, err := c.RecoverNode(victim, time.Duration(i)*time.Millisecond)
+		if want := i > 0; errors.Is(err, sbnet.ErrNoBackup) != want {
+			t.Fatalf("node failure %d: err = %v, want a refusal: %v", i, err, want)
+		}
+	}
+	check("node path", 1, 1)
+
+	// Link path: the first link spends pod 1's edge and agg backups, the
+	// second finds both pools empty.
+	half := 2
+	edges, aggs := net.EdgeGroup(1).Slots(), net.AggGroup(1).Slots()
+	for i := range 2 {
+		_, err := c.ReportLinkFailure(EndPoint{edges[i], half}, EndPoint{aggs[i], 0}, time.Duration(i)*time.Millisecond)
+		if want := i > 0; errors.Is(err, sbnet.ErrNoBackup) != want {
+			t.Fatalf("link failure %d: err = %v, want a refusal: %v", i, err, want)
+		}
+	}
+	check("link path", 1, 3)
+
+	// Host-link path: pod 2's edge backup serves the first failure only.
+	for i, edge := range net.EdgeGroup(2).Slots() {
+		_, err := c.HandleHostLinkFailure(edge, 0, 100+i, false, time.Duration(i)*time.Millisecond)
+		if want := i > 0; errors.Is(err, sbnet.ErrNoBackup) != want {
+			t.Fatalf("host-link failure %d: err = %v, want a refusal: %v", i, err, want)
+		}
+	}
+	check("host-link path", 1, 4)
+}
+
 func TestLinkFailureReplacesBothEndsAndQueuesDiagnosis(t *testing.T) {
 	c, net := newCtl(t, 6, 1)
 	half := 3

@@ -55,8 +55,6 @@ func (c *Controller) RunDiagnosis() ([]DiagnosisResult, error) {
 		}
 	}
 	c.pendingDiagnosis = nil
-	c.gPendingDiagnosis.Set(0)
-	c.mDiagnosisReconfigs.Add(int64(c.diagnosisReconfigs - reconfigsBefore))
 	if c.bus.Enabled() {
 		exonerated := 0
 		for _, r := range results {
@@ -104,7 +102,6 @@ func (c *Controller) diagnoseInterface(suspect EndPoint) (DiagnosisResult, error
 			return res, err
 		}
 		res.Exonerated = true
-		c.noteBackupUse(sw.Group)
 	}
 	return res, nil
 }

@@ -207,6 +207,12 @@ func TestClusterBootstrapElectsWithoutATick(t *testing.T) {
 		if got := e.cfg.Registry.Counter(fmt.Sprintf("ctlplane.replica%d.elections_won", r.ID)).Value(); got != want {
 			t.Errorf("ctlplane.replica%d.elections_won = %d, want %d", r.ID, got, want)
 		}
+		if got := e.cfg.Registry.Gauge(fmt.Sprintf("ctlplane.replica%d.is_leader", r.ID)).Value(); got != want {
+			t.Errorf("ctlplane.replica%d.is_leader = %d, want %d", r.ID, got, want)
+		}
+		if got := e.cfg.Registry.Gauge(fmt.Sprintf("ctlplane.replica%d.term", r.ID)).Value(); got != 1 {
+			t.Errorf("ctlplane.replica%d.term = %d, want 1", r.ID, got)
+		}
 	}
 }
 

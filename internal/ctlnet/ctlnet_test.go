@@ -322,6 +322,10 @@ func TestTablePreloadOverTCP(t *testing.T) {
 	if got, want := vt.Size(), 4/2+4*4/4; got != want {
 		t.Errorf("table size = %d, want k/2 + k^2/4 = %d", got, want)
 	}
+	pushes := srv.ctl.Metrics().Counter("ctlnet.table_pushes")
+	if !waitUntil(2*time.Second, func() bool { return pushes.Value() == 1 }) {
+		t.Fatalf("ctlnet.table_pushes = %d after the spare's push, want 1", pushes.Value())
+	}
 	// Agg switches get no table push.
 	agg, err := Dial(srv.Addr(), net.AggGroup(0).Members[0], 2*time.Millisecond)
 	if err != nil {
@@ -330,6 +334,9 @@ func TestTablePreloadOverTCP(t *testing.T) {
 	defer agg.Close()
 	if agg.WaitTable(50 * time.Millisecond) {
 		t.Error("agg switch received an edge table")
+	}
+	if got := pushes.Value(); got != 1 {
+		t.Errorf("ctlnet.table_pushes = %d after the agg's hello, want 1", got)
 	}
 }
 

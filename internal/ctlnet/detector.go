@@ -137,7 +137,6 @@ func (s *Server) wake(now, armedFor time.Duration) (dead []deadCandidate, next t
 	d.mu.Unlock()
 	d.folded = pending
 	s.mDetectorWakes.Inc()
-	s.mRecordsFolded.Add(int64(len(pending)))
 
 	// Fold: stamp and move to back. A keep-alive that ends a silence of two
 	// intervals or more accounts for the probes that silence missed.

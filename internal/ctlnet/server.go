@@ -114,23 +114,18 @@ type Server struct {
 	// Runtime metrics, merged into the controller's registry so one varz
 	// snapshot covers both layers.
 	mKeepalives  *obs.Counter
-	mHellos      *obs.Counter
-	mLinkReports *obs.Counter
 	mTablePushes *obs.Counter
 	mProbeMisses *obs.Counter
-	mLogLines    *obs.Counter
 	mUnknownMsgs *obs.Counter
 	mWireErrors  *obs.Counter
 	mKABatches   *obs.Counter
-	gSubscribers *obs.Gauge
 	gConns       *obs.Gauge
 
-	// The detector's own lights (detector.go): how often it wakes and how
-	// much it folds, how many switches have a deadline pending, and how far
-	// past lastSeen+deadline each dead switch was declared; and how often a
-	// late wake declined to declare (the stall guard).
+	// The detector's own lights (detector.go): how often it wakes, how many
+	// switches have a deadline pending, and how far past lastSeen+deadline
+	// each dead switch was declared; and how often a late wake declined to
+	// declare (the stall guard).
 	mDetectorWakes   *obs.Counter
-	mRecordsFolded   *obs.Counter
 	mStallGraces     *obs.Counter
 	gDetectorEntries *obs.Gauge
 	hDetectOvershoot *obs.Histogram
@@ -157,10 +152,9 @@ type Server struct {
 	quit chan struct{}
 }
 
-// logf counts a diagnostic line and routes it through the event bus as a log
-// event (the bus serializes sink dispatch).
+// logf routes a diagnostic line through the event bus as a log event (the
+// bus serializes sink dispatch).
 func (s *Server) logf(format string, args ...interface{}) {
-	s.mLogLines.Inc()
 	s.bus.Logf(s.Now(), true, format, args...)
 }
 
@@ -196,18 +190,13 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	s.det.stallAt = -cfg.Interval
 	reg := ctl.Metrics()
 	s.mKeepalives = reg.Counter("ctlnet.keepalives")
-	s.mHellos = reg.Counter("ctlnet.hellos")
-	s.mLinkReports = reg.Counter("ctlnet.link_reports")
 	s.mTablePushes = reg.Counter("ctlnet.table_pushes")
 	s.mProbeMisses = reg.Counter("ctlnet.probe_misses")
-	s.mLogLines = reg.Counter("ctlnet.log_lines")
 	s.mUnknownMsgs = reg.Counter("ctlnet.unknown_msgs")
 	s.mWireErrors = reg.Counter("ctlnet.wire_errors")
 	s.mKABatches = reg.Counter("ctlnet.ka_batches")
-	s.gSubscribers = reg.Gauge("ctlnet.subscribers")
 	s.gConns = reg.Gauge("ctlnet.connections")
 	s.mDetectorWakes = reg.Counter("ctlnet.detector_wakes")
-	s.mRecordsFolded = reg.Counter("ctlnet.detector_records_folded")
 	s.mStallGraces = reg.Counter("ctlnet.detector_stall_graces")
 	s.gDetectorEntries = reg.Gauge("ctlnet.detector_entries")
 	s.hDetectOvershoot = reg.Histogram("ctlnet.detect_overshoot_ns")
@@ -358,7 +347,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			s.logf("ctlnet: %v", err)
 			return err
 		}
-		s.mHellos.Inc()
 		if !s.cfg.Cluster.IsLeader() {
 			return s.redirect(conn)
 		}
@@ -402,7 +390,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			s.wireError(err)
 			return nil
 		}
-		s.mLinkReports.Inc()
 		s.handleLinkFail(conn, ctx, detection, aSw, aPort, bSw, bPort)
 	case msgLeaderReq:
 		isLeader := s.cfg.Cluster.IsLeader()
@@ -421,7 +408,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			s.subs = append(s.subs, conn)
 			sc.subscribed = true
 			subscribed = true
-			s.gSubscribers.Set(int64(len(s.subs)))
 		}
 		s.mu.Unlock()
 		if !subscribed {
@@ -815,7 +801,6 @@ func (s *Server) publish(ev RecoveryEvent) {
 			}
 		}
 		s.subs = kept
-		s.gSubscribers.Set(int64(len(s.subs)))
 		s.mu.Unlock()
 	}
 }

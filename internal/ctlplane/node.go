@@ -108,9 +108,7 @@ type Node struct {
 	gTerm     *obs.Gauge
 	gIsLeader *obs.Gauge
 	gCommit   *obs.Gauge
-	gLogBytes *obs.Gauge
 	cElected  *obs.Counter
-	cStepdown *obs.Counter
 
 	stopOnce sync.Once
 }
@@ -137,13 +135,11 @@ func NewNode(cfg NodeConfig) *Node {
 	n.leader.Store(-1)
 	changed := make(chan struct{})
 	n.roleChanged.Store(&changed)
-	label := fmt.Sprintf("ctlplane.replica%d.", cfg.Raft.ID)
-	n.gTerm = reg.Gauge(label + "term")
-	n.gIsLeader = reg.Gauge(label + "is_leader")
-	n.gCommit = reg.Gauge(label + "commit_index")
-	n.gLogBytes = reg.Gauge(label + "log_bytes")
-	n.cElected = reg.Counter(label + "elections_won")
-	n.cStepdown = reg.Counter(label + "stepdowns")
+	id := cfg.Raft.ID
+	n.gTerm = reg.Gauge(fmt.Sprintf("ctlplane.replica%d.term", id))
+	n.gIsLeader = reg.Gauge(fmt.Sprintf("ctlplane.replica%d.is_leader", id))
+	n.gCommit = reg.Gauge(fmt.Sprintf("ctlplane.replica%d.commit_index", id))
+	n.cElected = reg.Counter(fmt.Sprintf("ctlplane.replica%d.elections_won", id))
 	if cfg.Raft.Restore != nil && cfg.Restore != nil {
 		if err := cfg.Restore(cfg.Raft.Restore.Data); err != nil {
 			cfg.Bus.Logf(obs.Now(), true, "ctlplane: replica %d restore: %v", cfg.Raft.ID, err)
@@ -375,21 +371,20 @@ func (n *Node) processReady() {
 		n.cElected.Inc()
 		n.emitRole(obs.KindLeaderElected, term)
 	}
-	n.isLeader.Store(isLeader)
-	leader := int64(n.raft.Leader())
-	prevLeader := n.leader.Swap(leader)
-	changed := isLeader != wasLeader || term != prevTerm || leader != prevLeader
-	n.term.Store(term)
+	// The gauges too are set before the role is stored.
 	n.gTerm.Set(int64(term))
 	n.gCommit.Set(int64(n.raft.Commit()))
-	n.gLogBytes.Set(int64(n.raft.LogBytes()))
 	if isLeader {
 		n.gIsLeader.Set(1)
 	} else {
 		n.gIsLeader.Set(0)
 	}
+	n.isLeader.Store(isLeader)
+	leader := int64(n.raft.Leader())
+	prevLeader := n.leader.Swap(leader)
+	changed := isLeader != wasLeader || term != prevTerm || leader != prevLeader
+	n.term.Store(term)
 	if wasLeader && !isLeader {
-		n.cStepdown.Inc()
 		n.failWaiters(ErrLostLeadership)
 		n.emitRole(obs.KindLeaderLost, term)
 	}

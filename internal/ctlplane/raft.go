@@ -280,16 +280,6 @@ func (r *Raft) Commit() uint64 { return r.commit }
 // LastIndex returns the index of the last log entry.
 func (r *Raft) LastIndex() uint64 { return r.snapIndex + uint64(len(r.log)) }
 
-// LogBytes approximates retained log size for the compaction heuristic and
-// the replica gauges.
-func (r *Raft) LogBytes() int {
-	n := 0
-	for i := range r.log {
-		n += len(r.log[i].Data) + 16
-	}
-	return n
-}
-
 func (r *Raft) lastTerm() uint64 {
 	if len(r.log) == 0 {
 		return r.snapTerm

@@ -594,7 +594,6 @@ func (s *Simulator) admitArrivals(t float64) {
 	if tel := s.tel; tel != nil {
 		tel.FlowsStarted.Add(int64(admitted))
 		tel.ActiveFlows.Set(int64(len(s.active)))
-		tel.PendingFlows.Set(int64(s.pending.Len()))
 	}
 }
 
@@ -650,7 +649,6 @@ func (s *Simulator) complete(fi int32) {
 	c := &s.cold[fi]
 	c.done, c.finish = true, s.now
 	h := &s.hot[fi]
-	rate := h.rate
 	s.detachLinks(fi) // subtracts the still-current rate from the links' aggregates
 	h.rate, h.remaining, h.lastT = 0, 0, s.now
 	// Swap-remove from the active set; the index field keeps this O(1)
@@ -666,7 +664,6 @@ func (s *Simulator) complete(fi int32) {
 		tel.FlowsCompleted.Inc()
 		tel.ActiveFlows.Set(int64(len(s.active)))
 		tel.FCT.Record(int64((s.now - c.arrival) * 1e6)) // seconds → µs
-		tel.FlowRate.Record(int64(rate*1e3 + 0.5))       // bytes/s → milli-bytes/s
 	}
 }
 

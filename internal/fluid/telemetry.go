@@ -7,21 +7,19 @@ import (
 )
 
 // Telemetry publishes the simulator's data-plane behaviour into an
-// obs.Registry: flow lifecycle and engine counters, and flow-rate and
-// flow-completion-time histograms. All handles are resolved once
+// obs.Registry: flow lifecycle and engine counters, and flow-completion-time
+// and recompute-work histograms. All handles are resolved once
 // at construction, so the simulator's hot paths touch only lock-free
 // counters/histograms — and a Simulator without telemetry attached pays a
 // single nil check per event (the data-plane analogue of the event bus'
 // "one atomic load when no sink" contract).
 //
-// Units: completion times are recorded in microseconds of simulated time,
-// rates in milli-bytes/second (experiment capacities are O(1..100) bytes/s,
-// so whole-byte buckets would round most rates to zero).
+// Completion times are recorded in microseconds of simulated time.
 type Telemetry struct {
 	FlowsStarted      *obs.Counter // flows admitted into the active set
 	FlowsCompleted    *obs.Counter // flows drained to zero bytes
 	Stalls            *obs.Counter // SetPath to an empty path (disconnection)
-	Reroutes          *obs.Counter // SetPath to a different non-empty path
+	Reroutes          *obs.Counter // SetPath to a non-empty path, the same one included
 	RateRecomputes    *obs.Counter // progressive-filling passes
 	RateRecomputeWork *obs.Counter // flow×link incidences touched by filling passes
 	RipplePasses      *obs.Counter // scoped passes the ripple pass settled
@@ -33,11 +31,9 @@ type Telemetry struct {
 	LinkScans         *obs.Counter // link slots visited by the bottleneck search
 	ScanRebuilds      *obs.Counter // full scans that rebuilt the candidate list
 
-	ActiveFlows  *obs.Gauge // started, unfinished flows
-	PendingFlows *obs.Gauge // scheduled, not yet arrived
+	ActiveFlows *obs.Gauge // started, unfinished flows
 
 	FCT           *obs.Histogram // flow completion time, µs of simulated time
-	FlowRate      *obs.Histogram // max-min rate at completion, milli-bytes/s
 	RecomputeWork *obs.Histogram // flow×link incidences per rate recompute
 }
 
@@ -63,9 +59,7 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		LinkScans:         reg.Counter("fluid.link_scans"),
 		ScanRebuilds:      reg.Counter("fluid.scan_rebuilds"),
 		ActiveFlows:       reg.Gauge("fluid.active_flows"),
-		PendingFlows:      reg.Gauge("fluid.pending_flows"),
 		FCT:               reg.Histogram("fluid.fct_us"),
-		FlowRate:          reg.Histogram("fluid.flow_rate_mBps"),
 		RecomputeWork:     reg.Histogram("fluid.recompute_work_per_recompute"),
 	}
 }

@@ -50,12 +50,15 @@ func TestTelemetrySamplesLifecycle(t *testing.T) {
 		t.Fatalf("active flows gauge = %d, want 2", got)
 	}
 
-	// Stall one flow, then reroute it back.
+	// Stall one flow, reroute it back, then set the path it already has:
+	// every SetPath to a non-empty path counts as a reroute.
 	if err := sim.SetPath(1, topo.Path{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.SetPath(1, path); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := sim.SetPath(1, path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := sim.RunToCompletion(); err != nil {
 		t.Fatal(err)
@@ -70,8 +73,8 @@ func TestTelemetrySamplesLifecycle(t *testing.T) {
 	if got := tel.Stalls.Value(); got != 1 {
 		t.Fatalf("stalls = %d, want 1", got)
 	}
-	if got := tel.Reroutes.Value(); got != 1 {
-		t.Fatalf("reroutes = %d, want 1", got)
+	if got := tel.Reroutes.Value(); got != 2 {
+		t.Fatalf("reroutes = %d, want 2", got)
 	}
 	if got := tel.ActiveFlows.Value(); got != 0 {
 		t.Fatalf("active flows after completion = %d, want 0", got)

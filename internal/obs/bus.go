@@ -21,10 +21,9 @@ type Bus struct {
 	sinks atomic.Pointer[[]Sink]
 	mu    sync.Mutex // serializes sink delivery and sink-list mutation
 
-	// meter, when set via MeterOverhead, accumulates the bus' own dispatch
-	// cost (events delivered, ns spent in sinks) so the observability tax
-	// is itself observable and budgetable.
-	meter atomic.Pointer[busMeter]
+	// emitted, when set via MeterOverhead, counts the events the bus
+	// delivered to its sinks.
+	emitted atomic.Pointer[Counter]
 
 	seq   uint64        // event sequence numbers; guarded by mu
 	spans atomic.Uint64 // span ID allocator
@@ -96,11 +95,6 @@ func (b *Bus) Emit(ev Event) {
 	if s == nil || len(*s) == 0 {
 		return
 	}
-	m := b.meter.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
 	if ev.Proc == "" {
 		if p := b.proc.Load(); p != nil {
 			ev.Proc = *p
@@ -125,35 +119,21 @@ func (b *Bus) Emit(ev Event) {
 		}
 	}
 	b.mu.Unlock()
-	if m != nil {
-		m.ns.Add(time.Since(t0).Nanoseconds())
-		m.events.Inc()
-	}
+	b.emitted.Load().Inc()
 }
 
-// busMeter holds the resolved self-overhead counters.
-type busMeter struct {
-	events *Counter // obs.emit_events
-	ns     *Counter // obs.emit_ns
-}
-
-// MeterOverhead starts metering the bus' sink-dispatch cost into reg:
-// obs.emit_events counts delivered events, obs.emit_ns their cumulative
-// dispatch nanoseconds (stamping + every sink's Event call). The no-sink
-// fast path is never metered — it stays one atomic load. A nil reg stops
-// metering.
+// MeterOverhead starts counting the events the bus delivers to its sinks
+// into reg's obs.emit_events. The no-sink fast path is never metered — it
+// stays one atomic load. A nil reg stops metering.
 func (b *Bus) MeterOverhead(reg *Registry) {
 	if b == nil {
 		return
 	}
 	if reg == nil {
-		b.meter.Store(nil)
+		b.emitted.Store(nil)
 		return
 	}
-	b.meter.Store(&busMeter{
-		events: reg.Counter("obs.emit_events"),
-		ns:     reg.Counter("obs.emit_ns"),
-	})
+	b.emitted.Store(reg.Counter("obs.emit_events"))
 }
 
 // Attach adds a sink. The same sink value can only be attached once; a

@@ -15,8 +15,8 @@
 // The server observes without being load-bearing: it attaches one ring sink
 // (whose evictions are counted in the registry as
 // obs.ring_dropped_events) plus one per-/events-client sink, and slow
-// clients lose events rather than stalling the bus (drops are counted in
-// debughttp.events_dropped).
+// clients lose events rather than stalling the bus (every event carries its
+// Seq, so a client sees its own gaps).
 package debughttp
 
 import (
@@ -143,19 +143,15 @@ func (s *Server) serveVarz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(s.cfg.Registry.Export(r.URL.Query().Get("buckets") == "1")) //nolint:errcheck
 }
 
-// chanSink forwards bus events into a buffered channel, dropping (and
-// counting) when the client cannot keep up — the bus must never block on a
-// slow HTTP reader.
-type chanSink struct {
-	ch      chan obs.Event
-	dropped *obs.Counter
-}
+// chanSink forwards bus events into a buffered channel, dropping them when
+// the client cannot keep up — the bus must never block on a slow HTTP reader.
+// The client sees a drop as a gap in Seq.
+type chanSink chan obs.Event
 
-func (c *chanSink) Event(ev obs.Event) {
+func (c chanSink) Event(ev obs.Event) {
 	select {
-	case c.ch <- ev:
+	case c <- ev:
 	default:
-		c.dropped.Inc()
 	}
 }
 
@@ -209,17 +205,14 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sink := &chanSink{
-		ch:      make(chan obs.Event, 256),
-		dropped: s.cfg.Registry.Counter("debughttp.events_dropped"),
-	}
+	sink := make(chanSink, 256)
 	s.cfg.Bus.Attach(sink)
 	defer s.cfg.Bus.Detach(sink)
 	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev := <-sink.ch:
+		case ev := <-sink:
 			if !write(ev) {
 				return
 			}

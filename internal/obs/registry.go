@@ -37,7 +37,7 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically settable level (queue depths, backups in use).
+// Gauge is an atomically settable level (queue depths, a replica's term).
 type Gauge struct {
 	v atomic.Int64
 }

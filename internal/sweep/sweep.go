@@ -12,7 +12,7 @@
 //
 // Progress is published through the obs bus (one KindSweepShardDone event
 // per shard, naming it "<sweep>/<index>") and registry (sweep.shards_done /
-// sweep.shards_total / sweep.trials_per_sec / sweep.eta_ms), so /varz and
+// sweep.shards_total / sweep.trials_per_sec), so /varz and
 // -trace observe a sweep like any other subsystem. There is no checkpoint:
 // every paper-scale sweep but Fig. 1c finishes in tens of milliseconds, and
 // Fig. 1c's shards hold simulator state, not something worth serializing.
@@ -164,7 +164,6 @@ type progress struct {
 	total *obs.Gauge
 	doneG *obs.Gauge
 	tps   *obs.Gauge
-	eta   *obs.Gauge
 }
 
 func newProgress(cfg Config, bus *obs.Bus, reg *obs.Registry) *progress {
@@ -173,12 +172,10 @@ func newProgress(cfg Config, bus *obs.Bus, reg *obs.Registry) *progress {
 		total: reg.Gauge("sweep.shards_total"),
 		doneG: reg.Gauge("sweep.shards_done"),
 		tps:   reg.Gauge("sweep.trials_per_sec"),
-		eta:   reg.Gauge("sweep.eta_ms"),
 	}
 	p.total.Set(int64(cfg.Shards))
 	p.doneG.Set(0)
 	p.tps.Set(0)
-	p.eta.Set(-1) // unknown until the first shard lands
 	return p
 }
 
@@ -190,15 +187,11 @@ func (p *progress) complete(sh Shard) {
 	done := p.done
 	elapsed := time.Since(p.start)
 	var tps float64
-	var eta time.Duration
 	if elapsed > 0 {
 		tps = float64(p.done) / elapsed.Seconds()
-		remaining := p.cfg.Shards - done
-		eta = time.Duration(float64(elapsed) / float64(p.done) * float64(remaining))
 	}
 	p.doneG.Set(int64(done))
 	p.tps.Set(int64(tps))
-	p.eta.Set(eta.Milliseconds())
 	p.mu.Unlock()
 
 	if p.bus.Enabled() {

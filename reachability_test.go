@@ -2,6 +2,7 @@ package sharebackup
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -277,6 +279,275 @@ func TestNoUnsetOptions(t *testing.T) {
 	t.Logf("%d exported config fields, %d allowlisted as unset", len(declared), len(unsetOK))
 }
 
+// unreadOK lists the registered metric names nothing reads. Each entry says
+// why the metric stays.
+var unreadOK = map[string]string{}
+
+// readMethods are the metric handles' read accessors.
+var readMethods = map[string]bool{
+	"Value": true, "Count": true, "Sum": true, "Quantile": true,
+	"Min": true, "Max": true, "Mean": true, "Snapshot": true,
+}
+
+// writeMethods are the metric handles' update methods.
+var writeMethods = map[string]bool{"Inc": true, "Add": true, "Set": true, "Record": true}
+
+// TestNoUnreadMetrics keeps the registry to metrics something reads: every
+// name a non-test file registers through Registry.Counter, Gauge or Histogram
+// (a fmt.Sprintf format is the name) must have a reader, or be listed in
+// unreadOK with its reason. A reader is a Go file — program, benchmark or
+// test — that quotes the name and does not itself register it (a test that
+// writes the name onto its own registry is a fixture), or a read method
+// (Value, Count, Quantile, …) called on the field or variable a handle is
+// stored in (tel.Stalls.Value()). A registration read on the spot
+// (reg.Counter("…").Value()) reads. The generic exporters, /varz and
+// /metricsz, read every name and so count for none. Like
+// TestNoTestOnlyExports the check is by name, not by type.
+func TestNoUnreadMetrics(t *testing.T) {
+	m := collectMetrics(t)
+	var unread []string
+	for name, regs := range m.registered {
+		read := false
+		for path := range m.quoted[name] {
+			read = read || !m.writers[name][path]
+		}
+		for _, r := range regs {
+			read = read || r.handle != "" && m.readHandles[r.handle]
+		}
+		_, listed := unreadOK[name]
+		switch {
+		case !read && !listed:
+			unread = append(unread, name+" ("+regs[0].pos+")")
+		case read && listed:
+			t.Errorf("unreadOK lists %s, but something now reads it: drop the entry", name)
+		}
+	}
+	for name := range unreadOK {
+		if _, ok := m.registered[name]; !ok {
+			t.Errorf("unreadOK lists %s, which nothing registers: drop the entry", name)
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("metric %s has no reader: delete it, test the behaviour it counts, or list it in unreadOK with its reason", u)
+	}
+	t.Logf("%d registered metric names, %d allowlisted as unread", len(m.registered), len(unreadOK))
+}
+
+// docMetricName matches a backquoted lower-case metric name under one of the
+// registry's prefixes.
+var docMetricName = regexp.MustCompile("`((?:controller|ctlnet|ctlplane|fluid|obs|sweep|slo|debughttp)\\.[a-z][a-z0-9_.%]*)`")
+
+// TestDocsNameRegisteredMetrics keeps the docs from naming a metric that is
+// gone: every backquoted lower-case name under a registry prefix in DESIGN.md
+// and README.md must be registered by a non-test file or be a benchmark
+// metric of benchmarks/catalog.go. File names (*.go) are skipped.
+// EXPERIMENTS.md is exempt: its audit tables name deleted code on purpose.
+func TestDocsNameRegisteredMetrics(t *testing.T) {
+	m := collectMetrics(t)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, match := range docMetricName.FindAllStringSubmatch(line, -1) {
+				name := match[1]
+				if strings.HasSuffix(name, ".go") || m.registered[name] != nil || m.quoted[name]["benchmarks/catalog.go"] {
+					continue
+				}
+				t.Errorf("%s:%d names metric %s, which nothing registers and the benchmark does not report", doc, i+1, name)
+			}
+		}
+	}
+}
+
+// metricRegistration is one non-test Registry.Counter/Gauge/Histogram call.
+type metricRegistration struct {
+	pos    string
+	handle string // handleKey of the field or variable the handle is stored in
+}
+
+// moduleMetrics is what the module's Go files do with metric names.
+type moduleMetrics struct {
+	registered  map[string][]metricRegistration // name -> its non-test registrations
+	writers     map[string]map[string]bool      // name -> files that register it
+	quoted      map[string]map[string]bool      // string literal -> files that quote it
+	readHandles map[string]bool                 // handleKeys a read method is called on
+}
+
+// collectMetrics scans every Go file of the module and of benchmarks/, tests
+// included, for metric registrations, quoted strings and handle reads. A
+// non-test file that registers a name writes it; a test file writes it only
+// if it calls Inc, Add, Set or Record on the registration or on the variable
+// holding it. It fails by position on a non-test registration whose name is
+// neither a constant string nor a fmt.Sprintf of one.
+func collectMetrics(t *testing.T) moduleMetrics {
+	t.Helper()
+	fset, files := parseModule(t)
+	info := typeCheckModule(t, fset, files)
+	for path, f := range parseGoFiles(t, fset, true) {
+		if path != "reachability_test.go" { // its allowlist quotes unread names
+			files[path] = f
+		}
+	}
+	m := moduleMetrics{
+		registered:  map[string][]metricRegistration{},
+		writers:     map[string]map[string]bool{},
+		quoted:      map[string]map[string]bool{},
+		readHandles: map[string]bool{},
+	}
+	mark := func(set map[string]map[string]bool, key, path string) {
+		if set[key] == nil {
+			set[key] = map[string]bool{}
+		}
+		set[key][path] = true
+	}
+	for path, f := range files {
+		test := strings.HasSuffix(path, "_test.go")
+		written := map[string]bool{}    // handleKeys this file writes through
+		stored := map[string][]string{} // handleKey -> names this file stores in it
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return false
+			}
+			var parent ast.Node
+			if len(stack) > 0 {
+				parent = stack[len(stack)-1]
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
+					mark(m.quoted, s, path)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				switch h := handleKey(path, sel.X); {
+				case h == "":
+				case readMethods[sel.Sel.Name]:
+					m.readHandles[h] = true
+				case writeMethods[sel.Sel.Name]:
+					written[h] = true
+				}
+				if !isRegistration(info, sel, len(n.Args)) {
+					break
+				}
+				name, ok := metricName(info, n.Args[0])
+				if !ok {
+					if !test {
+						t.Errorf("%s: metric name is neither a constant string nor a fmt.Sprintf of one", fset.Position(n.Pos()))
+					}
+					break
+				}
+				onSpot := ""
+				if ps, ok := parent.(*ast.SelectorExpr); ok {
+					onSpot = ps.Sel.Name
+				}
+				handle := storedIn(path, parent, n)
+				switch {
+				case readMethods[onSpot]:
+				case !test:
+					mark(m.writers, name, path)
+					r := metricRegistration{pos: fset.Position(n.Pos()).String(), handle: handle}
+					m.registered[name] = append(m.registered[name], r)
+				case writeMethods[onSpot]:
+					mark(m.writers, name, path)
+				case handle != "":
+					stored[handle] = append(stored[handle], name)
+				}
+			}
+			return true
+		})
+		for handle, names := range stored {
+			for _, name := range names {
+				if written[handle] { // a fixture writing through a variable
+					mark(m.writers, name, path)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// isRegistration reports whether sel, called with nargs arguments, is
+// Registry.Counter, Gauge or Histogram. Test files are not type-checked;
+// there the method name and one argument decide.
+func isRegistration(info *types.Info, sel *ast.SelectorExpr, nargs int) bool {
+	switch sel.Sel.Name {
+	case "Counter", "Gauge", "Histogram":
+	default:
+		return false
+	}
+	if s := info.Selections[sel]; s != nil {
+		named := namedOf(s.Recv())
+		return named != nil && typeKey(named) == "obs.Registry"
+	}
+	return nargs == 1
+}
+
+// metricName is the name a registration's argument gives: a constant
+// string, or the format of a fmt.Sprintf call.
+func metricName(info *types.Info, e ast.Expr) (string, bool) {
+	if tv := info.Types[e]; tv.Value != nil && tv.Value.Kind() == constant.String {
+		return constant.StringVal(tv.Value), true
+	}
+	switch e := ast.Unparen(e).(type) {
+	case *ast.BasicLit:
+		s, err := strconv.Unquote(e.Value)
+		return s, e.Kind == token.STRING && err == nil
+	case *ast.CallExpr:
+		if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sprintf" && len(e.Args) > 0 {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fmt" {
+				return metricName(info, e.Args[0])
+			}
+		}
+	}
+	return "", false
+}
+
+// handleKey names the handle e holds: ".f" for a field f, wherever it is
+// selected, and "path:v" for a variable v of the file at path.
+func handleKey(path string, e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return path + ":" + e.Name
+	case *ast.SelectorExpr:
+		return "." + e.Sel.Name
+	}
+	return ""
+}
+
+// storedIn is the handleKey of the field or variable a call's result is
+// stored in: a composite-literal key, an assignment's or a declaration's
+// left-hand side ("" if none).
+func storedIn(path string, parent ast.Node, call ast.Expr) string {
+	switch p := parent.(type) {
+	case *ast.KeyValueExpr:
+		if id, ok := p.Key.(*ast.Ident); ok {
+			return "." + id.Name
+		}
+	case *ast.AssignStmt:
+		for i, rhs := range p.Rhs {
+			if rhs == call && i < len(p.Lhs) {
+				return handleKey(path, p.Lhs[i])
+			}
+		}
+	case *ast.ValueSpec:
+		for i, v := range p.Values {
+			if v == call && i < len(p.Names) {
+				return handleKey(path, p.Names[i])
+			}
+		}
+	}
+	return ""
+}
+
 // fieldKey is package.Type.Field when e selects a field of a named struct
 // (through a pointer or not), else "".
 func fieldKey(info *types.Info, e ast.Expr) string {
@@ -506,6 +777,14 @@ func TestEveryEventKindIsEmitted(t *testing.T) {
 func parseModule(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 	t.Helper()
 	fset := token.NewFileSet()
+	return fset, parseGoFiles(t, fset, false)
+}
+
+// parseGoFiles parses the Go files of the module and of benchmarks/ — the
+// test files if tests is set, else the others — keyed by slash-separated
+// path.
+func parseGoFiles(t *testing.T, fset *token.FileSet, tests bool) map[string]*ast.File {
+	t.Helper()
 	files := map[string]*ast.File{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -517,7 +796,7 @@ func parseModule(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -530,7 +809,7 @@ func parseModule(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, files
+	return files
 }
 
 // calleeName is the called function's or method's bare name ("" for other
