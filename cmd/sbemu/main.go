@@ -27,9 +27,10 @@
 //
 //	sbemu -ctlnet -cluster 3 -agents 4 -trace-dir /tmp/traces
 //
-// The observability flags (-events, -debug-addr, -slo-budget) watch the bus
-// of a replica that survives the kill. -trace is refused in this mode: the
-// emulation's trace already holds every process, that replica's included.
+// The observability flags (-events, -debug-addr, -slo-budget) watch every
+// replica's bus: a recovery completes once, on the replica that leads when
+// it commits. -trace is refused in this mode: the emulation's trace already
+// holds every process.
 //
 // A flag the chosen mode does not read is an error, not a no-op.
 package main
@@ -65,16 +66,10 @@ func main() {
 		numAgents  = flag.Int("agents", 2, "ctlnet mode: number of switch agents")
 		numCS      = flag.Int("cs", 1, "ctlnet mode: number of circuit-switch services")
 		cluster    = flag.Int("cluster", 1, "ctlnet mode: controller replicas; with 2 or more they elect a leader and sbemu kills it mid-storm")
-		kaBatch    = flag.Bool("ka-batch", false, "run the fleet-scale keep-alive demo: -agents batched agents through one server, printing sustained ingest and server goroutine count")
 	)
 	obsFlags := debughttp.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *kaBatch {
-		rejectUnused("-ka-batch", "ka-batch", "agents")
-		runFleetDemo(*numAgents)
-		return
-	}
 	if *ctlnetMode {
 		rejectUnused("-ctlnet", "debug-addr", "events", "slo-budget", "ctlnet", "k", "n", "agents", "cs", "cluster", "trace-dir")
 		if *traceDir == "" {
@@ -158,6 +153,11 @@ func main() {
 	}
 }
 
+// forwardTo is a sink that re-emits every event on another bus.
+type forwardTo struct{ bus *obs.Bus }
+
+func (f forwardTo) Event(ev obs.Event) { f.bus.Emit(ev) }
+
 // rejectUnused exits non-zero, naming them, if any flag set on the command
 // line is not among the ones mode reads.
 func rejectUnused(mode string, reads ...string) {
@@ -170,25 +170,6 @@ func rejectUnused(mode string, reads ...string) {
 	if len(unused) > 0 {
 		fatal(fmt.Errorf("%s does not use %s", mode, strings.Join(unused, ", ")))
 	}
-}
-
-// runFleetDemo drives the fleet-scale keep-alive path: agents are grouped
-// onto shared connections sending batched keep-alive frames, the server reads
-// each connection on its own goroutine, and the sustained ingest rate plus the
-// server goroutine count (connections + the detector + a constant) are printed.
-func runFleetDemo(agents int) {
-	if agents <= 0 {
-		fatal(fmt.Errorf("-ka-batch requires -agents > 0"))
-	}
-	fmt.Printf("fleet demo: %d agents, batched keep-alives over grouped connections...\n", agents)
-	res, err := ctlnet.RunFleet(ctlnet.FleetConfig{Agents: agents})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%d agents on %d conns (group size %d): %.0f keep-alives/s sustained\n",
-		res.Agents, res.Conns, res.GroupSize, res.KAPerSec)
-	fmt.Printf("server goroutines: %d (one reader per connection + one detector); batched frames: %d; wire errors: %d\n",
-		res.ServerGoroutines, res.Batches, res.WireErrors)
 }
 
 // runCtlnet drives the control-plane emulation: the controller replicas
@@ -231,7 +212,13 @@ func runCtlnet(k, n, agents, cs, replicas int, traceDir string, obsFlags *debugh
 			break
 		}
 	}
-	_, stopObs, err := obsFlags.Start("sbemu", watch.Bus)
+	// The obs flags watch every replica's bus: a recovery completes on the
+	// replica that leads when it commits, and leadership moves mid-run.
+	watched := &obs.Bus{}
+	for _, r := range em.Replicas {
+		r.Bus.Attach(forwardTo{watched})
+	}
+	_, stopObs, err := obsFlags.Start("sbemu", watched)
 	if err != nil {
 		fatal(err)
 	}

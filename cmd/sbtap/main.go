@@ -90,10 +90,6 @@ func main() {
 		bad = true
 	}
 
-	if *hist {
-		fmt.Print(phaseHistograms(evs))
-	}
-
 	// Events of an unnamed bus (sbemu -fail-path) are labelled by the file.
 	res, err := obs.Stitch([]obs.ProcTrace{{Name: strings.TrimSuffix(filepath.Base(name), ".jsonl"), Events: evs}})
 	if err != nil {
@@ -104,6 +100,9 @@ func main() {
 		for _, ss := range tr.Spans {
 			all = append(all, ss.Span)
 		}
+	}
+	if *hist {
+		fmt.Print(phaseHistograms(evs, all))
 	}
 	if b := obs.NewBreakdown(all, ""); b.N() == 0 {
 		fmt.Println("no completed recovery spans")
@@ -197,26 +196,26 @@ func seqLoss(evs []obs.Event) (lost, gaps int) {
 	return lost, gaps
 }
 
-// phaseHistograms aggregates the recovery phase latencies (and individual
-// circuit reconfigurations) into log-bucketed histograms — the offline twin
-// of the /varz quantiles, computed from a trace file instead of a live
-// registry.
-func phaseHistograms(evs []obs.Event) string {
+// phaseHistograms aggregates the completed recovery spans' phase latencies
+// (and the trace's individual circuit reconfigurations) into log-bucketed
+// histograms — the offline twin of the /varz quantiles, computed from a trace
+// file instead of a live registry. It counts spans, as the breakdown does.
+func phaseHistograms(evs []obs.Event, spans []*obs.Span) string {
 	phases := []struct {
 		name string
-		get  func(obs.Event) time.Duration
+		get  func(*obs.Span) time.Duration
 	}{
-		{"detection", func(e obs.Event) time.Duration { return e.Detection }},
-		{"report", func(e obs.Event) time.Duration { return e.Report }},
-		{"reconfig", func(e obs.Event) time.Duration { return e.Reconfig }},
-		{"total", func(e obs.Event) time.Duration { return e.Total }},
+		{"detection", func(s *obs.Span) time.Duration { return s.Detection }},
+		{"report", func(s *obs.Span) time.Duration { return s.Report }},
+		{"reconfig", func(s *obs.Span) time.Duration { return s.Reconfig }},
+		{"total", func(s *obs.Span) time.Duration { return s.Total }},
 	}
 	var out bytes.Buffer
 	for _, ph := range phases {
 		h := &obs.Histogram{}
-		for _, ev := range evs {
-			if ev.Kind == obs.KindRecoveryComplete {
-				h.Record(ph.get(ev).Nanoseconds())
+		for _, sp := range spans {
+			if sp.Complete {
+				h.Record(ph.get(sp).Nanoseconds())
 			}
 		}
 		if h.Count() > 0 {

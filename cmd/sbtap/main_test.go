@@ -1,10 +1,12 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"sharebackup/internal/ctlnet"
 	"sharebackup/internal/obs"
 )
 
@@ -117,6 +119,50 @@ func TestStitchRendersLeadershipEvents(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestHistCountsEachRecoveryOnce: -hist on the trace of a live control plane
+// that made two link recoveries histograms two, not one per event the
+// recoveries' spans hold.
+func TestHistCountsEachRecoveryOnce(t *testing.T) {
+	e, err := ctlnet.NewEmulation(ctlnet.EmulationConfig{NumAgents: 2, NumCS: 1, TraceDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := e.FailLink(i, time.Millisecond); err != nil {
+			e.Close()
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(e.TraceFiles()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := obs.Stitch([]obs.ProcTrace{{Name: "trace", Events: evs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []*obs.Span
+	for _, tr := range res.Traces {
+		for _, ss := range tr.Spans {
+			spans = append(spans, ss.Span)
+		}
+	}
+	out := phaseHistograms(evs, spans)
+	for _, phase := range []string{"detection", "report", "reconfig", "total"} {
+		if want := "recovery " + phase + " latency (ns)  (n=2,"; !strings.Contains(out, want) {
+			t.Errorf("-hist lacks %q:\n%s", want, out)
 		}
 	}
 }

@@ -65,8 +65,9 @@ type Recovery struct {
 	// Reconfig is the circuit reconfiguration latency.
 	Reconfig time.Duration
 	// Trace and Span identify the recovery's causal span on the event bus,
-	// so wall-clock mirrors of the same recovery (the ctlnet server's
-	// recovered event, circuit-switch agent reconfigurations) can join it.
+	// so the event completing it (System.FailNode/FailLink's on the virtual
+	// clock, the ctlnet leader's on the wall clock) and the circuit-switch
+	// agents' reconfigurations can join it.
 	Trace uint64
 	Span  uint64
 }
@@ -247,15 +248,19 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 	}
 	c.recoveries = append(c.recoveries, rec)
 	c.mFailovers.Inc()
-	c.emitRecoveryDone(span, at, &c.recoveries[len(c.recoveries)-1])
+	c.emitBackupsAssigned(span, at, &c.recoveries[len(c.recoveries)-1])
 	return &c.recoveries[len(c.recoveries)-1], nil
 }
 
-// emitRecoveryDone publishes the backup-assigned and recovery-complete
-// events closing a recovery span.
-func (c *Controller) emitRecoveryDone(span uint64, at time.Duration, rec *Recovery) {
+// emitBackupsAssigned records the recovery's span identity and publishes its
+// backup-assigned events. The recovery-complete event that closes the span
+// is the caller's: it knows which clock the recovery ran on, and a
+// replicated controller completes a recovery once, on its leader, not once
+// per replica that applies it.
+func (c *Controller) emitBackupsAssigned(span uint64, at time.Duration, rec *Recovery) {
 	// Record the span identity on the recovery itself (before the deferred
-	// EndSpan clears the bus context) so cross-process mirrors can join it.
+	// EndSpan clears the bus context) so the completion and cross-process
+	// mirrors can join it.
 	rec.Span = span
 	rec.Trace = c.bus.ActiveTrace()
 	if !c.bus.Enabled() {
@@ -270,21 +275,6 @@ func (c *Controller) emitRecoveryDone(span uint64, at time.Duration, rec *Recove
 		}
 		c.bus.Emit(ev)
 	}
-	done := obs.NewEvent(obs.KindRecoveryComplete, at+rec.Comm+rec.Reconfig)
-	done.Span = span
-	done.Detail = rec.Kind
-	if len(rec.Failed) > 0 {
-		done.Switch = int32(rec.Failed[0])
-	}
-	if len(rec.Backup) > 0 {
-		done.Backup = int32(rec.Backup[0])
-	}
-	done.Count = int32(len(rec.Failed))
-	done.Detection = rec.Detection
-	done.Report = rec.Comm
-	done.Reconfig = rec.Reconfig
-	done.Total = rec.Total()
-	c.bus.Emit(done)
 }
 
 // ReportLinkFailure handles a link-failure report from both endpoints
@@ -365,7 +355,7 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 	if len(rec.Failed) > 0 {
 		c.recoveries = append(c.recoveries, rec)
 		c.pendingDiagnosis = append(c.pendingDiagnosis, LinkSuspects{A: a, B: b})
-		c.emitRecoveryDone(span, at, &c.recoveries[len(c.recoveries)-1])
+		c.emitBackupsAssigned(span, at, &c.recoveries[len(c.recoveries)-1])
 		return &c.recoveries[len(c.recoveries)-1], firstErr
 	}
 	return nil, firstErr
@@ -474,7 +464,7 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 		Reconfig:  reconfig,
 	}
 	c.recoveries = append(c.recoveries, rec)
-	c.emitRecoveryDone(span, at, &c.recoveries[len(c.recoveries)-1])
+	c.emitBackupsAssigned(span, at, &c.recoveries[len(c.recoveries)-1])
 	if hostAtFault {
 		// Replacement did not fix the link: mark the switch healthy
 		// and trouble-shoot the host.

@@ -26,6 +26,11 @@ const ackRedirected byte = 0xFF
 type Agent struct {
 	ID sbnet.SwitchID
 
+	// ids are the switches the agent speaks for: ID, the reporting switch,
+	// first, then any co-located switches sharing its session (RunFleet's
+	// agents). Each gets a hello and a pair in every keep-alive batch.
+	ids []sbnet.SwitchID
+
 	conn     net.Conn
 	interval time.Duration
 
@@ -65,6 +70,11 @@ func Dial(addr string, id sbnet.SwitchID, interval time.Duration) (*Agent, error
 // the agent re-dial, hint-first, and resume. Dialing tolerates an election
 // in progress (no replica leads yet) for a few seconds.
 func DialCluster(addrs []string, id sbnet.SwitchID, interval time.Duration) (*Agent, error) {
+	return dialAgent(addrs, []sbnet.SwitchID{id}, interval)
+}
+
+// dialAgent connects one agent speaking for ids (ids[0] is its ID).
+func dialAgent(addrs []string, ids []sbnet.SwitchID, interval time.Duration) (*Agent, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("ctlnet: agent interval %v must be positive", interval)
 	}
@@ -72,7 +82,8 @@ func DialCluster(addrs []string, id sbnet.SwitchID, interval time.Duration) (*Ag
 		return nil, fmt.Errorf("ctlnet: agent needs at least one cluster address")
 	}
 	a := &Agent{
-		ID:          id,
+		ID:          ids[0],
+		ids:         append([]sbnet.SwitchID(nil), ids...),
 		interval:    interval,
 		addrs:       append([]string(nil), addrs...),
 		ackCh:       make(chan byte, 4),
@@ -99,7 +110,8 @@ func DialCluster(addrs []string, id sbnet.SwitchID, interval time.Duration) (*Ag
 
 // dialLeader finds the replica that currently leads: it asks each candidate
 // (redirect hint first) who leads via msgLeaderReq, follows the answer, and
-// registers with msgHello once a self-professed leader is found.
+// registers once a self-professed leader is found: one msgHello per ID, all
+// in one write.
 func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
 	cands := append([]string{hint}, a.addrs...)
 	tried := make(map[string]bool, len(cands))
@@ -138,7 +150,11 @@ func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
 			}
 			continue
 		}
-		if err := writeFrame(c, msgHello, encodeHello(a.ID)); err != nil {
+		var hellos []byte
+		for _, id := range a.ids {
+			hellos = appendFrame(hellos, msgHello, encodeHello(id))
+		}
+		if _, err := c.Write(hellos); err != nil {
 			c.Close()
 			continue
 		}
@@ -254,13 +270,13 @@ func (a *Agent) WaitTable(timeout time.Duration) bool {
 	}
 }
 
-// keepAliveLoop sends one keep-alive batch of one per tick, from a reused
-// buffer. A failed write re-dials the leader and the stream goes on.
+// keepAliveLoop sends the agent's keep-alive batch every tick, from reused
+// buffers: its IDs chunked at the frame's pair capacity, every chunk's frame
+// in one write. A failed write re-dials the leader and the stream goes on.
 func (a *Agent) keepAliveLoop() {
 	defer close(a.done)
 	ticker := time.NewTicker(a.interval)
 	defer ticker.Stop()
-	ids := []sbnet.SwitchID{a.ID}
 	var pay, buf []byte
 	seq := uint64(0)
 	for {
@@ -269,8 +285,13 @@ func (a *Agent) keepAliveLoop() {
 			return
 		case <-ticker.C:
 			seq++
-			pay = appendKeepAliveBatch(pay[:0], ids, seq)
-			buf = appendFrame(buf[:0], msgKeepAliveBatch, pay)
+			buf = buf[:0]
+			for ids := a.ids; len(ids) > 0; {
+				n := min(len(ids), maxKAPairs)
+				pay = appendKeepAliveBatch(pay[:0], ids[:n], seq)
+				buf = appendFrame(buf, msgKeepAliveBatch, pay)
+				ids = ids[n:]
+			}
 			a.mu.Lock()
 			gen := a.gen
 			_, err := a.conn.Write(buf)

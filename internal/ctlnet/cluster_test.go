@@ -605,3 +605,65 @@ func TestLinkRecoveryRecordsMeasuredDetection(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRecoveryCompletePerLiveRecovery: a replicated controller completes a
+// recovery once, on its leader, however many replicas apply it. Three
+// replicas apply N link recoveries; the trace every process bus writes holds
+// exactly N recovery-complete events, the leader's wall-clock ones.
+func TestOneRecoveryCompletePerLiveRecovery(t *testing.T) {
+	const n = 3
+	dir := t.TempDir()
+	e := startCluster(t, ClusterConfig{
+		EmulationConfig: EmulationConfig{NumAgents: n, NumCS: 1, TraceDir: dir, MissThreshold: 25},
+		Replicas:        3,
+	})
+	ld, err := e.Leader(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every replica publishes every applied recovery to its subscribers:
+	// once each monitor has seen n, every replica has applied all n.
+	var mons []*Monitor
+	for _, r := range e.Replicas {
+		mon, err := Subscribe(r.Server.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+		mons = append(mons, mon)
+	}
+	for i := 0; i < n; i++ {
+		if err := e.FailLink(i, 500*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, mon := range mons {
+		for got := 0; got < n; got++ {
+			select {
+			case <-mon.Events:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("replica %d published %d of %d recoveries", e.Replicas[i].ID, got, n)
+			}
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadJSONL(mustOpen(t, e.TraceFiles()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := 0
+	for _, ev := range evs {
+		if ev.Kind != obs.KindRecoveryComplete {
+			continue
+		}
+		complete++
+		if want := fmt.Sprintf("controller-%d", ld.ID); ev.Proc != want || !ev.Wall {
+			t.Errorf("recovery-complete on %q (wall %v), want the leader's %q wall-clock event", ev.Proc, ev.Wall, want)
+		}
+	}
+	if complete != n {
+		t.Errorf("trace holds %d recovery-complete events for %d recoveries, want %d", complete, n, n)
+	}
+}

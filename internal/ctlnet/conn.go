@@ -12,8 +12,8 @@ import (
 // handleFrame, and leaves through dropConn — on a read error, a handler error,
 // or Server.Close severing the connection under it. A peer that stops reading
 // its replies stalls only its own reader. The price is a goroutine stack and a
-// frame buffer (about 5 KB) per connection; AgentGroup keeps the connection
-// count far below the agent count.
+// frame buffer (about 5 KB) per connection; an Agent speaking for several
+// co-located switches keeps the connection count below the switch count.
 
 // srvConn is one accepted connection's state, touched only by its reader.
 type srvConn struct {

@@ -440,6 +440,34 @@ func TestHelloWithNegativeIDIsRefused(t *testing.T) {
 	}
 }
 
+// TestHelloOutsideFabricIsRefused: a switch ID is a switch of the server's
+// fabric. A hello naming one past the model's last switch drops the session
+// instead of reaching the detector's table or a table push, and the server
+// keeps registering real switches.
+func TestHelloOutsideFabricIsRefused(t *testing.T) {
+	srv, nw := newServer(t)
+	bad, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if err := writeFrame(bad, msgHello, encodeHello(sbnet.SwitchID(nw.NumSwitches()))); err != nil {
+		t.Fatal(err)
+	}
+	bad.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, _, err := readFrame(bad); err == nil {
+		t.Errorf("server kept a session alive after a hello for switch %d of %d", nw.NumSwitches(), nw.NumSwitches())
+	}
+	a, err := Dial(srv.Addr(), nw.EdgeGroup(0).Slots()[0], 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("well-formed agent after the bad hello: %v", err)
+	}
+	defer a.Close()
+	if !a.WaitTable(2 * time.Second) {
+		t.Error("well-formed agent after the bad hello got no table: not registered")
+	}
+}
+
 func TestServerCloseIdempotent(t *testing.T) {
 	srv, _ := newServer(t)
 	if err := srv.Close(); err != nil {

@@ -50,12 +50,9 @@ type detector struct {
 	stallAt time.Duration
 }
 
-// seen records a heartbeat from id on the wall clock. Hot path: one lock,
-// one stamp, one append.
+// seen records a heartbeat from id, a switch of the fabric, on the wall
+// clock. Hot path: one lock, one stamp, one append.
 func (s *Server) seen(id sbnet.SwitchID) {
-	if int(id) < 0 || int(id) >= s.fleetSize {
-		return
-	}
 	d := &s.det
 	d.mu.Lock()
 	d.pending = append(d.pending, kaRecord{id: id, at: s.Now()})
@@ -69,7 +66,7 @@ func (s *Server) seenBatch(p []byte, cnt int) {
 	d.mu.Lock()
 	now := s.Now()
 	for i := 0; i < cnt; i++ {
-		if id, _ := kaBatchPair(p, i); int(id) >= 0 && int(id) < s.fleetSize {
+		if id, _ := kaBatchPair(p, i); int(id) >= 0 && int(id) < s.numSwitches {
 			d.pending = append(d.pending, kaRecord{id: id, at: now})
 		}
 	}
@@ -83,9 +80,6 @@ func (s *Server) seenBatch(p []byte, cnt int) {
 // deadline of its promotion unless the agent speaks first. A backup that is
 // still being tracked, or never had an agent, is unaffected.
 func (s *Server) promoted(id sbnet.SwitchID) {
-	if int(id) < 0 || int(id) >= s.fleetSize {
-		return
-	}
 	d := &s.det
 	d.mu.Lock()
 	d.promoted = append(d.promoted, kaRecord{id: id, at: s.Now()})
@@ -180,14 +174,9 @@ func (s *Server) wake(now, armedFor time.Duration) (dead []deadCandidate, next t
 		nw := s.ctl.Network()
 		for _, c := range expired {
 			s.mProbeMisses.Add(int64(s.cfg.MissThreshold))
-			// Synthetic fleet IDs have no role and no backup to fail over
-			// to — a silent one is simply forgotten.
-			if int(c.id) >= s.numSwitches {
-				continue
-			}
-			// So is a switch off active duty (a silent spare, a failed
-			// switch's last gasp): it lapses, and a later keep-alive or a
-			// promotion re-registers it.
+			// A switch off active duty (a silent spare, a failed switch's
+			// last gasp) has nothing to fail over: it lapses, and a later
+			// keep-alive or a promotion re-registers it.
 			if nw.Switch(c.id).Role != sbnet.RoleActive {
 				q.lapse(c.id)
 				continue

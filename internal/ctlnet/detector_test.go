@@ -616,7 +616,7 @@ func TestStallAtAnyPhaseIsSeen(t *testing.T) {
 		deadline := time.Duration(misses) * interval
 		for start := t0 + 4*interval; start < t0+4*interval+deadline; start += step {
 			for length := 3 * interval / 4; length <= deadline; length += step {
-				srv.det = detector{queue: newExpiryQueue(srv.fleetSize, deadline), stallAt: -interval}
+				srv.det = detector{queue: newExpiryQueue(srv.numSwitches, deadline), stallAt: -interval}
 				resume := start + length
 				stalled := func(at time.Duration) bool { return at >= start && at < resume }
 				// Agent i keeps alive every interval from its own phase.

@@ -295,7 +295,6 @@ func TestNegativeConfigRejectedByName(t *testing.T) {
 	}{
 		{"ServerConfig.Interval", ServerConfig{Interval: -time.Millisecond}},
 		{"ServerConfig.MissThreshold", ServerConfig{MissThreshold: -1}},
-		{"ServerConfig.FleetSize", ServerConfig{FleetSize: -1}},
 	} {
 		c.cfg.Cluster = hooks
 		srv, err := NewServer("127.0.0.1:0", ctl, c.cfg)

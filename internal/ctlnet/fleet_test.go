@@ -2,6 +2,8 @@ package ctlnet
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,8 +40,8 @@ func TestKeepAliveBatchWireRoundTrip(t *testing.T) {
 
 // TestMalformedKeepAliveKeepsConnAlive is the wire-errors contract: a
 // malformed keep-alive (or batch) payload is counted and skipped, and the
-// session keeps working — it does not tear down the other 49 agents
-// multiplexed behind the same connection.
+// session keeps working — it does not tear down the other switches an agent
+// speaks for on the same connection.
 func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
 	if err != nil {
@@ -53,11 +55,11 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 		Obs:           &obs.Bus{},
 	}).Server
 
-	g, err := DialGroup(srv.Addr(), []sbnet.SwitchID{1, 2, 3}, time.Millisecond)
+	a, err := dialAgent([]string{srv.Addr()}, []sbnet.SwitchID{1, 2, 3}, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	defer a.Close()
 
 	// Inject garbage frames on the shared session: a batch too short for its
 	// count, a batch whose count disagrees with its pairs, and a short link
@@ -66,7 +68,10 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 	raw.Write(appendFrame(nil, msgKeepAliveBatch, []byte{1}))
 	raw.Write(appendFrame(nil, msgKeepAliveBatch, []byte{0, 9, 1, 2}))
 	raw.Write(appendFrame(nil, msgLinkFail, []byte{5}))
-	if _, err := g.conn.Write(raw.Bytes()); err != nil {
+	a.mu.Lock()
+	_, err = a.conn.Write(raw.Bytes())
+	a.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,10 +97,10 @@ func TestMalformedKeepAliveKeepsConnAlive(t *testing.T) {
 	}
 }
 
-// TestFleetSoak runs a 1k-agent fleet through one server and asserts the
+// TestFleetSoak runs a 1k-switch fleet through one server and asserts the
 // goroutine contract: the server's steady-state goroutine count follows its
-// connections (one reader each) and its one detector, never its agents. Runs under
-// -race in `make race`.
+// connections (one reader each) and its one detector, never its switches.
+// Runs under -race in `make race`.
 func TestFleetSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet soak skipped in -short")
@@ -106,6 +111,7 @@ func TestFleetSoak(t *testing.T) {
 		Interval:  20 * time.Millisecond,
 		Warmup:    200 * time.Millisecond,
 		Duration:  500 * time.Millisecond,
+		K:         28, // 1 050 switches
 	}
 	res, err := RunFleet(cfg)
 	if err != nil {
@@ -122,8 +128,8 @@ func TestFleetSoak(t *testing.T) {
 	}
 	// Server footprint: one reader per connection, the detector, the accept
 	// loop, the consensus node's loop and listener, and slack for the test
-	// runtime's own goroutines. 1000 agents ride 20 connections; a goroutine per agent
-	// would sit at >= 1000.
+	// runtime's own goroutines. 1000 switches ride 20 agents' connections; a
+	// goroutine per switch would sit at >= 1000.
 	bound := res.Conns + 1 + 24
 	if res.ServerGoroutines > bound {
 		t.Fatalf("server goroutines = %d, want <= %d (connections+detector+slack; conns=%d agents=%d)",
@@ -131,4 +137,39 @@ func TestFleetSoak(t *testing.T) {
 	}
 	t.Logf("fleet: %d agents on %d conns, %.0f ka/s, %d server goroutines",
 		res.Agents, res.Conns, res.KAPerSec, res.ServerGoroutines)
+}
+
+// TestRunFleetRejectsAgentsBeyondModel: a fleet's switches are the model's,
+// so asking for more than it holds fails by the field's name.
+func TestRunFleetRejectsAgentsBeyondModel(t *testing.T) {
+	_, err := RunFleet(FleetConfig{Agents: 31, K: 4}) // k=4 holds 30 switches
+	if err == nil || !strings.Contains(err.Error(), "FleetConfig.Agents") {
+		t.Fatalf("RunFleet with 31 agents at k=4: err = %v, want one naming FleetConfig.Agents", err)
+	}
+}
+
+// BenchmarkFleetK48 holds the paper's scale on the one keep-alive client:
+// every switch of a k=48 fabric (3 000) keep-aliving through one server, on
+// an agent of its own or 50 to an agent, at 20, 5 and 1 ms. It reports the
+// share of the offered keep-alives the server counted, and the server's
+// goroutines. Run it with
+//
+//	go test -run '^$' -bench FleetK48 -benchtime 1x ./internal/ctlnet
+func BenchmarkFleetK48(b *testing.B) {
+	const switches = 3000
+	for _, group := range []int{1, 50} {
+		for _, interval := range []time.Duration{20 * time.Millisecond, 5 * time.Millisecond, time.Millisecond} {
+			b.Run(fmt.Sprintf("group=%d/interval=%v", group, interval), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := RunFleet(FleetConfig{Agents: switches, GroupSize: group, Interval: interval, K: 48})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(res.KAPerSec*interval.Seconds()/switches, "delivered/offered")
+					b.ReportMetric(float64(res.ServerGoroutines), "server-goroutines")
+					b.ReportMetric(float64(res.Conns), "conns")
+				}
+			})
+		}
+	}
 }

@@ -58,13 +58,6 @@ type ServerConfig struct {
 	// leg a measured hop of the recovery's cross-process trace (one crossbar
 	// swap of ports 0 and 1 per recovery). Empty disables mirroring.
 	CSAddrs []string
-	// FleetSize widens the keep-alive tracking range beyond the network
-	// model: switch IDs in [0, max(FleetSize, NumSwitches)) are accepted
-	// on the keep-alive path, but only in-model switches are
-	// recovery-eligible — a silent synthetic ID is simply forgotten. This is
-	// how the fleet bench drives 10k+ agents through a server whose fat-tree
-	// model is far smaller. Default 0 (track exactly the network model).
-	FleetSize int
 	// Cluster is this server's consensus replica, and is required: recovery
 	// mutations are proposed into the replicated log and applied when they
 	// commit, non-leaders redirect agents with msgNotLeader, and link reports
@@ -77,7 +70,6 @@ func (c *ServerConfig) check() error {
 	return errors.Join(
 		negative("ServerConfig", "Interval", c.Interval),
 		negative("ServerConfig", "MissThreshold", c.MissThreshold),
-		negative("ServerConfig", "FleetSize", c.FleetSize),
 	)
 }
 
@@ -133,10 +125,9 @@ type Server struct {
 	// det is the keep-alive fan-in and node-failure detector (detector.go).
 	det detector
 
-	// numSwitches and fleetSize are fixed at construction so the keep-alive
-	// hot path never consults the network model's size under a lock.
+	// numSwitches is fixed at construction so the keep-alive hot path never
+	// consults the network model's size under a lock.
 	numSwitches int
-	fleetSize   int
 
 	mu     sync.Mutex
 	subs   []net.Conn
@@ -182,11 +173,7 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		quit:  make(chan struct{}),
 	}
 	s.numSwitches = ctl.Network().NumSwitches()
-	s.fleetSize = s.numSwitches
-	if cfg.FleetSize > s.fleetSize {
-		s.fleetSize = cfg.FleetSize
-	}
-	s.det.queue = newExpiryQueue(s.fleetSize, time.Duration(cfg.MissThreshold)*cfg.Interval)
+	s.det.queue = newExpiryQueue(s.numSwitches, time.Duration(cfg.MissThreshold)*cfg.Interval)
 	s.det.stallAt = -cfg.Interval
 	reg := ctl.Metrics()
 	s.mKeepalives = reg.Counter("ctlnet.keepalives")
@@ -341,9 +328,13 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 	switch typ {
 	case msgHello:
 		id, err := decodeHello(payload)
+		if err == nil && int(id) >= s.numSwitches {
+			err = fmt.Errorf("ctlnet: hello names switch %d, outside the fabric's %d", id, s.numSwitches)
+		}
 		if err != nil {
-			// Handshake integrity: a malformed hello is a protocol
-			// violation from a client that never registered — drop it.
+			// Handshake integrity: a malformed hello, or one naming no
+			// switch of the fabric, is a protocol violation from a client
+			// that never registered — drop it.
 			s.logf("ctlnet: %v", err)
 			return err
 		}
@@ -354,10 +345,6 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 		// Hot-standby provisioning (Section 4.3): edge-group
 		// switches — regular and backup alike — receive their
 		// pod's combined failure-group table on registration.
-		// Out-of-model fleet IDs have no table.
-		if int(id) >= s.numSwitches {
-			return nil
-		}
 		if tbl := s.tableFor(id); tbl != nil {
 			if err := writeReply(conn, msgTableLoad, tbl); err != nil {
 				s.logf("ctlnet: table push to %d: %v", id, err)
@@ -674,10 +661,11 @@ func (s *Server) inFabric(ids ...int32) error {
 
 // finishLive runs the leader-visible side effects of one applied recovery.
 func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, processing time.Duration) {
-	s.emitRecovered(rec, s.Now()-processing, processing)
 	if s.cfg.Cluster.IsLeader() {
-		// Followers apply the same command but must not re-reconfigure the
-		// shared circuit switches the leader already drove.
+		// Followers apply the same command but must neither complete the
+		// recovery a second time nor re-reconfigure the shared circuit
+		// switches the leader already drove.
+		s.emitRecovered(rec, s.Now()-processing, processing)
 		s.mirrorCS(rec)
 		// Only the leader runs a detector: tell it which spares just went
 		// on active duty.
@@ -740,14 +728,12 @@ func (s *Server) mirrorCS(rec *controller.Recovery) {
 	}
 }
 
-// emitRecovered publishes the wall-clock recovery-complete event for a
-// recovery the server just drove: detection and circuit reconfiguration come
-// from the controller's record (whose link detection is the reporting
-// agent's measurement, when it sent one), the report phase is the measured
-// server processing time, and T is the completion time on the process epoch.
-// The controller already emitted the virtual-time span; this event is the
-// wall-clock view of the same recovery, sharing its trace and span IDs so
-// stitchers and the SLO watchdog see one recovery, not two.
+// emitRecovered publishes the recovery-complete event for a recovery the
+// leader just drove, closing the controller's span: detection and circuit
+// reconfiguration come from the controller's record (whose link detection is
+// the reporting agent's measurement, when it sent one), the report phase is
+// the measured server processing time, and T is the completion time on the
+// process epoch. It is the recovery's one completion across the cluster.
 func (s *Server) emitRecovered(rec *controller.Recovery, at, processing time.Duration) {
 	if !s.bus.Enabled() {
 		return

@@ -65,9 +65,9 @@ const (
 	msgReportAck byte = 18 // server -> agent: byte status
 
 	// msgKeepAliveBatch carries keep-alives: uint16 count, then count ×
-	// (uint32 switch ID, uint64 seq). An Agent sends a batch of one per
-	// tick; an AgentGroup coalesces its co-located agents' into one frame —
-	// one syscall, one decode on the server, the fleet-scale ingest format.
+	// (uint32 switch ID, uint64 seq). An Agent sends one pair per switch it
+	// speaks for every tick (one for a lone switch), co-located switches in
+	// one frame — one syscall, one decode on the server.
 	msgKeepAliveBatch byte = 19 // agent -> server: (id, seq) pairs
 
 	// Circuit-switch session (csagent.go). 16–19 were this session's own
@@ -98,7 +98,8 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // appendFrame appends a complete frame to dst — the zero-extra-Write path
-// for senders that batch several frames into one syscall (AgentGroup).
+// for senders that batch several frames into one syscall (an Agent's hellos
+// and keep-alive chunks).
 func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))

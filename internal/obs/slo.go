@@ -6,7 +6,7 @@ import (
 )
 
 // sloWindow is the number of most recent recoveries the burn rate is
-// computed over, and the reach of the mirror deduplication.
+// computed over.
 const sloWindow = 64
 
 // SLOConfig tunes an SLOWatchdog.
@@ -27,14 +27,9 @@ type SLOConfig struct {
 // on, not benchmarked once. It keeps cumulative breach counters, a sliding
 // burn-rate gauge (breached fraction of the last sloWindow recoveries, in
 // ppm), and a histogram of recovery totals, all surfaced through the
-// registry (/varz, /metricsz).
-//
-// Recoveries driven through the TCP control plane are emitted twice on one
-// bus — the controller's virtual-time span and the server's wall-clock
-// mirror of the same recovery, sharing trace and span IDs — and concurrent
-// recoveries can interleave their pairs (A, B, A′, B′). The watchdog skips a
-// traced event whose (trace, span) is already in its window, so it audits
-// each recovery once.
+// registry (/varz, /metricsz). Every recovery completes with one event —
+// System.FailNode/FailLink's on the virtual clock, the ctlnet leader's on the
+// wall clock — so each event is one recovery.
 type SLOWatchdog struct {
 	cfg SLOConfig
 
@@ -45,15 +40,9 @@ type SLOWatchdog struct {
 	hTotal      *Histogram
 
 	mu     sync.Mutex
-	window [sloWindow]sloOutcome // ring of the last recoveries audited
+	window [sloWindow]bool // ring of the last recoveries audited: breached?
 	next   int
 	filled bool
-}
-
-// sloOutcome is one audited recovery: its identity and whether it breached.
-type sloOutcome struct {
-	trace, span uint64
-	breach      bool
 }
 
 // NewSLOWatchdog builds a watchdog; attach it to a bus to start auditing.
@@ -80,24 +69,19 @@ func (w *SLOWatchdog) Event(ev Event) {
 	}
 	breach := w.cfg.Budget > 0 && ev.Total > w.cfg.Budget
 	w.mu.Lock()
-	if ev.Trace != 0 {
-		for _, o := range w.held() {
-			if o.trace == ev.Trace && o.span == ev.Span {
-				w.mu.Unlock()
-				return // mirror of a recovery already audited
-			}
-		}
-	}
-	w.window[w.next] = sloOutcome{trace: ev.Trace, span: ev.Span, breach: breach}
+	w.window[w.next] = breach
 	w.next++
 	if w.next == len(w.window) {
 		w.next = 0
 		w.filled = true
 	}
-	held := w.held()
+	held := w.window[:w.next]
+	if w.filled {
+		held = w.window[:]
+	}
 	breached := 0
-	for _, o := range held {
-		if o.breach {
+	for _, b := range held {
+		if b {
 			breached++
 		}
 	}
@@ -109,12 +93,4 @@ func (w *SLOWatchdog) Event(ev Event) {
 	if breach {
 		w.mBreaches.Inc()
 	}
-}
-
-// held returns the audited recoveries in the window; w.mu must be held.
-func (w *SLOWatchdog) held() []sloOutcome {
-	if w.filled {
-		return w.window[:]
-	}
-	return w.window[:w.next]
 }

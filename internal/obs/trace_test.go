@@ -62,24 +62,14 @@ func TestSLOWatchdog(t *testing.T) {
 		breaches   int64
 		burnPPM    int64
 	}{{
-		name: "wall mirror follows its recovery",
+		name: "every event is one recovery",
 		events: []Event{
 			completeEvent(1, 1, 5*time.Millisecond),
-			completeEvent(1, 1, 99*time.Millisecond), // mirror: ignored
 			completeEvent(2, 2, 20*time.Millisecond), // breach
-			completeEvent(2, 2, 20*time.Millisecond), // mirror
-			NewEvent(KindLog, 0),                     // unrelated kinds ignored
+			completeEvent(3, 1, 5*time.Millisecond),
+			NewEvent(KindLog, 0), // unrelated kinds ignored
 		},
-		recoveries: 2, breaches: 1, burnPPM: 5e5,
-	}, {
-		name: "interleaved recoveries A, B, A', B'",
-		events: []Event{
-			completeEvent(1, 1, 20*time.Millisecond),
-			completeEvent(2, 2, 5*time.Millisecond),
-			completeEvent(1, 1, 20*time.Millisecond),
-			completeEvent(2, 2, 5*time.Millisecond),
-		},
-		recoveries: 2, breaches: 1, burnPPM: 5e5,
+		recoveries: 3, breaches: 1, burnPPM: 333333,
 	}, {
 		name: "untraced events never dedup",
 		events: []Event{

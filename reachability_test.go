@@ -32,10 +32,13 @@ var testOnly = map[string]string{
 	"controller.Controller.ResumeAfterIntervention": "§5.1 halt on circuit-switch failure — TestCircuitSwitchFailureThreshold",
 
 	"detect.NewLinkMonitor":          "§4.1 F10 link probing — TestDetectionToRecoveryPipeline",
+	"detect.LinkMonitor.Advance":     "§4.1 F10 link probing — TestDetectionToRecoveryPipeline",
 	"detect.Monitor.Down":            "§4.1 F10 link probing — TestDetectionAfterMissThreshold",
+	"detect.Monitor.Reset":           "§4.1 F10 link probing, re-armed after a repair — TestDetectionAfterMissThreshold",
 	"detect.Config.WorstCaseLatency": "§4.1 detection budget — TestDetectionAfterMissThreshold",
 
 	"failure.ExpectedConcurrent": "§5.1 availability arithmetic — TestExpectedConcurrent",
+	"failure.Unavailability":     "§5.1 availability arithmetic — TestUnavailability",
 
 	"sbnet.Network.DeactivateIdleBackups": "§6 idle-backup augmentation — TestDeactivateIdleBackups",
 	"sbnet.Network.SyncCircuit":           "§5.1 circuit-switch re-sync — TestSyncCircuitRestoresAuthoritativeState",
@@ -43,11 +46,13 @@ var testOnly = map[string]string{
 	"sbnet.Network.TotalReconfigs":        "oracle: circuit reconfigurations per failover — TestTotalReconfigsAccounting",
 
 	"topo.FatTree.EdgeOfHost":   "oracle: host numbering — TestFatTreeHostsOfEdge, TestDataPlaneDeliversAllPairs",
+	"topo.FatTree.Host":         "oracle: host numbering — TestFatTreeHostsOfEdge, TestECMPPathCounts, TestPathStoreConcurrent",
 	"topo.Topology.NodesOfKind": "oracle: the built fabric counted by kind — TestFatTreeCounts",
 	"topo.FatTree.ECMPPaths":    "oracle: full equal-cost enumeration — TestPathStoreDifferential, TestSelectMatchesFullSet",
 	"topo.FatTree.HostsOfEdge":  "oracle: host numbering — TestFatTreeHostsOfEdge, TestSelectMatchesFullSet",
 	"topo.Topology.Connected":   "oracle: reachability — TestQuickFatTreeSingleFailureKeepsFabricConnected, TestJellyfishConnected",
 	"topo.Path.ContainsLink":    "oracle: a detour avoids the failed link — TestF10LocalRerouteLink, TestQuickMaxMinInvariants",
+	"topo.Path.Contains":        "oracle: a detour avoids the failed switch — TestGlobalOptimalReroute, TestF10LocalRerouteSrcSideFailure, TestInternedPathInvariants",
 }
 
 // viaInterface names methods the standard library calls through an
@@ -61,73 +66,81 @@ var viaInterface = map[string]bool{
 
 // TestNoTestOnlyExports keeps code that only tests reach from growing back:
 // every exported function or method declared in a non-test file under
-// internal/ must be named by some non-test file of the module or of
-// benchmarks/, or be listed in testOnly with its reason. The check is by
-// name, not by type, so it misses an export whose name some unrelated call
-// also uses; composite-literal keys and field and parameter names do not
-// count as uses. It is the cheap guard, not the audit.
+// internal/ must be used by some non-test file of the module or of
+// benchmarks/, or be listed in testOnly with its reason. Uses are resolved
+// by go/types, so a field, a parameter or an unrelated method of the same
+// name is no use. A method counts as used when a call through a module
+// interface it implements is, or when the standard library calls it by a
+// viaInterface name.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset, files := parseModule(t)
-	declared := map[string]string{} // key -> position
-	named := map[string]bool{}      // identifiers used outside declarations
+	info := typeCheckModule(t, fset, files)
+	declared := map[*types.Func]string{} // declared export -> key
+	positions := map[string]string{}     // key -> position
 	for path, f := range files {
-		// Names that declare rather than use: functions, composite-literal
-		// keys (failure.Scenario{Repair: …} names a field), and field and
-		// parameter names.
-		declNames := map[*ast.Ident]bool{}
+		if !strings.HasPrefix(path, "internal/") {
+			continue
+		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fd.Name] = true
-			if strings.HasPrefix(path, "internal/") && fd.Name.IsExported() {
-				declared[funcKey(f.Name.Name, fd)] = fset.Position(fd.Pos()).String()
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				key := funcKey(f.Name.Name, fd)
+				declared[info.Defs[fd.Name].(*types.Func)] = key
+				positions[key] = fset.Position(fd.Pos()).String()
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							declNames[id] = true
-						}
-					}
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					declNames[id] = true
-				}
-			case *ast.Ident:
-				if !declNames[n] {
-					named[n.Name] = true
-				}
+	}
+	used := map[*types.Func]bool{}
+	var viaIface []*types.Func // interface methods the module calls
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		used[fn] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			viaIface = append(viaIface, fn)
+		}
+	}
+	implementsUsed := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		for _, m := range viaIface {
+			iface, _ := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if m.Name() == fn.Name() && iface != nil && types.Implements(types.NewPointer(typ), iface) {
+				return true
 			}
-			return true
-		})
+		}
+		return false
 	}
 
 	var unreached []string
-	for key, pos := range declared {
-		name := key[strings.LastIndex(key, ".")+1:]
-		used := named[name] || viaInterface[name]
+	keys := map[string]bool{}
+	for fn, key := range declared {
+		keys[key] = true
+		reached := used[fn] || viaInterface[fn.Name()] || implementsUsed(fn)
 		_, listed := testOnly[key]
 		switch {
-		case !used && !listed:
-			unreached = append(unreached, key+" ("+pos+")")
-		case used && listed:
-			t.Errorf("testOnly lists %s, but a non-test file now names it: drop the entry", key)
+		case !reached && !listed:
+			unreached = append(unreached, key+" ("+positions[key]+")")
+		case reached && listed:
+			t.Errorf("testOnly lists %s, but a non-test file now uses it: drop the entry", key)
 		}
 	}
 	for key := range testOnly {
-		if _, ok := declared[key]; !ok {
+		if !keys[key] {
 			t.Errorf("testOnly lists %s, which no longer exists: drop the entry", key)
 		}
 	}
 	sort.Strings(unreached)
 	for _, u := range unreached {
-		t.Errorf("%s is named only by tests: delete it, or list it in testOnly with its oracle test or paper section", u)
+		t.Errorf("%s is used only by tests: delete it, or list it in testOnly with its oracle test or paper section", u)
 	}
 }
 
@@ -596,17 +609,14 @@ func typeKey(named *types.Named) string {
 	return obj.Pkg().Name() + "." + obj.Name()
 }
 
-// typeCheckModule type-checks the module's and benchmarks/' non-test
-// packages (examples/ aside) from the parsed files, importing the standard
-// library from the export data one `go list -export` run reports.
+// typeCheckModule type-checks the module's, examples/' and benchmarks/'
+// non-test packages from the parsed files, importing the standard library
+// from the export data one `go list -export` run reports.
 func typeCheckModule(t *testing.T, fset *token.FileSet, files map[string]*ast.File) *types.Info {
 	t.Helper()
 	byPkg := map[string][]*ast.File{} // import path -> files
 	std := map[string]bool{}
 	for path, f := range files {
-		if strings.HasPrefix(path, "examples/") {
-			continue
-		}
 		pkg := "sharebackup"
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir // benchmarks/ is its own module, sharebackup/benchmarks
@@ -643,6 +653,8 @@ func typeCheckModule(t *testing.T, fset *token.FileSet, files map[string]*ast.Fi
 		info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
 		},
 	}
 	for pkg := range byPkg {

@@ -112,10 +112,32 @@ func (s *System) FailNode(id SwitchID, at time.Duration) (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.complete(rec, at)
 	if err := s.Network.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("sharebackup: invariants after recovery: %w", err)
 	}
 	return rec, nil
+}
+
+// complete emits the recovery-complete event closing rec's span on the
+// virtual clock: the failure was declared at at, and the recovery took its
+// report round trip and circuit reconfiguration after that.
+func (s *System) complete(rec *Recovery, at time.Duration) {
+	bus := s.Controller.Observer()
+	if !bus.Enabled() {
+		return
+	}
+	ev := obs.NewEvent(obs.KindRecoveryComplete, at+rec.Comm+rec.Reconfig)
+	ev.Span, ev.Trace = rec.Span, rec.Trace
+	ev.Detail = rec.Kind
+	ev.Switch = int32(rec.Failed[0])
+	ev.Backup = int32(rec.Backup[0])
+	ev.Count = int32(len(rec.Failed))
+	ev.Detection = rec.Detection
+	ev.Report = rec.Comm
+	ev.Reconfig = rec.Reconfig
+	ev.Total = rec.Total()
+	bus.Emit(ev)
 }
 
 // FailLink injects a link failure (breaking the interface at end a) and
@@ -125,6 +147,9 @@ func (s *System) FailLink(a, b EndPoint, at time.Duration) (*Recovery, error) {
 		return nil, err
 	}
 	rec, err := s.Controller.ReportLinkFailure(a, b, at)
+	if rec != nil {
+		s.complete(rec, at) // one side may be replaced when the other fails
+	}
 	if err != nil {
 		return nil, err
 	}
