@@ -17,6 +17,10 @@ import (
 // timeout. Never sent on the wire (servers only send reportAckOK/Refused).
 const ackRedirected byte = 0xFF
 
+// leaderReplyTimeout bounds a reconnect's dial and leader query to one
+// replica, and the first round of an agent's initial dial.
+const leaderReplyTimeout = 500 * time.Millisecond
+
 // Agent is a switch-side keep-alive client: it finds the controller replica
 // that leads (a cluster of one always does), registers with it, and sends
 // periodic keep-alives until stopped, following the leader across failovers.
@@ -91,14 +95,17 @@ func dialAgent(addrs []string, ids []sbnet.SwitchID, interval time.Duration) (*A
 		done:        make(chan struct{}),
 		tableLoaded: make(chan struct{}),
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		conn, _, err := a.dialLeader("")
+	// Each round doubles the per-replica deadline, within a 5 s budget: a
+	// silent replica costs the first round only leaderReplyTimeout, and a
+	// loaded leader that answers late still admits the agent on a later one.
+	budget := time.Now().Add(5 * time.Second)
+	for wait := leaderReplyTimeout; ; wait = min(2*wait, time.Until(budget)) {
+		conn, _, err := a.dialLeader("", wait)
 		if err == nil {
 			a.conn = conn
 			break
 		}
-		if time.Now().After(deadline) {
+		if time.Now().After(budget) {
 			return nil, fmt.Errorf("ctlnet: agent dial cluster: %w", err)
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -109,10 +116,10 @@ func dialAgent(addrs []string, ids []sbnet.SwitchID, interval time.Duration) (*A
 }
 
 // dialLeader finds the replica that currently leads: it asks each candidate
-// (redirect hint first) who leads via msgLeaderReq, follows the answer, and
-// registers once a self-professed leader is found: one msgHello per ID, all
-// in one write.
-func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
+// (redirect hint first) who leads via msgLeaderReq, waiting up to wait for
+// the dial and again for the answer, follows the answer, and registers once a
+// self-professed leader is found: one msgHello per ID, all in one write.
+func (a *Agent) dialLeader(hint string, wait time.Duration) (net.Conn, string, error) {
 	cands := append([]string{hint}, a.addrs...)
 	tried := make(map[string]bool, len(cands))
 	for len(cands) > 0 {
@@ -122,7 +129,7 @@ func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
 			continue
 		}
 		tried[addr] = true
-		c, err := net.DialTimeout("tcp", addr, 500*time.Millisecond)
+		c, err := net.DialTimeout("tcp", addr, wait)
 		if err != nil {
 			continue
 		}
@@ -130,7 +137,7 @@ func (a *Agent) dialLeader(hint string) (net.Conn, string, error) {
 			c.Close()
 			continue
 		}
-		c.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		c.SetReadDeadline(time.Now().Add(wait))
 		typ, payload, err := readFrame(c)
 		c.SetReadDeadline(time.Time{})
 		if err != nil || typ != msgLeaderInfo {
@@ -175,7 +182,7 @@ func (a *Agent) reconnect(fromGen uint64, hint string) {
 		return
 	}
 	a.conn.Close()
-	conn, addr, err := a.dialLeader(hint)
+	conn, addr, err := a.dialLeader(hint, leaderReplyTimeout)
 	if err != nil {
 		return
 	}
@@ -445,8 +452,8 @@ func Subscribe(addr string) (*Monitor, error) {
 		conn.Close()
 		return nil, fmt.Errorf("ctlnet: subscribe: %w", err)
 	}
-	// Wait for the acknowledgement so no event published after Subscribe
-	// returns can be missed.
+	// Wait for the acknowledgement: the server publishes to this
+	// connection from the moment it has sent it.
 	typ, _, err := readFrame(conn)
 	if err != nil {
 		conn.Close()

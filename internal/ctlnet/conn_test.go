@@ -1,10 +1,8 @@
 package ctlnet
 
 import (
-	"errors"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +12,7 @@ import (
 	"sharebackup/internal/controller"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
+	"sharebackup/internal/tcpserve"
 )
 
 // TestStalledPeerDoesNotSilenceOthers: two peers flood leader queries and
@@ -49,11 +48,19 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 	for len(flood) < 64<<10 {
 		flood = appendFrame(flood, msgLeaderReq, nil)
 	}
+	// The flooding peers reach the same server's readers through a second
+	// listener that shrinks each accepted connection's send buffer.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flooded := tcpserve.Serve(smallSendListener{ln}, srv.serveConn, nil)
+	defer flooded.Close()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	var sent atomic.Int64
 	for i := 0; i < 2; i++ {
-		conn, err := net.Dial("tcp", srv.Addr())
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,20 +70,6 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 		// blocked in a write, not about the CPU a long flood takes from
 		// everybody.
 		conn.(*net.TCPConn).SetReadBuffer(4096)
-		var accepted net.Conn
-		if !waitUntil(2*time.Second, func() bool {
-			srv.mu.Lock()
-			defer srv.mu.Unlock()
-			for c := range srv.conns {
-				if c.RemoteAddr().String() == conn.LocalAddr().String() {
-					accepted = c
-				}
-			}
-			return accepted != nil
-		}) {
-			t.Fatal("server never accepted the flooding peer")
-		}
-		accepted.(*net.TCPConn).SetWriteBuffer(4096)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -105,66 +98,15 @@ func TestStalledPeerDoesNotSilenceOthers(t *testing.T) {
 	}
 }
 
-// flakyListener fails its first `fails` Accepts the way a process out of
-// descriptors does, then behaves.
-type flakyListener struct {
-	net.Listener
-	fails atomic.Int32
-}
+// smallSendListener gives every connection it accepts a 4 KB send buffer.
+type smallSendListener struct{ net.Listener }
 
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails.Add(-1) >= 0 {
-		return nil, errors.New("accept: too many open files")
+func (l smallSendListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		c.(*net.TCPConn).SetWriteBuffer(4096)
 	}
-	return l.Listener.Accept()
-}
-
-// TestAcceptLoopRetriesTransientErrors: an Accept error on a running server
-// is retried, not fatal — the loop behind a listener that fails twice still
-// serves the connection that follows — and the streak is logged once.
-func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
-	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus := &obs.Bus{}
-	ring := obs.NewRing(64)
-	bus.Attach(ring)
-	srv := soloReplica(t, controller.New(nw, controller.Config{}), ServerConfig{Obs: bus}).Server
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	flaky := &flakyListener{Listener: ln}
-	flaky.fails.Store(2)
-	srv.wg.Add(1)
-	go srv.acceptLoop(flaky)
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, msgLeaderReq, nil); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if typ, _, err := readFrame(conn); err != nil || typ != msgLeaderInfo {
-		t.Fatalf("no service behind a listener that failed twice: reply type %d, %v", typ, err)
-	}
-	if got := flaky.fails.Load(); got >= 0 {
-		t.Errorf("listener still has %d failures to serve: the loop did not retry", got+1)
-	}
-	logged := 0
-	for _, ev := range ring.Events() {
-		if ev.Kind == obs.KindLog && strings.Contains(ev.Detail, "accept") {
-			logged++
-		}
-	}
-	if logged != 1 {
-		t.Errorf("accept failures logged %d times, want once per streak", logged)
-	}
+	return c, err
 }
 
 // TestCloseReleasesIdleConnections: a cluster of one runs its server's

@@ -9,6 +9,7 @@ import (
 
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/obs"
+	"sharebackup/internal/tcpserve"
 )
 
 // CSService exposes one circuit switch's bare-minimum control software
@@ -18,14 +19,12 @@ import (
 // receiving requests only when failures happen; this implementation is the
 // measurable stand-in for the controller-to-circuit-switch leg of recovery.
 type CSService struct {
-	sw *circuit.Switch
-	ln net.Listener
+	sw  *circuit.Switch
+	ln  net.Listener
+	srv *tcpserve.Server
 
-	mu     sync.Mutex
-	bus    *obs.Bus
-	closed bool
-	conns  map[net.Conn]struct{} // live sessions, severed by Close
-	wg     sync.WaitGroup
+	mu  sync.Mutex
+	bus *obs.Bus
 }
 
 // NewCSService starts a control service for the circuit switch on addr.
@@ -34,9 +33,8 @@ func NewCSService(addr string, sw *circuit.Switch) (*CSService, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: cs service listen: %w", err)
 	}
-	s := &CSService{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &CSService{sw: sw, ln: ln}
+	s.srv = tcpserve.Serve(ln, s.handle, nil)
 	return s, nil
 }
 
@@ -54,50 +52,9 @@ func (s *CSService) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the service, severs its sessions and waits for their
 // handlers: an idle client must not hold it open.
-func (s *CSService) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *CSService) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1) // under mu with closed unset: ordered before Close's Wait
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
-}
+func (s *CSService) Close() error { return s.srv.Close() }
 
 func (s *CSService) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
 	for {
 		typ, payload, err := readFrame(conn)
 		if err != nil {
@@ -150,8 +107,11 @@ func (s *CSService) handle(conn net.Conn) {
 // CSClient is the controller-side handle to a circuit switch's control
 // service.
 type CSClient struct {
-	mu   sync.Mutex
-	conn net.Conn
+	addr string
+
+	mu     sync.Mutex
+	conn   net.Conn // nil after a failed round trip, until the next redials
+	closed bool
 }
 
 // DialCS connects to a circuit-switch control service.
@@ -160,7 +120,7 @@ func DialCS(addr string) (*CSClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: cs dial: %w", err)
 	}
-	return &CSClient{conn: conn}, nil
+	return &CSClient{addr: addr, conn: conn}, nil
 }
 
 // Reconfigure applies a batch of circuit changes and returns the crossbar's
@@ -171,16 +131,34 @@ func (c *CSClient) Reconfigure(changes []circuit.Change) (reconfig time.Duration
 
 // reconfigure is Reconfigure carrying the caller's trace context (zero when
 // untraced), so the service's reconfiguration event joins the recovery's
-// trace.
+// trace. The leader's apply path waits on it, so the redial and each round
+// trip are bounded by replyWriteTimeout. A session that failed mid-round is
+// closed, so a late ack can never answer the next request, and the next
+// request dials a fresh one.
 func (c *CSClient) reconfigure(ctx obs.TraceContext, changes []circuit.Change) (reconfig time.Duration, rtt time.Duration, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t0 := time.Now()
-	if err := writeFrame(c.conn, msgCSReconfig, encodeCSReconfig(ctx, changes)); err != nil {
-		return 0, 0, err
+	if c.conn == nil {
+		if c.closed {
+			return 0, 0, net.ErrClosed
+		}
+		conn, err := net.DialTimeout("tcp", c.addr, replyWriteTimeout)
+		if err != nil {
+			return 0, 0, fmt.Errorf("ctlnet: cs redial: %w", err)
+		}
+		c.conn = conn
 	}
-	typ, payload, err := readFrame(c.conn)
+	t0 := time.Now()
+	c.conn.SetDeadline(t0.Add(replyWriteTimeout))
+	err = writeFrame(c.conn, msgCSReconfig, encodeCSReconfig(ctx, changes))
+	var typ byte
+	var payload []byte
+	if err == nil {
+		typ, payload, err = readFrame(c.conn)
+	}
 	if err != nil {
+		c.conn.Close()
+		c.conn = nil
 		return 0, 0, err
 	}
 	rtt = time.Since(t0)
@@ -195,8 +173,16 @@ func (c *CSClient) reconfigure(ctx obs.TraceContext, changes []circuit.Change) (
 	}
 }
 
-// Close tears the control session down.
-func (c *CSClient) Close() error { return c.conn.Close() }
+// Close tears the control session down for good.
+func (c *CSClient) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	if c.conn == nil {
+		return nil
+	}
+	return c.conn.Close()
+}
 
 // encodeCSReconfig builds a msgCSReconfig payload: the trace context, a
 // uint32 count, then count × (int32 A, int32 B).

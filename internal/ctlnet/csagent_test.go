@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"sharebackup/internal/circuit"
+	"sharebackup/internal/controller"
 	"sharebackup/internal/obs"
+	"sharebackup/internal/sbnet"
 )
 
 func newCSService(t *testing.T) (*CSService, *CSClient, *circuit.Switch) {
@@ -187,6 +189,81 @@ func TestCSServiceCloseSeversIdleSessions(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := readFrame(conn); err == nil {
 		t.Error("the idle session survived Close")
+	}
+}
+
+// TestMirrorCSGivesUpOnSilentService: the leader mirrors a recovery to its
+// circuit switches on its apply path, so a service that accepted the session
+// and never answers costs it one bounded round trip, logged, not the
+// consensus loop; and the next mirror dials a fresh session, which a service
+// that answers again serves.
+func TestMirrorCSGivesUpOnSilentService(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		for first := true; ; first = false {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if first {
+				held <- c // never read, never answered
+				continue
+			}
+			go func() {
+				defer c.Close()
+				for {
+					if _, _, err := readFrame(c); err != nil {
+						return
+					}
+					if err := writeFrame(c, msgCSAck, encodeCSAck(time.Microsecond)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	defer func() {
+		select {
+		case c := <-held:
+			c.Close()
+		default:
+		}
+	}()
+	nw, err := sbnet.New(sbnet.Config{K: 4, N: 1, Tech: circuit.Crosspoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := &obs.Bus{}
+	ring := obs.NewRing(64)
+	bus.Attach(ring)
+	srv := soloReplica(t, controller.New(nw, controller.Config{}), ServerConfig{Obs: bus, CSAddrs: []string{ln.Addr().String()}}).Server
+	mirrorLogs := func() (n int) {
+		for _, ev := range ring.Events() {
+			if ev.Kind == obs.KindLog && strings.Contains(ev.Detail, "cs mirror") {
+				n++
+			}
+		}
+		return n
+	}
+	for round, wantLogs := range []int{1, 1} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.mirrorCS(&controller.Recovery{})
+		}()
+		select {
+		case <-done:
+		case <-time.After(replyWriteTimeout + 5*time.Second):
+			t.Fatalf("mirror %d still waiting on a circuit switch that never answers", round)
+		}
+		if got := mirrorLogs(); got != wantLogs {
+			t.Fatalf("after mirror %d: %d failed mirrors logged, want %d", round, got, wantLogs)
+		}
 	}
 }
 

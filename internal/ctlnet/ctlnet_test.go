@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -357,6 +358,40 @@ func TestAgentValidation(t *testing.T) {
 	a.Close() // double close must be safe
 }
 
+// TestDialWaitsForASlowLeader: a leader that answers msgLeaderReq in 700 ms,
+// past the first round's 500 ms deadline, admits the agent on the second
+// round, whose deadline has doubled.
+func TestDialWaitsForASlowLeader(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if typ, _, err := readFrame(c); err != nil || typ != msgLeaderReq {
+					return
+				}
+				time.Sleep(700 * time.Millisecond)
+				if writeFrame(c, msgLeaderInfo, encodeLeaderInfo(true, ln.Addr().String())) == nil {
+					io.Copy(io.Discard, c) // hellos and keep-alives
+				}
+			}()
+		}
+	}()
+	a, err := DialCluster([]string{ln.Addr().String()}, 0, 20*time.Millisecond)
+	if err != nil {
+		t.Fatalf("a leader answering in 700 ms was never found: %v", err)
+	}
+	a.Close()
+}
+
 func TestServerSkipsUnknownMessageTypes(t *testing.T) {
 	// Forward compatibility: a newer agent speaking additional message
 	// types must not lose its session — the length-prefixed frame lets the
@@ -495,6 +530,61 @@ func TestNoRecoveryForUnregisteredSwitch(t *testing.T) {
 	}
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPublishDropsStalledSubscriber: publish runs on every replica's apply
+// path, so a subscriber that stopped reading costs it one bounded write, not
+// the consensus loop: the write times out and the subscriber is dropped.
+func TestPublishDropsStalledSubscriber(t *testing.T) {
+	srv, _ := newServer(t)
+	stalled, peer := net.Pipe() // nobody reads peer
+	defer peer.Close()
+	srv.mu.Lock()
+	srv.subs = append(srv.subs, stalled)
+	srv.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.publish(RecoveryEvent{Kind: "node", Failed: []sbnet.SwitchID{1}, Backup: []sbnet.SwitchID{2}})
+	}()
+	select {
+	case <-done:
+	case <-time.After(replyWriteTimeout + 5*time.Second):
+		t.Fatal("publish still blocked on a subscriber that never reads")
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.subs) != 0 {
+		t.Errorf("%d subscribers left after a failed write, want 0", len(srv.subs))
+	}
+}
+
+// TestSubscribeDuringPublish: a subscriber joins the publish list only once
+// its ack is written, so a recovery published meanwhile can never reach it
+// ahead of the ack and fail the Subscribe.
+func TestSubscribeDuringPublish(t *testing.T) {
+	srv, _ := newServer(t)
+	stop := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.publish(RecoveryEvent{Kind: "node", Failed: []sbnet.SwitchID{1}, Backup: []sbnet.SwitchID{2}})
+			}
+		}
+	}()
+	defer func() { close(stop); <-published }()
+	for i := 0; i < 200; i++ {
+		mon, err := Subscribe(srv.Addr())
+		if err != nil {
+			t.Fatalf("subscribe %d while publishing: %v", i, err)
+		}
+		mon.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"sharebackup/internal/obs"
 	"sharebackup/internal/routing"
 	"sharebackup/internal/sbnet"
+	"sharebackup/internal/tcpserve"
 	"sharebackup/internal/topo"
 )
 
@@ -100,6 +102,7 @@ type Server struct {
 	cfg       ServerConfig
 	ctl       *controller.Controller
 	ln        net.Listener
+	srv       *tcpserve.Server
 	bus       *obs.Bus
 	csClients []*CSClient
 
@@ -130,17 +133,18 @@ type Server struct {
 	numSwitches int
 
 	mu     sync.Mutex
-	subs   []net.Conn
-	conns  map[net.Conn]struct{} // live connections (conn.go), closed on shutdown
-	tables map[int][]byte        // per-pod serialized combined tables
+	subs   []net.Conn     // recovery-event subscribers (publish)
+	tables map[int][]byte // per-pod serialized combined tables
 	// appliedCmds is the ordered replicated-command history — the replay
 	// snapshot (SnapshotState) and the restore cursor (RestoreState applies
 	// only the tail past this prefix).
 	appliedCmds [][]byte
-	closed      bool
 
-	wg   sync.WaitGroup
-	quit chan struct{}
+	// wg counts the detector and the goroutines it and the readers start;
+	// the readers themselves belong to srv.
+	wg       sync.WaitGroup
+	quit     chan struct{}
+	quitOnce sync.Once
 }
 
 // logf routes a diagnostic line through the event bus as a log event (the
@@ -165,12 +169,11 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		return nil, fmt.Errorf("ctlnet: listen: %w", err)
 	}
 	s := &Server{
-		cfg:   cfg,
-		ctl:   ctl,
-		ln:    ln,
-		bus:   cfg.Obs,
-		conns: make(map[net.Conn]struct{}),
-		quit:  make(chan struct{}),
+		cfg:  cfg,
+		ctl:  ctl,
+		ln:   ln,
+		bus:  cfg.Obs,
+		quit: make(chan struct{}),
 	}
 	s.numSwitches = ctl.Network().NumSwitches()
 	s.det.queue = newExpiryQueue(s.numSwitches, time.Duration(cfg.MissThreshold)*cfg.Interval)
@@ -207,9 +210,9 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		}
 		s.csClients = append(s.csClients, cl)
 	}
-	s.wg.Add(2)
-	go s.acceptLoop(ln)
+	s.wg.Add(1)
 	go s.detectLoop()
+	s.srv = tcpserve.Serve(ln, s.serveConn, s.logf)
 	return s, nil
 }
 
@@ -224,77 +227,13 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server, severs its connections and waits for its
 // goroutines, connection readers included.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.quit)
-	subs := s.subs
-	s.subs = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range subs {
-		c.Close()
-	}
-	// Sever live agent sessions too: a killed cluster replica must not wait
-	// for its agents to hang up first (they are busy failing over).
-	for _, c := range conns {
-		c.Close()
-	}
+	s.quitOnce.Do(func() { close(s.quit) })
+	err := s.srv.Close()
 	s.wg.Wait()
 	for _, c := range s.csClients {
 		c.Close()
 	}
 	return err
-}
-
-// acceptLoop accepts connections from ln until the server closes. An Accept
-// error on a running server (EMFILE, ECONNABORTED) is retried with a capped
-// backoff, as net/http does, and logged once per streak: a leader that stopped
-// accepting could never register a new or reconnecting agent.
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			if backoff == 0 {
-				s.logf("ctlnet: accept: %v; retrying", err)
-				backoff = 5 * time.Millisecond
-			} else if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			select {
-			case <-s.quit:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1) // under mu with closed unset: ordered before Close's Wait
-		s.mu.Unlock()
-		s.gConns.Add(1)
-		go s.serveConn(&srvConn{conn: conn})
-	}
 }
 
 // replyWriteTimeout bounds server->agent reply writes: a peer that stopped
@@ -389,21 +328,16 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			return err
 		}
 	case msgSubscribe:
-		subscribed := false
-		s.mu.Lock()
-		if !s.closed {
-			s.subs = append(s.subs, conn)
-			sc.subscribed = true
-			subscribed = true
-		}
-		s.mu.Unlock()
-		if !subscribed {
-			return net.ErrClosed
-		}
+		// Ack first, then join subs: no publish can precede the ack, and
+		// this reader writes nothing after it that could race publish's
+		// write deadline.
 		if err := writeReply(conn, msgSubAck, nil); err != nil {
 			s.logf("ctlnet: subscribe ack: %v", err)
 			return err
 		}
+		s.mu.Lock()
+		s.subs = append(s.subs, conn)
+		s.mu.Unlock()
 	default:
 		// Forward compatibility: frames are length-prefixed, so the
 		// payload of an unrecognized type is already consumed — skip it
@@ -757,36 +691,23 @@ func (s *Server) emitRecovered(rec *controller.Recovery, at, processing time.Dur
 	s.bus.Emit(ev)
 }
 
-// publish sends a recovery event to all subscribers, dropping broken ones.
+// publish sends a recovery event to all subscribers. It runs on every
+// replica's apply path, so each write is bounded by replyWriteTimeout: a
+// subscriber whose write fails is closed and dropped, and one that stopped
+// reading cannot stall the consensus loop.
 func (s *Server) publish(ev RecoveryEvent) {
 	payload := encodeRecovery(ev)
 	s.mu.Lock()
 	subs := append([]net.Conn(nil), s.subs...)
 	s.mu.Unlock()
-	var broken []net.Conn
 	for _, c := range subs {
-		if err := writeFrame(c, msgRecovery, payload); err != nil {
-			broken = append(broken, c)
-		}
-	}
-	if len(broken) > 0 {
-		s.mu.Lock()
-		kept := s.subs[:0]
-		for _, c := range s.subs {
-			isBroken := false
-			for _, b := range broken {
-				if c == b {
-					isBroken = true
-					break
-				}
+		if err := writeReply(c, msgRecovery, payload); err != nil {
+			c.Close()
+			s.mu.Lock()
+			if i := slices.Index(s.subs, c); i >= 0 {
+				s.subs = slices.Delete(s.subs, i, i+1)
 			}
-			if isBroken {
-				c.Close()
-			} else {
-				kept = append(kept, c)
-			}
+			s.mu.Unlock()
 		}
-		s.subs = kept
-		s.mu.Unlock()
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sharebackup/internal/tcpserve"
 )
 
 const (
@@ -37,16 +39,16 @@ type TCPTransport struct {
 	self int
 	node func(m Message)
 
-	ln       net.Listener
-	mu       sync.Mutex
-	addrs    map[int]string // peer ID → address
-	peers    map[int]*peerQueue
-	accepted map[net.Conn]struct{}
-	closed   bool
+	ln     net.Listener
+	srv    *tcpserve.Server // the listener and its read loops
+	mu     sync.Mutex
+	addrs  map[int]string // peer ID → address
+	peers  map[int]*peerQueue
+	closed bool // no writer starts or dials after Close
 
 	quit      chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the writers
 }
 
 // peerQueue is one peer's outbound FIFO and the connection its writer
@@ -67,16 +69,14 @@ func NewTCPTransport(self int, addrs map[int]string, deliver func(m Message)) (*
 		return nil, fmt.Errorf("ctlplane: transport listen: %w", err)
 	}
 	t := &TCPTransport{
-		self:     self,
-		addrs:    addrs,
-		node:     deliver,
-		ln:       ln,
-		peers:    make(map[int]*peerQueue),
-		accepted: make(map[net.Conn]struct{}),
-		quit:     make(chan struct{}),
+		self:  self,
+		addrs: addrs,
+		node:  deliver,
+		ln:    ln,
+		peers: make(map[int]*peerQueue),
+		quit:  make(chan struct{}),
 	}
-	t.wg.Add(1)
-	go t.acceptLoop()
+	t.srv = tcpserve.Serve(ln, t.readLoop, nil)
 	return t, nil
 }
 
@@ -178,29 +178,8 @@ func (t *TCPTransport) peerConn(id int, p *peerQueue) net.Conn {
 	return c
 }
 
-func (t *TCPTransport) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		c, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.mu.Lock()
-		t.accepted[c] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readLoop(c)
-	}
-}
-
+// readLoop decodes one inbound connection's frames and delivers them.
 func (t *TCPTransport) readLoop(c net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		c.Close()
-		t.mu.Lock()
-		delete(t.accepted, c)
-		t.mu.Unlock()
-	}()
 	var hdr [4]byte
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
@@ -232,16 +211,13 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 // released by closing its connection). Safe to call more than once.
 func (t *TCPTransport) Close() {
 	t.closeOnce.Do(func() { close(t.quit) })
-	t.ln.Close()
+	t.srv.Close()
 	t.mu.Lock()
 	t.closed = true
 	for _, p := range t.peers {
 		if p.conn != nil {
 			p.conn.Close()
 		}
-	}
-	for c := range t.accepted {
-		c.Close()
 	}
 	t.mu.Unlock()
 	t.wg.Wait()
