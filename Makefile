@@ -95,12 +95,13 @@ docs-budget:
 # Leader-failover soak: the kill-the-leader (mid-storm in the cluster
 # emulation), quorum-loss and rebootstrap drills, the bootstrap-election,
 # vote-retry, directory-hold and paused-peer transport tests, and the
-# election-safety fuzz, repeated under the race detector. A fresh cluster's
-# first election is deterministic (the lowest ID campaigns as its node
-# starts), but every failover election waits a randomized timeout, so
-# repetition is the point — one pass only samples one draw.
+# election-safety and replicated-controller fuzzes, repeated under the race
+# detector. A fresh cluster's first election is deterministic (the lowest ID
+# campaigns as its node starts), but every failover election waits a
+# randomized timeout, so repetition is the point — one pass only samples one
+# draw.
 soak-failover:
-	$(GO) test -race -count 8 -run 'TestCluster|TestElectionSafety|TestLiveCluster|TestRebootstrap|TestBootstrap|TestCandidate|TestDirectoryHolds|TestTransport' ./internal/ctlnet/... ./internal/ctlplane/...
+	$(GO) test -race -count 8 -run 'TestCluster|TestElectionSafety|TestReplicaStateUnderPartitionFuzz|TestLiveCluster|TestRebootstrap|TestBootstrap|TestCandidate|TestDirectoryHolds|TestTransport' ./internal/ctlnet/... ./internal/ctlplane/...
 
 # Ten seconds of coverage-guided fuzzing per target, on top of the committed
 # corpora under testdata/fuzz (which plain `go test` and each -fuzz run

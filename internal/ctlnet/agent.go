@@ -455,13 +455,12 @@ func Subscribe(addr string) (*Monitor, error) {
 	// Wait for the acknowledgement: the server publishes to this
 	// connection from the moment it has sent it.
 	typ, _, err := readFrame(conn)
+	if err == nil && typ != msgSubAck {
+		err = fmt.Errorf("got message type %d", typ)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("ctlnet: subscribe ack: %w", err)
-	}
-	if typ != msgSubAck {
-		conn.Close()
-		return nil, fmt.Errorf("ctlnet: subscribe ack: got message type %d", typ)
 	}
 	m := &Monitor{conn: conn, Events: make(chan RecoveryEvent, 16)}
 	go m.readLoop()

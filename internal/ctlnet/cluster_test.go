@@ -588,8 +588,8 @@ func TestLinkRecoveryRecordsMeasuredDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastDetection := func(r *Replica) time.Duration {
-		r.Server.mu.Lock()
-		defer r.Server.mu.Unlock()
+		r.Server.state.mu.Lock()
+		defer r.Server.state.mu.Unlock()
 		recs := r.Ctl.Recoveries()
 		if len(recs) == 0 {
 			return -1

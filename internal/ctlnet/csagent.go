@@ -188,13 +188,10 @@ func (c *CSClient) Close() error {
 // uint32 count, then count × (int32 A, int32 B).
 func encodeCSReconfig(ctx obs.TraceContext, changes []circuit.Change) []byte {
 	b := appendTraceContext(make([]byte, 0, 17+len(ctx.Proc)+4+8*len(changes)), ctx)
-	var v [8]byte
-	binary.BigEndian.PutUint32(v[:4], uint32(len(changes)))
-	b = append(b, v[:4]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(changes)))
 	for _, ch := range changes {
-		binary.BigEndian.PutUint32(v[:4], uint32(int32(ch.A)))
-		binary.BigEndian.PutUint32(v[4:], uint32(int32(ch.B)))
-		b = append(b, v[:]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(ch.A)))
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(ch.B)))
 	}
 	return b
 }
@@ -222,9 +219,7 @@ func decodeCSReconfig(p []byte) (obs.TraceContext, []circuit.Change, error) {
 }
 
 func encodeCSAck(d time.Duration) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(d))
-	return b[:]
+	return binary.BigEndian.AppendUint64(nil, uint64(d))
 }
 
 func decodeCSAck(p []byte) (time.Duration, error) {

@@ -179,7 +179,7 @@ func TestNodeFailoverOverTCP(t *testing.T) {
 		defer a.Close()
 		agents = append(agents, a)
 	}
-	entries := srv.ctl.Metrics().Gauge("ctlnet.detector_entries")
+	entries := srv.state.ctl.Metrics().Gauge("ctlnet.detector_entries")
 	if !waitUntil(2*time.Second, func() bool { return entries.Value() == int64(len(agents)) }) {
 		t.Fatalf("ctlnet.detector_entries = %d, want all %d agents registered", entries.Value(), len(agents))
 	}
@@ -323,7 +323,7 @@ func TestTablePreloadOverTCP(t *testing.T) {
 	if got, want := vt.Size(), 4/2+4*4/4; got != want {
 		t.Errorf("table size = %d, want k/2 + k^2/4 = %d", got, want)
 	}
-	pushes := srv.ctl.Metrics().Counter("ctlnet.table_pushes")
+	pushes := srv.state.ctl.Metrics().Counter("ctlnet.table_pushes")
 	if !waitUntil(2*time.Second, func() bool { return pushes.Value() == 1 }) {
 		t.Fatalf("ctlnet.table_pushes = %d after the spare's push, want 1", pushes.Value())
 	}
@@ -397,7 +397,7 @@ func TestServerSkipsUnknownMessageTypes(t *testing.T) {
 	// types must not lose its session — the length-prefixed frame lets the
 	// server skip what it doesn't understand and keep serving.
 	srv, _ := newServer(t)
-	unknown := srv.ctl.Metrics().Counter("ctlnet.unknown_msgs")
+	unknown := srv.state.ctl.Metrics().Counter("ctlnet.unknown_msgs")
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

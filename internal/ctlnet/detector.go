@@ -166,25 +166,18 @@ func (s *Server) wake(now, armedFor time.Duration) (dead []deadCandidate, next t
 		}
 	}
 	expired := q.expire(now)
-	if len(expired) > 0 {
-		// Role reads must not race command applies mutating the network;
-		// s.mu is taken only on this rare silent path, never on the
-		// per-keep-alive hot path.
-		s.mu.Lock()
-		nw := s.ctl.Network()
-		for _, c := range expired {
-			s.mProbeMisses.Add(int64(s.cfg.MissThreshold))
-			// A switch off active duty (a silent spare, a failed switch's
-			// last gasp) has nothing to fail over: it lapses, and a later
-			// keep-alive or a promotion re-registers it.
-			if nw.Switch(c.id).Role != sbnet.RoleActive {
-				q.lapse(c.id)
-				continue
-			}
-			s.hDetectOvershoot.Record(int64(now - c.lastSeen - q.deadline))
-			dead = append(dead, c)
+	for _, c := range expired {
+		s.mProbeMisses.Add(int64(s.cfg.MissThreshold))
+		// A switch off active duty (a silent spare, a failed switch's last
+		// gasp) has nothing to fail over: it lapses, and a later keep-alive
+		// or a promotion re-registers it. The role read takes the replica
+		// state's lock, only on this rare silent path.
+		if !s.state.active(c.id) {
+			q.lapse(c.id)
+			continue
 		}
-		s.mu.Unlock()
+		s.hDetectOvershoot.Record(int64(now - c.lastSeen - q.deadline))
+		dead = append(dead, c)
 	}
 	if exp, ok := q.nextExpiry(); ok && exp < next {
 		next = exp

@@ -224,7 +224,7 @@ func FuzzRestoreState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := &Server{ctl: controller.New(nw, controller.Config{}), bus: &obs.Bus{}}
+		srv := &Server{state: &replicaState{ctl: controller.New(nw, controller.Config{})}}
 		srv.RestoreState(data) //nolint:errcheck // only a panic fails
 	})
 }

@@ -100,7 +100,7 @@ func (c *ServerConfig) setDefaults() {
 // underlying network when a switch goes silent.
 type Server struct {
 	cfg       ServerConfig
-	ctl       *controller.Controller
+	state     *replicaState
 	ln        net.Listener
 	srv       *tcpserve.Server
 	bus       *obs.Bus
@@ -132,13 +132,10 @@ type Server struct {
 	// consults the network model's size under a lock.
 	numSwitches int
 
+	// mu guards subs and tables alone; the replica state has its own lock.
 	mu     sync.Mutex
 	subs   []net.Conn     // recovery-event subscribers (publish)
 	tables map[int][]byte // per-pod serialized combined tables
-	// appliedCmds is the ordered replicated-command history — the replay
-	// snapshot (SnapshotState) and the restore cursor (RestoreState applies
-	// only the tail past this prefix).
-	appliedCmds [][]byte
 
 	// wg counts the detector and the goroutines it and the readers start;
 	// the readers themselves belong to srv.
@@ -169,11 +166,11 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		return nil, fmt.Errorf("ctlnet: listen: %w", err)
 	}
 	s := &Server{
-		cfg:  cfg,
-		ctl:  ctl,
-		ln:   ln,
-		bus:  cfg.Obs,
-		quit: make(chan struct{}),
+		cfg:   cfg,
+		state: &replicaState{ctl: ctl},
+		ln:    ln,
+		bus:   cfg.Obs,
+		quit:  make(chan struct{}),
 	}
 	s.numSwitches = ctl.Network().NumSwitches()
 	s.det.queue = newExpiryQueue(s.numSwitches, time.Duration(cfg.MissThreshold)*cfg.Interval)
@@ -367,7 +364,7 @@ func (s *Server) redirect(conn net.Conn) error {
 // edge-group switch's pod; nil for agg/core switches, whose shared tables
 // are a degenerate case the agents already derive from k.
 func (s *Server) tableFor(id sbnet.SwitchID) []byte {
-	net := s.ctl.Network()
+	net := s.state.ctl.Network()
 	sw := net.Switch(id)
 	if sw.Kind != topo.KindEdge {
 		return nil
@@ -409,7 +406,7 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 	// the recovery but died before acking will resend here. If neither
 	// endpoint is active anymore, the recovery this report describes has
 	// already been applied — ack success without proposing a duplicate.
-	if s.linkAlreadyRecovered(aSw, bSw) {
+	if s.state.linkAlreadyRecovered(aSw, bSw) {
 		s.ackReport(conn, nil)
 		return
 	}
@@ -463,26 +460,6 @@ func (s *Server) ackReport(conn net.Conn, err error) {
 	}
 }
 
-// refused marks the error of a command that was applied: its outcome is
-// part of the replicated history, the same on every replica.
-type refused struct{ error }
-
-func (r refused) Unwrap() error { return r.error }
-
-// linkAlreadyRecovered reports whether both reported endpoints have already
-// left active duty — the signature of a recovery that committed on a
-// previous leader.
-func (s *Server) linkAlreadyRecovered(aSw, bSw sbnet.SwitchID) bool {
-	net := s.ctl.Network()
-	n := net.NumSwitches()
-	if int(aSw) < 0 || int(aSw) >= n || int(bSw) < 0 || int(bSw) >= n {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return net.Switch(aSw).Role != sbnet.RoleActive && net.Switch(bSw).Role != sbnet.RoleActive
-}
-
 // recoverDead proposes the node failover for one switch the detector
 // declared dead. Each declared switch gets its own short-lived goroutine
 // (detectLoop): a stalled consensus round holds up no recovery behind it, and
@@ -506,91 +483,17 @@ func (s *Server) recoverDead(c deadCandidate) {
 
 // ApplyCommand applies one committed controller mutation and returns its
 // recovery. As the consensus node's Apply hook it runs on every replica —
-// leader and follower alike — against the replica's own controller and
-// network copy, with all timestamps taken from the command, so the applied
-// state is deterministic across the cluster.
+// leader and follower alike — against the replica's own state, with all
+// timestamps taken from the command, so the applied state is deterministic
+// across the cluster. The stopwatch around the apply is the recovery's
+// report phase.
 func (s *Server) ApplyCommand(data []byte) (*controller.Recovery, error) {
-	cmd, err := ctlplane.DecodeCommand(data)
-	if err != nil {
-		return nil, err
-	}
-	return s.apply(cmd, data, true)
-}
-
-// apply runs one decoded command (data is its encoding, kept for the replay
-// history). live is false on snapshot replay, which rebuilds state only: the
-// leader already emitted, mirrored, and published the recovery when it
-// happened.
-func (s *Server) apply(cmd ctlplane.Command, data []byte, live bool) (*controller.Recovery, error) {
-	s.mu.Lock()
-	// Record the command before knowing its outcome: failed recoveries are
-	// part of the deterministic history too (replicas replaying the log
-	// must fail them identically).
-	s.appliedCmds = append(s.appliedCmds, append([]byte(nil), data...))
 	t0 := time.Now()
-	rec, err := s.applyLocked(cmd, live)
-	processing := time.Since(t0)
-	s.mu.Unlock()
-	if rec != nil && live {
-		s.finishLive(cmd, rec, processing)
-	}
-	if err != nil {
-		err = refused{err}
+	cmd, rec, err := s.state.Apply(data)
+	if rec != nil {
+		s.finishLive(cmd, rec, time.Since(t0))
 	}
 	return rec, err
-}
-
-// applyLocked runs one recover command against the controller. Caller holds
-// s.mu.
-func (s *Server) applyLocked(cmd ctlplane.Command, live bool) (rec *controller.Recovery, err error) {
-	switch cmd.Kind {
-	case ctlplane.CmdRecoverNode:
-		if err := s.inFabric(cmd.Switch); err != nil {
-			return nil, err
-		}
-		if cmd.LastSeenNS > 0 {
-			s.ctl.Heartbeat(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.LastSeenNS))
-		}
-		rec, err = s.ctl.RecoverNode(sbnet.SwitchID(cmd.Switch), time.Duration(cmd.AtNS))
-	case ctlplane.CmdRecoverLink:
-		if err := s.inFabric(cmd.ASwitch, cmd.BSwitch); err != nil {
-			return nil, err
-		}
-		traced := live && cmd.Trace != 0
-		if traced {
-			// The reporting agent opened the recovery's root span; the
-			// controller's BeginSpan below joins it as a child.
-			s.bus.SetRemoteParent(obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc})
-		}
-		a := controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)}
-		b := controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)}
-		if cmd.DetectionNS > 0 {
-			// The reporting agent measured its detection; every replica
-			// records that, not the probing interval.
-			rec, err = s.ctl.ReportLinkFailureDetected(a, b, time.Duration(cmd.AtNS), time.Duration(cmd.DetectionNS))
-		} else {
-			rec, err = s.ctl.ReportLinkFailure(a, b, time.Duration(cmd.AtNS))
-		}
-		if err != nil && rec == nil && traced {
-			// Recovery never opened a span; drop the staged remote parent so
-			// it cannot leak into an unrelated recovery.
-			s.bus.EndSpan()
-		}
-	}
-	return rec, err
-}
-
-// inFabric rejects switch IDs outside the network model: a log entry or a
-// snapshot is bytes from a peer, and the controller indexes its model by
-// them.
-func (s *Server) inFabric(ids ...int32) error {
-	n := s.ctl.Network().NumSwitches()
-	for _, id := range ids {
-		if id < 0 || int(id) >= n {
-			return fmt.Errorf("ctlnet: command names switch %d, outside the fabric's %d", id, n)
-		}
-	}
-	return nil
 }
 
 // finishLive runs the leader-visible side effects of one applied recovery.
@@ -599,7 +502,7 @@ func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, proc
 		// Followers apply the same command but must neither complete the
 		// recovery a second time nor re-reconfigure the shared circuit
 		// switches the leader already drove.
-		s.emitRecovered(rec, s.Now()-processing, processing)
+		s.emitRecovered(rec, processing)
 		s.mirrorCS(rec)
 		// Only the leader runs a detector: tell it which spares just went
 		// on active duty.
@@ -615,42 +518,17 @@ func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, proc
 	s.publish(ev)
 }
 
-// SnapshotState serializes the applied command history — the replay-based
-// snapshot a lagging replica (or a quorum-loss rebootstrap) restores from.
-func (s *Server) SnapshotState() []byte {
-	s.mu.Lock()
-	cmds := append([][]byte(nil), s.appliedCmds...)
-	s.mu.Unlock()
-	return ctlplane.EncodeReplayLog(cmds)
-}
+// SnapshotState is the consensus node's Snapshot hook (replicaState.Snapshot).
+func (s *Server) SnapshotState() []byte { return s.state.Snapshot() }
 
-// RestoreState replays a snapshot's command tail past this replica's own
-// applied prefix (the log-prefix property guarantees the prefixes agree).
-func (s *Server) RestoreState(data []byte) error {
-	rl, err := ctlplane.DecodeReplayLog(data)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	n := len(s.appliedCmds)
-	s.mu.Unlock()
-	for i := n; i < len(rl.Commands); i++ {
-		cmd, err := ctlplane.DecodeCommand(rl.Commands[i])
-		if err != nil {
-			return err
-		}
-		// A command's own error is part of the history being replayed (the
-		// leader logged it when it happened); only decode failures abort.
-		_, _ = s.apply(cmd, rl.Commands[i], false)
-	}
-	return nil
-}
+// RestoreState is the consensus node's Restore hook (replicaState.Restore).
+func (s *Server) RestoreState(data []byte) error { return s.state.Restore(data) }
 
 // mirrorCS sends the recovery's reconfiguration batch to every attached
 // circuit-switch service, carrying the recovery's trace context so each
 // crossbar reconfiguration lands as a child span of the controller's.
 func (s *Server) mirrorCS(rec *controller.Recovery) {
-	if len(s.csClients) == 0 || rec == nil {
+	if len(s.csClients) == 0 {
 		return
 	}
 	changes := []circuit.Change{{A: 0, B: 1}}
@@ -666,13 +544,13 @@ func (s *Server) mirrorCS(rec *controller.Recovery) {
 // leader just drove, closing the controller's span: detection and circuit
 // reconfiguration come from the controller's record (whose link detection is
 // the reporting agent's measurement, when it sent one), the report phase is
-// the measured server processing time, and T is the completion time on the
-// process epoch. It is the recovery's one completion across the cluster.
-func (s *Server) emitRecovered(rec *controller.Recovery, at, processing time.Duration) {
+// the measured apply time, and T is now, the completion time on the process
+// epoch. It is the recovery's one completion across the cluster.
+func (s *Server) emitRecovered(rec *controller.Recovery, processing time.Duration) {
 	if !s.bus.Enabled() {
 		return
 	}
-	ev := obs.NewEvent(obs.KindRecoveryComplete, at+processing)
+	ev := obs.NewEvent(obs.KindRecoveryComplete, s.Now())
 	ev.Wall = true
 	ev.Detail = rec.Kind
 	ev.Span = rec.Span

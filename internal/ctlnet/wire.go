@@ -89,11 +89,7 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("ctlnet: frame too large (%d bytes)", len(payload)+1)
 	}
-	buf := make([]byte, 5+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)+1))
-	buf[4] = typ
-	copy(buf[5:], payload)
-	_, err := w.Write(buf)
+	_, err := w.Write(appendFrame(make([]byte, 0, 5+len(payload)), typ, payload))
 	return err
 }
 
@@ -101,11 +97,8 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 // for senders that batch several frames into one syscall (an Agent's hellos
 // and keep-alive chunks).
 func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)+1))
+	return append(append(dst, typ), payload...)
 }
 
 // readFrame reads one frame with a buffer of its own, for one-shot reads.
@@ -145,9 +138,7 @@ func (fr *frameReader) next() (typ byte, payload []byte, err error) {
 }
 
 func encodeHello(id sbnet.SwitchID) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(id))
-	return b[:]
+	return binary.BigEndian.AppendUint32(nil, uint32(id))
 }
 
 func decodeHello(p []byte) (sbnet.SwitchID, error) {
@@ -170,14 +161,10 @@ const (
 
 // appendKeepAliveBatch appends a batch payload for ids[from:to) at seq.
 func appendKeepAliveBatch(dst []byte, ids []sbnet.SwitchID, seq uint64) []byte {
-	var cnt [2]byte
-	binary.BigEndian.PutUint16(cnt[:], uint16(len(ids)))
-	dst = append(dst, cnt[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ids)))
 	for _, id := range ids {
-		var rec [kaPairSize]byte
-		binary.BigEndian.PutUint32(rec[:4], uint32(id))
-		binary.BigEndian.PutUint64(rec[4:], seq)
-		dst = append(dst, rec[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
+		dst = binary.BigEndian.AppendUint64(dst, seq)
 	}
 	return dst
 }
@@ -202,10 +189,8 @@ func kaBatchPair(p []byte, i int) (sbnet.SwitchID, uint64) {
 
 // appendTraceContext appends trace(8) span(8) procLen(1) proc.
 func appendTraceContext(b []byte, ctx obs.TraceContext) []byte {
-	var v [16]byte
-	binary.BigEndian.PutUint64(v[:8], ctx.Trace)
-	binary.BigEndian.PutUint64(v[8:], ctx.Span)
-	b = append(b, v[:]...)
+	b = binary.BigEndian.AppendUint64(b, ctx.Trace)
+	b = binary.BigEndian.AppendUint64(b, ctx.Span)
 	proc := ctx.Proc
 	if len(proc) > 255 {
 		proc = proc[:255]
@@ -233,13 +218,11 @@ func readTraceContext(p []byte) (obs.TraceContext, []byte, error) {
 
 func encodeLinkFail(ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int) []byte {
 	b := appendTraceContext(make([]byte, 0, 17+len(ctx.Proc)+8+16), ctx)
-	var v [8 + 16]byte
-	binary.BigEndian.PutUint64(v[0:8], uint64(detection))
-	binary.BigEndian.PutUint32(v[8:12], uint32(aSw))
-	binary.BigEndian.PutUint32(v[12:16], uint32(aPort))
-	binary.BigEndian.PutUint32(v[16:20], uint32(bSw))
-	binary.BigEndian.PutUint32(v[20:24], uint32(bPort))
-	return append(b, v[:]...)
+	b = binary.BigEndian.AppendUint64(b, uint64(detection))
+	for _, v := range [4]int{int(aSw), aPort, int(bSw), bPort} {
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
+	}
+	return b
 }
 
 func decodeLinkFail(p []byte) (ctx obs.TraceContext, detection time.Duration, aSw sbnet.SwitchID, aPort int, bSw sbnet.SwitchID, bPort int, err error) {
@@ -305,19 +288,13 @@ func encodeRecovery(ev RecoveryEvent) []byte {
 	b = append(b, kind)
 	b = appendIDs(b, ev.Failed)
 	b = appendIDs(b, ev.Backup)
-	var lat [8]byte
-	binary.BigEndian.PutUint64(lat[:], uint64(ev.Latency))
-	return append(b, lat[:]...)
+	return binary.BigEndian.AppendUint64(b, uint64(ev.Latency))
 }
 
 func appendIDs(b []byte, ids []sbnet.SwitchID) []byte {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(ids)))
-	b = append(b, n[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ids)))
 	for _, id := range ids {
-		var v [4]byte
-		binary.BigEndian.PutUint32(v[:], uint32(id))
-		b = append(b, v[:]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(id))
 	}
 	return b
 }

@@ -571,7 +571,11 @@ func (r *Raft) stepApp(m Message) {
 		}
 	}
 	if !reachable || prevTerm != m.PrevTerm {
-		r.send(Message{Type: MsgAppResp, To: m.From, Success: false, MatchIndex: r.LastIndex()})
+		// The hint is the last index that may still match: below the
+		// anchor, or the log's end if the anchor lies beyond it. A hint at
+		// or past a mismatched anchor would send a leader whose pipelining
+		// moved its next index beyond it back to that anchor forever.
+		r.send(Message{Type: MsgAppResp, To: m.From, Success: false, MatchIndex: min(r.LastIndex(), m.PrevIndex-1)})
 		return
 	}
 	// Append, truncating any conflicting suffix.
@@ -640,9 +644,16 @@ func (r *Raft) stepSnap(m Message) {
 	r.state = Follower
 	r.leader = m.From
 	r.resetTimeout()
-	if m.SnapIndex <= r.snapIndex {
-		// Already have it.
-		r.send(Message{Type: MsgSnapResp, To: m.From, Success: true, MatchIndex: r.LastIndex()})
+	if t, ok := r.entryTerm(m.SnapIndex); m.SnapIndex <= r.commit || ok && t == m.SnapTerm {
+		// Not installed. A snapshot this replica has committed already would
+		// rewind the applied index, and the entries past it would apply
+		// twice. One whose last entry is in this log (and, by log matching,
+		// everything before it) only moves the commit index: wiping the log
+		// would drop entries past it this replica may have acknowledged,
+		// and the leader counted towards a commit. Either way the committed
+		// prefix is the part of this log known to match the leader's.
+		r.commit = max(r.commit, m.SnapIndex)
+		r.send(Message{Type: MsgSnapResp, To: m.From, Success: true, MatchIndex: r.commit})
 		return
 	}
 	snap := &Snapshot{LastIndex: m.SnapIndex, LastTerm: m.SnapTerm, Data: m.SnapData}

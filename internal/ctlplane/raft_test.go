@@ -579,3 +579,63 @@ func TestStepRejectsMalformedAppends(t *testing.T) {
 		}
 	}
 }
+
+// follower returns replica 1 of {0, 1, 2} holding entries 1..n of term 1,
+// sent by leader 0, with commit as the leader's commit index, its Ready
+// drained.
+func follower(n, commit uint64) *Raft {
+	r := NewRaft(RaftConfig{ID: 1, Peers: []int{0, 1, 2}})
+	var entries []Entry
+	for i := uint64(1); i <= n; i++ {
+		entries = append(entries, Entry{Term: 1, Index: i, Data: []byte{byte(i)}})
+	}
+	r.Step(Message{Type: MsgApp, From: 0, To: 1, Term: 1, Entries: entries, Commit: commit})
+	r.Ready()
+	return r
+}
+
+// TestSnapshotNeverRewindsTheLog: a snapshot this replica has committed
+// already, or whose last entry its log holds, is not installed — the first
+// would rewind the applied index and re-apply the entries past it, the
+// second would drop entries past it that the replica had acknowledged. Both
+// are acked with the committed prefix. TestReplicaStateUnderPartitionFuzz
+// (ctlnet) found them as replicas applying an entry twice and as a leader
+// missing a committed recovery.
+func TestSnapshotNeverRewindsTheLog(t *testing.T) {
+	r := follower(5, 5)
+	r.Step(Message{Type: MsgSnap, From: 0, To: 1, Term: 1, SnapIndex: 3, SnapTerm: 1, SnapData: []byte("s")})
+	rd := r.Ready()
+	if rd.Snapshot != nil || len(rd.Committed) != 0 || r.LastIndex() != 5 {
+		t.Fatalf("a snapshot at 3 under commit 5: installed %v, re-committed %d entries, log ends at %d", rd.Snapshot != nil, len(rd.Committed), r.LastIndex())
+	}
+	if m := rd.Messages[0]; m.Type != MsgSnapResp || !m.Success || m.MatchIndex != 5 {
+		t.Fatalf("answer %+v, want a successful snap-resp matching 5", m)
+	}
+
+	r = follower(8, 2)
+	r.Step(Message{Type: MsgSnap, From: 0, To: 1, Term: 1, SnapIndex: 5, SnapTerm: 1, SnapData: []byte("s")})
+	rd = r.Ready()
+	if rd.Snapshot != nil || r.LastIndex() != 8 || r.Commit() != 5 || len(rd.Committed) != 3 || rd.Committed[0].Index != 3 {
+		t.Fatalf("a snapshot at logged entry 5: installed %v, log ends at %d, commit %d, committed %v; want the log kept and entries 3..5 committed", rd.Snapshot != nil, r.LastIndex(), r.Commit(), rd.Committed)
+	}
+	if m := rd.Messages[0]; !m.Success || m.MatchIndex != 5 {
+		t.Fatalf("answer %+v, want success matching 5", m)
+	}
+}
+
+// TestRejectionHintsBelowAMismatchedAnchor: a follower whose entry at the
+// append's anchor has another term hints the index below the anchor, so the
+// leader backs off. Hinting its log's end, as it once did, sent the leader
+// back to the same anchor forever once pipelining had moved its next index
+// past it — a livelock TestReplicaStateUnderPartitionFuzz (ctlnet) found.
+func TestRejectionHintsBelowAMismatchedAnchor(t *testing.T) {
+	r := follower(5, 0)
+	r.Step(Message{Type: MsgApp, From: 2, To: 1, Term: 2, PrevIndex: 5, PrevTerm: 2})
+	if m := r.Ready().Messages[0]; m.Success || m.MatchIndex != 4 {
+		t.Fatalf("answer %+v, want a rejection hinting 4", m)
+	}
+	r.Step(Message{Type: MsgApp, From: 2, To: 1, Term: 2, PrevIndex: 9, PrevTerm: 2})
+	if m := r.Ready().Messages[0]; m.Success || m.MatchIndex != 5 {
+		t.Fatalf("answer %+v beyond the log, want a rejection hinting its end, 5", m)
+	}
+}
