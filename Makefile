@@ -30,7 +30,11 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/ctlnet/... ./internal/ctlplane/... ./internal/tcpserve/... ./internal/obs/... ./internal/sweep/... ./internal/fluid/... ./internal/topo/... ./internal/routing/...
+	$(GO) test -race ./internal/ctlnet/... ./internal/ctlplane/... ./internal/tcpserve/... ./internal/obs/... ./internal/controller/... ./internal/sweep/... ./internal/fluid/... ./internal/topo/... ./internal/routing/...
+	# A span is a value its recovery holds, not a slot on the bus: two
+	# controllers' recoveries interleaving on one bus, twenty times over,
+	# must keep every event in its own span's trace, race-free.
+	$(GO) test -race -count=20 -run 'TestConcurrentRecoveriesKeepTheirSpans' ./internal/controller/
 	# The side-by-side pass path's determinism proof, explicitly under the
 	# race detector: passes of disjoint classes running beside the loop must
 	# be bit-identical AND data-race-free; the storm golden replays the

@@ -12,6 +12,7 @@ import (
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/detect"
 	"sharebackup/internal/emu"
+	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
 
@@ -284,7 +285,7 @@ func TestDetectionToRecoveryPipeline(t *testing.T) {
 			rec, err = ctl.ReportLinkFailureDetected(
 				EndPoint{Switch: edge, Port: edgePort},
 				EndPoint{Switch: agg, Port: aggPort},
-				evA.At, evA.Latency,
+				evA.At, evA.Latency, obs.TraceContext{},
 			)
 			if err != nil {
 				t.Fatal(err)

@@ -165,9 +165,8 @@ func New(net *sbnet.Network, cfg Config) *Controller {
 	return c
 }
 
-// SetObserver attaches an event bus; the controller (and, via
-// Network.SetObserver, usually the network below it) emits structured
-// events there. A nil bus disables emission.
+// SetObserver attaches an event bus; the controller emits structured events
+// there. A nil bus disables emission.
 func (c *Controller) SetObserver(bus *obs.Bus) { c.bus = bus }
 
 // Observer returns the attached event bus (possibly nil).
@@ -220,11 +219,10 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 	if ok && at-last > 0 {
 		detection = at - last
 	}
-	span := c.bus.BeginSpan()
-	defer c.bus.EndSpan()
+	span := c.bus.StartSpan(obs.TraceContext{})
 	if c.bus.Enabled() {
 		ev := obs.NewEvent(obs.KindFailureDeclared, at)
-		ev.Span = span
+		span.Tag(&ev)
 		ev.Switch = int32(id)
 		ev.Detection = detection
 		ev.Detail = "node"
@@ -257,18 +255,14 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 // is the caller's: it knows which clock the recovery ran on, and a
 // replicated controller completes a recovery once, on its leader, not once
 // per replica that applies it.
-func (c *Controller) emitBackupsAssigned(span uint64, at time.Duration, rec *Recovery) {
-	// Record the span identity on the recovery itself (before the deferred
-	// EndSpan clears the bus context) so the completion and cross-process
-	// mirrors can join it.
-	rec.Span = span
-	rec.Trace = c.bus.ActiveTrace()
+func (c *Controller) emitBackupsAssigned(span obs.SpanRef, at time.Duration, rec *Recovery) {
+	rec.Span, rec.Trace = span.ID, span.Trace
 	if !c.bus.Enabled() {
 		return
 	}
 	for i, failed := range rec.Failed {
 		ev := obs.NewEvent(obs.KindBackupAssigned, at)
-		ev.Span = span
+		span.Tag(&ev)
 		ev.Switch = int32(failed)
 		if i < len(rec.Backup) {
 			ev.Backup = int32(rec.Backup[i])
@@ -291,12 +285,17 @@ func (c *Controller) emitBackupsAssigned(span uint64, at time.Duration, rec *Rec
 // ReportLinkFailureDetected when the actual measured detection delay (e.g.
 // from a detect.Monitor) is known.
 func (c *Controller) ReportLinkFailure(a, b EndPoint, at time.Duration) (*Recovery, error) {
-	return c.ReportLinkFailureDetected(a, b, at, c.cfg.ProbeInterval)
+	return c.ReportLinkFailureDetected(a, b, at, 0, obs.TraceContext{})
 }
 
-// ReportLinkFailureDetected is ReportLinkFailure with an explicit measured
-// detection latency.
-func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time.Duration) (*Recovery, error) {
+// ReportLinkFailureDetected is ReportLinkFailure with the detection latency
+// the reporter measured (0 or less: none, so the probing interval) and the
+// reporter's trace context, which the recovery's span joins as a child (a
+// zero context roots a fresh trace).
+func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time.Duration, parent obs.TraceContext) (*Recovery, error) {
+	if detection <= 0 {
+		detection = c.cfg.ProbeInterval
+	}
 	if c.halted {
 		return nil, ErrHalted
 	}
@@ -316,11 +315,10 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 				ErrHalted, key.layer, key.pod, key.idx, csReportThreshold, csReportWindow)
 		}
 	}
-	span := c.bus.BeginSpan()
-	defer c.bus.EndSpan()
+	span := c.bus.StartSpan(parent)
 	if c.bus.Enabled() {
 		ev := obs.NewEvent(obs.KindFailureDeclared, at)
-		ev.Span = span
+		span.Tag(&ev)
 		ev.Switch = int32(a.Switch)
 		ev.Port = int32(a.Port)
 		ev.Peer = int32(b.Switch)
@@ -437,11 +435,10 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 	if c.halted {
 		return false, ErrHalted
 	}
-	span := c.bus.BeginSpan()
-	defer c.bus.EndSpan()
+	span := c.bus.StartSpan(obs.TraceContext{})
 	if c.bus.Enabled() {
 		ev := obs.NewEvent(obs.KindFailureDeclared, at)
-		ev.Span = span
+		span.Tag(&ev)
 		ev.Switch = int32(edge)
 		ev.Port = int32(port)
 		ev.Detection = c.cfg.ProbeInterval

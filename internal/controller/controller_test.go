@@ -2,10 +2,13 @@ package controller
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"sharebackup/internal/circuit"
+	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
 
@@ -434,5 +437,101 @@ func TestRecoveryLog(t *testing.T) {
 	recs := c.Recoveries()
 	if len(recs) != 1 || recs[0].Kind != "node" {
 		t.Fatalf("recovery log = %+v", recs)
+	}
+}
+
+// TestConcurrentRecoveriesKeepTheirSpans runs two controllers' recoveries at
+// once on one bus, released together by a barrier: link recoveries joining
+// a remote parent, node recoveries rooting fresh traces. Every event must
+// carry its own span's trace and parent, whatever the other controller is
+// doing: the bus may hold no span state that two recoveries share.
+func TestConcurrentRecoveriesKeepTheirSpans(t *testing.T) {
+	const rounds = 200
+	bus := &obs.Bus{}
+	ring := obs.NewRing(4096)
+	bus.Attach(ring)
+	type want struct {
+		trace, parent uint64
+		parentProc    string
+		events        int
+	}
+	spans := [2]map[uint64]want{{}, {}}
+	errs := make([]error, 2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range spans {
+		c, net := newCtl(t, 4, 1)
+		c.SetObserver(bus)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = func() error {
+				edge, agg := net.EdgeGroup(0).Slots()[0], net.AggGroup(0).Slots()[0]
+				core := net.CoreGroup(0).Slots()[0]
+				<-start
+				for i := 0; i < rounds; i++ {
+					// Two virtual seconds apart: no circuit-switch halt.
+					at := time.Duration(i) * 2 * time.Second
+					parent := obs.TraceContext{Trace: uint64(1000*(g+1) + i), Span: uint64(i + 1), Proc: fmt.Sprintf("agent-%d", g)}
+					rec, err := c.ReportLinkFailureDetected(EndPoint{edge, 2}, EndPoint{agg, 0}, at, 0, parent)
+					if err != nil {
+						return err
+					}
+					if rec.Detection != c.Config().ProbeInterval {
+						return fmt.Errorf("zero detection recorded as %v, want the probing interval", rec.Detection)
+					}
+					spans[g][rec.Span] = want{parent.Trace, parent.Span, parent.Proc, 3}
+					node, err := c.RecoverNode(core, at)
+					if err != nil {
+						return err
+					}
+					spans[g][node.Span] = want{node.Trace, 0, "", 2}
+					// Release the replaced switches to their pools and fail
+					// their backups next round.
+					for _, id := range []sbnet.SwitchID{edge, agg, core} {
+						if err := net.Release(id); err != nil {
+							return err
+						}
+					}
+					edge, agg, core = rec.Backup[0], rec.Backup[1], node.Backup[0]
+				}
+				return nil
+			}()
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[uint64]int)
+	for _, ev := range ring.Events() {
+		w, ok := spans[0][ev.Span]
+		if w2, ok2 := spans[1][ev.Span]; ok2 {
+			if ok {
+				t.Fatalf("span %d started by both controllers", ev.Span)
+			}
+			w, ok = w2, true
+		}
+		if !ok {
+			t.Fatalf("%v event in span %d, which no recovery started", ev.Kind, ev.Span)
+		}
+		if ev.Trace != w.trace || ev.Parent != w.parent || ev.ParentProc != w.parentProc {
+			t.Fatalf("%v event of span %d has trace %d, parent %s/%d; its span has trace %d, parent %s/%d",
+				ev.Kind, ev.Span, ev.Trace, ev.ParentProc, ev.Parent, w.trace, w.parentProc, w.parent)
+		}
+		got[ev.Span]++
+	}
+	for g := range spans {
+		if len(spans[g]) != 2*rounds {
+			t.Fatalf("controller %d recorded %d spans, want %d", g, len(spans[g]), 2*rounds)
+		}
+		for span, w := range spans[g] {
+			if got[span] != w.events {
+				t.Fatalf("span %d has %d events, want %d", span, got[span], w.events)
+			}
+		}
 	}
 }

@@ -49,8 +49,12 @@ type Agent struct {
 	// link-failure report can be resent across a leader failover.
 	ackCh chan byte
 
-	mu      sync.Mutex
-	bus     *obs.Bus
+	mu  sync.Mutex
+	bus *obs.Bus
+	// report is the in-flight link report's span (zero when none): a
+	// failover mid-report is tagged with it, so it stays in the report's
+	// trace.
+	report  obs.SpanRef
 	stopped bool
 	closed  bool
 	table   *routing.VLANTable
@@ -190,14 +194,14 @@ func (a *Agent) reconnect(fromGen uint64, hint string) {
 	a.conn = conn
 	go a.readLoop(conn, a.gen)
 	if a.bus.Enabled() {
-		// Emitted inside the active span (if any): a stitched recovery
-		// trace shows the failover hop between report attempts.
+		// Emitted inside the in-flight report's span (if any): a stitched
+		// recovery trace shows the failover hop between report attempts.
 		ev := obs.NewEvent(obs.KindFailover, obs.Now())
 		ev.Wall = true
 		ev.Switch = int32(a.ID)
 		ev.Detail = addr
 		ev.Count = int32(a.gen)
-		ev.Span = a.bus.ActiveSpan()
+		a.report.Tag(&ev)
 		a.bus.Emit(ev)
 	}
 }
@@ -329,26 +333,30 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 		a.mu.Unlock()
 		return fmt.Errorf("ctlnet: agent %d stopped", a.ID)
 	}
-	bus := a.bus
-	a.mu.Unlock()
-
-	var ctx obs.TraceContext
-	if bus.Enabled() {
-		span := bus.BeginSpan()
-		defer bus.EndSpan()
+	var span obs.SpanRef
+	if a.bus.Enabled() {
+		span = a.bus.StartSpan(obs.TraceContext{})
+		a.report = span
+		defer func() {
+			a.mu.Lock()
+			if a.report == span {
+				a.report = obs.SpanRef{}
+			}
+			a.mu.Unlock()
+		}()
 		ev := obs.NewEvent(obs.KindFailureDeclared, obs.Now())
 		ev.Wall = true
-		ev.Span = span
+		span.Tag(&ev)
 		ev.Switch = int32(a.ID)
 		ev.Port = int32(ownPort)
 		ev.Peer = int32(peer)
 		ev.PeerPort = int32(peerPort)
 		ev.Detection = detection
 		ev.Detail = "link"
-		bus.Emit(ev)
-		ctx = bus.ActiveContext()
+		a.bus.Emit(ev)
 	}
-	payload := encodeLinkFail(ctx, detection, a.ID, ownPort, peer, peerPort)
+	a.mu.Unlock()
+	payload := encodeLinkFail(span.Context(), detection, a.ID, ownPort, peer, peerPort)
 	// Each attempt writes to the current leader session and waits for
 	// msgReportAck. Anything but an ack triggers a failover (re-dial the
 	// leader, emitting KindFailover inside the recovery's span) and a resend

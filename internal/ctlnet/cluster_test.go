@@ -637,12 +637,19 @@ func TestOneRecoveryCompletePerLiveRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	published := make([]int, len(mons))
 	for i, mon := range mons {
-		for got := 0; got < n; got++ {
+		for published[i] < n {
 			select {
-			case <-mon.Events:
+			case _, ok := <-mon.Events:
+				if !ok {
+					t.Fatalf("replica %d's monitor closed after %d of %d recoveries (%v); %s",
+						e.Replicas[i].ID, published[i], n, mon.Err(), clusterState(e, mons, published))
+				}
+				published[i]++
 			case <-time.After(5 * time.Second):
-				t.Fatalf("replica %d published %d of %d recoveries", e.Replicas[i].ID, got, n)
+				t.Fatalf("replica %d published %d of %d recoveries; %s",
+					e.Replicas[i].ID, published[i], n, clusterState(e, mons, published))
 			}
 		}
 	}
@@ -666,4 +673,35 @@ func TestOneRecoveryCompletePerLiveRecovery(t *testing.T) {
 	if complete != n {
 		t.Errorf("trace holds %d recovery-complete events for %d recoveries, want %d", complete, n, n)
 	}
+}
+
+// clusterState describes every replica for a failure message: its
+// ctlplane.replica%d gauges (term, leader flag, commit index), the
+// recoveries it applied, and how many its monitor published (drained
+// without blocking into published).
+func clusterState(e *ClusterEmulation, mons []*Monitor, published []int) string {
+	var b strings.Builder
+	for i, r := range e.Replicas {
+		for drained := false; !drained; {
+			select {
+			case _, ok := <-mons[i].Events:
+				if ok {
+					published[i]++
+				} else {
+					drained = true
+				}
+			default:
+				drained = true
+			}
+		}
+		r.Server.state.mu.Lock()
+		applied := len(r.Ctl.Recoveries())
+		r.Server.state.mu.Unlock()
+		gauge := func(name string) int64 {
+			return e.cfg.Registry.Gauge(fmt.Sprintf("ctlplane.replica%d.%s", r.ID, name)).Value()
+		}
+		fmt.Fprintf(&b, "replica %d: term %d, leader %d, commit %d, applied %d, published %d; ",
+			r.ID, gauge("term"), gauge("is_leader"), gauge("commit_index"), applied, published[i])
+	}
+	return strings.TrimSuffix(b.String(), "; ")
 }

@@ -72,26 +72,18 @@ func (s *CSService) handle(conn net.Conn) {
 		s.mu.Lock()
 		bus := s.bus
 		at := obs.Now()
-		var span uint64
-		if ctx.Trace != 0 && bus.Enabled() {
-			// Join the controller's recovery trace as a child span covering
-			// this crossbar reconfiguration.
-			bus.SetRemoteParent(ctx)
-			span = bus.BeginSpan()
-		}
 		d, err := s.sw.Apply(changes)
-		if span != 0 && err == nil {
+		s.mu.Unlock()
+		if ctx.Trace != 0 && err == nil && bus.Enabled() {
+			// A child span of the controller's recovery, covering this
+			// crossbar reconfiguration.
 			ev := obs.NewEvent(obs.KindCircuitReconfigured, at)
 			ev.Wall = true
-			ev.Span = span
+			bus.StartSpan(ctx).Tag(&ev)
 			ev.Reconfig = d
 			ev.Count = int32(len(changes))
 			bus.Emit(ev)
 		}
-		if span != 0 {
-			bus.EndSpan()
-		}
-		s.mu.Unlock()
 		if err != nil {
 			if werr := writeFrame(conn, msgCSErr, []byte(err.Error())); werr != nil {
 				return

@@ -588,6 +588,47 @@ func TestSubscribeDuringPublish(t *testing.T) {
 	}
 }
 
+// TestSubscribeReturnsJoined: Subscribe returns only once the server
+// publishes to the new subscriber, so the next recovery reaches it. A
+// publish between the ack and the join reaches every monitor but the new
+// one (under CPU load, TestOneRecoveryCompletePerLiveRecovery's "published
+// 1 of 3"). Holding the subscriber list's lock holds the join: Subscribe
+// must wait for it.
+func TestSubscribeReturnsJoined(t *testing.T) {
+	srv, _ := newServer(t)
+	type result struct {
+		mon *Monitor
+		err error
+	}
+	done := make(chan result, 1)
+	srv.mu.Lock()
+	go func() {
+		mon, err := Subscribe(srv.Addr())
+		done <- result{mon, err}
+	}()
+	select {
+	case <-done:
+		srv.mu.Unlock()
+		t.Fatal("Subscribe returned while the server could not yet add it to its subscribers")
+	case <-time.After(200 * time.Millisecond):
+	}
+	srv.mu.Unlock()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.mon.Close()
+	srv.publish(RecoveryEvent{Kind: "node", Failed: []sbnet.SwitchID{1}, Backup: []sbnet.SwitchID{2}})
+	select {
+	case ev, ok := <-r.mon.Events:
+		if !ok || ev.Kind != "node" {
+			t.Fatalf("monitor got %+v (open %v), want the node recovery", ev, ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first recovery published after Subscribe never reached the monitor")
+	}
+}
+
 func TestServerCloseUnblocksMonitor(t *testing.T) {
 	srv, _ := newServer(t)
 	mon, err := Subscribe(srv.Addr())

@@ -65,26 +65,17 @@ func (r *replicaState) apply(cmd ctlplane.Command, data []byte, live bool) (rec 
 		if err = r.inFabric(cmd.ASwitch, cmd.BSwitch); err != nil {
 			break
 		}
-		traced := live && cmd.Trace != 0
-		if traced {
+		var parent obs.TraceContext
+		if live {
 			// The reporting agent opened the recovery's root span; the
-			// controller's BeginSpan below joins it as a child.
-			r.ctl.Observer().SetRemoteParent(obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc})
+			// controller's span joins it as a child.
+			parent = obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc}
 		}
 		a := controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)}
 		b := controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)}
-		if cmd.DetectionNS > 0 {
-			// The reporting agent measured its detection; every replica
-			// records that, not the probing interval.
-			rec, err = r.ctl.ReportLinkFailureDetected(a, b, time.Duration(cmd.AtNS), time.Duration(cmd.DetectionNS))
-		} else {
-			rec, err = r.ctl.ReportLinkFailure(a, b, time.Duration(cmd.AtNS))
-		}
-		if err != nil && rec == nil && traced {
-			// Recovery never opened a span; drop the staged remote parent so
-			// it cannot leak into an unrelated recovery.
-			r.ctl.Observer().EndSpan()
-		}
+		// Every replica records the detection the reporting agent measured
+		// (none: the probing interval).
+		rec, err = r.ctl.ReportLinkFailureDetected(a, b, time.Duration(cmd.AtNS), time.Duration(cmd.DetectionNS), parent)
 	}
 	if err != nil {
 		err = refused{err}

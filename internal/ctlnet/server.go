@@ -325,16 +325,21 @@ func (s *Server) handleFrame(sc *srvConn, typ byte, payload []byte) error {
 			return err
 		}
 	case msgSubscribe:
-		// Ack first, then join subs: no publish can precede the ack, and
-		// this reader writes nothing after it that could race publish's
+		// Ack, then join subs, both under s.mu: no publish can precede the
+		// ack, and none can fall between the ack (Subscribe returns on it)
+		// and the join, where it would reach every subscriber but this one.
+		// This reader writes nothing after it that could race publish's
 		// write deadline.
-		if err := writeReply(conn, msgSubAck, nil); err != nil {
+		s.mu.Lock()
+		err := writeReply(conn, msgSubAck, nil)
+		if err == nil {
+			s.subs = append(s.subs, conn)
+		}
+		s.mu.Unlock()
+		if err != nil {
 			s.logf("ctlnet: subscribe ack: %v", err)
 			return err
 		}
-		s.mu.Lock()
-		s.subs = append(s.subs, conn)
-		s.mu.Unlock()
 	default:
 		// Forward compatibility: frames are length-prefixed, so the
 		// payload of an unrecognized type is already consumed — skip it

@@ -27,7 +27,10 @@ func fuzzRun(seed uint64, steps int) error {
 		c.isolate(0)
 	}
 
-	rng := seed*0x9e3779b97f4a7c15 + 1
+	// The stream starts at the seed itself, as ctlnet's splitmix does. It
+	// adds γ per draw, so a seed scaled by γ would make seed k replay seed
+	// 1's stream shifted by k-1 draws.
+	rng := seed
 	next := func(n uint64) uint64 {
 		rng += 0x9e3779b97f4a7c15
 		z := rng

@@ -27,16 +27,10 @@ type Bus struct {
 
 	seq   uint64        // event sequence numbers; guarded by mu
 	spans atomic.Uint64 // span ID allocator
-	cur   atomic.Uint64 // active span (single-writer control planes)
 
 	// proc names this bus' process for stitched multi-process traces;
 	// stamped onto every emitted event that doesn't carry one already.
 	proc atomic.Pointer[string]
-	// ctx is the active trace context: the trace ID the current span
-	// belongs to plus the (possibly remote) parent span it descends from.
-	// Set by SetRemoteParent before BeginSpan (cross-process causality) or
-	// allocated fresh by BeginSpan; cleared by EndSpan.
-	ctx atomic.Pointer[TraceContext]
 }
 
 // TraceContext identifies a position in a cross-process trace: the trace ID
@@ -46,6 +40,46 @@ type TraceContext struct {
 	Trace uint64
 	Span  uint64
 	Proc  string
+}
+
+// SpanRef is an open span as a value. Its owner starts it (Bus.StartSpan),
+// tags the span's events with it and passes it on: to the records of the
+// work it covers, or to another process as Context on the wire. The bus
+// keeps no span state, so any number of spans can be open on one bus.
+type SpanRef struct {
+	ID    uint64 // numbered by the bus' counter
+	Trace uint64
+	// Parent and ParentProc name the span this one descends from (0 and ""
+	// for a trace root); Proc is the owning bus' process name.
+	Parent           uint64
+	ParentProc, Proc string
+}
+
+// StartSpan opens a span as a child of parent, or as the root of a fresh
+// trace when parent carries no trace. A nil bus returns the zero SpanRef,
+// which tags nothing.
+func (b *Bus) StartSpan(parent TraceContext) SpanRef {
+	if b == nil {
+		return SpanRef{}
+	}
+	s := SpanRef{ID: b.spans.Add(1), Trace: parent.Trace, Proc: b.Proc()}
+	if s.Trace == 0 {
+		s.Trace = NewTraceID()
+	} else {
+		s.Parent, s.ParentProc = parent.Span, parent.Proc
+	}
+	return s
+}
+
+// Tag stamps ev with the span: its ID, its trace and its parent.
+func (s SpanRef) Tag(ev *Event) {
+	ev.Span, ev.Trace, ev.Parent, ev.ParentProc = s.ID, s.Trace, s.Parent, s.ParentProc
+}
+
+// Context is what a request made inside the span carries on the wire: the
+// span's trace, with the span itself as the parent.
+func (s SpanRef) Context() TraceContext {
+	return TraceContext{Trace: s.Trace, Span: s.ID, Proc: s.Proc}
 }
 
 // traceSeed randomizes trace IDs per process so traces originating in
@@ -84,9 +118,9 @@ func (b *Bus) Enabled() bool {
 	return s != nil && len(*s) > 0
 }
 
-// Emit delivers the event to every attached sink, stamping its Seq, the
-// bus' process name, and — for span-tagged events — the active trace
-// context. It is a no-op (and allocation-free) when no sink is attached.
+// Emit delivers the event to every attached sink, stamping its Seq and the
+// bus' process name. It is a no-op (and allocation-free) when no sink is
+// attached.
 func (b *Bus) Emit(ev Event) {
 	if b == nil {
 		return
@@ -98,13 +132,6 @@ func (b *Bus) Emit(ev Event) {
 	if ev.Proc == "" {
 		if p := b.proc.Load(); p != nil {
 			ev.Proc = *p
-		}
-	}
-	if ev.Span != 0 && ev.Trace == 0 {
-		if ctx := b.ctx.Load(); ctx != nil {
-			ev.Trace = ctx.Trace
-			ev.Parent = ctx.Span
-			ev.ParentProc = ctx.Proc
 		}
 	}
 	b.mu.Lock()
@@ -179,42 +206,6 @@ func (b *Bus) Detach(s Sink) {
 	b.sinks.Store(&next)
 }
 
-// BeginSpan allocates a recovery span ID and marks it active, so emitters
-// below the control plane (e.g. sbnet circuit reconfigurations) can tag
-// their events via ActiveSpan. Recoveries are serialized in both control
-// planes (the virtual-time controller is single-threaded; the TCP server
-// holds its mutex across recovery calls), so a single active-span slot
-// suffices; concurrent emitters outside a recovery simply read 0.
-func (b *Bus) BeginSpan() uint64 {
-	if b == nil {
-		return 0
-	}
-	id := b.spans.Add(1)
-	b.cur.Store(id)
-	// Join the remote parent's trace when one was staged via
-	// SetRemoteParent; otherwise this span roots a fresh trace.
-	if b.ctx.Load() == nil {
-		b.ctx.Store(&TraceContext{Trace: NewTraceID()})
-	}
-	return id
-}
-
-// EndSpan clears the active span and its trace context.
-func (b *Bus) EndSpan() {
-	if b != nil {
-		b.cur.Store(0)
-		b.ctx.Store(nil)
-	}
-}
-
-// ActiveSpan returns the span opened by the innermost BeginSpan, or 0.
-func (b *Bus) ActiveSpan() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.cur.Load()
-}
-
 // SetProc names this bus' process; every emitted event is stamped with it
 // (unless the event already carries one). Call once at wire-up.
 func (b *Bus) SetProc(name string) {
@@ -232,43 +223,6 @@ func (b *Bus) Proc() string {
 		return *p
 	}
 	return ""
-}
-
-// SetRemoteParent stages an incoming cross-process trace context: the next
-// BeginSpan joins ctx.Trace as a child of ctx.Span/ctx.Proc instead of
-// rooting a fresh trace. A zero-trace context is ignored. Recoveries are
-// serialized per bus (see BeginSpan), so one staged slot suffices.
-func (b *Bus) SetRemoteParent(ctx TraceContext) {
-	if b == nil || ctx.Trace == 0 {
-		return
-	}
-	c := ctx
-	b.ctx.Store(&c)
-}
-
-// ActiveTrace returns the trace ID of the active span (0 outside spans).
-func (b *Bus) ActiveTrace() uint64 {
-	if b == nil {
-		return 0
-	}
-	if ctx := b.ctx.Load(); ctx != nil {
-		return ctx.Trace
-	}
-	return 0
-}
-
-// ActiveContext returns the context a request made inside the current span
-// should carry on the wire: the active trace plus this bus' span and
-// process as the parent. Zero outside spans.
-func (b *Bus) ActiveContext() TraceContext {
-	if b == nil {
-		return TraceContext{}
-	}
-	ctx := b.ctx.Load()
-	if ctx == nil {
-		return TraceContext{}
-	}
-	return TraceContext{Trace: ctx.Trace, Span: b.cur.Load(), Proc: b.Proc()}
 }
 
 // Logf emits a KindLog event carrying the formatted line. It is the

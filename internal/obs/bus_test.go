@@ -14,12 +14,8 @@ func TestNilBusIsSafe(t *testing.T) {
 	b.Emit(NewEvent(KindLog, 0)) // must not panic
 	b.Attach(NewRing(4))
 	b.Detach(nil)
-	if id := b.BeginSpan(); id != 0 {
-		t.Fatalf("nil bus BeginSpan = %d, want 0", id)
-	}
-	b.EndSpan()
-	if b.ActiveSpan() != 0 {
-		t.Fatal("nil bus has active span")
+	if sp := b.StartSpan(TraceContext{Trace: 7, Span: 3}); sp != (SpanRef{}) {
+		t.Fatalf("nil bus StartSpan = %+v, want the zero SpanRef", sp)
 	}
 	b.Logf(0, false, "ignored %d", 1)
 }
@@ -85,21 +81,43 @@ func TestAttachIsIdempotent(t *testing.T) {
 	}
 }
 
+// A span is a value: a root starts a fresh trace, a child joins its
+// parent's, Tag stamps exactly the span's fields, Context names the span as
+// the next hop's parent, and Emit adds no trace field of its own.
 func TestSpanContext(t *testing.T) {
 	b := &Bus{}
-	id := b.BeginSpan()
-	if id == 0 {
-		t.Fatal("BeginSpan returned 0")
+	b.SetProc("ctl")
+	ring := NewRing(4)
+	b.Attach(ring)
+	root := b.StartSpan(TraceContext{})
+	if root.ID != 1 || root.Trace == 0 || root.Parent != 0 || root.ParentProc != "" || root.Proc != "ctl" {
+		t.Fatalf("root span = %+v, want ID 1 in a fresh trace, no parent, proc ctl", root)
 	}
-	if got := b.ActiveSpan(); got != id {
-		t.Fatalf("ActiveSpan = %d, want %d", got, id)
+	remote := TraceContext{Trace: 42, Span: 9, Proc: "agent-3"}
+	child := b.StartSpan(remote)
+	want := SpanRef{ID: 2, Trace: 42, Parent: 9, ParentProc: "agent-3", Proc: "ctl"}
+	if child != want {
+		t.Fatalf("child span = %+v, want %+v", child, want)
 	}
-	b.EndSpan()
-	if got := b.ActiveSpan(); got != 0 {
-		t.Fatalf("ActiveSpan after EndSpan = %d, want 0", got)
+	if got := child.Context(); got != (TraceContext{Trace: 42, Span: 2, Proc: "ctl"}) {
+		t.Fatalf("child context = %+v", got)
 	}
-	if id2 := b.BeginSpan(); id2 == id {
-		t.Fatal("span IDs not unique")
+	if b.StartSpan(TraceContext{}).Trace == root.Trace {
+		t.Fatal("two roots share a trace")
+	}
+	ev := NewEvent(KindBackupAssigned, 0)
+	child.Tag(&ev)
+	b.Emit(ev)
+	b.Emit(NewEvent(KindLog, 0)) // untagged: must stay outside every trace
+	evs := ring.Events()
+	if got := evs[0]; got.Span != 2 || got.Trace != 42 || got.Parent != 9 || got.ParentProc != "agent-3" {
+		t.Fatalf("tagged event = %+v", got)
+	}
+	if got := evs[1]; got.Span != 0 || got.Trace != 0 || got.Parent != 0 || got.ParentProc != "" {
+		t.Fatalf("untagged event carries trace fields: %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.StartSpan(remote) }); allocs != 0 {
+		t.Fatalf("StartSpan allocated %.2f times, want 0", allocs)
 	}
 }
 

@@ -5,8 +5,8 @@
 // counter/gauge/histogram registry, and the SLO watchdog that audits every
 // recovery against a latency budget.
 //
-// The virtual-time controller, the TCP control plane, the link detectors,
-// and the physical network all emit through one Bus. Emission is
+// The virtual-time controller and system, the TCP control plane and its
+// consensus replicas all emit through one Bus. Emission is
 // zero-allocation-cheap when no sink is attached: every emit site guards
 // event construction with Bus.Enabled(), which is a single atomic load.
 package obs
@@ -28,7 +28,8 @@ const (
 	// KindBackupAssigned is a backup switch chosen for a failed switch.
 	KindBackupAssigned
 	// KindCircuitReconfigured is one switch-replacement circuit
-	// reconfiguration (sbnet.ReplaceWith); Count is the number of circuit
+	// reconfiguration (System.FailNode/FailLink in the model, a circuit
+	// switch's control service live); Count is the number of circuit
 	// switches touched, Reconfig the parallel reconfiguration latency.
 	KindCircuitReconfigured
 	// KindTablesPreloaded is a failure-group table pushed to a switch
@@ -124,7 +125,7 @@ type Event struct {
 	// orders events from emitters that have no clock of their own.
 	Seq uint64
 	// T is the event timestamp since the epoch; negative means unknown
-	// (the emitter has no clock, e.g. sbnet circuit reconfigurations).
+	// (the emitter has no clock, e.g. the model's circuit reconfigurations).
 	T    time.Duration
 	Wall bool
 	// Span groups the events of one recovery; 0 means no span.

@@ -1,7 +1,7 @@
 package obs
 
 // Race-detector exercise of the event bus: concurrent emitters, span
-// begin/end, registry updates, and sink attach/detach all running at once.
+// starts, registry updates, and sink attach/detach all running at once.
 // The Makefile runs this package under `go test -race`.
 
 import (
@@ -38,18 +38,18 @@ func TestBusConcurrentEmittersAndAttachDetach(t *testing.T) {
 		}(g)
 	}
 
-	// Concurrent span context churn (control planes serialize recoveries,
-	// but the slot itself must be race-free).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < perEmit; i++ {
-			id := b.BeginSpan()
-			_ = b.ActiveSpan()
-			_ = id
-			b.EndSpan()
-		}
-	}()
+	// Concurrent span starts: the ID counter is shared, so IDs must stay
+	// unique.
+	ids := make([][]uint64, 2)
+	for g := range ids {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perEmit; i++ {
+				ids[g] = append(ids[g], b.StartSpan(TraceContext{}).ID)
+			}
+		}(g)
+	}
 
 	// Concurrent sink attach/detach.
 	wg.Add(1)
@@ -73,6 +73,13 @@ func TestBusConcurrentEmittersAndAttachDetach(t *testing.T) {
 	}
 	if len(evs) == 0 {
 		t.Fatal("no events delivered")
+	}
+	seen := make(map[uint64]bool)
+	for _, id := range append(ids[0], ids[1]...) {
+		if seen[id] {
+			t.Fatalf("span ID %d started twice", id)
+		}
+		seen[id] = true
 	}
 }
 

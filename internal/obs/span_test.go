@@ -8,22 +8,21 @@ import (
 
 // emitRecovery pushes a minimal recovery span onto the bus.
 func emitRecovery(b *Bus, kind string, det, rep, rec time.Duration) {
-	span := b.BeginSpan()
+	span := b.StartSpan(TraceContext{})
 	fd := NewEvent(KindFailureDeclared, 0)
-	fd.Span = span
+	span.Tag(&fd)
 	fd.Detection = det
 	b.Emit(fd)
 	cr := NewEvent(KindCircuitReconfigured, -1)
-	cr.Span = span
+	span.Tag(&cr)
 	cr.Reconfig = rec
 	b.Emit(cr)
 	done := NewEvent(KindRecoveryComplete, det+rep+rec)
-	done.Span = span
+	span.Tag(&done)
 	done.Detail = kind
 	done.Detection, done.Report, done.Reconfig = det, rep, rec
 	done.Total = det + rep + rec
 	b.Emit(done)
-	b.EndSpan()
 }
 
 // A bus' recoveries, collected in a Ring, stitch into one complete span each.

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"sharebackup/internal/circuit"
-	"sharebackup/internal/obs"
 	"sharebackup/internal/topo"
 )
 
@@ -156,16 +155,7 @@ type Network struct {
 	// augmentOf tracks idle-backup augmentations (extension.go): each
 	// augmented backup maps to its circuited partner.
 	augmentOf map[SwitchID]SwitchID
-
-	// bus, when set, receives circuit-reconfiguration events for switch
-	// replacement operations. Nil-safe: the zero Network emits nothing
-	// and pays one nil check per replacement.
-	bus *obs.Bus
 }
-
-// SetObserver attaches an event bus for switch-replacement events. A nil
-// bus disables emission.
-func (n *Network) SetObserver(bus *obs.Bus) { n.bus = bus }
 
 // New builds a ShareBackup network with straight-through initial circuit
 // configurations: physical switch m occupies logical slot m for m < k/2, and

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sharebackup/internal/circuit"
-	"sharebackup/internal/obs"
 	"sharebackup/internal/topo"
 )
 
@@ -48,13 +47,11 @@ func (n *Network) ReplaceWith(failed, backup SwitchID) (time.Duration, error) {
 	mB := bs.Member
 
 	var max time.Duration
-	touched := 0
 	apply := func(cs *circuit.Switch, changes ...circuit.Change) error {
 		d, err := cs.Apply(changes)
 		if err != nil {
 			return fmt.Errorf("sbnet: reconfiguring %s: %w", cs.Name(), err)
 		}
-		touched++
 		if d > max {
 			max = d
 		}
@@ -110,18 +107,6 @@ func (n *Network) ReplaceWith(failed, backup SwitchID) (time.Duration, error) {
 	// reconfiguration above stole its circuits; drop the bookkeeping for
 	// it and its partner.
 	n.clearAugmentation(backup)
-	if n.bus.Enabled() {
-		// The network has no clock of its own (T = -1); the active span
-		// set by the control plane ties the event into its recovery
-		// timeline, and the bus sequence number orders it.
-		ev := obs.NewEvent(obs.KindCircuitReconfigured, -1)
-		ev.Span = n.bus.ActiveSpan()
-		ev.Switch = int32(failed)
-		ev.Backup = int32(backup)
-		ev.Count = int32(touched)
-		ev.Reconfig = max
-		n.bus.Emit(ev)
-	}
 	return max, nil
 }
 

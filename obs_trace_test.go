@@ -86,12 +86,12 @@ func TestRecoverySpanPhaseBreakdown(t *testing.T) {
 	}
 
 	// The span's event timeline must carry the whole recovery story in
-	// order: declaration, circuit reconfiguration, backup assignment,
+	// order: declaration, backup assignment, circuit reconfiguration,
 	// completion.
 	wantKinds := []obs.Kind{
 		obs.KindFailureDeclared,
-		obs.KindCircuitReconfigured,
 		obs.KindBackupAssigned,
+		obs.KindCircuitReconfigured,
 		obs.KindRecoveryComplete,
 	}
 	if len(sp.Events) != len(wantKinds) {

@@ -65,7 +65,7 @@ type Config struct {
 	N int
 	// Tech is the circuit-switch technology (default Crosspoint).
 	Tech Technology
-	// Obs is the event bus the controller and network emit structured
+	// Obs is the event bus the system's recoveries emit structured
 	// events on (see internal/obs). Defaults to obs.Default, the
 	// process-wide bus the commands' -trace/-events flags attach sinks
 	// to; emission costs one atomic load when no sink is attached.
@@ -94,7 +94,6 @@ func New(cfg Config) (*System, error) {
 	if bus == nil {
 		bus = obs.Default
 	}
-	net.SetObserver(bus)
 	ctl := controller.New(net, controller.Config{Metrics: cfg.Metrics})
 	ctl.SetObserver(bus)
 	return &System{
@@ -119,13 +118,26 @@ func (s *System) FailNode(id SwitchID, at time.Duration) (*Recovery, error) {
 	return rec, nil
 }
 
-// complete emits the recovery-complete event closing rec's span on the
-// virtual clock: the failure was declared at at, and the recovery took its
-// report round trip and circuit reconfiguration after that.
+// complete closes rec's span on the virtual clock: one circuit-reconfigured
+// event per replaced switch, then the recovery-complete event. The failure
+// was declared at at, and the recovery took its report round trip and
+// circuit reconfiguration after that.
 func (s *System) complete(rec *Recovery, at time.Duration) {
 	bus := s.Controller.Observer()
 	if !bus.Enabled() {
 		return
+	}
+	for i, failed := range rec.Failed {
+		// The model has no reconfiguration clock (T = -1). A replacement
+		// re-points k circuit switches: k/2 on each side at edge and
+		// aggregation, one per pod at the core.
+		ev := obs.NewEvent(obs.KindCircuitReconfigured, -1)
+		ev.Span, ev.Trace = rec.Span, rec.Trace
+		ev.Switch = int32(failed)
+		ev.Backup = int32(rec.Backup[i])
+		ev.Count = int32(s.Network.K())
+		ev.Reconfig = rec.Reconfig
+		bus.Emit(ev)
 	}
 	ev := obs.NewEvent(obs.KindRecoveryComplete, at+rec.Comm+rec.Reconfig)
 	ev.Span, ev.Trace = rec.Span, rec.Trace
