@@ -31,9 +31,10 @@ test:
 
 race:
 	$(GO) test -race ./internal/ctlnet/... ./internal/ctlplane/... ./internal/tcpserve/... ./internal/obs/... ./internal/controller/... ./internal/sweep/... ./internal/fluid/... ./internal/topo/... ./internal/routing/...
-	# A span is a value its recovery holds, not a slot on the bus: two
-	# controllers' recoveries interleaving on one bus, twenty times over,
-	# must keep every event in its own span's trace, race-free.
+	# A span is a value its renderer holds, not a slot on the bus: two
+	# goroutines' recoveries interleaving on one bus (controller.Emit),
+	# twenty times over, must keep every event in its own span's trace,
+	# race-free.
 	$(GO) test -race -count=20 -run 'TestConcurrentRecoveriesKeepTheirSpans' ./internal/controller/
 	# The side-by-side pass path's determinism proof, explicitly under the
 	# race detector: passes of disjoint classes running beside the loop must
@@ -54,7 +55,9 @@ race:
 # cluster of one (its one trace file must read strictly), then four more
 # times: with the observability flags on the controller's bus (a
 # recovery-complete line on stderr, or it fails), as three replicas with a
-# leader kill (its trace must read strictly too), and with a flag its mode
+# leader kill (its trace must read strictly too, and hold one controller
+# span per recovery: as many as the agents' report spans, for only the
+# leader traces), and with a flag its mode
 # does not read, -src or -trace (it must exit non-zero naming it).
 # Outputs are discarded; any other non-zero exit fails the target (a few
 # seconds in total).
@@ -67,7 +70,8 @@ smoke:
 	./sbemu -ctlnet -trace-dir traces > ctlnet.out && ./sbtap -strict traces/trace.jsonl > stitch.out && \
 	./sbemu -ctlnet -trace-dir obs-traces -events -slo-budget 1ns > obs.out 2> obs.err && \
 	grep -q recovery-complete obs.err && \
-	./sbemu -ctlnet -cluster 3 -trace-dir cluster-traces > cluster.out && ./sbtap -strict cluster-traces/trace.jsonl > cluster-stitch.out && \
+	./sbemu -ctlnet -cluster 3 -trace-dir cluster-traces > cluster.out && ./sbtap -strict -spans cluster-traces/trace.jsonl > cluster-stitch.out && \
+	test "$$(grep -c 'controller-[0-9]*/span' cluster-stitch.out)" -eq "$$(grep -c 'agent-[0-9]*/span' cluster-stitch.out)" && \
 	! ./sbemu -ctlnet -src 1/0/0 2> unused.err && grep -q -- -src unused.err && \
 	! ./sbemu -ctlnet -trace x.jsonl 2> trace-flag.err && grep -q -- -trace trace-flag.err && \
 	./sbtrace -gen -racks 16 -coflows 20 -duration 60 > trace.txt && ./sbtrace -inspect trace.txt > inspect.out && \
@@ -91,7 +95,7 @@ golden-full:
 # paragraph or CHANGES.md entry is paid for with deletions. Lower a budget when
 # a file shrinks; never raise one.
 docs-budget:
-	@fail=0; for budget in DESIGN.md:82562 EXPERIMENTS.md:86106 CHANGES.md:44016 ROADMAP.md:41355; do \
+	@fail=0; for budget in DESIGN.md:82544 EXPERIMENTS.md:86090 CHANGES.md:43364 ROADMAP.md:40505; do \
 		f="$${budget%%:*}"; max="$${budget##*:}"; size=$$(wc -c < "$$f"); \
 		if [ "$$size" -gt "$$max" ]; then echo "$$f is $$size bytes, over its $$max-byte budget"; fail=1; fi; \
 	done; exit $$fail

@@ -42,7 +42,7 @@ func main() {
 		net.Name(rec.Failed[1]), net.Name(rec.Backup[1]))
 
 	fmt.Println("\noffline diagnosis (Section 4.2, Figure 4):")
-	results, err := ctl.RunDiagnosis()
+	results, err := sys.RunDiagnosis()
 	if err != nil {
 		log.Fatal(err)
 	}

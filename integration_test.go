@@ -12,7 +12,6 @@ import (
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/detect"
 	"sharebackup/internal/emu"
-	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
 
@@ -285,7 +284,7 @@ func TestDetectionToRecoveryPipeline(t *testing.T) {
 			rec, err = ctl.ReportLinkFailureDetected(
 				EndPoint{Switch: edge, Port: edgePort},
 				EndPoint{Switch: agg, Port: aggPort},
-				evA.At, evA.Latency, obs.TraceContext{},
+				evA.At, evA.Latency,
 			)
 			if err != nil {
 				t.Fatal(err)

@@ -64,12 +64,6 @@ type Recovery struct {
 	Comm time.Duration
 	// Reconfig is the circuit reconfiguration latency.
 	Reconfig time.Duration
-	// Trace and Span identify the recovery's causal span on the event bus,
-	// so the event completing it (System.FailNode/FailLink's on the virtual
-	// clock, the ctlnet leader's on the wall clock) and the circuit-switch
-	// agents' reconfigurations can join it.
-	Trace uint64
-	Span  uint64
 }
 
 // Total returns the end-to-end recovery latency.
@@ -78,6 +72,16 @@ func (r *Recovery) Total() time.Duration { return r.Detection + r.Comm + r.Recon
 // ErrHalted is returned when recovery is suspended pending human
 // intervention after a suspected circuit-switch failure.
 var ErrHalted = fmt.Errorf("controller: recovery halted, human intervention required")
+
+// haltTrip is the error of the link report that tripped the halt: its
+// circuit switch crossed the report threshold (Section 5.1).
+type haltTrip struct{ cs csKey }
+
+func (h haltTrip) Error() string {
+	return fmt.Sprintf("%v (circuit switch %s exceeded %d reports in %v)", ErrHalted, h.cs, csReportThreshold, csReportWindow)
+}
+
+func (h haltTrip) Unwrap() error { return ErrHalted }
 
 // EndPoint names one interface: a physical switch and a port on it.
 type EndPoint struct {
@@ -88,6 +92,8 @@ type EndPoint struct {
 type csKey struct {
 	layer, pod, idx int
 }
+
+func (k csKey) String() string { return fmt.Sprintf("CS%d,%d,%d", k.layer, k.pod, k.idx) }
 
 // linkKey names a reported link by its two endpoints, lower first, so both
 // ends' reports of one link are one key.
@@ -127,9 +133,6 @@ type Controller struct {
 
 	diagnosisReconfigs int
 
-	// bus receives structured control-plane events (nil-safe: a zero
-	// Controller emits nothing). Virtual timestamps.
-	bus *obs.Bus
 	// reg holds the controller's runtime metrics; handles are resolved
 	// once here so the recovery path never touches the registry map.
 	reg                  *obs.Registry
@@ -165,13 +168,6 @@ func New(net *sbnet.Network, cfg Config) *Controller {
 	return c
 }
 
-// SetObserver attaches an event bus; the controller emits structured events
-// there. A nil bus disables emission.
-func (c *Controller) SetObserver(bus *obs.Bus) { c.bus = bus }
-
-// Observer returns the attached event bus (possibly nil).
-func (c *Controller) Observer() *obs.Bus { return c.bus }
-
 // Metrics returns the controller's counter/gauge registry. The ctlnet
 // server merges its own metrics into the same registry for the varz dump.
 func (c *Controller) Metrics() *obs.Registry { return c.reg }
@@ -187,6 +183,9 @@ func (c *Controller) Halted() bool { return c.halted }
 
 // Recoveries returns the recovery log.
 func (c *Controller) Recoveries() []Recovery { return c.recoveries }
+
+// PendingDiagnosis returns how many reported links await offline diagnosis.
+func (c *Controller) PendingDiagnosis() int { return len(c.pendingDiagnosis) }
 
 // DiagnosisReconfigs returns circuit reconfigurations spent on offline
 // diagnosis so far.
@@ -219,15 +218,6 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 	if ok && at-last > 0 {
 		detection = at - last
 	}
-	span := c.bus.StartSpan(obs.TraceContext{})
-	if c.bus.Enabled() {
-		ev := obs.NewEvent(obs.KindFailureDeclared, at)
-		span.Tag(&ev)
-		ev.Switch = int32(id)
-		ev.Detection = detection
-		ev.Detail = "node"
-		c.bus.Emit(ev)
-	}
 	backup, reconfig, err := c.net.Replace(id)
 	if err != nil {
 		if errors.Is(err, sbnet.ErrNoBackup) {
@@ -246,29 +236,7 @@ func (c *Controller) RecoverNode(id sbnet.SwitchID, at time.Duration) (*Recovery
 	}
 	c.recoveries = append(c.recoveries, rec)
 	c.mFailovers.Inc()
-	c.emitBackupsAssigned(span, at, &c.recoveries[len(c.recoveries)-1])
 	return &c.recoveries[len(c.recoveries)-1], nil
-}
-
-// emitBackupsAssigned records the recovery's span identity and publishes its
-// backup-assigned events. The recovery-complete event that closes the span
-// is the caller's: it knows which clock the recovery ran on, and a
-// replicated controller completes a recovery once, on its leader, not once
-// per replica that applies it.
-func (c *Controller) emitBackupsAssigned(span obs.SpanRef, at time.Duration, rec *Recovery) {
-	rec.Span, rec.Trace = span.ID, span.Trace
-	if !c.bus.Enabled() {
-		return
-	}
-	for i, failed := range rec.Failed {
-		ev := obs.NewEvent(obs.KindBackupAssigned, at)
-		span.Tag(&ev)
-		ev.Switch = int32(failed)
-		if i < len(rec.Backup) {
-			ev.Backup = int32(rec.Backup[i])
-		}
-		c.bus.Emit(ev)
-	}
 }
 
 // ReportLinkFailure handles a link-failure report from both endpoints
@@ -285,14 +253,12 @@ func (c *Controller) emitBackupsAssigned(span obs.SpanRef, at time.Duration, rec
 // ReportLinkFailureDetected when the actual measured detection delay (e.g.
 // from a detect.Monitor) is known.
 func (c *Controller) ReportLinkFailure(a, b EndPoint, at time.Duration) (*Recovery, error) {
-	return c.ReportLinkFailureDetected(a, b, at, 0, obs.TraceContext{})
+	return c.ReportLinkFailureDetected(a, b, at, 0)
 }
 
 // ReportLinkFailureDetected is ReportLinkFailure with the detection latency
-// the reporter measured (0 or less: none, so the probing interval) and the
-// reporter's trace context, which the recovery's span joins as a child (a
-// zero context roots a fresh trace).
-func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time.Duration, parent obs.TraceContext) (*Recovery, error) {
+// the reporter measured (0 or less: none, so the probing interval).
+func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time.Duration) (*Recovery, error) {
 	if detection <= 0 {
 		detection = c.cfg.ProbeInterval
 	}
@@ -303,29 +269,8 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 		if c.chargeCSReport(key, linkOf(a, b), at) {
 			c.halted = true
 			c.mHalts.Inc()
-			if c.bus.Enabled() {
-				ev := obs.NewEvent(obs.KindCircuitSwitchHalted, at)
-				ev.Switch = int32(a.Switch)
-				ev.Peer = int32(b.Switch)
-				ev.Detail = fmt.Sprintf("CS%d,%d,%d exceeded %d reports in %v",
-					key.layer, key.pod, key.idx, csReportThreshold, csReportWindow)
-				c.bus.Emit(ev)
-			}
-			return nil, fmt.Errorf("%w (circuit switch CS%d,%d,%d exceeded %d reports in %v)",
-				ErrHalted, key.layer, key.pod, key.idx, csReportThreshold, csReportWindow)
+			return nil, haltTrip{key}
 		}
-	}
-	span := c.bus.StartSpan(parent)
-	if c.bus.Enabled() {
-		ev := obs.NewEvent(obs.KindFailureDeclared, at)
-		span.Tag(&ev)
-		ev.Switch = int32(a.Switch)
-		ev.Port = int32(a.Port)
-		ev.Peer = int32(b.Switch)
-		ev.PeerPort = int32(b.Port)
-		ev.Detection = detection
-		ev.Detail = "link"
-		c.bus.Emit(ev)
 	}
 	rec := Recovery{
 		Kind:      "link",
@@ -353,7 +298,6 @@ func (c *Controller) ReportLinkFailureDetected(a, b EndPoint, at, detection time
 	if len(rec.Failed) > 0 {
 		c.recoveries = append(c.recoveries, rec)
 		c.pendingDiagnosis = append(c.pendingDiagnosis, LinkSuspects{A: a, B: b})
-		c.emitBackupsAssigned(span, at, &c.recoveries[len(c.recoveries)-1])
 		return &c.recoveries[len(c.recoveries)-1], firstErr
 	}
 	return nil, firstErr
@@ -431,19 +375,9 @@ func (c *Controller) ResumeAfterIntervention() {
 // the switch is exonerated (released back to the backup pool, marked
 // healthy) and the host is flagged for troubleshooting. The returned bool
 // reports whether the host was flagged.
-func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host int, hostAtFault bool, at time.Duration) (bool, error) {
+func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, host int, hostAtFault bool) (bool, error) {
 	if c.halted {
 		return false, ErrHalted
-	}
-	span := c.bus.StartSpan(obs.TraceContext{})
-	if c.bus.Enabled() {
-		ev := obs.NewEvent(obs.KindFailureDeclared, at)
-		span.Tag(&ev)
-		ev.Switch = int32(edge)
-		ev.Port = int32(port)
-		ev.Detection = c.cfg.ProbeInterval
-		ev.Detail = "link"
-		c.bus.Emit(ev)
 	}
 	backup, reconfig, err := c.net.Replace(edge)
 	if err != nil {
@@ -461,7 +395,6 @@ func (c *Controller) HandleHostLinkFailure(edge sbnet.SwitchID, port int, host i
 		Reconfig:  reconfig,
 	}
 	c.recoveries = append(c.recoveries, rec)
-	c.emitBackupsAssigned(span, at, &c.recoveries[len(c.recoveries)-1])
 	if hostAtFault {
 		// Replacement did not fix the link: mark the switch healthy
 		// and trouble-shoot the host.

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -138,7 +139,7 @@ func TestFailoverAndPoolExhaustionCounters(t *testing.T) {
 
 	// Host-link path: pod 2's edge backup serves the first failure only.
 	for i, edge := range net.EdgeGroup(2).Slots() {
-		_, err := c.HandleHostLinkFailure(edge, 0, 100+i, false, time.Duration(i)*time.Millisecond)
+		_, err := c.HandleHostLinkFailure(edge, 100+i, false)
 		if want := i > 0; errors.Is(err, sbnet.ErrNoBackup) != want {
 			t.Fatalf("host-link failure %d: err = %v, want a refusal: %v", i, err, want)
 		}
@@ -394,7 +395,7 @@ func TestHostLinkFailurePolicy(t *testing.T) {
 	edge := net.EdgeGroup(1).Slots()[0]
 
 	// Case 1: the switch really was at fault; replacement fixes it.
-	flagged, err := c.HandleHostLinkFailure(edge, 0, 100, false, 0)
+	flagged, err := c.HandleHostLinkFailure(edge, 100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestHostLinkFailurePolicy(t *testing.T) {
 	// Case 2: the host was at fault; after replacing the (new) switch the
 	// problem persists, so the switch is exonerated and the host flagged.
 	edge2 := net.EdgeGroup(1).Slots()[1]
-	flagged, err = c.HandleHostLinkFailure(edge2, 1, 101, true, time.Second)
+	flagged, err = c.HandleHostLinkFailure(edge2, 101, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,15 +441,16 @@ func TestRecoveryLog(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecoveriesKeepTheirSpans runs two controllers' recoveries at
-// once on one bus, released together by a barrier: link recoveries joining
-// a remote parent, node recoveries rooting fresh traces. Every event must
-// carry its own span's trace and parent, whatever the other controller is
-// doing: the bus may hold no span state that two recoveries share.
+// TestConcurrentRecoveriesKeepTheirSpans renders two controllers'
+// recoveries at once on one bus, released together by a barrier: link
+// recoveries joining a remote parent, node recoveries rooting fresh traces.
+// Every event must carry its own span's trace and parent, whatever the other
+// goroutine is rendering: the bus may hold no span state that two
+// recoveries share.
 func TestConcurrentRecoveriesKeepTheirSpans(t *testing.T) {
 	const rounds = 200
 	bus := &obs.Bus{}
-	ring := obs.NewRing(4096)
+	ring := obs.NewRing(8192)
 	bus.Attach(ring)
 	type want struct {
 		trace, parent uint64
@@ -461,7 +463,6 @@ func TestConcurrentRecoveriesKeepTheirSpans(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := range spans {
 		c, net := newCtl(t, 4, 1)
-		c.SetObserver(bus)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -472,20 +473,24 @@ func TestConcurrentRecoveriesKeepTheirSpans(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					// Two virtual seconds apart: no circuit-switch halt.
 					at := time.Duration(i) * 2 * time.Second
-					parent := obs.TraceContext{Trace: uint64(1000*(g+1) + i), Span: uint64(i + 1), Proc: fmt.Sprintf("agent-%d", g)}
-					rec, err := c.ReportLinkFailureDetected(EndPoint{edge, 2}, EndPoint{agg, 0}, at, 0, parent)
+					a, b := EndPoint{edge, 2}, EndPoint{agg, 0}
+					rec, err := c.ReportLinkFailure(a, b, at)
 					if err != nil {
 						return err
 					}
-					if rec.Detection != c.Config().ProbeInterval {
-						return fmt.Errorf("zero detection recorded as %v, want the probing interval", rec.Detection)
+					parent := obs.TraceContext{Trace: uint64(1000*(g+1) + i), Span: uint64(i + 1), Proc: fmt.Sprintf("agent-%d", g)}
+					span := Emit(bus, parent, Attempt{Kind: "link", A: a, B: b, At: at, Rec: rec, Done: at + rec.Total()})
+					if span.Trace != parent.Trace {
+						return fmt.Errorf("link recovery's span joined trace %d, want its parent's %d", span.Trace, parent.Trace)
 					}
-					spans[g][rec.Span] = want{parent.Trace, parent.Span, parent.Proc, 3}
+					// Failure declared, two backups assigned, complete.
+					spans[g][span.ID] = want{parent.Trace, parent.Span, parent.Proc, 4}
 					node, err := c.RecoverNode(core, at)
 					if err != nil {
 						return err
 					}
-					spans[g][node.Span] = want{node.Trace, 0, "", 2}
+					span = Emit(bus, obs.TraceContext{}, Attempt{Kind: "node", A: EndPoint{Switch: core}, At: at, Rec: node, Done: at + node.Total()})
+					spans[g][span.ID] = want{span.Trace, 0, "", 3}
 					// Release the replaced switches to their pools and fail
 					// their backups next round.
 					for _, id := range []sbnet.SwitchID{edge, agg, core} {
@@ -511,7 +516,7 @@ func TestConcurrentRecoveriesKeepTheirSpans(t *testing.T) {
 		w, ok := spans[0][ev.Span]
 		if w2, ok2 := spans[1][ev.Span]; ok2 {
 			if ok {
-				t.Fatalf("span %d started by both controllers", ev.Span)
+				t.Fatalf("span %d started by both goroutines", ev.Span)
 			}
 			w, ok = w2, true
 		}
@@ -526,12 +531,64 @@ func TestConcurrentRecoveriesKeepTheirSpans(t *testing.T) {
 	}
 	for g := range spans {
 		if len(spans[g]) != 2*rounds {
-			t.Fatalf("controller %d recorded %d spans, want %d", g, len(spans[g]), 2*rounds)
+			t.Fatalf("goroutine %d recorded %d spans, want %d", g, len(spans[g]), 2*rounds)
 		}
 		for span, w := range spans[g] {
 			if got[span] != w.events {
 				t.Fatalf("span %d has %d events, want %d", span, got[span], w.events)
 			}
 		}
+	}
+}
+
+// TestEmitRendersEachOutcome: Emit draws a refusal as its failure
+// declaration alone, the report that trips the §5.1 halt as one
+// circuit-switch-halted event, and nothing — no span either — for a report
+// refused because recovery was already halted, or for one whose recovery was
+// already done (no record, no error).
+func TestEmitRendersEachOutcome(t *testing.T) {
+	c, net := newCtl(t, 8, 1)
+	bus := &obs.Bus{}
+	ring := obs.NewRing(64)
+	bus.Attach(ring)
+	kinds := func(a Attempt) (out []obs.Kind) {
+		t.Helper()
+		before := len(ring.Events())
+		span := Emit(bus, obs.TraceContext{}, a)
+		for _, ev := range ring.Events()[before:] {
+			if ev.Span != span.ID || ev.Trace != span.Trace {
+				t.Errorf("%v event in span %d of trace %d, want the returned span %d of trace %d", ev.Kind, ev.Span, ev.Trace, span.ID, span.Trace)
+			}
+			out = append(out, ev.Kind)
+		}
+		if len(out) == 0 && span != (obs.SpanRef{}) {
+			t.Errorf("an attempt that renders nothing started span %+v", span)
+		}
+		return out
+	}
+	core := net.CoreGroup(0).Slots()
+	if _, err := c.RecoverNode(core[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.RecoverNode(core[1], 0)
+	if got := kinds(Attempt{Kind: "node", A: EndPoint{Switch: core[1]}, Err: err}); err == nil || !slices.Equal(got, []obs.Kind{obs.KindFailureDeclared}) {
+		t.Errorf("refusal (%v) rendered %v, want one failure-declared", err, got)
+	}
+	// Four links through CS_{2,0,0} in one window: the fourth trips the halt.
+	for i := 0; i < 4; i++ {
+		a := EndPoint{Switch: net.EdgeGroup(0).Slots()[i], Port: 4}
+		b := EndPoint{Switch: net.AggGroup(0).Slots()[i], Port: i}
+		rec, err := c.ReportLinkFailure(a, b, time.Duration(i)*time.Millisecond)
+		got := kinds(Attempt{Kind: "link", A: a, B: b, Rec: rec, Err: err})
+		if i == 3 && (!c.Halted() || !slices.Equal(got, []obs.Kind{obs.KindCircuitSwitchHalted})) {
+			t.Errorf("the tripping report (%v) rendered %v, want one circuit-switch-halted", err, got)
+		}
+	}
+	_, err = c.RecoverNode(core[2], 0)
+	if got := kinds(Attempt{Kind: "node", A: EndPoint{Switch: core[2]}, Err: err}); !errors.Is(err, ErrHalted) || len(got) != 0 {
+		t.Errorf("a report refused while halted (%v) rendered %v, want nothing", err, got)
+	}
+	if got := kinds(Attempt{Kind: "link"}); len(got) != 0 {
+		t.Errorf("an attempt with no record and no error rendered %v, want nothing", got)
 	}
 }

@@ -1,11 +1,6 @@
 package controller
 
-import (
-	"fmt"
-
-	"sharebackup/internal/obs"
-	"sharebackup/internal/sbnet"
-)
+import "sharebackup/internal/sbnet"
 
 // DiagnosisResult reports the outcome of offline diagnosis for one suspect
 // interface.
@@ -38,12 +33,6 @@ type DiagnosisResult struct {
 // failed link can offer a healthy partner interface, both suspects are
 // considered faulty (the paper's conservative rule).
 func (c *Controller) RunDiagnosis() ([]DiagnosisResult, error) {
-	if c.bus.Enabled() {
-		ev := obs.NewEvent(obs.KindDiagnosisStarted, -1)
-		ev.Count = int32(len(c.pendingDiagnosis))
-		c.bus.Emit(ev)
-	}
-	reconfigsBefore := c.diagnosisReconfigs
 	var results []DiagnosisResult
 	for _, item := range c.pendingDiagnosis {
 		for _, suspect := range []EndPoint{item.A, item.B} {
@@ -55,18 +44,6 @@ func (c *Controller) RunDiagnosis() ([]DiagnosisResult, error) {
 		}
 	}
 	c.pendingDiagnosis = nil
-	if c.bus.Enabled() {
-		exonerated := 0
-		for _, r := range results {
-			if r.Exonerated {
-				exonerated++
-			}
-		}
-		ev := obs.NewEvent(obs.KindDiagnosisFinished, -1)
-		ev.Count = int32(exonerated)
-		ev.Detail = fmt.Sprintf("%d probes, %d reconfigs", len(results), c.diagnosisReconfigs-reconfigsBefore)
-		c.bus.Emit(ev)
-	}
 	return results, nil
 }
 

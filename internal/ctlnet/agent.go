@@ -12,8 +12,8 @@ import (
 )
 
 // ackRedirected is an agent-local sentinel pushed into the ack channel when a
-// redirect arrives: the pending report will never be acked on this session,
-// so the report loop should retry immediately instead of waiting out the ack
+// session ends (reconnect): a report pending on it will never be acked there,
+// so the report loop should resend at once instead of waiting out the ack
 // timeout. Never sent on the wire (servers only send reportAckOK/Refused).
 const ackRedirected byte = 0xFF
 
@@ -179,6 +179,13 @@ func (a *Agent) dialLeader(hint string, wait time.Duration) (net.Conn, string, e
 // another path already reconnected; when every candidate fails the dead
 // connection stays in place so writes keep failing fast and the next
 // keep-alive tick (or report retry) tries again.
+//
+// Ending the generation wakes a report waiting for its ack: a redirect, or a
+// leader that died holding it unacked, and waiting out the ack timeout would
+// leave the failed link unrecovered (and its agent's switch exposed to
+// spurious node-death detection) for seconds. The wake is sent under a.mu, as
+// the report loop drains stale acks and writes, so it never reaches an
+// attempt written on a later generation.
 func (a *Agent) reconnect(fromGen uint64, hint string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -186,6 +193,10 @@ func (a *Agent) reconnect(fromGen uint64, hint string) {
 		return
 	}
 	a.conn.Close()
+	select {
+	case a.ackCh <- ackRedirected:
+	default:
+	}
 	conn, addr, err := a.dialLeader(hint, leaderReplyTimeout)
 	if err != nil {
 		return
@@ -233,16 +244,8 @@ func (a *Agent) readLoop(conn net.Conn, gen uint64) {
 		switch typ {
 		case msgNotLeader:
 			// This replica lost (or never had) leadership; chase its hint
-			// on a fresh session. Abort any report wait first — a redirect
-			// means the pending report will never be acked on this session,
-			// and waiting out the full ack timeout would leave the failed
-			// link unrecovered (and its agent's switch exposed to spurious
-			// node-death detection) for seconds. The brief pause keeps
-			// redirect chasing from spinning while an election converges.
-			select {
-			case a.ackCh <- ackRedirected:
-			default:
-			}
+			// on a fresh session. The brief pause keeps redirect chasing
+			// from spinning while an election converges.
 			hint := string(payload)
 			time.Sleep(20 * time.Millisecond)
 			a.reconnect(gen, hint)
@@ -360,7 +363,7 @@ func (a *Agent) ReportLinkFailureDetected(ownPort int, peer sbnet.SwitchID, peer
 	// Each attempt writes to the current leader session and waits for
 	// msgReportAck. Anything but an ack triggers a failover (re-dial the
 	// leader, emitting KindFailover inside the recovery's span) and a resend
-	// — which the server deduplicates if the previous leader already
+	// — which every replica applies as done if the previous leader already
 	// committed the recovery.
 	const attempts = 8
 	backoff := 25 * time.Millisecond

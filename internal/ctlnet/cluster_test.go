@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/base64"
 	"fmt"
+	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -704,4 +707,164 @@ func clusterState(e *ClusterEmulation, mons []*Monitor, published []int) string 
 			r.ID, gauge("term"), gauge("is_leader"), gauge("commit_index"), applied, published[i])
 	}
 	return strings.TrimSuffix(b.String(), "; ")
+}
+
+// TestClusterRecordsAndTracesEachRecoveryOnce: three replicas apply a node
+// recovery, a link recovery and a refused link report. Every replica records
+// the same recoveries, field for field: the records hold nothing a replica
+// draws for itself, such as a trace ID. The leader alone traces them: the
+// node recovery stitches to one trace, every recovery's trace holds one
+// controller span and that span completes, and the refusal leaves one
+// failure-declared event, the leader's.
+func TestClusterRecordsAndTracesEachRecoveryOnce(t *testing.T) {
+	e := startCluster(t, ClusterConfig{
+		// A 50 ms deadline: no live agent is declared dead on a busy host.
+		EmulationConfig: EmulationConfig{K: 4, N: 1, NumAgents: 5, NumCS: 1, TraceDir: t.TempDir(), MissThreshold: 10},
+		Replicas:        3,
+	})
+	ld, err := e.Leader(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := Subscribe(ld.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	// Agent 0's link recovery spends pod 0's edge and agg backups, so agent
+	// 4's (pod 0's second edge switch) is refused. Agent 1 is in pod 1.
+	if err := e.FailLink(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FailLink(4, 0); err == nil {
+		t.Fatal("a report with no backup left on either end succeeded")
+	}
+	node := e.Agents[1]
+	node.StopHeartbeats()
+	for kinds := ""; kinds != "link node "; {
+		kinds += nextEvent(t, mon).Kind + " "
+	}
+	recoveries := func(r *Replica) []controller.Recovery {
+		r.Server.state.mu.Lock()
+		defer r.Server.state.mu.Unlock()
+		return slices.Clone(r.Ctl.Recoveries())
+	}
+	want := recoveries(ld)
+	for _, r := range e.Replicas {
+		if !waitUntil(5*time.Second, func() bool { return len(recoveries(r)) == len(want) }) {
+			t.Fatalf("replica %d applied %d recoveries, the leader %d", r.ID, len(recoveries(r)), len(want))
+		}
+		if got := recoveries(r); !reflect.DeepEqual(got, want) {
+			t.Errorf("replica %d records %+v, the leader %+v", r.ID, got, want)
+		}
+	}
+
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadJSONL(mustOpen(t, e.TraceFiles()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := fmt.Sprintf("controller-%d", ld.ID)
+	refused := e.Agents[4].ID
+	for _, ev := range evs {
+		if strings.HasPrefix(ev.Proc, "controller-") && ev.Kind == obs.KindFailureDeclared &&
+			ev.Switch == int32(refused) && ev.Proc != leader {
+			t.Errorf("%s declared the refused failure of switch %d; only the leader %s traces", ev.Proc, refused, leader)
+		}
+	}
+	res, err := obs.Stitch([]obs.ProcTrace{{Events: evs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeTraces, recovered, refusals := 0, 0, 0
+	for _, tr := range res.Traces {
+		var ctl []*obs.StitchedSpan
+		complete := false
+		for _, ss := range tr.Spans {
+			if strings.HasPrefix(ss.Proc, "controller-") {
+				ctl = append(ctl, ss)
+			}
+			complete = complete || ss.Span.Complete
+			for _, ev := range ss.Span.Events {
+				if ev.Kind == obs.KindFailureDeclared && ev.Detail == "node" && ev.Switch == int32(node.ID) {
+					nodeTraces++
+				}
+				if ev.Kind == obs.KindFailureDeclared && ev.Switch == int32(refused) && ss.Proc == leader {
+					refusals++
+				}
+			}
+		}
+		if !complete {
+			continue
+		}
+		recovered++
+		if len(ctl) != 1 || !ctl[0].Span.Complete || ctl[0].Proc != leader {
+			t.Errorf("a recovery's trace holds %d controller spans, want one, the leader's, completing it:\n%s", len(ctl), tr.Render())
+		}
+	}
+	if nodeTraces != 1 || recovered != 2 || refusals != 1 {
+		t.Errorf("the node recovery stitched to %d traces, %d traces complete a recovery and the leader declared the refused failure %d times; want 1, 2 and 1", nodeTraces, recovered, refusals)
+	}
+}
+
+// fakeLeader serves the leader's side of the agent protocol on loopback: it
+// claims to lead, reads hellos and keep-alives, and hands each link report to
+// onReport with its listener and connection.
+func fakeLeader(t *testing.T, onReport func(net.Listener, net.Conn)) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				for {
+					typ, _, err := readFrame(c)
+					if err != nil {
+						return
+					}
+					switch typ {
+					case msgLeaderReq:
+						writeFrame(c, msgLeaderInfo, encodeLeaderInfo(true, ln.Addr().String()))
+					case msgLinkFail:
+						onReport(ln, c)
+					}
+				}
+			}()
+		}
+	}()
+	return ln
+}
+
+// TestClusterReportResendsWhenItsLeaderDies: a leader dies holding a link
+// report it never acked. The agent's session to it drops, and the report is
+// resent to the next leader at once, not after the ack timeout
+// (proposeTimeout, 2 s) that a report loop nobody told of the drop waits out.
+func TestClusterReportResendsWhenItsLeaderDies(t *testing.T) {
+	dying := fakeLeader(t, func(ln net.Listener, c net.Conn) {
+		ln.Close()
+		c.Close()
+	})
+	next := fakeLeader(t, func(_ net.Listener, c net.Conn) { writeFrame(c, msgReportAck, encodeReportAck(reportAckOK)) })
+	a, err := DialCluster([]string{dying.Addr().String(), next.Addr().String()}, 0, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	t0 := time.Now()
+	if err := a.ReportLinkFailureDetected(2, 4, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > proposeTimeout/4 {
+		t.Errorf("the report took %v to reach the next leader, want well under the %v ack timeout", took, proposeTimeout)
+	}
 }

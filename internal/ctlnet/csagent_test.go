@@ -254,7 +254,7 @@ func TestMirrorCSGivesUpOnSilentService(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			srv.mirrorCS(&controller.Recovery{})
+			srv.mirrorCS(obs.TraceContext{})
 		}()
 		select {
 		case <-done:

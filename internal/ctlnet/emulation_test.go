@@ -132,11 +132,18 @@ func TestEmulationStitchedTrace(t *testing.T) {
 	// Table-2 phase attribution per hop: detection on the agent, report and
 	// reconfiguration on the controller, crossbar time on the cs procs.
 	attr := map[string]map[string]time.Duration{}
+	detections := 0
 	for _, a := range tr.Attribution() {
+		if a.Phase == "detection" {
+			detections++
+		}
 		if attr[a.Phase] == nil {
 			attr[a.Phase] = map[string]time.Duration{}
 		}
 		attr[a.Phase][a.Proc] += a.Value
+	}
+	if detections != 1 {
+		t.Errorf("detection charged %d times, want once, to the agent: %v", detections, attr["detection"])
 	}
 	if got := attr["detection"][root.Proc]; got != 5*time.Millisecond {
 		t.Errorf("detection attributed to %s = %v, want 5ms", root.Proc, got)
@@ -159,8 +166,8 @@ func TestEmulationStitchedTrace(t *testing.T) {
 
 // TestEmulationSLOBreach injects an over-budget recovery with the commands'
 // observability flags wired onto the controller's bus, as sbemu -ctlnet
-// wires them: the SLO watchdog counts the breach once, despite the virtual-
-// and wall-clock mirrors of the event.
+// wires them: the SLO watchdog counts the breach once, from the one
+// recovery-complete event the leader emits.
 func TestEmulationSLOBreach(t *testing.T) {
 	e := startEmulation(t, EmulationConfig{
 		NumAgents: 1,
@@ -197,7 +204,7 @@ func TestEmulationSLOBreach(t *testing.T) {
 	}
 
 	if got := reg.Counter("slo.breaches").Value() - breaches0; got != 1 {
-		t.Errorf("breaches = %d, want 1 (virtual+wall mirrors must dedup)", got)
+		t.Errorf("breaches = %d, want 1", got)
 	}
 	if got := reg.Counter("slo.recoveries").Value() - recoveries0; got != 1 {
 		t.Errorf("recoveries = %d, want 1", got)

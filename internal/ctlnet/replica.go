@@ -7,7 +7,6 @@ import (
 
 	"sharebackup/internal/controller"
 	"sharebackup/internal/ctlplane"
-	"sharebackup/internal/obs"
 	"sharebackup/internal/sbnet"
 )
 
@@ -15,9 +14,9 @@ import (
 // controller over it and the history of applied commands, behind its own
 // mutex. It holds no socket and reads no clock — every time it applies comes
 // from the command — so replicas fed the same log hold the same state, and a
-// seeded consensus core can drive it alone. The leader's side effects (the
-// recovery-complete event, the circuit-switch mirror, publish and the
-// detector's re-arm) are the Server's.
+// seeded consensus core can drive it alone. It emits nothing: the side
+// effects (the leader's trace, circuit-switch mirror and detector re-arm, and
+// every replica's publish) are the Server's.
 type replicaState struct {
 	mu  sync.Mutex
 	ctl *controller.Controller
@@ -35,7 +34,10 @@ func (r refused) Unwrap() error { return r.error }
 // Apply applies one committed command and returns it with its recovery. A
 // command the controller refuses (no backup left, halted) is applied all the
 // same — replicas replaying the log must refuse it identically — and its
-// error is a refused; only an undecodable entry leaves no trace.
+// error is a refused; only an undecodable entry leaves no trace. A link
+// report whose two ends are both off active duty already has its recovery
+// (a resend of a report that committed): it applies as a success with no
+// recovery.
 func (r *replicaState) Apply(data []byte) (ctlplane.Command, *controller.Recovery, error) {
 	cmd, err := ctlplane.DecodeCommand(data)
 	if err != nil {
@@ -43,14 +45,13 @@ func (r *replicaState) Apply(data []byte) (ctlplane.Command, *controller.Recover
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, err := r.apply(cmd, data, true)
+	rec, err := r.apply(cmd, data)
 	return cmd, rec, err
 }
 
-// apply records and runs one decoded command; data is its encoding. live is
-// false on Restore's replay, which rebuilds state only and joins no trace.
-// Caller holds r.mu.
-func (r *replicaState) apply(cmd ctlplane.Command, data []byte, live bool) (rec *controller.Recovery, err error) {
+// apply records and runs one decoded command; data is its encoding. Caller
+// holds r.mu.
+func (r *replicaState) apply(cmd ctlplane.Command, data []byte) (rec *controller.Recovery, err error) {
 	r.cmds = append(r.cmds, append([]byte(nil), data...))
 	switch cmd.Kind {
 	case ctlplane.CmdRecoverNode:
@@ -65,17 +66,14 @@ func (r *replicaState) apply(cmd ctlplane.Command, data []byte, live bool) (rec 
 		if err = r.inFabric(cmd.ASwitch, cmd.BSwitch); err != nil {
 			break
 		}
-		var parent obs.TraceContext
-		if live {
-			// The reporting agent opened the recovery's root span; the
-			// controller's span joins it as a child.
-			parent = obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc}
-		}
 		a := controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)}
 		b := controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)}
+		if nw := r.ctl.Network(); nw.Switch(a.Switch).Role != sbnet.RoleActive && nw.Switch(b.Switch).Role != sbnet.RoleActive {
+			break // done already: a resend of a report that committed
+		}
 		// Every replica records the detection the reporting agent measured
 		// (none: the probing interval).
-		rec, err = r.ctl.ReportLinkFailureDetected(a, b, time.Duration(cmd.AtNS), time.Duration(cmd.DetectionNS), parent)
+		rec, err = r.ctl.ReportLinkFailureDetected(a, b, time.Duration(cmd.AtNS), time.Duration(cmd.DetectionNS))
 	}
 	if err != nil {
 		err = refused{err}
@@ -122,7 +120,7 @@ func (r *replicaState) Restore(data []byte) error {
 		if err != nil {
 			return err
 		}
-		_, _ = r.apply(cmd, rl.Commands[i], false)
+		_, _ = r.apply(cmd, rl.Commands[i])
 	}
 	return nil
 }
@@ -133,11 +131,4 @@ func (r *replicaState) active(id sbnet.SwitchID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ctl.Network().Switch(id).Role == sbnet.RoleActive
-}
-
-// linkAlreadyRecovered reports whether both reported endpoints have already
-// left active duty — the signature of a recovery that committed on a
-// previous leader.
-func (r *replicaState) linkAlreadyRecovered(aSw, bSw sbnet.SwitchID) bool {
-	return r.inFabric(int32(aSw), int32(bSw)) == nil && !r.active(aSw) && !r.active(bSw)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -187,6 +188,7 @@ type replicaCluster struct {
 type seenState struct {
 	snap    []byte
 	digest  string
+	recs    []controller.Recovery
 	replica int
 }
 
@@ -274,7 +276,8 @@ func (c *replicaCluster) leader() *seededReplica {
 
 // check asserts the replicated controller's invariants on the members whose
 // applied index moved: replicas at one applied index hold byte-equal
-// snapshots and equal states, and no backup holds two positions. Then every
+// snapshots, equal states and deep-equal recovery records, and no backup
+// holds two positions. Then every
 // leader holds every recovery applied at or below its term: in its log and,
 // once it applied that far, in its controller.
 func (c *replicaCluster) check() error {
@@ -283,11 +286,13 @@ func (c *replicaCluster) check() error {
 			continue
 		}
 		r.checked = r.applied
-		snap, digest := r.st.Snapshot(), stateDigest(r.st)
+		snap, digest, recs := r.st.Snapshot(), stateDigest(r.st), slices.Clone(r.st.ctl.Recoveries())
 		if prev, ok := c.at[r.applied]; !ok {
-			c.at[r.applied] = seenState{snap, digest, i}
+			c.at[r.applied] = seenState{snap, digest, recs, i}
 		} else if !bytes.Equal(prev.snap, snap) || prev.digest != digest {
 			return fmt.Errorf("replicas %d and %d differ at applied index %d:\n%s\n%s\n--- vs ---\n%s\n%s", prev.replica, i, r.applied, prev.snap, prev.digest, snap, digest)
+		} else if !reflect.DeepEqual(prev.recs, recs) {
+			return fmt.Errorf("replicas %d and %d record different recoveries at applied index %d:\n%+v\n--- vs ---\n%+v", prev.replica, i, r.applied, prev.recs, recs)
 		}
 		if err := checkPositions(r.st); err != nil {
 			return fmt.Errorf("replica %d at applied index %d: %v", i, r.applied, err)
@@ -507,5 +512,35 @@ func TestRestoreMatchesReplay(t *testing.T) {
 		if got := b.Snapshot(); !bytes.Equal(got, want) || stateDigest(b) != wantDigest {
 			t.Fatalf("seed %d: restoring the %d-command snapshot over %d applied commands changed the state", seed, q, len(cmds))
 		}
+	}
+}
+
+// TestDuplicateLinkReportIsANoOp: a link report resent after its first copy
+// committed, but before that copy applied on the leader taking the resend,
+// commits twice. The second copy finds both ends off active duty and applies
+// as the success it is — the recovery it asks for is done — with no second
+// recovery, no circuit-switch charge and no backup sought.
+func TestDuplicateLinkReportIsANoOp(t *testing.T) {
+	r, err := newTestReplica(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := r.ctl.Network()
+	cmd := ctlplane.Command{
+		Kind:    ctlplane.CmdRecoverLink,
+		ASwitch: int32(nw.EdgeGroup(0).Slots()[0]), APort: 2,
+		BSwitch: int32(nw.AggGroup(0).Slots()[0]), BPort: 0,
+		AtNS: int64(time.Millisecond),
+	}.Encode()
+	for i := 1; i <= 2; i++ {
+		if _, _, err := r.Apply(cmd); err != nil {
+			t.Fatalf("copy %d: %v", i, err)
+		}
+	}
+	if n := len(r.ctl.Recoveries()); n != 1 {
+		t.Errorf("two copies of one report recorded %d recoveries, want 1", n)
+	}
+	if n := r.ctl.Metrics().Counter("controller.backup_pool_exhausted").Value(); n != 0 {
+		t.Errorf("controller.backup_pool_exhausted = %d, want 0", n)
 	}
 }

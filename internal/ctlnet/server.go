@@ -46,8 +46,8 @@ type ServerConfig struct {
 	// MissThreshold is how many missed intervals declare a node dead.
 	// Default 3.
 	MissThreshold int
-	// Obs receives the server's structured events (failure-declared,
-	// recovery-complete, tables-preloaded, and its diagnostics as log
+	// Obs receives the server's structured events (the recoveries it
+	// traces while it leads, tables-preloaded, and its diagnostics as log
 	// events) with wall-clock timestamps on the process epoch (obs.Now).
 	// Defaults to obs.Default so command-level -trace/-events flags
 	// observe the server without plumbing; set it explicitly to isolate a
@@ -187,12 +187,6 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 	s.mStallGraces = reg.Counter("ctlnet.detector_stall_graces")
 	s.gDetectorEntries = reg.Gauge("ctlnet.detector_entries")
 	s.hDetectOvershoot = reg.Histogram("ctlnet.detect_overshoot_ns")
-	// The controller below this server runs on the server's virtual clock;
-	// give it the same bus so its spans and the server's events interleave
-	// in one stream.
-	if ctl.Observer() == nil {
-		ctl.SetObserver(s.bus)
-	}
 	if s.bus.Proc() == "" {
 		s.bus.SetProc("controller")
 	}
@@ -407,14 +401,9 @@ func (s *Server) handleLinkFail(conn net.Conn, ctx obs.TraceContext, detection t
 		}
 		return
 	}
-	// Idempotent resend: an agent that reported to a leader which committed
-	// the recovery but died before acking will resend here. If neither
-	// endpoint is active anymore, the recovery this report describes has
-	// already been applied — ack success without proposing a duplicate.
-	if s.state.linkAlreadyRecovered(aSw, bSw) {
-		s.ackReport(conn, nil)
-		return
-	}
+	// A resend of a report that already committed (its leader died before
+	// acking) is proposed all the same: the replicated apply finds its
+	// recovery done and acks it as a success.
 	cmd := ctlplane.Command{
 		Kind:        ctlplane.CmdRecoverLink,
 		ASwitch:     int32(aSw),
@@ -495,25 +484,47 @@ func (s *Server) recoverDead(c deadCandidate) {
 func (s *Server) ApplyCommand(data []byte) (*controller.Recovery, error) {
 	t0 := time.Now()
 	cmd, rec, err := s.state.Apply(data)
-	if rec != nil {
-		s.finishLive(cmd, rec, time.Since(t0))
+	if err == nil || errors.As(err, new(refused)) {
+		s.finishLive(cmd, rec, err, time.Since(t0))
 	}
 	return rec, err
 }
 
-// finishLive runs the leader-visible side effects of one applied recovery.
-func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, processing time.Duration) {
+// finishLive runs the side effects of one applied command. The leader traces
+// it (the recovery's one trace across the cluster: followers apply the same
+// command but trace nothing), mirrors a recovery to the circuit switches
+// under that trace, and re-arms its detector; every replica publishes the
+// recovery.
+func (s *Server) finishLive(cmd ctlplane.Command, rec *controller.Recovery, err error, processing time.Duration) {
 	if s.cfg.Cluster.IsLeader() {
-		// Followers apply the same command but must neither complete the
-		// recovery a second time nor re-reconfigure the shared circuit
-		// switches the leader already drove.
-		s.emitRecovered(rec, processing)
-		s.mirrorCS(rec)
-		// Only the leader runs a detector: tell it which spares just went
-		// on active duty.
-		for _, id := range rec.Backup {
-			s.promoted(id)
+		a := controller.Attempt{
+			Kind: "link", At: time.Duration(cmd.AtNS), Rec: rec, Err: err,
+			Done: s.Now(), Report: processing, Wall: true,
 		}
+		// The reporting agent's span roots a link recovery's trace; a node
+		// recovery's roots its own.
+		var parent obs.TraceContext
+		if cmd.Kind == ctlplane.CmdRecoverNode {
+			a.Kind, a.A.Switch = "node", sbnet.SwitchID(cmd.Switch)
+			a.Detection = time.Duration(cmd.AtNS - cmd.LastSeenNS)
+		} else {
+			a.A = controller.EndPoint{Switch: sbnet.SwitchID(cmd.ASwitch), Port: int(cmd.APort)}
+			a.B = controller.EndPoint{Switch: sbnet.SwitchID(cmd.BSwitch), Port: int(cmd.BPort)}
+			a.Detection = time.Duration(cmd.DetectionNS)
+			parent = obs.TraceContext{Trace: cmd.Trace, Span: cmd.Span, Proc: cmd.Proc}
+		}
+		span := controller.Emit(s.bus, parent, a)
+		if rec != nil {
+			s.mirrorCS(span.Context())
+			// Only the leader runs a detector: tell it which spares just
+			// went on active duty.
+			for _, id := range rec.Backup {
+				s.promoted(id)
+			}
+		}
+	}
+	if rec == nil {
+		return
 	}
 	ev := RecoveryEvent{Kind: "link", Failed: rec.Failed, Backup: rec.Backup, Latency: processing}
 	if cmd.Kind == ctlplane.CmdRecoverNode {
@@ -529,49 +540,19 @@ func (s *Server) SnapshotState() []byte { return s.state.Snapshot() }
 // RestoreState is the consensus node's Restore hook (replicaState.Restore).
 func (s *Server) RestoreState(data []byte) error { return s.state.Restore(data) }
 
-// mirrorCS sends the recovery's reconfiguration batch to every attached
+// mirrorCS sends a recovery's reconfiguration batch to every attached
 // circuit-switch service, carrying the recovery's trace context so each
 // crossbar reconfiguration lands as a child span of the controller's.
-func (s *Server) mirrorCS(rec *controller.Recovery) {
+func (s *Server) mirrorCS(ctx obs.TraceContext) {
 	if len(s.csClients) == 0 {
 		return
 	}
 	changes := []circuit.Change{{A: 0, B: 1}}
-	ctx := obs.TraceContext{Trace: rec.Trace, Span: rec.Span, Proc: s.bus.Proc()}
 	for _, cl := range s.csClients {
 		if _, _, err := cl.reconfigure(ctx, changes); err != nil {
 			s.logf("ctlnet: cs mirror: %v", err)
 		}
 	}
-}
-
-// emitRecovered publishes the recovery-complete event for a recovery the
-// leader just drove, closing the controller's span: detection and circuit
-// reconfiguration come from the controller's record (whose link detection is
-// the reporting agent's measurement, when it sent one), the report phase is
-// the measured apply time, and T is now, the completion time on the process
-// epoch. It is the recovery's one completion across the cluster.
-func (s *Server) emitRecovered(rec *controller.Recovery, processing time.Duration) {
-	if !s.bus.Enabled() {
-		return
-	}
-	ev := obs.NewEvent(obs.KindRecoveryComplete, s.Now())
-	ev.Wall = true
-	ev.Detail = rec.Kind
-	ev.Span = rec.Span
-	ev.Trace = rec.Trace
-	if len(rec.Failed) > 0 {
-		ev.Switch = int32(rec.Failed[0])
-	}
-	if len(rec.Backup) > 0 {
-		ev.Backup = int32(rec.Backup[0])
-	}
-	ev.Count = int32(len(rec.Failed))
-	ev.Detection = rec.Detection
-	ev.Report = processing
-	ev.Reconfig = rec.Reconfig
-	ev.Total = rec.Detection + processing + rec.Reconfig
-	s.bus.Emit(ev)
 }
 
 // publish sends a recovery event to all subscribers. It runs on every

@@ -182,13 +182,18 @@ type PhaseAttribution struct {
 }
 
 // Attribution extracts the per-hop phase breakdown of a stitched trace.
+// Detection is charged once, to the trace root's failure declaration: the
+// declarations below it (a controller's, under the agent that reported the
+// link) restate the detection the root measured.
 func (tr *StitchedTrace) Attribution() []PhaseAttribution {
 	var out []PhaseAttribution
+	detected := false
 	for _, ss := range tr.Spans {
 		for _, ev := range ss.Span.Events {
 			switch ev.Kind {
 			case KindFailureDeclared:
-				if ev.Detection > 0 {
+				if ss.Parent == nil && !detected && ev.Detection > 0 {
+					detected = true
 					out = append(out, PhaseAttribution{"detection", ss.Proc, ev.Detection})
 				}
 			case KindRecoveryComplete:

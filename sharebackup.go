@@ -82,6 +82,9 @@ type Config struct {
 type System struct {
 	Network    *sbnet.Network
 	Controller *controller.Controller
+	// bus receives the system's recovery and diagnosis events, on the
+	// virtual clock.
+	bus *obs.Bus
 }
 
 // New builds a ShareBackup system.
@@ -94,11 +97,10 @@ func New(cfg Config) (*System, error) {
 	if bus == nil {
 		bus = obs.Default
 	}
-	ctl := controller.New(net, controller.Config{Metrics: cfg.Metrics})
-	ctl.SetObserver(bus)
 	return &System{
 		Network:    net,
-		Controller: ctl,
+		Controller: controller.New(net, controller.Config{Metrics: cfg.Metrics}),
+		bus:        bus,
 	}, nil
 }
 
@@ -108,48 +110,28 @@ func New(cfg Config) (*System, error) {
 func (s *System) FailNode(id SwitchID, at time.Duration) (*Recovery, error) {
 	s.Network.InjectNodeFailure(id)
 	rec, err := s.Controller.RecoverNode(id, at)
+	s.trace(controller.Attempt{Kind: "node", A: EndPoint{Switch: id}, At: at, Rec: rec, Err: err})
 	if err != nil {
 		return nil, err
 	}
-	s.complete(rec, at)
 	if err := s.Network.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("sharebackup: invariants after recovery: %w", err)
 	}
 	return rec, nil
 }
 
-// complete closes rec's span on the virtual clock: one circuit-reconfigured
-// event per replaced switch, then the recovery-complete event. The failure
-// was declared at at, and the recovery took its report round trip and
-// circuit reconfiguration after that.
-func (s *System) complete(rec *Recovery, at time.Duration) {
-	bus := s.Controller.Observer()
-	if !bus.Enabled() {
-		return
+// trace renders one recovery attempt on the system's bus, on the virtual
+// clock: a recovery's report round trip and circuit reconfiguration follow
+// its declaration at a.At, and each replacement re-points k circuit
+// switches (k/2 on each side at edge and aggregation, one per pod at the
+// core).
+func (s *System) trace(a controller.Attempt) {
+	if a.Rec != nil {
+		a.Report = a.Rec.Comm
+		a.Done = a.At + a.Rec.Comm + a.Rec.Reconfig
 	}
-	for i, failed := range rec.Failed {
-		// The model has no reconfiguration clock (T = -1). A replacement
-		// re-points k circuit switches: k/2 on each side at edge and
-		// aggregation, one per pod at the core.
-		ev := obs.NewEvent(obs.KindCircuitReconfigured, -1)
-		ev.Span, ev.Trace = rec.Span, rec.Trace
-		ev.Switch = int32(failed)
-		ev.Backup = int32(rec.Backup[i])
-		ev.Count = int32(s.Network.K())
-		ev.Reconfig = rec.Reconfig
-		bus.Emit(ev)
-	}
-	ev := obs.NewEvent(obs.KindRecoveryComplete, at+rec.Comm+rec.Reconfig)
-	ev.Span, ev.Trace = rec.Span, rec.Trace
-	ev.Detail = rec.Kind
-	ev.Switch = int32(rec.Failed[0])
-	ev.Backup = int32(rec.Backup[0])
-	ev.Count = int32(len(rec.Failed))
-	ev.Detection = rec.Detection
-	ev.Report = rec.Comm
-	ev.Reconfig = rec.Reconfig
-	ev.Total = rec.Total()
-	bus.Emit(ev)
+	a.Circuits = s.Network.K()
+	controller.Emit(s.bus, obs.TraceContext{}, a)
 }
 
 // FailLink injects a link failure (breaking the interface at end a) and
@@ -159,9 +141,8 @@ func (s *System) FailLink(a, b EndPoint, at time.Duration) (*Recovery, error) {
 		return nil, err
 	}
 	rec, err := s.Controller.ReportLinkFailure(a, b, at)
-	if rec != nil {
-		s.complete(rec, at) // one side may be replaced when the other fails
-	}
+	// One side may be replaced when the other fails: that is a recovery too.
+	s.trace(controller.Attempt{Kind: "link", A: a, B: b, At: at, Detection: s.Controller.Config().ProbeInterval, Rec: rec, Err: err})
 	if err != nil {
 		return nil, err
 	}
@@ -169,4 +150,31 @@ func (s *System) FailLink(a, b EndPoint, at time.Duration) (*Recovery, error) {
 		return nil, fmt.Errorf("sharebackup: invariants after recovery: %w", err)
 	}
 	return rec, nil
+}
+
+// RunDiagnosis runs the controller's offline diagnosis of the reported links
+// (Section 4.2, Controller.RunDiagnosis) between a diagnosis-started event
+// (Count: the links queued) and a diagnosis-finished one (Count: the
+// switches exonerated).
+func (s *System) RunDiagnosis() ([]controller.DiagnosisResult, error) {
+	ctl := s.Controller
+	reconfigs := ctl.DiagnosisReconfigs()
+	if s.bus.Enabled() {
+		ev := obs.NewEvent(obs.KindDiagnosisStarted, -1)
+		ev.Count = int32(ctl.PendingDiagnosis())
+		s.bus.Emit(ev)
+	}
+	results, err := ctl.RunDiagnosis()
+	if err != nil || !s.bus.Enabled() {
+		return results, err
+	}
+	ev := obs.NewEvent(obs.KindDiagnosisFinished, -1)
+	for _, r := range results {
+		if r.Exonerated {
+			ev.Count++
+		}
+	}
+	ev.Detail = fmt.Sprintf("%d probes, %d reconfigs", len(results), ctl.DiagnosisReconfigs()-reconfigs)
+	s.bus.Emit(ev)
+	return results, nil
 }
