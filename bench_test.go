@@ -311,13 +311,28 @@ func BenchmarkOfflineDiagnosis(b *testing.B) {
 }
 
 // BenchmarkCoflowGenerate times synthetic trace generation at the paper's
-// scale (150 racks, 526 coflows).
+// scale (150 racks, 526 coflows), and one pass of the sim-fig1c benchmark's
+// study picker: traces of 128 racks and 40 coflows over 300 s for seeds
+// 1-172, the sub-seeds it scans to keep 40 studies.
 func BenchmarkCoflowGenerate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := coflow.Generate(coflow.GenConfig{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
+	b.Run("paper", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := coflow.Generate(coflow.GenConfig{Seed: int64(i)}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("picker", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for s := int64(1); s <= 172; s++ {
+				if _, err := coflow.Generate(coflow.GenConfig{Racks: 128, NumCoflows: 40, Duration: 300, Seed: s}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // --- Ablation benches (design choices from DESIGN.md) ---

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sharebackup/internal/coflow"
@@ -50,14 +51,26 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		summarize(tr, *window)
+		if err := summarize(os.Stdout, tr, *window); err != nil {
+			fatal(err)
+		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func summarize(tr *coflow.Trace, window float64) {
+// summarize writes the trace's totals and width and byte quantiles to w,
+// then, for any nonzero window, its per-window counts. Partition refuses a
+// negative or NaN window, so such a window is an error, not a missing table.
+func summarize(w io.Writer, tr *coflow.Trace, window float64) error {
+	var parts []*coflow.Trace
+	if window != 0 {
+		var err error
+		if parts, err = tr.Partition(window); err != nil {
+			return err
+		}
+	}
 	widths := make([]float64, len(tr.Coflows))
 	bytes := make([]float64, len(tr.Coflows))
 	for i := range tr.Coflows {
@@ -65,25 +78,22 @@ func summarize(tr *coflow.Trace, window float64) {
 		bytes[i] = tr.Coflows[i].TotalBytes()
 	}
 	ws, bs := metrics.Summarize(widths), metrics.Summarize(bytes)
-	fmt.Printf("racks: %d\ncoflows: %d\nflows: %d\nduration: %.1fs\n",
+	fmt.Fprintf(w, "racks: %d\ncoflows: %d\nflows: %d\nduration: %.1fs\n",
 		tr.NumRacks, len(tr.Coflows), tr.TotalFlows(), tr.Duration())
-	fmt.Printf("width:  median %.0f  p90 %.0f  p99 %.0f  max %.0f\n", ws.Median, ws.P90, ws.P99, ws.Max)
-	fmt.Printf("bytes:  median %.3g  p90 %.3g  p99 %.3g  max %.3g\n", bs.Median, bs.P90, bs.P99, bs.Max)
-
-	if window > 0 {
-		parts, err := tr.Partition(window)
-		if err != nil {
-			fatal(err)
-		}
-		tbl := &metrics.Table{
-			Title:   fmt.Sprintf("per-%gs-window coflow counts", window),
-			Headers: []string{"window", "coflows", "flows"},
-		}
-		for i, p := range parts {
-			tbl.AddRow(i, len(p.Coflows), p.TotalFlows())
-		}
-		fmt.Print(tbl.String())
+	fmt.Fprintf(w, "width:  median %.0f  p90 %.0f  p99 %.0f  max %.0f\n", ws.Median, ws.P90, ws.P99, ws.Max)
+	fmt.Fprintf(w, "bytes:  median %.3g  p90 %.3g  p99 %.3g  max %.3g\n", bs.Median, bs.P90, bs.P99, bs.Max)
+	if parts == nil {
+		return nil
 	}
+	tbl := &metrics.Table{
+		Title:   fmt.Sprintf("per-%gs-window coflow counts", window),
+		Headers: []string{"window", "coflows", "flows"},
+	}
+	for i, p := range parts {
+		tbl.AddRow(i, len(p.Coflows), p.TotalFlows())
+	}
+	_, err := fmt.Fprint(w, tbl.String())
+	return err
 }
 
 func fatal(err error) {

@@ -14,10 +14,13 @@ package coflow
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,6 +140,9 @@ func Parse(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coflow: header racks: %w", err)
 	}
+	if racks <= 0 {
+		return nil, fmt.Errorf("coflow: header racks %d must be positive", racks)
+	}
 	count, err := strconv.Atoi(header[1])
 	if err != nil {
 		return nil, fmt.Errorf("coflow: header count: %w", err)
@@ -191,6 +197,9 @@ func parseCoflowLine(text string, racks int) (Coflow, error) {
 	if err != nil {
 		return Coflow{}, fmt.Errorf("arrival: %w", err)
 	}
+	if arrMS < 0 {
+		return Coflow{}, fmt.Errorf("arrival %d ms is before the trace starts", arrMS)
+	}
 	m, err := nextInt()
 	if err != nil {
 		return Coflow{}, fmt.Errorf("mapper count: %w", err)
@@ -236,10 +245,10 @@ func parseCoflowLine(text string, racks int) (Coflow, error) {
 		if err != nil {
 			return Coflow{}, fmt.Errorf("reducer %d size: %w", i, err)
 		}
-		if sizeMB <= 0 {
-			return Coflow{}, fmt.Errorf("reducer %d size %v must be positive", i, sizeMB)
-		}
 		per := sizeMB * MB / float64(m)
+		if !(per > 0) || math.IsInf(per, 1) {
+			return Coflow{}, fmt.Errorf("reducer %d size %v MB gives %v-byte flows; sizes must be positive and finite", i, sizeMB, per)
+		}
 		for _, src := range mappers {
 			if src == rack {
 				continue // rack-local shuffle: no network flow
@@ -387,7 +396,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tr := &Trace{NumRacks: cfg.Racks}
+	tr := &Trace{NumRacks: cfg.Racks, Coflows: make([]Coflow, cfg.NumCoflows)}
 	// lognormInt clips in floating point: a draw past the int range is the
 	// rack count, not whatever converting it would give.
 	lognormInt := func(mu, sigma float64, max int) int {
@@ -400,42 +409,89 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		}
 		return int(v)
 	}
-	for i := 0; i < cfg.NumCoflows; i++ {
+	perm, permuter := make([]int, 2*cfg.Racks), newPermuter(rng, cfg.Racks)
+	checkSize := func(bytes float64) error {
+		if !(bytes > 0) || math.IsInf(bytes, 1) {
+			return fmt.Errorf("coflow: SizeLogMeanMB=%v, SizeLogStdMB=%v drew a %v-byte flow; sizes must be positive and finite",
+				cfg.SizeLogMeanMB, cfg.SizeLogStdMB, bytes)
+		}
+		return nil
+	}
+	for i := range tr.Coflows {
 		m := lognormInt(cfg.MapperLogMean, cfg.MapperLogStd, cfg.Racks)
 		r := lognormInt(cfg.ReducerLogMean, cfg.ReducerLogStd, cfg.Racks)
-		perm := rng.Perm(cfg.Racks)
-		mappers := perm[:m]
-		reducers := make([]int, r)
 		// Reducers drawn independently of mappers (rack-local pairs
 		// are dropped, as in Parse).
-		perm2 := rng.Perm(cfg.Racks)
-		copy(reducers, perm2[:r])
-		c := Coflow{ID: i, Arrival: rng.Float64() * cfg.Duration}
+		mappers, reducers := perm[:cfg.Racks], perm[cfg.Racks:]
+		permuter.perm(mappers)
+		permuter.perm(reducers)
+		mappers, reducers = mappers[:m], reducers[:r]
+		c := &tr.Coflows[i]
+		*c = Coflow{ID: i, Arrival: rng.Float64() * cfg.Duration, Flows: make([]Flow, 0, m*r)}
 		for _, red := range reducers {
 			sizeMB := math.Exp(rng.NormFloat64()*cfg.SizeLogStdMB + cfg.SizeLogMeanMB)
 			per := sizeMB * MB / float64(m)
+			n := len(c.Flows)
 			for _, src := range mappers {
 				if src == red {
 					continue
 				}
 				c.Flows = append(c.Flows, Flow{Src: src, Dst: red, Bytes: per})
 			}
+			if len(c.Flows) > n {
+				if err := checkSize(per); err != nil {
+					return nil, err
+				}
+			}
 		}
 		if len(c.Flows) == 0 {
 			// Degenerate single-rack coflow; synthesize one flow so
 			// every coflow is observable on the network.
 			dst := (mappers[0] + 1) % cfg.Racks
-			c.Flows = append(c.Flows, Flow{Src: mappers[0], Dst: dst,
-				Bytes: math.Exp(rng.NormFloat64()*cfg.SizeLogStdMB+cfg.SizeLogMeanMB) * MB})
+			bytes := math.Exp(rng.NormFloat64()*cfg.SizeLogStdMB+cfg.SizeLogMeanMB) * MB
+			if err := checkSize(bytes); err != nil {
+				return nil, err
+			}
+			c.Flows = append(c.Flows, Flow{Src: mappers[0], Dst: dst, Bytes: bytes})
 		}
-		for _, f := range c.Flows {
-			if !(f.Bytes > 0) || math.IsInf(f.Bytes, 1) {
-				return nil, fmt.Errorf("coflow: SizeLogMeanMB=%v, SizeLogStdMB=%v drew a %v-byte flow; sizes must be positive and finite",
-					cfg.SizeLogMeanMB, cfg.SizeLogStdMB, f.Bytes)
+	}
+	slices.SortStableFunc(tr.Coflows, func(a, b Coflow) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	return tr, nil
+}
+
+// permuter draws rand.Perm's permutations into a caller's buffer: for each
+// i < len(p), j = rng.Intn(i+1), p[i] = p[j], p[j] = i, with Intn's draws
+// and results exactly (for lengths below 2^31, Intn's 31-bit branch), so a
+// trace is the one rand.Perm would give. Intn(n) redraws v above 2^31 - 1 -
+// (2^31 mod n), a bound no lower than 2^31 - n, so only a draw past that
+// pays for the bound's division; and v % n is Lemire's remainder by
+// multiplication, exact for 32-bit v and n, with recip[n] = ceil(2^64 / n)
+// mod 2^64.
+type permuter struct {
+	rng   *rand.Rand
+	recip []uint64
+}
+
+func newPermuter(rng *rand.Rand, maxLen int) permuter {
+	recip := make([]uint64, maxLen+1)
+	for n := 1; n <= maxLen; n++ {
+		recip[n] = ^uint64(0)/uint64(n) + 1
+	}
+	return permuter{rng: rng, recip: recip}
+}
+
+func (q permuter) perm(p []int) {
+	for i := range p {
+		n := int32(i + 1)
+		v := int32(q.rng.Int63() >> 32)
+		if v > math.MaxInt32-n {
+			max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+			for v > max {
+				v = int32(q.rng.Int63() >> 32)
 			}
 		}
-		tr.Coflows = append(tr.Coflows, c)
+		j, _ := bits.Mul64(q.recip[n]*uint64(v), uint64(n))
+		p[i] = p[j]
+		p[j] = i
 	}
-	sort.SliceStable(tr.Coflows, func(i, j int) bool { return tr.Coflows[i].Arrival < tr.Coflows[j].Arrival })
-	return tr, nil
 }

@@ -2,8 +2,13 @@ package coflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -60,6 +65,12 @@ func TestParseErrors(t *testing.T) {
 		{"bad reducer format", "3 1\n0 0 1 0 1 1-1\n"},
 		{"zero mappers", "3 1\n0 0 0 1 1:1\n"},
 		{"negative size", "3 1\n0 0 1 0 1 1:-2\n"},
+		{"NaN size", "2 1\n0 0 1 0 1 1:NaN\n"},
+		{"infinite size", "2 1\n0 0 1 0 1 1:+Inf\n"},
+		{"size overflowing bytes", "2 1\n0 0 1 0 1 1:1e305\n"},
+		{"negative arrival", "2 1\n0 -5 1 0 1 1:1\n"},
+		{"zero racks", "0 0\n"},
+		{"negative racks", "-3 0\n"},
 		{"truncated", "3 1\n0 0 2 0\n"},
 	}
 	for _, c := range cases {
@@ -126,6 +137,101 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical traces")
+	}
+}
+
+// traceHash folds every coflow's ID and arrival bits and every flow's Src,
+// Dst and Bytes bits into one FNV-1a sum, so a pin on it catches any change
+// to what Generate draws, not only to the statistics other tests check.
+func traceHash(h hash.Hash64, tr *Trace) {
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	word(uint64(tr.NumRacks))
+	word(uint64(len(tr.Coflows)))
+	for i := range tr.Coflows {
+		c := &tr.Coflows[i]
+		word(uint64(c.ID))
+		word(math.Float64bits(c.Arrival))
+		word(uint64(len(c.Flows)))
+		for _, f := range c.Flows {
+			word(uint64(f.Src))
+			word(uint64(f.Dst))
+			word(math.Float64bits(f.Bytes))
+		}
+	}
+}
+
+// TestGeneratePinned pins Generate's output bit for bit. The Fig. 1c
+// benchmark picks its studies by generating traces of 128 racks and 40
+// coflows over 300 s for seeds 1, 2, ... and keeping those narrow enough;
+// the goldens only see the traces it keeps, so the ones it rejects (which
+// decide which studies run) are pinned here, with two traces at the default
+// 150-rack, 526-coflow shape.
+func TestGeneratePinned(t *testing.T) {
+	h := fnv.New64a()
+	for seed := int64(1); seed <= 172; seed++ {
+		tr, err := Generate(GenConfig{Racks: 128, NumCoflows: 40, Duration: 300, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traceHash(h, tr)
+	}
+	if got, want := h.Sum64(), uint64(0x1c192378993b2941); got != want {
+		t.Errorf("picker-shaped traces (seeds 1-172) hash to %#x, want %#x", got, want)
+	}
+	for _, tc := range []struct {
+		seed int64
+		want uint64
+	}{{1, 0xd28c1183f5656d07}, {2, 0x530b2ed59fd6038b}} {
+		tr, err := Generate(GenConfig{Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		traceHash(h, tr)
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("default trace (seed %d) hashes to %#x, want %#x", tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestPermuterIsRandPerm: the permuter makes rand.Perm's draws and gives
+// its permutations, and leaves the RNG where rand.Perm leaves it. The
+// 300 000-element permutation reaches draws Intn rejects.
+func TestPermuterIsRandPerm(t *testing.T) {
+	const maxLen = 300000
+	for seed := int64(1); seed <= 3; seed++ {
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		q := newPermuter(got, maxLen)
+		buf := make([]int, maxLen)
+		for _, n := range []int{1, 2, 3, 7, 64, 128, 150, 1000, maxLen} {
+			q.perm(buf[:n])
+			if w := want.Perm(n); !slices.Equal(buf[:n], w) {
+				t.Fatalf("seed %d: permutation of %d differs from rand.Perm", seed, n)
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d: after a permutation of %d the RNG draws %d, rand.Perm's %d", seed, n, g, w)
+			}
+		}
+	}
+}
+
+// TestGenerateAllocs gates the generator's allocations on the picker's
+// shape: the trace, its coflow slice, the RNG, the permutation buffer and
+// its reciprocal table, and one flow slice per coflow. Drawing each coflow's
+// racks with rand.Perm and growing its flows by append cost 340.
+func TestGenerateAllocs(t *testing.T) {
+	cfg := GenConfig{Racks: 128, NumCoflows: 40, Duration: 300, Seed: 1}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := float64(cfg.NumCoflows + 10); allocs > max {
+		t.Errorf("Generate allocates %v times per trace, want at most %v", allocs, max)
 	}
 }
 

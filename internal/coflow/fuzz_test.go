@@ -18,17 +18,26 @@ func FuzzParse(f *testing.F) {
 	f.Add("1 0\n")
 	f.Add("150 1\n0 999 3 0 1 2 2 10:5.5 20:0.25\n")
 	f.Add("2 1\n0 0 1 0 1 1:1e309\n") // overflow size
+	f.Add("2 1\n0 0 1 0 1 1:NaN\n")
+	f.Add("2 1\n0 0 1 0 1 1:+Inf\n")
+	f.Add("2 1\n0 0 1 0 1 1:1e305\n") // finite size, infinite bytes
+	f.Add("2 1\n0 -5 1 0 1 1:1\n")
+	f.Add("0 0\n")
+	f.Add("-3 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := Parse(strings.NewReader(input))
 		if err != nil {
 			return
 		}
 		// Accepted traces are internally consistent.
-		last := -1.0
+		if tr.NumRacks <= 0 {
+			t.Fatalf("accepted %d racks", tr.NumRacks)
+		}
+		last := 0.0
 		for i := range tr.Coflows {
 			c := &tr.Coflows[i]
-			if c.Arrival < last {
-				t.Fatal("arrivals not sorted")
+			if !(c.Arrival >= last) {
+				t.Fatalf("arrival %v negative or out of order", c.Arrival)
 			}
 			last = c.Arrival
 			for _, fl := range c.Flows {
@@ -38,8 +47,8 @@ func FuzzParse(f *testing.F) {
 				if fl.Src == fl.Dst {
 					t.Fatal("rack-local flow survived parsing")
 				}
-				if !(fl.Bytes > 0) {
-					t.Fatalf("non-positive flow bytes: %v", fl.Bytes)
+				if !(fl.Bytes > 0) || math.IsInf(fl.Bytes, 1) {
+					t.Fatalf("flow bytes %v not positive and finite", fl.Bytes)
 				}
 			}
 		}
