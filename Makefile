@@ -95,7 +95,7 @@ golden-full:
 # paragraph or CHANGES.md entry is paid for with deletions. Lower a budget when
 # a file shrinks; never raise one.
 docs-budget:
-	@fail=0; for budget in DESIGN.md:82543 EXPERIMENTS.md:85713 CHANGES.md:43333 ROADMAP.md:40505; do \
+	@fail=0; for budget in DESIGN.md:75543 EXPERIMENTS.md:76735 CHANGES.md:43333 ROADMAP.md:40505; do \
 		f="$${budget%%:*}"; max="$${budget##*:}"; size=$$(wc -c < "$$f"); \
 		if [ "$$size" -gt "$$max" ]; then echo "$$f is $$size bytes, over its $$max-byte budget"; fail=1; fi; \
 	done; exit $$fail

@@ -15,8 +15,9 @@
 // 1(a)/(b) instead of the synthetic workload. -trials sets the failovers per
 // kind of the recovery study; -json writes that study's result (per-phase
 // percentiles per circuit technology and recovery kind) to the named file as
-// indented JSON: without -run it runs the study alone, and with -run the list
-// must include recovery.
+// indented JSON: without -run it runs the study alone. -json, -trials and
+// -coflow-trace are refused (exit 2) unless -run includes an experiment that
+// reads them.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr; -debug-addr serves
@@ -78,6 +79,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *runList == "" || *runList == "all":
 		selected = order
 	}
+	for _, name := range selected {
+		if !slices.Contains(order, name) {
+			fmt.Fprintf(stderr, "sbexperiments: unknown experiment %q\n", name)
+			return 2
+		}
+	}
+	// A flag that only some experiments read is refused when none of them is
+	// selected, before anything loads or runs.
+	trialsSet := false
+	fs.Visit(func(f *flag.Flag) { trialsSet = trialsSet || f.Name == "trials" })
+	for _, only := range []struct {
+		set  bool
+		what string
+		runs []string
+	}{
+		{*jsonPath != "", "-json writes the recovery study's result", []string{"recovery"}},
+		{trialsSet, "-trials sizes the recovery study", []string{"recovery"}},
+		{*tracePath != "", "-coflow-trace replays a trace in Figure 1(a)/(b)", []string{"fig1a", "fig1b"}},
+	} {
+		if only.set && !slices.ContainsFunc(selected, func(name string) bool { return slices.Contains(only.runs, name) }) {
+			fmt.Fprintf(stderr, "sbexperiments: %s; add %s to -run\n", only.what, strings.Join(only.runs, " or "))
+			return 2
+		}
+	}
 
 	var trace *coflow.Trace
 	if *tracePath != "" {
@@ -120,16 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"recovery": func() error {
 			return runRecovery(stdout, *k, *n, *trials, *workers, *jsonPath, traceSink)
 		},
-	}
-	for _, name := range selected {
-		if _, ok := experiments[name]; !ok {
-			fmt.Fprintf(stderr, "sbexperiments: unknown experiment %q\n", name)
-			return 2
-		}
-	}
-	if *jsonPath != "" && !slices.Contains(selected, "recovery") {
-		fmt.Fprintln(stderr, "sbexperiments: -json writes the recovery study's result; add recovery to -run")
-		return 2
 	}
 	for _, name := range selected {
 		fmt.Fprintf(stdout, "===== %s =====\n", name)

@@ -2,15 +2,17 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sharebackup"
 )
 
-// -trials sizes the recovery study only: Figure 1(a) prints exactly what
-// the library computes at its own defaults (3 samples per rate), whatever
-// -trials says.
+// Figure 1(a) prints exactly what the library computes at its own defaults
+// (3 samples per rate); -trials, which sizes the recovery study only, is
+// refused beside it (TestBadRunListRunsNothing).
 func TestFig1aKeepsLibraryDefaults(t *testing.T) {
 	res, err := sharebackup.Fig1a(sharebackup.Fig1Config{K: 4, Seed: 1})
 	if err != nil {
@@ -22,29 +24,32 @@ func TestFig1aKeepsLibraryDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.WriteString("\n")
-	for _, args := range [][]string{
-		{"-run", "fig1a", "-k", "4"},
-		{"-run", "fig1a", "-k", "4", "-trials", "32"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
-		}
-		if stdout.String() != want.String() {
-			t.Errorf("%v printed\n%s\nwant\n%s", args, stdout.String(), want.String())
-		}
+	args := []string{"-run", "fig1a", "-k", "4"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+	}
+	if stdout.String() != want.String() {
+		t.Errorf("%v printed\n%s\nwant\n%s", args, stdout.String(), want.String())
 	}
 }
 
-// A bad experiment list, or -json without the recovery study it writes,
-// is refused before any experiment runs.
+// A bad experiment list, or a flag without an experiment that reads it
+// (-json and -trials without recovery, -coflow-trace without fig1a or
+// fig1b), is refused before any trace loads or experiment runs.
 func TestBadRunListRunsNothing(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.txt")
+	if err := os.WriteFile(trace, []byte("4 2\n1 0 1 0 1 1:10\n2 5 1 1 1 2:20\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		says string
 	}{
 		{[]string{"-run", "latency,nosuch"}, `"nosuch"`},
 		{[]string{"-run", "latency", "-json", "r.json"}, "add recovery to -run"},
+		{[]string{"-run", "fig1a", "-k", "4", "-trials", "32"}, "add recovery to -run"},
+		{[]string{"-run", "fig1c", "-k", "4", "-coflow-trace", trace}, "add fig1a or fig1b to -run"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

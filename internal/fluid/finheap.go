@@ -16,8 +16,7 @@ type finEvent struct {
 
 // finHeap is a hand-rolled indexed binary min-heap of finish events, ordered
 // by time then slot (a slot is its flow's ID; the tie-break keeps cohort
-// completion order deterministic and ID-sorted, matching the seed engine's
-// scan order).
+// completion order deterministic and ID-sorted).
 // Hand-rolled rather than container/heap so the sift loops stay inlineable
 // and allocation-free on the hot path; the sift helpers live on Simulator
 // because every swap must mirror into the flows' heapPos.

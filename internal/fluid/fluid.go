@@ -6,26 +6,16 @@
 // model captures. The simulator supports mid-run rerouting and stalling, so
 // failure and recovery events can be injected between runs.
 //
-// The hot path is incremental (DESIGN.md §10, §15): a dirty event recomputes
-// only a scoped flow set — first trying a "ripple" pass that fills just the
-// flows on the dirty links and proves optimality via local bottleneck checks
-// (ripple.go), falling back to exact link-sharing component decomposition.
-// Passes whose dirty links lie in disjoint link-sharing classes run side by
-// side on Run-scoped helper goroutines, with results bit-identical for any
-// worker count (parallel.go). Nearly every pass is
-// a ripple pass over a few dozen flows scattered across the slot space, so
-// what a pass pays for is cache lines, and the state is laid out for that: a
-// FlowID is its slot (AddFlow takes IDs 0, 1, 2, … in call order), everything
-// a recomputation reads or writes about a flow sits in one 64-byte record
-// (flowHot) and everything about a link in one linkState, while the fields
-// only arrivals, completions and the public accessors touch share one
-// 32-byte record (flowCold); a flow's route lives only in the shared link
-// incidence arena, and per-flow tables grow by doubling. The next completion
-// comes from an indexed finish-time heap instead of a scan, and bytes drain
-// lazily so advancing time is O(1). Max-min allocations decompose exactly
-// over link-sharing components, so scoped recomputation is equivalent to the
-// global algorithm; the differential property tests in property_test.go
-// replay randomized schedules through both engines to enforce it.
+// A dirty event recomputes only the flows it can affect: a ripple pass
+// (ripple.go) that fills the flows on the dirty links and proves the result
+// optimal with local bottleneck checks, or, when that proof does not close,
+// the link-sharing components the dirty links reach (parallel.go). Max-min
+// allocations decompose exactly over those components, so a scoped pass
+// computes the global allocation; property_test.go replays randomized
+// schedules through both to enforce it. Passes of disjoint link-sharing
+// classes may run side by side, bit-identical at any worker count. The
+// results are pinned bit for bit, so the member set of a pass and the order
+// it engages them are part of the result. DESIGN.md §10 has the design.
 package fluid
 
 import (
@@ -75,8 +65,7 @@ type linkRef struct {
 // flowHot is everything a rate recomputation reads or writes about one flow,
 // in one cache line. A ripple pass visits a few dozen flows picked by link
 // membership — random slots among tens of thousands — so the unit of cost is
-// the line, not the field: spread over per-field columns the same visit
-// touched ten lines (TestFlowRecordIsOneCacheLine pins the size).
+// the line, not the field (TestFlowRecordIsOneCacheLine pins the size).
 type flowHot struct {
 	rate      float64
 	prevRate  float64 // rate before the in-flight recompute pass
@@ -145,7 +134,7 @@ type EngineStats struct {
 // A FlowID is its slot: slots are assigned in AddFlow order and never
 // reused. hot holds the per-slot record the recompute passes work on; cold
 // holds the fields only the event loop and the accessors touch (DESIGN.md
-// §15). The two grow together, by doubling.
+// §10). The two grow together, by doubling.
 type Simulator struct {
 	topo  *topo.Topology
 	links []linkState // indexed by topo.LinkID
@@ -668,7 +657,8 @@ func (s *Simulator) complete(fi int32) {
 }
 
 // fillUnion is the reference pass tests force (Simulator.forceFull): prepare
-// and fill the whole active set as one union, the seed algorithm's behaviour.
+// and fill the whole active set as one union, the reference the differential
+// tests hold scoped passes to.
 func (w *worker) fillUnion() {
 	s := w.s
 	for _, fi := range s.active {

@@ -11,7 +11,7 @@ import (
 	"sharebackup/internal/topo"
 )
 
-// The properties the fill's bookkeeping rests on (DESIGN.md §15): the
+// The properties the fill's bookkeeping rests on (DESIGN.md §10): the
 // thresholded search equals the exhaustive scan, the freeze walk's order is
 // immaterial, and carrying set-up across a ripple pass's refills equals
 // starting over.

@@ -9,19 +9,17 @@ import (
 	"sharebackup/internal/topo"
 )
 
-// Passes side by side (DESIGN.md §15).
+// Passes side by side (DESIGN.md §10).
 //
-// Max-min allocations decompose exactly over link-sharing components, so a
-// recompute pass reads and writes nothing outside the components its dirty
-// links reach. The engine keeps a coarser partition that is cheap to
-// maintain — classes, a union-find over links: two classes merge whenever an
-// attached route spans both, and classes never split — so the whole footprint
-// of a pass whose dirty links lie in one class (its members, their links, the
-// background lists and certificates it reads) lies inside that class. Run
-// hands such passes to helper goroutines that live only for the Run call and
-// goes on with events of other classes; SetWorkers(n) allows n-1 helpers
-// beside the loop. Results are bit-identical to the serial engine at every
-// worker count:
+// A recompute pass reads and writes nothing outside the link-sharing
+// components its dirty links reach. Classes, a union-find over links that
+// merges two classes whenever an attached route spans both and never splits,
+// are coarser and cheap to keep: the whole footprint of a pass whose dirty
+// links lie in one class (its members, their links, the background lists and
+// certificates it reads) lies inside that class. Run hands such passes to
+// helper goroutines that live only for the Run call (SetWorkers(n) allows
+// n-1) and goes on with events of other classes. Results are bit-identical to
+// the serial engine at every worker count:
 //
 //  1. One loop pops arrivals and completions exactly as the serial engine
 //     does, and each pass receives what the serial engine would have handed

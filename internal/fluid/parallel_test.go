@@ -17,7 +17,7 @@ import (
 // {2, GOMAXPROCS, 13 (helpers only)}, which queue single-class passes beside
 // the loop, and the forced-full reference.
 //
-// The contract under test is the strong one from DESIGN.md §15: parallel
+// The contract under test is the strong one from DESIGN.md §10: parallel
 // runs are *bit-identical* to serial — every rate, remaining-byte count,
 // and FCT compared with ==, not a tolerance. (The full-recompute reference
 // takes a different arithmetic path, so it gets the usual relEps-scale

@@ -2,48 +2,35 @@ package fluid
 
 import "sharebackup/internal/topo"
 
-// The ripple pass (DESIGN.md §15). A dirty event — one completion, one
-// reroute — usually perturbs a tiny neighbourhood, but the link-sharing
-// component containing it can be almost the whole fabric (an all-to-all
-// workload is one giant component), which made the component-scoped engine
-// refill thousands of flows to absorb a two-flow change. The ripple pass
-// fills only the flows on the dirty links, holding every other flow frozen
-// at its current rate, and then *proves* the result is the global max-min
-// allocation by checking the Bertsekas–Gallager bottleneck condition
-// locally:
+// The ripple pass (DESIGN.md §10). It fills only the flows on the dirty
+// links, the set S, holding every other flow at its rate, and then proves the
+// result is the global max-min allocation by the Bertsekas–Gallager
+// condition, checked locally:
 //
 //	a rate vector is max-min fair iff every flow has a bottleneck link —
 //	a saturated link on which its rate is maximal.
 //
-// Two check families close the proof over the scoped set S:
+// Two checks close the proof over S:
 //
-//   - (a) every member of S must have a bottleneck among its own links
-//     (all of which are in links(S), so the verification sweep has their
-//     exact post-fill sums and maxima). A member beaten everywhere adopts
-//     the faster background flows on its saturated links into S.
-//   - (b) every background flow on a *changed* link of links(S) must keep a
-//     bottleneck somewhere. Its links inside links(S) use the sweep's
-//     results; its links outside carry no members — their flow sets and
-//     rates are exactly what they were before the pass, when the global
-//     allocation was valid — so the link's maintained aggregate rate plus a
-//     list scan answers saturation/maximality there. Links(S) entries whose
-//     member rates did not change (vChg) need no background checks at all:
-//     nothing about them moved.
+//   - (a) every member of S has a bottleneck among its own links. All of
+//     them are in links(S), so the verification sweep has their exact
+//     post-fill sums and maxima. A member beaten everywhere adopts the faster
+//     background flows on its saturated links into S.
+//   - (b) every background flow on a *changed* link of links(S) keeps a
+//     bottleneck somewhere. Its links outside links(S) carry no member, so
+//     their flow sets and rates are what they were before the pass, when the
+//     allocation was valid: the link's maintained aggregate rate plus a list
+//     scan answers there. A link of links(S) whose member rates did not move
+//     (vChg) needs no background check.
 //
-// Failed checks expand S deterministically and refill; the expansion
-// strictly grows S, so the loop terminates, and it is capped (rounds and
-// |S| vs the active set) with the component decomposition as the
-// always-correct fallback. Correctness never rests on the checks being
-// tight — a spuriously failed check only costs an expansion round — and the
-// differential fuzz suite replays thousands of schedules through this path
-// against the reference engine.
-//
-// This is the pass that runs: it settles 99.98 % of a reroute storm's
-// recomputes and 98 % of a Fig. 1c study's. Its members are wherever the
-// dirty links' flow lists point — a few dozen slots among tens of thousands
-// — so its cost is cache lines, one flowHot per flow visited and one
-// linkState per link engaged, plus the list entries it walks; the checks are
-// ordered to walk few (certifyMember, lazyBG).
+// A failed check grows S and refills. Growth is strict and the rounds and
+// |S| are capped, with component decomposition as the always-correct
+// fallback, so the loop terminates. Correctness never rests on the checks
+// being tight: a spurious failure only costs an expansion round, and the
+// differential fuzz suite replays schedules through this path against the
+// reference. Members sit at scattered slots, so a pass costs the lines and
+// list entries it reads; the checks are ordered to walk few lists
+// (certifyMember, lazyBG).
 const (
 	// rippleMaxRounds bounds fill+verify rounds before falling back to
 	// component decomposition; each round strictly grows the member set, so

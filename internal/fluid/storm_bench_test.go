@@ -239,11 +239,9 @@ func BenchmarkStormWaves(b *testing.B) {
 
 // TestStormWorkRatio pins what component scoping buys, in the deterministic
 // currency: on the k=16 storm (4 flows per host keeps the forced-full replay
-// under a second) the incremental engine does 260x less recompute work than
-// the full-recompute reference. The floor is that ratio less 25%. (The ratio
-// was 206x, floor 154, while every background fill rebuilt CSR member lists
-// and re-engaged the whole member set on each refill: the reference's
-// 137026232 is unchanged, the incremental 665122 fell to 525884.)
+// under a second) the incremental engine does 261x less recompute work than
+// the full-recompute reference (524040 incidences against 137026232). The
+// floor, 195x, is 260x less 25%.
 //
 // The same replay checks the pass accounting: every recompute is a full
 // pass, a scoped pass the ripple settled, or one it handed to decomposition.
