@@ -422,42 +422,6 @@ func BenchmarkAblationKeepVsSwitchBack(b *testing.B) {
 	b.ReportMetric(float64(swap), "reconfigs-switchback-policy")
 }
 
-// BenchmarkAblationIdleBackupActivation measures the Section 6 extension:
-// raw fabric links added by activating idle backups vs the host-reachable
-// bandwidth they contribute (zero under two-level routing — the measured
-// answer to the paper's open question).
-func BenchmarkAblationIdleBackupActivation(b *testing.B) {
-	var fabric, hostBW float64
-	for i := 0; i < b.N; i++ {
-		rows, err := AugmentationStudy(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fabric, hostBW = 0, 0
-		for _, r := range rows {
-			fabric += float64(r.FabricLinksAdded)
-			hostBW += r.HostBandwidthAdded
-		}
-	}
-	b.ReportMetric(fabric, "fabric-links-added")
-	b.ReportMetric(hostBW, "host-bandwidth-added")
-}
-
-// BenchmarkAblationNonUniformGroups compares uniform vs greedy
-// criticality-weighted backup allocation at equal budget.
-func BenchmarkAblationNonUniformGroups(b *testing.B) {
-	var uni, non float64
-	for i := 0; i < b.N; i++ {
-		rows, err := ExtensionStudy(8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		uni, non = rows[0].WeightedRisk, rows[1].WeightedRisk
-	}
-	b.ReportMetric(uni*1e6, "uniform-weighted-risk-x1e6")
-	b.ReportMetric(non*1e6, "nonuniform-weighted-risk-x1e6")
-}
-
 // BenchmarkAblationBackupPoolSize sweeps n and reports the probability a
 // failure group overflows its pool — the cost/robustness trade-off behind
 // Figure 5's n=1 vs n=4 curves.

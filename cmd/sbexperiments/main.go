@@ -15,9 +15,10 @@
 // 1(a)/(b) instead of the synthetic workload. -trials sets the failovers per
 // kind of the recovery study; -json writes that study's result (per-phase
 // percentiles per circuit technology and recovery kind) to the named file as
-// indented JSON: without -run it runs the study alone. -json, -trials and
-// -coflow-trace are refused (exit 2) unless -run includes an experiment that
-// reads them.
+// indented JSON: without -run it runs the study alone. A flag set explicitly
+// that no experiment in -run reads (-k with fig5 alone, -trials without
+// recovery, -coflow-trace without fig1a or fig1b) is refused (exit 2) before
+// anything runs; -run and the obs flags below are not checked.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr; -debug-addr serves
@@ -72,6 +73,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// Each experiment, with the flags it reads besides -run and the obs
+	// flags. Its run reads trace and traceSink once they are loaded below.
+	var (
+		trace     *coflow.Trace
+		traceSink obs.Sink
+	)
+	experiments := map[string]struct {
+		reads []string
+		run   func() error
+	}{
+		"fig1a": {[]string{"k", "seed", "full", "workers", "coflow-trace"},
+			func() error { return runFig1(stdout, true, *k, *seed, *full, *workers, trace) }},
+		"fig1b": {[]string{"k", "seed", "full", "workers", "coflow-trace"},
+			func() error { return runFig1(stdout, false, *k, *seed, *full, *workers, trace) }},
+		"fig1c":      {[]string{"k", "seed", "full", "workers"}, func() error { return runFig1c(stdout, *k, *seed, *full, *workers) }},
+		"table2":     {[]string{"k", "n"}, func() error { return runTable2(stdout, *k, *n) }},
+		"table3":     {[]string{"k", "seed"}, func() error { return runTable3(stdout, *k, *seed) }},
+		"fig5":       {nil, func() error { return runFig5(stdout) }},
+		"capacity":   {[]string{"k", "n"}, func() error { return runCapacity(stdout, *k, *n) }},
+		"latency":    {[]string{"k"}, func() error { return runLatency(stdout, *k) }},
+		"tablesize":  {nil, func() error { return runTableSize(stdout) }},
+		"extensions": {[]string{"k", "seed"}, func() error { return runExtensions(stdout, *k, *seed) }},
+		"transient":  {[]string{"k", "seed"}, func() error { return runTransient(stdout, *k, *seed) }},
+		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"},
+			func() error { return runMonteCarlo(stdout, *k, *n, *seed, *full, *workers) }},
+		"recovery": {[]string{"k", "n", "trials", "workers", "json"},
+			func() error { return runRecovery(stdout, *k, *n, *trials, *workers, *jsonPath, traceSink) }},
+	}
+
 	selected := strings.Split(*runList, ",")
 	switch {
 	case *runList == "" && *jsonPath != "":
@@ -85,26 +115,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// A flag that only some experiments read is refused when none of them is
-	// selected, before anything loads or runs.
-	trialsSet := false
-	fs.Visit(func(f *flag.Flag) { trialsSet = trialsSet || f.Name == "trials" })
-	for _, only := range []struct {
-		set  bool
-		what string
-		runs []string
-	}{
-		{*jsonPath != "", "-json writes the recovery study's result", []string{"recovery"}},
-		{trialsSet, "-trials sizes the recovery study", []string{"recovery"}},
-		{*tracePath != "", "-coflow-trace replays a trace in Figure 1(a)/(b)", []string{"fig1a", "fig1b"}},
-	} {
-		if only.set && !slices.ContainsFunc(selected, func(name string) bool { return slices.Contains(only.runs, name) }) {
-			fmt.Fprintf(stderr, "sbexperiments: %s; add %s to -run\n", only.what, strings.Join(only.runs, " or "))
+	// A flag set explicitly that no selected experiment reads is refused
+	// before anything loads or runs. -run and the obs flags serve the whole
+	// process; no experiment reads them and they are not checked.
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	for _, flagName := range set {
+		var readers []string
+		for _, name := range order {
+			if slices.Contains(experiments[name].reads, flagName) {
+				readers = append(readers, name)
+			}
+		}
+		if len(readers) > 0 && !slices.ContainsFunc(selected, func(name string) bool { return slices.Contains(readers, name) }) {
+			fmt.Fprintf(stderr, "sbexperiments: no experiment in -run reads -%s; add %s to -run\n", flagName, strings.Join(readers, " or "))
 			return 2
 		}
 	}
 
-	var trace *coflow.Trace
 	if *tracePath != "" {
 		var err error
 		if trace, err = loadTrace(*tracePath); err != nil {
@@ -129,26 +157,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	experiments := map[string]func() error{
-		"fig1a":      func() error { return runFig1(stdout, true, *k, *seed, *full, *workers, trace) },
-		"fig1b":      func() error { return runFig1(stdout, false, *k, *seed, *full, *workers, trace) },
-		"fig1c":      func() error { return runFig1c(stdout, *k, *seed, *full, *workers) },
-		"table2":     func() error { return runTable2(stdout, *k, *n) },
-		"table3":     func() error { return runTable3(stdout, *k, *seed) },
-		"fig5":       func() error { return runFig5(stdout) },
-		"capacity":   func() error { return runCapacity(stdout, *k, *n) },
-		"latency":    func() error { return runLatency(stdout, *k) },
-		"tablesize":  func() error { return runTableSize(stdout) },
-		"extensions": func() error { return runExtensions(stdout, *k, *seed) },
-		"transient":  func() error { return runTransient(stdout, *k, *seed) },
-		"montecarlo": func() error { return runMonteCarlo(stdout, *k, *n, *seed, *full, *workers) },
-		"recovery": func() error {
-			return runRecovery(stdout, *k, *n, *trials, *workers, *jsonPath, traceSink)
-		},
-	}
 	for _, name := range selected {
 		fmt.Fprintf(stdout, "===== %s =====\n", name)
-		if err := experiments[name](); err != nil {
+		if err := experiments[name].run(); err != nil {
 			return fail(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Fprintln(stdout)
@@ -361,21 +372,15 @@ func runExtensions(w io.Writer, k int, seed int64) error {
 	}
 	fmt.Fprint(w, sharebackup.RenderExtensionStudy(rows).String())
 
-	augs, err := sharebackup.AugmentationStudy(k)
+	aug, err := sharebackup.AugmentationStudy(k)
 	if err != nil {
 		return err
 	}
 	tbl := &metrics.Table{
 		Title:   "Section 6 — activating idle backups (measured)",
-		Headers: []string{"pod", "fabric links added", "host bandwidth added", "failover still works?"},
+		Headers: []string{"pods augmented", "fabric links added per pod", "failover still works"},
 	}
-	for _, a := range augs {
-		ok := "yes"
-		if !a.SurvivedFailover || !a.InvariantsHeldAfter {
-			ok = "no"
-		}
-		tbl.AddRow(a.Pod, a.FabricLinksAdded, a.HostBandwidthAdded, ok)
-	}
+	tbl.AddRow(aug.Pods, aug.FabricLinksAdded, fmt.Sprintf("%d of %d", aug.FailoverPods, aug.Pods))
 	fmt.Fprint(w, tbl.String())
 	return nil
 }

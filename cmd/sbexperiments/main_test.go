@@ -34,9 +34,10 @@ func TestFig1aKeepsLibraryDefaults(t *testing.T) {
 	}
 }
 
-// A bad experiment list, or a flag without an experiment that reads it
-// (-json and -trials without recovery, -coflow-trace without fig1a or
-// fig1b), is refused before any trace loads or experiment runs.
+// A bad experiment list, or a flag set without an experiment that reads it
+// (-json and -trials without recovery, -coflow-trace without fig1a or fig1b,
+// -k with fig5 alone, -n with table3 or latency), is refused before any
+// trace loads or experiment runs.
 func TestBadRunListRunsNothing(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.txt")
 	if err := os.WriteFile(trace, []byte("4 2\n1 0 1 0 1 1:10\n2 5 1 1 1 2:20\n"), 0o644); err != nil {
@@ -50,6 +51,9 @@ func TestBadRunListRunsNothing(t *testing.T) {
 		{[]string{"-run", "latency", "-json", "r.json"}, "add recovery to -run"},
 		{[]string{"-run", "fig1a", "-k", "4", "-trials", "32"}, "add recovery to -run"},
 		{[]string{"-run", "fig1c", "-k", "4", "-coflow-trace", trace}, "add fig1a or fig1b to -run"},
+		{[]string{"-run", "fig5", "-k", "7"}, "reads -k"},
+		{[]string{"-run", "table3", "-n", "-2"}, "reads -n"},
+		{[]string{"-run", "latency", "-n", "-1"}, "reads -n"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

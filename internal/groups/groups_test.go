@@ -151,48 +151,3 @@ func TestOverflowProbabilityAndExpectedUnprotected(t *testing.T) {
 		t.Errorf("expected unprotected = %v, want within [p, 2p]", e)
 	}
 }
-
-func TestAllocateGreedy(t *testing.T) {
-	ft := fatTree(t, 4)
-	plan, err := FatTreePlan(ft, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := failure.SwitchFailureRate
-
-	// Budget = one per group: greedy must cover every group before
-	// doubling anywhere (first-backup gains dwarf second-backup gains at
-	// realistic failure rates).
-	if err := AllocateGreedy(ft.Topology, plan, len(plan.Groups), p, CoverageCriticality); err != nil {
-		t.Fatal(err)
-	}
-	for i := range plan.Groups {
-		if plan.Groups[i].Backups != 1 {
-			t.Fatalf("group %d got %d backups; greedy must cover all groups first", i, plan.Groups[i].Backups)
-		}
-	}
-
-	// Extra budget goes to the most critical (edge) groups.
-	plan2, err := FatTreePlan(ft, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AllocateGreedy(ft.Topology, plan2, len(plan2.Groups)+3, p, CoverageCriticality); err != nil {
-		t.Fatal(err)
-	}
-	for i := range plan2.Groups {
-		if plan2.Groups[i].Backups > 1 {
-			if ft.Node(plan2.Groups[i].Members[0]).Kind != topo.KindEdge {
-				t.Errorf("extra backup went to a %v group, want edge",
-					ft.Node(plan2.Groups[i].Members[0]).Kind)
-			}
-		}
-	}
-	if plan2.TotalBackups() != len(plan2.Groups)+3 {
-		t.Errorf("allocated %d, want %d", plan2.TotalBackups(), len(plan2.Groups)+3)
-	}
-
-	if err := AllocateGreedy(ft.Topology, plan, -1, p, CoverageCriticality); err == nil {
-		t.Error("negative budget accepted")
-	}
-}

@@ -2,7 +2,6 @@ package sbnet
 
 import (
 	"fmt"
-	"time"
 
 	"sharebackup/internal/circuit"
 	"sharebackup/internal/topo"
@@ -20,17 +19,18 @@ import (
 // of the same pod (their layer-2 circuit-switch ports are both unconnected).
 // That fabric is real — it shows up as extra edge-agg capacity — but it is
 // unreachable by hosts under two-level routing, because hosts can only reach
-// switches occupying logical slots. AddedHostBandwidth quantifies this
-// honestly, and the ablation bench records both numbers; making the extra
-// capacity host-reachable requires extra switch ports, which is exactly why
-// the paper leaves it as future work.
+// switches occupying logical slots: no delivered packet visits an augmented
+// backup (TestAugmentationCarriesNoHostTraffic). Making the extra capacity
+// host-reachable requires extra switch ports, which is exactly why the paper
+// leaves it as future work. An augmentation ends only when a failover claims
+// one of its backups and steals the circuits back.
 
 // Augmentation describes one activated backup pair.
 type Augmentation struct {
 	Pod      int
 	EdgeSw   SwitchID
 	AggSw    SwitchID
-	Circuits int // k/2 parallel links
+	Circuits int // k/2 parallel links: the fabric links added
 }
 
 // ActivateIdleBackups connects a free backup edge switch and a free backup
@@ -60,43 +60,6 @@ func (n *Network) ActivateIdleBackups(pod int) (*Augmentation, error) {
 	n.augmentOf[aggB] = edgeB
 	return &Augmentation{Pod: pod, EdgeSw: edgeB, AggSw: aggB, Circuits: n.half}, nil
 }
-
-// DeactivateIdleBackups tears down an augmentation explicitly (failover
-// does it implicitly by stealing the ports).
-func (n *Network) DeactivateIdleBackups(a *Augmentation) (time.Duration, error) {
-	if a == nil {
-		return 0, fmt.Errorf("sbnet: DeactivateIdleBackups: nil augmentation")
-	}
-	if n.augmentOf[a.EdgeSw] != a.AggSw {
-		return 0, fmt.Errorf("sbnet: augmentation %+v is not active", a)
-	}
-	am := n.switches[a.AggSw].Member
-	var max time.Duration
-	for j := 0; j < n.half; j++ {
-		// Tearing the A-side (agg backup) port down drops the circuit
-		// to the edge backup as well.
-		d, err := n.cs2[a.Pod][j].Apply([]circuit.Change{{A: am, B: circuit.Unconnected}})
-		if err != nil {
-			return max, err
-		}
-		if d > max {
-			max = d
-		}
-	}
-	delete(n.augmentOf, a.EdgeSw)
-	delete(n.augmentOf, a.AggSw)
-	return max, nil
-}
-
-// AddedFabricCapacity returns the raw edge-agg capacity (in links) an
-// augmentation contributes.
-func (a *Augmentation) AddedFabricCapacity() int { return a.Circuits }
-
-// AddedHostBandwidth returns the host-reachable bandwidth the augmentation
-// adds under two-level routing: zero, because neither backup occupies a
-// logical slot, so no host's packets are ever forwarded to them. This is the
-// measured answer to the paper's open question within the prototype wiring.
-func (a *Augmentation) AddedHostBandwidth() float64 { return 0 }
 
 // firstUnaugmentedBackup returns the group's first free backup not already
 // part of an augmentation.

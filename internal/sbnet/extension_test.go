@@ -1,10 +1,6 @@
 package sbnet
 
-import (
-	"testing"
-
-	"sharebackup/internal/circuit"
-)
+import "testing"
 
 func TestActivateIdleBackups(t *testing.T) {
 	net := newNet(t, 6, 1)
@@ -14,14 +10,6 @@ func TestActivateIdleBackups(t *testing.T) {
 	}
 	if aug.Circuits != 3 {
 		t.Errorf("circuits = %d, want k/2", aug.Circuits)
-	}
-	if aug.AddedFabricCapacity() != 3 {
-		t.Errorf("fabric capacity = %d", aug.AddedFabricCapacity())
-	}
-	// The honest finding: none of it is host-reachable under two-level
-	// routing.
-	if aug.AddedHostBandwidth() != 0 {
-		t.Errorf("host bandwidth = %v, want 0", aug.AddedHostBandwidth())
 	}
 	if net.AugmentedPartner(aug.EdgeSw) != aug.AggSw || net.AugmentedPartner(aug.AggSw) != aug.EdgeSw {
 		t.Error("partner bookkeeping wrong")
@@ -47,36 +35,6 @@ func TestActivateIdleBackups(t *testing.T) {
 	}
 	if _, err := net.ActivateIdleBackups(99); err == nil {
 		t.Error("out-of-range pod accepted")
-	}
-}
-
-func TestDeactivateIdleBackups(t *testing.T) {
-	net := newNet(t, 6, 1)
-	aug, err := net.ActivateIdleBackups(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.DeactivateIdleBackups(aug); err != nil {
-		t.Fatal(err)
-	}
-	if net.AugmentedPartner(aug.EdgeSw) != NoSwitch {
-		t.Error("partner bookkeeping not cleared")
-	}
-	em := net.Switch(aug.EdgeSw).Member
-	for j := 0; j < 3; j++ {
-		if net.CS2(2, j).AOf(em) != circuit.Unconnected {
-			t.Errorf("CS2[2][%d] still has the augmentation circuit", j)
-		}
-	}
-	if err := net.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Double deactivation rejected.
-	if _, err := net.DeactivateIdleBackups(aug); err == nil {
-		t.Error("double deactivation accepted")
-	}
-	if _, err := net.DeactivateIdleBackups(nil); err == nil {
-		t.Error("nil augmentation accepted")
 	}
 }
 

@@ -47,7 +47,6 @@ type Jellyfish struct {
 	*Topology
 	Cfg      JellyfishConfig
 	switches []NodeID
-	hosts    []NodeID
 }
 
 // NewJellyfish builds a Jellyfish network using the standard incremental
@@ -102,8 +101,7 @@ func NewJellyfish(cfg JellyfishConfig) (*Jellyfish, error) {
 	hostPorts := cfg.Ports - cfg.NetDegree
 	for i := 0; i < cfg.Switches; i++ {
 		for h := 0; h < hostPorts; h++ {
-			id := jf.AddNode(KindHost, -1, len(jf.hosts))
-			jf.hosts = append(jf.hosts, id)
+			id := jf.AddNode(KindHost, -1, i*hostPorts+h)
 			if _, err := jf.AddLink(id, jf.switches[i], jellyfishCapacity); err != nil {
 				return nil, err
 			}
@@ -219,9 +217,3 @@ func replaceIn(s []LinkID, old, new LinkID) []LinkID {
 	}
 	return s
 }
-
-// Switches returns the switch node IDs.
-func (jf *Jellyfish) Switches() []NodeID { return jf.switches }
-
-// Hosts returns the host node IDs.
-func (jf *Jellyfish) Hosts() []NodeID { return jf.hosts }

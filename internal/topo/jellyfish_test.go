@@ -8,17 +8,17 @@ func TestJellyfishStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(jf.Switches()); got != 20 {
+	if got := len(jf.SwitchIDs()); got != 20 {
 		t.Fatalf("switches = %d", got)
 	}
-	if got, want := len(jf.Hosts()), 20*(8-5); got != want {
+	if got, want := len(jf.NodesOfKind(KindHost)), 20*(8-5); got != want {
 		t.Fatalf("hosts = %d, want %d", got, want)
 	}
 	// Every switch's realized network degree is at most NetDegree, and
 	// the vast majority hit it exactly (the random matching may leave a
 	// few stubs when swaps cannot resolve).
 	full := 0
-	for _, s := range jf.Switches() {
+	for _, s := range jf.SwitchIDs() {
 		d := 0
 		for _, lid := range jf.LinksOf(s) {
 			if jf.Node(jf.Link(lid).Other(s)).Kind.IsSwitch() {
@@ -49,8 +49,8 @@ func TestJellyfishConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0 := jf.Switches()[0]
-	for _, s := range jf.Switches()[1:] {
+	s0 := jf.SwitchIDs()[0]
+	for _, s := range jf.SwitchIDs()[1:] {
 		if !jf.Connected(s0, s, nil) {
 			t.Fatalf("switch %d unreachable; random regular graph should be connected at degree 4", s)
 		}
@@ -96,7 +96,7 @@ func TestJellyfishHostsAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range jf.Hosts() {
+	for _, h := range jf.NodesOfKind(KindHost) {
 		if jf.Degree(h) != 1 {
 			t.Fatalf("host %d degree = %d, want 1", h, jf.Degree(h))
 		}

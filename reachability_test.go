@@ -40,10 +40,9 @@ var testOnly = map[string]string{
 	"failure.ExpectedConcurrent": "§5.1 availability arithmetic — TestExpectedConcurrent",
 	"failure.Unavailability":     "§5.1 availability arithmetic — TestUnavailability",
 
-	"sbnet.Network.DeactivateIdleBackups": "§6 idle-backup augmentation — TestDeactivateIdleBackups",
-	"sbnet.Network.SyncCircuit":           "§5.1 circuit-switch re-sync — TestSyncCircuitRestoresAuthoritativeState",
-	"sbnet.Network.EdgeServingRack":       "oracle: which switch the circuits put behind a rack — TestReplaceEdge, TestEdgeServingRackSplitDetection",
-	"sbnet.Network.TotalReconfigs":        "oracle: circuit reconfigurations per failover — TestTotalReconfigsAccounting",
+	"sbnet.Network.SyncCircuit":     "§5.1 circuit-switch re-sync — TestSyncCircuitRestoresAuthoritativeState",
+	"sbnet.Network.EdgeServingRack": "oracle: which switch the circuits put behind a rack — TestReplaceEdge, TestEdgeServingRackSplitDetection",
+	"sbnet.Network.TotalReconfigs":  "oracle: circuit reconfigurations per failover — TestTotalReconfigsAccounting",
 
 	"topo.FatTree.EdgeOfHost":   "oracle: host numbering — TestFatTreeHostsOfEdge, TestDataPlaneDeliversAllPairs",
 	"topo.FatTree.Host":         "oracle: host numbering — TestFatTreeHostsOfEdge, TestECMPPathCounts, TestPathStoreConcurrent",

@@ -45,7 +45,8 @@ type RecoveryBenchKind struct {
 type RecoveryBenchConfig struct {
 	// K is the fat-tree parameter (default 8) and N the backup pool size.
 	K, N int
-	// Trials is the number of node+link failover pairs per technology.
+	// Trials is the number of node+link failover pairs per technology
+	// (at least 1).
 	Trials int
 	// Workers sizes the sweep worker pool (0 = GOMAXPROCS). The study
 	// runs in virtual time — each trial is a pure function of its index —
@@ -67,63 +68,58 @@ type RecoveryBenchConfig struct {
 // samples are bit-identical for any worker count.
 func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 	k, n, trials := cfg.K, cfg.N, cfg.Trials
-	if trials < 0 {
-		return nil, fieldError("RecoveryBenchConfig", "Trials", trials, "not be negative")
+	if trials < 1 {
+		return nil, fieldError("RecoveryBenchConfig", "Trials", trials, "be at least 1")
 	}
 	if k == 0 {
 		k = 8
 	}
 	res := &RecoveryBenchResult{Experiment: "recovery-latency", K: k, N: n, Trials: trials}
 	for _, tech := range []Technology{Crosspoint, MEMS2D} {
-		tech := tech
-		var recs [][2]*Recovery
-		var err error
-		if trials > 0 {
-			recs, err = sweep.Run(context.Background(), sweep.Config{
-				Name: "recovery-" + tech.String(), Shards: trials,
-				Workers: cfg.Workers,
-			}, func(_ context.Context, sh sweep.Shard) ([2]*Recovery, error) {
-				i := sh.Index
-				bus := &obs.Bus{}
-				if cfg.TraceSink != nil {
-					bus.SetProc(fmt.Sprintf("recovery-%s/%d", tech, i))
-					bus.Attach(cfg.TraceSink)
-				}
-				pod := i % k
-				// Node failover: one agg switch per trial, failure time phased
-				// against its heartbeat.
-				sys, err := New(Config{K: k, N: n, Tech: tech, Obs: bus})
-				if err != nil {
-					return [2]*Recovery{}, err
-				}
-				probe := sys.Controller.Config().ProbeInterval
-				victim := sys.Network.AggGroup(pod).Slots()[i%(k/2)]
-				sys.Controller.Heartbeat(victim, 0)
-				at := probe + time.Duration(i%7)*probe/8
-				node, err := sys.FailNode(victim, at)
-				if err != nil {
-					return [2]*Recovery{}, err
-				}
-				// Link failover: fresh system so every trial starts with a full
-				// backup pool.
-				sys, err = New(Config{K: k, N: n, Tech: tech, Obs: bus})
-				if err != nil {
-					return [2]*Recovery{}, err
-				}
-				// Edge slot 0's up-port k/2 reaches agg slot 0's down-port 0
-				// (rotation j=0) in every pod.
-				edge := sys.Network.EdgeGroup(pod).Slots()[0]
-				agg := sys.Network.AggGroup(pod).Slots()[0]
-				link, err := sys.FailLink(
-					EndPoint{Switch: edge, Port: k / 2},
-					EndPoint{Switch: agg, Port: 0},
-					at,
-				)
-				return [2]*Recovery{node, link}, err
-			})
-			if err != nil {
-				return nil, err
+		recs, err := sweep.Run(context.Background(), sweep.Config{
+			Name: "recovery-" + tech.String(), Shards: trials,
+			Workers: cfg.Workers,
+		}, func(_ context.Context, sh sweep.Shard) ([2]*Recovery, error) {
+			i := sh.Index
+			bus := &obs.Bus{}
+			if cfg.TraceSink != nil {
+				bus.SetProc(fmt.Sprintf("recovery-%s/%d", tech, i))
+				bus.Attach(cfg.TraceSink)
 			}
+			pod := i % k
+			// Node failover: one agg switch per trial, failure time phased
+			// against its heartbeat.
+			sys, err := New(Config{K: k, N: n, Tech: tech, Obs: bus})
+			if err != nil {
+				return [2]*Recovery{}, err
+			}
+			probe := sys.Controller.Config().ProbeInterval
+			victim := sys.Network.AggGroup(pod).Slots()[i%(k/2)]
+			sys.Controller.Heartbeat(victim, 0)
+			at := probe + time.Duration(i%7)*probe/8
+			node, err := sys.FailNode(victim, at)
+			if err != nil {
+				return [2]*Recovery{}, err
+			}
+			// Link failover: fresh system so every trial starts with a full
+			// backup pool.
+			sys, err = New(Config{K: k, N: n, Tech: tech, Obs: bus})
+			if err != nil {
+				return [2]*Recovery{}, err
+			}
+			// Edge slot 0's up-port k/2 reaches agg slot 0's down-port 0
+			// (rotation j=0) in every pod.
+			edge := sys.Network.EdgeGroup(pod).Slots()[0]
+			agg := sys.Network.AggGroup(pod).Slots()[0]
+			link, err := sys.FailLink(
+				EndPoint{Switch: edge, Port: k / 2},
+				EndPoint{Switch: agg, Port: 0},
+				at,
+			)
+			return [2]*Recovery{node, link}, err
+		})
+		if err != nil {
+			return nil, err
 		}
 		total := recoveryBreakdown(recs, "")
 		bt := RecoveryBenchTech{

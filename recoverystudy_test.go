@@ -69,14 +69,15 @@ func TestRecoveryStudyMatchesModel(t *testing.T) {
 	}
 }
 
-// TestRecoveryBenchConfigRejectsBadFields: a negative trial count is an error
-// naming the field, not an empty study.
+// TestRecoveryBenchConfigRejectsBadFields: a trial count below 1 is an error
+// naming the field, not an empty study whose percentiles read zero.
 func TestRecoveryBenchConfigRejectsBadFields(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		cfg   RecoveryBenchConfig
 	}{
 		{"Trials", RecoveryBenchConfig{K: 4, Trials: -1}},
+		{"Trials", RecoveryBenchConfig{K: 4, Trials: 0}},
 	} {
 		res, err := RunRecoveryBench(c.cfg)
 		if err == nil || !strings.Contains(err.Error(), "RecoveryBenchConfig."+c.field) {
