@@ -18,7 +18,8 @@
 // indented JSON: without -run it runs the study alone. A flag set explicitly
 // that no experiment in -run reads (-k with fig5 alone, -trials without
 // recovery, -coflow-trace without fig1a or fig1b) is refused (exit 2) before
-// anything runs; -run and the obs flags below are not checked.
+// anything runs, and so is a config its library rejects (-trials 0); -run and
+// the obs flags below are not checked.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr; -debug-addr serves
@@ -74,11 +75,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Each experiment, with the flags it reads besides -run and the obs
-	// flags. Its run reads trace and traceSink once they are loaded below.
-	var (
-		trace     *coflow.Trace
-		traceSink obs.Sink
-	)
+	// flags. Its run reads trace and recoveryCfg.TraceSink once they are set
+	// below.
+	var trace *coflow.Trace
+	monteCarloCfg := monteCarloConfig(*k, *n, *seed, *full, *workers)
+	recoveryCfg := sharebackup.RecoveryBenchConfig{K: *k, N: *n, Trials: *trials, Workers: *workers}
 	experiments := map[string]struct {
 		reads []string
 		run   func() error
@@ -96,11 +97,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"tablesize":  {nil, func() error { return runTableSize(stdout) }},
 		"extensions": {[]string{"k", "seed"}, func() error { return runExtensions(stdout, *k, *seed) }},
 		"transient":  {[]string{"k", "seed"}, func() error { return runTransient(stdout, *k, *seed) }},
-		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"},
-			func() error { return runMonteCarlo(stdout, *k, *n, *seed, *full, *workers) }},
-		"recovery": {[]string{"k", "n", "trials", "workers", "json"},
-			func() error { return runRecovery(stdout, *k, *n, *trials, *workers, *jsonPath, traceSink) }},
+		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, func() error { return runMonteCarlo(stdout, monteCarloCfg) }},
+		"recovery":   {[]string{"k", "n", "trials", "workers", "json"}, func() error { return runRecovery(stdout, recoveryCfg, *jsonPath) }},
 	}
+	// The library's own field checks, on the config of every selected
+	// experiment that takes one, before anything runs.
+	checks := map[string]func() error{"montecarlo": monteCarloCfg.Check, "recovery": recoveryCfg.Check}
 
 	selected := strings.Split(*runList, ",")
 	switch {
@@ -113,6 +115,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !slices.Contains(order, name) {
 			fmt.Fprintf(stderr, "sbexperiments: unknown experiment %q\n", name)
 			return 2
+		}
+		if check := checks[name]; check != nil {
+			if err := check(); err != nil {
+				fmt.Fprintf(stderr, "sbexperiments: %s: %v\n", name, err)
+				return 2
+			}
 		}
 	}
 	// A flag set explicitly that no selected experiment reads is refused
@@ -138,8 +146,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if trace, err = loadTrace(*tracePath); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "loaded trace: %d racks, %d coflows, %d flows, %.0fs\n",
-			trace.NumRacks, len(trace.Coflows), trace.TotalFlows(), trace.Duration())
+		fmt.Fprintf(stdout, "loaded trace: %d racks, %d coflows (%d dropped: no cross-rack flow), %d flows, %.0fs\n",
+			trace.NumRacks, len(trace.Coflows), trace.Dropped, trace.TotalFlows(), trace.Duration())
 	}
 
 	if obsFlags.DebugAddr != "" {
@@ -151,6 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	recoveryCfg.TraceSink = traceSink
 	defer func() {
 		if err := stopObs(); err != nil {
 			fmt.Fprintln(stderr, "sbexperiments:", err)
@@ -417,10 +426,10 @@ func runTableSize(w io.Writer) error {
 	return nil
 }
 
-// runMonteCarlo is the Section 5.1 group-availability simulation: one
+// monteCarloConfig is the Section 5.1 group-availability simulation: one
 // failure group of k/2 switches sharing n backups, at the paper's MTBF and
 // MTTR, over a horizon split into independent slices.
-func runMonteCarlo(w io.Writer, k, n int, seed int64, full bool, workers int) error {
+func monteCarloConfig(k, n int, seed int64, full bool, workers int) failure.AvailabilityConfig {
 	if k == 0 {
 		k = 16
 	}
@@ -428,14 +437,16 @@ func runMonteCarlo(w io.Writer, k, n int, seed int64, full bool, workers int) er
 	if full {
 		horizon, shards = 1e8, 256
 	}
-	res, err := failure.SimulateGroupAvailability(failure.AvailabilityConfig{
-		GroupSize: k / 2, Backups: n, Horizon: horizon, Seed: seed, Shards: shards, Workers: workers,
-	})
+	return failure.AvailabilityConfig{GroupSize: k / 2, Backups: n, Horizon: horizon, Seed: seed, Shards: shards, Workers: workers}
+}
+
+func runMonteCarlo(w io.Writer, cfg failure.AvailabilityConfig) error {
+	res, err := failure.SimulateGroupAvailability(cfg)
 	if err != nil {
 		return err
 	}
 	tbl := &metrics.Table{
-		Title:   fmt.Sprintf("group availability (group=%d, n=%d, %d slices)", k/2, n, shards),
+		Title:   fmt.Sprintf("group availability (group=%d, n=%d, %d slices)", cfg.GroupSize, cfg.Backups, cfg.Shards),
 		Headers: []string{"metric", "value"},
 	}
 	tbl.AddRow("switch failures simulated", res.Failures)
@@ -449,13 +460,9 @@ func runMonteCarlo(w io.Writer, k, n int, seed int64, full bool, workers int) er
 
 // runRecovery runs the Section 5.3 many-failover recovery study and prints
 // its total-latency percentiles per technology; with jsonPath it also writes
-// the full result there as indented JSON. Trials shard across workers;
-// traceSink, when non-nil, receives every trial's events, each trial's bus
-// stamping its own process name.
-func runRecovery(w io.Writer, k, n, trials, workers int, jsonPath string, traceSink obs.Sink) error {
-	res, err := sharebackup.RunRecoveryBench(sharebackup.RecoveryBenchConfig{
-		K: k, N: n, Trials: trials, Workers: workers, TraceSink: traceSink,
-	})
+// the full result there as indented JSON.
+func runRecovery(w io.Writer, cfg sharebackup.RecoveryBenchConfig, jsonPath string) error {
+	res, err := sharebackup.RunRecoveryBench(cfg)
 	if err != nil {
 		return err
 	}

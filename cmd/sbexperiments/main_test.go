@@ -34,10 +34,11 @@ func TestFig1aKeepsLibraryDefaults(t *testing.T) {
 	}
 }
 
-// A bad experiment list, or a flag set without an experiment that reads it
+// A bad experiment list, a flag set without an experiment that reads it
 // (-json and -trials without recovery, -coflow-trace without fig1a or fig1b,
-// -k with fig5 alone, -n with table3 or latency), is refused before any
-// trace loads or experiment runs.
+// -k with fig5 alone, -n with table3 or latency), or a config that fails its
+// library's field checks (-trials 0, -n -1 for montecarlo) is refused before
+// any trace loads or experiment runs.
 func TestBadRunListRunsNothing(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.txt")
 	if err := os.WriteFile(trace, []byte("4 2\n1 0 1 0 1 1:10\n2 5 1 1 1 2:20\n"), 0o644); err != nil {
@@ -54,6 +55,8 @@ func TestBadRunListRunsNothing(t *testing.T) {
 		{[]string{"-run", "fig5", "-k", "7"}, "reads -k"},
 		{[]string{"-run", "table3", "-n", "-2"}, "reads -n"},
 		{[]string{"-run", "latency", "-n", "-1"}, "reads -n"},
+		{[]string{"-run", "latency,recovery", "-trials", "0", "-k", "4"}, "Trials"},
+		{[]string{"-run", "latency,montecarlo", "-n", "-1", "-k", "4"}, "Backups"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -78,8 +78,8 @@ func summarize(w io.Writer, tr *coflow.Trace, window float64) error {
 		bytes[i] = tr.Coflows[i].TotalBytes()
 	}
 	ws, bs := metrics.Summarize(widths), metrics.Summarize(bytes)
-	fmt.Fprintf(w, "racks: %d\ncoflows: %d\nflows: %d\nduration: %.1fs\n",
-		tr.NumRacks, len(tr.Coflows), tr.TotalFlows(), tr.Duration())
+	fmt.Fprintf(w, "racks: %d\ncoflows: %d\ndropped: %d (no cross-rack flow)\nflows: %d\nduration: %.1fs\n",
+		tr.NumRacks, len(tr.Coflows), tr.Dropped, tr.TotalFlows(), tr.Duration())
 	fmt.Fprintf(w, "width:  median %.0f  p90 %.0f  p99 %.0f  max %.0f\n", ws.Median, ws.P90, ws.P99, ws.Max)
 	fmt.Fprintf(w, "bytes:  median %.3g  p90 %.3g  p99 %.3g  max %.3g\n", bs.Median, bs.P90, bs.P99, bs.Max)
 	if parts == nil {

@@ -57,6 +57,7 @@ func (c *Coflow) TotalBytes() float64 {
 type Trace struct {
 	NumRacks int
 	Coflows  []Coflow
+	Dropped  int // coflows Parse read and left out: no flow crosses racks
 }
 
 // Duration returns the time of the last arrival.
@@ -125,7 +126,7 @@ const MB = 1e6
 //	<id> <arrival ms> <m> <mapper rack> x m <r> <rack>:<sizeMB> x r
 //
 // Each reducer's bytes are split evenly across the coflow's mappers, giving
-// m*r flows. Mapper-local reducers produce no network flow and are skipped.
+// m*r flows, rack-local ones skipped; a coflow left with none is Dropped.
 func Parse(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -159,13 +160,17 @@ func Parse(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("coflow: line %d: %w", line, err)
 		}
+		if len(c.Flows) == 0 {
+			tr.Dropped++
+			continue
+		}
 		tr.Coflows = append(tr.Coflows, c)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(tr.Coflows) != count {
-		return nil, fmt.Errorf("coflow: header promises %d coflows, file has %d", count, len(tr.Coflows))
+	if n := len(tr.Coflows) + tr.Dropped; n != count {
+		return nil, fmt.Errorf("coflow: header promises %d coflows, file has %d", count, n)
 	}
 	sort.SliceStable(tr.Coflows, func(i, j int) bool { return tr.Coflows[i].Arrival < tr.Coflows[j].Arrival })
 	return tr, nil

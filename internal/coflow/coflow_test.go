@@ -51,6 +51,20 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseDropsCoflowWithNoCrossRackFlow: a coflow whose every mapper is
+// its reducer's rack puts nothing on the fabric, so no failure can hit it and
+// Fig. 1's shares must not count it. The header counts it; Coflows does not,
+// and Dropped says so.
+func TestParseDropsCoflowWithNoCrossRackFlow(t *testing.T) {
+	tr, err := Parse(strings.NewReader("16 2\n0 0 1 2 1 2:5\n1 5 1 0 1 3:1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Coflows) != 1 || tr.Coflows[0].ID != 1 || tr.Dropped != 1 {
+		t.Fatalf("parsed %d coflows (%+v), %d dropped; want coflow 1 kept and 1 dropped", len(tr.Coflows), tr.Coflows, tr.Dropped)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string

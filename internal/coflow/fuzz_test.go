@@ -24,6 +24,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("2 1\n0 -5 1 0 1 1:1\n")
 	f.Add("0 0\n")
 	f.Add("-3 0\n")
+	f.Add("16 2\n0 0 1 2 1 2:5\n1 5 1 0 1 3:1\n") // a coflow with no cross-rack flow
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := Parse(strings.NewReader(input))
 		if err != nil {
@@ -40,6 +41,9 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("arrival %v negative or out of order", c.Arrival)
 			}
 			last = c.Arrival
+			if len(c.Flows) == 0 {
+				t.Fatalf("coflow %d has no flow", c.ID)
+			}
 			for _, fl := range c.Flows {
 				if fl.Src < 0 || fl.Src >= tr.NumRacks || fl.Dst < 0 || fl.Dst >= tr.NumRacks {
 					t.Fatalf("flow endpoint out of range: %+v", fl)

@@ -9,6 +9,7 @@ import (
 	"sharebackup/internal/obs"
 	"sharebackup/internal/routing"
 	"sharebackup/internal/sbnet"
+	"sharebackup/internal/tcpserve"
 )
 
 // ackRedirected is an agent-local sentinel pushed into the ack channel when a
@@ -133,7 +134,7 @@ func (a *Agent) dialLeader(hint string, wait time.Duration) (net.Conn, string, e
 			continue
 		}
 		tried[addr] = true
-		c, err := net.DialTimeout("tcp", addr, wait)
+		c, err := tcpserve.Dial(addr, wait)
 		if err != nil {
 			continue
 		}
@@ -455,7 +456,7 @@ type Monitor struct {
 // Subscribe connects a monitor and starts decoding recovery events into
 // Events (closed when the connection drops).
 func Subscribe(addr string) (*Monitor, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := tcpserve.Dial(addr, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: monitor dial: %w", err)
 	}

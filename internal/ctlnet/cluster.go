@@ -153,6 +153,10 @@ func (r *Replica) Kill() {
 	}
 }
 
+// listenAddr is where every replica, transport and CS service this package
+// starts listens. Only its fake-time tests set it, to tcpserve's "mem:0".
+var listenAddr = "127.0.0.1:0"
+
 // startReplicas builds every controller replica there is: one around each
 // controller in ctls, replica i serving on loopback with cfgs[i] (its
 // Cluster hooks are set here), its consensus node applying what commits. It
@@ -178,7 +182,7 @@ func startReplicas(ctls []*controller.Controller, cfgs []ServerConfig, tick time
 	for i, ctl := range ctls {
 		cfg := cfgs[i]
 		cfg.Cluster = &clusterHooks{dir: dir, self: i}
-		srv, err := NewServer("127.0.0.1:0", ctl, cfg)
+		srv, err := NewServer(listenAddr, ctl, cfg)
 		if err != nil {
 			return rs, err
 		}
@@ -187,7 +191,7 @@ func startReplicas(ctls []*controller.Controller, cfgs []ServerConfig, tick time
 	// Bind every transport, then exchange addresses.
 	addrs := make(map[int]string, len(rs))
 	for _, r := range rs {
-		if r.Transport, err = ctlplane.NewTCPTransport(r.ID, map[int]string{r.ID: "127.0.0.1:0"}, dir.deliver); err != nil {
+		if r.Transport, err = ctlplane.NewTCPTransport(r.ID, map[int]string{r.ID: listenAddr}, dir.deliver); err != nil {
 			return rs, err
 		}
 		addrs[r.ID] = r.Transport.Addr()
@@ -364,7 +368,7 @@ func (e *ClusterEmulation) startCS() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc, err := NewCSService("127.0.0.1:0", sw)
+		svc, err := NewCSService(listenAddr, sw)
 		if err != nil {
 			return nil, err
 		}

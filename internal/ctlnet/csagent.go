@@ -20,7 +20,6 @@ import (
 // measurable stand-in for the controller-to-circuit-switch leg of recovery.
 type CSService struct {
 	sw  *circuit.Switch
-	ln  net.Listener
 	srv *tcpserve.Server
 
 	mu  sync.Mutex
@@ -29,11 +28,11 @@ type CSService struct {
 
 // NewCSService starts a control service for the circuit switch on addr.
 func NewCSService(addr string, sw *circuit.Switch) (*CSService, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := tcpserve.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: cs service listen: %w", err)
 	}
-	s := &CSService{sw: sw, ln: ln}
+	s := &CSService{sw: sw}
 	s.srv = tcpserve.Serve(ln, s.handle, nil)
 	return s, nil
 }
@@ -48,7 +47,7 @@ func (s *CSService) SetObserver(bus *obs.Bus) {
 }
 
 // Addr returns the service's listen address.
-func (s *CSService) Addr() string { return s.ln.Addr().String() }
+func (s *CSService) Addr() string { return s.srv.Addr() }
 
 // Close stops the service, severs its sessions and waits for their
 // handlers: an idle client must not hold it open.
@@ -108,7 +107,7 @@ type CSClient struct {
 
 // DialCS connects to a circuit-switch control service.
 func DialCS(addr string) (*CSClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := tcpserve.Dial(addr, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: cs dial: %w", err)
 	}
@@ -134,7 +133,7 @@ func (c *CSClient) reconfigure(ctx obs.TraceContext, changes []circuit.Change) (
 		if c.closed {
 			return 0, 0, net.ErrClosed
 		}
-		conn, err := net.DialTimeout("tcp", c.addr, replyWriteTimeout)
+		conn, err := tcpserve.Dial(c.addr, replyWriteTimeout)
 		if err != nil {
 			return 0, 0, fmt.Errorf("ctlnet: cs redial: %w", err)
 		}

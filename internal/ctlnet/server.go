@@ -101,7 +101,6 @@ func (c *ServerConfig) setDefaults() {
 type Server struct {
 	cfg       ServerConfig
 	state     *replicaState
-	ln        net.Listener
 	srv       *tcpserve.Server
 	bus       *obs.Bus
 	csClients []*CSClient
@@ -150,9 +149,9 @@ func (s *Server) logf(format string, args ...interface{}) {
 	s.bus.Logf(s.Now(), true, format, args...)
 }
 
-// NewServer starts a controller server listening on addr (use
-// "127.0.0.1:0" for tests). The controller's virtual clock is driven from
-// the wall clock on the process epoch.
+// NewServer starts a controller server listening on addr, a tcpserve
+// address (TCP, or "mem:0" in memory). The controller's virtual clock is
+// driven from the wall clock on the process epoch.
 func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Server, error) {
 	if cfg.Cluster == nil {
 		return nil, errors.New("ctlnet: a server needs its consensus replica (ServerConfig.Cluster)")
@@ -161,14 +160,13 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 		return nil, err
 	}
 	cfg.setDefaults()
-	ln, err := net.Listen("tcp", addr)
+	ln, err := tcpserve.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("ctlnet: listen: %w", err)
 	}
 	s := &Server{
 		cfg:   cfg,
 		state: &replicaState{ctl: ctl},
-		ln:    ln,
 		bus:   cfg.Obs,
 		quit:  make(chan struct{}),
 	}
@@ -213,7 +211,7 @@ func NewServer(addr string, ctl *controller.Controller, cfg ServerConfig) (*Serv
 func (s *Server) Now() time.Duration { return obs.Now() }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the server, severs its connections and waits for its
 // goroutines, connection readers included.

@@ -39,7 +39,6 @@ type TCPTransport struct {
 	self int
 	node func(m Message)
 
-	ln     net.Listener
 	srv    *tcpserve.Server // the listener and its read loops
 	mu     sync.Mutex
 	addrs  map[int]string // peer ID → address
@@ -64,7 +63,7 @@ type peerQueue struct {
 // addrs[self] and delivering inbound messages to deliver. addrs maps every
 // replica ID to its consensus address.
 func NewTCPTransport(self int, addrs map[int]string, deliver func(m Message)) (*TCPTransport, error) {
-	ln, err := net.Listen("tcp", addrs[self])
+	ln, err := tcpserve.Listen(addrs[self])
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: transport listen: %w", err)
 	}
@@ -72,7 +71,6 @@ func NewTCPTransport(self int, addrs map[int]string, deliver func(m Message)) (*
 		self:  self,
 		addrs: addrs,
 		node:  deliver,
-		ln:    ln,
 		peers: make(map[int]*peerQueue),
 		quit:  make(chan struct{}),
 	}
@@ -81,7 +79,7 @@ func NewTCPTransport(self int, addrs map[int]string, deliver func(m Message)) (*
 }
 
 // Addr returns the transport's bound listen address (useful with ":0").
-func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
+func (t *TCPTransport) Addr() string { return t.srv.Addr() }
 
 // SetPeers replaces the peer address map. Used when replicas bind ":0"
 // listeners first and exchange bound addresses afterwards.
@@ -164,7 +162,7 @@ func (t *TCPTransport) peerConn(id int, p *peerQueue) net.Conn {
 	if c != nil || closed {
 		return c
 	}
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	c, err := tcpserve.Dial(addr, dialTimeout)
 	if err != nil {
 		return nil
 	}

@@ -42,6 +42,9 @@ type AvailabilityConfig struct {
 	Workers int
 }
 
+// Check rejects a field that breaks its rule, by name.
+func (c AvailabilityConfig) Check() error { return c.setDefaults() }
+
 func (c *AvailabilityConfig) setDefaults() error {
 	if c.GroupSize <= 0 {
 		return fmt.Errorf("failure: GroupSize=%d must be positive", c.GroupSize)

@@ -1,16 +1,106 @@
-// Package tcpserve is the one listener lifecycle behind the control plane's
-// TCP servers: the agent-facing controller, the circuit-switch control
-// service and the consensus transport. It accepts connections, runs one
-// handler goroutine per connection, and on Close stops accepting, severs
+// Package tcpserve is the control plane's one network. Every listen and
+// dial of the agent-facing controller, the circuit-switch control service and
+// the consensus transport goes through Listen and Dial, whose address picks
+// the network: TCP, or for a "mem:" address an in-memory network of net.Pipe
+// conns that touches no socket (a testing/synctest bubble runs a whole
+// cluster on it, on fake time). Serve is the one listener lifecycle: it runs
+// one handler goroutine per connection, and Close stops accepting, severs
 // every live session and waits for the handlers. Framing and per-connection
 // work stay with the handler.
 package tcpserve
 
 import (
+	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
+
+// memPrefix marks an in-memory address; "mem:0" binds a fresh "mem:N".
+const memPrefix = "mem:"
+
+// mem holds the in-memory network's bound listeners, by address.
+var mem = struct {
+	sync.Mutex
+	last int
+	lns  map[string]*memListener
+}{lns: make(map[string]*memListener)}
+
+// Listen listens on addr: a TCP address, or a "mem:" one.
+func Listen(addr string) (net.Listener, error) {
+	if !strings.HasPrefix(addr, memPrefix) {
+		return net.Listen("tcp", addr)
+	}
+	mem.Lock()
+	defer mem.Unlock()
+	if addr == memPrefix+"0" {
+		mem.last++
+		addr = memPrefix + strconv.Itoa(mem.last)
+	}
+	if mem.lns[addr] != nil {
+		return nil, fmt.Errorf("tcpserve: listen %s: address in use", addr)
+	}
+	l := &memListener{addr: addr, conns: make(chan net.Conn), done: make(chan struct{})}
+	mem.lns[addr] = l
+	return l, nil
+}
+
+// Dial connects to addr, giving up after timeout (0: no limit). An
+// in-memory dial completes when the listener accepts it.
+func Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	if !strings.HasPrefix(addr, memPrefix) {
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	mem.Lock()
+	l := mem.lns[addr]
+	mem.Unlock()
+	var expired <-chan time.Time
+	if timeout > 0 {
+		expired = time.After(timeout)
+	}
+	if l != nil {
+		c, s := net.Pipe()
+		select {
+		case l.conns <- s:
+			return c, nil
+		case <-l.done:
+		case <-expired:
+			return nil, fmt.Errorf("tcpserve: dial %s: i/o timeout", addr)
+		}
+	}
+	return nil, fmt.Errorf("tcpserve: dial %s: connection refused", addr)
+}
+
+// memListener hands the far end of each dialled pipe to Accept.
+type memListener struct {
+	addr  string
+	conns chan net.Conn
+	done  chan struct{} // closed by Close
+}
+
+func (l *memListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *memListener) Close() error {
+	mem.Lock()
+	defer mem.Unlock()
+	if mem.lns[l.addr] == l {
+		delete(mem.lns, l.addr)
+		close(l.done)
+	}
+	return nil
+}
+
+// Addr names the listener's network "mem"; a UnixAddr carries any name.
+func (l *memListener) Addr() net.Addr { return &net.UnixAddr{Name: l.addr, Net: "mem"} }
 
 // Server serves one listener.
 type Server struct {
@@ -64,6 +154,9 @@ func (s *Server) Close() error {
 	})
 	return s.closeErr
 }
+
+// Addr returns the listener's address.
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // acceptLoop accepts until Close. An Accept error on a running server
 // (EMFILE, ECONNABORTED) is retried with a capped backoff, as net/http does,

@@ -85,11 +85,17 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 }
 
 // TestCloseSeversIdleSessions: sessions whose handlers sit in a read that
-// only closing the connection ends must not hold Close open. Close severs
-// them, returns once every handler has, and a second Close returns at once
-// with the same result.
+// only closing the connection ends must not hold Close open, on either
+// network. Close severs them, returns once every handler has, and a second
+// Close returns at once with the same result.
 func TestCloseSeversIdleSessions(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for _, addr := range []string{"127.0.0.1:0", "mem:0"} {
+		t.Run(addr, func(t *testing.T) { closeSeversIdleSessions(t, addr) })
+	}
+}
+
+func closeSeversIdleSessions(t *testing.T, addr string) {
+	ln, err := Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +108,7 @@ func TestCloseSeversIdleSessions(t *testing.T) {
 	const idle = 3
 	var conns []net.Conn
 	for i := 0; i < idle; i++ {
-		c, err := net.Dial("tcp", ln.Addr().String())
+		c, err := Dial(ln.Addr().String(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +143,41 @@ func TestCloseSeversIdleSessions(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if _, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+	if _, err := Dial(ln.Addr().String(), time.Second); err == nil {
 		t.Error("the listener still accepts after Close")
+	}
+}
+
+// TestMemAddresses: "mem:0" binds a fresh address each time, a bound address
+// cannot be bound twice, and a dial reaches only a listener that is bound and
+// accepting: one nobody listens on is refused, and one nobody accepts on
+// times out.
+func TestMemAddresses(t *testing.T) {
+	a, err := Listen("mem:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Listen("mem:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Addr().String() == b.Addr().String() || !strings.HasPrefix(a.Addr().String(), "mem:") {
+		t.Fatalf("mem:0 bound %v, then %v", a.Addr(), b.Addr())
+	}
+	if _, err := Listen(a.Addr().String()); err == nil {
+		t.Errorf("%v bound twice", a.Addr())
+	}
+	if _, err := Dial(a.Addr().String(), 10*time.Millisecond); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Errorf("dial to a listener nobody accepts on: %v, want a timeout", err)
+	}
+	b.Close()
+	if _, err := Dial(b.Addr().String(), 0); err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Errorf("dial to a closed listener: %v, want refused", err)
+	}
+	if c, err := Listen(b.Addr().String()); err != nil {
+		t.Errorf("a closed listener's address stays bound: %v", err)
+	} else {
+		c.Close()
 	}
 }

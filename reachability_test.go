@@ -162,7 +162,7 @@ var unsetOK = map[string]string{
 	"sweep.Config.Bus":                "tests give a sweep a private bus instead of obs.Default",
 	"sweep.Config.Registry":           "tests give a sweep a private registry instead of obs.DefaultRegistry",
 	"debughttp.Config.Registry":       "tests give a server a private registry instead of obs.DefaultRegistry",
-	"ctlnet.ClusterConfig.Seed":       "ROADMAP item 1 replays a cluster from its seed",
+	"ctlnet.ClusterConfig.Seed":       "TestBubbleSeedSweep (ctlnet, GOEXPERIMENT=synctest) runs the leader-kill drill over seeds 1-100",
 }
 
 // TestNoUnsetOptions keeps settings from outliving their callers: every

@@ -59,6 +59,14 @@ type RecoveryBenchConfig struct {
 	TraceSink obs.Sink
 }
 
+// Check rejects a field that breaks its rule, by name.
+func (c RecoveryBenchConfig) Check() error {
+	if c.Trials < 1 {
+		return fieldError("RecoveryBenchConfig", "Trials", c.Trials, "be at least 1")
+	}
+	return nil
+}
+
 // RunRecoveryBench drives cfg.Trials node and link failovers per circuit
 // technology and folds the phases of the recoveries they return into
 // breakdowns. Detection latency is varied by shifting the failure time
@@ -67,10 +75,10 @@ type RecoveryBenchConfig struct {
 // systems on a private bus, so trials are independent and the merged phase
 // samples are bit-identical for any worker count.
 func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
-	k, n, trials := cfg.K, cfg.N, cfg.Trials
-	if trials < 1 {
-		return nil, fieldError("RecoveryBenchConfig", "Trials", trials, "be at least 1")
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
+	k, n, trials := cfg.K, cfg.N, cfg.Trials
 	if k == 0 {
 		k = 8
 	}
