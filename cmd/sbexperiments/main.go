@@ -18,8 +18,8 @@
 // indented JSON: without -run it runs the study alone. A flag set explicitly
 // that no experiment in -run reads (-k with fig5 alone, -trials without
 // recovery, -coflow-trace without fig1a or fig1b) is refused (exit 2) before
-// anything runs, and so is a config its library rejects (-trials 0); -run and
-// the obs flags below are not checked.
+// anything runs, and so is a value its library rejects (-trials 0, -k 3, or
+// -n -1 beside fig5); -run and the obs flags below are not checked.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr; -debug-addr serves
@@ -27,6 +27,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,6 +43,7 @@ import (
 	"sharebackup/internal/metrics"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/obs/debughttp"
+	"sharebackup/internal/sbnet"
 )
 
 func main() {
@@ -75,33 +77,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Each experiment, with the flags it reads besides -run and the obs
-	// flags. Its run reads trace and recoveryCfg.TraceSink once they are set
+	// flags, and the fat-tree parameter k of the fabric it builds (or
+	// prices) when -k is 0; 0 if it builds none from -k. Its run takes the k
+	// in force, and reads trace and recoveryCfg.TraceSink once they are set
 	// below.
 	var trace *coflow.Trace
 	monteCarloCfg := monteCarloConfig(*k, *n, *seed, *full, *workers)
-	recoveryCfg := sharebackup.RecoveryBenchConfig{K: *k, N: *n, Trials: *trials, Workers: *workers}
+	recoveryCfg := sharebackup.RecoveryBenchConfig{N: *n, Trials: *trials, Workers: *workers}
+	fig1K, paperFig1c := 8, *full && *k == 0
+	if *full {
+		fig1K = 16
+	}
 	experiments := map[string]struct {
 		reads []string
-		run   func() error
+		k     int
+		run   func(k int) error
 	}{
-		"fig1a": {[]string{"k", "seed", "full", "workers", "coflow-trace"},
-			func() error { return runFig1(stdout, true, *k, *seed, *full, *workers, trace) }},
-		"fig1b": {[]string{"k", "seed", "full", "workers", "coflow-trace"},
-			func() error { return runFig1(stdout, false, *k, *seed, *full, *workers, trace) }},
-		"fig1c":      {[]string{"k", "seed", "full", "workers"}, func() error { return runFig1c(stdout, *k, *seed, *full, *workers) }},
-		"table2":     {[]string{"k", "n"}, func() error { return runTable2(stdout, *k, *n) }},
-		"table3":     {[]string{"k", "seed"}, func() error { return runTable3(stdout, *k, *seed) }},
-		"fig5":       {nil, func() error { return runFig5(stdout) }},
-		"capacity":   {[]string{"k", "n"}, func() error { return runCapacity(stdout, *k, *n) }},
-		"latency":    {[]string{"k"}, func() error { return runLatency(stdout, *k) }},
-		"tablesize":  {nil, func() error { return runTableSize(stdout) }},
-		"extensions": {[]string{"k", "seed"}, func() error { return runExtensions(stdout, *k, *seed) }},
-		"transient":  {[]string{"k", "seed"}, func() error { return runTransient(stdout, *k, *seed) }},
-		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, func() error { return runMonteCarlo(stdout, monteCarloCfg) }},
-		"recovery":   {[]string{"k", "n", "trials", "workers", "json"}, func() error { return runRecovery(stdout, recoveryCfg, *jsonPath) }},
+		"fig1a": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K,
+			func(k int) error { return runFig1(stdout, true, k, *seed, *workers, trace) }},
+		"fig1b": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K,
+			func(k int) error { return runFig1(stdout, false, k, *seed, *workers, trace) }},
+		"fig1c": {[]string{"k", "seed", "full", "workers"}, fig1K,
+			func(k int) error { return runFig1c(stdout, k, paperFig1c, *seed, *workers) }},
+		"table2":     {[]string{"k", "n"}, 48, func(k int) error { return runTable2(stdout, k, *n) }},
+		"table3":     {[]string{"k", "seed"}, 8, func(k int) error { return runTable3(stdout, k, *seed) }},
+		"fig5":       {nil, 0, func(int) error { return runFig5(stdout) }},
+		"capacity":   {[]string{"k", "n"}, 8, func(k int) error { return runCapacity(stdout, k, *n) }},
+		"latency":    {[]string{"k"}, 8, func(k int) error { return runLatency(stdout, k) }},
+		"tablesize":  {nil, 0, func(int) error { return runTableSize(stdout) }},
+		"extensions": {[]string{"k", "seed"}, 8, func(k int) error { return runExtensions(stdout, k, *seed) }},
+		"transient":  {[]string{"k", "seed"}, 8, func(k int) error { return runTransient(stdout, k, *seed) }},
+		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, 0, func(int) error { return runMonteCarlo(stdout, monteCarloCfg) }},
+		"recovery": {[]string{"k", "n", "trials", "workers", "json"}, 8,
+			func(k int) error { recoveryCfg.K = k; return runRecovery(stdout, recoveryCfg, *jsonPath) }},
 	}
-	// The library's own field checks, on the config of every selected
-	// experiment that takes one, before anything runs.
+	// The library's own field checks, before anything runs: sbnet's rule on
+	// the k and n of every selected experiment that builds a fabric (its n
+	// only if it reads -n), and the config check of each that takes a config.
 	checks := map[string]func() error{"montecarlo": monteCarloCfg.Check, "recovery": recoveryCfg.Check}
 
 	selected := strings.Split(*runList, ",")
@@ -115,6 +127,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !slices.Contains(order, name) {
 			fmt.Fprintf(stderr, "sbexperiments: unknown experiment %q\n", name)
 			return 2
+		}
+		e := experiments[name]
+		if e.k != 0 {
+			fabric := sbnet.Config{K: cmp.Or(*k, e.k)}
+			if slices.Contains(e.reads, "n") {
+				fabric.N = *n
+			}
+			if err := fabric.Check(); err != nil {
+				fmt.Fprintf(stderr, "sbexperiments: %s: %v\n", name, err)
+				return 2
+			}
 		}
 		if check := checks[name]; check != nil {
 			if err := check(); err != nil {
@@ -168,7 +191,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, name := range selected {
 		fmt.Fprintf(stdout, "===== %s =====\n", name)
-		if err := experiments[name].run(); err != nil {
+		e := experiments[name]
+		if err := e.run(cmp.Or(*k, e.k)); err != nil {
 			return fail(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Fprintln(stdout)
@@ -189,15 +213,8 @@ func loadTrace(path string) (*coflow.Trace, error) {
 	return tr, nil
 }
 
-func runFig1(w io.Writer, nodes bool, k int, seed int64, full bool, workers int, trace *coflow.Trace) error {
+func runFig1(w io.Writer, nodes bool, k int, seed int64, workers int, trace *coflow.Trace) error {
 	cfg := sharebackup.Fig1Config{K: k, Seed: seed, Workers: workers, Trace: trace}
-	if cfg.K == 0 {
-		if full {
-			cfg.K = 16
-		} else {
-			cfg.K = 8
-		}
-	}
 	var (
 		res *sharebackup.Fig1Result
 		err error
@@ -238,18 +255,14 @@ func printFig1(w io.Writer, nodes bool, k int, res *sharebackup.Fig1Result) erro
 	return nil
 }
 
-func runFig1c(w io.Writer, k int, seed int64, full bool, workers int) error {
+// runFig1c runs Figure 1(c) on a k-ary fabric; paper adds the paper's
+// workload (one failure per 5-minute window) to its k=16 fabric.
+func runFig1c(w io.Writer, k int, paper bool, seed int64, workers int) error {
 	cfg := sharebackup.Fig1cConfig{K: k, Seed: seed, Workers: workers}
-	if cfg.K == 0 {
-		if full {
-			// Paper scale: k=16, one failure per 5-minute window.
-			cfg.K = 16
-			cfg.Coflows = 40
-			cfg.Windows = 12
-			cfg.Scenarios = 24
-		} else {
-			cfg.K = 8
-		}
+	if paper {
+		cfg.Coflows = 40
+		cfg.Windows = 12
+		cfg.Scenarios = 24
 	}
 	res, err := sharebackup.Fig1c(cfg)
 	if err != nil {
@@ -278,9 +291,6 @@ func runFig1c(w io.Writer, k int, seed int64, full bool, workers int) error {
 }
 
 func runTable2(w io.Writer, k, n int) error {
-	if k == 0 {
-		k = 48
-	}
 	tbl, err := sharebackup.Table2(k, n)
 	if err != nil {
 		return err
@@ -290,9 +300,6 @@ func runTable2(w io.Writer, k, n int) error {
 }
 
 func runTable3(w io.Writer, k int, seed int64) error {
-	if k == 0 {
-		k = 8
-	}
 	rows, err := sharebackup.Table3(k, seed)
 	if err != nil {
 		return err
@@ -329,9 +336,6 @@ func runFig5(w io.Writer) error {
 }
 
 func runCapacity(w io.Writer, k, n int) error {
-	if k == 0 {
-		k = 8
-	}
 	res, err := sharebackup.Capacity(k, n)
 	if err != nil {
 		return err
@@ -353,9 +357,6 @@ func runCapacity(w io.Writer, k, n int) error {
 }
 
 func runLatency(w io.Writer, k int) error {
-	if k == 0 {
-		k = 8
-	}
 	rows, err := sharebackup.RecoveryLatency(k)
 	if err != nil {
 		return err
@@ -372,9 +373,6 @@ func runLatency(w io.Writer, k int) error {
 }
 
 func runExtensions(w io.Writer, k int, seed int64) error {
-	if k == 0 {
-		k = 8
-	}
 	rows, err := sharebackup.ExtensionStudy(k, seed)
 	if err != nil {
 		return err

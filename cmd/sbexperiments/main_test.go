@@ -36,9 +36,10 @@ func TestFig1aKeepsLibraryDefaults(t *testing.T) {
 
 // A bad experiment list, a flag set without an experiment that reads it
 // (-json and -trials without recovery, -coflow-trace without fig1a or fig1b,
-// -k with fig5 alone, -n with table3 or latency), or a config that fails its
-// library's field checks (-trials 0, -n -1 for montecarlo) is refused before
-// any trace loads or experiment runs.
+// -k with fig5 alone, -n with table3 or latency), or a value that fails its
+// library's field checks (-trials 0, -n -1 for montecarlo or for capacity
+// after fig5, an odd -k) is refused before any trace loads or experiment
+// runs.
 func TestBadRunListRunsNothing(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.txt")
 	if err := os.WriteFile(trace, []byte("4 2\n1 0 1 0 1 1:10\n2 5 1 1 1 2:20\n"), 0o644); err != nil {
@@ -57,6 +58,8 @@ func TestBadRunListRunsNothing(t *testing.T) {
 		{[]string{"-run", "latency", "-n", "-1"}, "reads -n"},
 		{[]string{"-run", "latency,recovery", "-trials", "0", "-k", "4"}, "Trials"},
 		{[]string{"-run", "latency,montecarlo", "-n", "-1", "-k", "4"}, "Backups"},
+		{[]string{"-run", "fig5,capacity", "-n", "-1", "-k", "4"}, "n=-1"},
+		{[]string{"-run", "tablesize,fig1c", "-k", "3"}, "k=3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -135,6 +135,18 @@ type Config struct {
 	Tech circuit.Technology
 }
 
+// Check rejects a K or N that breaks its rule. The port limit, which
+// depends on Tech as well, is New's.
+func (c Config) Check() error {
+	if c.K < 4 || c.K%2 != 0 {
+		return fmt.Errorf("sbnet: k=%d must be even and >= 4", c.K)
+	}
+	if c.N < 0 {
+		return fmt.Errorf("sbnet: n=%d must be non-negative", c.N)
+	}
+	return nil
+}
+
 // Network is a built ShareBackup network.
 type Network struct {
 	cfg  Config
@@ -161,11 +173,8 @@ type Network struct {
 // configurations: physical switch m occupies logical slot m for m < k/2, and
 // members k/2..k/2+n-1 are backups with unconnected ports.
 func New(cfg Config) (*Network, error) {
-	if cfg.K < 4 || cfg.K%2 != 0 {
-		return nil, fmt.Errorf("sbnet: k=%d must be even and >= 4", cfg.K)
-	}
-	if cfg.N < 0 {
-		return nil, fmt.Errorf("sbnet: n=%d must be non-negative", cfg.N)
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	half := cfg.K / 2
 	psz := half + cfg.N + 2
