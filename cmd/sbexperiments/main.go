@@ -18,8 +18,10 @@
 // indented JSON: without -run it runs the study alone. A flag set explicitly
 // that no experiment in -run reads (-k with fig5 alone, -trials without
 // recovery, -coflow-trace without fig1a or fig1b) is refused (exit 2) before
-// anything runs, and so is a value its library rejects (-trials 0, -k 3, or
-// -n -1 beside fig5); -run and the obs flags below are not checked.
+// anything runs, and so is a value its library rejects (-trials 0, -k 3,
+// -n -1 beside fig5, or -k 64 beside latency: past the 2D-MEMS port limit)
+// and a -json file that cannot be created; -run and the obs flags below are
+// not checked.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr; -debug-addr serves
@@ -71,16 +73,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// jsonFile is -json's file, created once every check has passed; a run
+	// that fails removes it.
+	var jsonFile *os.File
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sbexperiments:", err)
+		if jsonFile != nil {
+			os.Remove(jsonFile.Name())
+		}
 		return 1
 	}
 
 	// Each experiment, with the flags it reads besides -run and the obs
-	// flags, and the fat-tree parameter k of the fabric it builds (or
-	// prices) when -k is 0; 0 if it builds none from -k. Its run takes the k
-	// in force, and reads trace and recoveryCfg.TraceSink once they are set
-	// below.
+	// flags, the fat-tree parameter k of the fabric it builds (or prices)
+	// when -k is 0 (0 if it builds none from -k), and the circuit
+	// technologies it builds that fabric in (nil: the default one). Its run
+	// takes the k in force, and reads trace and recoveryCfg.TraceSink once
+	// they are set below.
 	var trace *coflow.Trace
 	monteCarloCfg := monteCarloConfig(*k, *n, *seed, *full, *workers)
 	recoveryCfg := sharebackup.RecoveryBenchConfig{N: *n, Trials: *trials, Workers: *workers}
@@ -91,29 +100,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	experiments := map[string]struct {
 		reads []string
 		k     int
+		techs []sharebackup.Technology
 		run   func(k int) error
 	}{
-		"fig1a": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K,
+		"fig1a": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K, nil,
 			func(k int) error { return runFig1(stdout, true, k, *seed, *workers, trace) }},
-		"fig1b": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K,
+		"fig1b": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K, nil,
 			func(k int) error { return runFig1(stdout, false, k, *seed, *workers, trace) }},
-		"fig1c": {[]string{"k", "seed", "full", "workers"}, fig1K,
+		"fig1c": {[]string{"k", "seed", "full", "workers"}, fig1K, nil,
 			func(k int) error { return runFig1c(stdout, k, paperFig1c, *seed, *workers) }},
-		"table2":     {[]string{"k", "n"}, 48, func(k int) error { return runTable2(stdout, k, *n) }},
-		"table3":     {[]string{"k", "seed"}, 8, func(k int) error { return runTable3(stdout, k, *seed) }},
-		"fig5":       {nil, 0, func(int) error { return runFig5(stdout) }},
-		"capacity":   {[]string{"k", "n"}, 8, func(k int) error { return runCapacity(stdout, k, *n) }},
-		"latency":    {[]string{"k"}, 8, func(k int) error { return runLatency(stdout, k) }},
-		"tablesize":  {nil, 0, func(int) error { return runTableSize(stdout) }},
-		"extensions": {[]string{"k", "seed"}, 8, func(k int) error { return runExtensions(stdout, k, *seed) }},
-		"transient":  {[]string{"k", "seed"}, 8, func(k int) error { return runTransient(stdout, k, *seed) }},
-		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, 0, func(int) error { return runMonteCarlo(stdout, monteCarloCfg) }},
-		"recovery": {[]string{"k", "n", "trials", "workers", "json"}, 8,
-			func(k int) error { recoveryCfg.K = k; return runRecovery(stdout, recoveryCfg, *jsonPath) }},
+		"table2":     {[]string{"k", "n"}, 48, nil, func(k int) error { return runTable2(stdout, k, *n) }},
+		"table3":     {[]string{"k", "seed"}, 8, nil, func(k int) error { return runTable3(stdout, k, *seed) }},
+		"fig5":       {nil, 0, nil, func(int) error { return runFig5(stdout) }},
+		"capacity":   {[]string{"k", "n"}, 8, nil, func(k int) error { return runCapacity(stdout, k, *n) }},
+		"latency":    {[]string{"k"}, 8, sharebackup.Technologies, func(k int) error { return runLatency(stdout, k) }},
+		"tablesize":  {nil, 0, nil, func(int) error { return runTableSize(stdout) }},
+		"extensions": {[]string{"k", "seed"}, 8, nil, func(k int) error { return runExtensions(stdout, k, *seed) }},
+		"transient":  {[]string{"k", "seed"}, 8, sharebackup.Technologies, func(k int) error { return runTransient(stdout, k, *seed) }},
+		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, 0, nil, func(int) error { return runMonteCarlo(stdout, monteCarloCfg) }},
+		"recovery": {[]string{"k", "n", "trials", "workers", "json"}, 8, sharebackup.Technologies,
+			func(k int) error { recoveryCfg.K = k; return runRecovery(stdout, recoveryCfg, jsonFile) }},
 	}
 	// The library's own field checks, before anything runs: sbnet's rule on
-	// the k and n of every selected experiment that builds a fabric (its n
-	// only if it reads -n), and the config check of each that takes a config.
+	// the k and n of every selected experiment that builds a fabric, in each
+	// technology it builds (its n if it reads -n, else the one backup per
+	// group the others build), and the config check of each that takes a
+	// config.
 	checks := map[string]func() error{"montecarlo": monteCarloCfg.Check, "recovery": recoveryCfg.Check}
 
 	selected := strings.Split(*runList, ",")
@@ -129,8 +141,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		e := experiments[name]
-		if e.k != 0 {
-			fabric := sbnet.Config{K: cmp.Or(*k, e.k)}
+		techs := e.techs
+		if techs == nil && e.k != 0 {
+			techs = []sharebackup.Technology{sharebackup.Crosspoint}
+		}
+		for _, tech := range techs {
+			fabric := sbnet.Config{K: cmp.Or(*k, e.k), N: 1, Tech: tech}
 			if slices.Contains(e.reads, "n") {
 				fabric.N = *n
 			}
@@ -164,6 +180,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	if *jsonPath != "" {
+		var err error
+		if jsonFile, err = os.Create(*jsonPath); err != nil {
+			fmt.Fprintln(stderr, "sbexperiments: -json:", err)
+			return 2
+		}
+		defer jsonFile.Close()
+	}
 	if *tracePath != "" {
 		var err error
 		if trace, err = loadTrace(*tracePath); err != nil {
@@ -457,9 +481,9 @@ func runMonteCarlo(w io.Writer, cfg failure.AvailabilityConfig) error {
 }
 
 // runRecovery runs the Section 5.3 many-failover recovery study and prints
-// its total-latency percentiles per technology; with jsonPath it also writes
+// its total-latency percentiles per technology; with jsonFile it also writes
 // the full result there as indented JSON.
-func runRecovery(w io.Writer, cfg sharebackup.RecoveryBenchConfig, jsonPath string) error {
+func runRecovery(w io.Writer, cfg sharebackup.RecoveryBenchConfig, jsonFile *os.File) error {
 	res, err := sharebackup.RunRecoveryBench(cfg)
 	if err != nil {
 		return err
@@ -473,16 +497,19 @@ func runRecovery(w io.Writer, cfg sharebackup.RecoveryBenchConfig, jsonPath stri
 		tbl.AddRow(t.Tech, t.Recoveries, total.Median, total.P99)
 	}
 	fmt.Fprint(w, tbl.String())
-	if jsonPath == "" {
+	if jsonFile == nil {
 		return nil
 	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+	if _, err := jsonFile.Write(append(data, '\n')); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "wrote %s (%d techs, %d recoveries each)\n", jsonPath, len(res.Techs), res.Techs[0].Recoveries)
+	if err := jsonFile.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s (%d techs, %d recoveries each)\n", jsonFile.Name(), len(res.Techs), res.Techs[0].Recoveries)
 	return nil
 }

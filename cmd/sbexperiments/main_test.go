@@ -60,6 +60,11 @@ func TestBadRunListRunsNothing(t *testing.T) {
 		{[]string{"-run", "latency,montecarlo", "-n", "-1", "-k", "4"}, "Backups"},
 		{[]string{"-run", "fig5,capacity", "-n", "-1", "-k", "4"}, "n=-1"},
 		{[]string{"-run", "tablesize,fig1c", "-k", "3"}, "k=3"},
+		{[]string{"-run", "fig5,latency", "-k", "64"}, "port limit"},
+		{[]string{"-run", "fig5,recovery", "-k", "64"}, "port limit"},
+		{[]string{"-run", "fig5,recovery", "-k", "4", "-n", "40"}, "port limit"},
+		{[]string{"-run", "fig5,transient", "-k", "64"}, "port limit"},
+		{[]string{"-run", "fig5,recovery", "-k", "4", "-json", "/nonexistent/dir/x.json"}, "-json"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

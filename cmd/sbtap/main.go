@@ -129,15 +129,27 @@ func main() {
 }
 
 // controlPlaneSummary renders the replicated-controller life events in a
-// trace — replica elections, stepdowns, and agent failovers — as a timeline,
-// so a leader change mid-storm is visible in the default summary without
+// trace — replica elections, stepdowns, and agent failovers — as a timeline
+// in time order (a trace interleaves processes, so file order is not), so a
+// leader change mid-storm is visible in the default summary without
 // reaching for -spans. Empty when the trace has no such events (the common
 // single-controller case).
 func controlPlaneSummary(evs []obs.Event) string {
+	var timeline []obs.Event
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.KindLeaderElected, obs.KindLeaderLost, obs.KindFailover:
+			timeline = append(timeline, ev)
+		}
+	}
+	if len(timeline) == 0 {
+		return ""
+	}
+	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].T < timeline[j].T })
 	var b bytes.Buffer
 	var elections, stepdowns, failovers int
 	maxTerm := int32(0)
-	for _, ev := range evs {
+	for _, ev := range timeline {
 		switch ev.Kind {
 		case obs.KindLeaderElected:
 			elections++
@@ -149,15 +161,10 @@ func controlPlaneSummary(evs []obs.Event) string {
 			failovers++
 			fmt.Fprintf(&b, "  %12v  agent-failover  switch=%d -> %s (connection %d)\n", ev.T, ev.Switch, ev.Detail, ev.Count)
 			continue
-		default:
-			continue
 		}
 		if ev.Count > maxTerm {
 			maxTerm = ev.Count
 		}
-	}
-	if b.Len() == 0 {
-		return ""
 	}
 	head := fmt.Sprintf("control plane: %d elections, %d stepdowns, %d agent failovers (max term %d)\n",
 		elections, stepdowns, failovers, maxTerm)

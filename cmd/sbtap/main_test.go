@@ -48,9 +48,9 @@ func TestSeqLossUntaggedStream(t *testing.T) {
 }
 
 // TestControlPlaneSummaryGolden pins the control-plane timeline rendering:
-// elections, stepdowns, and agent failovers each get a line, the header
-// counts them and reports the highest term seen, and a trace without any
-// such events renders nothing at all.
+// elections, stepdowns, and agent failovers each get a line, in time order;
+// the header counts them and reports the highest term seen, and a trace
+// without any such events renders nothing at all.
 func TestControlPlaneSummaryGolden(t *testing.T) {
 	role := func(kind obs.Kind, t time.Duration, replica, term int32) obs.Event {
 		ev := obs.NewEvent(kind, t)
@@ -80,6 +80,26 @@ func TestControlPlaneSummaryGolden(t *testing.T) {
 	plain := []obs.Event{mkEvent("", 1), mkEvent("", 2)}
 	if got := controlPlaneSummary(plain); got != "" {
 		t.Errorf("summary on plain trace: %q", got)
+	}
+
+	// A trace interleaves processes, so its events can arrive out of time
+	// order: the timeline sorts them by time, ties in file order.
+	failover := func(t time.Duration, sw int32) obs.Event {
+		ev := obs.NewEvent(obs.KindFailover, t)
+		ev.Switch, ev.Detail, ev.Count = sw, "127.0.0.1:41000", 1
+		return ev
+	}
+	shuffled := []obs.Event{
+		failover(68715*time.Microsecond, 3),
+		failover(68672*time.Microsecond, 5),
+		failover(68715*time.Microsecond, 1),
+	}
+	want = "control plane: 0 elections, 0 stepdowns, 3 agent failovers (max term 0)\n" +
+		"      68.672ms  agent-failover  switch=5 -> 127.0.0.1:41000 (connection 1)\n" +
+		"      68.715ms  agent-failover  switch=3 -> 127.0.0.1:41000 (connection 1)\n" +
+		"      68.715ms  agent-failover  switch=1 -> 127.0.0.1:41000 (connection 1)\n"
+	if got := controlPlaneSummary(shuffled); got != want {
+		t.Errorf("controlPlaneSummary out of time order:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -135,14 +135,18 @@ type Config struct {
 	Tech circuit.Technology
 }
 
-// Check rejects a K or N that breaks its rule. The port limit, which
-// depends on Tech as well, is New's.
+// Check rejects a K or N that breaks its rule, or a fabric whose circuit
+// switches need more ports per side than Tech scales to.
 func (c Config) Check() error {
 	if c.K < 4 || c.K%2 != 0 {
 		return fmt.Errorf("sbnet: k=%d must be even and >= 4", c.K)
 	}
 	if c.N < 0 {
 		return fmt.Errorf("sbnet: n=%d must be non-negative", c.N)
+	}
+	if psz, limit := c.K/2+c.N+2, c.Tech.PortLimit(); psz > limit {
+		return fmt.Errorf("sbnet: k/2+n+2 = %d exceeds %v port limit %d (Section 5.3 scalability bound)",
+			psz, c.Tech, limit)
 	}
 	return nil
 }
@@ -177,12 +181,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	half := cfg.K / 2
-	psz := half + cfg.N + 2
-	if limit := cfg.Tech.PortLimit(); psz > limit {
-		return nil, fmt.Errorf("sbnet: k/2+n+2 = %d exceeds %v port limit %d (Section 5.3 scalability bound)",
-			psz, cfg.Tech, limit)
-	}
-	n := &Network{cfg: cfg, half: half, gsz: half + cfg.N, psz: psz}
+	n := &Network{cfg: cfg, half: half, gsz: half + cfg.N, psz: half + cfg.N + 2}
 
 	// Failure groups: k edge groups, k agg groups, k/2 core groups.
 	addGroup := func(kind topo.Kind, pod, index int) GroupID {
@@ -228,7 +227,7 @@ func New(cfg Config) (*Network, error) {
 	// Circuit switches and their initial configurations.
 	var err error
 	mk := func(layer int, pod, j int) *circuit.Switch {
-		s, e := circuit.New(fmt.Sprintf("CS%d,%d,%d", layer, pod, j), cfg.Tech, psz)
+		s, e := circuit.New(fmt.Sprintf("CS%d,%d,%d", layer, pod, j), cfg.Tech, n.psz)
 		if e != nil && err == nil {
 			err = e
 		}

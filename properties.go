@@ -128,7 +128,7 @@ type LatencyRow struct {
 // rule update for rerouting.
 func RecoveryLatency(k int) ([]LatencyRow, error) {
 	var rows []LatencyRow
-	for _, tech := range []Technology{Crosspoint, MEMS2D} {
+	for _, tech := range Technologies {
 		sys, err := New(Config{K: k, N: 1, Tech: tech})
 		if err != nil {
 			return nil, err

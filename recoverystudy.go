@@ -83,7 +83,7 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 		k = 8
 	}
 	res := &RecoveryBenchResult{Experiment: "recovery-latency", K: k, N: n, Trials: trials}
-	for _, tech := range []Technology{Crosspoint, MEMS2D} {
+	for _, tech := range Technologies {
 		recs, err := sweep.Run(context.Background(), sweep.Config{
 			Name: "recovery-" + tech.String(), Shards: trials,
 			Workers: cfg.Workers,

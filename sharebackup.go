@@ -53,6 +53,11 @@ const (
 	MEMS2D     = circuit.MEMS2D
 )
 
+// Technologies lists the technologies the Section 5.3 studies
+// (RecoveryLatency, RunRecoveryBench, TransientStudy) build a fabric in
+// each of, so a study's k and n must fit every one's port limit.
+var Technologies = []Technology{Crosspoint, MEMS2D}
+
 // WriteWiring renders a wiring manifest as "from -> to" lines (re-exported
 // for the sbwire tool and downstream deployment scripts).
 var WriteWiring = sbnet.WriteWiring
