@@ -15,13 +15,14 @@
 // 1(a)/(b) instead of the synthetic workload. -trials sets the failovers per
 // kind of the recovery study; -json writes that study's result (per-phase
 // percentiles per circuit technology and recovery kind) to the named file as
-// indented JSON: without -run it runs the study alone. A flag set explicitly
-// that no experiment in -run reads (-k with fig5 alone, -trials without
-// recovery, -coflow-trace without fig1a or fig1b) is refused (exit 2) before
-// anything runs, and so is a value its library rejects (-trials 0, -k 3,
-// -n -1 beside fig5, or -k 64 beside latency: past the 2D-MEMS port limit)
-// and a -json file that cannot be created; -run and the obs flags below are
-// not checked.
+// indented JSON: without -run it runs the study alone.
+//
+// Each experiment is a plan: its library config, built from the flags it
+// reads. Before it loads a trace, creates -json's file or prints a byte,
+// sbexperiments refuses (exit 2) a flag set explicitly that no experiment in
+// -run reads, a config that a selected experiment's library check rejects,
+// and a -coflow-trace or -json file it cannot read or create. -run and the
+// obs flags below are not checked.
 //
 // -trace writes every structured control-plane event as JSONL (summarize
 // with sbtap); -events logs them human-readably to stderr; -debug-addr serves
@@ -31,6 +32,7 @@ package main
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,12 +42,13 @@ import (
 
 	"sharebackup"
 	"sharebackup/internal/coflow"
+	"sharebackup/internal/cost"
 	"sharebackup/internal/failure"
 	"sharebackup/internal/fluid"
 	"sharebackup/internal/metrics"
 	"sharebackup/internal/obs"
 	"sharebackup/internal/obs/debughttp"
-	"sharebackup/internal/sbnet"
+	"sharebackup/internal/topo"
 )
 
 func main() {
@@ -54,6 +57,15 @@ func main() {
 
 // order is what -run all runs.
 var order = []string{"fig1a", "fig1b", "fig1c", "table2", "fig5", "table3", "capacity", "latency", "tablesize", "extensions", "transient", "montecarlo", "recovery"}
+
+// plan is one experiment: the flags it reads besides -run and the obs flags,
+// its library's check of the config built from them (nil: it reads none),
+// and its run.
+type plan struct {
+	reads []string
+	check func() error
+	run   func() error
+}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sbexperiments", flag.ContinueOnError)
@@ -76,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// jsonFile is -json's file, created once every check has passed; a run
 	// that fails removes it.
 	var jsonFile *os.File
+	refuse := func(name string, err error) int {
+		fmt.Fprintf(stderr, "sbexperiments: %s: %v\n", name, err)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sbexperiments:", err)
 		if jsonFile != nil {
@@ -84,49 +100,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Each experiment, with the flags it reads besides -run and the obs
-	// flags, the fat-tree parameter k of the fabric it builds (or prices)
-	// when -k is 0 (0 if it builds none from -k), and the circuit
-	// technologies it builds that fabric in (nil: the default one). Its run
-	// takes the k in force, and reads trace and recoveryCfg.TraceSink once
-	// they are set below.
-	var trace *coflow.Trace
-	monteCarloCfg := monteCarloConfig(*k, *n, *seed, *full, *workers)
-	recoveryCfg := sharebackup.RecoveryBenchConfig{N: *n, Trials: *trials, Workers: *workers}
-	fig1K, paperFig1c := 8, *full && *k == 0
+	// Each experiment's library config, built from the flags. -k 0 is each
+	// study's laptop scale (k=8; Table 2's k=48 data center; the Monte-Carlo
+	// group of a k=16 fabric), and -full the paper's (the k=16 failure
+	// study, one failure per 5-minute window of Fig. 1(c)'s hour, a
+	// 1e8-hour Monte-Carlo horizon). fig1.Trace and recovery.TraceSink are
+	// set below, before anything runs.
+	kOr := func(def int) int { return cmp.Or(*k, def) }
+	studyK := kOr(8)
+	fig1 := sharebackup.Fig1Config{K: studyK, Seed: *seed, Workers: *workers}
+	fig1c := sharebackup.Fig1cConfig{K: studyK, Seed: *seed, Workers: *workers}
+	monteCarlo := failure.AvailabilityConfig{GroupSize: kOr(16) / 2, Backups: *n, Horizon: 1e6, Seed: *seed, Shards: 64, Workers: *workers}
 	if *full {
-		fig1K = 16
+		fig1.K, fig1c.K = kOr(16), kOr(16)
+		monteCarlo.Horizon, monteCarlo.Shards = 1e8, 256
+		if *k == 0 {
+			fig1c.Coflows, fig1c.Windows, fig1c.Scenarios = 40, 12, 24
+		}
 	}
-	experiments := map[string]struct {
-		reads []string
-		k     int
-		techs []sharebackup.Technology
-		run   func(k int) error
-	}{
-		"fig1a": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K, nil,
-			func(k int) error { return runFig1(stdout, true, k, *seed, *workers, trace) }},
-		"fig1b": {[]string{"k", "seed", "full", "workers", "coflow-trace"}, fig1K, nil,
-			func(k int) error { return runFig1(stdout, false, k, *seed, *workers, trace) }},
-		"fig1c": {[]string{"k", "seed", "full", "workers"}, fig1K, nil,
-			func(k int) error { return runFig1c(stdout, k, paperFig1c, *seed, *workers) }},
-		"table2":     {[]string{"k", "n"}, 48, nil, func(k int) error { return runTable2(stdout, k, *n) }},
-		"table3":     {[]string{"k", "seed"}, 8, nil, func(k int) error { return runTable3(stdout, k, *seed) }},
-		"fig5":       {nil, 0, nil, func(int) error { return runFig5(stdout) }},
-		"capacity":   {[]string{"k", "n"}, 8, nil, func(k int) error { return runCapacity(stdout, k, *n) }},
-		"latency":    {[]string{"k"}, 8, sharebackup.Technologies, func(k int) error { return runLatency(stdout, k) }},
-		"tablesize":  {nil, 0, nil, func(int) error { return runTableSize(stdout) }},
-		"extensions": {[]string{"k", "seed"}, 8, nil, func(k int) error { return runExtensions(stdout, k, *seed) }},
-		"transient":  {[]string{"k", "seed"}, 8, sharebackup.Technologies, func(k int) error { return runTransient(stdout, k, *seed) }},
-		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, 0, nil, func(int) error { return runMonteCarlo(stdout, monteCarloCfg) }},
-		"recovery": {[]string{"k", "n", "trials", "workers", "json"}, 8, sharebackup.Technologies,
-			func(k int) error { recoveryCfg.K = k; return runRecovery(stdout, recoveryCfg, jsonFile) }},
+	transient := sharebackup.TransientConfig{K: studyK, Seed: *seed}
+	recovery := sharebackup.RecoveryBenchConfig{K: studyK, N: *n, Trials: *trials, Workers: *workers}
+	fig1Reads := []string{"k", "seed", "full", "workers", "coflow-trace"}
+	plans := map[string]plan{
+		"fig1a":      {fig1Reads, fig1.Check, func() error { return runFig1(stdout, true, fig1) }},
+		"fig1b":      {fig1Reads, fig1.Check, func() error { return runFig1(stdout, false, fig1) }},
+		"fig1c":      {[]string{"k", "seed", "full", "workers"}, fig1c.Check, func() error { return runFig1c(stdout, fig1c) }},
+		"table2":     {[]string{"k", "n"}, func() error { return cost.Check(kOr(48), *n) }, func() error { return runTable2(stdout, kOr(48), *n) }},
+		"table3":     {[]string{"k", "seed"}, func() error { return topo.CheckK(studyK) }, func() error { return runTable3(stdout, studyK, *seed) }},
+		"fig5":       {nil, nil, func() error { return runFig5(stdout) }},
+		"capacity":   {[]string{"k", "n"}, sharebackup.Config{K: studyK, N: *n}.Check, func() error { return runCapacity(stdout, studyK, *n) }},
+		"latency":    {[]string{"k"}, func() error { return sharebackup.CheckEveryTechnology(studyK, 1) }, func() error { return runLatency(stdout, studyK) }},
+		"tablesize":  {nil, nil, func() error { return runTableSize(stdout) }},
+		"extensions": {[]string{"k", "seed"}, sharebackup.Config{K: studyK, N: 1}.Check, func() error { return runExtensions(stdout, studyK, *seed) }},
+		"transient":  {[]string{"k", "seed"}, transient.Check, func() error { return runTransient(stdout, transient) }},
+		// The simulated failure group is one of a k-ary fat-tree's.
+		"montecarlo": {[]string{"k", "n", "seed", "full", "workers"}, func() error { return errors.Join(topo.CheckK(kOr(16)), monteCarlo.Check()) }, func() error { return runMonteCarlo(stdout, monteCarlo) }},
+		"recovery":   {[]string{"k", "n", "trials", "workers", "json"}, recovery.Check, func() error { return runRecovery(stdout, recovery, jsonFile) }},
 	}
-	// The library's own field checks, before anything runs: sbnet's rule on
-	// the k and n of every selected experiment that builds a fabric, in each
-	// technology it builds (its n if it reads -n, else the one backup per
-	// group the others build), and the config check of each that takes a
-	// config.
-	checks := map[string]func() error{"montecarlo": monteCarloCfg.Check, "recovery": recoveryCfg.Check}
 
 	selected := strings.Split(*runList, ",")
 	switch {
@@ -135,66 +145,53 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *runList == "" || *runList == "all":
 		selected = order
 	}
+	// Every selected plan's library check, before anything loads or runs.
+	// readBy maps a flag to the first selected experiment that reads it.
+	readBy := make(map[string]string)
 	for _, name := range selected {
-		if !slices.Contains(order, name) {
+		p, ok := plans[name]
+		if !ok {
 			fmt.Fprintf(stderr, "sbexperiments: unknown experiment %q\n", name)
 			return 2
 		}
-		e := experiments[name]
-		techs := e.techs
-		if techs == nil && e.k != 0 {
-			techs = []sharebackup.Technology{sharebackup.Crosspoint}
-		}
-		for _, tech := range techs {
-			fabric := sbnet.Config{K: cmp.Or(*k, e.k), N: 1, Tech: tech}
-			if slices.Contains(e.reads, "n") {
-				fabric.N = *n
-			}
-			if err := fabric.Check(); err != nil {
-				fmt.Fprintf(stderr, "sbexperiments: %s: %v\n", name, err)
-				return 2
+		if p.check != nil {
+			if err := p.check(); err != nil {
+				return refuse(name, err)
 			}
 		}
-		if check := checks[name]; check != nil {
-			if err := check(); err != nil {
-				fmt.Fprintf(stderr, "sbexperiments: %s: %v\n", name, err)
-				return 2
-			}
+		for _, f := range p.reads {
+			readBy[f] = cmp.Or(readBy[f], name)
 		}
 	}
 	// A flag set explicitly that no selected experiment reads is refused
-	// before anything loads or runs. -run and the obs flags serve the whole
-	// process; no experiment reads them and they are not checked.
+	// too. -run and the obs flags serve the whole process; no experiment
+	// reads them and they are not checked.
 	var set []string
 	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	for _, flagName := range set {
-		var readers []string
-		for _, name := range order {
-			if slices.Contains(experiments[name].reads, flagName) {
-				readers = append(readers, name)
-			}
-		}
-		if len(readers) > 0 && !slices.ContainsFunc(selected, func(name string) bool { return slices.Contains(readers, name) }) {
+		readers := slices.DeleteFunc(slices.Clone(order), func(name string) bool { return !slices.Contains(plans[name].reads, flagName) })
+		if len(readers) > 0 && readBy[flagName] == "" {
 			fmt.Fprintf(stderr, "sbexperiments: no experiment in -run reads -%s; add %s to -run\n", flagName, strings.Join(readers, " or "))
 			return 2
 		}
 	}
-
+	// A trace that cannot be read and a -json file that cannot be created
+	// are bad flag values too.
+	var err error
+	if *tracePath != "" {
+		if fig1.Trace, err = loadTrace(*tracePath); err != nil {
+			return refuse(readBy["coflow-trace"], fmt.Errorf("-coflow-trace: %w", err))
+		}
+	}
 	if *jsonPath != "" {
-		var err error
 		if jsonFile, err = os.Create(*jsonPath); err != nil {
-			fmt.Fprintln(stderr, "sbexperiments: -json:", err)
-			return 2
+			return refuse(readBy["json"], fmt.Errorf("-json: %w", err))
 		}
 		defer jsonFile.Close()
 	}
-	if *tracePath != "" {
-		var err error
-		if trace, err = loadTrace(*tracePath); err != nil {
-			return fail(err)
-		}
+	if tr := fig1.Trace; tr != nil {
 		fmt.Fprintf(stdout, "loaded trace: %d racks, %d coflows (%d dropped: no cross-rack flow), %d flows, %.0fs\n",
-			trace.NumRacks, len(trace.Coflows), trace.Dropped, trace.TotalFlows(), trace.Duration())
+			tr.NumRacks, len(tr.Coflows), tr.Dropped, tr.TotalFlows(), tr.Duration())
 	}
 
 	if obsFlags.DebugAddr != "" {
@@ -206,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	recoveryCfg.TraceSink = traceSink
+	recovery.TraceSink = traceSink
 	defer func() {
 		if err := stopObs(); err != nil {
 			fmt.Fprintln(stderr, "sbexperiments:", err)
@@ -215,8 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, name := range selected {
 		fmt.Fprintf(stdout, "===== %s =====\n", name)
-		e := experiments[name]
-		if err := e.run(cmp.Or(*k, e.k)); err != nil {
+		if err := plans[name].run(); err != nil {
 			return fail(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Fprintln(stdout)
@@ -237,17 +233,12 @@ func loadTrace(path string) (*coflow.Trace, error) {
 	return tr, nil
 }
 
-func runFig1(w io.Writer, nodes bool, k int, seed int64, workers int, trace *coflow.Trace) error {
-	cfg := sharebackup.Fig1Config{K: k, Seed: seed, Workers: workers, Trace: trace}
-	var (
-		res *sharebackup.Fig1Result
-		err error
-	)
+func runFig1(w io.Writer, nodes bool, cfg sharebackup.Fig1Config) error {
+	run := sharebackup.Fig1b
 	if nodes {
-		res, err = sharebackup.Fig1a(cfg)
-	} else {
-		res, err = sharebackup.Fig1b(cfg)
+		run = sharebackup.Fig1a
 	}
+	res, err := run(cfg)
 	if err != nil {
 		return err
 	}
@@ -279,15 +270,7 @@ func printFig1(w io.Writer, nodes bool, k int, res *sharebackup.Fig1Result) erro
 	return nil
 }
 
-// runFig1c runs Figure 1(c) on a k-ary fabric; paper adds the paper's
-// workload (one failure per 5-minute window) to its k=16 fabric.
-func runFig1c(w io.Writer, k int, paper bool, seed int64, workers int) error {
-	cfg := sharebackup.Fig1cConfig{K: k, Seed: seed, Workers: workers}
-	if paper {
-		cfg.Coflows = 40
-		cfg.Windows = 12
-		cfg.Scenarios = 24
-	}
+func runFig1c(w io.Writer, cfg sharebackup.Fig1cConfig) error {
 	res, err := sharebackup.Fig1c(cfg)
 	if err != nil {
 		return err
@@ -308,7 +291,7 @@ func runFig1c(w io.Writer, k int, paper bool, seed int64, workers int) error {
 		}
 	}
 	fmt.Fprint(w, tbl.String())
-	if chart, err := metrics.PlotCDF("CCT slowdown CDF (x = slowdown, y = %% of affected coflows)", 24, false, curves); err == nil {
+	if chart, err := metrics.PlotCDF("CCT slowdown CDF (x = slowdown, y = % of affected coflows)", 24, curves); err == nil {
 		fmt.Fprint(w, chart)
 	}
 	return nil
@@ -416,8 +399,8 @@ func runExtensions(w io.Writer, k int, seed int64) error {
 	return nil
 }
 
-func runTransient(w io.Writer, k int, seed int64) error {
-	rows, err := sharebackup.TransientStudy(sharebackup.TransientConfig{K: k, Seed: seed})
+func runTransient(w io.Writer, cfg sharebackup.TransientConfig) error {
+	rows, err := sharebackup.TransientStudy(cfg)
 	if err != nil {
 		return err
 	}
@@ -448,20 +431,9 @@ func runTableSize(w io.Writer) error {
 	return nil
 }
 
-// monteCarloConfig is the Section 5.1 group-availability simulation: one
+// runMonteCarlo runs the Section 5.1 group-availability simulation: one
 // failure group of k/2 switches sharing n backups, at the paper's MTBF and
 // MTTR, over a horizon split into independent slices.
-func monteCarloConfig(k, n int, seed int64, full bool, workers int) failure.AvailabilityConfig {
-	if k == 0 {
-		k = 16
-	}
-	horizon, shards := 1e6, 64
-	if full {
-		horizon, shards = 1e8, 256
-	}
-	return failure.AvailabilityConfig{GroupSize: k / 2, Backups: n, Horizon: horizon, Seed: seed, Shards: shards, Workers: workers}
-}
-
 func runMonteCarlo(w io.Writer, cfg failure.AvailabilityConfig) error {
 	res, err := failure.SimulateGroupAvailability(cfg)
 	if err != nil {

@@ -44,6 +44,12 @@ func (c *Fig1Config) setDefaults() {
 	}
 }
 
+// Check rejects a K (default 16) that breaks the fat-tree rule.
+func (c Fig1Config) Check() error {
+	c.setDefaults()
+	return topo.CheckK(c.K)
+}
+
 // Fig1Result is one affected-percentage sweep.
 type Fig1Result struct {
 	// Rates is the x-axis.
@@ -128,6 +134,9 @@ type fig1Sample struct {
 
 func fig1(cfg Fig1Config, nodes bool) (*Fig1Result, error) {
 	cfg.setDefaults()
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	ft, err := rackFatTree(cfg.K, false)
 	if err != nil {
 		return nil, err

@@ -69,10 +69,11 @@ func (c *Fig1cConfig) setDefaults() {
 	}
 }
 
-// check rejects a bad field by name; setDefaults has run, so a zero field
-// holds its default.
-func (c *Fig1cConfig) check() error {
-	var errs []error
+// Check rejects a K that breaks the fat-tree rule and any other bad field by
+// name, a zero field holding its default.
+func (c Fig1cConfig) Check() error {
+	c.setDefaults()
+	errs := []error{topo.CheckK(c.K)}
 	for _, f := range [...]struct {
 		name string
 		v    int
@@ -121,7 +122,7 @@ const (
 // ShareBackup.
 func Fig1c(cfg Fig1cConfig) ([]ArchSlowdowns, error) {
 	cfg.setDefaults()
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	in, err := newFig1cInputs(cfg)

@@ -9,7 +9,11 @@
 // and 3/2*k^2*(k/2+n+2) circuit-switch ports on top of a fat-tree.
 package cost
 
-import "fmt"
+import (
+	"fmt"
+
+	"sharebackup/internal/topo"
+)
 
 // Prices is a market price point (Table 2's bottom half).
 type Prices struct {
@@ -38,9 +42,15 @@ type Breakdown struct {
 // Total sums the breakdown.
 func (b Breakdown) Total() float64 { return b.CircuitPorts + b.SwitchPorts + b.Cables }
 
-func checkK(k int) error {
-	if k < 4 || k%2 != 0 {
-		return fmt.Errorf("cost: k=%d must be even and >= 4", k)
+// Check rejects a scale the model does not price: a k that breaks the
+// fat-tree rule, or a negative n. The model prices any n: the circuit-switch
+// port limit binds a fabric that is built, not one that is priced.
+func Check(k, n int) error {
+	if err := topo.CheckK(k); err != nil {
+		return err
+	}
+	if n < 0 {
+		return fmt.Errorf("cost: n=%d must be non-negative", n)
 	}
 	return nil
 }
@@ -49,7 +59,7 @@ func checkK(k int) error {
 // (5/4)k^3*b + (k^3/2)*c. The b-term counts 5k^2/4 switches of k ports; the
 // c-term counts the k^3/2 switch-to-switch cables.
 func FatTree(k int, p Prices) (Breakdown, error) {
-	if err := checkK(k); err != nil {
+	if err := topo.CheckK(k); err != nil {
 		return Breakdown{}, err
 	}
 	kf := float64(k)
@@ -62,11 +72,8 @@ func FatTree(k int, p Prices) (Breakdown, error) {
 // ShareBackupExtra returns ShareBackup's additional cost over fat-tree:
 // (3/2)k^2(k/2+n+2)*a + (5/2)k^2*n*b + (5/4)k^2*n*c.
 func ShareBackupExtra(k, n int, p Prices) (Breakdown, error) {
-	if err := checkK(k); err != nil {
+	if err := Check(k, n); err != nil {
 		return Breakdown{}, err
-	}
-	if n < 0 {
-		return Breakdown{}, fmt.Errorf("cost: n=%d must be non-negative", n)
 	}
 	kf, nf := float64(k), float64(n)
 	return Breakdown{
@@ -80,7 +87,7 @@ func ShareBackupExtra(k, n int, p Prices) (Breakdown, error) {
 // (k^3/2)*b + (k^3/4)*c — one extra layer of k^2/2 switches and k^3/4 more
 // cables.
 func AspenExtra(k int, p Prices) (Breakdown, error) {
-	if err := checkK(k); err != nil {
+	if err := topo.CheckK(k); err != nil {
 		return Breakdown{}, err
 	}
 	kf := float64(k)
@@ -94,7 +101,7 @@ func AspenExtra(k int, p Prices) (Breakdown, error) {
 // (15/4)k^3*b + (3/2)k^3*c — every switch duplicated with doubled port
 // counts, every inter-switch link duplicated into a mesh with the shadows.
 func OneToOneExtra(k int, p Prices) (Breakdown, error) {
-	if err := checkK(k); err != nil {
+	if err := topo.CheckK(k); err != nil {
 		return Breakdown{}, err
 	}
 	kf := float64(k)

@@ -3,20 +3,23 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
-// Plot renders one or more series as an ASCII line chart — the harness's
-// stand-in for the paper's figures. Each series is drawn with its own glyph;
-// the y-axis is linear (use LogPlot for slowdown-style data).
+// Plot renders one or more series as a 60 × 16 ASCII line chart on linear
+// axes — the harness's stand-in for the paper's figures. Each series is
+// drawn with its own glyph.
 type Plot struct {
-	Title  string
-	Width  int // plot area columns (default 60)
-	Height int // plot area rows (default 16)
-	Log    bool
+	Title string
 }
 
 var plotGlyphs = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
+
+// plottable reports whether a point has finite coordinates.
+func plottable(x, y float64) bool {
+	return !math.IsNaN(x) && !math.IsNaN(y) && !math.IsInf(x, 0) && !math.IsInf(y, 0)
+}
 
 // Render draws the series. All series may have different x values; the
 // x-axis spans their union.
@@ -24,32 +27,19 @@ func (p *Plot) Render(series ...*Series) (string, error) {
 	if len(series) == 0 {
 		return "", fmt.Errorf("metrics: Plot: no series")
 	}
-	width, height := p.Width, p.Height
-	if width <= 0 {
-		width = 60
-	}
-	if height <= 0 {
-		height = 16
-	}
+	const width, height = 60, 16 // the plot area's columns and rows
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	total := 0
 	for _, s := range series {
 		for i := range s.X {
 			x, y := s.X[i], s.Y[i]
-			if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
-				continue
-			}
-			if p.Log && y <= 0 {
+			if !plottable(x, y) {
 				continue
 			}
 			total++
 			xmin, xmax = math.Min(xmin, x), math.Max(xmax, x)
-			yv := y
-			if p.Log {
-				yv = math.Log10(y)
-			}
-			ymin, ymax = math.Min(ymin, yv), math.Max(ymax, yv)
+			ymin, ymax = math.Min(ymin, y), math.Max(ymax, y)
 		}
 	}
 	if total == 0 {
@@ -70,15 +60,11 @@ func (p *Plot) Render(series ...*Series) (string, error) {
 		glyph := plotGlyphs[si%len(plotGlyphs)]
 		for i := range s.X {
 			x, y := s.X[i], s.Y[i]
-			if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) || (p.Log && y <= 0) {
+			if !plottable(x, y) {
 				continue
 			}
-			yv := y
-			if p.Log {
-				yv = math.Log10(y)
-			}
 			col := int(math.Round((x - xmin) / (xmax - xmin) * float64(width-1)))
-			row := height - 1 - int(math.Round((yv-ymin)/(ymax-ymin)*float64(height-1)))
+			row := height - 1 - int(math.Round((y-ymin)/(ymax-ymin)*float64(height-1)))
 			if grid[row][col] == ' ' || grid[row][col] == glyph {
 				grid[row][col] = glyph
 			} else {
@@ -92,17 +78,8 @@ func (p *Plot) Render(series ...*Series) (string, error) {
 		b.WriteString(p.Title)
 		b.WriteByte('\n')
 	}
-	yLabel := func(v float64) string {
-		if p.Log {
-			return FormatFloat(math.Pow(10, v))
-		}
-		return FormatFloat(v)
-	}
-	top, bottom := yLabel(ymax), yLabel(ymin)
-	labelW := len(top)
-	if len(bottom) > labelW {
-		labelW = len(bottom)
-	}
+	top, bottom := FormatFloat(ymax), FormatFloat(ymin)
+	labelW := max(len(top), len(bottom))
 	for r := 0; r < height; r++ {
 		switch r {
 		case 0:
@@ -129,8 +106,8 @@ func (p *Plot) Render(series ...*Series) (string, error) {
 }
 
 // PlotCDF renders one or more CDFs as curves on a shared chart, sampling
-// each at up to `points` positions.
-func PlotCDF(title string, points int, log bool, curves map[string]*CDF) (string, error) {
+// each at up to `points` positions. The title is printed as given.
+func PlotCDF(title string, points int, curves map[string]*CDF) (string, error) {
 	if len(curves) == 0 {
 		return "", fmt.Errorf("metrics: PlotCDF: no curves")
 	}
@@ -139,14 +116,7 @@ func PlotCDF(title string, points int, log bool, curves map[string]*CDF) (string
 	for name := range curves {
 		names = append(names, name)
 	}
-	// Deterministic ordering.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
+	slices.Sort(names)
 	for _, name := range names {
 		c := curves[name]
 		s := &Series{Name: name, XLabel: "value"}
@@ -160,6 +130,6 @@ func PlotCDF(title string, points int, log bool, curves map[string]*CDF) (string
 	if len(series) == 0 {
 		return "", fmt.Errorf("metrics: PlotCDF: all curves empty")
 	}
-	p := &Plot{Title: title, Log: log}
+	p := &Plot{Title: title}
 	return p.Render(series...)
 }

@@ -30,21 +30,6 @@ func TestPlotRender(t *testing.T) {
 	}
 }
 
-func TestPlotLogScale(t *testing.T) {
-	s := &Series{Name: "slowdown", XLabel: "percentile"}
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i), math.Pow(10, float64(i)/25)) // 10^0 .. 10^4
-	}
-	p := &Plot{Title: "log", Log: true}
-	out, err := p.Render(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "10000 |") {
-		t.Errorf("log plot top label wrong:\n%s", out)
-	}
-}
-
 func TestPlotRejectsEmpty(t *testing.T) {
 	p := &Plot{}
 	if _, err := p.Render(); err == nil {
@@ -54,12 +39,6 @@ func TestPlotRejectsEmpty(t *testing.T) {
 	s.Add(math.NaN(), math.NaN())
 	if _, err := p.Render(s); err == nil {
 		t.Error("all-NaN series accepted")
-	}
-	lp := &Plot{Log: true}
-	z := &Series{Name: "zero"}
-	z.Add(1, 0)
-	if _, err := lp.Render(z); err == nil {
-		t.Error("log plot of non-positive values accepted")
 	}
 }
 
@@ -78,17 +57,17 @@ func TestPlotCDF(t *testing.T) {
 		"fat-tree":    NewCDF([]float64{1, 1.2, 2, 5, 40}),
 		"ShareBackup": NewCDF([]float64{1, 1, 1, 1, 1}),
 	}
-	out, err := PlotCDF("Figure 1(c)", 10, false, curves)
+	out, err := PlotCDF("Figure 1(c)", 10, curves)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "fat-tree") || !strings.Contains(out, "ShareBackup") {
 		t.Errorf("CDF plot missing curves:\n%s", out)
 	}
-	if _, err := PlotCDF("empty", 5, false, nil); err == nil {
+	if _, err := PlotCDF("empty", 5, nil); err == nil {
 		t.Error("empty curve map accepted")
 	}
-	if _, err := PlotCDF("empty", 5, false, map[string]*CDF{"e": NewCDF(nil)}); err == nil {
+	if _, err := PlotCDF("empty", 5, map[string]*CDF{"e": NewCDF(nil)}); err == nil {
 		t.Error("empty CDFs accepted")
 	}
 }

@@ -10,7 +10,11 @@
 //     rerouting and F10-style local rerouting with 3-hop detours.
 package routing
 
-import "fmt"
+import (
+	"fmt"
+
+	"sharebackup/internal/topo"
+)
 
 // Addr is a fat-tree address in the 10.pod.switch.id scheme of Al-Fares et
 // al.; hosts are 10.pod.edge.(2 + position). Switches are never addressed:
@@ -35,9 +39,11 @@ func HostAddr(k, pod, edge, position int) (Addr, error) {
 	return Addr{10, uint8(pod), uint8(edge), uint8(2 + position)}, nil
 }
 
+// checkK adds the address scheme's bound to the fat-tree rule: a pod number
+// is one byte of 10.pod.switch.id.
 func checkK(k int) error {
-	if k < 4 || k%2 != 0 || k > 254 {
-		return fmt.Errorf("routing: k=%d must be even, >= 4, and addressable (<= 254)", k)
+	if k > 254 {
+		return fmt.Errorf("routing: k=%d is not addressable (it must be <= 254)", k)
 	}
-	return nil
+	return topo.CheckK(k)
 }

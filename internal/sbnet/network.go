@@ -138,15 +138,15 @@ type Config struct {
 // Check rejects a K or N that breaks its rule, or a fabric whose circuit
 // switches need more ports per side than Tech scales to.
 func (c Config) Check() error {
-	if c.K < 4 || c.K%2 != 0 {
-		return fmt.Errorf("sbnet: k=%d must be even and >= 4", c.K)
+	if err := topo.CheckK(c.K); err != nil {
+		return err
 	}
 	if c.N < 0 {
 		return fmt.Errorf("sbnet: n=%d must be non-negative", c.N)
 	}
 	if psz, limit := c.K/2+c.N+2, c.Tech.PortLimit(); psz > limit {
-		return fmt.Errorf("sbnet: k/2+n+2 = %d exceeds %v port limit %d (Section 5.3 scalability bound)",
-			psz, c.Tech, limit)
+		return fmt.Errorf("sbnet: k=%d, n=%d: k/2+n+2 = %d exceeds %v port limit %d (Section 5.3 scalability bound)",
+			c.K, c.N, psz, c.Tech, limit)
 	}
 	return nil
 }

@@ -34,9 +34,18 @@ type Config struct {
 	AB bool
 }
 
+// CheckK is the fat-tree rule every builder and cost equation applies: k is
+// even and at least 4.
+func CheckK(k int) error {
+	if k < 4 || k%2 != 0 {
+		return fmt.Errorf("topo: fat-tree parameter k=%d must be even and >= 4", k)
+	}
+	return nil
+}
+
 func (c *Config) setDefaults() error {
-	if c.K < 4 || c.K%2 != 0 {
-		return fmt.Errorf("topo: fat-tree parameter k=%d must be even and >= 4", c.K)
+	if err := CheckK(c.K); err != nil {
+		return err
 	}
 	if c.HostsPerEdge == 0 {
 		c.HostsPerEdge = c.K / 2

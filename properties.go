@@ -127,8 +127,11 @@ type LatencyRow struct {
 // controller communication, 70 ns / 40 µs circuit resets, and a ~1 ms SDN
 // rule update for rerouting.
 func RecoveryLatency(k int) ([]LatencyRow, error) {
+	if err := CheckEveryTechnology(k, 1); err != nil {
+		return nil, err
+	}
 	var rows []LatencyRow
-	for _, tech := range Technologies {
+	for _, tech := range technologies {
 		sys, err := New(Config{K: k, N: 1, Tech: tech})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package sharebackup
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -59,12 +60,13 @@ type RecoveryBenchConfig struct {
 	TraceSink obs.Sink
 }
 
-// Check rejects a field that breaks its rule, by name.
+// Check rejects a Trials below 1 by name, and a K (default 8) and N that
+// some technology's fabric cannot be built with.
 func (c RecoveryBenchConfig) Check() error {
 	if c.Trials < 1 {
 		return fieldError("RecoveryBenchConfig", "Trials", c.Trials, "be at least 1")
 	}
-	return nil
+	return CheckEveryTechnology(cmp.Or(c.K, 8), c.N)
 }
 
 // RunRecoveryBench drives cfg.Trials node and link failovers per circuit
@@ -78,12 +80,9 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) (*RecoveryBenchResult, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	k, n, trials := cfg.K, cfg.N, cfg.Trials
-	if k == 0 {
-		k = 8
-	}
+	k, n, trials := cmp.Or(cfg.K, 8), cfg.N, cfg.Trials
 	res := &RecoveryBenchResult{Experiment: "recovery-latency", K: k, N: n, Trials: trials}
-	for _, tech := range Technologies {
+	for _, tech := range technologies {
 		recs, err := sweep.Run(context.Background(), sweep.Config{
 			Name: "recovery-" + tech.String(), Shards: trials,
 			Workers: cfg.Workers,

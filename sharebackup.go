@@ -53,10 +53,21 @@ const (
 	MEMS2D     = circuit.MEMS2D
 )
 
-// Technologies lists the technologies the Section 5.3 studies
+// technologies lists the technologies the Section 5.3 studies
 // (RecoveryLatency, RunRecoveryBench, TransientStudy) build a fabric in
 // each of, so a study's k and n must fit every one's port limit.
-var Technologies = []Technology{Crosspoint, MEMS2D}
+var technologies = []Technology{Crosspoint, MEMS2D}
+
+// CheckEveryTechnology rejects a k and n that Config.Check rejects in any
+// technology the Section 5.3 studies build.
+func CheckEveryTechnology(k, n int) error {
+	for _, tech := range technologies {
+		if err := (Config{K: k, N: n, Tech: tech}).Check(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // WriteWiring renders a wiring manifest as "from -> to" lines (re-exported
 // for the sbwire tool and downstream deployment scripts).
@@ -81,6 +92,10 @@ type Config struct {
 	// controller metrics.
 	Metrics *obs.Registry
 }
+
+// Check rejects a K that breaks the fat-tree rule, a negative N, or a fabric
+// whose circuit switches need more ports per side than Tech scales to.
+func (c Config) Check() error { return sbnet.Config{K: c.K, N: c.N, Tech: c.Tech}.Check() }
 
 // System bundles a ShareBackup network with its logically centralized
 // controller: a running deployment.

@@ -1,8 +1,6 @@
 package sharebackup
 
 import (
-	"fmt"
-
 	"sharebackup/internal/fluid"
 	"sharebackup/internal/routing"
 	"sharebackup/internal/topo"
@@ -32,9 +30,6 @@ type Table3Row struct {
 // long-lived flows (every ordered rack pair), so that any capacity removed
 // from the fabric shows up as lost aggregate throughput.
 func Table3(k int, seed int64) ([]Table3Row, error) {
-	if k < 4 || k%2 != 0 {
-		return nil, fmt.Errorf("sharebackup: Table3: k=%d must be even and >= 4", k)
-	}
 	ft, err := rackFatTree(k, false)
 	if err != nil {
 		return nil, err

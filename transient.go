@@ -1,6 +1,7 @@
 package sharebackup
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -49,12 +50,17 @@ type TransientRow struct {
 	Disconnected int
 }
 
+// Check rejects a K (default 8) that the latency table the study takes its
+// recovery gaps from cannot be built with in some technology.
+func (c TransientConfig) Check() error { return CheckEveryTechnology(cmp.Or(c.K, 8), 1) }
+
 // TransientStudy runs an all-to-all workload, fails an aggregation switch
 // mid-transfer, applies each scheme's recovery gap and post-recovery paths,
 // and reports completion-time slowdowns against the unfailed baseline.
 func TransientStudy(cfg TransientConfig) ([]TransientRow, error) {
-	if cfg.K == 0 {
-		cfg.K = 8
+	cfg.K = cmp.Or(cfg.K, 8)
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	// Real units so millisecond gaps are measurable against seconds-scale
 	// transfers: 10 Gbps fabric links, 10:1 oversubscribed rack access.
